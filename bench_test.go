@@ -196,7 +196,9 @@ func BenchmarkSimulatorLargeCore(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := plat.Evaluate(p, platform.EvalOptions{DynamicInstructions: 10000, Seed: 1}); err != nil {
+		if _, err := plat.EvaluateRequest(platform.EvalRequest{
+			Programs: []*program.Program{p}, Options: platform.EvalOptions{DynamicInstructions: 10000, Seed: 1},
+		}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -221,12 +223,13 @@ func BenchmarkParallelEvaluate(b *testing.B) {
 		if err != nil {
 			return nil, err
 		}
-		return func(cfg knobs.Config) (metrics.Vector, error) {
+		return func(cfg knobs.Config, _ float64) (metrics.Vector, error) {
 			p, err := syn.Synthesize("bench", cfg)
 			if err != nil {
 				return nil, err
 			}
-			return plat.Evaluate(p, evalOpts)
+			resp, err := plat.EvaluateRequest(platform.EvalRequest{Programs: []*program.Program{p}, Options: evalOpts})
+			return resp.Metrics, err
 		}, nil
 	}
 
@@ -237,10 +240,8 @@ func BenchmarkParallelEvaluate(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for _, cfg := range cfgs {
-				if _, err := eval(cfg); err != nil {
-					b.Fatal(err)
-				}
+			if _, err := eval.EvaluateBatch(context.Background(), cfgs, 1); err != nil {
+				b.Fatal(err)
 			}
 		}
 	})
@@ -252,7 +253,7 @@ func BenchmarkParallelEvaluate(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := pe.EvaluateBatch(context.Background(), cfgs); err != nil {
+			if _, err := pe.EvaluateBatch(context.Background(), cfgs, 1); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -39,12 +39,10 @@ import (
 
 	"micrograd/internal/evalcache"
 	"micrograd/internal/knobs"
-	"micrograd/internal/metrics"
 	"micrograd/internal/microprobe"
 	"micrograd/internal/platform"
 	"micrograd/internal/powersim"
 	"micrograd/internal/program"
-	"micrograd/internal/sched"
 	"micrograd/internal/tuner"
 )
 
@@ -312,49 +310,42 @@ func sampleConfigs(space *knobs.Space, n int, seed int64) []knobs.Config {
 	return cfgs
 }
 
-// stressEvaluator builds the per-worker evaluation function of the stress
-// workload: one EvalSession per worker around a Large-core platform, all
-// sharing the returned kernel-synthesis memo, simulating with power
-// collection — the exact request path tuners use.
-func stressEvaluator(wl Workload) (func() (sched.EvalFunc, error), *microprobe.CachingSynthesizer) {
-	syn := microprobe.NewCachingSynthesizer(microprobe.Options{LoopSize: wl.LoopSize, Seed: wl.Seed})
-	opts := platform.EvalOptions{DynamicInstructions: wl.DynamicInstructions, Seed: wl.Seed, CollectPower: true}
-	return func() (sched.EvalFunc, error) {
-		plat, err := platform.NewSimPlatform(platform.Large())
-		if err != nil {
-			return nil, err
-		}
-		session := platform.NewEvalSession(plat, syn)
-		return func(cfg knobs.Config) (metrics.Vector, error) {
-			resp, err := session.Evaluate(platform.EvalRequest{Name: "mgperf", Config: cfg, Options: opts})
-			return resp.Metrics, err
-		}, nil
-	}, syn
+// stressStack builds the stress workload's evaluation stack with the
+// constructor every use case runs on: Large-core EvalSessions (pooled at
+// workers > 1) sharing the kernel-synthesis memo syn, simulating with power
+// collection, behind an evaluation memo over group (nil: a private cache).
+func stressStack(wl Workload, workers int, syn *microprobe.CachingSynthesizer, group *evalcache.Group) (*tuner.MemoizingEvaluator, error) {
+	newPlat := func() (platform.Platform, error) { return platform.NewSimPlatform(platform.Large()) }
+	plat, err := newPlat()
+	if err != nil {
+		return nil, err
+	}
+	return tuner.NewPlatformEvaluator(tuner.PlatformOptions{
+		Name:        "mgperf",
+		Platform:    plat,
+		Parallel:    workers,
+		NewPlatform: newPlat,
+		Synth:       syn,
+		Options:     platform.EvalOptions{DynamicInstructions: wl.DynamicInstructions, Seed: wl.Seed, CollectPower: true},
+		Memo:        group,
+	})
 }
 
-// measureThroughput times one pass over the configuration batch at the given
-// worker count and returns the wall-clock seconds.
+// newStressSynth returns an empty kernel-synthesis memo for the workload.
+func newStressSynth(wl Workload) *microprobe.CachingSynthesizer {
+	return microprobe.NewCachingSynthesizer(microprobe.Options{LoopSize: wl.LoopSize, Seed: wl.Seed})
+}
+
+// measureThroughput times one pass over the configuration batch (all
+// distinct, so every evaluation is simulated) at the given worker count and
+// returns the wall-clock seconds.
 func measureThroughput(cfgs []knobs.Config, wl Workload, workers int) (float64, error) {
-	newEval, _ := stressEvaluator(wl)
-	if workers <= 1 {
-		eval, err := newEval()
-		if err != nil {
-			return 0, err
-		}
-		start := time.Now()
-		for _, cfg := range cfgs {
-			if _, err := eval(cfg); err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(start).Seconds(), nil
-	}
-	pe, err := sched.NewParallelEvaluator(workers, newEval)
+	eval, err := stressStack(wl, workers, newStressSynth(wl), nil)
 	if err != nil {
 		return 0, err
 	}
 	start := time.Now()
-	if _, err := pe.EvaluateBatch(context.Background(), cfgs); err != nil {
+	if _, err := eval.EvaluateBatch(context.Background(), cfgs, 1); err != nil {
 		return 0, err
 	}
 	return time.Since(start).Seconds(), nil
@@ -453,37 +444,34 @@ func measureGridSolve(traces []powersim.PowerTrace, windowNS float64) (GridSolve
 }
 
 // measureMemo exercises both memo layers on a bounded slice of the batch:
-// two passes through a memoizing evaluator over a shared evalcache group
+// two passes through an evaluation stack over a shared evalcache group
 // (with an unbounded cache the second pass must be all evaluation-cache
 // hits, and never reaches the synthesizer; memoCap > 0 bounds the cache
-// with LRU eviction instead), then one pass straight through the session
-// (all synthesis-memo hits). The reported eval counters are the shared
-// group's — the same counters mgserve's /stats endpoint exposes.
+// with LRU eviction instead), then one pass through a second stack with an
+// empty cache of its own (all synthesis-memo hits). The reported eval
+// counters are the shared group's — the same counters mgserve's /stats
+// endpoint exposes.
 func measureMemo(cfgs []knobs.Config, wl Workload, memoCap int) (MemoCounters, MemoCounters, error) {
 	if len(cfgs) > 16 {
 		cfgs = cfgs[:16]
-	}
-	newEval, syn := stressEvaluator(wl)
-	eval, err := newEval()
-	if err != nil {
-		return MemoCounters{}, MemoCounters{}, err
 	}
 	cache, err := evalcache.New(memoCap)
 	if err != nil {
 		return MemoCounters{}, MemoCounters{}, err
 	}
 	group := evalcache.NewGroup(cache)
-	memo := tuner.NewSharedMemoizingEvaluator(tuner.EvaluatorFunc(eval), group, tuner.DefaultKey)
-	ctx := context.Background()
-	for pass := 0; pass < 2; pass++ {
-		if _, err := tuner.EvaluateAll(ctx, memo, cfgs); err != nil {
-			return MemoCounters{}, MemoCounters{}, err
-		}
+	syn := newStressSynth(wl)
+	memo, err := stressStack(wl, 1, syn, group)
+	if err != nil {
+		return MemoCounters{}, MemoCounters{}, err
 	}
-	// A direct pass (no evaluation cache in front) re-requests every kernel
-	// from the synthesis memo.
-	for _, cfg := range cfgs {
-		if _, err := eval(cfg); err != nil {
+	direct, err := stressStack(wl, 1, syn, nil)
+	if err != nil {
+		return MemoCounters{}, MemoCounters{}, err
+	}
+	ctx := context.Background()
+	for _, eval := range []tuner.Evaluator{memo, memo, direct} {
+		if _, err := eval.EvaluateBatch(ctx, cfgs, 1); err != nil {
 			return MemoCounters{}, MemoCounters{}, err
 		}
 	}
@@ -501,12 +489,11 @@ func measureFidelity(cfgs []knobs.Config, wl Workload) (FidelityCost, error) {
 		cfgs = cfgs[:8]
 	}
 	const screeningFidelity = 0.25
-	syn := microprobe.NewCachingSynthesizer(microprobe.Options{LoopSize: wl.LoopSize, Seed: wl.Seed})
 	plat, err := platform.NewSimPlatform(platform.Large())
 	if err != nil {
 		return FidelityCost{}, err
 	}
-	session := platform.NewEvalSession(plat, syn)
+	session := platform.NewEvalSession(plat, newStressSynth(wl))
 	pass := func(fidelity float64) (float64, error) {
 		start := time.Now()
 		for _, cfg := range cfgs {

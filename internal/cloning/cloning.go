@@ -15,7 +15,6 @@ import (
 	"micrograd/internal/microprobe"
 	"micrograd/internal/platform"
 	"micrograd/internal/program"
-	"micrograd/internal/sched"
 	"micrograd/internal/tuner"
 	"micrograd/internal/workloads"
 )
@@ -157,50 +156,19 @@ func Clone(ctx context.Context, name string, target metrics.Vector, opts Options
 	if csyn == nil {
 		csyn = microprobe.NewCachingSynthesizer(microprobe.Options{LoopSize: opts.LoopSize, Seed: opts.Seed})
 	}
-	syn := microprobe.NewSynthesizer(csyn.Options())
-	synthEval := func(plat platform.Platform) sched.EvalFunc {
-		if re, ok := plat.(platform.RequestEvaluator); ok {
-			session := platform.NewEvalSession(re, csyn)
-			return func(cfg knobs.Config) (metrics.Vector, error) {
-				resp, err := session.Evaluate(platform.EvalRequest{
-					Name: "clone-" + name, Config: cfg, Options: opts.EvalOptions,
-				})
-				return resp.Metrics, err
-			}
-		}
-		return func(cfg knobs.Config) (metrics.Vector, error) {
-			p, err := syn.Synthesize("clone-"+name, cfg)
-			if err != nil {
-				return nil, err
-			}
-			return plat.Evaluate(p, opts.EvalOptions)
-		}
+	memo, err := tuner.NewPlatformEvaluator(tuner.PlatformOptions{
+		Name:        "clone-" + name,
+		Platform:    opts.Platform,
+		Parallel:    opts.Parallel,
+		NewPlatform: opts.NewPlatform,
+		Synth:       csyn,
+		Options:     opts.EvalOptions,
+		Memo:        opts.Memo,
+		MemoCap:     opts.MemoCap,
+	})
+	if err != nil {
+		return Report{}, fmt.Errorf("cloning: %w", err)
 	}
-	var base tuner.Evaluator = tuner.EvaluatorFunc(synthEval(opts.Platform))
-	if opts.Parallel > 1 && opts.NewPlatform != nil {
-		pe, err := sched.NewParallelEvaluator(opts.Parallel, func() (sched.EvalFunc, error) {
-			plat, err := opts.NewPlatform()
-			if err != nil {
-				return nil, err
-			}
-			return synthEval(plat), nil
-		})
-		if err != nil {
-			return Report{}, fmt.Errorf("cloning: building evaluation pool: %w", err)
-		}
-		base = pe
-	}
-	evaluator := tuner.NewCountingEvaluator(base)
-	group := opts.Memo
-	if group == nil {
-		cache, err := evalcache.New(opts.MemoCap)
-		if err != nil {
-			return Report{}, fmt.Errorf("cloning: %w", err)
-		}
-		group = evalcache.NewGroup(cache)
-	}
-	keyer := platform.NewEvalKeyer(platform.EvalIdentityOf(opts.Platform), csyn.Options(), opts.EvalOptions)
-	memo := tuner.NewSharedMemoizingEvaluator(evaluator, group, keyer.Key)
 
 	loss := metrics.CloneLoss{Target: target, Weights: opts.Weights, Metrics: opts.Metrics}
 	prob := tuner.Problem{
@@ -221,7 +189,7 @@ func Clone(ctx context.Context, name string, target metrics.Vector, opts Options
 		return Report{}, fmt.Errorf("cloning: tuner produced no configuration for %s", name)
 	}
 
-	cloneProg, err := syn.Synthesize("clone-"+name, res.Best)
+	cloneProg, err := microprobe.NewSynthesizer(csyn.Options()).Synthesize("clone-"+name, res.Best)
 	if err != nil {
 		return Report{}, fmt.Errorf("cloning: regenerating clone for %s: %w", name, err)
 	}
@@ -236,7 +204,7 @@ func Clone(ctx context.Context, name string, target metrics.Vector, opts Options
 		Accuracy:     make(map[string]float64, len(opts.Metrics)),
 		MeanAccuracy: metrics.MeanAccuracy(res.BestMetrics, target, opts.Metrics),
 		Epochs:       len(res.Epochs),
-		Evaluations:  evaluator.Count(),
+		Evaluations:  int(memo.Misses()),
 		Converged:    res.Converged,
 		Config:       res.Best,
 		Program:      cloneProg,
@@ -286,19 +254,13 @@ func CloneSimpoints(ctx context.Context, bm workloads.Benchmark, opts Options) (
 		if err != nil {
 			return nil, err
 		}
-		var target metrics.Vector
-		if re, ok := o.Platform.(platform.RequestEvaluator); ok {
-			resp, rerr := re.EvaluateRequest(platform.EvalRequest{
-				Programs: []*program.Program{prog}, Options: o.EvalOptions,
-			})
-			target, err = resp.Metrics, rerr
-		} else {
-			target, err = o.Platform.Evaluate(prog, o.EvalOptions)
-		}
+		resp, err := o.Platform.EvaluateRequest(platform.EvalRequest{
+			Programs: []*program.Program{prog}, Options: o.EvalOptions,
+		})
 		if err != nil {
 			return nil, fmt.Errorf("cloning: measuring %s/%s: %w", bm.Name, ph.Name, err)
 		}
-		rep, err := Clone(ctx, fmt.Sprintf("%s-%s", bm.Name, ph.Name), target, opts)
+		rep, err := Clone(ctx, fmt.Sprintf("%s-%s", bm.Name, ph.Name), resp.Metrics, opts)
 		if err != nil {
 			return nil, err
 		}

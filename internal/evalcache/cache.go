@@ -11,10 +11,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 
 	"micrograd/internal/metrics"
 )
@@ -113,12 +115,17 @@ func (c *LRUCache) Len() int { return c.order.Len() }
 // reopens a warm cache. Filenames are the SHA-256 of the key; the key is
 // stored inside the file and verified on read, so a hash collision degrades
 // to a miss instead of returning a wrong result. Writes go through a
-// temporary file and rename, so a crash never leaves a torn entry.
+// temporary file and rename, so a crash never leaves a torn entry. A failed
+// write leaves the key uncached (a later Get misses) and is counted in
+// PutErrors.
 type DiskCache struct {
 	dir string
 	// present tracks the keys known to be on disk (seeded from the directory
 	// listing at open), so Len is O(1) and repeated misses skip the syscall.
 	present map[string]bool
+	// putErrors counts failed writes. It is atomic because statistics
+	// readers poll it outside the Group that serializes cache access.
+	putErrors atomic.Uint64
 }
 
 // diskEntry is the stored JSON document.
@@ -174,25 +181,42 @@ func (c *DiskCache) Get(key string) (metrics.Vector, bool) {
 	return ent.Metrics, true
 }
 
-// Put implements Cache.
+// Put implements Cache. The Cache interface has no error return, so a
+// failed write — an unmarshalable vector (NaN or ±Inf metrics), or a
+// create, write, close or rename failure — is counted in PutErrors instead.
 func (c *DiskCache) Put(key string, v metrics.Vector) {
-	blob, err := json.Marshal(diskEntry{Key: key, Metrics: v})
-	if err != nil {
-		return // a metric vector always marshals; defensive only
-	}
-	path := c.path(key)
-	tmp, err := os.CreateTemp(c.dir, "put-*")
-	if err != nil {
-		return
-	}
-	_, werr := tmp.Write(blob)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil || os.Rename(tmp.Name(), path) != nil {
-		os.Remove(tmp.Name())
+	if err := c.put(key, v); err != nil {
+		c.putErrors.Add(1)
 		return
 	}
 	c.present[key] = true
 }
+
+// put writes one entry file through a temporary file and rename.
+func (c *DiskCache) put(key string, v metrics.Vector) error {
+	blob, err := json.Marshal(diskEntry{Key: key, Metrics: v})
+	if err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(c.dir, "put-*")
+	if err != nil {
+		return err
+	}
+	_, werr := tmp.Write(blob)
+	cerr := tmp.Close()
+	if err := errors.Join(werr, cerr); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	if err := os.Rename(tmp.Name(), c.path(key)); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	return nil
+}
+
+// PutErrors returns the number of Puts that failed to persist their entry.
+func (c *DiskCache) PutErrors() uint64 { return c.putErrors.Load() }
 
 // Len implements Cache.
 func (c *DiskCache) Len() int { return len(c.present) }

@@ -2,6 +2,7 @@ package evalcache
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -138,6 +139,48 @@ func TestDiskCacheIgnoresTornAndForeignFiles(t *testing.T) {
 	c.Put("a", vec(1))
 	if v, ok := c.Get("a"); !ok || v["x"] != 1 {
 		t.Fatalf("Get(a) = %v, %v after garbage scan", v, ok)
+	}
+}
+
+func TestDiskCacheCountsPutErrors(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
+	c, err := NewDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// JSON has no NaN: the entry cannot be marshaled.
+	c.Put("nan", metrics.Vector{"x": math.NaN()})
+	if got := c.PutErrors(); got != 1 {
+		t.Fatalf("PutErrors after a NaN vector = %d, want 1", got)
+	}
+
+	// A read-only directory refuses the temporary file. Privileged users
+	// write through permission bits, so the directory is then replaced by
+	// a plain file, which refuses it for everyone.
+	if err := os.Chmod(dir, 0o500); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chmod(dir, 0o700) })
+	if probe, err := os.CreateTemp(dir, "probe-*"); err == nil {
+		probe.Close()
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(dir, nil, 0o400); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Put("ro", vec(1))
+	if got := c.PutErrors(); got != 2 {
+		t.Fatalf("PutErrors after a read-only write = %d, want 2", got)
+	}
+	for _, key := range []string{"nan", "ro"} {
+		if _, ok := c.Get(key); ok {
+			t.Errorf("failed Put(%q) is served as a hit", key)
+		}
+	}
+	if c.Len() != 0 {
+		t.Errorf("Len = %d after failed puts, want 0", c.Len())
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"micrograd/internal/evalcache"
 	"micrograd/internal/knobs"
 	"micrograd/internal/metrics"
 	"micrograd/internal/microprobe"
@@ -191,39 +190,19 @@ func bruteForceReference(ctx context.Context, kind stress.Kind, core platform.Co
 	if csyn == nil {
 		csyn = microprobe.NewCachingSynthesizer(microprobe.Options{LoopSize: b.LoopSize, Seed: b.Seed})
 	}
-	synthEval := func(plat *platform.SimPlatform) sched.EvalFunc {
-		session := platform.NewEvalSession(plat, csyn)
-		return func(cfg knobs.Config) (metrics.Vector, error) {
-			resp, err := session.Evaluate(platform.EvalRequest{
-				Name: "bruteforce-" + string(kind), Config: cfg, Options: evalOpts,
-			})
-			return resp.Metrics, err
-		}
+	memo, err := tuner.NewPlatformEvaluator(tuner.PlatformOptions{
+		Name:        "bruteforce-" + string(kind),
+		Platform:    plat,
+		Parallel:    b.Parallel,
+		NewPlatform: func() (platform.Platform, error) { return platform.NewSimPlatform(core) },
+		Synth:       csyn,
+		Options:     evalOpts,
+		Memo:        b.Memo,
+		MemoCap:     b.MemoCap,
+	})
+	if err != nil {
+		return 0, 0, err
 	}
-	var base tuner.Evaluator = tuner.EvaluatorFunc(synthEval(plat))
-	if b.Parallel > 1 {
-		pe, err := sched.NewParallelEvaluator(b.Parallel, func() (sched.EvalFunc, error) {
-			wplat, err := platform.NewSimPlatform(core)
-			if err != nil {
-				return nil, err
-			}
-			return synthEval(wplat), nil
-		})
-		if err != nil {
-			return 0, 0, err
-		}
-		base = pe
-	}
-	counting := tuner.NewCountingEvaluator(base)
-	group := b.Memo
-	if group == nil {
-		cache, err := evalcache.New(b.MemoCap)
-		if err != nil {
-			return 0, 0, err
-		}
-		group = evalcache.NewGroup(cache)
-	}
-	keyer := platform.NewEvalKeyer(platform.EvalIdentityOf(plat), csyn.Options(), evalOpts)
 	bf := tuner.NewBruteForce(tuner.BruteForceParams{
 		MaxEvaluations:       b.BruteForceEvaluations,
 		LatticePointsPerKnob: 2,
@@ -232,7 +211,7 @@ func bruteForceReference(ctx context.Context, kind stress.Kind, core platform.Co
 	prob := tuner.Problem{
 		Space:      space,
 		Loss:       loss,
-		Evaluator:  tuner.NewSharedMemoizingEvaluator(counting, group, keyer.Key),
+		Evaluator:  memo,
 		MaxEpochs:  1,
 		TargetLoss: tuner.NoTargetLoss,
 		Seed:       b.Seed,
@@ -245,7 +224,7 @@ func bruteForceReference(ctx context.Context, kind stress.Kind, core platform.Co
 	if sl, ok := loss.(metrics.StressLoss); ok && sl.Maximize {
 		value = -value
 	}
-	return value, counting.Count(), nil
+	return value, int(memo.Misses()), nil
 }
 
 // stressAccuracy compares an achieved worst case against the brute-force

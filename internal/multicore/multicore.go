@@ -183,7 +183,7 @@ type CoRunPlatform struct {
 	spec     CoRunSpec
 	sims     []*platform.SimPlatform
 	parallel int
-	// evaluations counts chip-level Evaluate calls. It is atomic so
+	// evaluations counts served chip-level evaluations. It is atomic so
 	// Evaluations() stays race-free when tuners fan candidates out over
 	// per-worker co-run platforms while an observer polls the counters.
 	evaluations atomic.Uint64
@@ -257,10 +257,10 @@ func (c *CoRunPlatform) NumCores() int { return len(c.sims) }
 // Evaluations returns the number of chip-level evaluations served so far.
 func (c *CoRunPlatform) Evaluations() uint64 { return c.evaluations.Load() }
 
-// EvaluateRequest implements platform.RequestEvaluator — the one evaluation
-// path every legacy Evaluate* method shims onto. A single program fans out to
-// every core; FreqOverrides apply per core; DetailTrace adds the summed chip
-// trace and DetailResult the raw per-core simulation results. Options.Fidelity
+// EvaluateRequest implements platform.Platform — the one evaluation path. A
+// single program fans out to every core; FreqOverrides apply per core;
+// DetailTrace adds the summed chip trace and DetailResult the raw per-core
+// simulation results. Options.Fidelity
 // shortens every core's simulated window (each per-core simulator applies it),
 // so reduced-fidelity chip evaluations — the successive-halving screening
 // rungs — are proportionally cheaper while still producing the chip-level
@@ -280,50 +280,6 @@ func (c *CoRunPlatform) EvaluateRequest(req platform.EvalRequest) (platform.Eval
 		}
 	}
 	return c.evaluateDetailed(progs, req.FreqOverrides, req.Options, req.Detail)
-}
-
-// Evaluate implements platform.Platform: every core co-runs the same kernel.
-//
-// Deprecated: thin shim over the EvaluateRequest path.
-func (c *CoRunPlatform) Evaluate(p *program.Program, opts platform.EvalOptions) (metrics.Vector, error) {
-	progs := make([]*program.Program, len(c.sims))
-	for i := range progs {
-		progs[i] = p
-	}
-	resp, err := c.evaluateDetailed(progs, nil, opts, platform.DetailMetrics)
-	return resp.Metrics, err
-}
-
-// EvaluateCoRun simulates one kernel per core and returns the chip-level
-// metric vector. Unlike EvaluateRequest it accepts no single-kernel
-// shorthand: the kernel count must match the core count exactly.
-//
-// Deprecated: thin shim over the EvaluateRequest path.
-func (c *CoRunPlatform) EvaluateCoRun(progs []*program.Program, opts platform.EvalOptions) (metrics.Vector, error) {
-	resp, err := c.evaluateDetailed(progs, nil, opts, platform.DetailMetrics)
-	return resp.Metrics, err
-}
-
-// EvaluateCoRunDetailed is EvaluateCoRun plus the summed chip-level power
-// trace (untrimmed), for reporting tools and cmd/mgbench's -trace dump — one
-// simulation pass yields both.
-//
-// Deprecated: thin shim over the EvaluateRequest path (Detail: DetailTrace).
-func (c *CoRunPlatform) EvaluateCoRunDetailed(progs []*program.Program, opts platform.EvalOptions) (metrics.Vector, powersim.PowerTrace, error) {
-	resp, err := c.evaluateDetailed(progs, nil, opts, platform.DetailTrace)
-	return resp.Metrics, resp.Trace, err
-}
-
-// EvaluateCoRunDetailedAt is EvaluateCoRunDetailed with per-core clock
-// overrides: core i runs at freqsGHz[i] GHz instead of its spec clock (zero
-// keeps the spec clock, nil overrides nothing). Heterogeneous effective
-// clocks switch the chip aggregation onto the nanosecond grid.
-//
-// Deprecated: thin shim over the EvaluateRequest path — the overrides now
-// travel in EvalRequest.FreqOverrides.
-func (c *CoRunPlatform) EvaluateCoRunDetailedAt(progs []*program.Program, freqsGHz []float64, opts platform.EvalOptions) (metrics.Vector, powersim.PowerTrace, error) {
-	resp, err := c.evaluateDetailed(progs, freqsGHz, opts, platform.DetailTrace)
-	return resp.Metrics, resp.Trace, err
 }
 
 // EvaluateConfig implements the stress package's ConfigEvaluator: the shared
@@ -406,13 +362,21 @@ func (c *CoRunPlatform) evaluateDetailed(progs []*program.Program, freqsGHz []fl
 				freq = freqsGHz[i]
 				coreOpts.FrequencyGHz = freq
 			}
-			v, res, err := sim.EvaluateDetailed(progs[i], coreOpts)
+			// Every core needs its trace; only DetailResult also copies the
+			// raw result out of the simulator's window scratch.
+			coreDetail := platform.DetailTrace
+			if detail >= platform.DetailResult {
+				coreDetail = platform.DetailResult
+			}
+			resp, err := sim.EvaluateRequest(platform.EvalRequest{
+				Programs: progs[i : i+1], Options: coreOpts, Detail: coreDetail,
+			})
 			if err != nil {
 				return coreRun{}, fmt.Errorf("multicore: core %d: %w", i, err)
 			}
-			run := coreRun{vector: v, trace: sim.PowerTrace(res), freqGHz: freq}
+			run := coreRun{vector: resp.Metrics, trace: resp.Trace, freqGHz: freq}
 			if detail >= platform.DetailResult {
-				run.result = res
+				run.result = resp.Results[0]
 			}
 			return run, nil
 		})

@@ -7,6 +7,7 @@ import (
 	"micrograd/internal/metrics"
 	"micrograd/internal/microprobe"
 	"micrograd/internal/platform"
+	"micrograd/internal/powersim"
 	"micrograd/internal/program"
 )
 
@@ -17,6 +18,20 @@ func twoSmall(t *testing.T, parallel int) *CoRunPlatform {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// chipMetrics serves one metrics-only chip request: progs holds one kernel
+// per core, or a single kernel every core co-runs.
+func chipMetrics(c *CoRunPlatform, progs []*program.Program, opts platform.EvalOptions) (metrics.Vector, error) {
+	resp, err := c.EvaluateRequest(platform.EvalRequest{Programs: progs, Options: opts})
+	return resp.Metrics, err
+}
+
+// evalChip serves one chip request at DetailTrace with optional per-core
+// clock overrides.
+func evalChip(c *CoRunPlatform, progs []*program.Program, freqs []float64, opts platform.EvalOptions) (metrics.Vector, powersim.PowerTrace, error) {
+	resp, err := c.EvaluateRequest(platform.EvalRequest{Programs: progs, FreqOverrides: freqs, Options: opts, Detail: platform.DetailTrace})
+	return resp.Metrics, resp.Trace, err
 }
 
 func testKernel(t *testing.T) *program.Program {
@@ -62,7 +77,7 @@ func TestCoRunSpecValidation(t *testing.T) {
 
 func TestCoRunEvaluateProducesChipMetrics(t *testing.T) {
 	c := twoSmall(t, 1)
-	v, err := c.Evaluate(testKernel(t), platform.EvalOptions{DynamicInstructions: 6000, Seed: 1})
+	v, err := chipMetrics(c, []*program.Program{testKernel(t)}, platform.EvalOptions{DynamicInstructions: 6000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +139,11 @@ func TestCoRunFidelityShortensChipTrace(t *testing.T) {
 func TestCoRunParallelBitIdenticalToSerial(t *testing.T) {
 	p := testKernel(t)
 	opts := platform.EvalOptions{DynamicInstructions: 6000, Seed: 1}
-	serial, err := twoSmall(t, 1).Evaluate(p, opts)
+	serial, err := chipMetrics(twoSmall(t, 1), []*program.Program{p}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := twoSmall(t, 4).Evaluate(p, opts)
+	par, err := chipMetrics(twoSmall(t, 4), []*program.Program{p}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +189,8 @@ func TestEvaluateConfigRotatesPerCore(t *testing.T) {
 
 func TestCoRunRejectsKernelCountMismatch(t *testing.T) {
 	c := twoSmall(t, 1)
-	if _, err := c.EvaluateCoRun([]*program.Program{testKernel(t)}, platform.EvalOptions{DynamicInstructions: 1000}); err == nil {
+	p := testKernel(t)
+	if _, err := chipMetrics(c, []*program.Program{p, p, p}, platform.EvalOptions{DynamicInstructions: 1000}); err == nil {
 		t.Error("kernel/core count mismatch should be rejected")
 	}
 }
@@ -203,11 +219,11 @@ func TestStartSkewChangesChipTrace(t *testing.T) {
 	p := testKernel(t)
 	opts := platform.EvalOptions{DynamicInstructions: 6000, Seed: 1}
 	progs := []*program.Program{p, p}
-	_, ta, err := aligned.EvaluateCoRunDetailed(progs, opts)
+	_, ta, err := evalChip(aligned, progs, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts, err := skewed.EvaluateCoRunDetailed(progs, opts)
+	_, ts, err := evalChip(skewed, progs, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +294,7 @@ func TestHeterogeneousFrequencyChipEnergyReconciles(t *testing.T) {
 	}
 	p := testKernel(t)
 	opts := platform.EvalOptions{DynamicInstructions: 6000, Seed: 1}
-	v, chip, err := c.EvaluateCoRunDetailed([]*program.Program{p, p}, opts)
+	v, chip, err := evalChip(c, []*program.Program{p, p}, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,13 +309,13 @@ func TestHeterogeneousFrequencyChipEnergyReconciles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		simOpts := opts
-		simOpts.CollectPower = true
-		_, res, err := sim.EvaluateDetailed(p, simOpts)
+		resp, err := sim.EvaluateRequest(platform.EvalRequest{
+			Programs: []*program.Program{p}, Options: opts, Detail: platform.DetailTrace,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want += sim.PowerTrace(res).TotalEnergyPJ()
+		want += resp.Trace.TotalEnergyPJ()
 	}
 	got := chip.TotalEnergyPJ()
 	if diff := got - want; diff > 1e-9*want || diff < -1e-9*want {
@@ -315,21 +331,22 @@ func TestHeterogeneousFrequencyChipEnergyReconciles(t *testing.T) {
 	}
 }
 
-// TestEvaluateCoRunDetailedAtOverridesClocks pins the DVFS override path:
+// TestEvaluateCoRunDetailedAtOverridesClocks pins the DVFS override path
+// (EvalRequest.FreqOverrides):
 // the same kernels on the same homogeneous platform, re-clocked per call.
 func TestEvaluateCoRunDetailedAtOverridesClocks(t *testing.T) {
 	c := twoSmall(t, 1)
 	p := testKernel(t)
 	progs := []*program.Program{p, p}
 	opts := platform.EvalOptions{DynamicInstructions: 6000, Seed: 1}
-	base, chipBase, err := c.EvaluateCoRunDetailedAt(progs, nil, opts)
+	base, chipBase, err := evalChip(c, progs, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !chipBase.TimeDomain() {
 		t.Error("homogeneous chip should aggregate on the nanosecond grid like any other")
 	}
-	het, chipHet, err := c.EvaluateCoRunDetailedAt(progs, []float64{2.0, 1.2}, opts)
+	het, chipHet, err := evalChip(c, progs, []float64{2.0, 1.2}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +363,7 @@ func TestEvaluateCoRunDetailedAtOverridesClocks(t *testing.T) {
 		t.Errorf("override clocks reported as %v/%v", het["core0_freq_ghz"], het["core1_freq_ghz"])
 	}
 	// A uniform override re-times the grid through the new clock.
-	boost, chipBoost, err := c.EvaluateCoRunDetailedAt(progs, []float64{2.4, 2.4}, opts)
+	boost, chipBoost, err := evalChip(c, progs, []float64{2.4, 2.4}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,10 +376,10 @@ func TestEvaluateCoRunDetailedAtOverridesClocks(t *testing.T) {
 	if boost[metrics.ChipPowerW] <= base[metrics.ChipPowerW] {
 		t.Errorf("boosted chip power %v should exceed base %v", boost[metrics.ChipPowerW], base[metrics.ChipPowerW])
 	}
-	if _, _, err := c.EvaluateCoRunDetailedAt(progs, []float64{2.0}, opts); err == nil {
+	if _, _, err := evalChip(c, progs, []float64{2.0}, opts); err == nil {
 		t.Error("override/core count mismatch should be rejected")
 	}
-	if _, _, err := c.EvaluateCoRunDetailedAt(progs, []float64{2.0, -1}, opts); err == nil {
+	if _, _, err := evalChip(c, progs, []float64{2.0, -1}, opts); err == nil {
 		t.Error("negative clock override should be rejected")
 	}
 }
@@ -400,7 +417,7 @@ func TestHomogeneousChipMatchesRetiredCycleGrid(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v, chip, err := c.EvaluateCoRunDetailed([]*program.Program{p, p}, opts)
+			v, chip, err := evalChip(c, []*program.Program{p, p}, nil, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -437,7 +454,7 @@ func TestAlignedChipBeatsSkewedOnChipDIDT(t *testing.T) {
 	p := testKernel(t)
 	opts := platform.EvalOptions{DynamicInstructions: 6000, Seed: 1}
 	progs := []*program.Program{p, p}
-	aligned, err := twoSmall(t, 1).EvaluateCoRun(progs, opts)
+	aligned, err := chipMetrics(twoSmall(t, 1), progs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +464,7 @@ func TestAlignedChipBeatsSkewedOnChipDIDT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	skewed, err := skewPlat.EvaluateCoRun(progs, opts)
+	skewed, err := chipMetrics(skewPlat, progs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +496,7 @@ func TestEvaluationsCounterIsAtomic(t *testing.T) {
 	}()
 	opts := platform.EvalOptions{DynamicInstructions: 3000, Seed: 1}
 	for i := 0; i < 3; i++ {
-		if _, err := c.Evaluate(p, opts); err != nil {
+		if _, err := chipMetrics(c, []*program.Program{p}, opts); err != nil {
 			t.Fatal(err)
 		}
 	}

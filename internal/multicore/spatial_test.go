@@ -117,7 +117,7 @@ func TestOneByOneGridChipMatchesLumpedGoldens(t *testing.T) {
 			if got, want := c.Name(), "corun-2x-"+string(tc.core.Kind)+"+"+string(tc.core.Kind)+"@1x1"; got != want {
 				t.Errorf("spatial platform name %q, want %q", got, want)
 			}
-			v, err := c.EvaluateCoRun([]*program.Program{p, p}, opts)
+			v, err := chipMetrics(c, []*program.Program{p, p}, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,7 +160,7 @@ func TestSpatialChipEmitsNodeMetricsAndRewardsConcentration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spread, err := spreadPlat.EvaluateCoRun(progs, opts)
+	spread, err := chipMetrics(spreadPlat, progs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestSpatialChipEmitsNodeMetricsAndRewardsConcentration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conc, err := packedPlat.EvaluateCoRun(progs, opts)
+	conc, err := chipMetrics(packedPlat, progs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestSpatialParallelBitIdenticalToSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := serialPlat.EvaluateCoRun(progs, opts)
+	serial, err := chipMetrics(serialPlat, progs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestSpatialParallelBitIdenticalToSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := parPlat.EvaluateCoRun(progs, opts)
+	par, err := chipMetrics(parPlat, progs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestFailedAggregationDoesNotCountEvaluation(t *testing.T) {
 	// SumTracesTime rejects after the per-core simulations succeeded.
 	c.spec.Cores[0].CPU.WindowCycles = 0
 	c.spec.Cores[1].CPU.WindowCycles = 0
-	if _, err := c.Evaluate(p, opts); err == nil {
+	if _, err := chipMetrics(c, []*program.Program{p}, opts); err == nil {
 		t.Fatal("zero-window chip aggregation should fail")
 	}
 	if got := c.Evaluations(); got != 0 {
@@ -257,7 +257,7 @@ func TestFailedAggregationDoesNotCountEvaluation(t *testing.T) {
 	}
 	c.spec.Cores[0].CPU.WindowCycles = 64
 	c.spec.Cores[1].CPU.WindowCycles = 64
-	if _, err := c.Evaluate(p, opts); err != nil {
+	if _, err := chipMetrics(c, []*program.Program{p}, opts); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Evaluations(); got != 1 {

@@ -198,14 +198,17 @@ func (o EvalOptions) normalized() EvalOptions {
 	return o
 }
 
-// Platform is the evaluation boundary the tuning mechanism talks to.
-// Implementations are not required to be safe for concurrent use; MicroGrad
-// evaluates candidate configurations sequentially within one tuning run.
+// Platform is the evaluation boundary the tuning mechanism talks to: one
+// request in, one response out, whatever the platform's core count.
+// Implementations are not required to be safe for concurrent use (tuners
+// give each worker its own platform).
 type Platform interface {
 	// Name identifies the platform for reports.
 	Name() string
-	// Evaluate runs the program and returns its metric vector.
-	Evaluate(p *program.Program, opts EvalOptions) (metrics.Vector, error)
+	// NumCores is the number of kernels one request runs.
+	NumCores() int
+	// EvaluateRequest serves one evaluation.
+	EvaluateRequest(req EvalRequest) (EvalResponse, error)
 }
 
 // SimPlatform is the Gem5+McPAT substitute: a trace-driven performance
@@ -216,7 +219,7 @@ type SimPlatform struct {
 	pred  *branchsim.Predictor
 	cpu   *cpusim.CPU
 	power *powersim.Model
-	// evaluations counts Evaluate calls, for resource accounting.
+	// evaluations counts served evaluations, for resource accounting.
 	evaluations uint64
 }
 
@@ -252,18 +255,8 @@ func (s *SimPlatform) Name() string {
 // Spec returns the platform's core specification.
 func (s *SimPlatform) Spec() CoreSpec { return s.spec }
 
-// Evaluations returns the number of Evaluate calls served so far.
+// Evaluations returns the number of evaluations served so far.
 func (s *SimPlatform) Evaluations() uint64 { return s.evaluations }
-
-// Evaluate implements Platform. The raw simulation result is not handed out,
-// so the run shares the simulator's window scratch instead of copying it.
-//
-// Deprecated: thin shim over EvaluateRequest; new code should build an
-// EvalRequest (Detail: DetailMetrics) instead.
-func (s *SimPlatform) Evaluate(p *program.Program, opts EvalOptions) (metrics.Vector, error) {
-	resp, err := s.EvaluateRequest(EvalRequest{Programs: []*program.Program{p}, Options: opts})
-	return resp.Metrics, err
-}
 
 // TraceWarmupWindows is the number of leading activity windows the transient
 // analyses discard as cache warmup (capped at a quarter of the trace for
@@ -283,22 +276,6 @@ func (s *SimPlatform) addPowerMetrics(v metrics.Vector, res cpusim.Result) {
 	v[metrics.WorstDroopMV] = s.spec.Supply.WorstDroopMV(steady)
 	v[metrics.MaxDIDTWPerCycle] = steady.MaxStepWPerCycle()
 	v[metrics.TempC] = s.spec.Thermal.SteadyTempC(steady)
-}
-
-// PowerTrace derives the windowed power trace of a detailed evaluation
-// result (used by reporting tools and cmd/mgbench's -trace dump).
-func (s *SimPlatform) PowerTrace(res cpusim.Result) powersim.PowerTrace {
-	return s.power.Trace(res)
-}
-
-// EvaluateDetailed runs the program and returns both the metric vector and
-// the raw simulation result (used by reporting tools that need the full
-// statistics, e.g. the power-virus instruction distribution of Table III).
-//
-// Deprecated: thin shim over EvaluateRequest; new code should build an
-// EvalRequest (Detail: DetailResult) instead.
-func (s *SimPlatform) EvaluateDetailed(p *program.Program, opts EvalOptions) (metrics.Vector, cpusim.Result, error) {
-	return s.evaluate(p, opts, false)
 }
 
 // evaluate is the one evaluation path. sharedWindows selects the
@@ -366,14 +343,3 @@ type NativeStub struct {
 
 // Name implements Platform.
 func (NativeStub) Name() string { return "native-stub" }
-
-// Evaluate implements Platform.
-func (n NativeStub) Evaluate(p *program.Program, opts EvalOptions) (metrics.Vector, error) {
-	if p == nil || p.StaticCount() == 0 {
-		return nil, fmt.Errorf("platform: native stub needs a non-empty program")
-	}
-	if len(n.Canned) == 0 {
-		return nil, fmt.Errorf("platform: native stub has no canned metrics configured")
-	}
-	return n.Canned.Clone(), nil
-}

@@ -19,6 +19,12 @@ func testProgram(t *testing.T) *program.Program {
 	return p
 }
 
+// evalMetrics serves one single-kernel, metrics-only request.
+func evalMetrics(plat Platform, prog *program.Program, opts EvalOptions) (metrics.Vector, error) {
+	resp, err := plat.EvaluateRequest(EvalRequest{Programs: []*program.Program{prog}, Options: opts})
+	return resp.Metrics, err
+}
+
 func TestCoreSpecs(t *testing.T) {
 	small := Small()
 	large := Large()
@@ -88,7 +94,7 @@ func TestSimPlatformEvaluate(t *testing.T) {
 		t.Errorf("Name = %q", plat.Name())
 	}
 	p := testProgram(t)
-	v, err := plat.Evaluate(p, EvalOptions{DynamicInstructions: 10000, Seed: 1})
+	v, err := evalMetrics(plat, p, EvalOptions{DynamicInstructions: 10000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +117,16 @@ func TestSimPlatformEvaluate(t *testing.T) {
 func TestSimPlatformPowerCollection(t *testing.T) {
 	plat, _ := NewSimPlatform(Large())
 	p := testProgram(t)
-	v, res, err := plat.EvaluateDetailed(p, EvalOptions{DynamicInstructions: 10000, Seed: 1, CollectPower: true})
+	resp, err := plat.EvaluateRequest(EvalRequest{
+		Programs: []*program.Program{p},
+		Options:  EvalOptions{DynamicInstructions: 10000, Seed: 1, CollectPower: true},
+		Detail:   DetailResult,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pw, ok := v[metrics.DynamicPowerW]
+	res := resp.Results[0]
+	pw, ok := resp.Metrics[metrics.DynamicPowerW]
 	if !ok || pw <= 0 {
 		t.Errorf("dynamic power missing or non-positive: %v", pw)
 	}
@@ -130,11 +141,11 @@ func TestSimPlatformPowerCollection(t *testing.T) {
 func TestSimPlatformDeterministicAcrossCalls(t *testing.T) {
 	plat, _ := NewSimPlatform(Small())
 	p := testProgram(t)
-	a, err := plat.Evaluate(p, EvalOptions{DynamicInstructions: 8000, Seed: 9})
+	a, err := evalMetrics(plat, p, EvalOptions{DynamicInstructions: 8000, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := plat.Evaluate(p, EvalOptions{DynamicInstructions: 8000, Seed: 9})
+	b, err := evalMetrics(plat, p, EvalOptions{DynamicInstructions: 8000, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +160,11 @@ func TestSmallVsLargeIPC(t *testing.T) {
 	small, _ := NewSimPlatform(Small())
 	large, _ := NewSimPlatform(Large())
 	p := testProgram(t)
-	vs, err := small.Evaluate(p, EvalOptions{DynamicInstructions: 15000, Seed: 2})
+	vs, err := evalMetrics(small, p, EvalOptions{DynamicInstructions: 15000, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vl, err := large.Evaluate(p, EvalOptions{DynamicInstructions: 15000, Seed: 2})
+	vl, err := evalMetrics(large, p, EvalOptions{DynamicInstructions: 15000, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +179,7 @@ func TestNativeStub(t *testing.T) {
 		t.Error("stub name wrong")
 	}
 	p := testProgram(t)
-	v, err := stub.Evaluate(p, EvalOptions{})
+	v, err := evalMetrics(stub, p, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,14 +187,14 @@ func TestNativeStub(t *testing.T) {
 		t.Error("stub should replay canned metrics")
 	}
 	v[metrics.IPC] = 9
-	v2, _ := stub.Evaluate(p, EvalOptions{})
+	v2, _ := evalMetrics(stub, p, EvalOptions{})
 	if v2[metrics.IPC] != 1.2 {
 		t.Error("stub must not let callers mutate its canned metrics")
 	}
-	if _, err := stub.Evaluate(program.New("empty"), EvalOptions{}); err == nil {
+	if _, err := evalMetrics(stub, program.New("empty"), EvalOptions{}); err == nil {
 		t.Error("empty program should be rejected")
 	}
-	if _, err := (NativeStub{}).Evaluate(p, EvalOptions{}); err == nil {
+	if _, err := evalMetrics(NativeStub{}, p, EvalOptions{}); err == nil {
 		t.Error("stub without canned metrics should error")
 	}
 }

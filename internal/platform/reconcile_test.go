@@ -7,6 +7,7 @@ import (
 
 	"micrograd/internal/metrics"
 	"micrograd/internal/platform"
+	"micrograd/internal/program"
 	"micrograd/internal/workloads"
 )
 
@@ -34,12 +35,14 @@ func TestTraceReconcilesWithAggregatePower(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				v, res, err := plat.EvaluateDetailed(prog, goldenEvalOptions())
+				resp, err := plat.EvaluateRequest(platform.EvalRequest{
+					Programs: []*program.Program{prog}, Options: goldenEvalOptions(), Detail: platform.DetailTrace,
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				aggregate := v[metrics.DynamicPowerW]
-				traced := plat.PowerTrace(res).AvgPowerW()
+				aggregate := resp.Metrics[metrics.DynamicPowerW]
+				traced := resp.Trace.AvgPowerW()
 				if aggregate <= 0 || traced <= 0 {
 					t.Fatalf("non-positive power: aggregate %v, traced %v", aggregate, traced)
 				}

@@ -43,8 +43,7 @@ func (d EvalDetail) String() string {
 }
 
 // EvalRequest is the one evaluation input: every platform — single-core or
-// co-run — serves it through EvaluateRequest, and every legacy Evaluate*
-// method is a thin shim over it. A request names its workload either as
+// co-run — serves it through EvaluateRequest. A request names its workload either as
 // explicit per-core kernels (Programs) or as a knob configuration (Config),
 // which an EvalSession synthesizes — with memoization — before forwarding.
 type EvalRequest struct {
@@ -81,18 +80,10 @@ type EvalResponse struct {
 	Results []cpusim.Result
 }
 
-// RequestEvaluator is the redesigned evaluation boundary: one request in, one
-// response out, whatever the platform's core count. Implementations are not
-// required to be safe for concurrent use (tuners give each worker its own
-// platform).
-type RequestEvaluator interface {
-	// Name identifies the platform for reports.
-	Name() string
-	// NumCores is the number of kernels one request runs.
-	NumCores() int
-	// EvaluateRequest serves one evaluation.
-	EvaluateRequest(req EvalRequest) (EvalResponse, error)
-}
+// RequestEvaluator is another name for Platform, from when the request
+// boundary was a separate interface; the benchmark module's platform
+// wrappers are written against it.
+type RequestEvaluator = Platform
 
 // FreqOverrides extracts the per-core FREQ_GHZ knob values of a configuration
 // as clock overrides. It returns nil when the space tunes no frequencies;
@@ -121,10 +112,10 @@ func ValidFreqOverride(f float64, core int) error {
 	return nil
 }
 
-// NumCores implements RequestEvaluator.
+// NumCores implements Platform.
 func (s *SimPlatform) NumCores() int { return 1 }
 
-// EvaluateRequest implements RequestEvaluator for the single-core simulator.
+// EvaluateRequest implements Platform for the single-core simulator.
 func (s *SimPlatform) EvaluateRequest(req EvalRequest) (EvalResponse, error) {
 	if len(req.Programs) == 0 {
 		if !req.Config.IsZero() {
@@ -166,11 +157,12 @@ func (s *SimPlatform) EvaluateRequest(req EvalRequest) (EvalResponse, error) {
 	return resp, nil
 }
 
-// NumCores implements RequestEvaluator.
+// NumCores implements Platform.
 func (NativeStub) NumCores() int { return 1 }
 
-// EvaluateRequest implements RequestEvaluator. The stub replays its canned
-// metrics; trace and result payloads are not available on native hardware.
+// EvaluateRequest implements Platform. The stub replays its canned metrics
+// for any non-empty kernel; trace and result payloads are not available on
+// native hardware.
 func (n NativeStub) EvaluateRequest(req EvalRequest) (EvalResponse, error) {
 	if len(req.Programs) != 1 {
 		return EvalResponse{}, fmt.Errorf("platform: native stub serves exactly one kernel, got %d", len(req.Programs))
@@ -178,9 +170,11 @@ func (n NativeStub) EvaluateRequest(req EvalRequest) (EvalResponse, error) {
 	if req.Detail > DetailMetrics {
 		return EvalResponse{}, fmt.Errorf("platform: native stub cannot serve %s detail", req.Detail)
 	}
-	v, err := n.Evaluate(req.Programs[0], req.Options)
-	if err != nil {
-		return EvalResponse{}, err
+	if p := req.Programs[0]; p == nil || p.StaticCount() == 0 {
+		return EvalResponse{}, fmt.Errorf("platform: native stub needs a non-empty program")
 	}
-	return EvalResponse{Metrics: v}, nil
+	if len(n.Canned) == 0 {
+		return EvalResponse{}, fmt.Errorf("platform: native stub has no canned metrics configured")
+	}
+	return EvalResponse{Metrics: n.Canned.Clone()}, nil
 }

@@ -47,58 +47,86 @@ func reqCoRunPlatform(t *testing.T) *multicore.CoRunPlatform {
 }
 
 // TestEvalRequestMatrix checks every detail level on both platform shapes,
-// with and without clock overrides, against the legacy methods: the request
-// path must be bit-identical to what the deprecated entry points produce.
+// with and without clock overrides, against request-path invariants: the
+// metric vector does not depend on the detail level, the trace is the same
+// at DetailTrace and DetailResult, and a single-core clock override equals
+// the same clock set through EvalOptions.FrequencyGHz.
 func TestEvalRequestMatrix(t *testing.T) {
 	cfg := knobs.StressSpace().MidConfig()
-	opts := platform.EvalOptions{DynamicInstructions: reqInstr, Seed: reqSeed}
-	powerOpts := opts
-	powerOpts.CollectPower = true
+	powerOpts := platform.EvalOptions{DynamicInstructions: reqInstr, Seed: reqSeed, CollectPower: true}
+	details := []platform.EvalDetail{platform.DetailMetrics, platform.DetailTrace, platform.DetailResult}
+
+	// check serves req at every detail level on fresh platforms and compares
+	// each response against the metrics-only one and the result-level trace;
+	// subtests are named "<detail>-<variant>".
+	check := func(t *testing.T, newPlat func(*testing.T) platform.Platform, req platform.EvalRequest, cores int, variant string) {
+		t.Helper()
+		serve := func(detail platform.EvalDetail) platform.EvalResponse {
+			t.Helper()
+			r := req
+			r.Detail = detail
+			resp, err := newPlat(t).EvaluateRequest(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return resp
+		}
+		base, full := serve(platform.DetailMetrics), serve(platform.DetailResult)
+		for _, detail := range details {
+			t.Run(detail.String()+"-"+variant, func(t *testing.T) {
+				resp := serve(detail)
+				if !reflect.DeepEqual(resp.Metrics, base.Metrics) {
+					t.Errorf("%s metrics diverge from metrics-only:\n got %v\nwant %v", detail, resp.Metrics, base.Metrics)
+				}
+				if detail >= platform.DetailTrace {
+					if len(resp.Trace.Points) == 0 || !reflect.DeepEqual(resp.Trace, full.Trace) {
+						t.Errorf("%s trace missing or diverging from the result-level trace", detail)
+					}
+				} else if len(resp.Trace.Points) != 0 {
+					t.Error("metrics-only response carries a trace")
+				}
+				if detail < platform.DetailResult {
+					if resp.Results != nil {
+						t.Error("low-detail response carries raw results")
+					}
+					return
+				}
+				if len(resp.Results) != cores {
+					t.Fatalf("want %d raw results, got %d", cores, len(resp.Results))
+				}
+				for i, res := range resp.Results {
+					if res.Instructions == 0 {
+						t.Errorf("core %d raw result is empty", i)
+					}
+				}
+			})
+		}
+	}
 
 	t.Run("single", func(t *testing.T) {
 		p := reqKernel(t, "req-single", cfg)
+		single := func(t *testing.T) platform.Platform { return reqSinglePlatform(t) }
 		for _, freq := range []float64{0, 1.5} {
-			for _, detail := range []platform.EvalDetail{platform.DetailMetrics, platform.DetailTrace, platform.DetailResult} {
-				name := fmt.Sprintf("%s-freq%g", detail, freq)
-				t.Run(name, func(t *testing.T) {
-					req := platform.EvalRequest{Programs: []*program.Program{p}, Options: powerOpts, Detail: detail}
-					legacyOpts := powerOpts
-					if freq > 0 {
-						req.FreqOverrides = []float64{freq}
-						legacyOpts.FrequencyGHz = freq
-					}
-					resp, err := reqSinglePlatform(t).EvaluateRequest(req)
-					if err != nil {
-						t.Fatal(err)
-					}
-
-					legacy := reqSinglePlatform(t)
-					wantV, wantRes, err := legacy.EvaluateDetailed(p, legacyOpts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(resp.Metrics, wantV) {
-						t.Errorf("metrics diverge from EvaluateDetailed:\n got %v\nwant %v", resp.Metrics, wantV)
-					}
-					if detail >= platform.DetailTrace {
-						if !reflect.DeepEqual(resp.Trace, legacy.PowerTrace(wantRes)) {
-							t.Error("trace diverges from EvaluateDetailed+PowerTrace")
-						}
-					} else if len(resp.Trace.Points) != 0 {
-						t.Error("metrics-only response carries a trace")
-					}
-					if detail >= platform.DetailResult {
-						if len(resp.Results) != 1 {
-							t.Fatalf("want 1 result, got %d", len(resp.Results))
-						}
-						if resp.Results[0].Cycles != wantRes.Cycles || resp.Results[0].Instructions != wantRes.Instructions {
-							t.Error("raw result diverges from EvaluateDetailed")
-						}
-					} else if resp.Results != nil {
-						t.Error("low-detail response carries raw results")
-					}
-				})
+			req := platform.EvalRequest{Programs: []*program.Program{p}, Options: powerOpts}
+			if freq > 0 {
+				req.FreqOverrides = []float64{freq}
+				// The override must equal the same clock set in the options.
+				viaOpts := platform.EvalRequest{Programs: req.Programs, Options: powerOpts, Detail: platform.DetailTrace}
+				viaOpts.Options.FrequencyGHz = freq
+				want, err := reqSinglePlatform(t).EvaluateRequest(viaOpts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				req.Detail = platform.DetailTrace
+				got, err := reqSinglePlatform(t).EvaluateRequest(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.Metrics, want.Metrics) || !reflect.DeepEqual(got.Trace, want.Trace) {
+					t.Errorf("FreqOverrides %g diverges from EvalOptions.FrequencyGHz:\n got %v\nwant %v", freq, got.Metrics, want.Metrics)
+				}
 			}
+			check(t, single, req, 1, fmt.Sprintf("freq%g", freq))
 		}
 	})
 
@@ -107,69 +135,48 @@ func TestEvalRequestMatrix(t *testing.T) {
 			reqKernel(t, "req-core0", cfg),
 			reqKernel(t, "req-core1", cfg),
 		}
+		chip := func(t *testing.T) platform.Platform { return reqCoRunPlatform(t) }
 		for _, freqs := range [][]float64{nil, {1.2, 1.8}} {
-			for _, detail := range []platform.EvalDetail{platform.DetailMetrics, platform.DetailTrace, platform.DetailResult} {
-				name := fmt.Sprintf("%s-freqs%v", detail, freqs != nil)
-				t.Run(name, func(t *testing.T) {
-					resp, err := reqCoRunPlatform(t).EvaluateRequest(platform.EvalRequest{
-						Programs: progs, FreqOverrides: freqs, Options: powerOpts, Detail: detail,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-
-					wantV, wantTrace, err := reqCoRunPlatform(t).EvaluateCoRunDetailedAt(progs, freqs, powerOpts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(resp.Metrics, wantV) {
-						t.Errorf("chip metrics diverge from EvaluateCoRunDetailedAt:\n got %v\nwant %v", resp.Metrics, wantV)
-					}
-					if detail >= platform.DetailTrace {
-						if !reflect.DeepEqual(resp.Trace, wantTrace) {
-							t.Error("chip trace diverges from EvaluateCoRunDetailedAt")
-						}
-					}
-					if detail >= platform.DetailResult {
-						if len(resp.Results) != 2 {
-							t.Fatalf("want 2 per-core results, got %d", len(resp.Results))
-						}
-						for i, res := range resp.Results {
-							if res.Instructions == 0 {
-								t.Errorf("core %d raw result is empty", i)
-							}
-						}
-					} else if resp.Results != nil {
-						t.Error("low-detail response carries raw results")
-					}
-				})
-			}
+			check(t, chip, platform.EvalRequest{Programs: progs, FreqOverrides: freqs, Options: powerOpts}, 2, fmt.Sprintf("freqs%v", freqs != nil))
 		}
 	})
 }
 
 // TestEvalRequestSingleKernelFansOut checks the request-path convenience: one
-// kernel on a 2-core platform co-runs on every core, exactly like passing the
-// same kernel twice.
+// kernel on an N-core platform co-runs on every core, exactly like passing
+// the same kernel N times — metrics, chip trace and per-core results.
 func TestEvalRequestSingleKernelFansOut(t *testing.T) {
 	cfg := knobs.StressSpace().MidConfig()
 	p := reqKernel(t, "req-fan", cfg)
 	opts := platform.EvalOptions{DynamicInstructions: reqInstr, Seed: reqSeed}
 
-	one, err := reqCoRunPlatform(t).EvaluateRequest(platform.EvalRequest{
-		Programs: []*program.Program{p}, Options: opts,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	two, err := reqCoRunPlatform(t).EvaluateRequest(platform.EvalRequest{
-		Programs: []*program.Program{p, p}, Options: opts,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(one.Metrics, two.Metrics) {
-		t.Errorf("fan-out diverges from explicit duplication:\n got %v\nwant %v", one.Metrics, two.Metrics)
+	for _, cores := range []int{2, 3} {
+		serve := func(progs []*program.Program) platform.EvalResponse {
+			t.Helper()
+			c, err := multicore.New(multicore.Homogeneous(platform.Small(), cores), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := c.EvaluateRequest(platform.EvalRequest{Programs: progs, Options: opts, Detail: platform.DetailResult})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return resp
+		}
+		explicit := make([]*program.Program, cores)
+		for i := range explicit {
+			explicit[i] = p
+		}
+		one, many := serve([]*program.Program{p}), serve(explicit)
+		if !reflect.DeepEqual(one.Metrics, many.Metrics) {
+			t.Errorf("%d cores: fan-out diverges from explicit duplication:\n got %v\nwant %v", cores, one.Metrics, many.Metrics)
+		}
+		if !reflect.DeepEqual(one.Trace, many.Trace) {
+			t.Errorf("%d cores: fan-out chip trace diverges", cores)
+		}
+		if len(one.Results) != cores || !reflect.DeepEqual(one.Results, many.Results) {
+			t.Errorf("%d cores: fan-out per-core results diverge", cores)
+		}
 	}
 }
 
@@ -223,7 +230,8 @@ func TestEvalSessionDeterminism(t *testing.T) {
 }
 
 // TestEvalSessionCoRunMatchesLegacyEvaluateConfig pins the config-driven
-// co-run session path to the deprecated EvaluateConfig: same per-core
+// co-run session path to the deprecated EvaluateConfig (kept for the
+// stress package's chip marker): same per-core
 // kernels, same clock overrides, same chip metrics.
 func TestEvalSessionCoRunMatchesLegacyEvaluateConfig(t *testing.T) {
 	space := knobs.DVFSStressSpace(2)
@@ -307,7 +315,7 @@ func TestEvalSessionAccessors(t *testing.T) {
 		t.Errorf("synthesizer loop size = %d, want %d", syn.LoopSize(), reqLoopSize)
 	}
 	session := platform.NewEvalSession(plat, syn)
-	if session.Platform() != platform.RequestEvaluator(plat) {
+	if session.Platform() != platform.Platform(plat) {
 		t.Error("session should expose its platform")
 	}
 	if h, m := session.SynthStats(); h != 0 || m != 0 {

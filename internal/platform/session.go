@@ -20,7 +20,7 @@ import (
 // tuners give each worker its own session (the synthesizer memo inside is
 // thread-safe, so sessions may share one CachingSynthesizer if desired).
 type EvalSession struct {
-	plat RequestEvaluator
+	plat Platform
 	syn  *microprobe.CachingSynthesizer
 	// progs is the per-request kernel scratch, reused across evaluations so
 	// the Config-driven hot path allocates no program slice.
@@ -30,12 +30,12 @@ type EvalSession struct {
 
 // NewEvalSession binds a platform to a kernel synthesizer. syn may be nil
 // when every request carries explicit Programs.
-func NewEvalSession(plat RequestEvaluator, syn *microprobe.CachingSynthesizer) *EvalSession {
+func NewEvalSession(plat Platform, syn *microprobe.CachingSynthesizer) *EvalSession {
 	return &EvalSession{plat: plat, syn: syn}
 }
 
 // Platform returns the wrapped platform.
-func (s *EvalSession) Platform() RequestEvaluator { return s.plat }
+func (s *EvalSession) Platform() Platform { return s.plat }
 
 // Evaluations returns the number of requests served so far.
 func (s *EvalSession) Evaluations() uint64 { return s.evaluations }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"micrograd/internal/metrics"
+	"micrograd/internal/program"
 )
 
 func TestTransientMetricsCollectedWithPower(t *testing.T) {
@@ -12,7 +13,7 @@ func TestTransientMetricsCollectedWithPower(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := testProgram(t)
-	v, err := plat.Evaluate(p, EvalOptions{DynamicInstructions: 8000, Seed: 1, CollectPower: true})
+	v, err := evalMetrics(plat, p, EvalOptions{DynamicInstructions: 8000, Seed: 1, CollectPower: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestTransientMetricsAbsentWithoutPower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := plat.Evaluate(testProgram(t), EvalOptions{DynamicInstructions: 4000, Seed: 1})
+	v, err := evalMetrics(plat, testProgram(t), EvalOptions{DynamicInstructions: 4000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +51,15 @@ func TestPowerTraceAccessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, res, err := plat.EvaluateDetailed(testProgram(t), EvalOptions{DynamicInstructions: 8000, Seed: 1, CollectPower: true})
+	resp, err := plat.EvaluateRequest(EvalRequest{
+		Programs: []*program.Program{testProgram(t)},
+		Options:  EvalOptions{DynamicInstructions: 8000, Seed: 1},
+		Detail:   DetailTrace,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := plat.PowerTrace(res)
+	tr := resp.Trace
 	if tr.Empty() {
 		t.Fatal("built-in cores should record a power trace")
 	}

@@ -8,41 +8,44 @@ import (
 	"micrograd/internal/metrics"
 )
 
-// EvalFunc maps one knob configuration to its measured metric vector. It is
-// the unit of work the engine schedules; each worker owns one EvalFunc whose
-// captured state (synthesizer, simulation platform) is private to it, which
-// is what makes fan-out safe even though the platforms themselves are not
-// concurrency-safe.
-type EvalFunc func(cfg knobs.Config) (metrics.Vector, error)
+// EvalFunc maps one knob configuration, evaluated at a fidelity, to its
+// measured metric vector. Fidelity in (0,1) evaluates a correspondingly
+// shortened simulation (the successive-halving tuner's cheap screening
+// rungs); 0 or 1 is the full evaluation. It is the unit of work the engine
+// schedules: each worker owns one EvalFunc whose captured state
+// (synthesizer, simulation platform) is private to it, which is what makes
+// fan-out safe even though the platforms themselves are not
+// concurrency-safe. Through EvaluateBatch it is also the serial evaluator.
+type EvalFunc func(cfg knobs.Config, fidelity float64) (metrics.Vector, error)
 
-// EvalAtFunc is a fidelity-aware EvalFunc: fidelity in (0,1) evaluates a
-// correspondingly shortened simulation (the successive-halving tuner's
-// cheap screening rungs); 0 or 1 is the full evaluation.
-type EvalAtFunc func(cfg knobs.Config, fidelity float64) (metrics.Vector, error)
-
-// BatchEvaluator is the parallel evaluation boundary: implementations
-// evaluate a batch of independent configurations, returning results[i] for
-// cfgs[i]. Results must be identical to evaluating the configurations one by
-// one in order — callers rely on this to keep parallel tuning runs
-// bit-identical to serial ones.
-type BatchEvaluator interface {
-	EvaluateBatch(ctx context.Context, cfgs []knobs.Config) ([]metrics.Vector, error)
+// EvaluateBatch evaluates the configurations in order on the calling
+// goroutine, checking ctx between evaluations; results[i] corresponds to
+// cfgs[i].
+func (f EvalFunc) EvaluateBatch(ctx context.Context, cfgs []knobs.Config, fidelity float64) ([]metrics.Vector, error) {
+	out := make([]metrics.Vector, len(cfgs))
+	for i, cfg := range cfgs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		v, err := f(cfg, fidelity)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
+	}
+	return out, nil
 }
 
-// ParallelEvaluator fans evaluations out over a fixed set of worker
-// evaluators. It implements BatchEvaluator and, via Evaluate, the tuner
-// package's Evaluator interface, so it can be dropped into any Problem.
-// Pools built with NewParallelEvaluatorAt additionally serve fidelity-bound
-// evaluations (EvaluateAt/EvaluateBatchAt) for multi-fidelity tuners.
+// ParallelEvaluator fans batches out over a fixed set of worker EvalFuncs.
+// Its EvaluateBatch returns results identical to evaluating the
+// configurations one by one in order — callers rely on this to keep
+// parallel tuning runs bit-identical to serial ones.
 type ParallelEvaluator struct {
 	// slots holds one worker per entry; a worker is checked out for the
 	// duration of one evaluation, so each is only ever used by one
 	// goroutine at a time.
-	slots chan EvalAtFunc
+	slots chan EvalFunc
 	n     int
-	// fidelityCapable records whether the workers honour reduced fidelity
-	// (pools built from plain EvalFuncs ignore it).
-	fidelityCapable bool
 }
 
 // NewParallelEvaluator builds a pool of workers evaluator instances from the
@@ -50,25 +53,8 @@ type ParallelEvaluator struct {
 // called once per worker and must return evaluators that are independent of
 // each other (typically each wraps its own simulation platform).
 func NewParallelEvaluator(workers int, factory func() (EvalFunc, error)) (*ParallelEvaluator, error) {
-	pe, err := NewParallelEvaluatorAt(workers, func() (EvalAtFunc, error) {
-		f, err := factory()
-		if err != nil || f == nil {
-			return nil, err
-		}
-		return func(cfg knobs.Config, _ float64) (metrics.Vector, error) { return f(cfg) }, nil
-	})
-	if pe != nil {
-		pe.fidelityCapable = false
-	}
-	return pe, err
-}
-
-// NewParallelEvaluatorAt is NewParallelEvaluator for fidelity-aware
-// workers: each worker evaluates (configuration, fidelity) pairs, so one
-// pool serves every rung of a successive-halving run.
-func NewParallelEvaluatorAt(workers int, factory func() (EvalAtFunc, error)) (*ParallelEvaluator, error) {
 	workers = Workers(workers, 0)
-	slots := make(chan EvalAtFunc, workers)
+	slots := make(chan EvalFunc, workers)
 	for i := 0; i < workers; i++ {
 		f, err := factory()
 		if err != nil {
@@ -79,37 +65,15 @@ func NewParallelEvaluatorAt(workers int, factory func() (EvalAtFunc, error)) (*P
 		}
 		slots <- f
 	}
-	return &ParallelEvaluator{slots: slots, n: workers, fidelityCapable: true}, nil
+	return &ParallelEvaluator{slots: slots, n: workers}, nil
 }
 
 // Workers returns the pool size.
 func (e *ParallelEvaluator) Workers() int { return e.n }
 
-// FidelityCapable reports whether the workers honour reduced fidelity.
-func (e *ParallelEvaluator) FidelityCapable() bool { return e.fidelityCapable }
-
-// Evaluate evaluates a single configuration on any free worker. It is safe
-// for concurrent use.
-func (e *ParallelEvaluator) Evaluate(cfg knobs.Config) (metrics.Vector, error) {
-	return e.EvaluateAt(cfg, 1)
-}
-
-// EvaluateAt evaluates a single configuration at the given fidelity on any
-// free worker. It is safe for concurrent use.
-func (e *ParallelEvaluator) EvaluateAt(cfg knobs.Config, fidelity float64) (metrics.Vector, error) {
-	f := <-e.slots
-	defer func() { e.slots <- f }()
-	return f(cfg, fidelity)
-}
-
-// EvaluateBatch implements BatchEvaluator: the configurations are evaluated
-// concurrently across the pool and the results returned in input order.
-func (e *ParallelEvaluator) EvaluateBatch(ctx context.Context, cfgs []knobs.Config) ([]metrics.Vector, error) {
-	return e.EvaluateBatchAt(ctx, cfgs, 1)
-}
-
-// EvaluateBatchAt is EvaluateBatch at an explicit fidelity.
-func (e *ParallelEvaluator) EvaluateBatchAt(ctx context.Context, cfgs []knobs.Config, fidelity float64) ([]metrics.Vector, error) {
+// EvaluateBatch evaluates the configurations concurrently across the pool
+// and returns the results in input order. It is safe for concurrent use.
+func (e *ParallelEvaluator) EvaluateBatch(ctx context.Context, cfgs []knobs.Config, fidelity float64) ([]metrics.Vector, error) {
 	out := make([]metrics.Vector, len(cfgs))
 	err := Run(ctx, e.n, len(cfgs), func(_ context.Context, i int) error {
 		f := <-e.slots

@@ -125,7 +125,7 @@ func testSpace(t testing.TB) *knobs.Space {
 }
 
 // pureEval is a deterministic, pure evaluation function of the config.
-func pureEval(cfg knobs.Config) (metrics.Vector, error) {
+func pureEval(cfg knobs.Config, _ float64) (metrics.Vector, error) {
 	sum := 0.0
 	for i := 0; i < cfg.Len(); i++ {
 		sum += cfg.Value(i) * float64(i+1)
@@ -149,12 +149,15 @@ func TestParallelEvaluatorMatchesSerial(t *testing.T) {
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	got, err := pe.EvaluateBatch(context.Background(), cfgs)
+	got, err := pe.EvaluateBatch(context.Background(), cfgs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, cfg := range cfgs {
-		want, _ := pureEval(cfg)
+	serial, err := EvalFunc(pureEval).EvaluateBatch(context.Background(), cfgs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range serial {
 		if got[i]["score"] != want["score"] {
 			t.Errorf("cfg %d: batch = %v, serial = %v", i, got[i], want)
 		}
@@ -168,12 +171,12 @@ func TestParallelEvaluatorConcurrentScalar(t *testing.T) {
 	var violations atomic.Int64
 	pe, err := NewParallelEvaluator(3, func() (EvalFunc, error) {
 		var busy atomic.Bool
-		return func(cfg knobs.Config) (metrics.Vector, error) {
+		return func(cfg knobs.Config, fidelity float64) (metrics.Vector, error) {
 			if busy.Swap(true) {
 				violations.Add(1)
 			}
 			defer busy.Store(false)
-			return pureEval(cfg)
+			return pureEval(cfg, fidelity)
 		}, nil
 	})
 	if err != nil {
@@ -185,7 +188,7 @@ func TestParallelEvaluatorConcurrentScalar(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := pe.Evaluate(cfg); err != nil {
+			if _, err := pe.EvaluateBatch(context.Background(), []knobs.Config{cfg, cfg}, 1); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -200,11 +203,11 @@ func TestParallelEvaluatorBatchError(t *testing.T) {
 	space := testSpace(t)
 	boom := errors.New("bad config")
 	pe, err := NewParallelEvaluator(4, func() (EvalFunc, error) {
-		return func(cfg knobs.Config) (metrics.Vector, error) {
+		return func(cfg knobs.Config, fidelity float64) (metrics.Vector, error) {
 			if cfg.Index(0) == 2 {
 				return nil, boom
 			}
-			return pureEval(cfg)
+			return pureEval(cfg, fidelity)
 		}, nil
 	})
 	if err != nil {
@@ -218,7 +221,7 @@ func TestParallelEvaluatorBatchError(t *testing.T) {
 		}
 		cfgs = append(cfgs, cfg)
 	}
-	if _, err := pe.EvaluateBatch(context.Background(), cfgs); !errors.Is(err, boom) {
+	if _, err := pe.EvaluateBatch(context.Background(), cfgs, 1); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped bad-config error", err)
 	}
 }

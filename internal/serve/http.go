@@ -43,9 +43,14 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// maxJobRequestBytes bounds a POST /jobs body. A job request is a few
+// hundred bytes of JSON; the bound keeps one client from making the decoder
+// buffer an arbitrarily large body.
+const maxJobRequestBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobRequestBytes)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decoding job request: %w", err))
 		return
 	}

@@ -121,6 +121,9 @@ type Stats struct {
 	CacheHits    uint64 `json:"cache_hits"`
 	CacheMisses  uint64 `json:"cache_misses"`
 	CacheEntries int    `json:"cache_entries"`
+	// DiskPutErrors counts results a disk-backed cache failed to persist
+	// (zero for in-memory caches).
+	DiskPutErrors uint64 `json:"disk_put_errors"`
 	// SynthHits/SynthMisses/Synthesizers describe the synthesis memo pool.
 	SynthHits    uint64 `json:"synth_hits"`
 	SynthMisses  uint64 `json:"synth_misses"`
@@ -384,6 +387,9 @@ func (s *Server) Stats() Stats {
 	defer s.mu.Unlock()
 	st := Stats{CacheEntries: s.group.Len(), Synthesizers: len(s.synthKeys)}
 	st.CacheHits, st.CacheMisses = s.group.Stats()
+	if dc, ok := s.cfg.Cache.(*evalcache.DiskCache); ok {
+		st.DiskPutErrors = dc.PutErrors()
+	}
 	for _, key := range s.synthKeys {
 		h, m := s.synths[key].Stats()
 		st.SynthHits += h

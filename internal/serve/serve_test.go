@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -14,6 +15,7 @@ import (
 
 	"micrograd/internal/evalcache"
 	"micrograd/internal/experiments"
+	"micrograd/internal/metrics"
 	"micrograd/internal/stress"
 )
 
@@ -375,6 +377,68 @@ func TestHTTPErrorPathsAndCancelEndpoint(t *testing.T) {
 	}
 	if got := waitTerminal(t, s, st.ID); got.State != StateCancelled {
 		t.Fatalf("job after HTTP cancel = %s, want cancelled", got.State)
+	}
+}
+
+// TestHTTPRejectsOversizedSubmit posts a job body past the 1 MiB bound: the
+// daemon answers 400 and keeps serving — a small job still runs to the end.
+func TestHTTPRejectsOversizedSubmit(t *testing.T) {
+	s := New(Config{Workers: 1, Parallel: 1})
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	huge := `{"kind":"` + strings.Repeat("a", 2*maxJobRequestBytes) + `"}`
+	resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("oversized submit status = %d, want %d", resp.StatusCode, http.StatusBadRequest)
+	}
+
+	body, _ := json.Marshal(tinyStressRequest(6))
+	resp, err = http.Post(srv.URL+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit after an oversized body: status %d", resp.StatusCode)
+	}
+	if st = waitTerminal(t, s, st.ID); st.State != StateDone {
+		t.Fatalf("job after an oversized body finished %s: %s", st.State, st.Error)
+	}
+}
+
+// TestStatsReportDiskPutErrors checks that a disk-backed cache's failed
+// writes surface in /stats as disk_put_errors.
+func TestStatsReportDiskPutErrors(t *testing.T) {
+	cache, err := evalcache.NewDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Cache: cache, Workers: 1, Parallel: 1})
+	defer s.Close()
+	cache.Put("nan", metrics.Vector{"x": math.NaN()}) // JSON cannot store NaN
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats["disk_put_errors"] != float64(1) {
+		t.Fatalf("/stats disk_put_errors = %v, want 1", stats["disk_put_errors"])
 	}
 }
 

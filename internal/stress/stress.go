@@ -16,7 +16,6 @@ import (
 	"micrograd/internal/platform"
 	"micrograd/internal/program"
 	"micrograd/internal/report"
-	"micrograd/internal/sched"
 	"micrograd/internal/tuner"
 )
 
@@ -211,10 +210,7 @@ func (o Options) normalized(kind Kind) Options {
 		case kind == VoltageNoiseVirus || kind == ThermalVirus:
 			o.Space = knobs.TransientStressSpace()
 		case multiCoreKind(kind):
-			cores := 2
-			if cr, ok := o.Platform.(interface{ NumCores() int }); ok {
-				cores = cr.NumCores()
-			}
+			cores := o.Platform.NumCores()
 			switch kind {
 			case DVFSNoiseVirus:
 				o.Space = knobs.DVFSStressSpace(cores)
@@ -328,10 +324,10 @@ func Run(ctx context.Context, kind Kind, opts Options) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	opts = opts.normalized(kind)
 	if opts.Platform == nil {
 		return Report{}, fmt.Errorf("stress: no evaluation platform configured")
 	}
+	opts = opts.normalized(kind)
 	// A kind and its platform must pair up: the co-run kind needs a platform
 	// that synthesizes per-core kernels, and the single-platform kinds stress
 	// metrics a chip-level vector never carries. An explicit Metric override
@@ -359,34 +355,9 @@ func Run(ctx context.Context, kind Kind, opts Options) (Report, error) {
 	if csyn == nil {
 		csyn = microprobe.NewCachingSynthesizer(microprobe.Options{LoopSize: opts.LoopSize, Seed: opts.Seed})
 	}
-	// The plain synthesizer (winner regeneration, non-request platforms)
-	// must generate the same kernels the caching one does.
-	syn := microprobe.NewSynthesizer(csyn.Options())
-	synthEval := func(plat platform.Platform) sched.EvalAtFunc {
-		if re, ok := plat.(platform.RequestEvaluator); ok {
-			session := platform.NewEvalSession(re, csyn)
-			return func(cfg knobs.Config, fidelity float64) (metrics.Vector, error) {
-				o := evalOpts
-				o.Fidelity = fidelity
-				resp, err := session.Evaluate(platform.EvalRequest{
-					Name: string(kind), Config: cfg, Options: o,
-				})
-				return resp.Metrics, err
-			}
-		}
-		return func(cfg knobs.Config, fidelity float64) (metrics.Vector, error) {
-			p, err := syn.Synthesize(string(kind), cfg)
-			if err != nil {
-				return nil, err
-			}
-			o := evalOpts
-			o.Fidelity = fidelity
-			return plat.Evaluate(p, o)
-		}
-	}
-	var base tuner.Evaluator = tuner.EvaluatorAtFunc(synthEval(opts.Platform))
-	if opts.Parallel > 1 && opts.NewPlatform != nil {
-		pe, err := sched.NewParallelEvaluatorAt(opts.Parallel, func() (sched.EvalAtFunc, error) {
+	newPlatform := opts.NewPlatform
+	if newPlatform != nil {
+		newPlatform = func() (platform.Platform, error) {
 			plat, err := opts.NewPlatform()
 			if err != nil {
 				return nil, err
@@ -397,28 +368,22 @@ func Run(ctx context.Context, kind Kind, opts Options) (Report, error) {
 				return nil, fmt.Errorf("stress: NewPlatform returned %s, which does not match the primary platform %s",
 					plat.Name(), opts.Platform.Name())
 			}
-			return synthEval(plat), nil
-		})
-		if err != nil {
-			return Report{}, fmt.Errorf("stress: building evaluation pool: %w", err)
+			return plat, nil
 		}
-		base = pe
 	}
-	counting := tuner.NewCountingEvaluator(base)
-	group := opts.Memo
-	if group == nil {
-		cache, err := evalcache.New(opts.MemoCap)
-		if err != nil {
-			return Report{}, fmt.Errorf("stress: %w", err)
-		}
-		group = evalcache.NewGroup(cache)
+	memo, err := tuner.NewPlatformEvaluator(tuner.PlatformOptions{
+		Name:        string(kind),
+		Platform:    opts.Platform,
+		Parallel:    opts.Parallel,
+		NewPlatform: newPlatform,
+		Synth:       csyn,
+		Options:     evalOpts,
+		Memo:        opts.Memo,
+		MemoCap:     opts.MemoCap,
+	})
+	if err != nil {
+		return Report{}, fmt.Errorf("stress: %w", err)
 	}
-	// Evaluation results are keyed by their full content identity —
-	// platform, kernel-synthesis options, evaluation options, effective
-	// window, configuration — so a shared group only ever serves results
-	// that an isolated run would have computed identically.
-	keyer := platform.NewEvalKeyer(platform.EvalIdentityOf(opts.Platform), csyn.Options(), evalOpts)
-	memo := tuner.NewSharedMemoizingEvaluator(counting, group, keyer.Key)
 
 	targetLoss := tuner.NoTargetLoss
 	if opts.TargetValue != nil {
@@ -468,7 +433,9 @@ func Run(ctx context.Context, kind Kind, opts Options) (Report, error) {
 		return Report{}, fmt.Errorf("stress: tuner produced no configuration for %s", kind)
 	}
 
-	prog, err := syn.Synthesize(string(kind), res.Best)
+	// The winner's kernel is regenerated with a plain synthesizer built
+	// from the same options, so it matches what the memo evaluated.
+	prog, err := microprobe.NewSynthesizer(csyn.Options()).Synthesize(string(kind), res.Best)
 	if err != nil {
 		return Report{}, fmt.Errorf("stress: regenerating %s kernel: %w", kind, err)
 	}
@@ -486,7 +453,7 @@ func Run(ctx context.Context, kind Kind, opts Options) (Report, error) {
 		Config:      res.Best,
 		Program:     prog,
 		Epochs:      len(res.Epochs),
-		Evaluations: counting.Count(),
+		Evaluations: int(memo.Misses()),
 		Converged:   res.Converged,
 		PowerCapW:   opts.PowerCapW,
 		TunerResult: res,

@@ -9,6 +9,7 @@ import (
 	"micrograd/internal/metrics"
 	"micrograd/internal/microprobe"
 	"micrograd/internal/platform"
+	"micrograd/internal/program"
 	"micrograd/internal/tuner"
 )
 
@@ -35,11 +36,11 @@ func baselineIPC(t *testing.T, opts Options) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := opts.Platform.Evaluate(p, opts.EvalOptions)
+	resp, err := opts.Platform.EvaluateRequest(platform.EvalRequest{Programs: []*program.Program{p}, Options: opts.EvalOptions})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return v[metrics.IPC]
+	return resp.Metrics[metrics.IPC]
 }
 
 func TestPerfVirusFindsLowIPC(t *testing.T) {

@@ -19,18 +19,17 @@ func TestTunersEvaluateInitial(t *testing.T) {
 	initial := space.MidConfig()
 	for _, tun := range All() {
 		t.Run(tun.Name(), func(t *testing.T) {
-			eval := EvaluatorFunc(func(cfg knobs.Config) (metrics.Vector, error) {
+			eval := blind(func(cfg knobs.Config) (metrics.Vector, error) {
 				score := 1.0
 				if cfg.Equal(initial) {
 					score = 0
 				}
 				return metrics.Vector{"score": score}, nil
 			})
-			counting := NewCountingEvaluator(eval)
 			res, err := tun.Run(context.Background(), Problem{
 				Space:          space,
 				Loss:           metrics.StressLoss{Metric: "score"},
-				Evaluator:      NewMemoizingEvaluator(counting),
+				Evaluator:      NewMemoizingEvaluator(eval),
 				MaxEpochs:      40,
 				MaxEvaluations: 600,
 				TargetLoss:     0,
@@ -64,11 +63,11 @@ func TestNoTunerExceedsBudget(t *testing.T) {
 	for _, budget := range []int{7, 23, 60} {
 		for _, tun := range All() {
 			t.Run(tun.Name(), func(t *testing.T) {
-				counting := NewCountingEvaluator(EvaluatorFunc(bumpyEval))
+				memo := NewMemoizingEvaluator(blind(bumpyEval))
 				res, err := tun.Run(context.Background(), Problem{
 					Space:          space,
 					Loss:           metrics.StressLoss{Metric: "score"},
-					Evaluator:      NewMemoizingEvaluator(counting),
+					Evaluator:      memo,
 					MaxEpochs:      50,
 					MaxEvaluations: budget,
 					TargetLoss:     NoTargetLoss,
@@ -80,8 +79,8 @@ func TestNoTunerExceedsBudget(t *testing.T) {
 				if res.TotalEvaluations > budget {
 					t.Errorf("proposed %d evaluations, budget is %d", res.TotalEvaluations, budget)
 				}
-				if counting.Count() > res.TotalEvaluations {
-					t.Errorf("simulated %d evaluations but only %d were proposed", counting.Count(), res.TotalEvaluations)
+				if int(memo.Misses()) > res.TotalEvaluations {
+					t.Errorf("simulated %d evaluations but only %d were proposed", memo.Misses(), res.TotalEvaluations)
 				}
 				cum := 0
 				for _, er := range res.Epochs {
@@ -100,7 +99,7 @@ func TestNoTunerExceedsBudget(t *testing.T) {
 
 // TestBudgetCountsProposedEvaluations pins the budget semantics: the budget
 // is charged per *proposed* evaluation, memo hits included — the budget
-// models the tuner's search effort, while CountingEvaluator/Misses report
+// models the tuner's search effort, while the memo's Misses report
 // the real simulator work. Random search on a 4-point space re-proposes the
 // same configurations over and over; the run must stop at exactly the
 // budget even though only 4 simulations ever happen.
@@ -112,8 +111,8 @@ func TestBudgetCountsProposedEvaluations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counting := NewCountingEvaluator(EvaluatorFunc(bumpyEval))
-	memo := NewMemoizingEvaluator(counting)
+	eval, calls := countingEval(bumpyEval)
+	memo := NewMemoizingEvaluator(eval)
 	res, err := NewRandomSearch(RandomSearchParams{EvaluationsPerEpoch: 10}).Run(context.Background(), Problem{
 		Space:          space,
 		Loss:           metrics.StressLoss{Metric: "score"},
@@ -136,11 +135,11 @@ func TestBudgetCountsProposedEvaluations(t *testing.T) {
 		t.Errorf("final epoch = %d evaluations / %d cumulative, want 5 / 35 (budget truncates the epoch)",
 			last.Evaluations, last.CumulativeEvaluations)
 	}
-	if counting.Count() > 4 {
-		t.Errorf("simulated %d configurations, want <= 4 (the whole space)", counting.Count())
+	if calls.Load() > 4 {
+		t.Errorf("simulated %d configurations, want <= 4 (the whole space)", calls.Load())
 	}
-	if hits, misses := memo.Hits(), memo.Misses(); hits+misses != 35 || misses != uint64(counting.Count()) {
+	if hits, misses := memo.Hits(), memo.Misses(); hits+misses != 35 || misses != uint64(calls.Load()) {
 		t.Errorf("memo counters = %d hits / %d misses, want hits+misses = 35 and misses = %d simulations",
-			hits, misses, counting.Count())
+			hits, misses, calls.Load())
 	}
 }

@@ -158,10 +158,10 @@ func dominates(a, b ParetoPoint) bool {
 }
 
 // evalBatch evaluates candidates at full fidelity: the batch is truncated
-// to the remaining budget (setting exhausted when it was cut), fanned out
-// when the evaluator supports batching, scored, and folded in proposal
-// order — bit-identical to a serial loop. losses[i] and vectors[i]
-// correspond to cfgs[i]; both may be shorter than cfgs under a budget.
+// to the remaining budget (setting exhausted when it was cut), handed to
+// the evaluator in one call, scored, and folded in proposal order —
+// bit-identical to a serial loop. losses[i] and vectors[i] correspond to
+// cfgs[i]; both may be shorter than cfgs under a budget.
 func (e *engine) evalBatch(ctx context.Context, cfgs []knobs.Config) ([]float64, []metrics.Vector, error) {
 	return e.evalBatchAt(ctx, cfgs, 1)
 }
@@ -179,11 +179,7 @@ func (e *engine) evalBatchAt(ctx context.Context, cfgs []knobs.Config, fidelity 
 	if len(cfgs) == 0 {
 		return nil, nil, nil
 	}
-	eval := e.prob.Evaluator
-	if fidelity > 0 && fidelity < 1 {
-		eval = AtFidelity(eval, fidelity)
-	}
-	vs, err := EvaluateAll(ctx, eval, cfgs)
+	vs, err := e.prob.Evaluator.EvaluateBatch(ctx, cfgs, fidelity)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -6,11 +6,12 @@ import (
 
 	"micrograd/internal/knobs"
 	"micrograd/internal/metrics"
+	"micrograd/internal/sched"
 )
 
 // fidelityRecordingEval is a fidelity-aware evaluator that records the
 // fidelity of every call, so tests can see which level each request ran at.
-func fidelityRecordingEval(calls *[]float64) EvaluatorAtFunc {
+func fidelityRecordingEval(calls *[]float64) sched.EvalFunc {
 	return func(cfg knobs.Config, fidelity float64) (metrics.Vector, error) {
 		*calls = append(*calls, fidelity)
 		v, err := bumpyEval(cfg)
@@ -22,122 +23,90 @@ func fidelityRecordingEval(calls *[]float64) EvaluatorAtFunc {
 	}
 }
 
-func TestAtFidelityBindsFidelityAwareEvaluators(t *testing.T) {
-	space := parallelTestSpace(t)
-	cfg := space.MidConfig()
-	var calls []float64
-	eval := fidelityRecordingEval(&calls)
-
-	if !SupportsFidelity(eval) {
-		t.Fatal("EvaluatorAtFunc should support fidelity")
-	}
-	// Full fidelity through the plain Evaluator interface.
-	if _, err := eval.Evaluate(cfg); err != nil {
-		t.Fatal(err)
-	}
-	// A bound view evaluates at its fidelity, single and batched.
-	view := AtFidelity(eval, 0.25)
-	if _, err := view.Evaluate(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := EvaluateAll(context.Background(), view, []knobs.Config{cfg, cfg.Step(0, 1)}); err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1, 0.25, 0.25, 0.25}
-	if len(calls) != len(want) {
-		t.Fatalf("calls = %v, want %v", calls, want)
-	}
-	for i := range want {
-		if calls[i] != want[i] {
-			t.Errorf("call %d ran at fidelity %g, want %g", i, calls[i], want[i])
-		}
-	}
-}
-
-func TestAtFidelityOutOfRangeReturnsOriginal(t *testing.T) {
-	var calls []float64
-	eval := fidelityRecordingEval(&calls)
-	for _, f := range []float64{0, 1, -0.5, 2} {
-		if got := AtFidelity(eval, f); !SupportsFidelity(got) {
-			t.Errorf("AtFidelity(%g) should pass the evaluator through", f)
-		}
-	}
-	// A fidelity-blind evaluator is returned unchanged (reduced fidelity is
-	// an optimization, not a requirement).
-	blind := EvaluatorFunc(bumpyEval)
-	if SupportsFidelity(blind) {
-		t.Error("plain EvaluatorFunc should not claim fidelity support")
-	}
-	if got := AtFidelity(blind, 0.5); got == nil {
-		t.Error("fidelity-blind evaluator should fall back, not vanish")
-	}
-}
-
-// TestMemoViewsKeepFidelityLevelsApart pins the caching contract of the
-// fidelity views: the counter keeps counting across levels, while the memo
-// keys each level separately — a half-fidelity result must never be served
-// for a full-fidelity request.
+// TestMemoViewsKeepFidelityLevelsApart pins the caching contract across
+// fidelity levels: the memo keys each level separately — a half-fidelity
+// result must never be served for a full-fidelity request — while Misses()
+// keeps counting the real evaluations of every level.
 func TestMemoViewsKeepFidelityLevelsApart(t *testing.T) {
 	space := parallelTestSpace(t)
 	cfg := space.MidConfig()
 	var calls []float64
-	counting := NewCountingEvaluator(fidelityRecordingEval(&calls))
-	memo := NewMemoizingEvaluator(counting)
+	memo := NewMemoizingEvaluator(fidelityRecordingEval(&calls))
+	ctx := context.Background()
+	one := []knobs.Config{cfg}
 
-	full1, err := memo.Evaluate(cfg)
+	full, err := memo.EvaluateBatch(ctx, one, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	half := AtFidelity(memo, 0.5)
-	halfV, err := half.Evaluate(cfg)
+	half, err := memo.EvaluateBatch(ctx, one, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full1["fidelity"] != 1 || halfV["fidelity"] != 0.5 {
-		t.Errorf("fidelities = %g / %g, want 1 / 0.5", full1["fidelity"], halfV["fidelity"])
+	if full[0]["fidelity"] != 1 || half[0]["fidelity"] != 0.5 {
+		t.Errorf("fidelities = %g / %g, want 1 / 0.5", full[0]["fidelity"], half[0]["fidelity"])
 	}
-	// Same levels hit their own cache entries; the counter saw both real runs.
-	if _, err := memo.Evaluate(cfg); err != nil {
+	// Same levels hit their own cache entries; both real runs were counted.
+	for _, fidelity := range []float64{1, 0.5} {
+		vs, err := memo.EvaluateBatch(ctx, one, fidelity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vs[0]["fidelity"] != fidelity {
+			t.Errorf("level %g served a result measured at %g", fidelity, vs[0]["fidelity"])
+		}
+	}
+	if len(calls) != 2 || memo.Misses() != 2 || memo.Hits() != 2 {
+		t.Errorf("simulations = %d, memo counters = %d hits / %d misses, want 2 and 2 / 2 (one run per level)",
+			len(calls), memo.Hits(), memo.Misses())
+	}
+	// A batch stays level-separated too: only the new configuration runs.
+	if _, err := memo.EvaluateBatch(ctx, []knobs.Config{cfg, cfg.Step(1, 1)}, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := half.Evaluate(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if counting.Count() != 2 {
-		t.Errorf("simulations = %d, want 2 (one per fidelity level)", counting.Count())
-	}
-	if memo.Hits() != 2 || memo.Misses() != 2 {
-		t.Errorf("memo counters = %d hits / %d misses, want 2 / 2", memo.Hits(), memo.Misses())
-	}
-	// The batched view path works and stays level-separated too.
-	batch := []knobs.Config{cfg, cfg.Step(1, 1)}
-	if _, err := EvaluateAll(context.Background(), half, batch); err != nil {
-		t.Fatal(err)
-	}
-	if counting.Count() != 3 {
-		t.Errorf("simulations after batch = %d, want 3 (only the new config ran)", counting.Count())
+	if len(calls) != 3 || memo.Misses() != 3 {
+		t.Errorf("simulations after batch = %d (misses %d), want 3", len(calls), memo.Misses())
 	}
 }
 
-// TestFidelityBlindStackSharesCache pins the degenerate case: when the inner
-// evaluator cannot shorten its work, the fidelity views collapse onto the
-// unprefixed cache — a "reduced" result is identical, so sharing is correct
-// and cheaper.
-func TestFidelityBlindStackSharesCache(t *testing.T) {
-	space := parallelTestSpace(t)
-	cfg := space.MidConfig()
-	counting := NewCountingEvaluator(EvaluatorFunc(bumpyEval))
-	memo := NewMemoizingEvaluator(counting)
-	if SupportsFidelity(memo) {
-		t.Fatal("memo over a fidelity-blind evaluator should not claim support")
-	}
-	if _, err := memo.Evaluate(cfg); err != nil {
+// TestHalvingBindsExplorationFidelity pins where successive halving's
+// fidelities come from: the inner tuner's whole exploration budget runs at
+// the cheapest rung's fidelity (bound by the recording evaluator, whatever
+// the inner tuner asks for), the promotion rungs rise, and the last rung
+// evaluates at full fidelity.
+func TestHalvingBindsExplorationFidelity(t *testing.T) {
+	var calls []float64
+	sh := NewSuccessiveHalving(NewRandomSearch(RandomSearchParams{EvaluationsPerEpoch: 9}), SuccessiveHalvingParams{})
+	res, err := sh.Run(context.Background(), Problem{
+		Space:          parallelTestSpace(t),
+		Loss:           metrics.StressLoss{Metric: "score"},
+		Evaluator:      fidelityRecordingEval(&calls),
+		MaxEpochs:      5,
+		MaxEvaluations: 54,
+		TargetLoss:     NoTargetLoss,
+		Seed:           3,
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AtFidelity(memo, 0.5).Evaluate(cfg); err != nil {
-		t.Fatal(err)
+	explore := res.Epochs[0].Evaluations
+	if explore == 0 || len(calls) != res.TotalEvaluations {
+		t.Fatalf("explored %d, evaluated %d, charged %d", explore, len(calls), res.TotalEvaluations)
 	}
-	if counting.Count() != 1 {
-		t.Errorf("simulations = %d, want 1 (blind stack shares the cache)", counting.Count())
+	for i, f := range calls[:explore] {
+		if f != sh.fidelityAt(0) {
+			t.Fatalf("exploration call %d ran at fidelity %g, want %g", i, f, sh.fidelityAt(0))
+		}
+	}
+	for i := explore + 1; i < len(calls); i++ {
+		if calls[i] < calls[i-1] {
+			t.Errorf("fidelity fell from %g to %g at call %d", calls[i-1], calls[i], i)
+		}
+	}
+	if last := calls[len(calls)-1]; last != 1 {
+		t.Errorf("final rung ran at fidelity %g, want 1", last)
+	}
+	if res.BestMetrics["fidelity"] != 1 {
+		t.Errorf("best result measured at fidelity %g, want 1", res.BestMetrics["fidelity"])
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"micrograd/internal/knobs"
 	"micrograd/internal/metrics"
@@ -90,50 +89,35 @@ type candidate struct {
 	seen int     // first-seen order, the deterministic tie-breaker
 }
 
-// recordingEvaluator wraps the exploration rung's evaluator and records, in
-// proposal order, every distinct configuration the inner tuner visited
-// together with its screening loss. Proposal order (not completion order) is
-// what makes the candidate pool identical whether the wrapped evaluator fans
-// out or not.
+// recordingEvaluator is the exploration rung's evaluator and the one place
+// the rung's fidelity is bound: whatever fidelity the inner tuner asks for,
+// it evaluates at the exploration fidelity. It records, in proposal order,
+// every distinct configuration the inner tuner visited together with its
+// screening loss. Proposal order (not completion order) is what makes the
+// candidate pool identical whether the wrapped evaluator fans out or not.
+// Only the inner tuner's loop calls it, one batch at a time.
 type recordingEvaluator struct {
-	inner Evaluator
-	score func(metrics.Vector) float64
-
-	mu    sync.Mutex
-	first map[string]int
-	pool  []candidate
+	inner    Evaluator
+	fidelity float64
+	score    func(metrics.Vector) float64
+	first    map[string]bool
+	pool     []candidate
 }
 
-func (r *recordingEvaluator) record(cfg knobs.Config, v metrics.Vector) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	key := cfg.Key()
-	if _, ok := r.first[key]; ok {
-		return
-	}
-	r.first[key] = len(r.pool)
-	r.pool = append(r.pool, candidate{cfg: cfg.Clone(), loss: r.score(v), seen: len(r.pool)})
-}
-
-// Evaluate implements Evaluator.
-func (r *recordingEvaluator) Evaluate(cfg knobs.Config) (metrics.Vector, error) {
-	v, err := r.inner.Evaluate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	r.record(cfg, v)
-	return v, nil
-}
-
-// EvaluateBatch implements sched.BatchEvaluator: results are recorded in
-// batch (proposal) order after the whole batch returns.
-func (r *recordingEvaluator) EvaluateBatch(ctx context.Context, cfgs []knobs.Config) ([]metrics.Vector, error) {
-	vs, err := EvaluateAll(ctx, r.inner, cfgs)
+// EvaluateBatch implements Evaluator: results are recorded in batch
+// (proposal) order after the whole batch returns.
+func (r *recordingEvaluator) EvaluateBatch(ctx context.Context, cfgs []knobs.Config, _ float64) ([]metrics.Vector, error) {
+	vs, err := r.inner.EvaluateBatch(ctx, cfgs, r.fidelity)
 	if err != nil {
 		return nil, err
 	}
 	for i, cfg := range cfgs {
-		r.record(cfg, vs[i])
+		key := cfg.Key()
+		if r.first[key] {
+			continue
+		}
+		r.first[key] = true
+		r.pool = append(r.pool, candidate{cfg: cfg.Clone(), loss: r.score(vs[i]), seen: len(r.pool)})
 	}
 	return vs, nil
 }
@@ -157,11 +141,11 @@ func (s *SuccessiveHalving) Run(ctx context.Context, prob Problem) (Result, erro
 	if exploreBudget < 1 {
 		exploreBudget = 1
 	}
-	f0 := s.fidelityAt(0)
 	rec := &recordingEvaluator{
-		inner: AtFidelity(prob.Evaluator, f0),
-		score: e.score,
-		first: make(map[string]int),
+		inner:    prob.Evaluator,
+		fidelity: s.fidelityAt(0),
+		score:    e.score,
+		first:    make(map[string]bool),
 	}
 	sub := prob
 	sub.Evaluator = rec
@@ -191,7 +175,7 @@ func (s *SuccessiveHalving) Run(ctx context.Context, prob Problem) (Result, erro
 	}
 	e.res.Epochs = append(e.res.Epochs, EpochRecord{
 		Epoch:                 1,
-		BestLoss:              rungBest, // screening loss at fidelity f0
+		BestLoss:              rungBest, // screening loss at the exploration fidelity
 		EpochLoss:             rungBest,
 		Evaluations:           innerRes.TotalEvaluations,
 		CumulativeEvaluations: e.res.TotalEvaluations,

@@ -5,45 +5,51 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"micrograd/internal/evalcache"
 	"micrograd/internal/knobs"
 	"micrograd/internal/metrics"
+	"micrograd/internal/microprobe"
+	"micrograd/internal/platform"
+	"micrograd/internal/sched"
 )
 
 // knobValueEval maps a configuration to a deterministic vector derived from
 // its key, so results are checkable without a simulator; the returned
 // counter tracks how often the inner evaluator really ran.
-func knobValueEval() (Evaluator, *CountingEvaluator) {
-	base := EvaluatorFunc(func(cfg knobs.Config) (metrics.Vector, error) {
+func knobValueEval() (sched.EvalFunc, *atomic.Int64) {
+	return countingEval(func(cfg knobs.Config) (metrics.Vector, error) {
 		return metrics.Vector{"k": float64(len(cfg.Key()))}, nil
 	})
-	c := NewCountingEvaluator(base)
-	return c, c
 }
+
+// sharedKeyer keys the shared-group tests: every memo over it addresses the
+// same (identity, synthesizer, options) combination.
+var sharedKeyer = platform.NewEvalKeyer("shared-test", microprobe.Options{}, platform.EvalOptions{})
 
 func TestSharedGroupServesCrossEvaluatorHits(t *testing.T) {
 	group := evalcache.NewGroup(evalcache.NewMap())
 	evalA, countA := knobValueEval()
 	evalB, countB := knobValueEval()
-	memoA := NewSharedMemoizingEvaluator(evalA, group, nil)
-	memoB := NewSharedMemoizingEvaluator(evalB, group, nil)
+	memoA := NewSharedMemoizingEvaluator(evalA, group, sharedKeyer)
+	memoB := NewSharedMemoizingEvaluator(evalB, group, sharedKeyer)
 
 	cfg := knobs.StressSpace().MidConfig()
-	va, err := memoA.Evaluate(cfg)
+	va, err := evalSingle(memoA, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vb, err := memoB.Evaluate(cfg)
+	vb, err := evalSingle(memoB, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(va, vb) {
 		t.Fatalf("shared-cache results differ: %v vs %v", va, vb)
 	}
-	if countA.Count() != 1 || countB.Count() != 0 {
-		t.Fatalf("inner counts = %d/%d, want 1/0 (B must hit A's result)", countA.Count(), countB.Count())
+	if countA.Load() != 1 || countB.Load() != 0 {
+		t.Fatalf("inner counts = %d/%d, want 1/0 (B must hit A's result)", countA.Load(), countB.Load())
 	}
 	if memoB.Hits() != 1 || memoB.Misses() != 0 {
 		t.Fatalf("memoB counters = %d hits / %d misses, want 1/0", memoB.Hits(), memoB.Misses())
@@ -64,18 +70,18 @@ func TestLRUBoundedMemoStaysDeterministicUnderEviction(t *testing.T) {
 		space.MidConfig().Step(0, 1),
 	}
 
-	run := func(cache evalcache.Cache) ([]metrics.Vector, *CountingEvaluator) {
+	run := func(cache evalcache.Cache) ([]metrics.Vector, *atomic.Int64) {
 		eval, count := knobValueEval()
-		memo := NewSharedMemoizingEvaluator(eval, evalcache.NewGroup(cache), nil)
+		memo := NewSharedMemoizingEvaluator(eval, evalcache.NewGroup(cache), sharedKeyer)
 		var out []metrics.Vector
 		for _, cfg := range cfgs {
-			v, err := memo.Evaluate(cfg)
+			v, err := evalSingle(memo, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			out = append(out, v)
 		}
-		batch, err := memo.EvaluateBatch(context.Background(), cfgs)
+		batch, err := memo.EvaluateBatch(context.Background(), cfgs, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,8 +101,8 @@ func TestLRUBoundedMemoStaysDeterministicUnderEviction(t *testing.T) {
 		t.Fatalf("LRU Len = %d exceeds cap 1", lru.Len())
 	}
 	// Eviction costs extra inner evaluations but never changes results.
-	if boundedCount.Count() < unboundedCount.Count() {
-		t.Fatalf("bounded inner count %d < unbounded %d", boundedCount.Count(), unboundedCount.Count())
+	if boundedCount.Load() < unboundedCount.Load() {
+		t.Fatalf("bounded inner count %d < unbounded %d", boundedCount.Load(), unboundedCount.Load())
 	}
 }
 
@@ -107,7 +113,7 @@ func TestLRUBoundedMemoKeepsSingleFlight(t *testing.T) {
 	// the same deterministic value.
 	var mu sync.Mutex
 	inFlight := map[string]int{}
-	base := EvaluatorFunc(func(cfg knobs.Config) (metrics.Vector, error) {
+	base := blind(func(cfg knobs.Config) (metrics.Vector, error) {
 		key := cfg.Key()
 		mu.Lock()
 		inFlight[key]++
@@ -126,7 +132,7 @@ func TestLRUBoundedMemoKeepsSingleFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	memo := NewSharedMemoizingEvaluator(base, evalcache.NewGroup(lru), nil)
+	memo := NewSharedMemoizingEvaluator(base, evalcache.NewGroup(lru), sharedKeyer)
 
 	space := knobs.StressSpace()
 	cfgs := []knobs.Config{space.MidConfig(), space.MidConfig().Step(0, 1)}
@@ -138,7 +144,7 @@ func TestLRUBoundedMemoKeepsSingleFlight(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < 4; r++ {
 				cfg := cfgs[(w+r)%2]
-				v, err := memo.Evaluate(cfg)
+				v, err := evalSingle(memo, cfg)
 				if err != nil {
 					errs <- err
 					return

@@ -39,7 +39,7 @@ func TestParetoFrontIsFeasibleAndNonDominated(t *testing.T) {
 		Loss:       metrics.StressLoss{Metric: "obj"},
 		Secondary:  metrics.StressLoss{Metric: "sec"},
 		Constraint: &Constraint{Metric: "power", Max: 5},
-		Evaluator:  NewMemoizingEvaluator(EvaluatorFunc(tradeoffEval)),
+		Evaluator:  NewMemoizingEvaluator(blind(tradeoffEval)),
 		MaxEpochs:  1,
 		TargetLoss: NoTargetLoss,
 		Seed:       1,
@@ -76,7 +76,7 @@ func TestParetoFrontIsFeasibleAndNonDominated(t *testing.T) {
 // reported best inside the feasible region.
 func TestConstraintSteersBestAwayFromInfeasible(t *testing.T) {
 	space := multiObjectiveSpace(t)
-	eval := EvaluatorFunc(func(cfg knobs.Config) (metrics.Vector, error) {
+	eval := blind(func(cfg knobs.Config) (metrics.Vector, error) {
 		a, b := cfg.Value(0), cfg.Value(1)
 		return metrics.Vector{"obj": 10 - a - b, "power": a + b}, nil
 	})

@@ -49,9 +49,33 @@ func bumpyEval(cfg knobs.Config) (metrics.Vector, error) {
 	return metrics.Vector{"score": score, "aux": score * 2}, nil
 }
 
+// blind adapts a fidelity-blind evaluation function to the batch boundary.
+func blind(f func(knobs.Config) (metrics.Vector, error)) sched.EvalFunc {
+	return func(cfg knobs.Config, _ float64) (metrics.Vector, error) { return f(cfg) }
+}
+
+// countingEval is blind(f) plus a call counter — the real simulator work a
+// memo's Misses() must match.
+func countingEval(f func(knobs.Config) (metrics.Vector, error)) (sched.EvalFunc, *atomic.Int64) {
+	calls := new(atomic.Int64)
+	return func(cfg knobs.Config, _ float64) (metrics.Vector, error) {
+		calls.Add(1)
+		return f(cfg)
+	}, calls
+}
+
+// evalSingle evaluates one configuration at full fidelity.
+func evalSingle(e Evaluator, cfg knobs.Config) (metrics.Vector, error) {
+	vs, err := e.EvaluateBatch(context.Background(), []knobs.Config{cfg}, 1)
+	if err != nil {
+		return nil, err
+	}
+	return vs[0], nil
+}
+
 // runBoth runs the same problem once with a plain serial evaluator and once
-// with the parallel engine (pool of 8 workers), both behind the standard
-// Counting+Memoizing stack, and returns the two results.
+// with the parallel engine (pool of 8 workers), both behind a memo, and
+// returns the two results.
 func runBoth(t *testing.T, tun Tuner, space *knobs.Space, maxEpochs int) (serial, parallel Result) {
 	t.Helper()
 	return runBothBudget(t, tun, space, maxEpochs, 0)
@@ -65,18 +89,18 @@ func runBothBudget(t *testing.T, tun Tuner, space *knobs.Space, maxEpochs, maxEv
 		return Problem{
 			Space:          space,
 			Loss:           metrics.StressLoss{Metric: "score"},
-			Evaluator:      NewMemoizingEvaluator(NewCountingEvaluator(eval)),
+			Evaluator:      NewMemoizingEvaluator(eval),
 			MaxEpochs:      maxEpochs,
 			MaxEvaluations: maxEvals,
 			TargetLoss:     NoTargetLoss,
 			Seed:           42,
 		}
 	}
-	serialRes, err := tun.Run(context.Background(), problem(EvaluatorFunc(bumpyEval)))
+	serialRes, err := tun.Run(context.Background(), problem(blind(bumpyEval)))
 	if err != nil {
 		t.Fatalf("serial run: %v", err)
 	}
-	pe, err := sched.NewParallelEvaluator(8, func() (sched.EvalFunc, error) { return bumpyEval, nil })
+	pe, err := sched.NewParallelEvaluator(8, func() (sched.EvalFunc, error) { return blind(bumpyEval), nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +187,7 @@ func TestMemoizingEvaluatorSingleFlight(t *testing.T) {
 	space := parallelTestSpace(t)
 	cfg := space.MidConfig()
 	var calls atomic.Int64
-	slow := EvaluatorFunc(func(c knobs.Config) (metrics.Vector, error) {
+	slow := blind(func(c knobs.Config) (metrics.Vector, error) {
 		calls.Add(1)
 		time.Sleep(20 * time.Millisecond) // widen the race window
 		return bumpyEval(c)
@@ -177,7 +201,7 @@ func TestMemoizingEvaluatorSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err := memo.Evaluate(cfg)
+			v, err := evalSingle(memo, cfg)
 			if err != nil {
 				t.Error(err)
 				return
@@ -204,7 +228,7 @@ func TestMemoizingEvaluatorSingleFlight(t *testing.T) {
 func TestMemoizingEvaluatorConcurrentDistinct(t *testing.T) {
 	space := parallelTestSpace(t)
 	var calls atomic.Int64
-	inner := EvaluatorFunc(func(c knobs.Config) (metrics.Vector, error) {
+	inner := blind(func(c knobs.Config) (metrics.Vector, error) {
 		calls.Add(1)
 		return bumpyEval(c)
 	})
@@ -223,7 +247,7 @@ func TestMemoizingEvaluatorConcurrentDistinct(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, cfg := range cfgs {
-				if _, err := memo.Evaluate(cfg); err != nil {
+				if _, err := evalSingle(memo, cfg); err != nil {
 					t.Error(err)
 				}
 			}
@@ -241,19 +265,19 @@ func TestMemoizingEvaluatorConcurrentDistinct(t *testing.T) {
 
 func TestMemoizingEvaluatorBatchDedup(t *testing.T) {
 	space := parallelTestSpace(t)
-	counting := NewCountingEvaluator(EvaluatorFunc(bumpyEval))
-	memo := NewMemoizingEvaluator(counting)
+	eval, calls := countingEval(bumpyEval)
+	memo := NewMemoizingEvaluator(eval)
 
 	a := space.MidConfig()
 	b := a.Step(0, 1)
 	c := a.Step(1, -1)
 	batch := []knobs.Config{a, b, a, c, b, a} // 3 distinct configs, 6 requests
-	out, err := memo.EvaluateBatch(context.Background(), batch)
+	out, err := memo.EvaluateBatch(context.Background(), batch, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if counting.Count() != 3 {
-		t.Errorf("inner evaluations = %d, want 3 (batch dedup)", counting.Count())
+	if calls.Load() != 3 {
+		t.Errorf("inner evaluations = %d, want 3 (batch dedup)", calls.Load())
 	}
 	for i, cfg := range batch {
 		want, _ := bumpyEval(cfg)
@@ -263,11 +287,11 @@ func TestMemoizingEvaluatorBatchDedup(t *testing.T) {
 	}
 
 	// A second batch is fully cached: no further inner evaluations.
-	if _, err := memo.EvaluateBatch(context.Background(), batch); err != nil {
+	if _, err := memo.EvaluateBatch(context.Background(), batch, 1); err != nil {
 		t.Fatal(err)
 	}
-	if counting.Count() != 3 {
-		t.Errorf("inner evaluations after cached batch = %d, want 3", counting.Count())
+	if calls.Load() != 3 {
+		t.Errorf("inner evaluations after cached batch = %d, want 3", calls.Load())
 	}
 	// 12 requests total: 3 unique misses, everything else (within-batch
 	// duplicates and the fully-cached second pass) hits.
@@ -276,24 +300,40 @@ func TestMemoizingEvaluatorBatchDedup(t *testing.T) {
 	}
 }
 
-func TestCountingEvaluatorConcurrent(t *testing.T) {
-	counting := NewCountingEvaluator(EvaluatorFunc(bumpyEval))
+// TestMemoizingEvaluatorMissesConcurrent pins Misses() as the count of real
+// inner evaluations under concurrency: goroutines hammering overlapping
+// batches at two fidelity levels run every (configuration, level) pair
+// exactly once, and every request counts as exactly one hit or miss.
+func TestMemoizingEvaluatorMissesConcurrent(t *testing.T) {
 	space := parallelTestSpace(t)
-	cfg := space.MidConfig()
-	var wg sync.WaitGroup
+	eval, calls := countingEval(bumpyEval)
+	memo := NewMemoizingEvaluator(eval)
+	cfgs := make([]knobs.Config, 5)
+	for i := range cfgs {
+		cfgs[i] = space.MidConfig().Step(1, i-2)
+	}
+	var (
+		wg       sync.WaitGroup
+		requests atomic.Int64
+	)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
-		go func() {
+		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				if _, err := counting.Evaluate(cfg); err != nil {
+				batch := cfgs[i%len(cfgs):]
+				requests.Add(int64(len(batch)))
+				if _, err := memo.EvaluateBatch(context.Background(), batch, []float64{1, 0.5}[(g+i)%2]); err != nil {
 					t.Error(err)
 				}
 			}
-		}()
+		}(g)
 	}
 	wg.Wait()
-	if counting.Count() != 200 {
-		t.Errorf("count = %d, want 200", counting.Count())
+	if got := calls.Load(); got != 10 || memo.Misses() != uint64(got) {
+		t.Errorf("inner evaluations = %d, misses = %d, want 10 each (5 configurations x 2 levels)", got, memo.Misses())
+	}
+	if got := memo.Hits() + memo.Misses(); got != uint64(requests.Load()) {
+		t.Errorf("hits+misses = %d, want %d requests", got, requests.Load())
 	}
 }

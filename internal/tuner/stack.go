@@ -1,0 +1,81 @@
+package tuner
+
+import (
+	"fmt"
+
+	"micrograd/internal/evalcache"
+	"micrograd/internal/knobs"
+	"micrograd/internal/metrics"
+	"micrograd/internal/microprobe"
+	"micrograd/internal/platform"
+	"micrograd/internal/sched"
+)
+
+// PlatformOptions describes the evaluation stack of one tuning run over a
+// simulation platform.
+type PlatformOptions struct {
+	// Name labels the kernels synthesized for every request.
+	Name string
+	// Platform serves serial runs and supplies the cache identity.
+	Platform platform.Platform
+	// Parallel > 1 with NewPlatform set fans every batch out over Parallel
+	// workers, each evaluating on its own platform from NewPlatform
+	// (platforms are not concurrency-safe). Results are bit-identical to the
+	// serial stack.
+	Parallel    int
+	NewPlatform func() (platform.Platform, error)
+	// Synth is the kernel-synthesis memo every worker shares; its options
+	// are part of the cache identity.
+	Synth *microprobe.CachingSynthesizer
+	// Options are the base evaluation options; each evaluation sets their
+	// Fidelity.
+	Options platform.EvalOptions
+	// Memo is a shared cache group; nil builds a private one, bounded to
+	// MemoCap entries with LRU eviction (0 = unbounded).
+	Memo    *evalcache.Group
+	MemoCap int
+}
+
+// NewPlatformEvaluator builds the evaluation stack every use case runs on:
+// one EvalSession per worker (serial, or pooled when o.Parallel asks for
+// it), behind a memo keyed through platform.EvalKeyer — so a shared group
+// only ever serves results an isolated run would have computed
+// identically. The memo's Misses counter is the run's real simulator work.
+func NewPlatformEvaluator(o PlatformOptions) (*MemoizingEvaluator, error) {
+	if o.Platform == nil || o.Synth == nil {
+		return nil, fmt.Errorf("tuner: platform evaluator needs a platform and a synthesizer")
+	}
+	worker := func(plat platform.Platform) sched.EvalFunc {
+		session := platform.NewEvalSession(plat, o.Synth)
+		return func(cfg knobs.Config, fidelity float64) (metrics.Vector, error) {
+			opts := o.Options
+			opts.Fidelity = fidelity
+			resp, err := session.Evaluate(platform.EvalRequest{Name: o.Name, Config: cfg, Options: opts})
+			return resp.Metrics, err
+		}
+	}
+	var base Evaluator = worker(o.Platform)
+	if o.Parallel > 1 && o.NewPlatform != nil {
+		pe, err := sched.NewParallelEvaluator(o.Parallel, func() (sched.EvalFunc, error) {
+			plat, err := o.NewPlatform()
+			if err != nil {
+				return nil, err
+			}
+			return worker(plat), nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("tuner: building evaluation pool: %w", err)
+		}
+		base = pe
+	}
+	group := o.Memo
+	if group == nil {
+		cache, err := evalcache.New(o.MemoCap)
+		if err != nil {
+			return nil, fmt.Errorf("tuner: %w", err)
+		}
+		group = evalcache.NewGroup(cache)
+	}
+	keyer := platform.NewEvalKeyer(platform.EvalIdentityOf(o.Platform), o.Synth.Options(), o.Options)
+	return NewSharedMemoizingEvaluator(base, group, keyer), nil
+}

@@ -14,189 +14,87 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strconv"
 	"sync/atomic"
 
 	"micrograd/internal/evalcache"
 	"micrograd/internal/knobs"
 	"micrograd/internal/metrics"
-	"micrograd/internal/sched"
+	"micrograd/internal/microprobe"
+	"micrograd/internal/platform"
 )
 
-// Evaluator maps a knob configuration to the metric vector measured on the
-// evaluation platform. Implementations typically wrap "synthesize test case
-// with Microprobe, run it on the platform, read back the metrics".
+// Evaluator is the one evaluation boundary between the tuners and the
+// execution back-ends: it maps a batch of knob configurations, all evaluated
+// at one fidelity, to the metric vectors measured on the evaluation
+// platform; results[i] corresponds to cfgs[i] and must be identical to what
+// evaluating the configurations one by one in order would produce, which is
+// what lets the tuners fan their hot loops out without changing their
+// output. Fidelity in (0,1) asks for a correspondingly cheaper evaluation
+// (the successive-halving screening rungs); 1 is the full evaluation, and an
+// evaluator that cannot shorten its work may evaluate fully.
+//
+// Three implementations cover every stack: the serial sched.EvalFunc, the
+// worker pool sched.ParallelEvaluator, and MemoizingEvaluator in front of
+// either; NewPlatformEvaluator assembles them over a simulation platform.
 type Evaluator interface {
-	Evaluate(cfg knobs.Config) (metrics.Vector, error)
-}
-
-// EvaluatorFunc adapts a function to the Evaluator interface.
-type EvaluatorFunc func(cfg knobs.Config) (metrics.Vector, error)
-
-// Evaluate implements Evaluator.
-func (f EvaluatorFunc) Evaluate(cfg knobs.Config) (metrics.Vector, error) { return f(cfg) }
-
-// EvaluateAll evaluates every configuration with eval and returns the
-// results in input order. When eval implements sched.BatchEvaluator the batch
-// is fanned out across its worker pool; otherwise the configurations are
-// evaluated serially. Either way results[i] corresponds to cfgs[i] and is
-// identical to what a serial loop would produce, which is what lets the
-// tuners parallelize their hot loops without changing their output.
-func EvaluateAll(ctx context.Context, eval Evaluator, cfgs []knobs.Config) ([]metrics.Vector, error) {
-	if be, ok := eval.(sched.BatchEvaluator); ok {
-		return be.EvaluateBatch(ctx, cfgs)
-	}
-	out := make([]metrics.Vector, len(cfgs))
-	for i, cfg := range cfgs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		v, err := eval.Evaluate(cfg)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// CountingEvaluator wraps an Evaluator and counts evaluations; every tuner
-// uses it so that the resource-efficiency comparison of the paper
-// (evaluations per epoch: 2×knobs for GD vs population size for GA) can be
-// reproduced exactly. It is safe for concurrent use when the wrapped
-// evaluator is.
-type CountingEvaluator struct {
-	inner Evaluator
-	count atomic.Int64
-}
-
-// NewCountingEvaluator wraps inner.
-func NewCountingEvaluator(inner Evaluator) *CountingEvaluator {
-	return &CountingEvaluator{inner: inner}
-}
-
-// Evaluate implements Evaluator.
-func (c *CountingEvaluator) Evaluate(cfg knobs.Config) (metrics.Vector, error) {
-	c.count.Add(1)
-	return c.inner.Evaluate(cfg)
-}
-
-// EvaluateBatch implements sched.BatchEvaluator, forwarding to the wrapped
-// evaluator's batch path when it has one.
-func (c *CountingEvaluator) EvaluateBatch(ctx context.Context, cfgs []knobs.Config) ([]metrics.Vector, error) {
-	c.count.Add(int64(len(cfgs)))
-	return EvaluateAll(ctx, c.inner, cfgs)
-}
-
-// Count returns the number of evaluations served.
-func (c *CountingEvaluator) Count() int { return int(c.count.Load()) }
-
-// KeyFunc derives the cache key of evaluating a configuration at a fidelity
-// (values outside (0,1) mean full fidelity). Keys are content addresses:
-// evaluators that share a cache group must key by everything their results
-// depend on — platform.EvalKeyer builds such keys from the platform
-// identity, synthesizer options and evaluation options.
-type KeyFunc func(cfg knobs.Config, fidelity float64) string
-
-// DefaultKey keys by configuration and fidelity level alone. It is correct
-// for a private cache bound to one evaluator (everything else is constant
-// there) but must not be used across evaluators with different platforms or
-// evaluation options.
-func DefaultKey(cfg knobs.Config, fidelity float64) string {
-	if fidelity > 0 && fidelity < 1 {
-		return "f" + strconv.FormatFloat(fidelity, 'g', -1, 64) + "|" + cfg.Key()
-	}
-	return cfg.Key()
+	EvaluateBatch(ctx context.Context, cfgs []knobs.Config, fidelity float64) ([]metrics.Vector, error)
 }
 
 // MemoizingEvaluator wraps an Evaluator with a content-addressed result
 // cache, so that revisiting a configuration (common late in GA runs and in
-// brute-force sweeps) does not pay for a second simulation. The evaluation
-// count of the wrapped CountingEvaluator still reflects real simulator work
-// only.
+// brute-force sweeps) does not pay for a second simulation. Its Misses
+// counter is the number of evaluations the wrapped evaluator really ran.
 //
 // The cache lives in an evalcache.Group, which may be private (the
-// NewMemoizingEvaluator default — unbounded, keyed by configuration and
-// fidelity) or shared across evaluators and jobs
-// (NewSharedMemoizingEvaluator with a platform-derived KeyFunc). Either
-// way it is safe for concurrent use: concurrent evaluations of the same key
-// are deduplicated single-flight — across every evaluator sharing the group
-// — so a key is simulated at most once no matter how many workers ask for
-// it simultaneously, and waiters read the flight itself, so a bounded cache
+// NewMemoizingEvaluator default — unbounded) or shared across evaluators and
+// jobs (NewSharedMemoizingEvaluator). Keys come from a platform.EvalKeyer,
+// which addresses the platform identity, synthesizer options, evaluation
+// options, effective simulation window and configuration. Either way it is
+// safe for concurrent use: concurrent evaluations of the same key are
+// deduplicated single-flight — across every evaluator sharing the group —
+// so a key is simulated at most once no matter how many workers ask for it
+// simultaneously, and waiters read the flight itself, so a bounded cache
 // evicting the entry cannot lose their result. Failed evaluations are not
 // cached; a later call retries.
 type MemoizingEvaluator struct {
 	inner  Evaluator
 	group  *evalcache.Group
-	key    KeyFunc
+	keyer  platform.EvalKeyer
 	hits   atomic.Uint64
 	misses atomic.Uint64
 }
 
-// NewMemoizingEvaluator wraps inner with a private unbounded cache keyed by
-// configuration and fidelity — the right default for one standalone run.
+// NewMemoizingEvaluator wraps inner with a private unbounded cache — the
+// right default for one standalone run over a single evaluator.
 func NewMemoizingEvaluator(inner Evaluator) *MemoizingEvaluator {
-	return NewSharedMemoizingEvaluator(inner, nil, nil)
+	return NewSharedMemoizingEvaluator(inner, nil, platform.NewEvalKeyer("", microprobe.Options{}, platform.EvalOptions{}))
 }
 
 // NewSharedMemoizingEvaluator wraps inner over an existing cache group, so
 // many evaluators (typically one per tuning job) reuse — and race safely
-// for — each other's results. key must address everything the results
-// depend on beyond the configuration; nil group and key fall back to a
-// private unbounded cache with DefaultKey.
-func NewSharedMemoizingEvaluator(inner Evaluator, group *evalcache.Group, key KeyFunc) *MemoizingEvaluator {
+// for — each other's results. keyer must address everything the results
+// depend on beyond the configuration and fidelity; a nil group falls back
+// to a private unbounded cache.
+func NewSharedMemoizingEvaluator(inner Evaluator, group *evalcache.Group, keyer platform.EvalKeyer) *MemoizingEvaluator {
 	if group == nil {
 		group = evalcache.NewGroup(nil)
 	}
-	if key == nil {
-		key = DefaultKey
-	}
-	return &MemoizingEvaluator{inner: inner, group: group, key: key}
+	return &MemoizingEvaluator{inner: inner, group: group, keyer: keyer}
 }
 
 // Group returns the cache group backing this evaluator.
 func (m *MemoizingEvaluator) Group() *evalcache.Group { return m.group }
 
-// Evaluate implements Evaluator with single-flight deduplication.
-func (m *MemoizingEvaluator) Evaluate(cfg knobs.Config) (metrics.Vector, error) {
-	return m.evaluateKeyed(m.key(cfg, 1), cfg, m.inner)
-}
-
-// evaluateKeyed is the single-flight core: full-fidelity calls pass m.inner;
-// fidelity views pass a fidelity-bound inner and the matching key.
-func (m *MemoizingEvaluator) evaluateKeyed(key string, cfg knobs.Config, inner Evaluator) (metrics.Vector, error) {
-	v, f, owner := m.group.Lookup(key)
-	if !owner {
-		m.hits.Add(1)
-		if v != nil {
-			return v, nil
-		}
-		return f.Wait()
-	}
-	m.misses.Add(1)
-	v, err := inner.Evaluate(cfg)
-	m.group.Settle(key, f, v, err)
-	if err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
-// EvaluateBatch implements sched.BatchEvaluator. Cached configurations are
-// answered immediately, duplicates within the batch (and against concurrent
-// callers) are evaluated once, and only the remaining unique misses are
-// forwarded — as one batch — to the wrapped evaluator.
-func (m *MemoizingEvaluator) EvaluateBatch(ctx context.Context, cfgs []knobs.Config) ([]metrics.Vector, error) {
-	return m.evaluateBatchKeyed(ctx, 1, cfgs, m.inner)
-}
-
-// evaluateBatchKeyed is the batch core behind EvaluateBatch; fidelity and
-// inner let fidelity views reuse the cache machinery with fidelity-aware
-// keys and a fidelity-bound inner evaluator. Every result is resolved from
+// EvaluateBatch implements Evaluator. Cached configurations are answered
+// immediately, duplicates within the batch (and against concurrent callers)
+// are evaluated once, and only the remaining unique misses are forwarded —
+// as one batch, at the same fidelity — to the wrapped evaluator. The
+// fidelity is part of every key (through the effective simulation window),
+// so levels never serve each other's results. Every result is resolved from
 // this call's own flights or a concurrent caller's — never re-read from the
 // cache — so a bounded cache evicting between settle and read cannot lose a
 // batch slot.
-func (m *MemoizingEvaluator) evaluateBatchKeyed(ctx context.Context, fidelity float64, cfgs []knobs.Config, inner Evaluator) ([]metrics.Vector, error) {
+func (m *MemoizingEvaluator) EvaluateBatch(ctx context.Context, cfgs []knobs.Config, fidelity float64) ([]metrics.Vector, error) {
 	out := make([]metrics.Vector, len(cfgs))
 	type miss struct {
 		key string
@@ -210,7 +108,7 @@ func (m *MemoizingEvaluator) evaluateBatchKeyed(ctx context.Context, fidelity fl
 		waits    = map[int]*evalcache.Flight{}    // output index -> flight to wait on
 	)
 	for i, cfg := range cfgs {
-		key := m.key(cfg, fidelity)
+		key := m.keyer.Key(cfg, fidelity)
 		if f, ok := owned[key]; ok {
 			// Duplicate within the batch: resolved from this call's own
 			// flight once it settles below.
@@ -237,7 +135,7 @@ func (m *MemoizingEvaluator) evaluateBatchKeyed(ctx context.Context, fidelity fl
 
 	var batchErr error
 	if len(missCfgs) > 0 {
-		vs, err := EvaluateAll(ctx, inner, missCfgs)
+		vs, err := m.inner.EvaluateBatch(ctx, missCfgs, fidelity)
 		batchErr = err
 		for j, ms := range misses {
 			var v metrics.Vector
@@ -286,7 +184,9 @@ func (m *MemoizingEvaluator) CacheSize() int { return m.group.Len() }
 // within one batch.
 func (m *MemoizingEvaluator) Hits() uint64 { return m.hits.Load() }
 
-// Misses returns the number of requests that triggered an inner evaluation.
+// Misses returns the number of requests that triggered an inner evaluation
+// — the evaluator's real simulator work, counted per evaluator (a shared
+// group's own counters add up every evaluator attached to it).
 func (m *MemoizingEvaluator) Misses() uint64 { return m.misses.Load() }
 
 // Problem is one tuning task.

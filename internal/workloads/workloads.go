@@ -115,16 +115,10 @@ func (b Benchmark) Reference(plat platform.Platform, opts platform.EvalOptions) 
 	return referenceEval(plat, p, opts)
 }
 
-// referenceEval routes one reference measurement through the request API when
-// the platform supports it, falling back to the legacy method otherwise.
+// referenceEval measures one program's metric vector on the platform.
 func referenceEval(plat platform.Platform, p *program.Program, opts platform.EvalOptions) (metrics.Vector, error) {
-	if re, ok := plat.(platform.RequestEvaluator); ok {
-		resp, err := re.EvaluateRequest(platform.EvalRequest{
-			Programs: []*program.Program{p}, Options: opts,
-		})
-		return resp.Metrics, err
-	}
-	return plat.Evaluate(p, opts)
+	resp, err := plat.EvaluateRequest(platform.EvalRequest{Programs: []*program.Program{p}, Options: opts})
+	return resp.Metrics, err
 }
 
 // PhaseReferences measures every phase of the benchmark and returns the

@@ -70,15 +70,13 @@ type (
 	Platform    = platform.Platform
 	SimPlatform = platform.SimPlatform
 	EvalOptions = platform.EvalOptions
-	// EvalRequest/EvalResponse are the redesigned evaluation API: one request
-	// in, one response out, on any platform. RequestEvaluator is the
-	// platform-side interface and EvalSession the reusable front door that
-	// also synthesizes (and memoizes) kernels from knob configurations.
-	EvalRequest      = platform.EvalRequest
-	EvalResponse     = platform.EvalResponse
-	EvalDetail       = platform.EvalDetail
-	RequestEvaluator = platform.RequestEvaluator
-	EvalSession      = platform.EvalSession
+	// EvalRequest/EvalResponse are the evaluation API: one request in, one
+	// response out, on any Platform. EvalSession is the reusable front door
+	// that also synthesizes (and memoizes) kernels from knob configurations.
+	EvalRequest  = platform.EvalRequest
+	EvalResponse = platform.EvalResponse
+	EvalDetail   = platform.EvalDetail
+	EvalSession  = platform.EvalSession
 	// KernelSynthesizer is the memoizing kernel synthesizer EvalSessions use.
 	KernelSynthesizer = microprobe.CachingSynthesizer
 	// CoreSpec describes a core configuration (Table II).
@@ -160,7 +158,7 @@ func Synthesize(name string, cfg KnobConfig, loopSize int, seed int64) (*Program
 
 // NewEvalSession binds a platform to a fresh memoizing kernel synthesizer
 // and returns the reusable evaluation session that serves EvalRequests.
-func NewEvalSession(plat RequestEvaluator, loopSize int, seed int64) *EvalSession {
+func NewEvalSession(plat Platform, loopSize int, seed int64) *EvalSession {
 	syn := microprobe.NewCachingSynthesizer(microprobe.Options{LoopSize: loopSize, Seed: seed})
 	return platform.NewEvalSession(plat, syn)
 }

@@ -42,11 +42,11 @@ func TestFacadeSynthesizeAndEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := plat.Evaluate(prog, EvalOptions{DynamicInstructions: 4000, Seed: 1})
+	resp, err := plat.EvaluateRequest(EvalRequest{Programs: []*Program{prog}, Options: EvalOptions{DynamicInstructions: 4000, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v["ipc"] <= 0 {
+	if resp.Metrics["ipc"] <= 0 {
 		t.Error("evaluation produced no IPC")
 	}
 	if _, err := NewPlatform("giant"); err == nil {
