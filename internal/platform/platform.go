@@ -266,21 +266,25 @@ const TraceWarmupWindows = 16
 // addPowerMetrics extends the vector with the power model's outputs: average
 // dynamic power always, plus the transient-power metrics (worst-case supply
 // droop, maximum dI/dt step, steady-state hotspot temperature) whenever the
-// run recorded activity windows.
-func (s *SimPlatform) addPowerMetrics(v metrics.Vector, res cpusim.Result) {
+// run recorded activity windows. It returns the untrimmed power trace the
+// transient metrics were derived from.
+func (s *SimPlatform) addPowerMetrics(v metrics.Vector, res cpusim.Result) powersim.PowerTrace {
 	v[metrics.DynamicPowerW] = s.power.DynamicPower(res)
+	trace := s.power.Trace(res)
 	if len(res.Windows) == 0 {
-		return
+		return trace
 	}
-	steady := s.power.Trace(res).TrimWarmupCapped(TraceWarmupWindows)
+	steady := trace.TrimWarmupCapped(TraceWarmupWindows)
 	v[metrics.WorstDroopMV] = s.spec.Supply.WorstDroopMV(steady)
 	v[metrics.MaxDIDTWPerCycle] = steady.MaxStepWPerCycle()
 	v[metrics.TempC] = s.spec.Thermal.SteadyTempC(steady)
+	return trace
 }
 
 // evaluate is the one evaluation path. sharedWindows selects the
 // copy-free window scratch for callers that do not let the Result escape.
-func (s *SimPlatform) evaluate(p *program.Program, opts EvalOptions, sharedWindows bool) (metrics.Vector, cpusim.Result, error) {
+// With power collection it also returns the untrimmed power trace.
+func (s *SimPlatform) evaluate(p *program.Program, opts EvalOptions, sharedWindows bool) (metrics.Vector, cpusim.Result, powersim.PowerTrace, error) {
 	opts = opts.normalized()
 	var res cpusim.Result
 	var err error
@@ -290,7 +294,7 @@ func (s *SimPlatform) evaluate(p *program.Program, opts EvalOptions, sharedWindo
 		res, err = s.cpu.Run(p, opts.DynamicInstructions, opts.Seed)
 	}
 	if err != nil {
-		return nil, cpusim.Result{}, err
+		return nil, cpusim.Result{}, powersim.PowerTrace{}, err
 	}
 	if opts.FrequencyGHz > 0 {
 		// The cycle-level result is clock-agnostic; relabelling its time
@@ -300,10 +304,11 @@ func (s *SimPlatform) evaluate(p *program.Program, opts EvalOptions, sharedWindo
 	}
 	s.evaluations++
 	v := ResultVector(res)
+	var trace powersim.PowerTrace
 	if opts.CollectPower {
-		s.addPowerMetrics(v, res)
+		trace = s.addPowerMetrics(v, res)
 	}
-	return v, res, nil
+	return v, res, trace, nil
 }
 
 // ResultVector converts a raw simulation result into the standard metric

@@ -143,13 +143,13 @@ func (s *SimPlatform) EvaluateRequest(req EvalRequest) (EvalResponse, error) {
 	}
 	// Only DetailResult hands the raw result out, so the lower detail levels
 	// share the simulator's window scratch instead of copying it.
-	v, res, err := s.evaluate(req.Programs[0], opts, req.Detail < DetailResult)
+	v, res, trace, err := s.evaluate(req.Programs[0], opts, req.Detail < DetailResult)
 	if err != nil {
 		return EvalResponse{}, err
 	}
 	resp := EvalResponse{Metrics: v}
 	if req.Detail >= DetailTrace {
-		resp.Trace = s.power.Trace(res)
+		resp.Trace = trace
 	}
 	if req.Detail >= DetailResult {
 		resp.Results = []cpusim.Result{res}

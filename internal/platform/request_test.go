@@ -9,6 +9,7 @@ import (
 	"micrograd/internal/microprobe"
 	"micrograd/internal/multicore"
 	"micrograd/internal/platform"
+	"micrograd/internal/powersim"
 	"micrograd/internal/program"
 )
 
@@ -140,6 +141,31 @@ func TestEvalRequestMatrix(t *testing.T) {
 			check(t, chip, platform.EvalRequest{Programs: progs, FreqOverrides: freqs, Options: powerOpts}, 2, fmt.Sprintf("freqs%v", freqs != nil))
 		}
 	})
+}
+
+// TestSingleCoreTraceIsResultTrace checks that the trace a single-core
+// response carries — the one the power metrics were derived from — is the
+// power model's trace of the raw result, clock overrides included.
+func TestSingleCoreTraceIsResultTrace(t *testing.T) {
+	p := reqKernel(t, "req-trace", knobs.StressSpace().MidConfig())
+	model, err := powersim.New(platform.Small().Power)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, freqs := range [][]float64{nil, {1.5}} {
+		resp, err := reqSinglePlatform(t).EvaluateRequest(platform.EvalRequest{
+			Programs:      []*program.Program{p},
+			FreqOverrides: freqs,
+			Options:       platform.EvalOptions{DynamicInstructions: reqInstr, Seed: reqSeed},
+			Detail:        platform.DetailResult,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := model.Trace(resp.Results[0]); len(want.Points) == 0 || !reflect.DeepEqual(resp.Trace, want) {
+			t.Errorf("freqs %v: response trace diverges from the model trace of the raw result", freqs)
+		}
+	}
 }
 
 // TestEvalRequestSingleKernelFansOut checks the request-path convenience: one

@@ -180,3 +180,65 @@ func FuzzGridLumpedOracle(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSupplyReplayStop is the permanent equivalence oracle for the supply
+// solvers' replay stop: for random grids up to 3×3 — random node traces in
+// either domain, with zero-duration windows and idle nodes, random coupling,
+// pass counts and damping — the lumped and grid droops must match the
+// all-passes oracles bit for bit. Wired into `make fuzz` and the CI fuzz
+// smoke step.
+func FuzzSupplyReplayStop(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(6))
+	f.Add(int64(7), uint8(4), uint8(2))
+	f.Add(int64(42), uint8(8), uint8(1))
+	f.Add(int64(-9), uint8(255), uint8(255))
+	f.Fuzz(func(t *testing.T, seed int64, grid uint8, passes uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		g := DefaultGridSupplyModel(int(grid%3)+1, int(grid/3%3)+1)
+		g.Node.Passes = int(passes%6) + 1
+		// Heavier damping settles within short traces, so the stop fires
+		// mid-pass as it does on full-length core traces.
+		if rng.Intn(2) == 0 {
+			g.Node.ResistanceOhm = 0.02 + 0.3*rng.Float64()
+		}
+		switch rng.Intn(3) {
+		case 0:
+			g.CouplingS = 0
+		case 1:
+			g.CouplingS = 20 * rng.Float64()
+		}
+		nodes := make([]PowerTrace, g.Nodes())
+		for k := range nodes {
+			if rng.Intn(5) == 0 {
+				continue // idle node
+			}
+			freq := 0.4 + 4*rng.Float64() // 0.4–4.4 GHz
+			tr := PowerTrace{WindowCycles: 1 + rng.Intn(128), FrequencyGHz: freq}
+			timeDomain := rng.Intn(2) == 0
+			if timeDomain {
+				tr.WindowNS = float64(tr.WindowCycles) / freq
+			}
+			// Windows stay modest so the integration (2 ns step cap) remains
+			// fast under the fuzzer; short periods repeat the load pattern.
+			period := 1 + rng.Intn(8)
+			base := make([]float64, period)
+			for i := range base {
+				base[i] = 3 * rng.Float64()
+			}
+			for j, points := 0, rng.Intn(200); j < points; j++ {
+				p := TracePoint{PowerW: base[j%period]}
+				switch {
+				case rng.Intn(10) == 0:
+					// zero-duration window
+				case timeDomain:
+					p.DurationNS = tr.WindowNS * (0.25 + rng.Float64())
+				default:
+					p.Cycles = uint64(1 + rng.Intn(tr.WindowCycles))
+				}
+				tr.Points = append(tr.Points, p)
+			}
+			nodes[k] = tr
+		}
+		requireDroopsMatchOracle(t, g, nodes)
+	})
+}

@@ -97,31 +97,38 @@ func (g GridSupplyModel) NodeDroopsMV(nodes []PowerTrace) ([]float64, error) {
 	}
 
 	s := g.Node
+	// cells holds, per window, a block of 3n values: every node's load
+	// current, then the currents and the voltages the latest settling pass
+	// entered the window with (the replay-stop record).
+	stride := 3 * n
+	cells := make([]float64, wf.windows*stride)
+	block := func(w int) (load, iRec, vRec []float64) {
+		b := cells[w*stride : (w+1)*stride]
+		return b[:n], b[n : 2*n], b[2*n:]
+	}
+
 	// Per-node load current per window and warm-start average — the lumped
 	// WorstDroopMV arithmetic, applied per node so a 1×1 grid is
 	// bit-identical. Nodes whose trace carries no usable timing (empty, or
 	// cycle-domain without a clock) draw nothing, matching the lumped
 	// model's zero-droop answer for such traces.
-	load := make([][]float64, n)
 	iv := make([]float64, n)
 	vv := make([]float64, n)
 	vMin := make([]float64, n)
 	for nn, tr := range nodes {
-		ld := make([]float64, wf.windows)
 		avg := 0.0
 		if !tr.Empty() && (tr.TimeDomain() || tr.FrequencyGHz > 0) {
 			var weight float64
-			if tr.TimeDomain() {
-				for i, p := range tr.Points {
-					ld[i] = p.PowerW / s.VddV
+			timeDomain := tr.TimeDomain()
+			for i, p := range tr.Points {
+				ld := p.PowerW / s.VddV
+				cells[i*stride+nn] = ld
+				if timeDomain {
 					d := tr.PointDurationNS(i) * 1e-9
-					avg += ld[i] * d
+					avg += ld * d
 					weight += d
-				}
-			} else {
-				for i, p := range tr.Points {
-					ld[i] = p.PowerW / s.VddV
-					avg += ld[i] * float64(p.Cycles)
+				} else {
+					avg += ld * float64(p.Cycles)
 					weight += float64(p.Cycles)
 				}
 			}
@@ -131,7 +138,6 @@ func (g GridSupplyModel) NodeDroopsMV(nodes []PowerTrace) ([]float64, error) {
 				avg /= weight
 			}
 		}
-		load[nn] = ld
 		iv[nn] = avg
 		vv[nn] = s.VddV - avg*s.ResistanceOhm
 		vMin[nn] = vv[nn]
@@ -148,33 +154,38 @@ func (g GridSupplyModel) NodeDroopsMV(nodes []PowerTrace) ([]float64, error) {
 			maxStep = b
 		}
 	}
-	steps := make([]int32, wf.windows)
-	hOverL := make([]float64, wf.windows)
-	hOverC := make([]float64, wf.windows)
-	hCoupl := make([]float64, wf.windows)
+	win := make([]gridSupplyWindow, wf.windows)
 	for w, dt := range wf.commonDtS {
 		if dt == 0 {
 			continue
 		}
 		k := int(dt/maxStep) + 1
 		h := dt / float64(k)
-		steps[w] = int32(k)
-		hOverL[w] = h / s.InductanceH
-		hOverC[w] = h / s.CapacitanceF
-		hCoupl[w] = h / s.CapacitanceF * g.CouplingS
+		win[w] = gridSupplyWindow{
+			steps:  int32(k),
+			hOverL: h / s.InductanceH,
+			hOverC: h / s.CapacitanceF,
+			hCoupl: h / s.CapacitanceF * g.CouplingS,
+		}
 	}
 
 	nbr := gridNeighbors(g.Rows, g.Cols)
 	lat := make([]float64, n)
-	iStart := make([]float64, n)
-	vStart := make([]float64, n)
 
+settle:
 	for pass := 0; pass < s.Passes; pass++ {
-		copy(iStart, iv)
-		copy(vStart, vv)
-		for w := 0; w < wf.windows; w++ {
-			hL, hC, hG := hOverL[w], hOverC[w], hCoupl[w]
-			for k := int32(0); k < steps[w]; k++ {
+		for w := range win {
+			load, iRec, vRec := block(w)
+			// Replay stop, as in the lumped model: a window entered in the
+			// previous pass's exact grid state replays that pass from here
+			// on, so stopping is bit-identical to running all passes.
+			if pass > 0 && sameStates(iv, iRec) && sameStates(vv, vRec) {
+				break settle
+			}
+			copy(iRec, iv)
+			copy(vRec, vv)
+			hL, hC, hG := win[w].hOverL, win[w].hOverC, win[w].hCoupl
+			for k := int32(0); k < win[w].steps; k++ {
 				if coupled {
 					// Semi-implicit per node, Jacobi across nodes: all
 					// currents advance from the old voltages, the lateral
@@ -191,7 +202,7 @@ func (g GridSupplyModel) NodeDroopsMV(nodes []PowerTrace) ([]float64, error) {
 						lat[nn] = sum
 					}
 					for nn := range vv {
-						vv[nn] += hC*(iv[nn]-load[nn][w]) + hG*lat[nn]
+						vv[nn] += hC*(iv[nn]-load[nn]) + hG*lat[nn]
 						if vv[nn] < vMin[nn] {
 							vMin[nn] = vv[nn]
 						}
@@ -200,7 +211,7 @@ func (g GridSupplyModel) NodeDroopsMV(nodes []PowerTrace) ([]float64, error) {
 					// Decoupled nodes step exactly like the lumped model.
 					for nn := range iv {
 						iv[nn] += hL * (s.VddV - vv[nn] - s.ResistanceOhm*iv[nn])
-						vv[nn] += hC * (iv[nn] - load[nn][w])
+						vv[nn] += hC * (iv[nn] - load[nn])
 						if vv[nn] < vMin[nn] {
 							vMin[nn] = vv[nn]
 						}
@@ -208,16 +219,18 @@ func (g GridSupplyModel) NodeDroopsMV(nodes []PowerTrace) ([]float64, error) {
 				}
 			}
 		}
-		// Exact-state convergence: a pass ending where it started replays
-		// identically, so stopping is bit-identical to running the rest.
-		if gridStateEqual(iv, iStart) && gridStateEqual(vv, vStart) {
-			break
-		}
 	}
 	for nn := range droops {
 		droops[nn] = (s.VddV - vMin[nn]) * 1000
 	}
 	return droops, nil
+}
+
+// gridSupplyWindow is one common window of the grid supply solve: its step
+// count and folded step constants (h/L, h/C and the coupling h·G/C).
+type gridSupplyWindow struct {
+	steps                  int32
+	hOverL, hOverC, hCoupl float64
 }
 
 // WorstDroopMV returns the deepest per-node droop of the grid — the
@@ -476,6 +489,17 @@ func gridStateEqual(a, b []float64) bool {
 	for i := range a {
 		//lint:allow floateq deliberate bitwise convergence check; inexact tolerance would change results
 		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// sameStates reports whether two state vectors hold the same bit patterns
+// element by element — sameState over a whole grid.
+func sameStates(a, b []float64) bool {
+	for i := range a {
+		if !sameState(a[i], b[i]) {
 			return false
 		}
 	}

@@ -285,3 +285,278 @@ func TestCycleOracleSkipsEmptyTraceOffsets(t *testing.T) {
 		t.Errorf("empty trace on another clock should be tolerated: %v", err)
 	}
 }
+
+// worstDroopMVAllPasses is the retired lumped droop solve, kept verbatim as
+// the test oracle for the replay stop: it integrates every settling pass in
+// full and stops only when a pass ends in the exact state it started from.
+// SupplyModel.WorstDroopMV must reproduce it bit for bit
+// (TestSupplyReplayStopMatchesOracle and FuzzSupplyReplayStop).
+func worstDroopMVAllPasses(s SupplyModel, t PowerTrace) float64 {
+	if t.Empty() || (!t.TimeDomain() && t.FrequencyGHz <= 0) {
+		return 0
+	}
+	load := make([]float64, len(t.Points))
+	dt := make([]float64, len(t.Points))
+	avg := 0.0
+	var weight float64
+	if t.TimeDomain() {
+		for i, p := range t.Points {
+			load[i] = p.PowerW / s.VddV
+			dt[i] = t.PointDurationNS(i) * 1e-9
+			avg += load[i] * dt[i]
+			weight += dt[i]
+		}
+	} else {
+		cycleS := 1 / (t.FrequencyGHz * 1e9)
+		for i, p := range t.Points {
+			load[i] = p.PowerW / s.VddV
+			dt[i] = float64(p.Cycles) * cycleS
+			avg += load[i] * float64(p.Cycles)
+			weight += float64(p.Cycles)
+		}
+	}
+	if weight == 0 {
+		return 0
+	}
+	avg /= weight
+
+	steps := make([]int32, len(t.Points))
+	hOverL := make([]float64, len(t.Points))
+	hOverC := make([]float64, len(t.Points))
+	for n := range t.Points {
+		if dt[n] == 0 {
+			continue
+		}
+		k := int(dt[n]/s.MaxStepS) + 1
+		h := dt[n] / float64(k)
+		steps[n] = int32(k)
+		hOverL[n] = h / s.InductanceH
+		hOverC[n] = h / s.CapacitanceF
+	}
+
+	i := avg
+	v := s.VddV - avg*s.ResistanceOhm
+	vMin := v
+
+	for pass := 0; pass < s.Passes; pass++ {
+		iStart, vStart := i, v
+		for n := range t.Points {
+			hL, hC, ld := hOverL[n], hOverC[n], load[n]
+			for k := int32(0); k < steps[n]; k++ {
+				i += hL * (s.VddV - v - s.ResistanceOhm*i)
+				v += hC * (i - ld)
+				if v < vMin {
+					vMin = v
+				}
+			}
+		}
+		if i == iStart && v == vStart {
+			break
+		}
+	}
+	return (s.VddV - vMin) * 1000
+}
+
+// nodeDroopsMVAllPasses is the retired grid droop solve, kept verbatim as
+// the test oracle for the replay stop: every settling pass runs in full
+// until one ends in the exact state it started from.
+// GridSupplyModel.NodeDroopsMV must reproduce it bit for bit.
+func nodeDroopsMVAllPasses(g GridSupplyModel, nodes []PowerTrace) ([]float64, error) {
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	n := g.Nodes()
+	wf, err := buildGridWaveform(n, nodes)
+	if err != nil {
+		return nil, err
+	}
+	droops := make([]float64, n)
+	if wf.windows == 0 {
+		return droops, nil
+	}
+
+	s := g.Node
+	load := make([][]float64, n)
+	iv := make([]float64, n)
+	vv := make([]float64, n)
+	vMin := make([]float64, n)
+	for nn, tr := range nodes {
+		ld := make([]float64, wf.windows)
+		avg := 0.0
+		if !tr.Empty() && (tr.TimeDomain() || tr.FrequencyGHz > 0) {
+			var weight float64
+			if tr.TimeDomain() {
+				for i, p := range tr.Points {
+					ld[i] = p.PowerW / s.VddV
+					d := tr.PointDurationNS(i) * 1e-9
+					avg += ld[i] * d
+					weight += d
+				}
+			} else {
+				for i, p := range tr.Points {
+					ld[i] = p.PowerW / s.VddV
+					avg += ld[i] * float64(p.Cycles)
+					weight += float64(p.Cycles)
+				}
+			}
+			if weight == 0 {
+				avg = 0
+			} else {
+				avg /= weight
+			}
+		}
+		load[nn] = ld
+		iv[nn] = avg
+		vv[nn] = s.VddV - avg*s.ResistanceOhm
+		vMin[nn] = vv[nn]
+	}
+
+	maxStep := s.MaxStepS
+	coupled := n > 1 && g.CouplingS > 0
+	if coupled {
+		if b := s.CapacitanceF / (4 * g.CouplingS); b < maxStep {
+			maxStep = b
+		}
+	}
+	steps := make([]int32, wf.windows)
+	hOverL := make([]float64, wf.windows)
+	hOverC := make([]float64, wf.windows)
+	hCoupl := make([]float64, wf.windows)
+	for w, dt := range wf.commonDtS {
+		if dt == 0 {
+			continue
+		}
+		k := int(dt/maxStep) + 1
+		h := dt / float64(k)
+		steps[w] = int32(k)
+		hOverL[w] = h / s.InductanceH
+		hOverC[w] = h / s.CapacitanceF
+		hCoupl[w] = h / s.CapacitanceF * g.CouplingS
+	}
+
+	nbr := gridNeighbors(g.Rows, g.Cols)
+	lat := make([]float64, n)
+	iStart := make([]float64, n)
+	vStart := make([]float64, n)
+
+	for pass := 0; pass < s.Passes; pass++ {
+		copy(iStart, iv)
+		copy(vStart, vv)
+		for w := 0; w < wf.windows; w++ {
+			hL, hC, hG := hOverL[w], hOverC[w], hCoupl[w]
+			for k := int32(0); k < steps[w]; k++ {
+				if coupled {
+					for nn := range iv {
+						iv[nn] += hL * (s.VddV - vv[nn] - s.ResistanceOhm*iv[nn])
+					}
+					for nn := range lat {
+						sum := 0.0
+						for _, m := range nbr[nn] {
+							sum += vv[m] - vv[nn]
+						}
+						lat[nn] = sum
+					}
+					for nn := range vv {
+						vv[nn] += hC*(iv[nn]-load[nn][w]) + hG*lat[nn]
+						if vv[nn] < vMin[nn] {
+							vMin[nn] = vv[nn]
+						}
+					}
+				} else {
+					for nn := range iv {
+						iv[nn] += hL * (s.VddV - vv[nn] - s.ResistanceOhm*iv[nn])
+						vv[nn] += hC * (iv[nn] - load[nn][w])
+						if vv[nn] < vMin[nn] {
+							vMin[nn] = vv[nn]
+						}
+					}
+				}
+			}
+		}
+		if gridStateEqual(iv, iStart) && gridStateEqual(vv, vStart) {
+			break
+		}
+	}
+	for nn := range droops {
+		droops[nn] = (s.VddV - vMin[nn]) * 1000
+	}
+	return droops, nil
+}
+
+// requireDroopsMatchOracle asserts that the lumped and grid droop solves of
+// one floorplan reproduce their all-passes oracles bit for bit: the grid
+// solve node by node, and the lumped solve of every node trace on the grid's
+// node model.
+func requireDroopsMatchOracle(t *testing.T, g GridSupplyModel, nodes []PowerTrace) {
+	t.Helper()
+	for k, tr := range nodes {
+		got, want := g.Node.WorstDroopMV(tr), worstDroopMVAllPasses(g.Node, tr)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("node %d lumped droop %.17g mV, all-passes oracle %.17g mV", k, got, want)
+		}
+	}
+	got, err := g.NodeDroopsMV(nodes)
+	if err != nil {
+		t.Fatalf("grid droop solve: %v", err)
+	}
+	want, err := nodeDroopsMVAllPasses(g, nodes)
+	if err != nil {
+		t.Fatalf("grid oracle: %v", err)
+	}
+	for k := range want {
+		if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+			t.Errorf("node %d grid droop %.17g mV, all-passes oracle %.17g mV", k, got[k], want[k])
+		}
+	}
+}
+
+// TestSupplyReplayStopMatchesOracle pins the replay stop: ending a settling
+// pass where it rejoins the previous pass must leave every droop bit-identical
+// to integrating all passes.
+func TestSupplyReplayStopMatchesOracle(t *testing.T) {
+	resonant := squareTrace(96, 2, 0.2, 1.8)
+	mixed, err := SumTracesTime(32, []float64{0, 7.5},
+		flatTraceAt(40, 64, 2.0, 0.8), squareTrace(50, 3, 0.1, 1.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Zero-duration windows: cycle-domain points without cycles, and
+	// time-domain points without a duration or a clock.
+	gaps := squareTrace(48, 2, 0.3, 1.2)
+	for i := 5; i < len(gaps.Points); i += 7 {
+		gaps.Points[i].Cycles = 0
+	}
+	timeGaps := timeTrace(40, 0.9, 24)
+	for i := 3; i < len(timeGaps.Points); i += 5 {
+		timeGaps.Points[i].DurationNS = 0
+		timeGaps.Points[i].PowerW = 2.5
+	}
+	nanLoad := squareTrace(32, 2, 0.2, 1.8)
+	nanLoad.Points[9].PowerW = math.NaN()
+	idle := PowerTrace{WindowCycles: 64, FrequencyGHz: 2}
+
+	onePass := DefaultGridSupplyModel(2, 2)
+	onePass.Node.Passes = 1
+	decoupled := DefaultGridSupplyModel(2, 2)
+	decoupled.CouplingS = 0
+	for _, tc := range []struct {
+		name  string
+		grid  GridSupplyModel
+		nodes []PowerTrace
+	}{
+		{"1x1 cycle-domain", DefaultGridSupplyModel(1, 1), []PowerTrace{resonant}},
+		{"1x1 time-domain", DefaultGridSupplyModel(1, 1), []PowerTrace{mixed}},
+		{"1x1 constant load", DefaultGridSupplyModel(1, 1), []PowerTrace{flatTrace(20, 1.0)}},
+		{"2x2 default coupling", DefaultGridSupplyModel(2, 2), []PowerTrace{resonant, mixed, gaps, timeGaps}},
+		{"2x2 idle nodes", DefaultGridSupplyModel(2, 2), []PowerTrace{resonant, idle, PowerTrace{}, gaps}},
+		{"2x2 coupling 0", decoupled, []PowerTrace{resonant, mixed, idle, gaps}},
+		{"1x2 zero-duration windows", DefaultGridSupplyModel(1, 2), []PowerTrace{gaps, timeGaps}},
+		{"2x2 one pass", onePass, []PowerTrace{resonant, mixed, gaps, idle}},
+		{"1x1 NaN load", DefaultGridSupplyModel(1, 1), []PowerTrace{nanLoad}},
+		{"2x2 NaN load", DefaultGridSupplyModel(2, 2), []PowerTrace{nanLoad, resonant, idle, mixed}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			requireDroopsMatchOracle(t, tc.grid, tc.nodes)
+		})
+	}
+}

@@ -431,8 +431,9 @@ type SupplyModel struct {
 	ResistanceOhm float64
 	InductanceH   float64
 	CapacitanceF  float64
-	// Passes is how many times the trace is replayed so the waveform
-	// settles into its periodic steady state.
+	// Passes caps how many times the trace is replayed so the waveform
+	// settles into its periodic steady state; the solve stops early once a
+	// pass rejoins the previous one.
 	Passes int
 	// MaxStepS caps the integration step; windows longer than this are
 	// subdivided to keep the discretization stable.
@@ -486,55 +487,62 @@ func (s SupplyModel) WorstDroopMV(t PowerTrace) float64 {
 	// timing per point. The per-window step count and folded step constants
 	// (h/L, h/C — no divisions left in the integration loop) are computed
 	// once and replayed across all settling passes.
-	load := make([]float64, len(t.Points))
-	dt := make([]float64, len(t.Points))
+	win := make([]supplyWindow, len(t.Points))
 	avg := 0.0
 	var weight float64
-	if t.TimeDomain() {
-		for i, p := range t.Points {
-			load[i] = p.PowerW / s.VddV
-			dt[i] = t.PointDurationNS(i) * 1e-9
-			avg += load[i] * dt[i]
-			weight += dt[i]
-		}
-	} else {
-		cycleS := 1 / (t.FrequencyGHz * 1e9)
-		for i, p := range t.Points {
-			load[i] = p.PowerW / s.VddV
-			dt[i] = float64(p.Cycles) * cycleS
-			avg += load[i] * float64(p.Cycles)
+	timeDomain := t.TimeDomain()
+	cycleS := 0.0
+	if !timeDomain {
+		cycleS = 1 / (t.FrequencyGHz * 1e9)
+	}
+	for n, p := range t.Points {
+		w := &win[n]
+		w.load = p.PowerW / s.VddV
+		var dt float64
+		if timeDomain {
+			dt = t.PointDurationNS(n) * 1e-9
+			avg += w.load * dt
+			weight += dt
+		} else {
+			dt = float64(p.Cycles) * cycleS
+			avg += w.load * float64(p.Cycles)
 			weight += float64(p.Cycles)
 		}
+		if dt == 0 {
+			continue
+		}
+		k := int(dt/s.MaxStepS) + 1
+		h := dt / float64(k)
+		w.steps = int32(k)
+		w.hOverL = h / s.InductanceH
+		w.hOverC = h / s.CapacitanceF
 	}
 	if weight == 0 {
 		return 0
 	}
 	avg /= weight
 
-	steps := make([]int32, len(t.Points))
-	hOverL := make([]float64, len(t.Points))
-	hOverC := make([]float64, len(t.Points))
-	for n := range t.Points {
-		if dt[n] == 0 {
-			continue
-		}
-		k := int(dt[n]/s.MaxStepS) + 1
-		h := dt[n] / float64(k)
-		steps[n] = int32(k)
-		hOverL[n] = h / s.InductanceH
-		hOverC[n] = h / s.CapacitanceF
-	}
-
 	// Warm start at the average-current operating point.
 	i := avg
 	v := s.VddV - avg*s.ResistanceOhm
 	vMin := v
 
+settle:
 	for pass := 0; pass < s.Passes; pass++ {
-		iStart, vStart := i, v
-		for n := range t.Points {
-			hL, hC, ld := hOverL[n], hOverC[n], load[n]
-			for k := int32(0); k < steps[n]; k++ {
+		for n := range win {
+			w := &win[n]
+			// Replay stop: entering a window in exactly the state the
+			// previous pass entered it with, this pass replays the previous
+			// one from here on — its minima are already in vMin — and ends
+			// where that pass ended, so every further pass replays this one.
+			// Stopping is bit-identical to running all passes (see the
+			// all-passes oracle in the tests).
+			if pass > 0 && sameState(i, w.i) && sameState(v, w.v) {
+				break settle
+			}
+			w.i, w.v = i, v
+			hL, hC, ld := w.hOverL, w.hOverC, w.load
+			for k := int32(0); k < w.steps; k++ {
 				// Semi-implicit Euler keeps the underdamped system stable.
 				i += hL * (s.VddV - v - s.ResistanceOhm*i)
 				v += hC * (i - ld)
@@ -543,16 +551,25 @@ func (s SupplyModel) WorstDroopMV(t PowerTrace) float64 {
 				}
 			}
 		}
-		// Once a pass ends in exactly the state it started from, every
-		// further pass replays the identical trajectory: stop early. The
-		// comparison is exact, so the result is bit-identical to running
-		// all remaining passes.
-		//lint:allow floateq deliberate exact-state convergence check; stopping is bit-identical
-		if i == iStart && v == vStart {
-			break
-		}
 	}
 	return (s.VddV - vMin) * 1000
+}
+
+// supplyWindow is one trace window of the lumped supply solve: its load
+// current, step count and folded step constants, plus the integrator state
+// (current i, voltage v) the latest settling pass entered it with.
+type supplyWindow struct {
+	load, hOverL, hOverC float64
+	steps                int32
+	i, v                 float64
+}
+
+// sameState reports whether two integrator state values are the same bit
+// pattern — the exact equality under which a settling pass replays the
+// previous one (a NaN state matches itself and stays NaN, which never
+// lowers a minimum).
+func sameState(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b)
 }
 
 // ThermalModel is a lumped thermal-RC model of the core hotspot: dissipated

@@ -8,7 +8,10 @@ cd "$(dirname "$0")/.."
 
 bin_dir="$(mktemp -d)"
 mgserve_pid=""
-trap 'kill "${mgserve_pid:-}" 2>/dev/null; rm -rf "$bin_dir"' EXIT
+# The kill is guarded: under set -e a failing kill (no daemon started, or one
+# already stopped) would abort the trap before it removes the scratch dir and
+# turn a passing run into exit status 1.
+trap '[ -z "$mgserve_pid" ] || kill "$mgserve_pid" 2>/dev/null || true; rm -rf "$bin_dir"' EXIT
 
 echo "building commands and examples..."
 go build -o "$bin_dir" ./cmd/... ./examples/...
