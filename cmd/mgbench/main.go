@@ -31,7 +31,10 @@
 // ga, annealing, random, bruteforce, cmaes, halving-gd, halving-cmaes),
 // -budget caps the proposed evaluations per tuning run, and -power-cap
 // constrains the search to kernels under a dynamic power cap (capped runs
-// also report the objective/power Pareto front). The tunercmp experiment
+// also report the objective/power Pareto front). These three apply to -kind
+// and to the stresscmp, corun, dvfs, spatial and tunercmp experiments; fig5
+// and fig6 ignore them, because they compare fixed GD and GA runs with the
+// uncapped brute-force reference. The tunercmp experiment
 // pits a comma-separated -tuner challenger list against the gradient-descent
 // baseline at an equal budget on the spatial-grid chip problem:
 //
@@ -60,7 +63,6 @@ import (
 	"micrograd/internal/experiments"
 	"micrograd/internal/metrics"
 	"micrograd/internal/multicore"
-	"micrograd/internal/powersim"
 	"micrograd/internal/report"
 	"micrograd/internal/stress"
 )
@@ -90,9 +92,9 @@ func run(args []string, out io.Writer) error {
 		gridDims   = fs.String("grid", "", "spatial PDN/thermal grid dimensions RxC for the spatial experiment and kinds (e.g. 2x2; empty = near-square grid sized to -cores)")
 		floorplan  = fs.String("floorplan", "", "core placement on the -grid, one row,col pair per core (e.g. \"0,0;0,1;1,0;1,1\"; empty = round-robin)")
 		tracePath  = fs.String("trace", "", "file to write the -kind kernel's windowed power trace into (CSV; empty = don't write)")
-		tunerName  = fs.String("tuner", "", "stress-tuning mechanism: gd, ga, annealing, random, bruteforce, cmaes, halving-gd, halving-cmaes (empty = gd); for -experiment tunercmp, a comma-separated challenger list")
-		maxEvals   = fs.Int("budget", 0, "proposed-evaluation budget per stress tuning run (0 = bounded by epochs only)")
-		powerCap   = fs.Float64("power-cap", 0, "dynamic power cap in watts for stress tuning (0 = uncapped; capped runs report the objective/power Pareto front)")
+		tunerName  = fs.String("tuner", "", "stress-tuning mechanism of -kind and the stresscmp, corun, dvfs and spatial experiments: gd, ga, annealing, random, bruteforce, cmaes, halving-gd, halving-cmaes (empty = gd; fig5/fig6 always run gd and ga); for -experiment tunercmp, a comma-separated challenger list")
+		maxEvals   = fs.Int("budget", 0, "proposed-evaluation budget per stress tuning run of -kind and the stresscmp, corun, dvfs and spatial experiments, and tunercmp's shared budget (0 = bounded by epochs only; fig5/fig6 ignore it)")
+		powerCap   = fs.Float64("power-cap", 0, "dynamic power cap in watts for the stress tuning of -kind and the stresscmp, corun, dvfs, spatial and tunercmp experiments (0 = uncapped; fig5/fig6 ignore it; capped runs report the objective/power Pareto front)")
 		memoCap    = fs.Int("memo-cap", 0, "bound each run's evaluation cache to this many entries with LRU eviction (0 = unbounded)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -171,22 +173,13 @@ func run(args []string, out io.Writer) error {
 	return runner.run(ctx, strings.ToLower(*experiment))
 }
 
-// parseGrid parses the -grid dimensions ("2x2"). An empty value picks a
-// near-square grid with at least one node per core (2x2 for 4 cores, 1x2
-// for 2), so the spatial kinds work without an explicit -grid.
+// parseGrid parses the -grid dimensions ("2x2"). An empty value picks
+// multicore.DefaultGrid for the core count, so the spatial kinds work
+// without an explicit -grid.
 func parseGrid(s string, cores int) (rows, cols int, err error) {
 	if s == "" {
-		if cores < 1 {
-			cores = 1
-		}
-		rows = 1
-		for rows*rows < cores {
-			rows++
-		}
-		if rows*(rows-1) >= cores {
-			return rows - 1, rows, nil
-		}
-		return rows, rows, nil
+		rows, cols = multicore.DefaultGrid(cores)
+		return rows, cols, nil
 	}
 	parts := strings.SplitN(strings.ToLower(s), "x", 2)
 	if len(parts) != 2 {
@@ -231,51 +224,23 @@ func (s *suite) runKind(ctx context.Context, kindName, tracePath string) error {
 		return err
 	}
 	start := time.Now()
-	var (
-		rep   stress.Report
-		trace powersim.PowerTrace
-	)
-	switch kind {
-	case stress.CoRunNoiseVirus:
-		run, err := experiments.RunCoRunKind(ctx, s.core, s.cores, s.budget)
-		if err != nil {
-			return err
-		}
-		rep, trace = run.Report, run.Trace
-		fmt.Fprintln(s.out, run.Render())
-	case stress.DVFSNoiseVirus:
-		run, err := experiments.RunDVFSKind(ctx, s.core, s.cores, s.freqs, s.budget)
-		if err != nil {
-			return err
-		}
-		rep, trace = run.Report, run.Trace
-		fmt.Fprintln(s.out, run.Render())
-	case stress.SpatialNoiseVirus, stress.HotspotMigrationVirus:
-		run, err := experiments.RunSpatialKind(ctx, kind, s.core, s.cores, s.rows, s.cols, s.fp, s.budget)
-		if err != nil {
-			return err
-		}
-		rep, trace = run.Report, run.Trace
-		fmt.Fprintln(s.out, run.Render())
-	default:
-		run, err := experiments.RunStressKind(ctx, kind, s.core, s.budget)
-		if err != nil {
-			return err
-		}
-		rep, trace = run.Report, run.Trace
-		fmt.Fprintln(s.out, run.Render())
+	res, err := experiments.RunKind(ctx, experiments.KindRequest{Kind: kind, Core: s.core, Cores: s.cores,
+		FreqsGHz: s.freqs, Rows: s.rows, Cols: s.cols, Floorplan: s.fp}, s.budget)
+	if err != nil {
+		return err
 	}
+	fmt.Fprintln(s.out, res.Output)
 	fmt.Fprintf(s.out, "[%s completed in %s]\n", kind, time.Since(start).Round(time.Millisecond))
-	if err := s.writeKindCSV(kind, rep); err != nil {
+	if err := s.writeKindCSV(kind, res.Report); err != nil {
 		return err
 	}
 	if tracePath == "" {
 		return nil
 	}
-	if err := writeCSVFile(tracePath, trace.WriteCSV); err != nil {
+	if err := writeCSVFile(tracePath, res.Trace.WriteCSV); err != nil {
 		return err
 	}
-	fmt.Fprintf(s.out, "power trace (%d windows) written to %s\n", len(trace.Points), tracePath)
+	fmt.Fprintf(s.out, "power trace (%d windows) written to %s\n", len(res.Trace.Points), tracePath)
 	return nil
 }
 

@@ -221,7 +221,10 @@ func (c *DiskCache) PutErrors() uint64 { return c.putErrors.Load() }
 // Len implements Cache.
 func (c *DiskCache) Len() int { return len(c.present) }
 
-// readDiskEntry loads and decodes one entry file.
+// readDiskEntry loads and decodes one entry file. An entry without metrics
+// is rejected: every evaluation yields a non-empty vector, so an empty one
+// is a foreign or damaged file, and serving it would read 0 for every
+// metric.
 func readDiskEntry(path string) (diskEntry, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
@@ -230,6 +233,9 @@ func readDiskEntry(path string) (diskEntry, error) {
 	var ent diskEntry
 	if err := json.Unmarshal(blob, &ent); err != nil {
 		return diskEntry{}, err
+	}
+	if len(ent.Metrics) == 0 {
+		return diskEntry{}, errors.New("evalcache: disk entry has no metrics")
 	}
 	return ent, nil
 }

@@ -142,6 +142,70 @@ func TestDiskCacheIgnoresTornAndForeignFiles(t *testing.T) {
 	}
 }
 
+// writeEntry writes blob as the entry file of key, the way a damaged or
+// foreign writer might have left it.
+func writeEntry(t testing.TB, c *DiskCache, key string, blob []byte) {
+	t.Helper()
+	if err := os.WriteFile(c.path(key), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestDiskCacheEntryWithoutMetricsIsAMiss(t *testing.T) {
+	for _, blob := range []string{`{"key":"k"}`, `{"key":"k","metrics":null}`, `{"key":"k","metrics":{}}`} {
+		dir := t.TempDir()
+		c, err := NewDisk(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeEntry(t, c, "k", []byte(blob))
+		re, err := NewDisk(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if re.Len() != 0 {
+			t.Errorf("%s: reopened Len = %d, want 0", blob, re.Len())
+		}
+		c.present["k"] = true // as if Put had written it
+		if v, ok := c.Get("k"); ok {
+			t.Errorf("%s: served as a hit with %v", blob, v)
+		}
+		if c.Len() != 0 {
+			t.Errorf("%s: Len = %d after the miss, want 0", blob, c.Len())
+		}
+	}
+}
+
+// FuzzDiskEntry writes arbitrary bytes as a present entry file: Get must
+// never panic, and a hit must carry the requested key's non-empty vector.
+func FuzzDiskEntry(f *testing.F) {
+	f.Add([]byte(`{"key":"k","metrics":{"ipc":1.5}}`))
+	f.Add([]byte(`{"key":"k"}`))
+	f.Add([]byte(`{"key":"other","metrics":{"ipc":1}}`))
+	f.Add([]byte(`{"key":"k","metrics":{}}`))
+	f.Add([]byte(`{not json`))
+	f.Add([]byte(`null`))
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		c := &DiskCache{dir: dir, present: map[string]bool{"k": true}}
+		writeEntry(t, c, "k", blob)
+		v, ok := c.Get("k")
+		if !ok {
+			if c.Len() != 0 {
+				t.Fatalf("a miss left the key present")
+			}
+			return
+		}
+		if len(v) == 0 {
+			t.Fatalf("hit with an empty vector from %q", blob)
+		}
+		ent, err := readDiskEntry(c.path("k"))
+		if err != nil || ent.Key != "k" {
+			t.Fatalf("hit from an entry keyed %q (%v)", ent.Key, err)
+		}
+	})
+}
+
 func TestDiskCacheCountsPutErrors(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
 	c, err := NewDisk(dir)

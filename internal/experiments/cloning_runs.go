@@ -82,11 +82,7 @@ func runCloningExperiment(ctx context.Context, figure string, core platform.Core
 	// split across the two nesting levels — benchmarks outside, candidate
 	// evaluations inside — so total concurrency stays near b.Parallel
 	// instead of multiplying to Parallel².
-	outer := sched.Workers(b.Parallel, len(bms))
-	inner := b.Parallel / outer
-	if inner < 1 {
-		inner = 1
-	}
+	outer, inner := splitWorkers(b.Parallel, len(bms))
 	runOne := func(ctx context.Context, i int, bm workloads.Benchmark) (cloning.Report, error) {
 		plat, err := platform.NewSimPlatform(core)
 		if err != nil {
@@ -101,7 +97,7 @@ func runCloningExperiment(ctx context.Context, figure string, core platform.Core
 		opts := cloning.Options{
 			Tuner:       newTuner(),
 			Platform:    plat,
-			EvalOptions: platform.EvalOptions{DynamicInstructions: b.DynamicInstructions, Seed: b.Seed},
+			EvalOptions: b.evalOptions(),
 			LoopSize:    b.LoopSize,
 			Seed:        b.Seed + int64(i)*101,
 			MaxEpochs:   maxEpochs,
@@ -112,7 +108,9 @@ func runCloningExperiment(ctx context.Context, figure string, core platform.Core
 			// still safe because the generation seed is part of the eval key.
 			Memo:    b.Memo,
 			MemoCap: b.MemoCap,
-			OnEpoch: b.cloneProgress(bm.Name),
+			OnEpoch: progress(b, bm.Name, func(rec tuner.EpochRecord) (x, y float64) {
+				return float64(rec.Epoch), rec.BestLoss
+			}),
 		}
 		rep, err := cloning.CloneBenchmark(ctx, bm, opts)
 		if err != nil {

@@ -28,7 +28,7 @@ type CoRunResult struct {
 	// Report is the corun-noise-virus tuning outcome (chip droop maximized).
 	Report stress.Report
 	// Baseline is the single-core voltage-noise-virus run on the same core
-	// (zero when the result came from RunCoRunKind, which skips it).
+	// (zero when the result came from RunKind, which skips it).
 	Baseline stress.Report
 	// Full is the best co-run configuration's complete chip metric vector.
 	Full metrics.Vector
@@ -43,13 +43,6 @@ type CoRunResult struct {
 // per-core simulation compose on the same worker budget.
 func RunCoRun(ctx context.Context, coreName string, cores int, b Budget) (CoRunResult, error) {
 	return runCoRun(ctx, coreName, cores, b, true)
-}
-
-// RunCoRunKind is the mgbench -kind entry point: one tuned co-run stress
-// test plus its characterization, without the single-core baseline
-// comparison run (Baseline is left zero).
-func RunCoRunKind(ctx context.Context, coreName string, cores int, b Budget) (CoRunResult, error) {
-	return runCoRun(ctx, coreName, cores, b, false)
 }
 
 func runCoRun(ctx context.Context, coreName string, cores int, b Budget, withBaseline bool) (CoRunResult, error) {
@@ -71,31 +64,11 @@ func runCoRun(ctx context.Context, coreName string, cores int, b Budget, withBas
 	var corun, baseline stress.Report
 	runs := []func(ctx context.Context) error{
 		func(ctx context.Context) error {
-			plat, err := multicore.New(spec, corePar)
+			opts, err := b.stressOptions(func() (platform.Platform, error) { return multicore.New(spec, corePar) }, candWorkers, "CoRun")
 			if err != nil {
 				return err
 			}
-			tn, err := b.stressTuner()
-			if err != nil {
-				return err
-			}
-			corun, err = stress.Run(ctx, stress.CoRunNoiseVirus, stress.Options{
-				Tuner:          tn,
-				Platform:       plat,
-				EvalOptions:    platform.EvalOptions{DynamicInstructions: b.DynamicInstructions, Seed: b.Seed},
-				LoopSize:       b.LoopSize,
-				Seed:           b.Seed,
-				MaxEpochs:      b.StressEpochs,
-				MaxEvaluations: b.MaxEvaluations,
-				PowerCapW:      b.PowerCapW,
-				Parallel:       candWorkers,
-				NewPlatform:    func() (platform.Platform, error) { return multicore.New(spec, corePar) },
-				Memo:           b.Memo,
-				MemoCap:        b.MemoCap,
-				Synth:          b.Synth,
-				OnEpoch:        b.stressProgress("CoRun"),
-			})
-			if err != nil {
+			if corun, err = stress.Run(ctx, stress.CoRunNoiseVirus, opts); err != nil {
 				return fmt.Errorf("experiments: corun tuning: %w", err)
 			}
 			return nil
@@ -103,31 +76,11 @@ func runCoRun(ctx context.Context, coreName string, cores int, b Budget, withBas
 	}
 	if withBaseline {
 		runs = append(runs, func(ctx context.Context) error {
-			plat, err := platform.NewSimPlatform(core)
+			opts, err := b.stressOptions(func() (platform.Platform, error) { return platform.NewSimPlatform(core) }, inner, "SingleCore")
 			if err != nil {
 				return err
 			}
-			tn, err := b.stressTuner()
-			if err != nil {
-				return err
-			}
-			baseline, err = stress.Run(ctx, stress.VoltageNoiseVirus, stress.Options{
-				Tuner:          tn,
-				Platform:       plat,
-				EvalOptions:    platform.EvalOptions{DynamicInstructions: b.DynamicInstructions, Seed: b.Seed},
-				LoopSize:       b.LoopSize,
-				Seed:           b.Seed,
-				MaxEpochs:      b.StressEpochs,
-				MaxEvaluations: b.MaxEvaluations,
-				PowerCapW:      b.PowerCapW,
-				Parallel:       inner,
-				NewPlatform:    func() (platform.Platform, error) { return platform.NewSimPlatform(core) },
-				Memo:           b.Memo,
-				MemoCap:        b.MemoCap,
-				Synth:          b.Synth,
-				OnEpoch:        b.stressProgress("SingleCore"),
-			})
-			if err != nil {
+			if baseline, err = stress.Run(ctx, stress.VoltageNoiseVirus, opts); err != nil {
 				return fmt.Errorf("experiments: single-core baseline: %w", err)
 			}
 			return nil
@@ -160,11 +113,7 @@ func runCoRun(ctx context.Context, coreName string, cores int, b Budget, withBas
 // cores stays near the inner budget instead of multiplying to Parallel²,
 // and with -parallel 1 the whole run stays serial.
 func coRunBudgetSplit(parallel, nRuns, cores int) (outer, inner, candWorkers, corePar int) {
-	outer = sched.Workers(parallel, nRuns)
-	inner = parallel / outer
-	if inner < 1 {
-		inner = 1
-	}
+	outer, inner = splitWorkers(parallel, nRuns)
 	candWorkers = inner / cores
 	if candWorkers < 1 {
 		candWorkers = 1
@@ -193,7 +142,7 @@ func characterizeCoRun(spec multicore.CoRunSpec, corePar int, kind stress.Kind, 
 	resp, err := session.Evaluate(platform.EvalRequest{
 		Name:    string(kind),
 		Config:  cfg,
-		Options: platform.EvalOptions{DynamicInstructions: b.DynamicInstructions, Seed: b.Seed},
+		Options: b.evalOptions(),
 		Detail:  platform.DetailTrace,
 	})
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"micrograd/internal/metrics"
 	"micrograd/internal/platform"
+	"micrograd/internal/stress"
 )
 
 func TestRunCoRunBeatsBaselineAndRenders(t *testing.T) {
@@ -42,21 +43,23 @@ func TestRunCoRunBeatsBaselineAndRenders(t *testing.T) {
 }
 
 func TestRunCoRunKindSkipsBaseline(t *testing.T) {
-	res, err := RunCoRunKind(context.Background(), "small", 2, transientBudget())
+	var rows []ProgressRow
+	b := transientBudget()
+	b.OnProgress = func(r ProgressRow) { rows = append(rows, r) }
+	res, err := RunKind(context.Background(), KindRequest{Kind: stress.CoRunNoiseVirus, Core: "small", Cores: 2}, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Baseline.Epochs != 0 {
-		t.Error("RunCoRunKind should not run the single-core baseline")
-	}
-	if res.Report.BestValue <= 0 || res.Trace.Empty() {
+	if res.Report.Kind != stress.CoRunNoiseVirus || res.Report.BestValue <= 0 || res.Trace.Empty() {
 		t.Error("kind run should still tune and characterize the co-run")
 	}
-	if out := res.Render(); strings.Contains(out, "single-core baseline") {
-		t.Errorf("render without a baseline should omit the comparison rows:\n%s", out)
+	if strings.Contains(res.Output, "single-core baseline") || !strings.Contains(res.Output, "chip worst droop") {
+		t.Errorf("render without a baseline should omit the comparison rows:\n%s", res.Output)
 	}
-	if series := res.Series(); len(series) != 1 {
-		t.Errorf("series without a baseline should have 1 entry, got %d", len(series))
+	for _, r := range rows {
+		if r.Series != "CoRun" {
+			t.Errorf("kind run streamed a %q row; only the co-run series should run", r.Series)
+		}
 	}
 }
 

@@ -32,7 +32,7 @@ type DVFSResult struct {
 	// Report is the dvfs-noise-virus tuning outcome (chip droop maximized).
 	Report stress.Report
 	// Baseline is the homogeneous corun-noise-virus run on the same chip
-	// (zero when the result came from RunDVFSKind, which skips it).
+	// (zero when the result came from RunKind, which skips it).
 	Baseline stress.Report
 	// Full is the best DVFS configuration's complete chip metric vector.
 	Full metrics.Vector
@@ -48,13 +48,6 @@ type DVFSResult struct {
 // characterizes the winning configuration at its tuned clocks.
 func RunDVFS(ctx context.Context, coreName string, cores int, freqsGHz []float64, b Budget) (DVFSResult, error) {
 	return runDVFS(ctx, coreName, cores, freqsGHz, b, true)
-}
-
-// RunDVFSKind is the mgbench -kind entry point: one tuned DVFS stress test
-// plus its characterization, without the homogeneous baseline comparison
-// run (Baseline is left zero).
-func RunDVFSKind(ctx context.Context, coreName string, cores int, freqsGHz []float64, b Budget) (DVFSResult, error) {
-	return runDVFS(ctx, coreName, cores, freqsGHz, b, false)
 }
 
 // dvfsInitial builds the warm-start configuration: the DVFS space midpoint
@@ -101,50 +94,26 @@ func runDVFS(ctx context.Context, coreName string, cores int, freqsGHz []float64
 		nRuns = 2
 	}
 	outer, _, candWorkers, corePar := coRunBudgetSplit(b.Parallel, nRuns, cores)
-	newCoRun := func() (platform.Platform, error) { return multicore.New(spec, corePar) }
-	newStress := func(kind stress.Kind, init knobs.Config, series string) func(ctx context.Context) (stress.Report, error) {
-		return func(ctx context.Context) (stress.Report, error) {
-			plat, err := multicore.New(spec, corePar)
-			if err != nil {
-				return stress.Report{}, err
-			}
-			tn, err := b.stressTuner()
-			if err != nil {
-				return stress.Report{}, err
-			}
-			return stress.Run(ctx, kind, stress.Options{
-				Tuner:          tn,
-				Platform:       plat,
-				EvalOptions:    platform.EvalOptions{DynamicInstructions: b.DynamicInstructions, Seed: b.Seed},
-				LoopSize:       b.LoopSize,
-				Seed:           b.Seed,
-				MaxEpochs:      b.StressEpochs,
-				MaxEvaluations: b.MaxEvaluations,
-				PowerCapW:      b.PowerCapW,
-				Initial:        init,
-				Parallel:       candWorkers,
-				NewPlatform:    newCoRun,
-				Memo:           b.Memo,
-				MemoCap:        b.MemoCap,
-				Synth:          b.Synth,
-				OnEpoch:        b.stressProgress(series),
-			})
+	tune := func(ctx context.Context, kind stress.Kind, init knobs.Config, series string) (stress.Report, error) {
+		opts, err := b.stressOptions(func() (platform.Platform, error) { return multicore.New(spec, corePar) }, candWorkers, series)
+		if err != nil {
+			return stress.Report{}, err
 		}
+		opts.Initial = init
+		return stress.Run(ctx, kind, opts)
 	}
 	var dvfs, baseline stress.Report
 	runs := []func(ctx context.Context) error{
-		func(ctx context.Context) error {
-			var err error
-			if dvfs, err = newStress(stress.DVFSNoiseVirus, initial, "DVFS")(ctx); err != nil {
+		func(ctx context.Context) (err error) {
+			if dvfs, err = tune(ctx, stress.DVFSNoiseVirus, initial, "DVFS"); err != nil {
 				return fmt.Errorf("experiments: dvfs tuning: %w", err)
 			}
 			return nil
 		},
 	}
 	if withBaseline {
-		runs = append(runs, func(ctx context.Context) error {
-			var err error
-			if baseline, err = newStress(stress.CoRunNoiseVirus, knobs.Config{}, "HomogeneousCoRun")(ctx); err != nil {
+		runs = append(runs, func(ctx context.Context) (err error) {
+			if baseline, err = tune(ctx, stress.CoRunNoiseVirus, knobs.Config{}, "HomogeneousCoRun"); err != nil {
 				return fmt.Errorf("experiments: homogeneous co-run baseline: %w", err)
 			}
 			return nil

@@ -7,6 +7,7 @@ import (
 
 	"micrograd/internal/metrics"
 	"micrograd/internal/platform"
+	"micrograd/internal/stress"
 )
 
 func TestRunDVFSBeatsHomogeneousBaselineAndRenders(t *testing.T) {
@@ -49,25 +50,26 @@ func TestRunDVFSBeatsHomogeneousBaselineAndRenders(t *testing.T) {
 }
 
 func TestRunDVFSKindSkipsBaseline(t *testing.T) {
-	res, err := RunDVFSKind(context.Background(), "small", 2, nil, transientBudget())
+	var rows []ProgressRow
+	b := transientBudget()
+	b.OnProgress = func(r ProgressRow) { rows = append(rows, r) }
+	res, err := RunKind(context.Background(), KindRequest{Kind: stress.DVFSNoiseVirus, Core: "small", Cores: 2}, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Baseline.Epochs != 0 {
-		t.Error("RunDVFSKind should not run the homogeneous baseline")
-	}
-	if res.Report.BestValue <= 0 || res.Trace.Empty() {
+	if res.Report.Kind != stress.DVFSNoiseVirus || res.Report.BestValue <= 0 || res.Trace.Empty() {
 		t.Error("kind run should still tune and characterize the DVFS co-run")
 	}
-	out := res.Render()
-	if strings.Contains(out, "homogeneous co-run baseline") {
-		t.Errorf("render without a baseline should omit the comparison rows:\n%s", out)
+	if strings.Contains(res.Output, "homogeneous co-run baseline") {
+		t.Errorf("render without a baseline should omit the comparison rows:\n%s", res.Output)
 	}
-	if strings.Contains(out, "warm-start clocks") {
-		t.Errorf("render without -freqs should omit the warm-start row:\n%s", out)
+	if strings.Contains(res.Output, "warm-start clocks") {
+		t.Errorf("render without -freqs should omit the warm-start row:\n%s", res.Output)
 	}
-	if series := res.Series(); len(series) != 1 {
-		t.Errorf("series without a baseline should have 1 entry, got %d", len(series))
+	for _, r := range rows {
+		if r.Series != "DVFS" {
+			t.Errorf("kind run streamed a %q row; only the DVFS series should run", r.Series)
+		}
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"micrograd/internal/microprobe"
 	"micrograd/internal/platform"
 	"micrograd/internal/report"
+	"micrograd/internal/sched"
 	"micrograd/internal/stress"
 	"micrograd/internal/tuner"
 	"micrograd/internal/workloads"
@@ -89,40 +90,18 @@ type ProgressRow struct {
 	Y      float64 `json:"y"`
 }
 
-// stressProgress adapts the budget's OnProgress callback to one stress
-// run's epoch stream, labeling each point with the run's series name.
+// progress adapts the budget's OnProgress callback to one run's point
+// stream: at maps each point (a stress.EpochPoint, a tuner.EpochRecord) to
+// its row's x and y, and every row is labeled with the run's series name.
 // Nil when no callback is configured, which keeps streaming off.
-func (b Budget) stressProgress(series string) func(stress.EpochPoint) {
+func progress[P any](b Budget, series string, at func(P) (x, y float64)) func(P) {
 	if b.OnProgress == nil {
 		return nil
 	}
 	cb := b.OnProgress
-	return func(p stress.EpochPoint) {
-		cb(ProgressRow{Series: series, X: float64(p.Epoch), Y: p.BestValue})
-	}
-}
-
-// stressProgressByEvals is stressProgress on the cumulative-evaluations
-// x-axis (the fair axis of the tuner comparison).
-func (b Budget) stressProgressByEvals(series string) func(stress.EpochPoint) {
-	if b.OnProgress == nil {
-		return nil
-	}
-	cb := b.OnProgress
-	return func(p stress.EpochPoint) {
-		cb(ProgressRow{Series: series, X: float64(p.CumulativeEvaluations), Y: p.BestValue})
-	}
-}
-
-// cloneProgress adapts the budget's OnProgress callback to one cloning
-// run's epoch stream (y is the best clone loss so far).
-func (b Budget) cloneProgress(series string) func(tuner.EpochRecord) {
-	if b.OnProgress == nil {
-		return nil
-	}
-	cb := b.OnProgress
-	return func(rec tuner.EpochRecord) {
-		cb(ProgressRow{Series: series, X: float64(rec.Epoch), Y: rec.BestLoss})
+	return func(p P) {
+		x, y := at(p)
+		cb(ProgressRow{Series: series, X: x, Y: y})
 	}
 }
 
@@ -191,6 +170,58 @@ func (b Budget) stressTuner() (tuner.Tuner, error) {
 		return tuner.NewGradientDescent(tuner.GDParams{}), nil
 	}
 	return tuner.ByName(b.Tuner)
+}
+
+// evalOptions is the budget's per-evaluation window.
+func (b Budget) evalOptions() platform.EvalOptions {
+	return platform.EvalOptions{DynamicInstructions: b.DynamicInstructions, Seed: b.Seed}
+}
+
+// stressOptions builds the options of one budgeted stress tuning run on
+// platforms from newPlatform, with parallel candidate workers, streaming
+// its progression as series. It applies every stress field of the budget —
+// tuner, window, epochs, evaluation budget, power cap, caches — so callers
+// override only what their experiment fixes differently.
+func (b Budget) stressOptions(newPlatform func() (platform.Platform, error), parallel int, series string) (opts stress.Options, err error) {
+	plat, err := newPlatform()
+	if err != nil {
+		return opts, err
+	}
+	tn, err := b.stressTuner()
+	if err != nil {
+		return opts, err
+	}
+	return stress.Options{
+		Tuner:          tn,
+		Platform:       plat,
+		EvalOptions:    b.evalOptions(),
+		LoopSize:       b.LoopSize,
+		Seed:           b.Seed,
+		MaxEpochs:      b.StressEpochs,
+		MaxEvaluations: b.MaxEvaluations,
+		PowerCapW:      b.PowerCapW,
+		Parallel:       parallel,
+		NewPlatform:    newPlatform,
+		Memo:           b.Memo,
+		MemoCap:        b.MemoCap,
+		Synth:          b.Synth,
+		OnEpoch: progress(b, series, func(p stress.EpochPoint) (x, y float64) {
+			return float64(p.Epoch), p.BestValue
+		}),
+	}, nil
+}
+
+// splitWorkers divides a worker budget between runs independent runs
+// executing concurrently (outer) and the fan-out inside each run (inner),
+// so total concurrency stays near parallel instead of multiplying to
+// parallel².
+func splitWorkers(parallel, runs int) (outer, inner int) {
+	outer = sched.Workers(parallel, runs)
+	inner = parallel / outer
+	if inner < 1 {
+		inner = 1
+	}
+	return outer, inner
 }
 
 // benchmarks resolves the benchmark subset of the budget.

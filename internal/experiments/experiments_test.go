@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -128,6 +129,32 @@ func TestFig5QuickRun(t *testing.T) {
 	out := res.Render()
 	if !strings.Contains(out, "GD") || !strings.Contains(out, "BruteForce") {
 		t.Errorf("render missing series:\n%s", out)
+	}
+}
+
+// TestFig5IgnoresStressBudgetKnobs pins the figures' opt-out: Figs. 5-6
+// compare fixed GD and GA runs with the uncapped brute-force reference, so
+// the budget's tuner, evaluation budget and power cap must not change them.
+func TestFig5IgnoresStressBudgetKnobs(t *testing.T) {
+	ctx := context.Background()
+	plain, err := RunFig5(ctx, goldenBudget())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := goldenBudget()
+	b.Tuner, b.MaxEvaluations, b.PowerCapW = "cmaes", 10, 0.5
+	knobbed, err := RunFig5(ctx, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := knobbed.Render(), plain.Render(); got != want {
+		t.Errorf("fig5 with -tuner/-budget/-power-cap set:\n%s\nwithout:\n%s", got, want)
+	}
+	if !reflect.DeepEqual(knobbed.Series(), plain.Series()) {
+		t.Errorf("fig5 series differ with the stress budget knobs set")
+	}
+	if knobbed.GD.PowerCapW != 0 || knobbed.GA.PowerCapW != 0 {
+		t.Errorf("fig5 runs were capped at %g / %g W", knobbed.GD.PowerCapW, knobbed.GA.PowerCapW)
 	}
 }
 

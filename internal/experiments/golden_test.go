@@ -105,39 +105,16 @@ func traceCSV(t *testing.T, tr powersim.PowerTrace) string {
 
 // goldenKind runs one -kind stress test the way mgbench -kind and mgserve
 // run it.
-func goldenKind(t *testing.T, ctx context.Context, kind stress.Kind, core string, cores, rows, cols int, freqs []float64, fp *multicore.Floorplan, b Budget) goldenOutput {
+func goldenKind(t *testing.T, ctx context.Context, req KindRequest, b Budget) goldenOutput {
 	t.Helper()
-	var (
-		rep    stress.Report
-		trace  powersim.PowerTrace
-		render string
-		err    error
-	)
-	switch kind {
-	case stress.CoRunNoiseVirus:
-		var res CoRunResult
-		res, err = RunCoRunKind(ctx, core, cores, b)
-		rep, trace, render = res.Report, res.Trace, res.Render()
-	case stress.DVFSNoiseVirus:
-		var res DVFSResult
-		res, err = RunDVFSKind(ctx, core, cores, freqs, b)
-		rep, trace, render = res.Report, res.Trace, res.Render()
-	case stress.SpatialNoiseVirus, stress.HotspotMigrationVirus:
-		var res SpatialResult
-		res, err = RunSpatialKind(ctx, kind, core, cores, rows, cols, fp, b)
-		rep, trace, render = res.Report, res.Trace, res.Render()
-	default:
-		var res StressKindRun
-		res, err = RunStressKind(ctx, kind, core, b)
-		rep, trace, render = res.Report, res.Trace, res.Render()
-	}
+	res, err := RunKind(ctx, req, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return goldenOutput{
-		render: render,
-		csv:    seriesCSV(t, rep.ProgressionSeries(string(kind))),
-		trace:  traceCSV(t, trace),
+		render: res.Output,
+		csv:    seriesCSV(t, res.Report.ProgressionSeries(string(req.Kind))),
+		trace:  traceCSV(t, res.Trace),
 	}
 }
 
@@ -214,30 +191,30 @@ var goldenCases = []struct {
 		return goldenOutput{render: res.Render(), csv: seriesCSV(t, res.Series()...)}
 	}},
 	{name: "kind_voltage-noise-virus", run: func(t *testing.T, ctx context.Context, b Budget) goldenOutput {
-		return goldenKind(t, ctx, stress.VoltageNoiseVirus, "small", 0, 0, 0, nil, nil, b)
+		return goldenKind(t, ctx, KindRequest{Kind: stress.VoltageNoiseVirus, Core: "small"}, b)
 	}},
 	{name: "kind_power-virus_capped", budget: func(b *Budget) {
 		b.Tuner, b.MaxEvaluations, b.PowerCapW = "cmaes", 24, 1.5
 	}, run: func(t *testing.T, ctx context.Context, b Budget) goldenOutput {
-		return goldenKind(t, ctx, stress.PowerVirus, "large", 0, 0, 0, nil, nil, b)
+		return goldenKind(t, ctx, KindRequest{Kind: stress.PowerVirus, Core: "large"}, b)
 	}},
 	{name: "kind_corun-noise-virus", run: func(t *testing.T, ctx context.Context, b Budget) goldenOutput {
-		return goldenKind(t, ctx, stress.CoRunNoiseVirus, "small", 2, 0, 0, nil, nil, b)
+		return goldenKind(t, ctx, KindRequest{Kind: stress.CoRunNoiseVirus, Core: "small", Cores: 2}, b)
 	}},
 	{name: "kind_dvfs-noise-virus", budget: func(b *Budget) {
 		b.Tuner, b.MaxEvaluations = "random", 20
 	}, run: func(t *testing.T, ctx context.Context, b Budget) goldenOutput {
-		return goldenKind(t, ctx, stress.DVFSNoiseVirus, "small", 2, 0, 0, []float64{2.0, 1.2}, nil, b)
+		return goldenKind(t, ctx, KindRequest{Kind: stress.DVFSNoiseVirus, Core: "small", Cores: 2, FreqsGHz: []float64{2.0, 1.2}}, b)
 	}},
 	{name: "kind_hotspot-migration-virus", run: func(t *testing.T, ctx context.Context, b Budget) goldenOutput {
-		return goldenKind(t, ctx, stress.HotspotMigrationVirus, "small", 4, 2, 2, nil, nil, b)
+		return goldenKind(t, ctx, KindRequest{Kind: stress.HotspotMigrationVirus, Core: "small", Cores: 4, Rows: 2, Cols: 2}, b)
 	}},
 	{name: "kind_spatial-noise-virus_floorplan", run: func(t *testing.T, ctx context.Context, b Budget) goldenOutput {
 		fp, err := multicore.ParseFloorplan("0,0;0,0;1,1;1,1", 2, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return goldenKind(t, ctx, stress.SpatialNoiseVirus, "small", 4, 2, 2, nil, &fp, b)
+		return goldenKind(t, ctx, KindRequest{Kind: stress.SpatialNoiseVirus, Core: "small", Cores: 4, Rows: 2, Cols: 2, Floorplan: &fp}, b)
 	}},
 }
 

@@ -30,7 +30,7 @@ type SpatialResult struct {
 	Report stress.Report
 	// Oblivious is the corun-noise-virus tuned on the *lumped* chip — the
 	// spatially-oblivious attacker (zero when the result came from
-	// RunSpatialKind, which skips the comparison).
+	// RunKind, which skips the comparison).
 	Oblivious stress.Report
 	// ObliviousOnGrid is the oblivious winner's chip-worst node droop when
 	// its configuration is re-evaluated on the grid chip (0 without the
@@ -53,14 +53,6 @@ type SpatialResult struct {
 // experiment isolates exactly the gain from exploiting locality.
 func RunSpatial(ctx context.Context, coreName string, cores, rows, cols int, fp *multicore.Floorplan, b Budget) (SpatialResult, error) {
 	return runSpatial(ctx, stress.SpatialNoiseVirus, coreName, cores, rows, cols, fp, b, true)
-}
-
-// RunSpatialKind is the mgbench -kind entry point for the spatial kinds
-// (spatial-noise-virus, hotspot-migration-virus): one tuned stress test on
-// the grid chip plus its characterization, without the oblivious comparison
-// run (Oblivious is left zero).
-func RunSpatialKind(ctx context.Context, kind stress.Kind, coreName string, cores, rows, cols int, fp *multicore.Floorplan, b Budget) (SpatialResult, error) {
-	return runSpatial(ctx, kind, coreName, cores, rows, cols, fp, b, false)
 }
 
 // spatialInitial translates the spatially-oblivious winner into the spatial
@@ -99,32 +91,12 @@ func runSpatial(ctx context.Context, kind stress.Kind, coreName string, cores, r
 	// from the oblivious winner — so each gets the full worker budget.
 	_, _, candWorkers, corePar := coRunBudgetSplit(b.Parallel, 1, cores)
 	tune := func(ctx context.Context, kind stress.Kind, spec multicore.CoRunSpec, space *knobs.Space, init knobs.Config, series string) (stress.Report, error) {
-		plat, err := multicore.New(spec, corePar)
+		opts, err := b.stressOptions(func() (platform.Platform, error) { return multicore.New(spec, corePar) }, candWorkers, series)
 		if err != nil {
 			return stress.Report{}, err
 		}
-		tn, err := b.stressTuner()
-		if err != nil {
-			return stress.Report{}, err
-		}
-		return stress.Run(ctx, kind, stress.Options{
-			Space:          space,
-			Tuner:          tn,
-			Platform:       plat,
-			EvalOptions:    platform.EvalOptions{DynamicInstructions: b.DynamicInstructions, Seed: b.Seed},
-			LoopSize:       b.LoopSize,
-			Seed:           b.Seed,
-			MaxEpochs:      b.StressEpochs,
-			MaxEvaluations: b.MaxEvaluations,
-			PowerCapW:      b.PowerCapW,
-			Initial:        init,
-			Parallel:       candWorkers,
-			NewPlatform:    func() (platform.Platform, error) { return multicore.New(spec, corePar) },
-			Memo:           b.Memo,
-			MemoCap:        b.MemoCap,
-			Synth:          b.Synth,
-			OnEpoch:        b.stressProgress(series),
-		})
+		opts.Space, opts.Initial = space, init
+		return stress.Run(ctx, kind, opts)
 	}
 
 	var oblivious stress.Report

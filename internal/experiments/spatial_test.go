@@ -59,12 +59,12 @@ func TestRunSpatialBeatsObliviousAndRenders(t *testing.T) {
 }
 
 func TestRunSpatialKindSkipsComparison(t *testing.T) {
-	res, err := RunSpatialKind(context.Background(), stress.HotspotMigrationVirus, "small", 4, 2, 2, nil, transientBudget())
+	var rows []ProgressRow
+	b := transientBudget()
+	b.OnProgress = func(r ProgressRow) { rows = append(rows, r) }
+	res, err := RunKind(context.Background(), KindRequest{Kind: stress.HotspotMigrationVirus, Core: "small", Cores: 4, Rows: 2, Cols: 2}, b)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.Oblivious.Epochs != 0 || res.ObliviousOnGrid != 0 {
-		t.Error("RunSpatialKind should not run the oblivious comparison")
 	}
 	if res.Report.BestValue <= 0 || res.Trace.Empty() {
 		t.Error("kind run should still tune and characterize the spatial virus")
@@ -72,11 +72,13 @@ func TestRunSpatialKindSkipsComparison(t *testing.T) {
 	if res.Report.Metric != metrics.ChipTempC {
 		t.Errorf("hotspot-migration-virus tunes %s, want %s", res.Report.Metric, metrics.ChipTempC)
 	}
-	if out := res.Render(); strings.Contains(out, "oblivious") {
-		t.Errorf("render without a comparison should omit the oblivious rows:\n%s", out)
+	if strings.Contains(res.Output, "oblivious") || !strings.Contains(res.Output, "2x2 PDN/thermal grid") {
+		t.Errorf("render without a comparison should omit the oblivious rows:\n%s", res.Output)
 	}
-	if series := res.Series(); len(series) != 1 {
-		t.Errorf("series without a comparison should have 1 entry, got %d", len(series))
+	for _, r := range rows {
+		if r.Series != "Spatial" {
+			t.Errorf("kind run streamed a %q row; only the spatial series should run", r.Series)
+		}
 	}
 }
 
@@ -91,7 +93,7 @@ func TestRunSpatialValidation(t *testing.T) {
 	if _, err := RunSpatial(context.Background(), "small", 4, 0, 2, nil, b); err == nil {
 		t.Error("0-row grid should be rejected")
 	}
-	if _, err := RunSpatialKind(context.Background(), stress.CoRunNoiseVirus, "small", 4, 2, 2, nil, b); err == nil {
+	if _, err := runSpatial(context.Background(), stress.CoRunNoiseVirus, "small", 4, 2, 2, nil, b, false); err == nil {
 		t.Error("non-spatial kind should be rejected")
 	}
 }

@@ -77,37 +77,29 @@ func (r StressResult) Render() string {
 // paper's observation) and the brute-force reference for one stress kind.
 func runStressExperiment(ctx context.Context, figure string, kind stress.Kind, b Budget) (StressResult, error) {
 	b = b.normalized()
+	// Each figure measures GD and GA, at fixed epoch budgets, against the
+	// uncapped brute-force reference, so the budget's tuner choice,
+	// evaluation budget and power cap do not apply here: a capped or
+	// differently-tuned run would not be comparable with the reference.
+	b.Tuner, b.MaxEvaluations, b.PowerCapW = "", 0, 0
 	core := platform.Large()
+	newPlatform := func() (platform.Platform, error) { return platform.NewSimPlatform(core) }
 
 	// The three searches (GD, GA, brute force) are independent runs with
 	// their own platforms, so they execute concurrently on the engine; each
-	// additionally fans its per-epoch candidate evaluations out. The worker
-	// budget is split across the two levels so total concurrency stays near
-	// b.Parallel instead of multiplying to Parallel².
-	outer := sched.Workers(b.Parallel, 3)
-	inner := b.Parallel / outer
-	if inner < 1 {
-		inner = 1
-	}
-	newOpts := func(tn tuner.Tuner, epochs int, series string) (stress.Options, error) {
-		plat, err := platform.NewSimPlatform(core)
+	// additionally fans its per-epoch candidate evaluations out.
+	outer, inner := splitWorkers(b.Parallel, 3)
+	tune := func(ctx context.Context, tn tuner.Tuner, epochs int, series string) (stress.Report, error) {
+		opts, err := b.stressOptions(newPlatform, inner, series)
 		if err != nil {
-			return stress.Options{}, err
+			return stress.Report{}, err
 		}
-		return stress.Options{
-			Tuner:       tn,
-			Platform:    plat,
-			EvalOptions: platform.EvalOptions{DynamicInstructions: b.DynamicInstructions, Seed: b.Seed},
-			LoopSize:    b.LoopSize,
-			Seed:        b.Seed,
-			MaxEpochs:   epochs,
-			Parallel:    inner,
-			NewPlatform: func() (platform.Platform, error) { return platform.NewSimPlatform(core) },
-			Memo:        b.Memo,
-			MemoCap:     b.MemoCap,
-			Synth:       b.Synth,
-			OnEpoch:     b.stressProgress(series),
-		}, nil
+		opts.Tuner, opts.MaxEpochs = tn, epochs
+		rep, err := stress.Run(ctx, kind, opts)
+		if err != nil {
+			return stress.Report{}, fmt.Errorf("experiments: %s %s: %w", figure, series, err)
+		}
+		return rep, nil
 	}
 	var (
 		gd, ga  stress.Report
@@ -116,25 +108,13 @@ func runStressExperiment(ctx context.Context, figure string, kind stress.Kind, b
 	)
 	gaEpochs := b.StressEpochs + b.StressEpochs/2 // 1.5x, as observed in the paper
 	runs := []func(ctx context.Context) error{
-		func(ctx context.Context) error {
-			opts, err := newOpts(tuner.NewGradientDescent(tuner.GDParams{}), b.StressEpochs, "GD")
-			if err != nil {
-				return err
-			}
-			if gd, err = stress.Run(ctx, kind, opts); err != nil {
-				return fmt.Errorf("experiments: %s GD: %w", figure, err)
-			}
-			return nil
+		func(ctx context.Context) (err error) {
+			gd, err = tune(ctx, tuner.NewGradientDescent(tuner.GDParams{}), b.StressEpochs, "GD")
+			return err
 		},
-		func(ctx context.Context) error {
-			opts, err := newOpts(tuner.NewGeneticAlgorithm(tuner.GAParams{}), gaEpochs, "GA")
-			if err != nil {
-				return err
-			}
-			if ga, err = stress.Run(ctx, kind, opts); err != nil {
-				return fmt.Errorf("experiments: %s GA: %w", figure, err)
-			}
-			return nil
+		func(ctx context.Context) (err error) {
+			ga, err = tune(ctx, tuner.NewGeneticAlgorithm(tuner.GAParams{}), gaEpochs, "GA")
+			return err
 		},
 		func(ctx context.Context) error {
 			bb := b
@@ -175,7 +155,7 @@ func bruteForceReference(ctx context.Context, kind stress.Kind, core platform.Co
 	}
 	var space *knobs.Space
 	var loss metrics.Loss
-	evalOpts := platform.EvalOptions{DynamicInstructions: b.DynamicInstructions, Seed: b.Seed}
+	evalOpts := b.evalOptions()
 	switch kind {
 	case stress.PowerVirus:
 		space = knobs.StressSpace()

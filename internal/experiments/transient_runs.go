@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"micrograd/internal/metrics"
+	"micrograd/internal/multicore"
 	"micrograd/internal/platform"
 	"micrograd/internal/powersim"
 	"micrograd/internal/program"
@@ -29,38 +30,20 @@ type StressKindRun struct {
 	Trace powersim.PowerTrace
 }
 
-// RunStressKind tunes one stress kind with gradient descent on the named
-// core and characterizes the resulting kernel.
+// RunStressKind tunes one single-core stress kind on the named core under
+// the budget's tuner (gradient descent by default) and characterizes the
+// resulting kernel.
 func RunStressKind(ctx context.Context, kind stress.Kind, coreName string, b Budget) (StressKindRun, error) {
 	b = b.normalized()
 	core, err := platform.ByName(coreName)
 	if err != nil {
 		return StressKindRun{}, err
 	}
-	plat, err := platform.NewSimPlatform(core)
+	opts, err := b.stressOptions(func() (platform.Platform, error) { return platform.NewSimPlatform(core) }, b.Parallel, string(kind))
 	if err != nil {
 		return StressKindRun{}, err
 	}
-	tn, err := b.stressTuner()
-	if err != nil {
-		return StressKindRun{}, err
-	}
-	rep, err := stress.Run(ctx, kind, stress.Options{
-		Tuner:          tn,
-		Platform:       plat,
-		EvalOptions:    platform.EvalOptions{DynamicInstructions: b.DynamicInstructions, Seed: b.Seed},
-		LoopSize:       b.LoopSize,
-		Seed:           b.Seed,
-		MaxEpochs:      b.StressEpochs,
-		MaxEvaluations: b.MaxEvaluations,
-		PowerCapW:      b.PowerCapW,
-		Parallel:       b.Parallel,
-		NewPlatform:    func() (platform.Platform, error) { return platform.NewSimPlatform(core) },
-		Memo:           b.Memo,
-		MemoCap:        b.MemoCap,
-		Synth:          b.Synth,
-		OnEpoch:        b.stressProgress(string(kind)),
-	})
+	rep, err := stress.Run(ctx, kind, opts)
 	if err != nil {
 		return StressKindRun{}, fmt.Errorf("experiments: stress %s: %w", kind, err)
 	}
@@ -72,7 +55,7 @@ func RunStressKind(ctx context.Context, kind stress.Kind, coreName string, b Bud
 	}
 	resp, err := measure.EvaluateRequest(platform.EvalRequest{
 		Programs: []*program.Program{rep.Program},
-		Options:  platform.EvalOptions{DynamicInstructions: b.DynamicInstructions, Seed: b.Seed},
+		Options:  b.evalOptions(),
 		Detail:   platform.DetailTrace,
 	})
 	if err != nil {
@@ -104,6 +87,62 @@ func (r StressKindRun) Render() string {
 	return t.String()
 }
 
+// KindRequest selects one stress test of any built-in kind and the chip it
+// runs on. Core names the core kind; Cores is the copy count of the co-run
+// kinds, FreqsGHz the dvfs-noise-virus warm-start clocks (nil = the space
+// midpoint), and Rows, Cols and Floorplan (nil = round-robin) place the
+// spatial kinds on their grid. Fields a kind does not use are ignored.
+type KindRequest struct {
+	Kind       stress.Kind
+	Core       string
+	Cores      int
+	FreqsGHz   []float64
+	Rows, Cols int
+	Floorplan  *multicore.Floorplan
+}
+
+// KindResult is one kind run's outcome: the tuning report, the best
+// kernel's power trace (the summed chip trace for the chip kinds) and the
+// rendered summary table.
+type KindResult struct {
+	Report stress.Report
+	Trace  powersim.PowerTrace
+	Output string
+}
+
+// RunKind is the one entry point of mgbench -kind and the mgserve stress
+// jobs: it tunes a stress test of the requested kind on the chip that kind
+// needs — one core, co-running cores, or a spatial grid — and characterizes
+// its best kernel, without the comparison runs RunCoRun, RunDVFS and
+// RunSpatial add.
+func RunKind(ctx context.Context, req KindRequest, b Budget) (KindResult, error) {
+	switch req.Kind {
+	case stress.CoRunNoiseVirus:
+		res, err := runCoRun(ctx, req.Core, req.Cores, b, false)
+		if err != nil {
+			return KindResult{}, err
+		}
+		return KindResult{Report: res.Report, Trace: res.Trace, Output: res.Render()}, nil
+	case stress.DVFSNoiseVirus:
+		res, err := runDVFS(ctx, req.Core, req.Cores, req.FreqsGHz, b, false)
+		if err != nil {
+			return KindResult{}, err
+		}
+		return KindResult{Report: res.Report, Trace: res.Trace, Output: res.Render()}, nil
+	case stress.SpatialNoiseVirus, stress.HotspotMigrationVirus:
+		res, err := runSpatial(ctx, req.Kind, req.Core, req.Cores, req.Rows, req.Cols, req.Floorplan, b, false)
+		if err != nil {
+			return KindResult{}, err
+		}
+		return KindResult{Report: res.Report, Trace: res.Trace, Output: res.Render()}, nil
+	}
+	res, err := RunStressKind(ctx, req.Kind, req.Core, b)
+	if err != nil {
+		return KindResult{}, err
+	}
+	return KindResult{Report: res.Report, Trace: res.Trace, Output: res.Render()}, nil
+}
+
 // transientRows extracts the shared power-characterization rows of a metric
 // vector.
 func transientRows(v metrics.Vector) [][2]string {
@@ -130,11 +169,7 @@ type StressCompareResult struct {
 func RunStressCompare(ctx context.Context, b Budget) (StressCompareResult, error) {
 	b = b.normalized()
 	kinds := stress.Kinds()
-	outer := sched.Workers(b.Parallel, len(kinds))
-	inner := b.Parallel / outer
-	if inner < 1 {
-		inner = 1
-	}
+	outer, inner := splitWorkers(b.Parallel, len(kinds))
 	bb := b
 	bb.Parallel = inner
 	runs := make([]StressKindRun, len(kinds))

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -66,6 +67,39 @@ func TestRunStressKindParallelMatchesSerial(t *testing.T) {
 	}
 	if serial.Report.Config.Key() != par.Report.Config.Key() {
 		t.Error("parallel best configuration differs from serial")
+	}
+}
+
+// TestRunKindParallelMatchesSerial checks the kind dispatcher's chip paths
+// are bit-identical at any worker count: rendered table, trace and
+// progression.
+func TestRunKindParallelMatchesSerial(t *testing.T) {
+	for _, req := range []KindRequest{
+		{Kind: stress.CoRunNoiseVirus, Core: "small", Cores: 2},
+		{Kind: stress.HotspotMigrationVirus, Core: "small", Cores: 4, Rows: 2, Cols: 2},
+	} {
+		serial, err := RunKind(context.Background(), req, transientBudget())
+		if err != nil {
+			t.Fatal(err)
+		}
+		pb := transientBudget()
+		pb.Parallel = 8
+		par, err := RunKind(context.Background(), req, pb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serial.Output != par.Output {
+			t.Errorf("%s: parallel output differs from serial:\n%s\nserial:\n%s", req.Kind, par.Output, serial.Output)
+		}
+		if !reflect.DeepEqual(serial.Trace, par.Trace) || !reflect.DeepEqual(serial.Report.Progression, par.Report.Progression) {
+			t.Errorf("%s: parallel trace or progression differs from serial", req.Kind)
+		}
+	}
+}
+
+func TestRunKindRejectsUnknownKind(t *testing.T) {
+	if _, err := RunKind(context.Background(), KindRequest{Kind: "no-such-virus", Core: "small"}, transientBudget()); err == nil {
+		t.Error("unknown kind should be rejected")
 	}
 }
 

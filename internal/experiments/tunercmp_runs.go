@@ -110,31 +110,19 @@ func RunTunerCmp(ctx context.Context, coreName string, cores, rows, cols int, tu
 	// baseline's target), so every run gets the full worker budget.
 	_, _, candWorkers, corePar := coRunBudgetSplit(b.Parallel, 1, cores)
 	tune := func(ctx context.Context, name string, target *float64) (stress.Report, error) {
-		tn, err := tuner.ByName(name)
+		bb := b
+		bb.Tuner = name
+		opts, err := bb.stressOptions(func() (platform.Platform, error) { return multicore.New(spec, corePar) }, candWorkers, name)
 		if err != nil {
 			return stress.Report{}, err
 		}
-		plat, err := multicore.New(spec, corePar)
-		if err != nil {
-			return stress.Report{}, err
-		}
-		return stress.Run(ctx, kind, stress.Options{
-			Tuner:          tn,
-			Platform:       plat,
-			EvalOptions:    platform.EvalOptions{DynamicInstructions: b.DynamicInstructions, Seed: b.Seed},
-			LoopSize:       b.LoopSize,
-			Seed:           b.Seed,
-			MaxEpochs:      b.StressEpochs,
-			MaxEvaluations: budget,
-			TargetValue:    target,
-			PowerCapW:      b.PowerCapW,
-			Parallel:       candWorkers,
-			NewPlatform:    func() (platform.Platform, error) { return multicore.New(spec, corePar) },
-			Memo:           b.Memo,
-			MemoCap:        b.MemoCap,
-			Synth:          b.Synth,
-			OnEpoch:        b.stressProgressByEvals(name),
+		opts.MaxEvaluations, opts.TargetValue = budget, target
+		// Stream on the cumulative-evaluations axis, the fair axis for
+		// mechanisms with different per-epoch costs.
+		opts.OnEpoch = progress(b, name, func(p stress.EpochPoint) (x, y float64) {
+			return float64(p.CumulativeEvaluations), p.BestValue
 		})
+		return stress.Run(ctx, kind, opts)
 	}
 
 	base, err := tune(ctx, "gd", nil)

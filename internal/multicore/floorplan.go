@@ -19,6 +19,24 @@ type Floorplan struct {
 	Nodes []int
 }
 
+// DefaultGrid is the spatial grid a chip of the given core count gets when
+// no dimensions are asked for: the smallest near-square grid with at least
+// one node per core (1x2 for 2 cores, 2x2 for 4, 2x3 for 5). A core count
+// below 1 counts as 1.
+func DefaultGrid(cores int) (rows, cols int) {
+	if cores < 1 {
+		cores = 1
+	}
+	rows = 1
+	for rows*rows < cores {
+		rows++
+	}
+	if rows*(rows-1) >= cores {
+		return rows - 1, rows
+	}
+	return rows, rows
+}
+
 // DefaultFloorplan spreads cores over a rows×cols grid round-robin in
 // row-major order: core i sits at node i mod (rows·cols). With at least as
 // many nodes as cores every core gets its own region. Degenerate dimensions

@@ -50,6 +50,17 @@ func TestSpatialSpecValidation(t *testing.T) {
 	}
 }
 
+func TestDefaultGridIsNearSquare(t *testing.T) {
+	for _, c := range []struct{ cores, rows, cols int }{
+		{-1, 1, 1}, {0, 1, 1}, {1, 1, 1}, {2, 1, 2}, {3, 2, 2}, {4, 2, 2},
+		{5, 2, 3}, {6, 2, 3}, {7, 3, 3}, {9, 3, 3}, {10, 3, 4}, {13, 4, 4},
+	} {
+		if rows, cols := DefaultGrid(c.cores); rows != c.rows || cols != c.cols {
+			t.Errorf("DefaultGrid(%d) = %dx%d, want %dx%d", c.cores, rows, cols, c.rows, c.cols)
+		}
+	}
+}
+
 func TestFloorplanParseDefaultAndString(t *testing.T) {
 	fp := DefaultFloorplan(2, 2, 6)
 	if got, want := fp.String(), "0,0;0,1;1,0;1,1;0,0;0,1"; got != want {

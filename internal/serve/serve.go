@@ -24,6 +24,7 @@ import (
 	"micrograd/internal/evalcache"
 	"micrograd/internal/experiments"
 	"micrograd/internal/microprobe"
+	"micrograd/internal/multicore"
 	"micrograd/internal/stress"
 )
 
@@ -555,25 +556,6 @@ func (s *Server) budgetFor(jb *job) experiments.Budget {
 	return b
 }
 
-// gridDims fills in the spatial grid the way mgbench's -grid default does:
-// the smallest near-square grid with at least one node per core.
-func gridDims(rows, cols, cores int) (int, int) {
-	if rows > 0 && cols > 0 {
-		return rows, cols
-	}
-	if cores < 1 {
-		cores = 1
-	}
-	r := 1
-	for r*r < cores {
-		r++
-	}
-	if r*(r-1) >= cores {
-		return r - 1, r
-	}
-	return r, r
-}
-
 // execute dispatches a job to its experiment runner and returns the
 // rendered report.
 func (s *Server) execute(ctx context.Context, jb *job) (string, error) {
@@ -590,7 +572,10 @@ func (s *Server) execute(ctx context.Context, jb *job) (string, error) {
 	if cores < 2 {
 		cores = 2
 	}
-	rows, cols := gridDims(req.Rows, req.Cols, cores)
+	rows, cols := req.Rows, req.Cols
+	if rows <= 0 || cols <= 0 {
+		rows, cols = multicore.DefaultGrid(cores)
+	}
 
 	switch req.Kind {
 	case "cloning":
@@ -615,30 +600,7 @@ func (s *Server) execute(ctx context.Context, jb *job) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	switch kind {
-	case stress.CoRunNoiseVirus:
-		res, err := experiments.RunCoRunKind(ctx, core, cores, b)
-		if err != nil {
-			return "", err
-		}
-		return res.Render(), nil
-	case stress.DVFSNoiseVirus:
-		res, err := experiments.RunDVFSKind(ctx, core, cores, req.FreqsGHz, b)
-		if err != nil {
-			return "", err
-		}
-		return res.Render(), nil
-	case stress.SpatialNoiseVirus, stress.HotspotMigrationVirus:
-		res, err := experiments.RunSpatialKind(ctx, kind, core, cores, rows, cols, nil, b)
-		if err != nil {
-			return "", err
-		}
-		return res.Render(), nil
-	default:
-		res, err := experiments.RunStressKind(ctx, kind, core, b)
-		if err != nil {
-			return "", err
-		}
-		return res.Render(), nil
-	}
+	res, err := experiments.RunKind(ctx, experiments.KindRequest{Kind: kind, Core: core, Cores: cores,
+		FreqsGHz: req.FreqsGHz, Rows: rows, Cols: cols}, b)
+	return res.Output, err
 }

@@ -273,6 +273,12 @@ func TestJobKindsExecuteEndToEnd(t *testing.T) {
 		{Kind: "corun-noise-virus", Quick: true, Core: "small", Cores: 2, Instructions: 2000, Epochs: 2, Seed: 1, Parallel: 1},
 		{Kind: "dvfs-noise-virus", Quick: true, Core: "small", FreqsGHz: []float64{2.0, 1.2}, Instructions: 2000, Epochs: 2, Seed: 1, Parallel: 1},
 		{Kind: "spatial", Quick: true, Core: "small", Cores: 2, Instructions: 2000, Epochs: 2, Seed: 1, Parallel: 1},
+		{Kind: "hotspot", Quick: true, Core: "small", Cores: 5, Instructions: 2000, Epochs: 1, Seed: 1, Parallel: 1},
+	}
+	// A spatial job without Rows/Cols runs on mgbench's default -grid.
+	wantOutput := map[string]string{
+		"spatial": "on a 1x2 PDN/thermal grid",
+		"hotspot": "on a 2x3 PDN/thermal grid",
 	}
 	for _, req := range reqs {
 		st, err := s.Submit(req)
@@ -288,6 +294,9 @@ func TestJobKindsExecuteEndToEnd(t *testing.T) {
 		}
 		if res.Output == "" || len(res.Series) == 0 {
 			t.Fatalf("%s job: output %q with %d rows", req.Kind, res.Output, len(res.Series))
+		}
+		if want := wantOutput[req.Kind]; !strings.Contains(res.Output, want) {
+			t.Errorf("%s job output lacks %q:\n%s", req.Kind, want, res.Output)
 		}
 	}
 	stats := s.Stats()
