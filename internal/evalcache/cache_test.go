@@ -406,3 +406,35 @@ type atomic64 struct {
 
 func (a *atomic64) add(d int) { a.mu.Lock(); a.n += d; a.mu.Unlock() }
 func (a *atomic64) load() int { a.mu.Lock(); defer a.mu.Unlock(); return a.n }
+
+// TestAttachedGroupsCountTheirOwnLookups pins the per-user counters: two
+// groups attached to one share each other's results, each counts only its
+// own lookups, and the parent counts them all.
+func TestAttachedGroupsCountTheirOwnLookups(t *testing.T) {
+	g := NewGroup(NewMap())
+	a, b := g.Attach(), g.Attach()
+	_, f, owner := a.Lookup("k")
+	if !owner {
+		t.Fatal("first lookup should own the flight")
+	}
+	if _, wf, owns := b.Lookup("k"); owns || wf != f {
+		t.Fatal("b should wait on a's flight")
+	}
+	a.Settle("k", f, vec(1), nil)
+	if v, _, _ := b.Lookup("k"); v["x"] != 1 {
+		t.Fatalf("b does not see a's result: %v", v)
+	}
+	b.Lookup("other") // b's miss, never settled
+	for _, tc := range []struct {
+		name         string
+		g            *Group
+		hits, misses uint64
+	}{{"a", a, 0, 1}, {"b", b, 2, 1}, {"parent", g, 2, 2}} {
+		if h, m := tc.g.Stats(); h != tc.hits || m != tc.misses {
+			t.Errorf("%s: %d hits, %d misses; want %d, %d", tc.name, h, m, tc.hits, tc.misses)
+		}
+	}
+	if a.Len() != 1 || g.Len() != 1 {
+		t.Errorf("attached groups see %d/%d entries, want the one shared entry", a.Len(), g.Len())
+	}
+}

@@ -31,13 +31,22 @@ func (f *Flight) Wait() (metrics.Vector, error) {
 // shareable: a mutex serializing cache access, a single-flight table
 // deduplicating concurrent evaluations of the same key, and hit/miss
 // counters aggregated across every evaluator attached to the group. One
-// Group per mgserve daemon (or per standalone run) is the unit of sharing.
+// Group per mgserve daemon (or per standalone run) is the unit of sharing;
+// Attach gives one user of it counters of its own.
 type Group struct {
+	*shared
+	// parent is the group an attached group also counts in (nil for a
+	// group from NewGroup).
+	parent *Group
+	hits   atomic.Uint64
+	misses atomic.Uint64
+}
+
+// shared is what a group and every group attached to it have in common.
+type shared struct {
 	mu      sync.Mutex
 	cache   Cache
 	flights map[string]*Flight
-	hits    atomic.Uint64
-	misses  atomic.Uint64
 }
 
 // NewGroup wraps a cache. A nil cache means an unbounded map.
@@ -45,7 +54,27 @@ func NewGroup(c Cache) *Group {
 	if c == nil {
 		c = NewMap()
 	}
-	return &Group{cache: c, flights: make(map[string]*Flight)}
+	return &Group{shared: &shared{cache: c, flights: make(map[string]*Flight)}}
+}
+
+// Attach returns a group over g's cache and in-flight table with counters
+// of its own: its Stats count only the lookups made through it, and each
+// of those also counts in g (and in whatever g is attached to). mgserve
+// attaches one per job, so a job's hits and misses are its own while every
+// job still shares every result.
+func (g *Group) Attach() *Group {
+	return &Group{shared: g.shared, parent: g}
+}
+
+// count records one lookup in g and every group it is attached to.
+func (g *Group) count(hit bool) {
+	for ; g != nil; g = g.parent {
+		if hit {
+			g.hits.Add(1)
+		} else {
+			g.misses.Add(1)
+		}
+	}
 }
 
 // Lookup resolves a key against the cache and the in-flight table:
@@ -62,18 +91,18 @@ func (g *Group) Lookup(key string) (metrics.Vector, *Flight, bool) {
 	if v, ok := g.cache.Get(key); ok {
 		v = v.Clone()
 		g.mu.Unlock()
-		g.hits.Add(1)
+		g.count(true)
 		return v, nil, false
 	}
 	if f, ok := g.flights[key]; ok {
 		g.mu.Unlock()
-		g.hits.Add(1)
+		g.count(true)
 		return nil, f, false
 	}
 	f := &Flight{done: make(chan struct{})}
 	g.flights[key] = f
 	g.mu.Unlock()
-	g.misses.Add(1)
+	g.count(false)
 	return nil, f, true
 }
 
@@ -98,9 +127,9 @@ func (g *Group) Len() int {
 	return g.cache.Len()
 }
 
-// Stats returns the group-wide hit and miss counts, aggregated across every
-// evaluator sharing the group — the counters cross-job sharing is measured
-// by.
+// Stats returns the group's hit and miss counts: those of every lookup made
+// through it or through a group attached to it — the counters cross-job
+// sharing is measured by.
 func (g *Group) Stats() (hits, misses uint64) {
 	return g.hits.Load(), g.misses.Load()
 }

@@ -1,7 +1,9 @@
 // Package multicore grows the evaluation platform from one core to N
 // co-running cores sharing a power-delivery network and a die. Each core runs
 // its own kernel on a private platform.SimPlatform (performance and energy
-// are per-core concerns); the per-core power traces are then aligned onto a
+// are per-core concerns), and cores that would run the very same simulation
+// — equal spec, clock and kernel content — share one run of it. The
+// per-core power traces are then aligned onto a
 // common window grid — honouring per-core start skews — and summed into a
 // chip-level trace that drives one shared powersim.SupplyModel and
 // powersim.ThermalModel. Worst-case droop and hotspot temperature are
@@ -21,6 +23,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -36,9 +39,9 @@ import (
 
 // CoRunSpec describes a multi-core co-run platform: the per-core
 // specifications plus the chip-level supply and thermal models every core's
-// activity feeds into. The per-core Supply/Thermal models inside each
-// CoreSpec still produce that core's own transient metrics; the shared
-// models here see the summed trace.
+// activity feeds into. The per-core Supply model inside each CoreSpec still
+// produces that core's own droop metric (the chip reports no per-core
+// temperature); the shared models here see the summed trace.
 type CoRunSpec struct {
 	// Cores are the co-running core configurations. Every core must record
 	// activity windows (WindowCycles > 0); clock frequencies only need to be
@@ -183,10 +186,33 @@ type CoRunPlatform struct {
 	spec     CoRunSpec
 	sims     []*platform.SimPlatform
 	parallel int
-	// evaluations counts served chip-level evaluations. It is atomic so
-	// Evaluations() stays race-free when tuners fan candidates out over
-	// per-worker co-run platforms while an observer polls the counters.
+	// specClass[i] is the lowest core index whose spec equals core i's:
+	// cores of one class may share a simulation.
+	specClass []int
+	// coreKeys and nodeKeys are the per-core and per-node metric names,
+	// rendered once.
+	coreKeys []coreKeys
+	nodeKeys []nodeKeys
+	// Per-evaluation scratch (the platform is single-owner): each core's
+	// effective clock, the index into distinct of the core whose
+	// simulation it uses, the cores that simulate, every core's run, and
+	// the droop-solve lanes.
+	freqs    []float64
+	slot     []int
+	distinct []int
+	runs     []coreRun
+	models   []powersim.SupplyModel
+	lanes    []powersim.PowerTrace
+	droops   powersim.DroopLanes
+	// evaluations counts served chip-level evaluations, coreSims the core
+	// simulations they ran and sharedCores the cores served from another
+	// core's simulation of the same evaluation (coreSims + sharedCores is
+	// NumCores × evaluations). They are atomic so the accessors stay
+	// race-free when tuners fan candidates out over per-worker co-run
+	// platforms while an observer polls the counters.
 	evaluations atomic.Uint64
+	coreSims    atomic.Uint64
+	sharedCores atomic.Uint64
 }
 
 // New builds a co-run platform. parallel bounds how many cores simulate
@@ -199,13 +225,32 @@ func New(spec CoRunSpec, parallel int) (*CoRunPlatform, error) {
 	if parallel < 1 {
 		parallel = 1
 	}
-	c := &CoRunPlatform{spec: spec, parallel: parallel}
-	for _, core := range spec.Cores {
+	n := len(spec.Cores)
+	c := &CoRunPlatform{spec: spec, parallel: parallel, specClass: make([]int, n), coreKeys: make([]coreKeys, n),
+		freqs: make([]float64, n), slot: make([]int, n), runs: make([]coreRun, n)}
+	if spec.Spatial() {
+		cols := spec.Floorplan.Cols
+		c.nodeKeys = make([]nodeKeys, spec.Floorplan.NodeCount())
+		for k := range c.nodeKeys {
+			c.nodeKeys[k] = nodeKeys{droop: metrics.NodeDroopMV(k/cols, k%cols), temp: metrics.NodeTempC(k/cols, k%cols)}
+		}
+	}
+	// Specs compare in the rendering EvalIdentity keys the chip by (the
+	// power coefficients hold a map, so CoreSpec has no ==).
+	rendered := make([]string, n)
+	for i, core := range spec.Cores {
 		sim, err := platform.NewSimPlatform(core)
 		if err != nil {
 			return nil, err
 		}
 		c.sims = append(c.sims, sim)
+		c.coreKeys[i] = coreKeys{ipc: coreMetric(i, metrics.IPC), power: coreMetric(i, metrics.DynamicPowerW),
+			droop: coreMetric(i, metrics.WorstDroopMV), freq: coreMetric(i, metrics.FreqGHz)}
+		rendered[i] = fmt.Sprintf("%+v", core)
+		c.specClass[i] = slices.Index(rendered[:i], rendered[i])
+		if c.specClass[i] < 0 {
+			c.specClass[i] = i
+		}
 	}
 	return c, nil
 }
@@ -257,6 +302,14 @@ func (c *CoRunPlatform) NumCores() int { return len(c.sims) }
 // Evaluations returns the number of chip-level evaluations served so far.
 func (c *CoRunPlatform) Evaluations() uint64 { return c.evaluations.Load() }
 
+// CoreSimulations returns the number of core simulations the served
+// evaluations ran.
+func (c *CoRunPlatform) CoreSimulations() uint64 { return c.coreSims.Load() }
+
+// SharedCores returns the number of cores the served evaluations took from
+// another core's simulation of the same evaluation instead of simulating.
+func (c *CoRunPlatform) SharedCores() uint64 { return c.sharedCores.Load() }
+
 // EvaluateRequest implements platform.Platform — the one evaluation path. A
 // single program fans out to every core; FreqOverrides apply per core;
 // DetailTrace adds the summed chip trace and DetailResult the raw per-core
@@ -279,7 +332,7 @@ func (c *CoRunPlatform) EvaluateRequest(req platform.EvalRequest) (platform.Eval
 			progs[i] = req.Programs[0]
 		}
 	}
-	return c.evaluateDetailed(progs, req.FreqOverrides, req.Options, req.Detail)
+	return c.evaluateDetailed(progs, req.FreqOverrides, req.Options, req.Detail, true)
 }
 
 // EvaluateConfig implements the stress package's ConfigEvaluator: the shared
@@ -327,7 +380,8 @@ func (c *CoRunPlatform) SynthesizeCoRun(name string, cfg knobs.Config, syn *micr
 	return progs, nil
 }
 
-// coreRun is one core's contribution to a chip evaluation.
+// coreRun is one core's contribution to a chip evaluation. Cores that
+// share a simulation share its vector and trace, read-only.
 type coreRun struct {
 	vector metrics.Vector
 	trace  powersim.PowerTrace
@@ -337,11 +391,14 @@ type coreRun struct {
 	freqGHz float64
 }
 
-// evaluateDetailed fans the per-core simulations out (bit-identical to the
-// serial loop: each core owns its platform and results fold in core order),
-// sums the aligned traces and derives the chip metrics. freqsGHz optionally
-// overrides per-core clocks (zero entries keep the spec clock).
-func (c *CoRunPlatform) evaluateDetailed(progs []*program.Program, freqsGHz []float64, opts platform.EvalOptions, detail platform.EvalDetail) (platform.EvalResponse, error) {
+// evaluateDetailed simulates each distinct core once, fanning the
+// simulations out (bit-identical to the serial loop: each core owns its
+// platform and results fold in core order), sums the aligned traces and
+// derives the chip metrics. freqsGHz optionally overrides per-core clocks
+// (zero entries keep the spec clock). share lets cores that would run the
+// same simulation use one; without it every core simulates, which the
+// tests use as the reference.
+func (c *CoRunPlatform) evaluateDetailed(progs []*program.Program, freqsGHz []float64, opts platform.EvalOptions, detail platform.EvalDetail, share bool) (platform.EvalResponse, error) {
 	if len(progs) != len(c.sims) {
 		return platform.EvalResponse{}, fmt.Errorf("multicore: %d kernels for %d cores", len(progs), len(c.sims))
 	}
@@ -353,58 +410,75 @@ func (c *CoRunPlatform) evaluateDetailed(progs []*program.Program, freqsGHz []fl
 			return platform.EvalResponse{}, err
 		}
 	}
-	opts.CollectPower = true // chip metrics need every core's trace
-	runs, err := sched.Map(context.Background(), c.parallel, c.sims,
-		func(_ context.Context, i int, sim *platform.SimPlatform) (coreRun, error) {
+	for i, core := range c.spec.Cores {
+		c.freqs[i] = core.CPU.FrequencyGHz
+		if freqsGHz != nil && freqsGHz[i] > 0 {
+			c.freqs[i] = freqsGHz[i]
+		}
+	}
+	c.shareCores(progs, share)
+	// Only DetailResult copies the raw results out of the simulators'
+	// window scratch.
+	keep := detail >= platform.DetailResult
+	sims, err := sched.Map(context.Background(), c.parallel, c.distinct,
+		func(_ context.Context, _ int, i int) (coreRun, error) {
 			coreOpts := opts
-			freq := c.spec.Cores[i].CPU.FrequencyGHz
 			if freqsGHz != nil && freqsGHz[i] > 0 {
-				freq = freqsGHz[i]
-				coreOpts.FrequencyGHz = freq
+				coreOpts.FrequencyGHz = freqsGHz[i]
 			}
-			// Every core needs its trace; only DetailResult also copies the
-			// raw result out of the simulator's window scratch.
-			coreDetail := platform.DetailTrace
-			if detail >= platform.DetailResult {
-				coreDetail = platform.DetailResult
-			}
-			resp, err := sim.EvaluateRequest(platform.EvalRequest{
-				Programs: progs[i : i+1], Options: coreOpts, Detail: coreDetail,
-			})
+			v, trace, res, err := c.sims[i].EvaluateCore(progs[i], coreOpts, keep)
 			if err != nil {
 				return coreRun{}, fmt.Errorf("multicore: core %d: %w", i, err)
 			}
-			run := coreRun{vector: resp.Metrics, trace: resp.Trace, freqGHz: freq}
-			if detail >= platform.DetailResult {
-				run.result = resp.Results[0]
-			}
-			return run, nil
+			return coreRun{vector: v, trace: trace, result: res, freqGHz: c.freqs[i]}, nil
 		})
 	if err != nil {
 		return platform.EvalResponse{}, err
+	}
+	runs := c.runs
+	for i := range runs {
+		runs[i] = sims[c.slot[i]]
+		if keep && c.distinct[c.slot[i]] != i {
+			runs[i].result.Windows = slices.Clone(runs[i].result.Windows)
+		}
 	}
 
 	chip, err := c.sumTraces(runs)
 	if err != nil {
 		return platform.EvalResponse{}, fmt.Errorf("multicore: summing traces: %w", err)
 	}
+	steady := chip.TrimWarmupCapped(platform.TraceWarmupWindows)
 
-	v := metrics.Vector{}
+	// One laned droop solve: every distinct core's own supply on its
+	// trimmed trace, plus the shared supply on the chip trace when the chip
+	// is lumped.
+	c.models, c.lanes = c.models[:0], c.lanes[:0]
+	for j, i := range c.distinct {
+		c.models = append(c.models, c.spec.Cores[i].Supply)
+		c.lanes = append(c.lanes, sims[j].trace.TrimWarmupCapped(platform.TraceWarmupWindows))
+	}
+	if !c.spec.Spatial() {
+		c.models = append(c.models, c.spec.Supply)
+		c.lanes = append(c.lanes, steady)
+	}
+	droops := c.droops.WorstDroopsMV(c.models, c.lanes)
+
+	v := make(metrics.Vector, 4*len(runs)+4+2*len(c.nodeKeys))
 	for i, r := range runs {
-		v[coreMetric(i, metrics.IPC)] = r.vector[metrics.IPC]
-		v[coreMetric(i, metrics.DynamicPowerW)] = r.vector[metrics.DynamicPowerW]
-		v[coreMetric(i, metrics.WorstDroopMV)] = r.vector[metrics.WorstDroopMV]
-		v[coreMetric(i, metrics.FreqGHz)] = r.freqGHz
+		keys := &c.coreKeys[i]
+		v[keys.ipc] = r.vector[metrics.IPC]
+		v[keys.power] = r.vector[metrics.DynamicPowerW]
+		v[keys.droop] = droops[c.slot[i]]
+		v[keys.freq] = r.freqGHz
 	}
 	v[metrics.ChipPowerW] = chip.AvgPowerW()
-	steady := chip.TrimWarmupCapped(platform.TraceWarmupWindows)
 	v[metrics.ChipMaxDIDTWPerNS] = steady.MaxStepWPerNS()
 	if c.spec.Spatial() {
 		if err := c.spatialMetrics(runs, v); err != nil {
 			return platform.EvalResponse{}, err
 		}
 	} else {
-		v[metrics.ChipWorstDroopMV] = c.spec.Supply.WorstDroopMV(steady)
+		v[metrics.ChipWorstDroopMV] = droops[len(c.distinct)]
 		v[metrics.ChipTempC] = c.spec.Thermal.SteadyTempC(steady)
 	}
 
@@ -412,18 +486,63 @@ func (c *CoRunPlatform) evaluateDetailed(progs []*program.Program, freqsGHz []fl
 	if detail >= platform.DetailTrace {
 		resp.Trace = chip
 	}
-	if detail >= platform.DetailResult {
+	if keep {
 		resp.Results = make([]cpusim.Result, len(runs))
 		for i, r := range runs {
 			resp.Results[i] = r.result
 		}
 	}
-	// The counter moves only once the response is fully assembled:
+	// Keep no trace or vector of this evaluation alive until the next one.
+	clear(c.runs)
+	clear(c.lanes)
+	// The counters move only once the response is fully assembled:
 	// Evaluations() counts *served* chip evaluations, and the aggregation
 	// and spatial solves above can still fail after the per-core
 	// simulations succeeded.
 	c.evaluations.Add(1)
+	c.coreSims.Add(uint64(len(c.distinct)))
+	c.sharedCores.Add(uint64(len(runs) - len(c.distinct)))
 	return resp, nil
+}
+
+// shareCores fills c.distinct with the cores that simulate and c.slot with
+// each core's index into it. A core shares an earlier core's simulation
+// when the two have equal specs, the same effective clock (c.freqs) and the
+// same kernel content; without share every core simulates.
+func (c *CoRunPlatform) shareCores(progs []*program.Program, share bool) {
+	c.distinct = c.distinct[:0]
+	for i := range progs {
+		c.slot[i] = len(c.distinct)
+		if share {
+			for j, d := range c.distinct {
+				if c.specClass[i] == c.specClass[d] &&
+					math.Float64bits(c.freqs[i]) == math.Float64bits(c.freqs[d]) &&
+					sameKernel(progs[i], progs[d]) {
+					c.slot[i] = j
+					break
+				}
+			}
+		}
+		if c.slot[i] == len(c.distinct) {
+			c.distinct = append(c.distinct, i)
+		}
+	}
+}
+
+// sameKernel reports whether two kernels simulate identically: the same
+// program, or field-wise equal instructions, memory streams, branch
+// patterns and load addresses. Name and Meta do not reach the simulator.
+func sameKernel(a, b *program.Program) bool {
+	if a == b {
+		return true
+	}
+	if a == nil || b == nil {
+		return false
+	}
+	return a.CodeBase == b.CodeBase && a.DataBase == b.DataBase &&
+		slices.Equal(a.Instructions, b.Instructions) &&
+		slices.Equal(a.Streams, b.Streams) &&
+		slices.Equal(a.Patterns, b.Patterns)
 }
 
 // spatialMetrics runs the spatial supply/thermal solvers over the per-node
@@ -443,10 +562,9 @@ func (c *CoRunPlatform) spatialMetrics(runs []coreRun, v metrics.Vector) error {
 		return fmt.Errorf("multicore: spatial thermal solve: %w", err)
 	}
 	worstDroop, worstTemp := droops[0], temps[0]
-	cols := c.spec.Floorplan.Cols
 	for k := range droops {
-		v[metrics.NodeDroopMV(k/cols, k%cols)] = droops[k]
-		v[metrics.NodeTempC(k/cols, k%cols)] = temps[k]
+		v[c.nodeKeys[k].droop] = droops[k]
+		v[c.nodeKeys[k].temp] = temps[k]
 		if droops[k] > worstDroop {
 			worstDroop = droops[k]
 		}
@@ -562,6 +680,12 @@ func trimNodesAligned(nodes []powersim.PowerTrace, n int) []powersim.PowerTrace 
 	}
 	return out
 }
+
+// coreKeys are core i's per-core metric names.
+type coreKeys struct{ ipc, power, droop, freq string }
+
+// nodeKeys are grid node k's metric names.
+type nodeKeys struct{ droop, temp string }
 
 // coreMetric names core i's copy of a per-core metric ("core0_ipc", ...).
 func coreMetric(core int, name string) string {

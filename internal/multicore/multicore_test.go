@@ -477,9 +477,10 @@ func TestAlignedChipBeatsSkewedOnChipDIDT(t *testing.T) {
 	}
 }
 
-// TestEvaluationsCounterIsAtomic reads the evaluation counter from other
-// goroutines while the platform evaluates — the counter must be race-free
-// even though the platform itself is single-owner (run under -race in CI).
+// TestEvaluationsCounterIsAtomic reads the evaluation and core-sharing
+// counters from other goroutines while the platform evaluates — they must
+// be race-free even though the platform itself is single-owner (run under
+// -race in CI).
 func TestEvaluationsCounterIsAtomic(t *testing.T) {
 	c := twoSmall(t, 2)
 	p := testKernel(t)
@@ -491,6 +492,8 @@ func TestEvaluationsCounterIsAtomic(t *testing.T) {
 				return
 			default:
 				c.Evaluations()
+				c.CoreSimulations()
+				c.SharedCores()
 			}
 		}
 	}()

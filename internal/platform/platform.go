@@ -263,28 +263,11 @@ func (s *SimPlatform) Evaluations() uint64 { return s.evaluations }
 // very short runs).
 const TraceWarmupWindows = 16
 
-// addPowerMetrics extends the vector with the power model's outputs: average
-// dynamic power always, plus the transient-power metrics (worst-case supply
-// droop, maximum dI/dt step, steady-state hotspot temperature) whenever the
-// run recorded activity windows. It returns the untrimmed power trace the
-// transient metrics were derived from.
-func (s *SimPlatform) addPowerMetrics(v metrics.Vector, res cpusim.Result) powersim.PowerTrace {
-	v[metrics.DynamicPowerW] = s.power.DynamicPower(res)
-	trace := s.power.Trace(res)
-	if len(res.Windows) == 0 {
-		return trace
-	}
-	steady := trace.TrimWarmupCapped(TraceWarmupWindows)
-	v[metrics.WorstDroopMV] = s.spec.Supply.WorstDroopMV(steady)
-	v[metrics.MaxDIDTWPerCycle] = steady.MaxStepWPerCycle()
-	v[metrics.TempC] = s.spec.Thermal.SteadyTempC(steady)
-	return trace
-}
-
-// evaluate is the one evaluation path. sharedWindows selects the
-// copy-free window scratch for callers that do not let the Result escape.
-// With power collection it also returns the untrimmed power trace.
-func (s *SimPlatform) evaluate(p *program.Program, opts EvalOptions, sharedWindows bool) (metrics.Vector, cpusim.Result, powersim.PowerTrace, error) {
+// simulate is the cycle-domain step of an evaluation: one cpusim run of
+// the kernel. Its result does not depend on the clock. sharedWindows
+// selects the copy-free window scratch for callers that do not let the
+// Result escape past the next run.
+func (s *SimPlatform) simulate(p *program.Program, opts EvalOptions, sharedWindows bool) (cpusim.Result, error) {
 	opts = opts.normalized()
 	var res cpusim.Result
 	var err error
@@ -294,21 +277,57 @@ func (s *SimPlatform) evaluate(p *program.Program, opts EvalOptions, sharedWindo
 		res, err = s.cpu.Run(p, opts.DynamicInstructions, opts.Seed)
 	}
 	if err != nil {
-		return nil, cpusim.Result{}, powersim.PowerTrace{}, err
-	}
-	if opts.FrequencyGHz > 0 {
-		// The cycle-level result is clock-agnostic; relabelling its time
-		// base is all a DVFS override needs. Everything downstream (power
-		// conversion, trace, droop, temperature) reads the result's clock.
-		res.Config.FrequencyGHz = opts.FrequencyGHz
+		return cpusim.Result{}, err
 	}
 	s.evaluations++
-	v := ResultVector(res)
-	var trace powersim.PowerTrace
-	if opts.CollectPower {
-		trace = s.addPowerMetrics(v, res)
+	return res, nil
+}
+
+// timeDomain is the time-domain step: it puts the result on the effective
+// clock and turns it into the metric vector and, with power collection,
+// the dynamic power metric and the untrimmed power trace. The cycle-level
+// result is clock-agnostic, so relabelling its time base is all a DVFS
+// override needs; everything downstream reads the result's clock.
+func (s *SimPlatform) timeDomain(res *cpusim.Result, opts EvalOptions) (metrics.Vector, powersim.PowerTrace) {
+	if opts.FrequencyGHz > 0 {
+		res.Config.FrequencyGHz = opts.FrequencyGHz
 	}
-	return v, res, trace, nil
+	v := ResultVector(*res)
+	if !opts.CollectPower {
+		return v, powersim.PowerTrace{}
+	}
+	v[metrics.DynamicPowerW] = s.power.DynamicPower(*res)
+	return v, s.power.Trace(*res)
+}
+
+// addTransientMetrics is the transient step: worst-case supply droop,
+// maximum dI/dt step and steady-state hotspot temperature, derived from the
+// warm-up-trimmed trace whenever the run recorded activity windows.
+func (s *SimPlatform) addTransientMetrics(v metrics.Vector, trace powersim.PowerTrace) {
+	if trace.Empty() {
+		return
+	}
+	steady := trace.TrimWarmupCapped(TraceWarmupWindows)
+	v[metrics.WorstDroopMV] = s.spec.Supply.WorstDroopMV(steady)
+	v[metrics.MaxDIDTWPerCycle] = steady.MaxStepWPerCycle()
+	v[metrics.TempC] = s.spec.Thermal.SteadyTempC(steady)
+}
+
+// EvaluateCore serves one core of a chip evaluation: the cycle-domain and
+// time-domain steps only. It returns the metric vector with the dynamic
+// power, the untrimmed power trace and the raw result; the transient
+// metrics are left to the chip, which reports none of them per core except
+// the droop it solves itself. keepResult copies the result's activity
+// windows out of the simulator's scratch, so the Result stays valid after
+// the next run; without it the windows alias the scratch.
+func (s *SimPlatform) EvaluateCore(p *program.Program, opts EvalOptions, keepResult bool) (metrics.Vector, powersim.PowerTrace, cpusim.Result, error) {
+	res, err := s.simulate(p, opts, !keepResult)
+	if err != nil {
+		return nil, powersim.PowerTrace{}, cpusim.Result{}, err
+	}
+	opts.CollectPower = true
+	v, trace := s.timeDomain(&res, opts)
+	return v, trace, res, nil
 }
 
 // ResultVector converts a raw simulation result into the standard metric

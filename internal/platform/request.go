@@ -143,9 +143,13 @@ func (s *SimPlatform) EvaluateRequest(req EvalRequest) (EvalResponse, error) {
 	}
 	// Only DetailResult hands the raw result out, so the lower detail levels
 	// share the simulator's window scratch instead of copying it.
-	v, res, trace, err := s.evaluate(req.Programs[0], opts, req.Detail < DetailResult)
+	res, err := s.simulate(req.Programs[0], opts, req.Detail < DetailResult)
 	if err != nil {
 		return EvalResponse{}, err
+	}
+	v, trace := s.timeDomain(&res, opts)
+	if opts.CollectPower {
+		s.addTransientMetrics(v, trace)
 	}
 	resp := EvalResponse{Metrics: v}
 	if req.Detail >= DetailTrace {

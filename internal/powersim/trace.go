@@ -478,53 +478,14 @@ func (s SupplyModel) Validate() error {
 // trace's average current, so a perfectly constant load shows only its IR
 // drop while an oscillating load adds the resonant ripple on top.
 func (s SupplyModel) WorstDroopMV(t PowerTrace) float64 {
-	if t.Empty() || (!t.TimeDomain() && t.FrequencyGHz <= 0) {
+	if !s.droopable(t) {
 		return 0
 	}
-	// Load current per window (I = P/Vdd) and integration step per window.
-	// Cycle-domain traces keep the historical cycle arithmetic bit-for-bit;
-	// time-domain traces (mixed-frequency chip aggregates) carry their
-	// timing per point. The per-window step count and folded step constants
-	// (h/L, h/C — no divisions left in the integration loop) are computed
-	// once and replayed across all settling passes.
 	win := make([]supplyWindow, len(t.Points))
-	avg := 0.0
-	var weight float64
-	timeDomain := t.TimeDomain()
-	cycleS := 0.0
-	if !timeDomain {
-		cycleS = 1 / (t.FrequencyGHz * 1e9)
-	}
-	for n, p := range t.Points {
-		w := &win[n]
-		w.load = p.PowerW / s.VddV
-		var dt float64
-		if timeDomain {
-			dt = t.PointDurationNS(n) * 1e-9
-			avg += w.load * dt
-			weight += dt
-		} else {
-			dt = float64(p.Cycles) * cycleS
-			avg += w.load * float64(p.Cycles)
-			weight += float64(p.Cycles)
-		}
-		if dt == 0 {
-			continue
-		}
-		k := int(dt/s.MaxStepS) + 1
-		h := dt / float64(k)
-		w.steps = int32(k)
-		w.hOverL = h / s.InductanceH
-		w.hOverC = h / s.CapacitanceF
-	}
-	if weight == 0 {
+	i, v, ok := s.prepareWindows(t, win)
+	if !ok {
 		return 0
 	}
-	avg /= weight
-
-	// Warm start at the average-current operating point.
-	i := avg
-	v := s.VddV - avg*s.ResistanceOhm
 	vMin := v
 
 settle:
@@ -553,6 +514,57 @@ settle:
 		}
 	}
 	return (s.VddV - vMin) * 1000
+}
+
+// droopable reports whether the trace drives the supply solve at all: it has
+// samples and, unless it is a time-domain trace, a clock.
+func (s SupplyModel) droopable(t PowerTrace) bool {
+	return !t.Empty() && (t.TimeDomain() || t.FrequencyGHz > 0)
+}
+
+// prepareWindows overwrites win (one entry per trace point) with each window's
+// load current (I = P/Vdd), step count and folded step constants (h/L, h/C —
+// no divisions left in the integration loop), computed once and replayed
+// across all settling passes. Cycle-domain traces keep the historical cycle
+// arithmetic bit-for-bit; time-domain traces (mixed-frequency chip
+// aggregates) carry their timing per point. It returns the warm start at
+// the average-current operating point, or ok == false when the trace spans
+// no time.
+func (s SupplyModel) prepareWindows(t PowerTrace, win []supplyWindow) (i, v float64, ok bool) {
+	avg := 0.0
+	var weight float64
+	timeDomain := t.TimeDomain()
+	cycleS := 0.0
+	if !timeDomain {
+		cycleS = 1 / (t.FrequencyGHz * 1e9)
+	}
+	for n, p := range t.Points {
+		w := &win[n]
+		*w = supplyWindow{load: p.PowerW / s.VddV}
+		var dt float64
+		if timeDomain {
+			dt = t.PointDurationNS(n) * 1e-9
+			avg += w.load * dt
+			weight += dt
+		} else {
+			dt = float64(p.Cycles) * cycleS
+			avg += w.load * float64(p.Cycles)
+			weight += float64(p.Cycles)
+		}
+		if dt == 0 {
+			continue
+		}
+		k := int(dt/s.MaxStepS) + 1
+		h := dt / float64(k)
+		w.steps = int32(k)
+		w.hOverL = h / s.InductanceH
+		w.hOverC = h / s.CapacitanceF
+	}
+	if weight == 0 {
+		return 0, 0, false
+	}
+	avg /= weight
+	return avg, s.VddV - avg*s.ResistanceOhm, true
 }
 
 // supplyWindow is one trace window of the lumped supply solve: its load

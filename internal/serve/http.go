@@ -2,7 +2,9 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 )
 
@@ -48,9 +50,18 @@ func writeError(w http.ResponseWriter, code int, err error) {
 // buffer an arbitrarily large body.
 const maxJobRequestBytes = 1 << 20
 
+// handleSubmit accepts exactly one JSON job request per body: anything
+// after it but white space is rejected, as json.Unmarshal would.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobRequestBytes)).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobRequestBytes))
+	err := dec.Decode(&req)
+	if err == nil {
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = errors.New("data after the job request")
+		}
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decoding job request: %w", err))
 		return
 	}

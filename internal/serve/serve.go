@@ -100,10 +100,9 @@ type JobStatus struct {
 	Error    string    `json:"error,omitempty"`
 	// Rows is the number of progression rows streamed so far.
 	Rows int `json:"rows"`
-	// CacheHits and CacheMisses are the shared cache's counter deltas over
-	// the job's lifetime. With concurrent jobs the deltas are attributed
-	// approximately (the counters are shared — that is the feature); for a
-	// job running alone they are exact.
+	// CacheHits and CacheMisses count the job's own lookups in the shared
+	// cache: a hit may be a result another job stored, but another job's
+	// lookups never count here.
 	CacheHits   uint64 `json:"cache_hits"`
 	CacheMisses uint64 `json:"cache_misses"`
 }
@@ -170,8 +169,9 @@ type job struct {
 	rows    []experiments.ProgressRow
 	changed chan struct{}
 
-	startHits, startMisses uint64
-	hits, misses           uint64
+	// memo is the job's view of the shared cache group, attached when the
+	// job starts; its counters see only this job's lookups.
+	memo *evalcache.Group
 }
 
 // Server owns the shared caches, the job table and the worker pool.
@@ -195,6 +195,17 @@ type Server struct {
 // New builds a server around the configured shared cache and starts its
 // workers. Close releases them.
 func New(cfg Config) *Server {
+	s := newServer(cfg)
+	for i := 0; i < s.cfg.Workers; i++ {
+		s.wg.Add(1)
+		go s.worker()
+	}
+	return s
+}
+
+// newServer builds a server without starting its workers: submitted jobs
+// stay queued until Close.
+func newServer(cfg Config) *Server {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
@@ -216,10 +227,6 @@ func New(cfg Config) *Server {
 		jobs:   make(map[string]*job),
 		synths: make(map[microprobe.Options]*microprobe.CachingSynthesizer),
 		queue:  make(chan *job, queueCapacity),
-	}
-	for i := 0; i < cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
 	}
 	return s
 }
@@ -416,20 +423,16 @@ func (s *Server) Stats() Stats {
 // statusLocked snapshots a job's status. Caller holds s.mu.
 func (s *Server) statusLocked(jb *job) JobStatus {
 	st := JobStatus{
-		ID:          jb.id,
-		Kind:        jb.req.Kind,
-		State:       jb.state,
-		Created:     jb.created,
-		Started:     jb.started,
-		Finished:    jb.finished,
-		Rows:        len(jb.rows),
-		CacheHits:   jb.hits,
-		CacheMisses: jb.misses,
+		ID:       jb.id,
+		Kind:     jb.req.Kind,
+		State:    jb.state,
+		Created:  jb.created,
+		Started:  jb.started,
+		Finished: jb.finished,
+		Rows:     len(jb.rows),
 	}
-	if jb.state == StateRunning {
-		hits, misses := s.group.Stats()
-		st.CacheHits = hits - jb.startHits
-		st.CacheMisses = misses - jb.startMisses
+	if jb.memo != nil { // nil until the job starts
+		st.CacheHits, st.CacheMisses = jb.memo.Stats()
 	}
 	if jb.err != nil {
 		st.Error = jb.err.Error()
@@ -448,9 +451,6 @@ func (s *Server) finishLocked(jb *job, state State, err error) {
 	jb.state = state
 	jb.err = err
 	jb.finished = s.now()
-	hits, misses := s.group.Stats()
-	jb.hits = hits - jb.startHits
-	jb.misses = misses - jb.startMisses
 	jb.broadcastLocked()
 }
 
@@ -471,7 +471,7 @@ func (s *Server) runJob(jb *job) {
 	}
 	jb.state = StateRunning
 	jb.started = s.now()
-	jb.startHits, jb.startMisses = s.group.Stats()
+	jb.memo = s.group.Attach()
 	jb.broadcastLocked()
 	s.mu.Unlock()
 
@@ -550,7 +550,7 @@ func (s *Server) budgetFor(jb *job) experiments.Budget {
 	if b.Parallel < 1 || b.Parallel > s.cfg.Parallel {
 		b.Parallel = s.cfg.Parallel
 	}
-	b.Memo = s.group
+	b.Memo = jb.memo
 	b.Synth = s.synthFor(microprobe.Options{LoopSize: b.LoopSize, Seed: b.Seed})
 	b.OnProgress = func(row experiments.ProgressRow) { s.appendRow(jb, row) }
 	return b

@@ -355,6 +355,9 @@ func TestHTTPErrorPathsAndCancelEndpoint(t *testing.T) {
 	if code := post("/jobs", `{"kind":"no-such-virus"}`); code != http.StatusBadRequest {
 		t.Fatalf("unknown-kind submit status = %d", code)
 	}
+	if code := post("/jobs", `{"kind":"perf-virus"} {"kind":"perf-virus"}`); code != http.StatusBadRequest {
+		t.Fatalf("submit with trailing data status = %d", code)
+	}
 	if code := post("/jobs/no-such-job/cancel", ""); code != http.StatusNotFound {
 		t.Fatalf("cancel of unknown job status = %d", code)
 	}
