@@ -247,7 +247,7 @@ func (c *CPU) predecode(p *program.Program) {
 			hasDest:  d.HasDest,
 			longOp:   in.Op == isa.DIV || in.Op == isa.FDIVD,
 		}
-		for s := 0; s < in.NumSrcs && s < len(in.Srcs); s++ {
+		for s := 0; s < int(in.NumSrcs) && s < len(in.Srcs); s++ {
 			op.srcs[s] = uint16(in.Srcs[s].ID())
 		}
 	}

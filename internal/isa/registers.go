@@ -4,12 +4,12 @@ import "fmt"
 
 // Reg identifies an architectural register of the abstract ISA. Integer and
 // floating-point registers live in separate files, mirroring RISC-V x0..x31
-// and f0..f31.
+// and f0..f31. A Reg takes two bytes, which keeps program.Instruction small.
 type Reg struct {
 	// FP marks the floating-point register file.
 	FP bool
 	// Index is the register number within its file (0..31).
-	Index int
+	Index uint8
 }
 
 // NumIntRegs and NumFPRegs are the architectural register file sizes.
@@ -35,7 +35,7 @@ func IntReg(i int) Reg {
 	if i < 0 || i >= NumIntRegs {
 		panic(fmt.Sprintf("isa: integer register index %d out of range", i))
 	}
-	return Reg{Index: i}
+	return Reg{Index: uint8(i)}
 }
 
 // FPReg returns the floating-point register with the given index.
@@ -43,15 +43,15 @@ func FPReg(i int) Reg {
 	if i < 0 || i >= NumFPRegs {
 		panic(fmt.Sprintf("isa: fp register index %d out of range", i))
 	}
-	return Reg{FP: true, Index: i}
+	return Reg{FP: true, Index: uint8(i)}
 }
 
 // Valid reports whether r names an architectural register.
 func (r Reg) Valid() bool {
 	if r.FP {
-		return r.Index >= 0 && r.Index < NumFPRegs
+		return r.Index < NumFPRegs
 	}
-	return r.Index >= 0 && r.Index < NumIntRegs
+	return r.Index < NumIntRegs
 }
 
 // IsZero reports whether r is the hard-wired integer zero register.
@@ -70,9 +70,9 @@ func (r Reg) String() string {
 // registers to [32,64).
 func (r Reg) ID() int {
 	if r.FP {
-		return NumIntRegs + r.Index
+		return NumIntRegs + int(r.Index)
 	}
-	return r.Index
+	return int(r.Index)
 }
 
 // RegFromID is the inverse of Reg.ID.
@@ -81,9 +81,9 @@ func RegFromID(id int) Reg {
 		panic(fmt.Sprintf("isa: register id %d out of range", id))
 	}
 	if id >= NumIntRegs {
-		return Reg{FP: true, Index: id - NumIntRegs}
+		return Reg{FP: true, Index: uint8(id - NumIntRegs)}
 	}
-	return Reg{Index: id}
+	return Reg{Index: uint8(id)}
 }
 
 // TotalRegs is the total number of architectural registers across both files.

@@ -20,7 +20,7 @@ func TestSimpleBuildingBlockPass(t *testing.T) {
 	if p.StaticCount() != 50 {
 		t.Fatalf("static count %d, want 50", p.StaticCount())
 	}
-	if p.Instructions[0].Label != "kernel_loop" {
+	if p.Note(0).Label != "kernel_loop" {
 		t.Error("first instruction should carry the loop label")
 	}
 	last := p.Instructions[len(p.Instructions)-1]
@@ -48,7 +48,7 @@ func TestReserveRegistersPass(t *testing.T) {
 	if b.IsReserved(isa.IntReg(20)) {
 		t.Error("unreserved register reported reserved")
 	}
-	if err := b.Apply(ReserveRegistersPass{Regs: []isa.Reg{{Index: -1}}}); err == nil {
+	if err := b.Apply(ReserveRegistersPass{Regs: []isa.Reg{{Index: isa.NumIntRegs}}}); err == nil {
 		t.Error("invalid register should be rejected")
 	}
 }

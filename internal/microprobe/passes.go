@@ -1,7 +1,9 @@
 package microprobe
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"micrograd/internal/isa"
@@ -33,7 +35,6 @@ func (p SimpleBuildingBlockPass) Apply(b *Builder) error {
 	for i := range instrs {
 		instrs[i] = program.Instruction{Op: isa.NOP, Stream: program.NoStream, Pattern: program.NoPattern}
 	}
-	instrs[0].Label = "kernel_loop"
 	// Loop-closing branch: bge x5, x0, kernel_loop (always taken back edge).
 	instrs[p.LoopSize-1] = program.Instruction{
 		Op:      isa.BGE,
@@ -41,9 +42,10 @@ func (p SimpleBuildingBlockPass) Apply(b *Builder) error {
 		NumSrcs: 2,
 		Stream:  program.NoStream,
 		Pattern: program.NoPattern,
-		Comment: "loop close",
 	}
 	b.prog.Instructions = instrs
+	b.prog.SetLabel(0, "kernel_loop")
+	b.prog.SetComment(p.LoopSize-1, "loop close")
 	return nil
 }
 
@@ -161,7 +163,7 @@ func (p SetInstructionTypeByProfilePass) Apply(b *Builder) error {
 		remaining[best]--
 		in := &b.prog.Instructions[slot]
 		in.Op = entries[best].op
-		in.NumSrcs = isa.Describe(in.Op).NumSources
+		in.NumSrcs = uint8(isa.Describe(in.Op).NumSources)
 	}
 	b.profile = make(map[isa.Opcode]float64, len(p.Profile))
 	for op, w := range p.Profile {
@@ -223,7 +225,7 @@ func (p DutyCyclePass) Apply(b *Builder) error {
 		in.Op = isa.DIV
 		in.Dest = throttle
 		in.Srcs = [2]isa.Reg{throttle, throttle}
-		in.NumSrcs = isa.Describe(isa.DIV).NumSources
+		in.NumSrcs = uint8(isa.Describe(isa.DIV).NumSources)
 		in.Stream = program.NoStream
 		in.Pattern = program.NoPattern
 	}
@@ -242,7 +244,8 @@ func (p DutyCyclePass) Apply(b *Builder) error {
 //
 // The pass must run after every pass that assigns opcodes, operands or
 // streams by position (profile placement, register allocation, duty cycling):
-// instructions move together with their operands, so dataflow is untouched.
+// instructions move together with their operands and comments, so dataflow is
+// untouched; the loop label stays on slot 0.
 type PhaseRotatePass struct {
 	// OffsetInstrs is the rotation distance in static instructions; it is
 	// reduced modulo the body length.
@@ -271,10 +274,21 @@ func (p PhaseRotatePass) Apply(b *Builder) error {
 	rotated := make([]program.Instruction, body)
 	for i := 0; i < body; i++ {
 		rotated[i] = b.prog.Instructions[(i+off)%body]
-		rotated[i].Label = ""
 	}
-	rotated[0].Label = "kernel_loop"
 	copy(b.prog.Instructions, rotated)
+	notes := make([]program.Note, 0, len(b.prog.Notes))
+	for _, n := range b.prog.Notes {
+		if n.Index < body {
+			n.Index = (n.Index - off + body) % body
+			n.Label = ""
+		}
+		if n.Label != "" || n.Comment != "" {
+			notes = append(notes, n)
+		}
+	}
+	slices.SortFunc(notes, func(a, c program.Note) int { return cmp.Compare(a.Index, c.Index) })
+	b.prog.Notes = notes
+	b.prog.SetLabel(0, "kernel_loop")
 	return nil
 }
 
@@ -344,7 +358,7 @@ func (p RandomizeByTypePass) Apply(b *Builder) error {
 	last := len(b.prog.Instructions) - 1
 	for i := 0; i < last; i++ {
 		if b.prog.Instructions[i].IsCondBranch() {
-			b.prog.Instructions[i].Pattern = pattern.ID
+			b.prog.Instructions[i].Pattern = int32(pattern.ID)
 		}
 	}
 	return nil
@@ -436,7 +450,7 @@ func (p GenericMemoryStreamsPass) Apply(b *Builder) error {
 			}
 		}
 		credit[best] -= 1.0
-		in.Stream = best
+		in.Stream = int32(best)
 	}
 	return nil
 }
@@ -492,7 +506,7 @@ func (p DefaultRegisterAllocationPass) Apply(b *Builder) error {
 			reg := fpPool[fpIdx%fpN]
 			in.Dest = reg
 			in.Srcs = [2]isa.Reg{reg, reg}
-			in.NumSrcs = d.NumSources
+			in.NumSrcs = uint8(d.NumSources)
 			fpIdx++
 		case in.Op.Class() == isa.ClassLoad:
 			reg := intPool[intIdx%intN]
@@ -513,7 +527,7 @@ func (p DefaultRegisterAllocationPass) Apply(b *Builder) error {
 			reg := intPool[intIdx%intN]
 			in.Dest = reg
 			in.Srcs = [2]isa.Reg{reg, reg}
-			in.NumSrcs = d.NumSources
+			in.NumSrcs = uint8(d.NumSources)
 			intIdx++
 		default: // NOP
 			in.NumSrcs = 0
@@ -534,14 +548,14 @@ func (UpdateInstructionAddressesPass) Name() string { return "UpdateInstructionA
 
 // Apply implements Pass.
 func (p UpdateInstructionAddressesPass) Apply(b *Builder) error {
-	perStream := make(map[int]int)
+	perStream := make(map[int32]int)
 	for i := range b.prog.Instructions {
 		in := &b.prog.Instructions[i]
 		if !in.IsMemory() {
 			continue
 		}
 		s := in.Stream
-		if s < 0 || s >= len(b.prog.Streams) {
+		if s < 0 || int(s) >= len(b.prog.Streams) {
 			return fmt.Errorf("memory instruction %d has no stream assigned (run GenericMemoryStreamsPass first)", i)
 		}
 		stream := b.prog.Streams[s]
@@ -553,7 +567,7 @@ func (p UpdateInstructionAddressesPass) Apply(b *Builder) error {
 
 // streamBaseReg returns the architectural base register used to address the
 // given stream in emitted assembly (streams alternate between two bases).
-func streamBaseReg(stream int) isa.Reg {
+func streamBaseReg(stream int32) isa.Reg {
 	if stream >= 0 && stream%2 == 1 {
 		return isa.RegBas2
 	}

@@ -1,10 +1,12 @@
 package microprobe
 
 import (
+	"slices"
 	"testing"
 
 	"micrograd/internal/isa"
 	"micrograd/internal/knobs"
+	"micrograd/internal/program"
 )
 
 // phaseSettings returns duty-cycled settings with the given rotation.
@@ -46,8 +48,8 @@ func TestPhaseRotatePreservesInstructionMultiset(t *testing.T) {
 		t.Errorf("rotated slot 0 holds %v, want base slot %d's %v",
 			rotated.Instructions[0].Op, off, base.Instructions[off].Op)
 	}
-	if rotated.Instructions[0].Label != "kernel_loop" {
-		t.Errorf("loop label must stay on slot 0, got %q", rotated.Instructions[0].Label)
+	if got := rotated.Note(0).Label; got != "kernel_loop" {
+		t.Errorf("loop label must stay on slot 0, got %q", got)
 	}
 	if rotated.Instructions[body].Op != isa.BGE {
 		t.Error("loop-closing branch must stay in place")
@@ -126,5 +128,33 @@ func TestPhaseRotatePassValidation(t *testing.T) {
 		if in.Op != before[i] {
 			t.Errorf("full-body rotation should be the identity (slot %d)", i)
 		}
+	}
+}
+
+// TestPhaseRotateMovesNotes checks that rotation keeps the loop label on
+// slot 0, moves a body instruction's comment with the instruction, and
+// leaves the loop-closing branch's note in place.
+func TestPhaseRotateMovesNotes(t *testing.T) {
+	b := NewBuilder("notes", nil)
+	if err := b.Apply(SimpleBuildingBlockPass{LoopSize: 10}); err != nil {
+		t.Fatal(err)
+	}
+	p := b.Program()
+	p.Instructions[4].Op = isa.ADD
+	p.SetComment(4, "marked")
+	p.SetLabel(6, "stale")
+	if err := b.Apply(PhaseRotatePass{OffsetInstrs: 3}); err != nil {
+		t.Fatal(err)
+	}
+	want := []program.Note{
+		{Index: 0, Label: "kernel_loop"},
+		{Index: 1, Comment: "marked"},
+		{Index: 9, Comment: "loop close"},
+	}
+	if !slices.Equal(p.Notes, want) {
+		t.Fatalf("rotated notes = %+v, want %+v", p.Notes, want)
+	}
+	if p.Instructions[1].Op != isa.ADD {
+		t.Errorf("commented instruction moved to slot 1 without its opcode: %v", p.Instructions[1].Op)
 	}
 }

@@ -531,7 +531,8 @@ func (c *CoRunPlatform) shareCores(progs []*program.Program, share bool) {
 
 // sameKernel reports whether two kernels simulate identically: the same
 // program, or field-wise equal instructions, memory streams, branch
-// patterns and load addresses. Name and Meta do not reach the simulator.
+// patterns and load addresses. Name, Meta and Notes do not reach the
+// simulator.
 func sameKernel(a, b *program.Program) bool {
 	if a == b {
 		return true

@@ -42,12 +42,13 @@ func (p *Program) EmitAssembly(w io.Writer) error {
 
 	ew.printf("\nkernel_loop:\n")
 	for i, in := range p.Instructions {
-		if in.Label != "" && in.Label != "kernel_loop" {
-			ew.printf("%s:\n", in.Label)
+		note := p.Note(i)
+		if note.Label != "" && note.Label != "kernel_loop" {
+			ew.printf("%s:\n", note.Label)
 		}
 		ew.printf("\t%s", p.formatInstr(i, in))
-		if in.Comment != "" {
-			ew.printf("\t# %s", in.Comment)
+		if note.Comment != "" {
+			ew.printf("\t# %s", note.Comment)
 		}
 		ew.printf("\n")
 	}
@@ -91,7 +92,7 @@ func (p *Program) formatInstr(idx int, in Instruction) string {
 		return "nop"
 	default:
 		srcs := ""
-		for s := 0; s < in.NumSrcs; s++ {
+		for s := 0; s < int(in.NumSrcs); s++ {
 			srcs += ", " + in.Srcs[s].String()
 		}
 		return fmt.Sprintf("%s %s%s", mn, in.Dest.String(), srcs)

@@ -92,7 +92,7 @@ func (p *Program) cStatement(in Instruction) string {
 			s.ID, s.ID, s.ID, s.ID, s.StrideBytes, s.FootprintBytes, in.Op)
 	case isa.ClassBranch:
 		ratio := 0.0
-		if in.Pattern >= 0 && in.Pattern < len(p.Patterns) {
+		if in.Pattern >= 0 && int(in.Pattern) < len(p.Patterns) {
 			ratio = p.Patterns[in.Pattern].RandomRatio
 		}
 		threshold := uint32(float64(^uint32(0)) * ratio * 0.5)

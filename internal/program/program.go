@@ -11,7 +11,9 @@
 package program
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"micrograd/internal/isa"
@@ -24,7 +26,10 @@ const (
 	NoPattern = -1
 )
 
-// Instruction is one static instruction of the synthetic loop body.
+// Instruction is one static instruction of the synthetic loop body. It is
+// 24 bytes: synthesis memos keep every kernel they build, so the field
+// widths are as narrow as their ranges allow, and the assembler labels and
+// comments that only two instructions carry live in Program.Notes.
 type Instruction struct {
 	// Op is the opcode.
 	Op isa.Opcode
@@ -34,13 +39,19 @@ type Instruction struct {
 	// Srcs are the register source operands (up to two are used).
 	Srcs [2]isa.Reg
 	// NumSrcs is the number of valid entries in Srcs.
-	NumSrcs int
+	NumSrcs uint8
 	// Imm is an immediate operand (branch displacement, address offset).
 	Imm int64
 	// Stream indexes Program.Streams for memory instructions, or NoStream.
-	Stream int
+	Stream int32
 	// Pattern indexes Program.Patterns for conditional branches, or NoPattern.
-	Pattern int
+	Pattern int32
+}
+
+// Note is the assembler text attached to one static instruction.
+type Note struct {
+	// Index is the annotated instruction's position in Program.Instructions.
+	Index int
 	// Label optionally names the instruction (used for the loop head).
 	Label string
 	// Comment is free-form text carried into the emitted assembly.
@@ -139,6 +150,10 @@ type Program struct {
 	Streams []MemoryStream
 	// Patterns are the branch patterns referenced by conditional branches.
 	Patterns []BranchPattern
+	// Notes are the instructions' assembler labels and comments, sorted by
+	// Index, at most one per instruction. Generated kernels annotate only
+	// the loop head and the loop-closing branch.
+	Notes []Note
 	// CodeBase is the virtual address of the first instruction; instruction
 	// i sits at CodeBase + 4*i (fixed 4-byte encoding).
 	CodeBase uint64
@@ -178,6 +193,49 @@ func (p *Program) PC(i int) uint64 { return p.CodeBase + uint64(i)*InstrBytes }
 
 // CodeBytes returns the total encoded size of the loop body.
 func (p *Program) CodeBytes() int { return len(p.Instructions) * InstrBytes }
+
+// Note returns the label and comment of instruction i (empty when it has
+// none).
+func (p *Program) Note(i int) Note {
+	if j, ok := p.noteIndex(i); ok {
+		return p.Notes[j]
+	}
+	return Note{Index: i}
+}
+
+// SetLabel sets the label of instruction i; an empty label removes it.
+func (p *Program) SetLabel(i int, label string) {
+	n := p.Note(i)
+	n.Label = label
+	p.setNote(n)
+}
+
+// SetComment sets the comment of instruction i; an empty comment removes it.
+func (p *Program) SetComment(i int, comment string) {
+	n := p.Note(i)
+	n.Comment = comment
+	p.setNote(n)
+}
+
+// noteIndex finds instruction i's note in the sorted Notes.
+func (p *Program) noteIndex(i int) (int, bool) {
+	return slices.BinarySearchFunc(p.Notes, i, func(n Note, i int) int { return cmp.Compare(n.Index, i) })
+}
+
+// setNote stores n in sorted position, dropping it when it is empty.
+func (p *Program) setNote(n Note) {
+	j, found := p.noteIndex(n.Index)
+	switch {
+	case n.Label == "" && n.Comment == "":
+		if found {
+			p.Notes = slices.Delete(p.Notes, j, j+1)
+		}
+	case found:
+		p.Notes[j] = n
+	default:
+		p.Notes = slices.Insert(p.Notes, j, n)
+	}
+}
 
 // FootprintBytes returns the total data footprint across all streams.
 func (p *Program) FootprintBytes() int {
@@ -238,25 +296,33 @@ func (p *Program) Validate() error {
 		if d.HasDest && !in.Dest.Valid() {
 			return fmt.Errorf("program %q: instruction %d (%v) has invalid dest", p.Name, i, in.Op)
 		}
-		if in.NumSrcs < 0 || in.NumSrcs > 2 {
+		if in.NumSrcs > 2 {
 			return fmt.Errorf("program %q: instruction %d has NumSrcs %d", p.Name, i, in.NumSrcs)
 		}
-		for s := 0; s < in.NumSrcs; s++ {
+		for s := 0; s < int(in.NumSrcs); s++ {
 			if !in.Srcs[s].Valid() {
 				return fmt.Errorf("program %q: instruction %d (%v) has invalid src %d", p.Name, i, in.Op, s)
 			}
 		}
 		if in.IsMemory() {
-			if in.Stream < 0 || in.Stream >= len(p.Streams) {
+			if in.Stream < 0 || int(in.Stream) >= len(p.Streams) {
 				return fmt.Errorf("program %q: memory instruction %d references stream %d of %d", p.Name, i, in.Stream, len(p.Streams))
 			}
 		} else if in.Stream != NoStream {
 			return fmt.Errorf("program %q: non-memory instruction %d references stream %d", p.Name, i, in.Stream)
 		}
 		if in.IsCondBranch() && i != len(p.Instructions)-1 {
-			if in.Pattern < 0 || in.Pattern >= len(p.Patterns) {
+			if in.Pattern < 0 || int(in.Pattern) >= len(p.Patterns) {
 				return fmt.Errorf("program %q: branch instruction %d references pattern %d of %d", p.Name, i, in.Pattern, len(p.Patterns))
 			}
+		}
+	}
+	for j, n := range p.Notes {
+		if n.Index < 0 || n.Index >= len(p.Instructions) {
+			return fmt.Errorf("program %q: note on instruction %d of %d", p.Name, n.Index, len(p.Instructions))
+		}
+		if j > 0 && n.Index <= p.Notes[j-1].Index {
+			return fmt.Errorf("program %q: notes out of order at instruction %d", p.Name, n.Index)
 		}
 	}
 	last := p.Instructions[len(p.Instructions)-1]
@@ -292,6 +358,7 @@ func (p *Program) Clone() *Program {
 	out.Instructions = append([]Instruction(nil), p.Instructions...)
 	out.Streams = append([]MemoryStream(nil), p.Streams...)
 	out.Patterns = append([]BranchPattern(nil), p.Patterns...)
+	out.Notes = append([]Note(nil), p.Notes...)
 	out.Meta = make(map[string]string, len(p.Meta))
 	for k, v := range p.Meta {
 		out.Meta[k] = v

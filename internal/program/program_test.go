@@ -2,8 +2,10 @@ package program
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"micrograd/internal/isa"
 )
@@ -20,13 +22,15 @@ func testProgram(t *testing.T) *Program {
 	r := func(i int) isa.Reg { return isa.IntReg(10 + i) }
 	f := func(i int) isa.Reg { return isa.FPReg(i) }
 	p.Instructions = []Instruction{
-		{Op: isa.ADD, Dest: r(0), Srcs: [2]isa.Reg{r(1), r(2)}, NumSrcs: 2, Stream: NoStream, Pattern: NoPattern, Label: "kernel_loop"},
+		{Op: isa.ADD, Dest: r(0), Srcs: [2]isa.Reg{r(1), r(2)}, NumSrcs: 2, Stream: NoStream, Pattern: NoPattern},
 		{Op: isa.LD, Dest: r(1), Srcs: [2]isa.Reg{isa.RegBase}, NumSrcs: 1, Stream: 0, Pattern: NoPattern},
 		{Op: isa.FMULD, Dest: f(1), Srcs: [2]isa.Reg{f(2), f(3)}, NumSrcs: 2, Stream: NoStream, Pattern: NoPattern},
 		{Op: isa.BEQ, Srcs: [2]isa.Reg{r(0), r(1)}, NumSrcs: 2, Stream: NoStream, Pattern: 0},
 		{Op: isa.SW, Srcs: [2]isa.Reg{r(0), isa.RegBas2}, NumSrcs: 2, Stream: 1, Pattern: NoPattern},
-		{Op: isa.BGE, Srcs: [2]isa.Reg{isa.RegLoop, isa.RegZero}, NumSrcs: 2, Stream: NoStream, Pattern: NoPattern, Comment: "loop close"},
+		{Op: isa.BGE, Srcs: [2]isa.Reg{isa.RegLoop, isa.RegZero}, NumSrcs: 2, Stream: NoStream, Pattern: NoPattern},
 	}
+	p.SetLabel(0, "kernel_loop")
+	p.SetComment(5, "loop close")
 	if err := p.Validate(); err != nil {
 		t.Fatalf("test program invalid: %v", err)
 	}
@@ -97,6 +101,10 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		{"branch without pattern", func(p *Program) { p.Instructions[3].Pattern = NoPattern }},
 		{"last not branch", func(p *Program) { p.Instructions[len(p.Instructions)-1] = p.Instructions[0] }},
 		{"bad numsrcs", func(p *Program) { p.Instructions[0].NumSrcs = 5 }},
+		{"dest index out of range", func(p *Program) { p.Instructions[0].Dest = isa.Reg{Index: isa.NumIntRegs} }},
+		{"src index out of range", func(p *Program) { p.Instructions[2].Srcs[1] = isa.Reg{FP: true, Index: isa.NumFPRegs} }},
+		{"note out of range", func(p *Program) { p.Notes = append(p.Notes, Note{Index: 6, Comment: "past the end"}) }},
+		{"notes out of order", func(p *Program) { p.Notes[0], p.Notes[1] = p.Notes[1], p.Notes[0] }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -119,8 +127,61 @@ func TestClone(t *testing.T) {
 	c.Instructions[0].Op = isa.MUL
 	c.Streams[0].StrideBytes = 999
 	c.Meta["seed"] = "1"
+	c.Notes[0].Label = "renamed"
 	if p.Instructions[0].Op == isa.MUL || p.Streams[0].StrideBytes == 999 || p.Meta["seed"] == "1" {
 		t.Error("mutating the clone affected the original")
+	}
+	if p.Note(0).Label != "kernel_loop" {
+		t.Error("mutating the clone's notes affected the original")
+	}
+}
+
+// TestInstructionEncodingSize pins the compact kernel encoding: synthesis
+// memos hold every kernel they build, so a wider field is a memory
+// regression on every cached instruction.
+func TestInstructionEncodingSize(t *testing.T) {
+	if got := unsafe.Sizeof(isa.Reg{}); got != 2 {
+		t.Errorf("isa.Reg is %d bytes, want 2", got)
+	}
+	if got := unsafe.Sizeof(Instruction{}); got != 24 {
+		t.Errorf("Instruction is %d bytes, want 24", got)
+	}
+}
+
+func TestNotes(t *testing.T) {
+	p := testProgram(t)
+	if n := p.Note(0); n.Label != "kernel_loop" || n.Comment != "" {
+		t.Errorf("Note(0) = %+v", n)
+	}
+	if n := p.Note(3); n != (Note{Index: 3}) {
+		t.Errorf("unannotated Note(3) = %+v", n)
+	}
+	p.SetComment(3, "hot branch")
+	p.SetLabel(3, "inner")
+	p.SetComment(0, "head")
+	want := []Note{
+		{Index: 0, Label: "kernel_loop", Comment: "head"},
+		{Index: 3, Label: "inner", Comment: "hot branch"},
+		{Index: 5, Comment: "loop close"},
+	}
+	if !slices.Equal(p.Notes, want) {
+		t.Fatalf("Notes = %+v, want %+v", p.Notes, want)
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := p.EmitAssembly(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "inner:\n\tbeq x10, x11, .+4\t# hot branch\n") {
+		t.Errorf("assembly lacks the labelled, commented branch:\n%s", buf.String())
+	}
+	// Clearing both strings removes the note.
+	p.SetLabel(3, "")
+	p.SetComment(3, "")
+	if len(p.Notes) != 2 || p.Note(3) != (Note{Index: 3}) {
+		t.Errorf("cleared note kept: %+v", p.Notes)
 	}
 }
 

@@ -211,7 +211,7 @@ func Reuse(e *Expander, p *program.Program, seed int64) *Expander {
 			if i == n-1 {
 				m.kind = kindLoopClose
 			} else if in.IsCondBranch() {
-				if in.Pattern >= 0 && in.Pattern < len(p.Patterns) {
+				if in.Pattern >= 0 && int(in.Pattern) < len(p.Patterns) {
 					m.kind = kindPattern
 					m.index = int32(in.Pattern)
 				} else {

@@ -108,7 +108,7 @@ func TestStrideAddressProgression(t *testing.T) {
 	for i := 0; i < 20000 && len(coldAddrs) < 100; i++ {
 		ent := e.Next()
 		in := p.Instructions[ent.Static]
-		if in.IsMemory() && in.Stream == cold {
+		if in.IsMemory() && int(in.Stream) == cold {
 			coldAddrs = append(coldAddrs, ent.Addr)
 		}
 	}
