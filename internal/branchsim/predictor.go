@@ -5,7 +5,10 @@
 // charges a squash penalty for every mispredicted branch.
 package branchsim
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Kind selects the prediction scheme.
 type Kind uint8
@@ -74,8 +77,11 @@ func (s Stats) Accuracy() float64 { return 1 - s.MispredictRate() }
 
 // Predictor is a direction predictor with 2-bit saturating counters.
 type Predictor struct {
-	cfg     Config
-	table   []uint8
+	cfg   Config
+	table []uint8
+	// fresh is the table as New builds it; Reset copies it back in one go
+	// instead of refilling the table a counter at a time.
+	fresh   []uint8
 	mask    uint64
 	history uint64
 	histMsk uint64
@@ -89,16 +95,17 @@ func New(cfg Config) (*Predictor, error) {
 		return nil, err
 	}
 	size := 1 << cfg.TableBits
-	p := &Predictor{
+	fresh := make([]uint8, size)
+	for i := range fresh {
+		fresh[i] = 2 // weakly taken
+	}
+	return &Predictor{
 		cfg:     cfg,
-		table:   make([]uint8, size),
+		table:   slices.Clone(fresh),
+		fresh:   fresh,
 		mask:    uint64(size - 1),
 		histMsk: (1 << uint(cfg.HistoryBits)) - 1,
-	}
-	for i := range p.table {
-		p.table[i] = 2 // weakly taken
-	}
-	return p, nil
+	}, nil
 }
 
 // Config returns the predictor configuration.
@@ -109,9 +116,7 @@ func (p *Predictor) Stats() Stats { return p.stats }
 
 // Reset clears the predictor state and statistics.
 func (p *Predictor) Reset() {
-	for i := range p.table {
-		p.table[i] = 2
-	}
+	copy(p.table, p.fresh)
 	p.history = 0
 	p.stats = Stats{}
 }

@@ -2,6 +2,7 @@ package branchsim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -119,6 +120,30 @@ func TestResetAndStats(t *testing.T) {
 	}
 	if p.Config().Kind != Bimodal {
 		t.Error("Config accessor broken")
+	}
+}
+
+// TestResetAfterRunEqualsNew checks that Reset restores every counter, the
+// history and the statistics to exactly what New builds, on a table large
+// enough to hold the Large core's predictor.
+func TestResetAfterRunEqualsNew(t *testing.T) {
+	for _, cfg := range []Config{gshareCfg(), bimodalCfg(), {Kind: GShare, TableBits: 14, HistoryBits: 12}} {
+		p, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < 50000; i++ {
+			p.Predict(uint64(rng.Intn(1<<16))<<2, rng.Intn(3) == 0)
+		}
+		p.Reset()
+		fresh, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(p, fresh) {
+			t.Errorf("%v/%d bits: predictor after a run and Reset differs from a fresh New", cfg.Kind, cfg.TableBits)
+		}
 	}
 }
 

@@ -98,6 +98,14 @@ func (c *CachingSynthesizer) SynthesizeSettings(name string, set knobs.Settings)
 	return p, nil
 }
 
+// Len returns the number of kernels the memo holds, one per distinct kernel
+// name and settings. The memo never evicts, so Len only grows.
+func (c *CachingSynthesizer) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.cache)
+}
+
 // Stats returns the memo's cumulative hit and miss counts.
 func (c *CachingSynthesizer) Stats() (hits, misses uint64) {
 	return c.hits.Load(), c.misses.Load()

@@ -27,6 +27,9 @@ func TestCachingSynthesizerReusesPrograms(t *testing.T) {
 	if hits, misses := c.Stats(); hits != 1 || misses != 1 {
 		t.Errorf("stats = %d hits / %d misses, want 1 / 1", hits, misses)
 	}
+	if n := c.Len(); n != 1 {
+		t.Errorf("Len = %d after one distinct kernel, want 1", n)
+	}
 
 	// A different kernel name is a different cache entry even for the same
 	// configuration.
@@ -36,6 +39,9 @@ func TestCachingSynthesizerReusesPrograms(t *testing.T) {
 	}
 	if p3 == p1 {
 		t.Error("different kernel names must not share cache entries")
+	}
+	if n := c.Len(); n != 2 {
+		t.Errorf("Len = %d after two distinct kernels, want 2", n)
 	}
 
 	// The cached program matches a plain synthesis bit for bit.
@@ -82,5 +88,8 @@ func TestCachingSynthesizerDedupesEvalTimeKnobs(t *testing.T) {
 	}
 	if hits, misses := c.Stats(); hits != 1 || misses != 1 {
 		t.Errorf("stats = %d hits / %d misses, want 1 / 1", hits, misses)
+	}
+	if n := c.Len(); n != 1 {
+		t.Errorf("Len = %d, want 1 shared kernel", n)
 	}
 }

@@ -27,8 +27,9 @@ type Options struct {
 	HotStreamBytes int
 }
 
-// normalized returns the options with defaults filled in.
-func (o Options) normalized() Options {
+// Normalized returns the options with defaults filled in. Synthesizers with
+// equal normalized options generate identical programs.
+func (o Options) Normalized() Options {
 	if o.LoopSize == 0 {
 		o.LoopSize = DefaultLoopSize
 	}
@@ -48,7 +49,7 @@ type Synthesizer struct {
 
 // NewSynthesizer returns a Synthesizer with the given options.
 func NewSynthesizer(opts Options) *Synthesizer {
-	return &Synthesizer{opts: opts.normalized()}
+	return &Synthesizer{opts: opts.Normalized()}
 }
 
 // LoopSize returns the static loop size the synthesizer generates.

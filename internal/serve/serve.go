@@ -124,10 +124,12 @@ type Stats struct {
 	// DiskPutErrors counts results a disk-backed cache failed to persist
 	// (zero for in-memory caches).
 	DiskPutErrors uint64 `json:"disk_put_errors"`
-	// SynthHits/SynthMisses/Synthesizers describe the synthesis memo pool.
+	// SynthHits/SynthMisses/Synthesizers describe the synthesis memo pool,
+	// and SynthKernels is the number of kernels its memos hold.
 	SynthHits    uint64 `json:"synth_hits"`
 	SynthMisses  uint64 `json:"synth_misses"`
 	Synthesizers int    `json:"synthesizers"`
+	SynthKernels int    `json:"synth_kernels"`
 	// Per-state job counts.
 	Queued    int `json:"queued"`
 	Running   int `json:"running"`
@@ -399,9 +401,11 @@ func (s *Server) Stats() Stats {
 		st.DiskPutErrors = dc.PutErrors()
 	}
 	for _, key := range s.synthKeys {
-		h, m := s.synths[key].Stats()
+		syn := s.synths[key]
+		h, m := syn.Stats()
 		st.SynthHits += h
 		st.SynthMisses += m
+		st.SynthKernels += syn.Len()
 	}
 	for _, id := range s.order {
 		switch s.jobs[id].state {
@@ -504,16 +508,16 @@ func (s *Server) appendRow(jb *job, row experiments.ProgressRow) {
 // what lets two jobs with the same loop size and seed share synthesized
 // kernels while jobs with different options stay apart.
 func (s *Server) synthFor(opts microprobe.Options) *microprobe.CachingSynthesizer {
-	fresh := microprobe.NewCachingSynthesizer(opts)
-	key := fresh.Options() // normalized
+	key := opts.Normalized()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if syn, ok := s.synths[key]; ok {
 		return syn
 	}
-	s.synths[key] = fresh
+	syn := microprobe.NewCachingSynthesizer(key)
+	s.synths[key] = syn
 	s.synthKeys = append(s.synthKeys, key)
-	return fresh
+	return syn
 }
 
 // budgetFor translates a job request into an experiments budget wired to

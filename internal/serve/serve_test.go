@@ -16,6 +16,7 @@ import (
 	"micrograd/internal/evalcache"
 	"micrograd/internal/experiments"
 	"micrograd/internal/metrics"
+	"micrograd/internal/microprobe"
 	"micrograd/internal/stress"
 )
 
@@ -454,6 +455,57 @@ func TestStatsReportDiskPutErrors(t *testing.T) {
 	}
 }
 
+// TestStatsCountPooledSynthKernels checks /stats synth_kernels: it counts
+// the kernels the pooled synthesis memos hold, grows with a job's distinct
+// kernels, and stays put when an identical job is served warm.
+func TestStatsCountPooledSynthKernels(t *testing.T) {
+	s := New(Config{Workers: 1, Parallel: 1})
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	httpKernels := func() any {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var stats map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+			t.Fatal(err)
+		}
+		return stats["synth_kernels"]
+	}
+	if got := httpKernels(); got != float64(0) {
+		t.Fatalf("/stats synth_kernels = %v before any job, want 0", got)
+	}
+
+	run := func() Stats {
+		t.Helper()
+		st, err := s.Submit(tinyStressRequest(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st = waitTerminal(t, s, st.ID); st.State != StateDone {
+			t.Fatalf("job finished %s: %s", st.State, st.Error)
+		}
+		return s.Stats()
+	}
+	first := run()
+	// A serial job stores one kernel per synthesis miss.
+	if first.SynthKernels == 0 || uint64(first.SynthKernels) != first.SynthMisses {
+		t.Fatalf("after one job synth_kernels = %d with %d synthesis misses, want equal and > 0",
+			first.SynthKernels, first.SynthMisses)
+	}
+	if got := httpKernels(); got != float64(first.SynthKernels) {
+		t.Fatalf("/stats synth_kernels = %v, want %d", got, first.SynthKernels)
+	}
+	if warm := run(); warm.SynthKernels != first.SynthKernels || warm.Synthesizers != 1 {
+		t.Fatalf("warm resubmission: synth_kernels %d -> %d over %d synthesizers, want unchanged over 1",
+			first.SynthKernels, warm.SynthKernels, warm.Synthesizers)
+	}
+}
+
 func TestHTTPLifecycleAndNDJSONStream(t *testing.T) {
 	s := New(Config{Workers: 1, Parallel: 1})
 	defer s.Close()
@@ -550,5 +602,22 @@ func TestHTTPLifecycleAndNDJSONStream(t *testing.T) {
 	var listed []JobStatus
 	if code := get("/jobs", &listed); code != http.StatusOK || len(listed) != 1 {
 		t.Fatalf("list returned %d jobs (status %d)", len(listed), code)
+	}
+}
+
+// TestSynthForPoolsByNormalizedOptions checks that options which normalize
+// alike share one pooled synthesizer and that other options get their own.
+func TestSynthForPoolsByNormalizedOptions(t *testing.T) {
+	s := newServer(Config{})
+	implicit := s.synthFor(microprobe.Options{Seed: 1})
+	explicit := s.synthFor(microprobe.Options{Seed: 1}.Normalized())
+	if implicit != explicit {
+		t.Error("options that normalize alike must share one synthesizer")
+	}
+	if other := s.synthFor(microprobe.Options{Seed: 2}); other == implicit {
+		t.Error("a different seed must get its own synthesizer")
+	}
+	if st := s.Stats(); st.Synthesizers != 2 {
+		t.Errorf("Synthesizers = %d, want 2", st.Synthesizers)
 	}
 }

@@ -173,6 +173,12 @@ tail -1 "$bin_dir/mgserve_stream.ndjson" | grep -q '"state":"done"' || {
     echo "FAIL: mgserve stream did not end in state done (got: $(tail -1 "$bin_dir/mgserve_stream.ndjson"))" >&2
     exit 1
 }
+# The first job's kernels stay in the daemon's pooled synthesis memos.
+kernels="$(curl -sf "$base/stats" | sed -n 's/.*"synth_kernels": \([0-9]*\),*/\1/p')"
+[ -n "$kernels" ] && [ "$kernels" -gt 0 ] || {
+    echo "FAIL: mgserve /stats reported synth_kernels='$kernels' after the first job, want > 0" >&2
+    exit 1
+}
 
 # Cancel a long-running job; the daemon must mark it cancelled, not failed.
 job2="$(curl -sf "$base/jobs" -d '{"kind":"power-virus","instructions":40000,"epochs":200,"seed":3,"parallel":1}' \
