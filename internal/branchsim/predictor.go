@@ -79,8 +79,7 @@ func (s Stats) Accuracy() float64 { return 1 - s.MispredictRate() }
 type Predictor struct {
 	cfg   Config
 	table []uint8
-	// fresh is the table as New builds it; Reset copies it back in one go
-	// instead of refilling the table a counter at a time.
+	// fresh is the table as New builds it, which Reset copies back.
 	fresh   []uint8
 	mask    uint64
 	history uint64

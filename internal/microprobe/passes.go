@@ -1,9 +1,7 @@
 package microprobe
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 
 	"micrograd/internal/isa"
@@ -276,18 +274,16 @@ func (p PhaseRotatePass) Apply(b *Builder) error {
 		rotated[i] = b.prog.Instructions[(i+off)%body]
 	}
 	copy(b.prog.Instructions, rotated)
-	notes := make([]program.Note, 0, len(b.prog.Notes))
-	for _, n := range b.prog.Notes {
+	notes := b.prog.Notes
+	b.prog.Notes = nil
+	for _, n := range notes {
 		if n.Index < body {
 			n.Index = (n.Index - off + body) % body
 			n.Label = ""
 		}
-		if n.Label != "" || n.Comment != "" {
-			notes = append(notes, n)
-		}
+		b.prog.SetLabel(n.Index, n.Label)
+		b.prog.SetComment(n.Index, n.Comment)
 	}
-	slices.SortFunc(notes, func(a, c program.Note) int { return cmp.Compare(a.Index, c.Index) })
-	b.prog.Notes = notes
 	b.prog.SetLabel(0, "kernel_loop")
 	return nil
 }
