@@ -63,6 +63,7 @@ vet:
 fuzz:
 	$(GO) test -fuzz=FuzzEmit -fuzztime=10s -run='^$$' ./internal/program
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s -run='^$$' ./internal/config
+	$(GO) test -fuzz=FuzzCanonicalKey -fuzztime=10s -run='^$$' ./internal/knobs
 	$(GO) test -fuzz='^FuzzSumTraces$$' -fuzztime=10s -run='^$$' ./internal/powersim
 	$(GO) test -fuzz='^FuzzSumTracesOneClockOracle$$' -fuzztime=10s -run='^$$' ./internal/powersim
 	$(GO) test -fuzz='^FuzzGridLumpedOracle$$' -fuzztime=10s -run='^$$' ./internal/powersim
