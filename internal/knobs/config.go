@@ -3,7 +3,7 @@ package knobs
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -222,31 +222,40 @@ type Settings struct {
 // space being tuned (e.g. the instruction-only stress space leaves the
 // memory system at a modest, well-behaved default).
 func DefaultSettings() Settings {
-	return Settings{
-		InstrWeights:      map[isa.Opcode]float64{isa.ADD: 1},
-		RegDist:           4,
-		MemFootprintKB:    16,
-		MemStrideB:        8,
-		MemTemp1:          16,
-		MemTemp2:          4,
-		BranchRandomRatio: 0.1,
-		DutyCycle:         1,
-		BurstLen:          64,
-	}
+	s := defaultScalars
+	s.InstrWeights = map[isa.Opcode]float64{isa.ADD: 1}
+	return s
+}
+
+// defaultScalars is DefaultSettings without its instruction profile, so
+// Config.Settings allocates only the profile it fills.
+var defaultScalars = Settings{
+	RegDist:           4,
+	MemFootprintKB:    16,
+	MemStrideB:        8,
+	MemTemp1:          16,
+	MemTemp2:          4,
+	BranchRandomRatio: 0.1,
+	DutyCycle:         1,
+	BurstLen:          64,
 }
 
 // Settings interprets the configuration into back-end settings. Knobs not
 // present in the space keep their DefaultSettings value.
 func (c Config) Settings() Settings {
-	s := DefaultSettings()
-	s.InstrWeights = make(map[isa.Opcode]float64)
-	hasInstr := false
+	instr := 0
+	for _, d := range c.space.defs {
+		if d.Kind == KindInstrFraction {
+			instr++
+		}
+	}
+	s := defaultScalars
+	s.InstrWeights = make(map[isa.Opcode]float64, max(instr, 1))
 	for i, d := range c.space.defs {
 		v := d.Values[c.idx[i]]
 		switch d.Kind {
 		case KindInstrFraction:
 			s.InstrWeights[d.Opcode] = v
-			hasInstr = true
 		case KindRegDist:
 			s.RegDist = int(v)
 		case KindMemSize:
@@ -270,7 +279,7 @@ func (c Config) Settings() Settings {
 			// clock at evaluation time and never reaches the synthesizer.
 		}
 	}
-	if !hasInstr {
+	if instr == 0 {
 		s.InstrWeights[isa.ADD] = 1
 	}
 	return s
@@ -296,11 +305,16 @@ func (s Settings) NormalizedInstrFractions() map[isa.Opcode]float64 {
 // SortedOpcodes returns the opcodes present in the instruction profile in
 // ascending opcode order, giving deterministic iteration.
 func (s Settings) SortedOpcodes() []isa.Opcode {
-	ops := make([]isa.Opcode, 0, len(s.InstrWeights))
+	return s.appendSortedOpcodes(make([]isa.Opcode, 0, len(s.InstrWeights)))
+}
+
+// appendSortedOpcodes appends the profile's opcodes to ops in ascending
+// order.
+func (s Settings) appendSortedOpcodes(ops []isa.Opcode) []isa.Opcode {
 	for op := range s.InstrWeights {
 		ops = append(ops, op)
 	}
-	sort.Slice(ops, func(i, j int) bool { return ops[i] < ops[j] })
+	slices.Sort(ops)
 	return ops
 }
 
@@ -308,16 +322,31 @@ func (s Settings) SortedOpcodes() []isa.Opcode {
 // settings produce the same key exactly when they synthesize the same kernel.
 // It deliberately covers every synthesis input (and nothing else), so
 // evaluation-time parameters — seeds, instruction budgets, clock overrides —
-// never fragment a synthesis memo keyed on it.
+// never fragment a synthesis memo keyed on it. The format is
+// "<op>:<weight>," per profiled opcode in ascending order, then
+// "|rd=..|fp=..|st=..|t1=..|t2=..|br=..|dc=..|bl=..|po=..", floats in
+// shortest 'g' form; building it in one stack buffer leaves the returned
+// string its only allocation.
 func (s Settings) CanonicalKey() string {
-	var b strings.Builder
-	for _, op := range s.SortedOpcodes() {
-		fmt.Fprintf(&b, "%d:%g,", int(op), s.InstrWeights[op])
+	var opsBuf [isa.NumOpcodes]isa.Opcode
+	var buf [256]byte
+	b := buf[:0]
+	for _, op := range s.appendSortedOpcodes(opsBuf[:0]) {
+		b = strconv.AppendInt(b, int64(op), 10)
+		b = append(b, ':')
+		b = strconv.AppendFloat(b, s.InstrWeights[op], 'g', -1, 64)
+		b = append(b, ',')
 	}
-	fmt.Fprintf(&b, "|rd=%d|fp=%d|st=%d|t1=%d|t2=%d|br=%g|dc=%g|bl=%d|po=%d",
-		s.RegDist, s.MemFootprintKB, s.MemStrideB, s.MemTemp1, s.MemTemp2,
-		s.BranchRandomRatio, s.DutyCycle, s.BurstLen, s.PhaseOffset)
-	return b.String()
+	b = strconv.AppendInt(append(b, "|rd="...), int64(s.RegDist), 10)
+	b = strconv.AppendInt(append(b, "|fp="...), int64(s.MemFootprintKB), 10)
+	b = strconv.AppendInt(append(b, "|st="...), int64(s.MemStrideB), 10)
+	b = strconv.AppendInt(append(b, "|t1="...), int64(s.MemTemp1), 10)
+	b = strconv.AppendInt(append(b, "|t2="...), int64(s.MemTemp2), 10)
+	b = strconv.AppendFloat(append(b, "|br="...), s.BranchRandomRatio, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, "|dc="...), s.DutyCycle, 'g', -1, 64)
+	b = strconv.AppendInt(append(b, "|bl="...), int64(s.BurstLen), 10)
+	b = strconv.AppendInt(append(b, "|po="...), int64(s.PhaseOffset), 10)
+	return string(b)
 }
 
 // Validate checks the settings for internal consistency.

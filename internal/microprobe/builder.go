@@ -25,16 +25,24 @@ import (
 
 // Builder is the mutable state threaded through a pass pipeline. A Builder
 // owns the program being constructed plus bookkeeping that later passes need
-// (reserved registers, the instruction profile, the requested dependency
-// distance).
+// (the reserved registers, the names of the passes applied) and the passes'
+// working memory, which a Synthesizer reuses from one synthesis to the next.
 type Builder struct {
 	prog *program.Program
 	rng  *rand.Rand
 
-	reserved map[int]bool // register IDs the allocator must not touch
-	profile  map[isa.Opcode]float64
-	regDist  int
-	applied  []string // names of passes applied, in order
+	reserved [isa.TotalRegs]bool // by register ID: registers the allocator must not touch
+	applied  []string            // names of passes applied, in order
+
+	// Pass scratch. Every pass overwrites what it uses; nothing the program
+	// keeps points into it.
+	entries                  []profileEntry
+	counts, remaining, order []int
+	remainders, credit       []float64
+	intRegs, fpRegs          []isa.Reg
+	perStream                []int
+	rotated                  []program.Instruction
+	notes                    []program.Note
 }
 
 // NewBuilder returns a Builder for a program with the given name. The
@@ -45,12 +53,17 @@ func NewBuilder(name string, rng *rand.Rand) *Builder {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
-	return &Builder{
-		prog:     program.New(name),
-		rng:      rng,
-		reserved: make(map[int]bool),
-		regDist:  1,
-	}
+	b := new(Builder)
+	b.reset(name, rng)
+	return b
+}
+
+// reset starts a new program on the builder, keeping its scratch.
+func (b *Builder) reset(name string, rng *rand.Rand) {
+	b.prog = program.New(name)
+	b.rng = rng
+	b.reserved = [isa.TotalRegs]bool{}
+	b.applied = b.applied[:0]
 }
 
 // Program returns the program under construction.
@@ -89,26 +102,29 @@ func (b *Builder) Apply(passes ...Pass) error {
 }
 
 // availableIntRegs returns the unreserved integer registers in ascending
-// index order.
+// index order, in the builder's scratch.
 func (b *Builder) availableIntRegs() []isa.Reg {
-	var out []isa.Reg
+	out := b.intRegs[:0]
 	for i := 0; i < isa.NumIntRegs; i++ {
 		r := isa.IntReg(i)
 		if !b.IsReserved(r) && !r.IsZero() {
 			out = append(out, r)
 		}
 	}
+	b.intRegs = out
 	return out
 }
 
-// availableFPRegs returns the unreserved floating-point registers.
+// availableFPRegs returns the unreserved floating-point registers, in the
+// builder's scratch.
 func (b *Builder) availableFPRegs() []isa.Reg {
-	var out []isa.Reg
+	out := b.fpRegs[:0]
 	for i := 0; i < isa.NumFPRegs; i++ {
 		r := isa.FPReg(i)
 		if !b.IsReserved(r) {
 			out = append(out, r)
 		}
 	}
+	b.fpRegs = out
 	return out
 }

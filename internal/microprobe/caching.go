@@ -57,9 +57,10 @@ func (c *CachingSynthesizer) Synthesize(name string, cfg knobs.Config) (*program
 	if ck == "" {
 		return c.SynthesizeSettings(name, cfg.Settings())
 	}
-	key := name + "\x00" + ck
+	var buf [memoKeyBuf]byte
+	key := memoKey(buf[:0], name, ck)
 	c.mu.Lock()
-	if p, ok := c.cfgCache[key]; ok {
+	if p, ok := c.cfgCache[string(key)]; ok {
 		c.mu.Unlock()
 		c.hits.Add(1)
 		return p, nil
@@ -70,7 +71,7 @@ func (c *CachingSynthesizer) Synthesize(name string, cfg knobs.Config) (*program
 		return nil, err
 	}
 	c.mu.Lock()
-	c.cfgCache[key] = p
+	c.cfgCache[string(key)] = p
 	c.mu.Unlock()
 	return p, nil
 }
@@ -78,9 +79,10 @@ func (c *CachingSynthesizer) Synthesize(name string, cfg knobs.Config) (*program
 // SynthesizeSettings generates (or recalls) the test case for explicit
 // back-end settings.
 func (c *CachingSynthesizer) SynthesizeSettings(name string, set knobs.Settings) (*program.Program, error) {
-	key := name + "\x00" + set.CanonicalKey()
+	var buf [memoKeyBuf]byte
+	key := memoKey(buf[:0], name, set.CanonicalKey())
 	c.mu.Lock()
-	if p, ok := c.cache[key]; ok {
+	if p, ok := c.cache[string(key)]; ok {
 		c.mu.Unlock()
 		c.hits.Add(1)
 		return p, nil
@@ -93,9 +95,22 @@ func (c *CachingSynthesizer) SynthesizeSettings(name string, set knobs.Settings)
 	}
 	c.misses.Add(1)
 	c.mu.Lock()
-	c.cache[key] = p
+	c.cache[string(key)] = p
 	c.mu.Unlock()
 	return p, nil
+}
+
+// memoKeyBuf is the stack buffer size memo keys are built in; longer keys
+// spill to the heap.
+const memoKeyBuf = 256
+
+// memoKey appends a memo key, the kernel name and the configuration or
+// settings key joined by a NUL, to buf. Lookups index the memo with
+// string(key), which does not allocate; only an insertion copies the key.
+func memoKey(buf []byte, name, key string) []byte {
+	buf = append(buf, name...)
+	buf = append(buf, 0)
+	return append(buf, key...)
 }
 
 // Len returns the number of kernels the memo holds, one per distinct kernel

@@ -1,8 +1,10 @@
 package microprobe
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 
 	"micrograd/internal/isa"
 	"micrograd/internal/program"
@@ -42,6 +44,7 @@ func (p SimpleBuildingBlockPass) Apply(b *Builder) error {
 		Pattern: program.NoPattern,
 	}
 	b.prog.Instructions = instrs
+	b.prog.Notes = slices.Grow(b.prog.Notes, 2)
 	b.prog.SetLabel(0, "kernel_loop")
 	b.prog.SetComment(p.LoopSize-1, "loop close")
 	return nil
@@ -88,11 +91,7 @@ func (p SetInstructionTypeByProfilePass) Apply(b *Builder) error {
 	if len(p.Profile) == 0 {
 		return fmt.Errorf("empty instruction profile")
 	}
-	type entry struct {
-		op     isa.Opcode
-		weight float64
-	}
-	entries := make([]entry, 0, len(p.Profile))
+	entries := b.entries[:0]
 	total := 0.0
 	for op, w := range p.Profile {
 		if !op.Valid() {
@@ -104,18 +103,19 @@ func (p SetInstructionTypeByProfilePass) Apply(b *Builder) error {
 		if w == 0 {
 			continue
 		}
-		entries = append(entries, entry{op, w})
+		entries = append(entries, profileEntry{op, w})
 		total += w
 	}
+	b.entries = entries
 	if total == 0 {
 		return fmt.Errorf("instruction profile has zero total weight")
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].op < entries[j].op })
+	slices.SortFunc(entries, func(a, c profileEntry) int { return cmp.Compare(a.op, c.op) })
 
 	body := len(b.prog.Instructions) - 1 // excluding the loop-closing branch
 	// Largest-remainder apportionment of body slots to opcodes.
-	counts := make([]int, len(entries))
-	remainders := make([]float64, len(entries))
+	counts := resized(&b.counts, len(entries))
+	remainders := resized(&b.remainders, len(entries))
 	assigned := 0
 	for i, e := range entries {
 		exact := e.weight / total * float64(body)
@@ -123,16 +123,19 @@ func (p SetInstructionTypeByProfilePass) Apply(b *Builder) error {
 		remainders[i] = exact - float64(counts[i])
 		assigned += counts[i]
 	}
-	order := make([]int, len(entries))
+	order := resized(&b.order, len(entries))
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, c int) bool {
+	slices.SortFunc(order, func(a, c int) int {
 		//lint:allow floateq exact tie-break in the largest-remainder apportionment comparator
-		if remainders[order[a]] != remainders[order[c]] {
-			return remainders[order[a]] > remainders[order[c]]
+		if remainders[a] != remainders[c] {
+			if remainders[a] > remainders[c] {
+				return -1
+			}
+			return 1
 		}
-		return order[a] < order[c]
+		return cmp.Compare(a, c)
 	})
 	for i := 0; assigned < body; i++ {
 		counts[order[i%len(order)]]++
@@ -141,8 +144,10 @@ func (p SetInstructionTypeByProfilePass) Apply(b *Builder) error {
 
 	// Weighted round-robin (Bresenham-style) placement: at each slot pick the
 	// opcode with the largest accumulated deficit.
-	credit := make([]float64, len(entries))
-	remaining := append([]int(nil), counts...)
+	credit := resized(&b.credit, len(entries))
+	clear(credit)
+	remaining := resized(&b.remaining, len(entries))
+	copy(remaining, counts)
 	for slot := 0; slot < body; slot++ {
 		best := -1
 		for i := range entries {
@@ -163,11 +168,21 @@ func (p SetInstructionTypeByProfilePass) Apply(b *Builder) error {
 		in.Op = entries[best].op
 		in.NumSrcs = uint8(isa.Describe(in.Op).NumSources)
 	}
-	b.profile = make(map[isa.Opcode]float64, len(p.Profile))
-	for op, w := range p.Profile {
-		b.profile[op] = w
-	}
 	return nil
+}
+
+// profileEntry is one opcode of an instruction profile with a positive
+// weight.
+type profileEntry struct {
+	op     isa.Opcode
+	weight float64
+}
+
+// resized returns *buf resliced to length n, growing it when it is too
+// short, and keeps the grown buffer in *buf. The contents are unspecified.
+func resized[T any](buf *[]T, n int) []T {
+	*buf = slices.Grow((*buf)[:0], n)[:n]
+	return *buf
 }
 
 // DutyCyclePass shapes the loop body into activity bursts: within every
@@ -269,14 +284,16 @@ func (p PhaseRotatePass) Apply(b *Builder) error {
 	if off == 0 {
 		return nil
 	}
-	rotated := make([]program.Instruction, body)
+	rotated := resized(&b.rotated, body)
 	for i := 0; i < body; i++ {
 		rotated[i] = b.prog.Instructions[(i+off)%body]
 	}
 	copy(b.prog.Instructions, rotated)
-	notes := b.prog.Notes
-	b.prog.Notes = nil
-	for _, n := range notes {
+	// Re-insert the notes at their rotated positions, into the program's
+	// own (emptied) notes slice, from a copy in the builder's scratch.
+	b.notes = append(b.notes[:0], b.prog.Notes...)
+	b.prog.Notes = b.prog.Notes[:0]
+	for _, n := range b.notes {
 		if n.Index < body {
 			n.Index = (n.Index - off + body) % body
 			n.Label = ""
@@ -408,6 +425,7 @@ func (p GenericMemoryStreamsPass) Apply(b *Builder) error {
 	}
 	base := b.prog.DataBase
 	firstID := len(b.prog.Streams)
+	b.prog.Streams = slices.Grow(b.prog.Streams, len(p.Streams))
 	for i, s := range p.Streams {
 		for _, prev := range b.prog.Streams {
 			base = maxU64(base, prev.Base+uint64(prev.FootprintBytes))
@@ -432,7 +450,8 @@ func (p GenericMemoryStreamsPass) Apply(b *Builder) error {
 	}
 	// Assign memory instructions to streams with weighted round-robin over
 	// the normalized ratios.
-	credit := make([]float64, len(b.prog.Streams))
+	credit := resized(&b.credit, len(b.prog.Streams))
+	clear(credit)
 	for i := range b.prog.Instructions {
 		in := &b.prog.Instructions[i]
 		if !in.IsMemory() {
@@ -472,7 +491,6 @@ func (p DefaultRegisterAllocationPass) Apply(b *Builder) error {
 	if p.DepDist < 1 {
 		return fmt.Errorf("dependency distance %d < 1", p.DepDist)
 	}
-	b.regDist = p.DepDist
 
 	intPool := b.availableIntRegs()
 	fpPool := b.availableFPRegs()
@@ -529,7 +547,7 @@ func (p DefaultRegisterAllocationPass) Apply(b *Builder) error {
 			in.NumSrcs = 0
 		}
 	}
-	b.prog.Meta["reg_dependency_distance"] = fmt.Sprintf("%d", p.DepDist)
+	b.prog.Meta["reg_dependency_distance"] = strconv.Itoa(p.DepDist)
 	return nil
 }
 
@@ -544,7 +562,8 @@ func (UpdateInstructionAddressesPass) Name() string { return "UpdateInstructionA
 
 // Apply implements Pass.
 func (p UpdateInstructionAddressesPass) Apply(b *Builder) error {
-	perStream := make(map[int32]int)
+	perStream := resized(&b.perStream, len(b.prog.Streams))
+	clear(perStream)
 	for i := range b.prog.Instructions {
 		in := &b.prog.Instructions[i]
 		if !in.IsMemory() {

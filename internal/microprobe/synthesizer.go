@@ -3,6 +3,8 @@ package microprobe
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
+	"sync"
 
 	"micrograd/internal/isa"
 	"micrograd/internal/knobs"
@@ -43,13 +45,17 @@ func (o Options) Normalized() Options {
 // standard MicroGrad pass pipeline (the paper's Listing 2). It is the
 // "Microprobe scripting interface" of the Go reproduction: the tuning
 // mechanism hands it a knob configuration and receives a runnable program.
+// It is safe for concurrent use.
 type Synthesizer struct {
 	opts Options
+	// loopSize is opts.LoopSize as the program metadata records it.
+	loopSize string
 }
 
 // NewSynthesizer returns a Synthesizer with the given options.
 func NewSynthesizer(opts Options) *Synthesizer {
-	return &Synthesizer{opts: opts.Normalized()}
+	opts = opts.Normalized()
+	return &Synthesizer{opts: opts, loopSize: strconv.Itoa(opts.LoopSize)}
 }
 
 // LoopSize returns the static loop size the synthesizer generates.
@@ -63,6 +69,39 @@ func (s *Synthesizer) Synthesize(name string, cfg knobs.Config) (*program.Progra
 	return s.SynthesizeSettings(name, cfg.Settings())
 }
 
+// synthScratch is the working memory of one synthesis: the builder with its
+// pass scratch, the generator re-seeded per synthesis, and the standard
+// pipeline's passes. The passes live here so that listing them as Pass
+// values stores pointers instead of copying each pass to the heap.
+// Syntheses run concurrently (workers share one CachingSynthesizer, which
+// synthesizes outside its lock), so each call takes its own scratch from
+// scratchPool.
+type synthScratch struct {
+	b       Builder
+	rng     *rand.Rand
+	streams [2]StreamSpec
+	passes  []Pass
+
+	block    SimpleBuildingBlockPass
+	reserve  ReserveRegistersPass
+	profile  SetInstructionTypeByProfilePass
+	init     InitializeRegistersPass
+	branches RandomizeByTypePass
+	memory   GenericMemoryStreamsPass
+	regAlloc DefaultRegisterAllocationPass
+	duty     DutyCyclePass
+	rotate   PhaseRotatePass
+	addrs    UpdateInstructionAddressesPass
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	return &synthScratch{
+		rng:     rand.New(rand.NewSource(0)),
+		reserve: ReserveRegistersPass{Regs: isa.DefaultReserved()},
+		init:    InitializeRegistersPass{Policy: "random"},
+	}
+}}
+
 // SynthesizeSettings generates the test case for explicit back-end settings.
 // This entry point is used by the reference-workload models, which describe
 // applications with more detail than the knob space exposes.
@@ -70,8 +109,15 @@ func (s *Synthesizer) SynthesizeSettings(name string, set knobs.Settings) (*prog
 	if err := set.Validate(); err != nil {
 		return nil, fmt.Errorf("microprobe: invalid settings: %w", err)
 	}
-	rng := rand.New(rand.NewSource(s.opts.Seed))
-	b := NewBuilder(name, rng)
+	sc := scratchPool.Get().(*synthScratch)
+	defer func() {
+		// Drop the references into the caller's data before pooling.
+		sc.b.prog, sc.profile.Profile = nil, nil
+		scratchPool.Put(sc)
+	}()
+	sc.rng.Seed(s.opts.Seed)
+	b := &sc.b
+	b.reset(name, sc.rng)
 
 	// Two memory streams, as in the paper's Listing 2: a small "hot" stream
 	// capturing temporal re-use and a "cold" stream with the configured
@@ -80,47 +126,48 @@ func (s *Synthesizer) SynthesizeSettings(name string, set knobs.Settings) (*prog
 	hotRatio := temporalHotRatio(set.MemTemp1)
 	coldFootprint := set.MemFootprintKB * 1024
 	hotFootprint := minInt(s.opts.HotStreamBytes, coldFootprint)
-	streams := []StreamSpec{
+	sc.streams = [2]StreamSpec{
 		{FootprintBytes: hotFootprint, Ratio: hotRatio, StrideBytes: 8, Temp1: 1, Temp2: 1},
 		{FootprintBytes: coldFootprint, Ratio: 1 - hotRatio, StrideBytes: set.MemStrideB, Temp1: set.MemTemp1, Temp2: set.MemTemp2},
 	}
 
-	passes := []Pass{
-		SimpleBuildingBlockPass{LoopSize: s.opts.LoopSize},
-		ReserveRegistersPass{Regs: isa.DefaultReserved()},
-		SetInstructionTypeByProfilePass{Profile: set.InstrWeights},
-		InitializeRegistersPass{Policy: "random"},
-		RandomizeByTypePass{Probability: set.BranchRandomRatio},
-		GenericMemoryStreamsPass{Streams: streams},
-		DefaultRegisterAllocationPass{DepDist: set.RegDist},
-	}
+	sc.block.LoopSize = s.opts.LoopSize
+	sc.profile.Profile = set.InstrWeights
+	sc.branches.Probability = set.BranchRandomRatio
+	sc.memory.Streams = sc.streams[:]
+	sc.regAlloc.DepDist = set.RegDist
+	passes := append(sc.passes[:0], &sc.block, &sc.reserve, &sc.profile, &sc.init,
+		&sc.branches, &sc.memory, &sc.regAlloc)
 	if set.DutyCycle > 0 && set.DutyCycle < 1 {
 		// After register allocation: the throttle chain lives on a reserved
 		// register the allocator never touches.
-		passes = append(passes, DutyCyclePass{Duty: set.DutyCycle, BurstLen: set.BurstLen})
+		sc.duty = DutyCyclePass{Duty: set.DutyCycle, BurstLen: set.BurstLen}
+		passes = append(passes, &sc.duty)
 	}
 	if set.PhaseOffset > 0 {
 		// Last structural pass: rotating the finished body shifts the burst
 		// schedule without disturbing any positional assignment.
-		passes = append(passes, PhaseRotatePass{OffsetInstrs: set.PhaseOffset})
+		sc.rotate.OffsetInstrs = set.PhaseOffset
+		passes = append(passes, &sc.rotate)
 	}
-	passes = append(passes, UpdateInstructionAddressesPass{})
+	passes = append(passes, &sc.addrs)
+	sc.passes = passes
 	if err := b.Apply(passes...); err != nil {
 		return nil, err
 	}
 
 	p := b.Program()
 	p.Meta["generator"] = "micrograd/microprobe"
-	p.Meta["loop_size"] = fmt.Sprintf("%d", s.opts.LoopSize)
-	p.Meta["mem_footprint_kb"] = fmt.Sprintf("%d", set.MemFootprintKB)
-	p.Meta["mem_stride_b"] = fmt.Sprintf("%d", set.MemStrideB)
-	p.Meta["branch_random_ratio"] = fmt.Sprintf("%.3f", set.BranchRandomRatio)
+	p.Meta["loop_size"] = s.loopSize
+	p.Meta["mem_footprint_kb"] = strconv.Itoa(set.MemFootprintKB)
+	p.Meta["mem_stride_b"] = strconv.Itoa(set.MemStrideB)
+	p.Meta["branch_random_ratio"] = strconv.FormatFloat(set.BranchRandomRatio, 'f', 3, 64)
 	if set.DutyCycle > 0 && set.DutyCycle < 1 {
-		p.Meta["duty_cycle"] = fmt.Sprintf("%.2f", set.DutyCycle)
-		p.Meta["burst_len"] = fmt.Sprintf("%d", set.BurstLen)
+		p.Meta["duty_cycle"] = strconv.FormatFloat(set.DutyCycle, 'f', 2, 64)
+		p.Meta["burst_len"] = strconv.Itoa(set.BurstLen)
 	}
 	if set.PhaseOffset > 0 {
-		p.Meta["phase_offset"] = fmt.Sprintf("%d", set.PhaseOffset)
+		p.Meta["phase_offset"] = strconv.Itoa(set.PhaseOffset)
 	}
 	return p, nil
 }

@@ -221,6 +221,11 @@ type SimPlatform struct {
 	power *powersim.Model
 	// evaluations counts served evaluations, for resource accounting.
 	evaluations uint64
+	// tracePoints backs the power trace of evaluations that do not hand
+	// their trace out, and droop keeps the supply solve's windows; a
+	// SimPlatform serves one evaluation at a time, so plain fields suffice.
+	tracePoints []powersim.TracePoint
+	droop       powersim.DroopLanes
 }
 
 // NewSimPlatform instantiates the simulator for a core spec.
@@ -288,7 +293,9 @@ func (s *SimPlatform) simulate(p *program.Program, opts EvalOptions, sharedWindo
 // the dynamic power metric and the untrimmed power trace. The cycle-level
 // result is clock-agnostic, so relabelling its time base is all a DVFS
 // override needs; everything downstream reads the result's clock.
-func (s *SimPlatform) timeDomain(res *cpusim.Result, opts EvalOptions) (metrics.Vector, powersim.PowerTrace) {
+// sharedTrace builds the trace in the platform's buffer, for callers that
+// are done with it before the next evaluation.
+func (s *SimPlatform) timeDomain(res *cpusim.Result, opts EvalOptions, sharedTrace bool) (metrics.Vector, powersim.PowerTrace) {
 	if opts.FrequencyGHz > 0 {
 		res.Config.FrequencyGHz = opts.FrequencyGHz
 	}
@@ -297,7 +304,12 @@ func (s *SimPlatform) timeDomain(res *cpusim.Result, opts EvalOptions) (metrics.
 		return v, powersim.PowerTrace{}
 	}
 	v[metrics.DynamicPowerW] = s.power.DynamicPower(*res)
-	return v, s.power.Trace(*res)
+	if !sharedTrace {
+		return v, s.power.Trace(*res)
+	}
+	trace := s.power.TraceInto(*res, s.tracePoints)
+	s.tracePoints = trace.Points
+	return v, trace
 }
 
 // addTransientMetrics is the transient step: worst-case supply droop,
@@ -308,7 +320,9 @@ func (s *SimPlatform) addTransientMetrics(v metrics.Vector, trace powersim.Power
 		return
 	}
 	steady := trace.TrimWarmupCapped(TraceWarmupWindows)
-	v[metrics.WorstDroopMV] = s.spec.Supply.WorstDroopMV(steady)
+	// A one-lane DroopLanes solve is WorstDroopMV bit for bit, on windows
+	// the platform keeps.
+	v[metrics.WorstDroopMV] = s.droop.WorstDroopsMV([]powersim.SupplyModel{s.spec.Supply}, []powersim.PowerTrace{steady})[0]
 	v[metrics.MaxDIDTWPerCycle] = steady.MaxStepWPerCycle()
 	v[metrics.TempC] = s.spec.Thermal.SteadyTempC(steady)
 }
@@ -326,29 +340,32 @@ func (s *SimPlatform) EvaluateCore(p *program.Program, opts EvalOptions, keepRes
 		return nil, powersim.PowerTrace{}, cpusim.Result{}, err
 	}
 	opts.CollectPower = true
-	v, trace := s.timeDomain(&res, opts)
+	v, trace := s.timeDomain(&res, opts, false)
 	return v, trace, res, nil
 }
 
+// resultVectorCap is the most metrics a single-core evaluation reports:
+// ResultVector's 15, the dynamic power and the three transient metrics.
+const resultVectorCap = 15 + 1 + 3
+
 // ResultVector converts a raw simulation result into the standard metric
-// vector.
+// vector, sized so the power and transient metrics fit without regrowing it.
 func ResultVector(res cpusim.Result) metrics.Vector {
-	v := metrics.Vector{
-		metrics.IPC:                  res.IPC(),
-		metrics.CPI:                  res.CPI(),
-		metrics.Instructions:         float64(res.Instructions),
-		metrics.Cycles:               float64(res.Cycles),
-		metrics.FracInteger:          res.ClassFraction(isa.ClassInteger),
-		metrics.FracFloat:            res.ClassFraction(isa.ClassFloat),
-		metrics.FracLoad:             res.ClassFraction(isa.ClassLoad),
-		metrics.FracStore:            res.ClassFraction(isa.ClassStore),
-		metrics.FracBranch:           res.ClassFraction(isa.ClassBranch),
-		metrics.FracNop:              res.ClassFraction(isa.ClassNop),
-		metrics.BranchMispredictRate: res.Branch.MispredictRate(),
-		metrics.L1IHitRate:           res.L1I.HitRate(),
-		metrics.L1DHitRate:           res.L1D.HitRate(),
-		metrics.L2HitRate:            res.L2.HitRate(),
-	}
+	v := make(metrics.Vector, resultVectorCap)
+	v[metrics.IPC] = res.IPC()
+	v[metrics.CPI] = res.CPI()
+	v[metrics.Instructions] = float64(res.Instructions)
+	v[metrics.Cycles] = float64(res.Cycles)
+	v[metrics.FracInteger] = res.ClassFraction(isa.ClassInteger)
+	v[metrics.FracFloat] = res.ClassFraction(isa.ClassFloat)
+	v[metrics.FracLoad] = res.ClassFraction(isa.ClassLoad)
+	v[metrics.FracStore] = res.ClassFraction(isa.ClassStore)
+	v[metrics.FracBranch] = res.ClassFraction(isa.ClassBranch)
+	v[metrics.FracNop] = res.ClassFraction(isa.ClassNop)
+	v[metrics.BranchMispredictRate] = res.Branch.MispredictRate()
+	v[metrics.L1IHitRate] = res.L1I.HitRate()
+	v[metrics.L1DHitRate] = res.L1D.HitRate()
+	v[metrics.L2HitRate] = res.L2.HitRate()
 	if res.DTLB.Accesses > 0 {
 		v[metrics.DTLBMissRate] = res.DTLB.MissRate()
 	}

@@ -147,7 +147,7 @@ func (s *SimPlatform) EvaluateRequest(req EvalRequest) (EvalResponse, error) {
 	if err != nil {
 		return EvalResponse{}, err
 	}
-	v, trace := s.timeDomain(&res, opts)
+	v, trace := s.timeDomain(&res, opts, req.Detail < DetailTrace)
 	if opts.CollectPower {
 		s.addTransientMetrics(v, trace)
 	}

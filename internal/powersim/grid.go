@@ -169,7 +169,6 @@ func (g GridSupplyModel) NodeDroopsMV(nodes []PowerTrace) ([]float64, error) {
 		}
 	}
 
-	nbr := gridNeighbors(g.Rows, g.Cols)
 	lat := make([]float64, n)
 
 settle:
@@ -194,13 +193,7 @@ settle:
 					for nn := range iv {
 						iv[nn] += hL * (s.VddV - vv[nn] - s.ResistanceOhm*iv[nn])
 					}
-					for nn := range lat {
-						sum := 0.0
-						for _, m := range nbr[nn] {
-							sum += vv[m] - vv[nn]
-						}
-						lat[nn] = sum
-					}
+					lateralSums(lat, vv, g.Rows, g.Cols)
 					for nn := range vv {
 						vv[nn] += hC*(iv[nn]-load[nn]) + hG*lat[nn]
 						if vv[nn] < vMin[nn] {
@@ -340,7 +333,6 @@ func (g GridThermalModel) NodeTempsC(nodes []PowerTrace) ([]float64, error) {
 		}
 	}
 
-	nbr := gridNeighbors(g.Rows, g.Cols)
 	lat := make([]float64, n)
 	gain := make([]float64, n)
 	tStart := make([]float64, n)
@@ -363,13 +355,7 @@ func (g GridThermalModel) NodeTempsC(nodes []PowerTrace) ([]float64, error) {
 			hK := h / m.CthJPerC * g.LateralWPerC
 			for k := 0; k < steps; k++ {
 				if coupled {
-					for nn := range lat {
-						sum := 0.0
-						for _, mm := range nbr[nn] {
-							sum += temps[mm] - temps[nn]
-						}
-						lat[nn] = sum
-					}
+					lateralSums(lat, temps, g.Rows, g.Cols)
 					for nn := range temps {
 						temps[nn] += gain[nn] - leak*(temps[nn]-m.AmbientC) + hK*lat[nn]
 						if temps[nn] > tMax[nn] {
@@ -458,29 +444,29 @@ func buildGridWaveform(n int, nodes []PowerTrace) (gridWaveform, error) {
 	return wf, nil
 }
 
-// gridNeighbors returns, for each node of a rows×cols row-major grid, the
-// indices of its 4-connected neighbours (up, down, left, right; in-bounds
-// only).
-func gridNeighbors(rows, cols int) [][]int {
-	nbr := make([][]int, rows*cols)
+// lateralSums sets lat[n], for every node n of a rows×cols row-major grid,
+// to the sum of x[m] - x[n] over n's 4-connected neighbours m, added in the
+// order up, down, left, right (in-bounds only).
+func lateralSums(lat, x []float64, rows, cols int) {
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			n := r*cols + c
+			sum := 0.0
 			if r > 0 {
-				nbr[n] = append(nbr[n], n-cols)
+				sum += x[n-cols] - x[n]
 			}
 			if r < rows-1 {
-				nbr[n] = append(nbr[n], n+cols)
+				sum += x[n+cols] - x[n]
 			}
 			if c > 0 {
-				nbr[n] = append(nbr[n], n-1)
+				sum += x[n-1] - x[n]
 			}
 			if c < cols-1 {
-				nbr[n] = append(nbr[n], n+1)
+				sum += x[n+1] - x[n]
 			}
+			lat[n] = sum
 		}
 	}
-	return nbr
 }
 
 // gridStateEqual reports exact (bitwise value) equality of two state

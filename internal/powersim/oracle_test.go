@@ -560,3 +560,29 @@ func TestSupplyReplayStopMatchesOracle(t *testing.T) {
 		})
 	}
 }
+
+// gridNeighbors returns, for each node of a rows×cols row-major grid, the
+// indices of its 4-connected neighbours (up, down, left, right; in-bounds
+// only). The oracle keeps this explicit table so it does not share the
+// solvers' index arithmetic.
+func gridNeighbors(rows, cols int) [][]int {
+	nbr := make([][]int, rows*cols)
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			n := r*cols + c
+			if r > 0 {
+				nbr[n] = append(nbr[n], n-cols)
+			}
+			if r < rows-1 {
+				nbr[n] = append(nbr[n], n+cols)
+			}
+			if c > 0 {
+				nbr[n] = append(nbr[n], n-1)
+			}
+			if c < cols-1 {
+				nbr[n] = append(nbr[n], n+1)
+			}
+		}
+	}
+	return nbr
+}

@@ -173,42 +173,62 @@ func (b Breakdown) String() string {
 
 // EnergyBreakdown attributes the run's dynamic energy to components.
 func (m *Model) EnergyBreakdown(r cpusim.Result) Breakdown {
-	comp := make(map[string]float64, 8)
-	comp["frontend"] = float64(r.Instructions-r.ClassCounts[isa.ClassNop]) * m.coeff.FrontEndPJ
-	exec := 0.0
-	for cl, n := range r.ClassCounts {
-		if n > 0 {
-			exec += float64(n) * m.classPJ[cl]
-		}
-	}
-	comp["execute"] = exec
-	comp["l2"] = float64(r.L2.Accesses+r.L2.Prefetches) * m.coeff.L2AccessPJ
-	comp["memory"] = float64(r.MemAccesses) * m.coeff.MemAccessPJ
-	comp["mispredict"] = float64(r.Branch.Mispredicts) * m.coeff.MispredictPJ
-	comp["clock"] = float64(r.Cycles) * m.coeff.ClockPJPerCycle
-
-	// Sum in sorted component order: float addition is not associative, so
-	// accumulating in map iteration order would make TotalPJ — and every
-	// dynamic_power_w metric derived from it — wobble in the last ULP from
-	// run to run (the report.MeanAbsError bug class).
-	names := make([]string, 0, len(comp))
-	for n := range comp {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	total := 0.0
-	for _, n := range names {
-		total += comp[n]
-	}
+	e := m.energy(r)
 	return Breakdown{
-		Components:   comp,
-		TotalPJ:      total,
+		Components: map[string]float64{
+			"clock":      e.clock,
+			"execute":    e.execute,
+			"frontend":   e.frontend,
+			"l2":         e.l2,
+			"memory":     e.memory,
+			"mispredict": e.mispredict,
+		},
+		TotalPJ:      e.totalPJ(),
 		Cycles:       r.Cycles,
 		FrequencyGHz: r.Config.FrequencyGHz,
 	}
 }
 
-// DynamicPower returns the run's average dynamic power in watts.
+// DynamicPower returns the run's average dynamic power in watts: the
+// EnergyBreakdown power, bit for bit, without building its component map.
 func (m *Model) DynamicPower(r cpusim.Result) float64 {
-	return m.EnergyBreakdown(r).PowerW()
+	return Breakdown{TotalPJ: m.energy(r).totalPJ(), Cycles: r.Cycles, FrequencyGHz: r.Config.FrequencyGHz}.PowerW()
+}
+
+// runEnergy is a run's dynamic energy per component, in picojoules.
+type runEnergy struct {
+	clock, execute, frontend, l2, memory, mispredict float64
+}
+
+// energy attributes the run's dynamic energy to the components.
+func (m *Model) energy(r cpusim.Result) runEnergy {
+	e := runEnergy{
+		clock:      float64(r.Cycles) * m.coeff.ClockPJPerCycle,
+		frontend:   float64(r.Instructions-r.ClassCounts[isa.ClassNop]) * m.coeff.FrontEndPJ,
+		l2:         float64(r.L2.Accesses+r.L2.Prefetches) * m.coeff.L2AccessPJ,
+		memory:     float64(r.MemAccesses) * m.coeff.MemAccessPJ,
+		mispredict: float64(r.Branch.Mispredicts) * m.coeff.MispredictPJ,
+	}
+	for cl, n := range r.ClassCounts {
+		if n > 0 {
+			e.execute += float64(n) * m.classPJ[cl]
+		}
+	}
+	return e
+}
+
+// totalPJ sums the components in the sorted order of their names (clock,
+// execute, frontend, l2, memory, mispredict). Float addition is not
+// associative, so a fixed order is what keeps TotalPJ — and every
+// dynamic_power_w metric derived from it — from wobbling in the last ULP
+// (the report.MeanAbsError bug class).
+func (e runEnergy) totalPJ() float64 {
+	total := 0.0
+	total += e.clock
+	total += e.execute
+	total += e.frontend
+	total += e.l2
+	total += e.memory
+	total += e.mispredict
+	return total
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 
 	"micrograd/internal/cpusim"
@@ -90,10 +91,17 @@ func (t PowerTrace) TotalEnergyPJ() float64 {
 // empty when the run was simulated without window bookkeeping
 // (cpusim.Config.WindowCycles == 0).
 func (m *Model) Trace(r cpusim.Result) PowerTrace {
+	return m.TraceInto(r, make([]TracePoint, 0, len(r.Windows)))
+}
+
+// TraceInto is Trace building the trace's points in buf's storage (grown
+// when it is too short), for a caller that reuses one buffer across runs.
+// The trace aliases buf.
+func (m *Model) TraceInto(r cpusim.Result, buf []TracePoint) PowerTrace {
 	t := PowerTrace{
 		WindowCycles: r.Config.WindowCycles,
 		FrequencyGHz: r.Config.FrequencyGHz,
-		Points:       make([]TracePoint, 0, len(r.Windows)),
+		Points:       slices.Grow(buf[:0], len(r.Windows)),
 	}
 	for _, w := range r.Windows {
 		e := float64(w.Instructions-w.ClassCounts[isa.ClassNop]) * m.coeff.FrontEndPJ
