@@ -8,7 +8,7 @@ GO ?= go
 # below this. Raise it when coverage grows; never lower it.
 COVER_MIN ?= 84.0
 
-.PHONY: build test race bench bench-module perf fmt vet lint fuzz cover smoke ci
+.PHONY: build test race allocs bench bench-module perf fmt vet lint fuzz cover smoke ci
 
 # Repo-specific static analysis (cmd/mglint): machine-checks the
 # determinism and concurrency invariants — seeded randomness, no wall clock
@@ -35,6 +35,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The allocation pins (testing.AllocsPerRun) skip under the race detector,
+# where sync.Pool drops items at random, so they get a non-race run here.
+allocs:
+	$(GO) test -count=1 -run 'Allocs' ./internal/...
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem ./...
@@ -85,4 +90,4 @@ cover:
 smoke:
 	./scripts/smoke.sh
 
-ci: fmt vet lint build race bench bench-module fuzz cover smoke
+ci: fmt vet lint build race allocs bench bench-module fuzz cover smoke

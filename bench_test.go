@@ -165,6 +165,24 @@ func BenchmarkSynthesizer(b *testing.B) {
 	}
 }
 
+// BenchmarkSynthesizeStressKernel measures one synthesis miss of a stress
+// kernel — the per-candidate synthesis work of every stress search — on a
+// warmed synthesizer.
+func BenchmarkSynthesizeStressKernel(b *testing.B) {
+	set := knobs.StressSpace().MidConfig().Settings()
+	syn := microprobe.NewSynthesizer(microprobe.Options{LoopSize: 500, Seed: 1})
+	if _, err := syn.SynthesizeSettings("stress", set); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := syn.SynthesizeSettings("stress", set); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTraceExpansion measures dynamic trace generation throughput.
 func BenchmarkTraceExpansion(b *testing.B) {
 	cfg := knobs.DefaultSpace().MidConfig()

@@ -3,6 +3,8 @@ package microprobe
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -322,6 +324,62 @@ func TestSynthesizerDeterminism(t *testing.T) {
 			a.Instructions[i].Dest != b.Instructions[i].Dest ||
 			a.Instructions[i].Stream != b.Instructions[i].Stream {
 			t.Fatalf("instruction %d differs between identical syntheses", i)
+		}
+	}
+}
+
+// TestSynthesizerConcurrentMatchesSerial synthesizes stress, duty-cycled
+// and phase-rotated kernels from one Synthesizer on several goroutines at
+// once and requires every program to equal its serial synthesis exactly:
+// each call must work in its own pooled scratch, and no program returned
+// earlier may share storage that a later synthesis overwrites.
+func TestSynthesizerConcurrentMatchesSerial(t *testing.T) {
+	syn := NewSynthesizer(Options{LoopSize: 200, Seed: 3})
+	space := knobs.TransientStressSpace()
+	rng := rand.New(rand.NewSource(11))
+	sets := make([]knobs.Settings, 24)
+	for i := range sets {
+		sets[i] = space.RandomConfig(rng).Settings()
+		sets[i].PhaseOffset = 17 * (i % 4)
+	}
+	serial := make([]*program.Program, len(sets))
+	for i, set := range sets {
+		p, err := syn.SynthesizeSettings("k", set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial[i] = p
+	}
+	want := make([]*program.Program, len(serial))
+	for i, p := range serial {
+		want[i] = p.Clone()
+	}
+	var wg sync.WaitGroup
+	got := make([][]*program.Program, 4)
+	for g := range got {
+		got[g] = make([]*program.Program, len(sets))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, set := range sets {
+				p, err := syn.SynthesizeSettings("k", set)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[g][i] = p
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range sets {
+		if !reflect.DeepEqual(serial[i], want[i]) {
+			t.Fatalf("kernel %d changed after later syntheses", i)
+		}
+		for g := range got {
+			if !reflect.DeepEqual(got[g][i], want[i]) {
+				t.Fatalf("goroutine %d: kernel %d differs from its serial synthesis", g, i)
+			}
 		}
 	}
 }
