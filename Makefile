@@ -1,6 +1,6 @@
-# Local targets mirror the CI pipeline (.github/workflows/ci.yml) step for
-# step, so `make ci` reproduces exactly what a pull request is checked
-# against.
+# Every CI step (.github/workflows/ci.yml) is one `make <target>`, in the
+# order of the ci target's prerequisites (TestCIStepsAreMakeCI pins both), so
+# `make ci` reproduces exactly what a pull request is checked against.
 
 GO ?= go
 
@@ -8,7 +8,7 @@ GO ?= go
 # below this. Raise it when coverage grows; never lower it.
 COVER_MIN ?= 84.0
 
-.PHONY: build test race allocs bench bench-module perf fmt vet lint fuzz cover smoke ci
+.PHONY: build test race allocs determinism bench bench-module fmt vet lint fuzz cover smoke ci
 
 # Repo-specific static analysis (cmd/mglint): machine-checks the
 # determinism and concurrency invariants — seeded randomness, no wall clock
@@ -17,15 +17,6 @@ COVER_MIN ?= 84.0
 # same binary also works as `go vet -vettool=`.
 lint:
 	$(GO) run ./cmd/mglint ./...
-
-# Performance-trajectory harness: measures evaluation throughput, the
-# chip-trace aggregation and grid-solve costs and the memo counters, and
-# writes the
-# BENCH_<n>.json report (schema in ROADMAP.md). Pass PERF_ARGS for knobs,
-# e.g. `make perf PERF_ARGS="-out BENCH_6.json -baseline bench_base.json"`.
-PERF_ARGS ?=
-perf:
-	$(GO) run ./cmd/mgperf $(PERF_ARGS)
 
 build:
 	$(GO) build ./...
@@ -40,6 +31,32 @@ race:
 # where sync.Pool drops items at random, so they get a non-race run here.
 allocs:
 	$(GO) test -count=1 -run 'Allocs' ./internal/...
+
+# The race step already runs every co-run test once; this re-asserts only
+# the parallel≡serial determinism pins with -count=1, so a cached pass can
+# never mask a scheduling-dependent regression. Every such pin is named
+# *MatchesSerial or *BitIdenticalToSerial (plus the CMA-ES and halving tuner
+# determinism tests); check the pattern with `go test -list` when adding
+# one. The mgbench runs close the loop at the CLI: the heterogeneous
+# 2.0+1.2 GHz dvfs chip, the homogeneous corun chip, the 2x2 spatial-grid
+# chip, the equal-budget tuner comparison and a gd 4-core corun kind (its
+# final configuration puts cores 0 and 3 at one phase offset, so they share
+# a simulation) must print the same at -parallel 1 and 4.
+determinism:
+	$(GO) test -race -count=1 -run 'MatchesSerial|BitIdenticalToSerial|TestParallel(CMAES|Halving)Determinism' ./internal/multicore ./internal/stress ./internal/experiments ./internal/tuner
+	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir" ./cmd/mgbench || exit 1; \
+	for args in \
+		"-experiment dvfs -quick -core small -cores 2 -freqs 2.0,1.2 -instructions 3000" \
+		"-experiment corun -quick -core small -cores 2 -instructions 3000" \
+		"-experiment spatial -quick -core small -cores 4 -grid 2x2 -instructions 3000" \
+		"-experiment tunercmp -quick -core small -cores 4 -grid 2x2 -instructions 3000 -tuner cmaes,halving-cmaes" \
+		"-kind corun-noise-virus -quick -core small -cores 4 -instructions 3000"; do \
+		echo "mgbench $$args: -parallel 1 vs 4"; \
+		"$$dir/mgbench" $$args -parallel 1 | grep -v 'completed in' > "$$dir/serial.txt" || exit 1; \
+		"$$dir/mgbench" $$args -parallel 4 | grep -v 'completed in' > "$$dir/parallel.txt" || exit 1; \
+		diff "$$dir/serial.txt" "$$dir/parallel.txt" || exit 1; \
+	done
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem ./...
@@ -90,4 +107,4 @@ cover:
 smoke:
 	./scripts/smoke.sh
 
-ci: fmt vet lint build race allocs bench bench-module fuzz cover smoke
+ci: fmt vet lint build race allocs determinism bench bench-module fuzz cover smoke

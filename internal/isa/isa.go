@@ -212,10 +212,6 @@ func (op Opcode) Unit() UnitKind { return Describe(op).Unit }
 // MemBytes returns the number of bytes accessed by a memory opcode, or 0.
 func (op Opcode) MemBytes() int { return Describe(op).MemBytes }
 
-// EnergyWeight returns the relative per-access dynamic energy weight of op,
-// used by the power model.
-func (op Opcode) EnergyWeight() float64 { return Describe(op).EnergyWt }
-
 // ByMnemonic looks up an opcode by its mnemonic. The second result reports
 // whether the mnemonic is known.
 func ByMnemonic(name string) (Opcode, bool) {
@@ -241,10 +237,6 @@ func Opcodes() []Opcode {
 	}
 	return out
 }
-
-// ClassOf is a convenience alias for Opcode.Class, exported for callers that
-// hold opcodes as plain values.
-func ClassOf(op Opcode) Class { return op.Class() }
 
 // Classes returns the metric-relevant classes (everything except ClassNop).
 func Classes() []Class {

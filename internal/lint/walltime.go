@@ -10,9 +10,8 @@ import (
 // Simulated time is the only clock the simulation and tuning code may
 // observe: a time.Now or time.Since in an evaluation path makes results
 // depend on host load and breaks the parallel≡serial bit-identity pins.
-// Wall-clock timing belongs to the cmd/ binaries (progress lines, mgperf
-// throughput measurement) and to _test.go files, neither of which this
-// analyzer visits.
+// Wall-clock timing belongs to the cmd/ binaries (progress lines) and to
+// _test.go files, neither of which this analyzer visits.
 var WallTime = &Analyzer{
 	Name: "walltime",
 	Doc: "forbid time.Now/time.Since/time.Until in internal/... simulation packages; " +

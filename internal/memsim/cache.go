@@ -130,13 +130,6 @@ func (c *Cache) Config() CacheConfig { return c.cfg }
 // Stats returns a copy of the cache statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// Counters returns the access, miss and prefetch counters without copying
-// the full statistics struct — the timing model reads these before and after
-// every access to attribute events to activity windows.
-func (c *Cache) Counters() (accesses, misses, prefetches uint64) {
-	return c.stats.Accesses, c.stats.Misses, c.stats.Prefetches
-}
-
 // Reset clears the cache contents and statistics.
 func (c *Cache) Reset() {
 	for s := range c.sets {

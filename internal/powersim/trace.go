@@ -177,17 +177,6 @@ func (t PowerTrace) AvgPowerW() float64 {
 	return energy / cycles * t.FrequencyGHz / 1000
 }
 
-// MaxPowerW returns the highest window power of the trace.
-func (t PowerTrace) MaxPowerW() float64 {
-	max := 0.0
-	for _, p := range t.Points {
-		if p.PowerW > max {
-			max = p.PowerW
-		}
-	}
-	return max
-}
-
 // MaxStepWPerCycle is the cycle-domain dI/dt proxy metric: the largest power
 // change between adjacent full-length windows, normalized by the nominal
 // window length, in watts per cycle. Partial windows (the tail of a run) are

@@ -332,14 +332,6 @@ func (p *Program) Validate() error {
 	return nil
 }
 
-// DynamicMixEstimate estimates the dynamic class mix assuming every static
-// instruction executes once per loop iteration (true for the generated
-// kernels, whose internal branches fall through to the next instruction
-// regardless of direction).
-func (p *Program) DynamicMixEstimate() map[isa.Class]float64 {
-	return p.StaticMix()
-}
-
 // String returns a short human-readable summary.
 func (p *Program) String() string {
 	var b strings.Builder

@@ -10,9 +10,10 @@ import (
 
 // FuzzJobRequest posts arbitrary bodies to POST /jobs on a daemon whose
 // workers never start, so an accepted job stays queued. The handler must
-// never panic; a body json.Unmarshal rejects, or one naming no known kind,
-// must get a 4xx and leave the queue empty; any other body must be queued
-// as exactly one job of its kind. Wired into `make fuzz`.
+// never panic; a body json.Unmarshal rejects, or one validateRequest rejects
+// (no known kind, a negative override), must get a 4xx and leave the queue
+// empty; any other body must be queued as exactly one job of its kind.
+// Wired into `make fuzz`.
 func FuzzJobRequest(f *testing.F) {
 	for _, body := range []string{
 		`{"kind":"perf-virus","quick":true,"core":"small","instructions":2000,"epochs":3,"seed":7,"parallel":1}`,
@@ -20,6 +21,8 @@ func FuzzJobRequest(f *testing.F) {
 		`{"kind":"tunercmp","tuners":["gd","cmaes"],"cores":4,"rows":2,"cols":2}`,
 		`{"kind":"dvfs-noise-virus","freqs_ghz":[2.0,1.2]}`,
 		`{"kind":"no-such-virus"}`,
+		`{"kind":"perf-virus","instructions":-5}`,
+		`{"kind":"spatial","cores":4,"rows":-2,"cols":2}`,
 		`{"kind":"perf-virus"} {"kind":"perf-virus"}`,
 		`{"kind":"perf-virus"}]`,
 		`{"kind":"perf-virus","seed":1e400}`,
@@ -38,7 +41,7 @@ func FuzzJobRequest(f *testing.F) {
 		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(body)))
 
 		var req JobRequest
-		valid := json.Unmarshal(body, &req) == nil && validateKind(req.Kind) == nil
+		valid := json.Unmarshal(body, &req) == nil && validateRequest(req) == nil
 		jobs := s.List()
 		if !valid {
 			if rec.Code < 400 || rec.Code > 499 {

@@ -53,7 +53,8 @@ const queueCapacity = 1024
 // corun-noise-virus, spatial, ...), "cloning" (the benchmark-suite cloning
 // experiment), or "tunercmp" (the equal-budget tuner comparison). The
 // remaining fields override the evaluation budget and placement exactly
-// like the corresponding mgbench flags; zero values keep the defaults.
+// like the corresponding mgbench flags; zero values keep the defaults, and
+// Submit rejects negative ones (the seed may take any value).
 type JobRequest struct {
 	Kind string `json:"kind"`
 	// Quick selects the reduced CI-sized budget.
@@ -233,10 +234,6 @@ func newServer(cfg Config) *Server {
 	return s
 }
 
-// Group exposes the shared evaluation-cache group (tests and the mgperf
-// counters read its stats).
-func (s *Server) Group() *evalcache.Group { return s.group }
-
 // Close stops accepting jobs, cancels everything queued or running, and
 // waits for the workers to drain.
 func (s *Server) Close() {
@@ -262,7 +259,7 @@ func (s *Server) Close() {
 
 // Submit validates and enqueues a job.
 func (s *Server) Submit(req JobRequest) (JobStatus, error) {
-	if err := validateKind(req.Kind); err != nil {
+	if err := validateRequest(req); err != nil {
 		return JobStatus{}, err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -297,15 +294,34 @@ func (s *Server) Submit(req JobRequest) (JobStatus, error) {
 	return st, nil
 }
 
-// validateKind rejects unknown experiment kinds at submission time.
-func validateKind(kind string) error {
-	switch kind {
+// validateRequest rejects, at submission time, an unknown experiment kind
+// and a negative budget or placement override. Zero keeps a field's default;
+// the seed may take any value.
+func validateRequest(req JobRequest) error {
+	for _, f := range []struct {
+		name  string
+		value float64
+	}{
+		{"instructions", float64(req.Instructions)},
+		{"epochs", float64(req.Epochs)},
+		{"budget", float64(req.Budget)},
+		{"power_cap_w", req.PowerCapW},
+		{"parallel", float64(req.Parallel)},
+		{"cores", float64(req.Cores)},
+		{"rows", float64(req.Rows)},
+		{"cols", float64(req.Cols)},
+	} {
+		if f.value < 0 {
+			return fmt.Errorf("serve: job request has negative %s %v", f.name, f.value)
+		}
+	}
+	switch req.Kind {
 	case "cloning", "tunercmp":
 		return nil
 	case "":
 		return errors.New("serve: job request has no kind")
 	}
-	if _, err := stress.KindByName(kind); err != nil {
+	if _, err := stress.KindByName(req.Kind); err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
 	return nil

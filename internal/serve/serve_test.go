@@ -133,7 +133,7 @@ func TestConcurrentJobsShareCacheAndMatchStandalone(t *testing.T) {
 	// Cross-job sharing: both jobs propose the same candidates, so the
 	// shared cache simulates each unique configuration exactly once (the
 	// same miss count as ONE standalone run) and serves the rest as hits.
-	hits, misses := s.Group().Stats()
+	hits, misses := s.group.Stats()
 	if misses != soloMisses {
 		t.Fatalf("shared cache misses = %d, want %d (one evaluation per unique key across both jobs)",
 			misses, soloMisses)
@@ -174,7 +174,7 @@ func TestCancelMidJobLeavesQueueDrainingAndCacheUsable(t *testing.T) {
 	}
 	// ...and the shared cache stays usable: an identical resubmission
 	// completes warm, with hits and no new simulations.
-	_, missesBefore := s.Group().Stats()
+	_, missesBefore := s.group.Stats()
 	stWarm, err := s.Submit(tinyStressRequest(7))
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +183,7 @@ func TestCancelMidJobLeavesQueueDrainingAndCacheUsable(t *testing.T) {
 	if st.State != StateDone {
 		t.Fatalf("warm job finished %s: %s", st.State, st.Error)
 	}
-	_, missesAfter := s.Group().Stats()
+	_, missesAfter := s.group.Stats()
 	if missesAfter != missesBefore {
 		t.Fatalf("warm resubmission simulated %d new configurations, want 0", missesAfter-missesBefore)
 	}
@@ -262,6 +262,39 @@ func TestSubmitRejectsUnknownKind(t *testing.T) {
 	}
 	if _, err := s.Submit(JobRequest{}); err == nil {
 		t.Fatal("submitting an empty kind succeeded")
+	}
+}
+
+// TestSubmitRejectsNegativeOverrides checks that a negative budget or
+// placement override is refused with a 400, not queued to run the default
+// budget, while zero (the default) and a negative seed are accepted.
+func TestSubmitRejectsNegativeOverrides(t *testing.T) {
+	s := newServer(Config{})
+	defer s.Close()
+	h := s.Handler()
+	for _, tc := range []struct {
+		body string
+		want int
+	}{
+		{`{"kind":"perf-virus","instructions":-5}`, http.StatusBadRequest},
+		{`{"kind":"perf-virus","epochs":-1}`, http.StatusBadRequest},
+		{`{"kind":"perf-virus","budget":-3}`, http.StatusBadRequest},
+		{`{"kind":"power-virus","power_cap_w":-1}`, http.StatusBadRequest},
+		{`{"kind":"perf-virus","parallel":-2}`, http.StatusBadRequest},
+		{`{"kind":"corun-noise-virus","cores":-4}`, http.StatusBadRequest},
+		{`{"kind":"spatial","cores":4,"rows":-2,"cols":2}`, http.StatusBadRequest},
+		{`{"kind":"spatial","cores":4,"rows":2,"cols":-2}`, http.StatusBadRequest},
+		{`{"kind":"perf-virus","instructions":0,"epochs":0,"budget":0,"power_cap_w":0,"parallel":0,"cores":0,"rows":0,"cols":0}`, http.StatusAccepted},
+		{`{"kind":"perf-virus","seed":-7}`, http.StatusAccepted},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(tc.body)))
+		if rec.Code != tc.want {
+			t.Errorf("POST /jobs %s answered %d, want %d: %s", tc.body, rec.Code, tc.want, rec.Body)
+		}
+	}
+	if got := len(s.List()); got != 2 {
+		t.Errorf("%d jobs queued, want the 2 valid ones", got)
 	}
 }
 

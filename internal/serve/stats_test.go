@@ -53,7 +53,7 @@ func TestConcurrentJobsReportTheirOwnCacheStats(t *testing.T) {
 		sum.hits += st.CacheHits
 		sum.misses += st.CacheMisses
 	}
-	if hits, misses := s.Group().Stats(); sum != (counts{hits, misses}) {
+	if hits, misses := s.group.Stats(); sum != (counts{hits, misses}) {
 		t.Errorf("jobs sum to %d hits, %d misses; the shared group counted %d, %d",
 			sum.hits, sum.misses, hits, misses)
 	}

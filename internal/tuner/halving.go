@@ -72,9 +72,6 @@ func (s *SuccessiveHalving) Name() string { return "halving-" + s.inner.Name() }
 // Params returns the effective parameters.
 func (s *SuccessiveHalving) Params() SuccessiveHalvingParams { return s.params }
 
-// Inner returns the wrapped tuner.
-func (s *SuccessiveHalving) Inner() Tuner { return s.inner }
-
 // fidelityAt returns the fidelity of rung r on the geometric ladder from
 // MinFidelity (r=0) to 1 (r=Rungs-1).
 func (s *SuccessiveHalving) fidelityAt(r int) float64 {

@@ -220,8 +220,8 @@ func TestMemoizingEvaluatorSingleFlight(t *testing.T) {
 			t.Errorf("goroutine %d got %v, want %v", i, v, want)
 		}
 	}
-	if memo.CacheSize() != 1 {
-		t.Errorf("cache size = %d, want 1", memo.CacheSize())
+	if memo.group.Len() != 1 {
+		t.Errorf("cache size = %d, want 1", memo.group.Len())
 	}
 }
 

@@ -82,9 +82,6 @@ func NewSharedMemoizingEvaluator(inner Evaluator, group *evalcache.Group, keyer 
 	return &MemoizingEvaluator{inner: inner, group: group, keyer: keyer}
 }
 
-// Group returns the cache group backing this evaluator.
-func (m *MemoizingEvaluator) Group() *evalcache.Group { return m.group }
-
 // EvaluateBatch implements Evaluator. Cached configurations are answered
 // immediately, duplicates within the batch (and against concurrent callers)
 // are evaluated once, and only the remaining unique misses are forwarded —
@@ -174,10 +171,6 @@ func (m *MemoizingEvaluator) EvaluateBatch(ctx context.Context, cfgs []knobs.Con
 	}
 	return out, nil
 }
-
-// CacheSize returns the number of cached configurations in the backing
-// group (shared groups count every attached evaluator's entries).
-func (m *MemoizingEvaluator) CacheSize() int { return m.group.Len() }
 
 // Hits returns the number of requests answered without new simulator work:
 // cache hits, waits on another caller's in-flight evaluation, and duplicates

@@ -75,8 +75,8 @@ func TestCountingAndMemoizingEvaluators(t *testing.T) {
 	if calls != 1 || memo.Misses() != 1 {
 		t.Errorf("memoization failed: raw calls %d, misses %d", calls, memo.Misses())
 	}
-	if memo.CacheSize() != 1 {
-		t.Errorf("cache size = %d", memo.CacheSize())
+	if memo.group.Len() != 1 {
+		t.Errorf("cache size = %d", memo.group.Len())
 	}
 	b := a.WithIndex(0, a.Index(0)+1)
 	if _, err := evalSingle(memo, b); err != nil {

@@ -128,24 +128,6 @@ go vet -vettool="$bin_dir/mglint" ./internal/metrics || {
 run "mgworkload list"     "$bin_dir/mgworkload" -list
 run "mgworkload measure"  "$bin_dir/mgworkload" -benchmark mcf -instructions 5000
 
-# The perf harness exercises the request-path evaluation stack (EvalSession,
-# synthesis memo, chip-trace aggregation) end to end; its counters must show
-# both memo layers hitting.
-run "mgperf quick"        "$bin_dir/mgperf" -quick -parallel 1 -out "$bin_dir/bench_smoke.json"
-test -s "$bin_dir/bench_smoke.json" || { echo "FAIL: mgperf wrote no report" >&2; exit 1; }
-grep -q '"synth_memo"' "$bin_dir/bench_smoke.json" || {
-    echo "FAIL: mgperf report lacks synth_memo counters" >&2
-    exit 1
-}
-grep -q '"grid_solve"' "$bin_dir/bench_smoke.json" || {
-    echo "FAIL: mgperf report lacks the grid_solve measurement" >&2
-    exit 1
-}
-grep -q '"fidelity"' "$bin_dir/bench_smoke.json" || {
-    echo "FAIL: mgperf report lacks the fidelity measurement" >&2
-    exit 1
-}
-
 # Tuning daemon: start mgserve on a random port, submit a quick job and
 # stream its NDJSON progression, cancel a long second job mid-run, then
 # prove the shared cache stayed warm and usable by resubmitting the first
