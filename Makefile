@@ -6,7 +6,7 @@ GO ?= go
 
 # Coverage ratchet: `make cover` fails if total statement coverage drops
 # below this. Raise it when coverage grows; never lower it.
-COVER_MIN ?= 84.0
+COVER_MIN ?= 86.0
 
 .PHONY: build test race allocs determinism bench bench-module fmt vet lint fuzz cover smoke ci
 

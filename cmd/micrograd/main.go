@@ -14,14 +14,17 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 
 	"micrograd/internal/config"
 	"micrograd/internal/core"
 	"micrograd/internal/metrics"
 	"micrograd/internal/report"
+	"micrograd/internal/tuner"
 )
 
 func main() {
@@ -31,7 +34,7 @@ func main() {
 	}
 }
 
-func run(args []string, out *os.File) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("micrograd", flag.ContinueOnError)
 	var (
 		configPath = fs.String("config", "", "path to a JSON framework configuration (overrides other flags)")
@@ -40,7 +43,7 @@ func run(args []string, out *os.File) error {
 		simpoints  = fs.Bool("simpoints", false, "clone every phase (simpoint) of the benchmark individually")
 		stressKind = fs.String("stress-kind", "perf-virus", "stress kind: perf-virus, power-virus, voltage-noise-virus or thermal-virus")
 		coreName   = fs.String("core", "large", "core configuration: small or large (Table II)")
-		tunerName  = fs.String("tuner", "gd", "tuning mechanism: gd, ga, random, bruteforce")
+		tunerName  = fs.String("tuner", "gd", "tuning mechanism: "+strings.Join(tuner.Names(), ", "))
 		epochs     = fs.Int("epochs", 0, "maximum tuning epochs (0 = use-case default)")
 		accuracy   = fs.Float64("accuracy", 0.99, "cloning target accuracy")
 		dynInstr   = fs.Int("instructions", 0, "dynamic instructions per evaluation (0 = default)")
@@ -105,7 +108,7 @@ func run(args []string, out *os.File) error {
 }
 
 // printOutput renders the run result.
-func printOutput(out *os.File, result *core.Output) {
+func printOutput(out io.Writer, result *core.Output) {
 	fmt.Fprintf(out, "\nrun %q finished: %d platform evaluations, %d epochs\n",
 		result.Name, result.Evaluations, len(result.Progression))
 

@@ -10,22 +10,15 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
+
+	"micrograd/internal/platform"
+	"micrograd/internal/tuner"
 )
 
 // Use cases.
 const (
 	UseCaseCloning = "cloning"
 	UseCaseStress  = "stress"
-)
-
-// Tuner names accepted in configurations.
-const (
-	TunerGD         = "gd"
-	TunerGA         = "ga"
-	TunerRandom     = "random"
-	TunerBruteForce = "bruteforce"
-	TunerSA         = "sa"
 )
 
 // Config is the framework input document.
@@ -35,8 +28,8 @@ type Config struct {
 	// Core selects the architecture configuration ("small" or "large",
 	// Table II).
 	Core string `json:"core"`
-	// Tuner selects the tuning mechanism ("gd", "ga", "random",
-	// "bruteforce"); default "gd".
+	// Tuner selects the tuning mechanism, one of tuner.Names(); default
+	// "gd".
 	Tuner string `json:"tuner"`
 	// MaxEpochs bounds tuning (0 = use-case default).
 	MaxEpochs int `json:"max_epochs"`
@@ -84,7 +77,7 @@ func Default() Config {
 	return Config{
 		UseCase:        UseCaseCloning,
 		Core:           "large",
-		Tuner:          TunerGD,
+		Tuner:          "gd",
 		TargetAccuracy: 0.99,
 		Seed:           1,
 	}
@@ -131,15 +124,13 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("config: unknown use_case %q (want %q or %q)", c.UseCase, UseCaseCloning, UseCaseStress)
 	}
-	switch c.Core {
-	case "small", "large":
-	default:
-		return fmt.Errorf("config: unknown core %q (want small or large)", c.Core)
+	if _, err := platform.ByName(c.Core); err != nil {
+		return fmt.Errorf("config: %w", err)
 	}
-	switch strings.ToLower(c.Tuner) {
-	case TunerGD, TunerGA, TunerRandom, TunerBruteForce, TunerSA, "":
-	default:
-		return fmt.Errorf("config: unknown tuner %q", c.Tuner)
+	if c.Tuner != "" {
+		if _, err := tuner.ByName(c.Tuner); err != nil {
+			return fmt.Errorf("config: %w", err)
+		}
 	}
 	if c.MaxEpochs < 0 || c.DynamicInstructions < 0 || c.LoopSize < 0 || c.Parallel < 0 {
 		return fmt.Errorf("config: negative budget values")

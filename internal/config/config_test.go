@@ -42,7 +42,7 @@ func TestParseStressConfig(t *testing.T) {
 		t.Errorf("parsed config wrong: %+v", cfg)
 	}
 	// Defaults applied for unspecified fields.
-	if cfg.Tuner != TunerGD || cfg.TargetAccuracy != 0.99 {
+	if cfg.Tuner != "gd" || cfg.TargetAccuracy != 0.99 {
 		t.Errorf("defaults not applied: %+v", cfg)
 	}
 }

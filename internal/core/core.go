@@ -44,7 +44,11 @@ func New(cfg config.Config) (*Framework, error) {
 	if err != nil {
 		return nil, err
 	}
-	tun, err := TunerByName(cfg.Tuner)
+	name := cfg.Tuner
+	if name == "" {
+		name = "gd"
+	}
+	tun, err := tuner.ByName(name)
 	if err != nil {
 		return nil, err
 	}
@@ -62,24 +66,6 @@ func (f *Framework) Config() config.Config { return f.cfg }
 
 // Platform returns the evaluation platform in use.
 func (f *Framework) Platform() *platform.SimPlatform { return f.plat }
-
-// TunerByName maps a configuration tuner name to a Tuner.
-func TunerByName(name string) (tuner.Tuner, error) {
-	switch strings.ToLower(name) {
-	case config.TunerGD, "":
-		return tuner.NewGradientDescent(tuner.GDParams{}), nil
-	case config.TunerGA:
-		return tuner.NewGeneticAlgorithm(tuner.GAParams{}), nil
-	case config.TunerRandom:
-		return tuner.NewRandomSearch(tuner.RandomSearchParams{}), nil
-	case config.TunerBruteForce:
-		return tuner.NewBruteForce(tuner.BruteForceParams{}), nil
-	case config.TunerSA:
-		return tuner.NewSimulatedAnnealing(tuner.SAParams{}), nil
-	default:
-		return nil, fmt.Errorf("core: unknown tuner %q", name)
-	}
-}
 
 // Output bundles the framework outputs of one run (§III-F): the generated
 // kernel, its knob configuration, the measured metrics, and the per-epoch
@@ -161,15 +147,19 @@ func (f *Framework) runCloning(ctx context.Context) (*Output, error) {
 		out.Name = bm.Name
 		var dominant cloning.Report
 		dominantWeight := -1.0
+		evaluations := 0
 		for _, ph := range bm.Phases {
 			rep := reports[ph.Name]
 			out.CloneReports[ph.Name] = rep
+			evaluations += rep.Evaluations
 			if ph.Weight > dominantWeight {
 				dominantWeight = ph.Weight
 				dominant = rep
 			}
 		}
+		// The dominant phase stands for the run; every phase's tuning counts.
 		fillFromClone(out, dominant)
+		out.Evaluations = evaluations
 	default:
 		bm, err := workloads.ByName(f.cfg.Benchmark)
 		if err != nil {
@@ -192,7 +182,7 @@ func fillFromClone(out *Output, rep cloning.Report) {
 	out.Knobs = rep.Config
 	out.Metrics = rep.Clone
 	out.Progression = rep.TunerResult.Epochs
-	out.Evaluations += rep.Evaluations
+	out.Evaluations = rep.Evaluations
 }
 
 func (f *Framework) runStress(ctx context.Context) (*Output, error) {

@@ -9,6 +9,7 @@ import (
 
 	"micrograd/internal/config"
 	"micrograd/internal/metrics"
+	"micrograd/internal/tuner"
 )
 
 func cloningConfig() config.Config {
@@ -51,14 +52,37 @@ func TestNewValidatesConfig(t *testing.T) {
 	}
 }
 
-func TestTunerByName(t *testing.T) {
-	for _, name := range []string{"gd", "ga", "random", "bruteforce", "sa", ""} {
-		tn, err := TunerByName(name)
-		if err != nil || tn == nil {
-			t.Errorf("TunerByName(%q) failed: %v", name, err)
+// TestNewBuildsEveryRegisteredTuner pins that the front-end resolves tuner
+// names through the tuner registry: every name it lists validates and
+// builds, and the empty name keeps the gradient-descent default.
+func TestNewBuildsEveryRegisteredTuner(t *testing.T) {
+	for _, name := range append(tuner.Names(), "") {
+		cfg := stressConfig()
+		cfg.Tuner = name
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("tuner %q: Validate: %v", name, err)
+			continue
+		}
+		fw, err := New(cfg)
+		if err != nil {
+			t.Errorf("tuner %q: New: %v", name, err)
+			continue
+		}
+		want := "gd"
+		if name != "" {
+			want = name
+		}
+		ref, err := tuner.ByName(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fw.tun.Name(); got != ref.Name() {
+			t.Errorf("tuner %q built %q, want %q", name, got, ref.Name())
 		}
 	}
-	if _, err := TunerByName("simulated-annealing"); err == nil {
+	bad := stressConfig()
+	bad.Tuner = "hillclimb"
+	if _, err := New(bad); err == nil {
 		t.Error("unknown tuner should be rejected")
 	}
 }
@@ -127,6 +151,15 @@ func TestRunCloningSimpoints(t *testing.T) {
 	}
 	if len(out.CloneReports) < 2 {
 		t.Errorf("simpoint cloning produced %d reports, want one per phase", len(out.CloneReports))
+	}
+	// Output.Evaluations accounts for every phase's tuning run, not only
+	// the dominant phase the other output fields describe.
+	sum := 0
+	for _, rep := range out.CloneReports {
+		sum += rep.Evaluations
+	}
+	if out.Evaluations != sum {
+		t.Errorf("Output.Evaluations = %d, want the %d evaluations of all %d phases", out.Evaluations, sum, len(out.CloneReports))
 	}
 }
 

@@ -221,9 +221,6 @@ func New(cfg Config, mem *memsim.Hierarchy, pred *branchsim.Predictor) (*CPU, er
 	return c, nil
 }
 
-// Config returns the core configuration.
-func (c *CPU) Config() Config { return c.cfg }
-
 // predecode (re)builds the static-instruction table for p.
 func (c *CPU) predecode(p *program.Program) {
 	n := len(p.Instructions)

@@ -159,9 +159,6 @@ func NewDisk(dir string) (*DiskCache, error) {
 	return c, nil
 }
 
-// Dir returns the cache directory.
-func (c *DiskCache) Dir() string { return c.dir }
-
 // path returns the entry file for a key.
 func (c *DiskCache) path(key string) string {
 	sum := sha256.Sum256([]byte(key))

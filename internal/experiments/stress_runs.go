@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"micrograd/internal/knobs"
-	"micrograd/internal/metrics"
-	"micrograd/internal/microprobe"
 	"micrograd/internal/platform"
 	"micrograd/internal/report"
 	"micrograd/internal/sched"
@@ -89,41 +86,41 @@ func runStressExperiment(ctx context.Context, figure string, kind stress.Kind, b
 	// their own platforms, so they execute concurrently on the engine; each
 	// additionally fans its per-epoch candidate evaluations out.
 	outer, inner := splitWorkers(b.Parallel, 3)
-	tune := func(ctx context.Context, tn tuner.Tuner, epochs int, series string) (stress.Report, error) {
+	// Only the tuners stream their progression; the brute-force reference
+	// is one flat line, drawn after the fact.
+	tune := func(ctx context.Context, tn tuner.Tuner, epochs int, series string, stream bool) (stress.Report, error) {
 		opts, err := b.stressOptions(newPlatform, inner, series)
 		if err != nil {
 			return stress.Report{}, err
 		}
 		opts.Tuner, opts.MaxEpochs = tn, epochs
+		if !stream {
+			opts.OnEpoch = nil
+		}
 		rep, err := stress.Run(ctx, kind, opts)
 		if err != nil {
 			return stress.Report{}, fmt.Errorf("experiments: %s %s: %w", figure, series, err)
 		}
 		return rep, nil
 	}
-	var (
-		gd, ga  stress.Report
-		bfValue float64
-		bfEvals int
-	)
+	var gd, ga, bf stress.Report
 	gaEpochs := b.StressEpochs + b.StressEpochs/2 // 1.5x, as observed in the paper
 	runs := []func(ctx context.Context) error{
 		func(ctx context.Context) (err error) {
-			gd, err = tune(ctx, tuner.NewGradientDescent(tuner.GDParams{}), b.StressEpochs, "GD")
+			gd, err = tune(ctx, tuner.NewGradientDescent(tuner.GDParams{}), b.StressEpochs, "GD", true)
 			return err
 		},
 		func(ctx context.Context) (err error) {
-			ga, err = tune(ctx, tuner.NewGeneticAlgorithm(tuner.GAParams{}), gaEpochs, "GA")
+			ga, err = tune(ctx, tuner.NewGeneticAlgorithm(tuner.GAParams{}), gaEpochs, "GA", true)
 			return err
 		},
-		func(ctx context.Context) error {
-			bb := b
-			bb.Parallel = inner
-			var err error
-			if bfValue, bfEvals, err = bruteForceReference(ctx, kind, core, bb); err != nil {
-				return fmt.Errorf("experiments: %s brute force: %w", figure, err)
-			}
-			return nil
+		func(ctx context.Context) (err error) {
+			bf, err = tune(ctx, tuner.NewBruteForce(tuner.BruteForceParams{
+				MaxEvaluations:       b.BruteForceEvaluations,
+				LatticePointsPerKnob: 2,
+				ReportEvery:          256,
+			}), 1, "BruteForce", false)
+			return err
 		},
 	}
 	if err := sched.Run(ctx, outer, len(runs), func(ctx context.Context, i int) error {
@@ -138,73 +135,12 @@ func runStressExperiment(ctx context.Context, figure string, kind stress.Kind, b
 		Maximize:              gd.Maximize,
 		GD:                    gd,
 		GA:                    ga,
-		BruteForceValue:       bfValue,
-		BruteForceEvaluations: bfEvals,
-		GDAccuracy:            stressAccuracy(gd.BestValue, bfValue, gd.Maximize),
-		GAAccuracy:            stressAccuracy(ga.BestValue, bfValue, ga.Maximize),
+		BruteForceValue:       bf.BestValue,
+		BruteForceEvaluations: bf.Evaluations,
+		GDAccuracy:            stressAccuracy(gd.BestValue, bf.BestValue, gd.Maximize),
+		GAAccuracy:            stressAccuracy(ga.BestValue, bf.BestValue, ga.Maximize),
 	}
 	return res, nil
-}
-
-// bruteForceReference sweeps the stress knob space with the brute-force
-// search and returns the reference worst-case value and its evaluation cost.
-func bruteForceReference(ctx context.Context, kind stress.Kind, core platform.CoreSpec, b Budget) (float64, int, error) {
-	plat, err := platform.NewSimPlatform(core)
-	if err != nil {
-		return 0, 0, err
-	}
-	var space *knobs.Space
-	var loss metrics.Loss
-	evalOpts := b.evalOptions()
-	switch kind {
-	case stress.PowerVirus:
-		space = knobs.StressSpace()
-		loss = metrics.StressLoss{Metric: metrics.DynamicPowerW, Maximize: true}
-		evalOpts.CollectPower = true
-	default:
-		space = knobs.InstructionOnlySpace()
-		loss = metrics.StressLoss{Metric: metrics.IPC}
-	}
-	// One memoizing synthesizer shared by every brute-force worker session.
-	csyn := b.Synth
-	if csyn == nil {
-		csyn = microprobe.NewCachingSynthesizer(microprobe.Options{LoopSize: b.LoopSize, Seed: b.Seed})
-	}
-	memo, err := tuner.NewPlatformEvaluator(tuner.PlatformOptions{
-		Name:        "bruteforce-" + string(kind),
-		Platform:    plat,
-		Parallel:    b.Parallel,
-		NewPlatform: func() (platform.Platform, error) { return platform.NewSimPlatform(core) },
-		Synth:       csyn,
-		Options:     evalOpts,
-		Memo:        b.Memo,
-		MemoCap:     b.MemoCap,
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	bf := tuner.NewBruteForce(tuner.BruteForceParams{
-		MaxEvaluations:       b.BruteForceEvaluations,
-		LatticePointsPerKnob: 2,
-		ReportEvery:          256,
-	})
-	prob := tuner.Problem{
-		Space:      space,
-		Loss:       loss,
-		Evaluator:  memo,
-		MaxEpochs:  1,
-		TargetLoss: tuner.NoTargetLoss,
-		Seed:       b.Seed,
-	}
-	res, err := bf.Run(ctx, prob)
-	if err != nil {
-		return 0, 0, err
-	}
-	value := res.BestLoss
-	if sl, ok := loss.(metrics.StressLoss); ok && sl.Maximize {
-		value = -value
-	}
-	return value, int(memo.Misses()), nil
 }
 
 // stressAccuracy compares an achieved worst case against the brute-force

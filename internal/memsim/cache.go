@@ -124,9 +124,6 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 	return c, nil
 }
 
-// Config returns the cache configuration.
-func (c *Cache) Config() CacheConfig { return c.cfg }
-
 // Stats returns a copy of the cache statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 

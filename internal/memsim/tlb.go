@@ -60,9 +60,6 @@ func NewTLB(cfg TLBConfig) (*TLB, error) {
 	return &TLB{cfg: cfg, entries: make([]tlbEntry, cfg.Entries)}, nil
 }
 
-// Config returns the TLB configuration.
-func (t *TLB) Config() TLBConfig { return t.cfg }
-
 // Stats returns a copy of the access statistics.
 func (t *TLB) Stats() Stats {
 	if t == nil {

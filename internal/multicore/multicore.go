@@ -109,7 +109,7 @@ func (s CoRunSpec) WithFrequencies(freqsGHz []float64) (CoRunSpec, error) {
 	out := s
 	out.Cores = append([]platform.CoreSpec(nil), s.Cores...)
 	for i, f := range freqsGHz {
-		if err := validFreqOverride(f, i); err != nil {
+		if err := platform.ValidFreqOverride(f, i); err != nil {
 			return CoRunSpec{}, err
 		}
 		if f > 0 {
@@ -117,15 +117,6 @@ func (s CoRunSpec) WithFrequencies(freqsGHz []float64) (CoRunSpec, error) {
 		}
 	}
 	return out, nil
-}
-
-// validFreqOverride rejects clock overrides that are not zero (keep the
-// spec clock) or a positive finite frequency.
-func validFreqOverride(f float64, core int) error {
-	if f != 0 && (!(f > 0) || math.IsInf(f, 0)) { // !(f>0) also catches NaN
-		return fmt.Errorf("multicore: bad clock override %g GHz for core %d (want 0 or positive and finite)", f, core)
-	}
-	return nil
 }
 
 // Validate checks the spec.
@@ -204,13 +195,12 @@ type CoRunPlatform struct {
 	models   []powersim.SupplyModel
 	lanes    []powersim.PowerTrace
 	droops   powersim.DroopLanes
-	// evaluations counts served chip-level evaluations, coreSims the core
-	// simulations they ran and sharedCores the cores served from another
-	// core's simulation of the same evaluation (coreSims + sharedCores is
-	// NumCores × evaluations). They are atomic so the accessors stay
-	// race-free when tuners fan candidates out over per-worker co-run
-	// platforms while an observer polls the counters.
-	evaluations atomic.Uint64
+	// coreSims counts the core simulations the served chip evaluations ran
+	// and sharedCores the cores served from another core's simulation of
+	// the same evaluation, so coreSims + sharedCores is NumCores × served
+	// evaluations. They are atomic so the accessors stay race-free when
+	// tuners fan candidates out over per-worker co-run platforms while an
+	// observer polls the counters.
 	coreSims    atomic.Uint64
 	sharedCores atomic.Uint64
 }
@@ -299,9 +289,6 @@ func (c *CoRunPlatform) EvalIdentity() string {
 // NumCores returns the number of co-running cores.
 func (c *CoRunPlatform) NumCores() int { return len(c.sims) }
 
-// Evaluations returns the number of chip-level evaluations served so far.
-func (c *CoRunPlatform) Evaluations() uint64 { return c.evaluations.Load() }
-
 // CoreSimulations returns the number of core simulations the served
 // evaluations ran.
 func (c *CoRunPlatform) CoreSimulations() uint64 { return c.coreSims.Load() }
@@ -349,33 +336,17 @@ func (c *CoRunPlatform) EvaluateConfig(name string, cfg knobs.Config, syn *micro
 		return nil, err
 	}
 	resp, err := c.EvaluateRequest(platform.EvalRequest{
-		Programs: progs, FreqOverrides: FreqOverrides(cfg, len(c.sims)), Options: opts,
+		Programs: progs, FreqOverrides: platform.FreqOverrides(cfg, len(c.sims)), Options: opts,
 	})
 	return resp.Metrics, err
-}
-
-// FreqOverrides extracts the per-core FREQ_GHZ knob values of a co-run
-// configuration as clock overrides. It forwards to platform.FreqOverrides,
-// which is where the request-path helpers live.
-func FreqOverrides(cfg knobs.Config, cores int) []float64 {
-	return platform.FreqOverrides(cfg, cores)
 }
 
 // SynthesizeCoRun generates the per-core kernels of a knob configuration:
 // one shared kernel shape, rotated per core by the PHASE_OFFSET knobs.
 func (c *CoRunPlatform) SynthesizeCoRun(name string, cfg knobs.Config, syn *microprobe.Synthesizer) ([]*program.Program, error) {
-	set := cfg.Settings()
 	progs := make([]*program.Program, len(c.sims))
-	for i := range c.sims {
-		coreSet := set
-		if off, ok := cfg.ValueByName(knobs.PhaseOffsetName(i)); ok {
-			coreSet.PhaseOffset = int(off)
-		}
-		p, err := syn.SynthesizeSettings(fmt.Sprintf("%s-core%d", name, i), coreSet)
-		if err != nil {
-			return nil, fmt.Errorf("multicore: synthesizing core %d kernel: %w", i, err)
-		}
-		progs[i] = p
+	if err := platform.SynthesizeCores(progs, name, cfg, syn); err != nil {
+		return nil, err
 	}
 	return progs, nil
 }
@@ -406,7 +377,7 @@ func (c *CoRunPlatform) evaluateDetailed(progs []*program.Program, freqsGHz []fl
 		return platform.EvalResponse{}, fmt.Errorf("multicore: %d clock overrides for %d cores", len(freqsGHz), len(c.sims))
 	}
 	for i, f := range freqsGHz {
-		if err := validFreqOverride(f, i); err != nil {
+		if err := platform.ValidFreqOverride(f, i); err != nil {
 			return platform.EvalResponse{}, err
 		}
 	}
@@ -495,11 +466,9 @@ func (c *CoRunPlatform) evaluateDetailed(progs []*program.Program, freqsGHz []fl
 	// Keep no trace or vector of this evaluation alive until the next one.
 	clear(c.runs)
 	clear(c.lanes)
-	// The counters move only once the response is fully assembled:
-	// Evaluations() counts *served* chip evaluations, and the aggregation
-	// and spatial solves above can still fail after the per-core
-	// simulations succeeded.
-	c.evaluations.Add(1)
+	// The counters move only once the response is fully assembled: they
+	// count *served* chip evaluations, and the aggregation and spatial
+	// solves above can still fail after the per-core simulations succeeded.
 	c.coreSims.Add(uint64(len(c.distinct)))
 	c.sharedCores.Add(uint64(len(runs) - len(c.distinct)))
 	return resp, nil

@@ -119,7 +119,7 @@ func TestChipSharedCoresMatchEveryCoreRun(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					freqs := FreqOverrides(cfg, 4)
+					freqs := platform.FreqOverrides(cfg, 4)
 					clockSplit += sameKernelOtherClock(c, progs, freqs)
 					for _, detail := range details {
 						got, err := c.EvaluateRequest(platform.EvalRequest{Programs: progs, FreqOverrides: freqs, Options: opts, Detail: detail})
@@ -233,9 +233,9 @@ func TestCoRunCountsSharedCores(t *testing.T) {
 		if _, err := chipMetrics(c, []*program.Program{testKernel(t)}, opts); err != nil {
 			t.Fatal(err)
 		}
-		if c.CoreSimulations() != 1 || c.SharedCores() != 3 || c.Evaluations() != 1 {
-			t.Errorf("fanned-out program: %d simulations, %d shared cores, %d evaluations; want 1, 3, 1",
-				c.CoreSimulations(), c.SharedCores(), c.Evaluations())
+		if c.CoreSimulations() != 1 || c.SharedCores() != 3 {
+			t.Errorf("fanned-out program: %d simulations, %d shared cores; want 1, 3",
+				c.CoreSimulations(), c.SharedCores())
 		}
 	})
 }

@@ -248,9 +248,9 @@ func TestSpatialParallelBitIdenticalToSerial(t *testing.T) {
 }
 
 // TestFailedAggregationDoesNotCountEvaluation is the regression pin for the
-// evaluation counter: it used to advance before the trace aggregation could
-// fail, so failed chip evaluations inflated Evaluations(). The counter must
-// move only for served responses.
+// evaluation counters: they used to advance before the trace aggregation
+// could fail, so failed chip evaluations inflated the count. The counters
+// must move only for served responses.
 func TestFailedAggregationDoesNotCountEvaluation(t *testing.T) {
 	c := twoSmall(t, 1)
 	p := testKernel(t)
@@ -263,15 +263,15 @@ func TestFailedAggregationDoesNotCountEvaluation(t *testing.T) {
 	if _, err := chipMetrics(c, []*program.Program{p}, opts); err == nil {
 		t.Fatal("zero-window chip aggregation should fail")
 	}
-	if got := c.Evaluations(); got != 0 {
-		t.Errorf("failed evaluation advanced the counter to %d, want 0", got)
+	if sims, shared := c.CoreSimulations(), c.SharedCores(); sims != 0 || shared != 0 {
+		t.Errorf("failed evaluation advanced the counters to %d simulations, %d shared cores; want 0, 0", sims, shared)
 	}
 	c.spec.Cores[0].CPU.WindowCycles = 64
 	c.spec.Cores[1].CPU.WindowCycles = 64
 	if _, err := chipMetrics(c, []*program.Program{p}, opts); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Evaluations(); got != 1 {
+	if got := servedEvaluations(c); got != 1 {
 		t.Errorf("served evaluation count %d, want 1", got)
 	}
 }

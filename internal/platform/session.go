@@ -70,9 +70,7 @@ func (s *EvalSession) Evaluate(req EvalRequest) (EvalResponse, error) {
 // synthesize fills req.Programs (and, on multi-core platforms, missing
 // FreqOverrides) from req.Config. Single-core platforms get one kernel named
 // req.Name from the shared settings; multi-core platforms get one kernel per
-// core, named "<name>-core<i>", with core i's burst schedule rotated by its
-// PHASE_OFFSET_<i> knob — matching what the co-run platform's legacy
-// EvaluateConfig produced.
+// core from SynthesizeCores.
 func (s *EvalSession) synthesize(req *EvalRequest) error {
 	n := s.plat.NumCores()
 	if cap(s.progs) < n {
@@ -88,21 +86,35 @@ func (s *EvalSession) synthesize(req *EvalRequest) error {
 		req.Programs = progs
 		return nil
 	}
-	set := req.Config.Settings()
-	for i := 0; i < n; i++ {
-		coreSet := set
-		if off, ok := req.Config.ValueByName(knobs.PhaseOffsetName(i)); ok {
-			coreSet.PhaseOffset = int(off)
-		}
-		p, err := s.syn.SynthesizeSettings(fmt.Sprintf("%s-core%d", req.Name, i), coreSet)
-		if err != nil {
-			return fmt.Errorf("platform: synthesizing core %d kernel: %w", i, err)
-		}
-		progs[i] = p
+	if err := SynthesizeCores(progs, req.Name, req.Config, s.syn); err != nil {
+		return err
 	}
 	req.Programs = progs
 	if req.FreqOverrides == nil {
 		req.FreqOverrides = FreqOverrides(req.Config, n)
+	}
+	return nil
+}
+
+// SynthesizeCores fills progs, one entry per core, with the kernels of a
+// co-run configuration: cfg's shared kernel shape, core i's kernel named
+// "<name>-core<i>" and its burst schedule rotated by its PHASE_OFFSET_<i>
+// knob. The caller owns progs, so a session reuses one slice across
+// evaluations.
+func SynthesizeCores(progs []*program.Program, name string, cfg knobs.Config, syn interface {
+	SynthesizeSettings(name string, set knobs.Settings) (*program.Program, error)
+}) error {
+	set := cfg.Settings()
+	for i := range progs {
+		coreSet := set
+		if off, ok := cfg.ValueByName(knobs.PhaseOffsetName(i)); ok {
+			coreSet.PhaseOffset = int(off)
+		}
+		p, err := syn.SynthesizeSettings(fmt.Sprintf("%s-core%d", name, i), coreSet)
+		if err != nil {
+			return fmt.Errorf("platform: synthesizing core %d kernel: %w", i, err)
+		}
+		progs[i] = p
 	}
 	return nil
 }

@@ -133,9 +133,6 @@ func New(coeff Coefficients) (*Model, error) {
 	return m, nil
 }
 
-// Coefficients returns the model's coefficients.
-func (m *Model) Coefficients() Coefficients { return m.coeff }
-
 // Breakdown is the per-component energy attribution of a run.
 type Breakdown struct {
 	// Components maps component names to total energy in picojoules.

@@ -45,7 +45,6 @@ type ParallelEvaluator struct {
 	// duration of one evaluation, so each is only ever used by one
 	// goroutine at a time.
 	slots chan EvalFunc
-	n     int
 }
 
 // NewParallelEvaluator builds a pool of workers evaluator instances from the
@@ -65,17 +64,14 @@ func NewParallelEvaluator(workers int, factory func() (EvalFunc, error)) (*Paral
 		}
 		slots <- f
 	}
-	return &ParallelEvaluator{slots: slots, n: workers}, nil
+	return &ParallelEvaluator{slots: slots}, nil
 }
-
-// Workers returns the pool size.
-func (e *ParallelEvaluator) Workers() int { return e.n }
 
 // EvaluateBatch evaluates the configurations concurrently across the pool
 // and returns the results in input order. It is safe for concurrent use.
 func (e *ParallelEvaluator) EvaluateBatch(ctx context.Context, cfgs []knobs.Config, fidelity float64) ([]metrics.Vector, error) {
 	out := make([]metrics.Vector, len(cfgs))
-	err := Run(ctx, e.n, len(cfgs), func(_ context.Context, i int) error {
+	err := Run(ctx, cap(e.slots), len(cfgs), func(_ context.Context, i int) error {
 		f := <-e.slots
 		defer func() { e.slots <- f }()
 		v, err := f(cfgs[i], fidelity)

@@ -41,7 +41,8 @@ func Workers(requested, n int) int {
 
 // Run executes task(ctx, i) for every i in [0, n) on up to workers
 // goroutines. It returns the error of the lowest task index that failed (so
-// that error reporting is deterministic regardless of scheduling), after all
+// that error reporting is deterministic regardless of scheduling), or the
+// context's error when it was cancelled and no task failed, after all
 // started tasks have finished. The context passed to tasks is cancelled as
 // soon as any task fails, and task indices are claimed in order, so early
 // indices are started first.
@@ -71,7 +72,7 @@ func Run(ctx context.Context, workers, n int, task func(ctx context.Context, i i
 	var (
 		next     atomic.Int64 // next task index to claim
 		mu       sync.Mutex
-		firstIdx = n // lowest failed index seen so far
+		firstIdx = n + 1 // lowest failed index seen so far
 		firstErr error
 		wg       sync.WaitGroup
 	)
@@ -94,7 +95,10 @@ func Run(ctx context.Context, workers, n int, task func(ctx context.Context, i i
 					return
 				}
 				if err := ctx.Err(); err != nil {
-					fail(i, err)
+					// Cancelled by the caller or by a failed task, whose
+					// own error must win even at a higher index: rank the
+					// cancellation after every task.
+					fail(n, err)
 					return
 				}
 				if err := task(ctx, i); err != nil {

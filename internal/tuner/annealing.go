@@ -70,9 +70,6 @@ func NewSimulatedAnnealing(params SAParams) *SimulatedAnnealing {
 // Name implements Tuner.
 func (s *SimulatedAnnealing) Name() string { return "simulated-annealing" }
 
-// Params returns the effective parameters.
-func (s *SimulatedAnnealing) Params() SAParams { return s.params }
-
 // Run implements Tuner.
 func (s *SimulatedAnnealing) Run(ctx context.Context, prob Problem) (Result, error) {
 	return runEpochs(ctx, s.Name(), prob, func(ctx context.Context, e *engine) (epochStep, error) {

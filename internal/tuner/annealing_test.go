@@ -78,8 +78,8 @@ func TestSAParamsNormalization(t *testing.T) {
 		t.Errorf("normalized params %+v differ from defaults", p)
 	}
 	sa := NewSimulatedAnnealing(SAParams{})
-	if sa.Params().MovesPerEpoch != DefaultSAParams().MovesPerEpoch {
-		t.Error("Params accessor broken")
+	if sa.params.MovesPerEpoch != DefaultSAParams().MovesPerEpoch {
+		t.Error("constructor did not normalize the params")
 	}
 }
 

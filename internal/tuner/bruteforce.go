@@ -67,9 +67,6 @@ func NewBruteForce(params BruteForceParams) *BruteForce {
 // Name implements Tuner.
 func (b *BruteForce) Name() string { return "brute-force" }
 
-// Params returns the effective parameters.
-func (b *BruteForce) Params() BruteForceParams { return b.params }
-
 // Run implements Tuner. MaxEpochs is ignored (the budget is
 // MaxEvaluations, further capped by Problem.MaxEvaluations when set); the
 // epoch records group evaluations into pseudo-epochs of ReportEvery

@@ -65,9 +65,6 @@ func NewCMAES(params CMAESParams) *CMAES {
 // Name implements Tuner.
 func (c *CMAES) Name() string { return "cmaes" }
 
-// Params returns the effective parameters.
-func (c *CMAES) Params() CMAESParams { return c.params }
-
 // Run implements Tuner.
 func (c *CMAES) Run(ctx context.Context, prob Problem) (Result, error) {
 	return runEpochs(ctx, c.Name(), prob, func(_ context.Context, e *engine) (epochStep, error) {

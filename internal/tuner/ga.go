@@ -74,9 +74,6 @@ func NewGeneticAlgorithm(params GAParams) *GeneticAlgorithm {
 // Name implements Tuner.
 func (g *GeneticAlgorithm) Name() string { return "genetic-algorithm" }
 
-// Params returns the effective parameters.
-func (g *GeneticAlgorithm) Params() GAParams { return g.params }
-
 // individual is one member of the population.
 type individual struct {
 	cfg  knobs.Config

@@ -100,9 +100,6 @@ func NewGradientDescent(params GDParams) *GradientDescent {
 // Name implements Tuner.
 func (g *GradientDescent) Name() string { return "gradient-descent" }
 
-// Params returns the effective parameters.
-func (g *GradientDescent) Params() GDParams { return g.params }
-
 // Run implements Tuner.
 func (g *GradientDescent) Run(ctx context.Context, prob Problem) (Result, error) {
 	return runEpochs(ctx, g.Name(), prob, func(_ context.Context, e *engine) (epochStep, error) {

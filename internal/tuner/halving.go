@@ -69,9 +69,6 @@ func NewSuccessiveHalving(inner Tuner, params SuccessiveHalvingParams) *Successi
 // Name implements Tuner.
 func (s *SuccessiveHalving) Name() string { return "halving-" + s.inner.Name() }
 
-// Params returns the effective parameters.
-func (s *SuccessiveHalving) Params() SuccessiveHalvingParams { return s.params }
-
 // fidelityAt returns the fidelity of rung r on the geometric ladder from
 // MinFidelity (r=0) to 1 (r=Rungs-1).
 func (s *SuccessiveHalving) fidelityAt(r int) float64 {
