@@ -89,6 +89,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzSumTraces$$' -fuzztime=10s -run='^$$' ./internal/powersim
 	$(GO) test -fuzz='^FuzzSumTracesOneClockOracle$$' -fuzztime=10s -run='^$$' ./internal/powersim
 	$(GO) test -fuzz='^FuzzGridLumpedOracle$$' -fuzztime=10s -run='^$$' ./internal/powersim
+	$(GO) test -fuzz='^FuzzGridScratchReuse$$' -fuzztime=10s -run='^$$' ./internal/powersim
 	$(GO) test -fuzz='^FuzzSupplyReplayStop$$' -fuzztime=10s -run='^$$' ./internal/powersim
 	$(GO) test -fuzz='^FuzzWorstDroopsLanes$$' -fuzztime=10s -run='^$$' ./internal/powersim
 	$(GO) test -fuzz=FuzzDiskEntry -fuzztime=10s -run='^$$' ./internal/evalcache

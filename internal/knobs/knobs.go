@@ -189,14 +189,35 @@ const (
 
 // PhaseOffsetName returns the name of the phase-offset knob of one co-running
 // core ("PHASE_OFFSET_0", "PHASE_OFFSET_1", ...).
-func PhaseOffsetName(core int) string {
-	return fmt.Sprintf("%s_%d", NamePhaseOffset, core)
-}
+func PhaseOffsetName(core int) string { return phaseOffsetNames.name(core) }
 
 // FreqGHzName returns the name of the clock-frequency knob of one co-running
 // core ("FREQ_GHZ_0", "FREQ_GHZ_1", ...).
-func FreqGHzName(core int) string {
-	return fmt.Sprintf("%s_%d", NameFreqGHz, core)
+func FreqGHzName(core int) string { return freqGHzNames.name(core) }
+
+// coreKnobNames holds the per-core names of one knob prefix for the first
+// cores, rendered once, so the per-candidate lookups format nothing.
+type coreKnobNames struct {
+	prefix string
+	names  [64]string
+}
+
+var phaseOffsetNames, freqGHzNames = newCoreKnobNames(NamePhaseOffset), newCoreKnobNames(NameFreqGHz)
+
+func newCoreKnobNames(prefix string) *coreKnobNames {
+	t := &coreKnobNames{prefix: prefix}
+	for i := range t.names {
+		t.names[i] = fmt.Sprintf("%s_%d", prefix, i)
+	}
+	return t
+}
+
+// name returns "<prefix>_<core>", from the table when it holds the core.
+func (t *coreKnobNames) name(core int) string {
+	if core >= 0 && core < len(t.names) {
+		return t.names[core]
+	}
+	return fmt.Sprintf("%s_%d", t.prefix, core)
 }
 
 // instrKnobName maps a knob opcode to its Listing-1 knob name.

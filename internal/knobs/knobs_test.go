@@ -1,6 +1,7 @@
 package knobs
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -425,5 +426,18 @@ func TestDVFSStressSpace(t *testing.T) {
 	}
 	if got := KindFreqGHz.String(); got != "freq-ghz" {
 		t.Errorf("kind renders as %q", got)
+	}
+}
+
+// TestCoreKnobNames pins the per-core knob names, from the prebuilt table
+// and past it: "<prefix>_<core>" for every core index.
+func TestCoreKnobNames(t *testing.T) {
+	for _, core := range []int{0, 1, 9, 63, 64, 100, -1} {
+		if got, want := PhaseOffsetName(core), fmt.Sprintf("PHASE_OFFSET_%d", core); got != want {
+			t.Errorf("PhaseOffsetName(%d) = %q, want %q", core, got, want)
+		}
+		if got, want := FreqGHzName(core), fmt.Sprintf("FREQ_GHZ_%d", core); got != want {
+			t.Errorf("FreqGHzName(%d) = %q, want %q", core, got, want)
+		}
 	}
 }

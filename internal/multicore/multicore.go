@@ -184,17 +184,30 @@ type CoRunPlatform struct {
 	// rendered once.
 	coreKeys []coreKeys
 	nodeKeys []nodeKeys
-	// Per-evaluation scratch (the platform is single-owner): each core's
-	// effective clock, the index into distinct of the core whose
-	// simulation it uses, the cores that simulate, every core's run, and
-	// the droop-solve lanes.
+	// Per-evaluation scratch (the platform is single-owner, and each core
+	// owns its SimPlatform, whose trace buffer backs that core's trace):
+	// each core's effective clock, the index into distinct of the core
+	// whose simulation it uses, the cores that simulate, their runs, every
+	// core's run, and the droop-solve lanes.
 	freqs    []float64
 	slot     []int
 	distinct []int
+	simRuns  []coreRun
 	runs     []coreRun
 	models   []powersim.SupplyModel
 	lanes    []powersim.PowerTrace
 	droops   powersim.DroopLanes
+	// Aggregation scratch: the traces and start skews of one sum, the
+	// cores' skews in nanoseconds, the chip trace's points (a DetailTrace
+	// response gets fresh ones), each grid node's points and trace, and
+	// the grid solves' buffers.
+	traces     []powersim.PowerTrace
+	offs       []float64
+	offsetsNS  []float64
+	chipPoints []powersim.TracePoint
+	nodePoints [][]powersim.TracePoint
+	nodes      []powersim.PowerTrace
+	grid       powersim.GridScratch
 	// coreSims counts the core simulations the served chip evaluations ran
 	// and sharedCores the cores served from another core's simulation of
 	// the same evaluation, so coreSims + sharedCores is NumCores × served
@@ -219,8 +232,10 @@ func New(spec CoRunSpec, parallel int) (*CoRunPlatform, error) {
 	c := &CoRunPlatform{spec: spec, parallel: parallel, specClass: make([]int, n), coreKeys: make([]coreKeys, n),
 		freqs: make([]float64, n), slot: make([]int, n), runs: make([]coreRun, n)}
 	if spec.Spatial() {
-		cols := spec.Floorplan.Cols
-		c.nodeKeys = make([]nodeKeys, spec.Floorplan.NodeCount())
+		cols, nodes := spec.Floorplan.Cols, spec.Floorplan.NodeCount()
+		c.nodePoints = make([][]powersim.TracePoint, nodes)
+		c.nodes = make([]powersim.PowerTrace, nodes)
+		c.nodeKeys = make([]nodeKeys, nodes)
 		for k := range c.nodeKeys {
 			c.nodeKeys[k] = nodeKeys{droop: metrics.NodeDroopMV(k/cols, k%cols), temp: metrics.NodeTempC(k/cols, k%cols)}
 		}
@@ -345,17 +360,21 @@ func (c *CoRunPlatform) EvaluateConfig(name string, cfg knobs.Config, syn *micro
 // one shared kernel shape, rotated per core by the PHASE_OFFSET knobs.
 func (c *CoRunPlatform) SynthesizeCoRun(name string, cfg knobs.Config, syn *microprobe.Synthesizer) ([]*program.Program, error) {
 	progs := make([]*program.Program, len(c.sims))
-	if err := platform.SynthesizeCores(progs, name, cfg, syn); err != nil {
+	names := make([]string, len(c.sims))
+	platform.CoreKernelNames(names, name)
+	if err := platform.SynthesizeCores(progs, names, cfg, syn); err != nil {
 		return nil, err
 	}
 	return progs, nil
 }
 
 // coreRun is one core's contribution to a chip evaluation. Cores that
-// share a simulation share its vector and trace, read-only.
+// share a simulation share its run, read-only.
 type coreRun struct {
-	vector metrics.Vector
-	trace  powersim.PowerTrace
+	// ipc and powerW are the core's IPC and dynamic power.
+	ipc, powerW float64
+	// trace lives in the simulating core's platform buffer.
+	trace powersim.PowerTrace
 	// result is the raw simulation result, collected only for DetailResult.
 	result cpusim.Result
 	// freqGHz is the effective clock the core ran at (spec or override).
@@ -365,10 +384,11 @@ type coreRun struct {
 // evaluateDetailed simulates each distinct core once, fanning the
 // simulations out (bit-identical to the serial loop: each core owns its
 // platform and results fold in core order), sums the aligned traces and
-// derives the chip metrics. freqsGHz optionally overrides per-core clocks
-// (zero entries keep the spec clock). share lets cores that would run the
-// same simulation use one; without it every core simulates, which the
-// tests use as the reference.
+// derives the chip metrics. Every core runs at opts.FrequencyGHz when it is
+// set, else at its spec clock; freqsGHz optionally overrides per-core
+// clocks on top (zero entries keep that default). share lets cores that
+// would run the same simulation use one; without it every core simulates,
+// which the tests use as the reference.
 func (c *CoRunPlatform) evaluateDetailed(progs []*program.Program, freqsGHz []float64, opts platform.EvalOptions, detail platform.EvalDetail, share bool) (platform.EvalResponse, error) {
 	if len(progs) != len(c.sims) {
 		return platform.EvalResponse{}, fmt.Errorf("multicore: %d kernels for %d cores", len(progs), len(c.sims))
@@ -383,6 +403,9 @@ func (c *CoRunPlatform) evaluateDetailed(progs []*program.Program, freqsGHz []fl
 	}
 	for i, core := range c.spec.Cores {
 		c.freqs[i] = core.CPU.FrequencyGHz
+		if opts.FrequencyGHz > 0 {
+			c.freqs[i] = opts.FrequencyGHz
+		}
 		if freqsGHz != nil && freqsGHz[i] > 0 {
 			c.freqs[i] = freqsGHz[i]
 		}
@@ -391,18 +414,19 @@ func (c *CoRunPlatform) evaluateDetailed(progs []*program.Program, freqsGHz []fl
 	// Only DetailResult copies the raw results out of the simulators'
 	// window scratch.
 	keep := detail >= platform.DetailResult
-	sims, err := sched.Map(context.Background(), c.parallel, c.distinct,
-		func(_ context.Context, _ int, i int) (coreRun, error) {
-			coreOpts := opts
-			if freqsGHz != nil && freqsGHz[i] > 0 {
-				coreOpts.FrequencyGHz = freqsGHz[i]
-			}
-			v, trace, res, err := c.sims[i].EvaluateCore(progs[i], coreOpts, keep)
-			if err != nil {
-				return coreRun{}, fmt.Errorf("multicore: core %d: %w", i, err)
-			}
-			return coreRun{vector: v, trace: trace, result: res, freqGHz: c.freqs[i]}, nil
-		})
+	c.simRuns = slices.Grow(c.simRuns[:0], len(c.distinct))[:len(c.distinct)]
+	sims := c.simRuns
+	err := sched.Run(context.Background(), c.parallel, len(c.distinct), func(_ context.Context, j int) error {
+		i := c.distinct[j]
+		coreOpts := opts
+		coreOpts.FrequencyGHz = c.freqs[i]
+		ipc, powerW, trace, res, err := c.sims[i].EvaluateCore(progs[i], coreOpts, keep)
+		if err != nil {
+			return fmt.Errorf("multicore: core %d: %w", i, err)
+		}
+		sims[j] = coreRun{ipc: ipc, powerW: powerW, trace: trace, result: res, freqGHz: c.freqs[i]}
+		return nil
+	})
 	if err != nil {
 		return platform.EvalResponse{}, err
 	}
@@ -414,9 +438,19 @@ func (c *CoRunPlatform) evaluateDetailed(progs []*program.Program, freqsGHz []fl
 		}
 	}
 
-	chip, err := c.sumTraces(runs)
+	// The chip trace is built in the chip's buffer unless the response
+	// hands it out.
+	windowNS, offsetsNS := c.chipWindowNS(runs), c.chipOffsetsNS(runs)
+	var chipBuf []powersim.TracePoint
+	if detail < platform.DetailTrace {
+		chipBuf = c.chipPoints
+	}
+	chip, err := c.sumTraces(chipBuf, windowNS, offsetsNS, runs)
 	if err != nil {
 		return platform.EvalResponse{}, fmt.Errorf("multicore: summing traces: %w", err)
+	}
+	if detail < platform.DetailTrace {
+		c.chipPoints = chip.Points
 	}
 	steady := chip.TrimWarmupCapped(platform.TraceWarmupWindows)
 
@@ -437,15 +471,15 @@ func (c *CoRunPlatform) evaluateDetailed(progs []*program.Program, freqsGHz []fl
 	v := make(metrics.Vector, 4*len(runs)+4+2*len(c.nodeKeys))
 	for i, r := range runs {
 		keys := &c.coreKeys[i]
-		v[keys.ipc] = r.vector[metrics.IPC]
-		v[keys.power] = r.vector[metrics.DynamicPowerW]
+		v[keys.ipc] = r.ipc
+		v[keys.power] = r.powerW
 		v[keys.droop] = droops[c.slot[i]]
 		v[keys.freq] = r.freqGHz
 	}
 	v[metrics.ChipPowerW] = chip.AvgPowerW()
 	v[metrics.ChipMaxDIDTWPerNS] = steady.MaxStepWPerNS()
 	if c.spec.Spatial() {
-		if err := c.spatialMetrics(runs, v); err != nil {
+		if err := c.spatialMetrics(runs, windowNS, offsetsNS, v); err != nil {
 			return platform.EvalResponse{}, err
 		}
 	} else {
@@ -463,7 +497,8 @@ func (c *CoRunPlatform) evaluateDetailed(progs []*program.Program, freqsGHz []fl
 			resp.Results[i] = r.result
 		}
 	}
-	// Keep no trace or vector of this evaluation alive until the next one.
+	// Keep no result of this evaluation alive until the next one.
+	clear(c.simRuns)
 	clear(c.runs)
 	clear(c.lanes)
 	// The counters move only once the response is fully assembled: they
@@ -517,17 +552,17 @@ func sameKernel(a, b *program.Program) bool {
 
 // spatialMetrics runs the spatial supply/thermal solvers over the per-node
 // traces and folds the per-node and chip-worst transient metrics into v.
-func (c *CoRunPlatform) spatialMetrics(runs []coreRun, v metrics.Vector) error {
-	nodes, err := c.nodeTraces(runs)
+func (c *CoRunPlatform) spatialMetrics(runs []coreRun, windowNS float64, offsetsNS []float64, v metrics.Vector) error {
+	nodes, err := c.nodeTraces(runs, windowNS, offsetsNS)
 	if err != nil {
 		return fmt.Errorf("multicore: summing node traces: %w", err)
 	}
-	trimmed := trimNodesAligned(nodes, platform.TraceWarmupWindows)
-	droops, err := c.spec.GridSupply.NodeDroopsMV(trimmed)
+	trimNodesAligned(nodes, platform.TraceWarmupWindows)
+	droops, err := c.grid.NodeDroopsMV(*c.spec.GridSupply, nodes)
 	if err != nil {
 		return fmt.Errorf("multicore: spatial supply solve: %w", err)
 	}
-	temps, err := c.spec.GridThermal.NodeTempsC(trimmed)
+	temps, err := c.grid.NodeTempsC(*c.spec.GridThermal, nodes)
 	if err != nil {
 		return fmt.Errorf("multicore: spatial thermal solve: %w", err)
 	}
@@ -548,16 +583,14 @@ func (c *CoRunPlatform) spatialMetrics(runs []coreRun, v metrics.Vector) error {
 }
 
 // sumTraces aggregates the per-core traces into the chip waveform on the
-// nanosecond grid — the single aggregation path, whatever the chip's clock
-// mix. The grid window is sized to the longest per-core window duration so
-// no core's trace is artificially sharpened, and the cycle-domain start
-// skews convert through each core's own effective clock.
-func (c *CoRunPlatform) sumTraces(runs []coreRun) (powersim.PowerTrace, error) {
-	traces := make([]powersim.PowerTrace, len(runs))
-	for i, r := range runs {
-		traces[i] = r.trace
+// nanosecond grid, in buf's storage — the single aggregation path, whatever
+// the chip's clock mix.
+func (c *CoRunPlatform) sumTraces(buf []powersim.TracePoint, windowNS float64, offsetsNS []float64, runs []coreRun) (powersim.PowerTrace, error) {
+	c.traces = c.traces[:0]
+	for _, r := range runs {
+		c.traces = append(c.traces, r.trace)
 	}
-	return powersim.SumTracesTime(c.chipWindowNS(runs), c.chipOffsetsNS(runs), traces...)
+	return powersim.SumTracesTimeInto(buf, windowNS, offsetsNS, c.traces...)
 }
 
 // chipWindowNS sizes the nanosecond aggregation grid: the longest per-core
@@ -573,61 +606,63 @@ func (c *CoRunPlatform) chipWindowNS(runs []coreRun) float64 {
 }
 
 // chipOffsetsNS converts the spec's cycle-domain start skews through each
-// core's effective clock (nil when the spec has no skews).
+// core's effective clock, into the chip's buffer (nil when the spec has no
+// skews).
 func (c *CoRunPlatform) chipOffsetsNS(runs []coreRun) []float64 {
 	if c.spec.OffsetCycles == nil {
 		return nil
 	}
-	offsetsNS := make([]float64, len(runs))
+	c.offsetsNS = c.offsetsNS[:0]
 	for i, r := range runs {
-		offsetsNS[i] = float64(c.spec.OffsetCycles[i]) / r.freqGHz
+		c.offsetsNS = append(c.offsetsNS, float64(c.spec.OffsetCycles[i])/r.freqGHz)
 	}
-	return offsetsNS
+	return c.offsetsNS
 }
 
-// nodeTraces aggregates the per-core traces onto the floorplan's grid nodes:
-// node k's trace is the SumTracesTime aggregate of the cores mapped onto it,
-// on the same nanosecond grid and with the same start skews as the chip
-// trace. Nodes with no cores get an empty time-domain trace (an idle
-// region). With every core on one node the single node trace is the chip
-// trace, computed by the identical aggregation call — the arithmetic the
-// 1×1-grid oracle test pins.
-func (c *CoRunPlatform) nodeTraces(runs []coreRun) ([]powersim.PowerTrace, error) {
-	windowNS := c.chipWindowNS(runs)
-	offsetsNS := c.chipOffsetsNS(runs)
+// nodeTraces aggregates the per-core traces onto the floorplan's grid nodes,
+// each in its own node buffer: node k's trace is the SumTracesTime
+// aggregate of the cores mapped onto it, on the chip trace's nanosecond
+// grid and with its start skews. Nodes with no cores get an empty
+// time-domain trace (an idle region). With every core on one node the
+// single node trace is the chip trace, computed by the identical
+// aggregation call — the arithmetic the 1×1-grid oracle test pins.
+func (c *CoRunPlatform) nodeTraces(runs []coreRun, windowNS float64, offsetsNS []float64) ([]powersim.PowerTrace, error) {
 	fp := c.spec.Floorplan
-	out := make([]powersim.PowerTrace, fp.NodeCount())
-	for k := range out {
-		var traces []powersim.PowerTrace
-		var offs []float64
+	for k := range c.nodes {
+		c.traces, c.offs = c.traces[:0], c.offs[:0]
 		for i, r := range runs {
 			if fp.Nodes[i] != k {
 				continue
 			}
-			traces = append(traces, r.trace)
+			c.traces = append(c.traces, r.trace)
 			if offsetsNS != nil {
-				offs = append(offs, offsetsNS[i])
+				c.offs = append(c.offs, offsetsNS[i])
 			}
 		}
-		if len(traces) == 0 {
-			out[k] = powersim.PowerTrace{WindowNS: windowNS}
+		if len(c.traces) == 0 {
+			c.nodes[k] = powersim.PowerTrace{WindowNS: windowNS}
 			continue
 		}
-		node, err := powersim.SumTracesTime(windowNS, offs, traces...)
+		var offs []float64
+		if offsetsNS != nil {
+			offs = c.offs
+		}
+		node, err := powersim.SumTracesTimeInto(c.nodePoints[k], windowNS, offs, c.traces...)
 		if err != nil {
 			return nil, err
 		}
-		out[k] = node
+		c.nodePoints[k] = node.Points
+		c.nodes[k] = node
 	}
-	return out, nil
+	return c.nodes, nil
 }
 
-// trimNodesAligned applies the shared warmup policy to the node traces
-// without letting them fall out of time alignment: every non-empty node
-// trace drops the same number of leading windows — up to n, capped at a
-// quarter of the shortest non-empty node trace. With one populated node
+// trimNodesAligned applies the shared warmup policy to the node traces, in
+// place, without letting them fall out of time alignment: every non-empty
+// node trace drops the same number of leading windows — up to n, capped at
+// a quarter of the shortest non-empty node trace. With one populated node
 // this is exactly PowerTrace.TrimWarmupCapped(n) of that node's trace.
-func trimNodesAligned(nodes []powersim.PowerTrace, n int) []powersim.PowerTrace {
+func trimNodesAligned(nodes []powersim.PowerTrace, n int) {
 	shortest := -1
 	for _, t := range nodes {
 		if !t.Empty() && (shortest < 0 || len(t.Points) < shortest) {
@@ -635,20 +670,16 @@ func trimNodesAligned(nodes []powersim.PowerTrace, n int) []powersim.PowerTrace 
 		}
 	}
 	if shortest < 0 {
-		return nodes
+		return
 	}
 	if max := shortest / 4; n > max {
 		n = max
 	}
-	out := make([]powersim.PowerTrace, len(nodes))
 	for i, t := range nodes {
-		if t.Empty() {
-			out[i] = t
-			continue
+		if !t.Empty() {
+			nodes[i] = t.TrimWarmup(n)
 		}
-		out[i] = t.TrimWarmup(n)
 	}
-	return out
 }
 
 // coreKeys are core i's per-core metric names.

@@ -296,9 +296,7 @@ func (s *SimPlatform) simulate(p *program.Program, opts EvalOptions, sharedWindo
 // sharedTrace builds the trace in the platform's buffer, for callers that
 // are done with it before the next evaluation.
 func (s *SimPlatform) timeDomain(res *cpusim.Result, opts EvalOptions, sharedTrace bool) (metrics.Vector, powersim.PowerTrace) {
-	if opts.FrequencyGHz > 0 {
-		res.Config.FrequencyGHz = opts.FrequencyGHz
-	}
+	onClock(res, opts)
 	v := ResultVector(*res)
 	if !opts.CollectPower {
 		return v, powersim.PowerTrace{}
@@ -307,9 +305,22 @@ func (s *SimPlatform) timeDomain(res *cpusim.Result, opts EvalOptions, sharedTra
 	if !sharedTrace {
 		return v, s.power.Trace(*res)
 	}
-	trace := s.power.TraceInto(*res, s.tracePoints)
+	return v, s.sharedTrace(*res)
+}
+
+// onClock relabels the result's time base with the options' clock override.
+func onClock(res *cpusim.Result, opts EvalOptions) {
+	if opts.FrequencyGHz > 0 {
+		res.Config.FrequencyGHz = opts.FrequencyGHz
+	}
+}
+
+// sharedTrace builds the result's power trace in the platform's buffer; it
+// stays valid until the platform's next evaluation.
+func (s *SimPlatform) sharedTrace(res cpusim.Result) powersim.PowerTrace {
+	trace := s.power.TraceInto(res, s.tracePoints)
 	s.tracePoints = trace.Points
-	return v, trace
+	return trace
 }
 
 // addTransientMetrics is the transient step: worst-case supply droop,
@@ -328,20 +339,21 @@ func (s *SimPlatform) addTransientMetrics(v metrics.Vector, trace powersim.Power
 }
 
 // EvaluateCore serves one core of a chip evaluation: the cycle-domain and
-// time-domain steps only. It returns the metric vector with the dynamic
-// power, the untrimmed power trace and the raw result; the transient
-// metrics are left to the chip, which reports none of them per core except
-// the droop it solves itself. keepResult copies the result's activity
-// windows out of the simulator's scratch, so the Result stays valid after
-// the next run; without it the windows alias the scratch.
-func (s *SimPlatform) EvaluateCore(p *program.Program, opts EvalOptions, keepResult bool) (metrics.Vector, powersim.PowerTrace, cpusim.Result, error) {
-	res, err := s.simulate(p, opts, !keepResult)
+// time-domain steps only, reduced to what the chip reads. It returns the
+// core's IPC and dynamic power, its untrimmed power trace and the raw
+// result; the transient metrics are left to the chip, which reports none of
+// them per core except the droop it solves itself. The trace lives in the
+// platform's buffer and stays valid until the platform's next evaluation.
+// keepResult copies the result's activity windows out of the simulator's
+// scratch, so the Result stays valid after the next run; without it the
+// windows alias the scratch.
+func (s *SimPlatform) EvaluateCore(p *program.Program, opts EvalOptions, keepResult bool) (ipc, powerW float64, trace powersim.PowerTrace, res cpusim.Result, err error) {
+	res, err = s.simulate(p, opts, !keepResult)
 	if err != nil {
-		return nil, powersim.PowerTrace{}, cpusim.Result{}, err
+		return 0, 0, powersim.PowerTrace{}, cpusim.Result{}, err
 	}
-	opts.CollectPower = true
-	v, trace := s.timeDomain(&res, opts, false)
-	return v, trace, res, nil
+	onClock(&res, opts)
+	return res.IPC(), s.power.DynamicPower(res), s.sharedTrace(res), res, nil
 }
 
 // resultVectorCap is the most metrics a single-core evaluation reports:

@@ -412,3 +412,35 @@ func TestEvalRequestErrors(t *testing.T) {
 		t.Error("empty session request should be rejected")
 	}
 }
+
+// kernelNamesPlatform is a two-core platform that records the kernel names
+// of the last request it served.
+type kernelNamesPlatform struct{ names []string }
+
+func (*kernelNamesPlatform) Name() string  { return "kernel-names" }
+func (*kernelNamesPlatform) NumCores() int { return 2 }
+
+func (p *kernelNamesPlatform) EvaluateRequest(req platform.EvalRequest) (platform.EvalResponse, error) {
+	p.names = p.names[:0]
+	for _, k := range req.Programs {
+		p.names = append(p.names, k.Name)
+	}
+	return platform.EvalResponse{}, nil
+}
+
+// TestEvalSessionKernelNamesFollowRequestName pins the session's kept
+// per-core kernel names: core i's kernel is "<name>-core<i>" of the
+// request being served, also after the request name changes.
+func TestEvalSessionKernelNamesFollowRequestName(t *testing.T) {
+	plat := &kernelNamesPlatform{}
+	session := platform.NewEvalSession(plat, microprobe.NewCachingSynthesizer(microprobe.Options{LoopSize: reqLoopSize, Seed: reqSeed}))
+	cfg := knobs.CoRunStressSpace(2).MidConfig()
+	for _, name := range []string{"first", "first", "second", ""} {
+		if _, err := session.Evaluate(platform.EvalRequest{Name: name, Config: cfg}); err != nil {
+			t.Fatal(err)
+		}
+		if want := []string{name + "-core0", name + "-core1"}; !reflect.DeepEqual(plat.names, want) {
+			t.Errorf("request %q: kernels named %q, want %q", name, plat.names, want)
+		}
+	}
+}

@@ -23,8 +23,12 @@ type EvalSession struct {
 	plat Platform
 	syn  *microprobe.CachingSynthesizer
 	// progs is the per-request kernel scratch, reused across evaluations so
-	// the Config-driven hot path allocates no program slice.
+	// the Config-driven hot path allocates no program slice; names are the
+	// per-core kernel names of request name namesOf, kept until the name
+	// changes.
 	progs       []*program.Program
+	names       []string
+	namesOf     string
 	evaluations uint64
 }
 
@@ -86,7 +90,11 @@ func (s *EvalSession) synthesize(req *EvalRequest) error {
 		req.Programs = progs
 		return nil
 	}
-	if err := SynthesizeCores(progs, req.Name, req.Config, s.syn); err != nil {
+	if len(s.names) != n || s.namesOf != req.Name {
+		s.names, s.namesOf = make([]string, n), req.Name
+		CoreKernelNames(s.names, req.Name)
+	}
+	if err := SynthesizeCores(progs, s.names, req.Config, s.syn); err != nil {
 		return err
 	}
 	req.Programs = progs
@@ -96,12 +104,20 @@ func (s *EvalSession) synthesize(req *EvalRequest) error {
 	return nil
 }
 
+// CoreKernelNames fills names with the per-core kernel names of a co-run
+// request named name: "<name>-core<i>" for core i.
+func CoreKernelNames(names []string, name string) {
+	for i := range names {
+		names[i] = fmt.Sprintf("%s-core%d", name, i)
+	}
+}
+
 // SynthesizeCores fills progs, one entry per core, with the kernels of a
 // co-run configuration: cfg's shared kernel shape, core i's kernel named
-// "<name>-core<i>" and its burst schedule rotated by its PHASE_OFFSET_<i>
-// knob. The caller owns progs, so a session reuses one slice across
-// evaluations.
-func SynthesizeCores(progs []*program.Program, name string, cfg knobs.Config, syn interface {
+// names[i] (see CoreKernelNames) and its burst schedule rotated by its
+// PHASE_OFFSET_<i> knob. The caller owns progs and names, so a session
+// reuses them across evaluations.
+func SynthesizeCores(progs []*program.Program, names []string, cfg knobs.Config, syn interface {
 	SynthesizeSettings(name string, set knobs.Settings) (*program.Program, error)
 }) error {
 	set := cfg.Settings()
@@ -110,7 +126,7 @@ func SynthesizeCores(progs []*program.Program, name string, cfg knobs.Config, sy
 		if off, ok := cfg.ValueByName(knobs.PhaseOffsetName(i)); ok {
 			coreSet.PhaseOffset = int(off)
 		}
-		p, err := syn.SynthesizeSettings(fmt.Sprintf("%s-core%d", name, i), coreSet)
+		p, err := syn.SynthesizeSettings(names[i], coreSet)
 		if err != nil {
 			return fmt.Errorf("platform: synthesizing core %d kernel: %w", i, err)
 		}

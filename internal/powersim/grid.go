@@ -19,6 +19,7 @@ package powersim
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Default lateral coupling strengths of the built-in grid models. The
@@ -83,25 +84,50 @@ func (g GridSupplyModel) Validate() error {
 // worst-case droop in millivolts. On a 1×1 grid the result matches the
 // lumped SupplyModel.WorstDroopMV of the same trace exactly.
 func (g GridSupplyModel) NodeDroopsMV(nodes []PowerTrace) ([]float64, error) {
+	return new(GridScratch).NodeDroopsMV(g, nodes)
+}
+
+// GridScratch keeps the buffers of repeated grid solves, for a caller that
+// solves once per evaluation. The zero value is ready to use. It is not
+// safe for concurrent use.
+type GridScratch struct {
+	// dtS is the common step grid, cells the supply solve's per-window
+	// blocks, win its per-window step constants and state the solvers'
+	// per-node vectors.
+	dtS   []float64
+	cells []float64
+	win   []gridSupplyWindow
+	state []float64
+	// droops and temps are the returned results, kept apart so one
+	// evaluation can hold both.
+	droops, temps []float64
+}
+
+// NodeDroopsMV is g.NodeDroopsMV on s's buffers. The returned slice is
+// valid until the next NodeDroopsMV call on s.
+func (s *GridScratch) NodeDroopsMV(g GridSupplyModel, nodes []PowerTrace) ([]float64, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
 	n := g.Nodes()
-	wf, err := buildGridWaveform(n, nodes)
+	commonDtS, err := s.waveform(n, nodes)
 	if err != nil {
 		return nil, err
 	}
-	droops := make([]float64, n)
-	if wf.windows == 0 {
+	s.droops = zeroed(s.droops, n)
+	droops := s.droops
+	windows := len(commonDtS)
+	if windows == 0 {
 		return droops, nil
 	}
 
-	s := g.Node
+	m := g.Node
 	// cells holds, per window, a block of 3n values: every node's load
 	// current, then the currents and the voltages the latest settling pass
 	// entered the window with (the replay-stop record).
 	stride := 3 * n
-	cells := make([]float64, wf.windows*stride)
+	s.cells = zeroed(s.cells, windows*stride)
+	cells := s.cells
 	block := func(w int) (load, iRec, vRec []float64) {
 		b := cells[w*stride : (w+1)*stride]
 		return b[:n], b[n : 2*n], b[2*n:]
@@ -112,16 +138,15 @@ func (g GridSupplyModel) NodeDroopsMV(nodes []PowerTrace) ([]float64, error) {
 	// bit-identical. Nodes whose trace carries no usable timing (empty, or
 	// cycle-domain without a clock) draw nothing, matching the lumped
 	// model's zero-droop answer for such traces.
-	iv := make([]float64, n)
-	vv := make([]float64, n)
-	vMin := make([]float64, n)
+	s.state = zeroed(s.state, 4*n)
+	iv, vv, vMin, lat := s.state[:n], s.state[n:2*n], s.state[2*n:3*n], s.state[3*n:]
 	for nn, tr := range nodes {
 		avg := 0.0
-		if !tr.Empty() && (tr.TimeDomain() || tr.FrequencyGHz > 0) {
+		if tr.gridDriven() {
 			var weight float64
 			timeDomain := tr.TimeDomain()
 			for i, p := range tr.Points {
-				ld := p.PowerW / s.VddV
+				ld := p.PowerW / m.VddV
 				cells[i*stride+nn] = ld
 				if timeDomain {
 					d := tr.PointDurationNS(i) * 1e-9
@@ -139,7 +164,7 @@ func (g GridSupplyModel) NodeDroopsMV(nodes []PowerTrace) ([]float64, error) {
 			}
 		}
 		iv[nn] = avg
-		vv[nn] = s.VddV - avg*s.ResistanceOhm
+		vv[nn] = m.VddV - avg*m.ResistanceOhm
 		vMin[nn] = vv[nn]
 	}
 
@@ -147,15 +172,16 @@ func (g GridSupplyModel) NodeDroopsMV(nodes []PowerTrace) ([]float64, error) {
 	// coupled multi-node grids only, so the 1×1 step count stays exactly
 	// the lumped model's — tightened to keep the explicit lateral-exchange
 	// term stable (h < C / (4·G), the worst 4-neighbour case).
-	maxStep := s.MaxStepS
+	maxStep := m.MaxStepS
 	coupled := n > 1 && g.CouplingS > 0
 	if coupled {
-		if b := s.CapacitanceF / (4 * g.CouplingS); b < maxStep {
+		if b := m.CapacitanceF / (4 * g.CouplingS); b < maxStep {
 			maxStep = b
 		}
 	}
-	win := make([]gridSupplyWindow, wf.windows)
-	for w, dt := range wf.commonDtS {
+	s.win = zeroed(s.win, windows)
+	win := s.win
+	for w, dt := range commonDtS {
 		if dt == 0 {
 			continue
 		}
@@ -163,16 +189,14 @@ func (g GridSupplyModel) NodeDroopsMV(nodes []PowerTrace) ([]float64, error) {
 		h := dt / float64(k)
 		win[w] = gridSupplyWindow{
 			steps:  int32(k),
-			hOverL: h / s.InductanceH,
-			hOverC: h / s.CapacitanceF,
-			hCoupl: h / s.CapacitanceF * g.CouplingS,
+			hOverL: h / m.InductanceH,
+			hOverC: h / m.CapacitanceF,
+			hCoupl: h / m.CapacitanceF * g.CouplingS,
 		}
 	}
 
-	lat := make([]float64, n)
-
 settle:
-	for pass := 0; pass < s.Passes; pass++ {
+	for pass := 0; pass < m.Passes; pass++ {
 		for w := range win {
 			load, iRec, vRec := block(w)
 			// Replay stop, as in the lumped model: a window entered in the
@@ -191,7 +215,7 @@ settle:
 					// exchange is evaluated on the old voltages, then every
 					// voltage advances.
 					for nn := range iv {
-						iv[nn] += hL * (s.VddV - vv[nn] - s.ResistanceOhm*iv[nn])
+						iv[nn] += hL * (m.VddV - vv[nn] - m.ResistanceOhm*iv[nn])
 					}
 					lateralSums(lat, vv, g.Rows, g.Cols)
 					for nn := range vv {
@@ -203,7 +227,7 @@ settle:
 				} else {
 					// Decoupled nodes step exactly like the lumped model.
 					for nn := range iv {
-						iv[nn] += hL * (s.VddV - vv[nn] - s.ResistanceOhm*iv[nn])
+						iv[nn] += hL * (m.VddV - vv[nn] - m.ResistanceOhm*iv[nn])
 						vv[nn] += hC * (iv[nn] - load[nn])
 						if vv[nn] < vMin[nn] {
 							vMin[nn] = vv[nn]
@@ -214,7 +238,7 @@ settle:
 		}
 	}
 	for nn := range droops {
-		droops[nn] = (s.VddV - vMin[nn]) * 1000
+		droops[nn] = (m.VddV - vMin[nn]) * 1000
 	}
 	return droops, nil
 }
@@ -286,38 +310,41 @@ func (g GridThermalModel) Validate() error {
 // and returns each node's peak steady-state temperature in °C. On a 1×1
 // grid the result matches the lumped ThermalModel.SteadyTempC exactly.
 func (g GridThermalModel) NodeTempsC(nodes []PowerTrace) ([]float64, error) {
+	return new(GridScratch).NodeTempsC(g, nodes)
+}
+
+// NodeTempsC is g.NodeTempsC on s's buffers. The returned slice is valid
+// until the next NodeTempsC call on s.
+func (s *GridScratch) NodeTempsC(g GridThermalModel, nodes []PowerTrace) ([]float64, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
 	n := g.Nodes()
-	wf, err := buildGridWaveform(n, nodes)
+	commonDtS, err := s.waveform(n, nodes)
 	if err != nil {
 		return nil, err
 	}
 	m := g.Node
-	temps := make([]float64, n)
-	for nn := range temps {
-		temps[nn] = m.AmbientC
-	}
-	if wf.windows == 0 {
-		return temps, nil
+	s.temps = zeroed(s.temps, n)
+	tMax := s.temps
+	windows := len(commonDtS)
+	if windows == 0 {
+		for nn := range tMax {
+			tMax[nn] = m.AmbientC
+		}
+		return tMax, nil
 	}
 
-	// Per-node window power and warm start at each node's own
-	// average-power operating point — the lumped SteadyTempC arithmetic per
-	// node, so a 1×1 grid is bit-identical.
-	powerW := make([][]float64, n)
-	tMax := make([]float64, n)
+	// Warm start at each node's own average-power operating point — the
+	// lumped SteadyTempC arithmetic per node, so a 1×1 grid is
+	// bit-identical.
+	s.state = zeroed(s.state, 4*n)
+	temps, lat, gain, tStart := s.state[:n], s.state[n:2*n], s.state[2*n:3*n], s.state[3*n:]
 	for nn, tr := range nodes {
-		pw := make([]float64, wf.windows)
 		avg := 0.0
-		if !tr.Empty() && (tr.TimeDomain() || tr.FrequencyGHz > 0) {
-			for i, p := range tr.Points {
-				pw[i] = p.PowerW
-			}
+		if tr.gridDriven() {
 			avg = tr.AvgPowerW()
 		}
-		powerW[nn] = pw
 		temps[nn] = m.AmbientC + m.RthCPerW*avg
 		tMax[nn] = temps[nn]
 	}
@@ -333,14 +360,9 @@ func (g GridThermalModel) NodeTempsC(nodes []PowerTrace) ([]float64, error) {
 		}
 	}
 
-	lat := make([]float64, n)
-	gain := make([]float64, n)
-	tStart := make([]float64, n)
-
 	for pass := 0; pass < m.Passes; pass++ {
 		copy(tStart, temps)
-		for w := 0; w < wf.windows; w++ {
-			dt := wf.commonDtS[w]
+		for w, dt := range commonDtS {
 			if dt == 0 {
 				continue
 			}
@@ -348,8 +370,14 @@ func (g GridThermalModel) NodeTempsC(nodes []PowerTrace) ([]float64, error) {
 			h := dt / float64(steps)
 			// Distribute the step over the RC terms once per window so the
 			// inner loop carries no divisions (the lumped model's folding).
-			for nn := range gain {
-				gain[nn] = h / m.CthJPerC * powerW[nn][w]
+			// A node draws its trace's window power, or nothing past its
+			// end or without usable timing.
+			for nn, tr := range nodes {
+				p := 0.0
+				if w < len(tr.Points) && tr.gridDriven() {
+					p = tr.Points[w].PowerW
+				}
+				gain[nn] = h / m.CthJPerC * p
 			}
 			leak := h / (m.CthJPerC * m.RthCPerW)
 			hK := h / m.CthJPerC * g.LateralWPerC
@@ -396,24 +424,17 @@ func (g GridThermalModel) MaxTempC(nodes []PowerTrace) (float64, error) {
 	return hottest, nil
 }
 
-// gridWaveform is the common timing grid the per-node integrations advance
-// on: the window count (the longest node trace) and, per window, the common
-// step duration — the max across nodes of each node's own window span, so
-// no node's windows are artificially sharpened and all nodes stay in
-// lockstep for the coupling terms. On a one-node grid this is exactly the
-// node trace's own timing.
-type gridWaveform struct {
-	windows   int
-	commonDtS []float64
-}
-
-// buildGridWaveform validates the node-trace count and derives the common
-// step grid. Node traces may be empty (idle regions) and may mix domains;
-// each contributes its own per-window span through the same domain
-// arithmetic the lumped models use.
-func buildGridWaveform(n int, nodes []PowerTrace) (gridWaveform, error) {
+// waveform validates the node-trace count and derives, in s.dtS, the
+// common timing grid the per-node integrations advance on: one step per
+// window of the longest node trace, each the max across nodes of that
+// node's own window span, so no node's windows are artificially sharpened
+// and all nodes stay in lockstep for the coupling terms. On a one-node grid
+// this is exactly the node trace's own timing. Node traces may be empty
+// (idle regions) and may mix domains; each contributes its own per-window
+// span through the same domain arithmetic the lumped models use.
+func (s *GridScratch) waveform(n int, nodes []PowerTrace) ([]float64, error) {
 	if len(nodes) != n {
-		return gridWaveform{}, fmt.Errorf("powersim: %d node traces for a %d-node grid", len(nodes), n)
+		return nil, fmt.Errorf("powersim: %d node traces for a %d-node grid", len(nodes), n)
 	}
 	windows := 0
 	for _, tr := range nodes {
@@ -421,27 +442,41 @@ func buildGridWaveform(n int, nodes []PowerTrace) (gridWaveform, error) {
 			windows = len(tr.Points)
 		}
 	}
-	wf := gridWaveform{windows: windows, commonDtS: make([]float64, windows)}
+	s.dtS = zeroed(s.dtS, windows)
+	dtS := s.dtS
 	for _, tr := range nodes {
 		if tr.Empty() {
 			continue
 		}
 		if tr.TimeDomain() {
 			for i := range tr.Points {
-				if d := tr.PointDurationNS(i) * 1e-9; d > wf.commonDtS[i] {
-					wf.commonDtS[i] = d
+				if d := tr.PointDurationNS(i) * 1e-9; d > dtS[i] {
+					dtS[i] = d
 				}
 			}
 		} else if tr.FrequencyGHz > 0 {
 			cycleS := 1 / (tr.FrequencyGHz * 1e9)
 			for i, p := range tr.Points {
-				if d := float64(p.Cycles) * cycleS; d > wf.commonDtS[i] {
-					wf.commonDtS[i] = d
+				if d := float64(p.Cycles) * cycleS; d > dtS[i] {
+					dtS[i] = d
 				}
 			}
 		}
 	}
-	return wf, nil
+	return dtS, nil
+}
+
+// gridDriven reports whether a node trace drives its grid node: it has
+// samples and usable timing (time-domain, or cycle-domain with a clock).
+func (t PowerTrace) gridDriven() bool {
+	return !t.Empty() && (t.TimeDomain() || t.FrequencyGHz > 0)
+}
+
+// zeroed returns buf resliced to n zeroed elements, grown when too short.
+func zeroed[T any](buf []T, n int) []T {
+	buf = slices.Grow(buf[:0], n)[:n]
+	clear(buf)
+	return buf
 }
 
 // lateralSums sets lat[n], for every node n of a rows×cols row-major grid,

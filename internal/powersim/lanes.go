@@ -81,8 +81,7 @@ func (l *DroopLanes) WorstDroopsMV(models []SupplyModel, traces []PowerTrace) []
 	if len(models) != len(traces) {
 		panic(fmt.Sprintf("powersim: %d supply models for %d traces", len(models), len(traces)))
 	}
-	out := slices.Grow(l.out[:0], len(traces))[:len(traces)]
-	clear(out)
+	out := zeroed(l.out, len(traces))
 	l.out = out
 	points := 0
 	for k, t := range traces {

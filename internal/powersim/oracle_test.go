@@ -366,12 +366,12 @@ func nodeDroopsMVAllPasses(g GridSupplyModel, nodes []PowerTrace) ([]float64, er
 		return nil, err
 	}
 	n := g.Nodes()
-	wf, err := buildGridWaveform(n, nodes)
+	commonDtS, err := new(GridScratch).waveform(n, nodes)
 	if err != nil {
 		return nil, err
 	}
 	droops := make([]float64, n)
-	if wf.windows == 0 {
+	if len(commonDtS) == 0 {
 		return droops, nil
 	}
 
@@ -381,7 +381,7 @@ func nodeDroopsMVAllPasses(g GridSupplyModel, nodes []PowerTrace) ([]float64, er
 	vv := make([]float64, n)
 	vMin := make([]float64, n)
 	for nn, tr := range nodes {
-		ld := make([]float64, wf.windows)
+		ld := make([]float64, len(commonDtS))
 		avg := 0.0
 		if !tr.Empty() && (tr.TimeDomain() || tr.FrequencyGHz > 0) {
 			var weight float64
@@ -418,11 +418,11 @@ func nodeDroopsMVAllPasses(g GridSupplyModel, nodes []PowerTrace) ([]float64, er
 			maxStep = b
 		}
 	}
-	steps := make([]int32, wf.windows)
-	hOverL := make([]float64, wf.windows)
-	hOverC := make([]float64, wf.windows)
-	hCoupl := make([]float64, wf.windows)
-	for w, dt := range wf.commonDtS {
+	steps := make([]int32, len(commonDtS))
+	hOverL := make([]float64, len(commonDtS))
+	hOverC := make([]float64, len(commonDtS))
+	hCoupl := make([]float64, len(commonDtS))
+	for w, dt := range commonDtS {
 		if dt == 0 {
 			continue
 		}
@@ -442,7 +442,7 @@ func nodeDroopsMVAllPasses(g GridSupplyModel, nodes []PowerTrace) ([]float64, er
 	for pass := 0; pass < s.Passes; pass++ {
 		copy(iStart, iv)
 		copy(vStart, vv)
-		for w := 0; w < wf.windows; w++ {
+		for w := 0; w < len(commonDtS); w++ {
 			hL, hC, hG := hOverL[w], hOverC[w], hCoupl[w]
 			for k := int32(0); k < steps[w]; k++ {
 				if coupled {

@@ -283,6 +283,13 @@ func (t PowerTrace) Resample(windowNS, offsetNS float64) (PowerTrace, error) {
 // its DurationNS, and Cycles/WindowCycles/FrequencyGHz are zero (there is
 // no single clock to count in).
 func SumTracesTime(windowNS float64, offsetsNS []float64, traces ...PowerTrace) (PowerTrace, error) {
+	return SumTracesTimeInto(nil, windowNS, offsetsNS, traces...)
+}
+
+// SumTracesTimeInto is SumTracesTime building the sum's points in buf's
+// storage (grown when it is too short), for a caller that reuses one buffer
+// across aggregations. The result aliases buf, also when it is empty.
+func SumTracesTimeInto(buf []TracePoint, windowNS float64, offsetsNS []float64, traces ...PowerTrace) (PowerTrace, error) {
 	if !(windowNS > 0) || math.IsInf(windowNS, 0) {
 		return PowerTrace{}, fmt.Errorf("powersim: non-positive time-sum window length %g ns", windowNS)
 	}
@@ -325,12 +332,14 @@ func SumTracesTime(windowNS float64, offsetsNS []float64, traces ...PowerTrace) 
 			end = span
 		}
 	}
-	out := PowerTrace{WindowNS: windowNS}
+	out := PowerTrace{WindowNS: windowNS, Points: buf[:0]}
 	if end == 0 {
 		return out, nil
 	}
 	nWin := int(math.Ceil(end / windowNS))
-	energy := make([]float64, nWin)
+	// Energy accumulates straight into the zeroed output points.
+	pts := slices.Grow(out.Points, nWin)[:nWin]
+	clear(pts)
 	for i, tr := range traces {
 		if tr.Empty() {
 			continue
@@ -359,13 +368,12 @@ func SumTracesTime(windowNS float64, offsetsNS []float64, traces ...PowerTrace) 
 					hi = cursor
 				}
 				if hi > lo {
-					energy[w] += perNS * (hi - lo)
+					pts[w].EnergyPJ += perNS * (hi - lo)
 				}
 			}
 		}
 	}
-	out.Points = make([]TracePoint, nWin)
-	for w := range energy {
+	for w := range pts {
 		d := windowNS
 		if tail := end - float64(w)*windowNS; tail < d {
 			d = tail
@@ -373,12 +381,13 @@ func SumTracesTime(windowNS float64, offsetsNS []float64, traces ...PowerTrace) 
 		if d < 0 { // ceil rounding can manufacture an empty trailing window
 			d = 0
 		}
-		pt := TracePoint{DurationNS: d, EnergyPJ: energy[w]}
+		pt := &pts[w]
+		pt.DurationNS = d
 		if d > 0 {
 			pt.PowerW = pt.EnergyPJ / d / 1000 // pJ/ns = mW
 		}
-		out.Points[w] = pt
 	}
+	out.Points = pts
 	return out, nil
 }
 

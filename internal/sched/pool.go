@@ -66,7 +66,10 @@ func Run(ctx context.Context, workers, n int, task func(ctx context.Context, i i
 		return nil
 	}
 
-	ctx, cancel := context.WithCancel(ctx)
+	// A fresh variable, not a reassigned parameter: the workers capture it,
+	// and a captured parameter would be moved to the heap on the serial
+	// path too.
+	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	var (
@@ -94,14 +97,14 @@ func Run(ctx context.Context, workers, n int, task func(ctx context.Context, i i
 				if i >= n {
 					return
 				}
-				if err := ctx.Err(); err != nil {
+				if err := runCtx.Err(); err != nil {
 					// Cancelled by the caller or by a failed task, whose
 					// own error must win even at a higher index: rank the
 					// cancellation after every task.
 					fail(n, err)
 					return
 				}
-				if err := task(ctx, i); err != nil {
+				if err := task(runCtx, i); err != nil {
 					fail(i, err)
 					return
 				}
