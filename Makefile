@@ -82,6 +82,7 @@ vet:
 
 # Short fuzz smoke runs of every fuzz target (one -fuzz per invocation; the
 # powersim package has several targets, so their patterns are anchored).
+# TestEveryFuzzTargetRunsInMakeFuzz fails when a target has no line here.
 fuzz:
 	$(GO) test -fuzz=FuzzEmit -fuzztime=10s -run='^$$' ./internal/program
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s -run='^$$' ./internal/config

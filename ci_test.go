@@ -1,7 +1,9 @@
 package micrograd
 
 import (
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"slices"
 	"strings"
@@ -44,5 +46,84 @@ func TestCIStepsAreMakeCI(t *testing.T) {
 	}
 	if want := strings.Fields(ciRule[1]); !slices.Equal(steps, want) {
 		t.Errorf("CI runs make targets %v, want the Makefile's ci prerequisites %v", steps, want)
+	}
+}
+
+// TestEveryFuzzTargetRunsInMakeFuzz keeps the Makefile's fuzz target in step
+// with the fuzz targets in the tree: every `func Fuzz*` outside benchmark/
+// (a separate module with its own checks) is run by one `-fuzz=` line for
+// its package, and every such line's pattern matches exactly one existing
+// target of the package it names — the go tool refuses a pattern that
+// matches several.
+func TestEveryFuzzTargetRunsInMakeFuzz(t *testing.T) {
+	fuzzFunc := regexp.MustCompile(`(?m)^func (Fuzz\w+)\(\w+ \*testing\.F\)`)
+	targets := map[string][]string{} // package path ("./internal/x") -> targets
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (path == "benchmark" || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		pkg := "./" + filepath.ToSlash(filepath.Dir(path))
+		for _, m := range fuzzFunc.FindAllStringSubmatch(string(src), -1) {
+			targets[pkg] = append(targets[pkg], m[1])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rule := regexp.MustCompile(`(?m)^fuzz:\n((?:\t.*\n)+)`).FindStringSubmatch(string(makefile))
+	if rule == nil {
+		t.Fatal("Makefile has no fuzz target")
+	}
+	fuzzLine := regexp.MustCompile(`-fuzz=(\S+).*\s(\./\S+)$`)
+	run := map[string]bool{} // "pkg.Target" fuzzed by make fuzz
+	for _, line := range strings.Split(strings.TrimRight(rule[1], "\n"), "\n") {
+		m := fuzzLine.FindStringSubmatch(line)
+		if m == nil {
+			t.Errorf("fuzz recipe line %q names no -fuzz pattern and package", strings.TrimSpace(line))
+			continue
+		}
+		pattern := strings.ReplaceAll(strings.Trim(m[1], "'"), "$$", "$")
+		re, err := regexp.Compile(pattern)
+		if err != nil {
+			t.Errorf("fuzz pattern %q: %v", m[1], err)
+			continue
+		}
+		var matched []string
+		for _, name := range targets[m[2]] {
+			if re.MatchString(name) {
+				matched = append(matched, name)
+			}
+		}
+		if len(matched) != 1 {
+			t.Errorf("make fuzz pattern %s matches %v in %s, want exactly one fuzz target", m[1], matched, m[2])
+			continue
+		}
+		run[m[2]+"."+matched[0]] = true
+	}
+	for pkg, names := range targets {
+		for _, name := range names {
+			if !run[pkg+"."+name] {
+				t.Errorf("%s in %s is not run by make fuzz", name, pkg)
+			}
+		}
 	}
 }

@@ -30,8 +30,9 @@
 // Stress tuning is budget-centric: -tuner picks the search mechanism (gd,
 // ga, annealing, random, bruteforce, cmaes, halving-gd, halving-cmaes),
 // -budget caps the proposed evaluations per tuning run, and -power-cap
-// constrains the search to kernels under a dynamic power cap (capped runs
-// also report the objective/power Pareto front). These three apply to -kind
+// constrains the search to kernels under a dynamic power cap (no Pareto
+// front: only a stress run with a secondary metric reports one, and no
+// flag sets one). These three apply to -kind
 // and to the stresscmp, corun, dvfs, spatial and tunercmp experiments; fig5
 // and fig6 ignore them, because they compare fixed GD and GA runs with the
 // uncapped brute-force reference. The tunercmp experiment
@@ -94,7 +95,7 @@ func run(args []string, out io.Writer) error {
 		tracePath  = fs.String("trace", "", "file to write the -kind kernel's windowed power trace into (CSV; empty = don't write)")
 		tunerName  = fs.String("tuner", "", "stress-tuning mechanism of -kind and the stresscmp, corun, dvfs and spatial experiments: gd, ga, annealing, random, bruteforce, cmaes, halving-gd, halving-cmaes (empty = gd; fig5/fig6 always run gd and ga); for -experiment tunercmp, a comma-separated challenger list")
 		maxEvals   = fs.Int("budget", 0, "proposed-evaluation budget per stress tuning run of -kind and the stresscmp, corun, dvfs and spatial experiments, and tunercmp's shared budget (0 = bounded by epochs only; fig5/fig6 ignore it)")
-		powerCap   = fs.Float64("power-cap", 0, "dynamic power cap in watts for the stress tuning of -kind and the stresscmp, corun, dvfs, spatial and tunercmp experiments (0 = uncapped; fig5/fig6 ignore it; capped runs report the objective/power Pareto front)")
+		powerCap   = fs.Float64("power-cap", 0, "dynamic power cap in watts for the stress tuning of -kind and the stresscmp, corun, dvfs, spatial and tunercmp experiments (0 = uncapped; fig5/fig6 ignore it)")
 		memoCap    = fs.Int("memo-cap", 0, "bound each run's evaluation cache to this many entries with LRU eviction (0 = unbounded)")
 	)
 	if err := fs.Parse(args); err != nil {

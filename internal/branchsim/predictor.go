@@ -72,9 +72,6 @@ func (s Stats) MispredictRate() float64 {
 	return float64(s.Mispredicts) / float64(s.Branches)
 }
 
-// Accuracy returns 1 - MispredictRate.
-func (s Stats) Accuracy() float64 { return 1 - s.MispredictRate() }
-
 // Predictor is a direction predictor with 2-bit saturating counters.
 type Predictor struct {
 	cfg   Config
@@ -106,9 +103,6 @@ func New(cfg Config) (*Predictor, error) {
 		histMsk: (1 << uint(cfg.HistoryBits)) - 1,
 	}, nil
 }
-
-// Config returns the predictor configuration.
-func (p *Predictor) Config() Config { return p.cfg }
 
 // Stats returns a copy of the statistics.
 func (p *Predictor) Stats() Stats { return p.stats }

@@ -115,12 +115,6 @@ func TestResetAndStats(t *testing.T) {
 	if st.MispredictRate() != 0 {
 		t.Error("empty stats should report 0 mispredict rate")
 	}
-	if st.Accuracy() != 1 {
-		t.Error("empty stats should report accuracy 1")
-	}
-	if p.Config().Kind != Bimodal {
-		t.Error("Config accessor broken")
-	}
 }
 
 // TestResetAfterRunEqualsNew checks that Reset restores every counter, the

@@ -58,11 +58,12 @@ type Options struct {
 	// are bit-identical either way (evaluation is a pure function of the
 	// configuration and results are folded in submission order); parallel
 	// runs additionally need NewPlatform so each worker gets its own
-	// platform instance.
+	// platform instance: Platform is the first worker's.
 	Parallel int
-	// NewPlatform creates an independent evaluation platform for one
-	// worker. Required when Parallel > 1 because Platform implementations
-	// are not concurrency-safe.
+	// NewPlatform creates an independent evaluation platform for one more
+	// worker; a parallel run calls it Parallel-1 times. Required when
+	// Parallel > 1 because Platform implementations are not
+	// concurrency-safe.
 	NewPlatform func() (platform.Platform, error)
 	// Memo, when set, is a shared evaluation-result cache: concurrent or
 	// successive runs pointed at the same group reuse each other's
@@ -248,19 +249,13 @@ func CloneSimpoints(ctx context.Context, bm workloads.Benchmark, opts Options) (
 	if err := bm.Validate(); err != nil {
 		return nil, err
 	}
+	refs, err := bm.PhaseReferences(o.Platform, o.EvalOptions)
+	if err != nil {
+		return nil, fmt.Errorf("cloning: measuring %s phases: %w", bm.Name, err)
+	}
 	out := make(map[string]Report, len(bm.Phases))
 	for _, ph := range bm.Phases {
-		prog, err := bm.PhaseProgram(ph)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := o.Platform.EvaluateRequest(platform.EvalRequest{
-			Programs: []*program.Program{prog}, Options: o.EvalOptions,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("cloning: measuring %s/%s: %w", bm.Name, ph.Name, err)
-		}
-		rep, err := Clone(ctx, fmt.Sprintf("%s-%s", bm.Name, ph.Name), resp.Metrics, opts)
+		rep, err := Clone(ctx, fmt.Sprintf("%s-%s", bm.Name, ph.Name), refs[ph.Name], opts)
 		if err != nil {
 			return nil, err
 		}

@@ -79,9 +79,6 @@ func NewLRU(cap int) (*LRUCache, error) {
 	return &LRUCache{cap: cap, order: list.New(), index: make(map[string]*list.Element)}, nil
 }
 
-// Cap returns the capacity.
-func (c *LRUCache) Cap() int { return c.cap }
-
 // Get implements Cache.
 func (c *LRUCache) Get(key string) (metrics.Vector, bool) {
 	el, ok := c.index[key]

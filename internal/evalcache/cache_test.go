@@ -264,8 +264,8 @@ func TestNewSelectsBackendByCapacity(t *testing.T) {
 	if !ok {
 		t.Fatalf("New(5) = %T, want *LRUCache", c)
 	}
-	if lru.Cap() != 5 {
-		t.Fatalf("Cap = %d, want 5", lru.Cap())
+	if lru.cap != 5 {
+		t.Fatalf("capacity = %d, want 5", lru.cap)
 	}
 	if _, err := New(-1); err == nil {
 		t.Fatal("New(-1) succeeded")

@@ -163,10 +163,6 @@ func (r CoRunResult) Series() []report.Series {
 
 // Render renders the co-run experiment as a summary table.
 func (r CoRunResult) Render() string {
-	offsets := make([]string, len(r.Report.PhaseOffsets))
-	for i, o := range r.Report.PhaseOffsets {
-		offsets[i] = fmt.Sprintf("%d", o)
-	}
 	t := report.NewTable(fmt.Sprintf("Co-run stress: %d x %s core on a shared PDN (max %s)",
 		r.Cores, r.Core, r.Report.Metric), "quantity", "value")
 	t.AddRow("chip worst droop (mV)", fmt.Sprintf("%.1f", r.Report.BestValue))
@@ -176,12 +172,23 @@ func (r CoRunResult) Render() string {
 			t.AddRow("co-run / single-core droop", fmt.Sprintf("%.2fx", r.Report.BestValue/r.Baseline.BestValue))
 		}
 	}
-	t.AddRow("chip power (W)", fmt.Sprintf("%.3f", r.Full[metrics.ChipPowerW]))
-	t.AddRow("chip max dI/dt (W/ns)", fmt.Sprintf("%.4f", r.Full[metrics.ChipMaxDIDTWPerNS]))
-	t.AddRow("chip hotspot temp (°C)", fmt.Sprintf("%.1f", r.Full[metrics.ChipTempC]))
+	return renderChipRows(t, r.Report, r.Full)
+}
+
+// renderChipRows adds the rows every chip stress table ends with — the
+// winner's chip power, dI/dt and hotspot, its phase offsets and burst
+// shape, the tuning cost and its kernel configuration — and renders t.
+func renderChipRows(t *report.Table, rep stress.Report, full metrics.Vector) string {
+	offsets := make([]string, len(rep.PhaseOffsets))
+	for i, o := range rep.PhaseOffsets {
+		offsets[i] = fmt.Sprintf("%d", o)
+	}
+	t.AddRow("chip power (W)", fmt.Sprintf("%.3f", full[metrics.ChipPowerW]))
+	t.AddRow("chip max dI/dt (W/ns)", fmt.Sprintf("%.4f", full[metrics.ChipMaxDIDTWPerNS]))
+	t.AddRow("chip hotspot temp (°C)", fmt.Sprintf("%.1f", full[metrics.ChipTempC]))
 	t.AddRow("phase offsets (instrs)", strings.Join(offsets, ", "))
-	t.AddRow("duty cycle / burst len", fmt.Sprintf("%.1f / %d", r.Report.DutyCycle, r.Report.BurstLen))
-	t.AddRow("epochs / evaluations", fmt.Sprintf("%d / %d", r.Report.Epochs, r.Report.Evaluations))
-	t.AddRow("kernel config", r.Report.Config.String())
+	t.AddRow("duty cycle / burst len", fmt.Sprintf("%.1f / %d", rep.DutyCycle, rep.BurstLen))
+	t.AddRow("epochs / evaluations", fmt.Sprintf("%d / %d", rep.Epochs, rep.Evaluations))
+	t.AddRow("kernel config", rep.Config.String())
 	return t.String()
 }

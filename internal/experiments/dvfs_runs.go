@@ -156,10 +156,6 @@ func (r DVFSResult) Render() string {
 	for i, f := range r.Report.FreqsGHz {
 		freqs[i] = fmt.Sprintf("%.1f", f)
 	}
-	offsets := make([]string, len(r.Report.PhaseOffsets))
-	for i, o := range r.Report.PhaseOffsets {
-		offsets[i] = fmt.Sprintf("%d", o)
-	}
 	title := fmt.Sprintf("DVFS co-run stress: %d x %s core, per-core clocks tuned (max %s)",
 		r.Cores, r.Core, r.Report.Metric)
 	t := report.NewTable(title, "quantity", "value")
@@ -178,12 +174,5 @@ func (r DVFSResult) Render() string {
 		}
 		t.AddRow("warm-start clocks (GHz)", strings.Join(starts, ", "))
 	}
-	t.AddRow("chip power (W)", fmt.Sprintf("%.3f", r.Full[metrics.ChipPowerW]))
-	t.AddRow("chip max dI/dt (W/ns)", fmt.Sprintf("%.4f", r.Full[metrics.ChipMaxDIDTWPerNS]))
-	t.AddRow("chip hotspot temp (°C)", fmt.Sprintf("%.1f", r.Full[metrics.ChipTempC]))
-	t.AddRow("phase offsets (instrs)", strings.Join(offsets, ", "))
-	t.AddRow("duty cycle / burst len", fmt.Sprintf("%.1f / %d", r.Report.DutyCycle, r.Report.BurstLen))
-	t.AddRow("epochs / evaluations", fmt.Sprintf("%d / %d", r.Report.Epochs, r.Report.Evaluations))
-	t.AddRow("kernel config", r.Report.Config.String())
-	return t.String()
+	return renderChipRows(t, r.Report, r.Full)
 }

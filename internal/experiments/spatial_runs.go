@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"micrograd/internal/knobs"
 	"micrograd/internal/metrics"
@@ -83,7 +82,7 @@ func runSpatial(ctx context.Context, kind stress.Kind, coreName string, cores, r
 	}
 	lumped := multicore.Homogeneous(core, cores)
 	grid := lumped.WithGrid(rows, cols, fp)
-	if _, err := multicore.New(grid, 1); err != nil {
+	if err := grid.Validate(); err != nil {
 		return SpatialResult{}, err
 	}
 
@@ -153,10 +152,6 @@ func (r SpatialResult) Series() []report.Series {
 // Render renders the spatial experiment as a summary table, including the
 // per-node droop/temperature map of the winning configuration.
 func (r SpatialResult) Render() string {
-	offsets := make([]string, len(r.Report.PhaseOffsets))
-	for i, o := range r.Report.PhaseOffsets {
-		offsets[i] = fmt.Sprintf("%d", o)
-	}
 	title := fmt.Sprintf("Spatial chip stress: %d x %s core on a %dx%d PDN/thermal grid (max %s)",
 		r.Cores, r.Core, r.Rows, r.Cols, r.Report.Metric)
 	t := report.NewTable(title, "quantity", "value")
@@ -175,12 +170,5 @@ func (r SpatialResult) Render() string {
 				fmt.Sprintf("%.1f / %.1f", r.Full[metrics.NodeDroopMV(row, col)], r.Full[metrics.NodeTempC(row, col)]))
 		}
 	}
-	t.AddRow("chip power (W)", fmt.Sprintf("%.3f", r.Full[metrics.ChipPowerW]))
-	t.AddRow("chip max dI/dt (W/ns)", fmt.Sprintf("%.4f", r.Full[metrics.ChipMaxDIDTWPerNS]))
-	t.AddRow("chip hotspot temp (°C)", fmt.Sprintf("%.1f", r.Full[metrics.ChipTempC]))
-	t.AddRow("phase offsets (instrs)", strings.Join(offsets, ", "))
-	t.AddRow("duty cycle / burst len", fmt.Sprintf("%.1f / %d", r.Report.DutyCycle, r.Report.BurstLen))
-	t.AddRow("epochs / evaluations", fmt.Sprintf("%d / %d", r.Report.Epochs, r.Report.Evaluations))
-	t.AddRow("kernel config", r.Report.Config.String())
-	return t.String()
+	return renderChipRows(t, r.Report, r.Full)
 }

@@ -95,7 +95,7 @@ func RunTunerCmp(ctx context.Context, coreName string, cores, rows, cols int, tu
 		return TunerCmpResult{}, err
 	}
 	spec := multicore.Homogeneous(core, cores).WithGrid(rows, cols, nil)
-	if _, err := multicore.New(spec, 1); err != nil {
+	if err := spec.Validate(); err != nil {
 		return TunerCmpResult{}, err
 	}
 	budget := b.MaxEvaluations

@@ -212,17 +212,6 @@ func (op Opcode) Unit() UnitKind { return Describe(op).Unit }
 // MemBytes returns the number of bytes accessed by a memory opcode, or 0.
 func (op Opcode) MemBytes() int { return Describe(op).MemBytes }
 
-// ByMnemonic looks up an opcode by its mnemonic. The second result reports
-// whether the mnemonic is known.
-func ByMnemonic(name string) (Opcode, bool) {
-	for i := 0; i < NumOpcodes; i++ {
-		if descriptors[i].Mnemonic == name {
-			return Opcode(i), true
-		}
-	}
-	return 0, false
-}
-
 // KnobOpcodes returns the ten opcodes that correspond to the
 // instruction-fraction knobs of the paper's Listing 1, in knob order.
 func KnobOpcodes() []Opcode {

@@ -75,17 +75,6 @@ func (r Reg) ID() int {
 	return int(r.Index)
 }
 
-// RegFromID is the inverse of Reg.ID.
-func RegFromID(id int) Reg {
-	if id < 0 || id >= NumIntRegs+NumFPRegs {
-		panic(fmt.Sprintf("isa: register id %d out of range", id))
-	}
-	if id >= NumIntRegs {
-		return Reg{FP: true, Index: uint8(id - NumIntRegs)}
-	}
-	return Reg{Index: uint8(id)}
-}
-
 // TotalRegs is the total number of architectural registers across both files.
 const TotalRegs = NumIntRegs + NumFPRegs
 

@@ -359,17 +359,11 @@ func (h *Hierarchy) Reset() {
 	h.dataWay = nil
 }
 
-// AccessData performs a data access (load or store) and returns its latency
-// in cycles.
-func (h *Hierarchy) AccessData(addr uint64, write bool) int {
-	lat, _, _, _ := h.AccessDataEv(addr, write)
-	return lat
-}
-
-// AccessDataEv performs a data access and additionally reports the L2 events
-// it caused — demand accesses, misses (main-memory fetches) and prefetch
-// fills — so the timing model can attribute energy events to activity windows
-// without snapshotting cache counters around every access.
+// AccessDataEv performs a data access (load or store) and returns its latency
+// in cycles and the L2 events it caused — demand accesses, misses
+// (main-memory fetches) and prefetch fills — so the timing model can
+// attribute energy events to activity windows without snapshotting cache
+// counters around every access.
 func (h *Hierarchy) AccessDataEv(addr uint64, write bool) (lat int, l2acc, l2miss, l2pref uint8) {
 	if h.dtlb == nil {
 		if h.dataWay != nil && addr>>h.l1d.lineShift == h.dataLineNum {
@@ -418,16 +412,10 @@ func (h *Hierarchy) accessDataNewLine(addr uint64, write bool, tlbPenalty int) (
 	return lat, l2acc, l2miss, l2pref
 }
 
-// AccessInstr performs an instruction fetch and returns its latency in
-// cycles.
-func (h *Hierarchy) AccessInstr(pc uint64) int {
-	lat, _, _ := h.AccessInstrEv(pc)
-	return lat
-}
-
-// AccessInstrEv performs an instruction fetch and additionally reports the
-// L2 events it caused (see AccessDataEv). The same-line fast path is kept
-// small enough to inline into the timing model's per-instruction step.
+// AccessInstrEv performs an instruction fetch and returns its latency in
+// cycles and the L2 events it caused (see AccessDataEv). The same-line fast
+// path is kept small enough to inline into the timing model's
+// per-instruction step.
 func (h *Hierarchy) AccessInstrEv(pc uint64) (lat int, l2acc, l2miss uint8) {
 	lineNum := pc >> h.l1i.lineShift
 	if h.fetchWay != nil && lineNum == h.fetchLineNum {

@@ -145,20 +145,20 @@ func TestHierarchyLatencies(t *testing.T) {
 	}
 	cfg := hierCfg()
 	// Cold access: L1 miss + L2 miss + memory.
-	lat := h.AccessData(0x10000, false)
+	lat, _, _, _ := h.AccessDataEv(0x10000, false)
 	want := cfg.L1D.HitLatency + cfg.L2.HitLatency + cfg.MemLatency
 	if lat != want {
 		t.Errorf("cold access latency = %d, want %d", lat, want)
 	}
 	// Second access: L1 hit.
-	if lat := h.AccessData(0x10000, false); lat != cfg.L1D.HitLatency {
+	if lat, _, _, _ := h.AccessDataEv(0x10000, false); lat != cfg.L1D.HitLatency {
 		t.Errorf("warm access latency = %d, want %d", lat, cfg.L1D.HitLatency)
 	}
 	// Instruction fetch path.
-	if lat := h.AccessInstr(0x400); lat != cfg.L1I.HitLatency+cfg.L2.HitLatency+cfg.MemLatency {
+	if lat, _, _ := h.AccessInstrEv(0x400); lat != cfg.L1I.HitLatency+cfg.L2.HitLatency+cfg.MemLatency {
 		t.Errorf("cold fetch latency = %d", lat)
 	}
-	if lat := h.AccessInstr(0x400); lat != cfg.L1I.HitLatency {
+	if lat, _, _ := h.AccessInstrEv(0x400); lat != cfg.L1I.HitLatency {
 		t.Errorf("warm fetch latency = %d", lat)
 	}
 }
@@ -174,7 +174,7 @@ func TestHierarchyL2HitPath(t *testing.T) {
 	// Touch 64 lines (4 KiB), which fit in L2 but not in the 256-byte L1D.
 	for pass := 0; pass < 2; pass++ {
 		for i := uint64(0); i < 64; i++ {
-			h.AccessData(i*64, false)
+			h.AccessDataEv(i*64, false)
 		}
 	}
 	l1 := h.L1D().Stats()
@@ -199,8 +199,8 @@ func TestHierarchyPrefetcher(t *testing.T) {
 	// Stream through 256 KiB (beyond L2) with 64B stride: the next-line
 	// prefetcher should convert many L2 misses into hits.
 	for i := uint64(0); i < 4096; i++ {
-		noPf.AccessData(i*64, false)
-		withPf.AccessData(i*64, false)
+		noPf.AccessDataEv(i*64, false)
+		withPf.AccessDataEv(i*64, false)
 	}
 	if withPf.L2().Stats().HitRate() <= noPf.L2().Stats().HitRate() {
 		t.Errorf("prefetcher did not improve L2 hit rate: with=%v without=%v",
@@ -226,7 +226,7 @@ func TestSmallFootprintFitsInL1(t *testing.T) {
 	// 2 KiB working set inside a 4 KiB L1D: after the first pass everything hits.
 	for pass := 0; pass < 10; pass++ {
 		for i := uint64(0); i < 32; i++ {
-			h.AccessData(0x5000+i*64, false)
+			h.AccessDataEv(0x5000+i*64, false)
 		}
 	}
 	if hr := h.L1D().Stats().HitRate(); hr < 0.85 {

@@ -101,12 +101,12 @@ func TestHierarchyWithDTLB(t *testing.T) {
 	}
 	// Touch many distinct pages: every access misses the 8-entry TLB and the
 	// latency must include the page-walk penalty.
-	lat := h.AccessData(0, false)
+	lat, _, _, _ := h.AccessDataEv(0, false)
 	if lat < cfg.DTLB.MissPenalty {
 		t.Errorf("latency %d does not include the TLB miss penalty", lat)
 	}
 	for i := uint64(1); i < 64; i++ {
-		h.AccessData(i*4096, false)
+		h.AccessDataEv(i*4096, false)
 	}
 	st := h.DTLB().Stats()
 	if st.Accesses != 64 {
@@ -116,7 +116,7 @@ func TestHierarchyWithDTLB(t *testing.T) {
 		t.Errorf("page-per-access pattern should mostly miss, got miss rate %v", st.MissRate())
 	}
 	// Hits within one page add no penalty relative to the plain hierarchy.
-	warm := h.AccessData(0*4096+8, false)
+	warm, _, _, _ := h.AccessDataEv(0*4096+8, false)
 	if warm >= cfg.DTLB.MissPenalty {
 		t.Logf("note: access latency %d (page may have been evicted)", warm)
 	}
@@ -141,7 +141,7 @@ func TestHierarchyWithoutDTLBUnchanged(t *testing.T) {
 		t.Error("default hierarchy should have no DTLB")
 	}
 	cfg := hierCfg()
-	if lat := h.AccessData(0x100, false); lat != cfg.L1D.HitLatency+cfg.L2.HitLatency+cfg.MemLatency {
+	if lat, _, _, _ := h.AccessDataEv(0x100, false); lat != cfg.L1D.HitLatency+cfg.L2.HitLatency+cfg.MemLatency {
 		t.Errorf("latency changed for TLB-less hierarchy: %d", lat)
 	}
 }

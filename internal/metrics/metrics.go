@@ -201,11 +201,6 @@ type CloneLoss struct {
 	Metrics []string
 }
 
-// NewCloneLoss builds a CloneLoss over the default cloning metric set.
-func NewCloneLoss(target Vector) CloneLoss {
-	return CloneLoss{Target: target, Metrics: CloningMetricNames()}
-}
-
 // Name implements Loss.
 func (CloneLoss) Name() string { return "clone-logloss" }
 

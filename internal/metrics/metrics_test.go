@@ -90,7 +90,7 @@ func TestCloningMetricNames(t *testing.T) {
 func TestCloneLossZeroAtTarget(t *testing.T) {
 	target := Vector{IPC: 1.5, FracLoad: 0.3, L1DHitRate: 0.92, BranchMispredictRate: 0.04,
 		FracInteger: 0.4, FracStore: 0.1, FracBranch: 0.2, L1IHitRate: 0.99, L2HitRate: 0.7}
-	loss := NewCloneLoss(target)
+	loss := CloneLoss{Target: target}
 	if l := loss.Loss(target.Clone()); l > 1e-9 {
 		t.Errorf("loss at target = %v, want 0", l)
 	}

@@ -165,9 +165,10 @@ func (s CoRunSpec) Validate() error {
 }
 
 // CoRunPlatform simulates N co-running cores. It implements
-// platform.Platform (Evaluate runs the same kernel on every core) and
-// stress.ConfigEvaluator (EvaluateConfig derives per-core kernels from one
-// knob configuration via the PHASE_OFFSET knobs).
+// platform.Platform (Evaluate runs the same kernel on every core), and its
+// NumCores above 1 is what selects the chip evaluation path in stress.Run:
+// an EvalSession derives per-core kernels from one knob configuration via
+// the PHASE_OFFSET knobs.
 //
 // Like the single-core platforms it is not safe for concurrent use; the
 // per-core fan-out inside one evaluation is internal (each core owns its
@@ -337,7 +338,7 @@ func (c *CoRunPlatform) EvaluateRequest(req platform.EvalRequest) (platform.Eval
 	return c.evaluateDetailed(progs, req.FreqOverrides, req.Options, req.Detail, true)
 }
 
-// EvaluateConfig implements the stress package's ConfigEvaluator: the shared
+// EvaluateConfig evaluates one knob configuration on the chip: the shared
 // kernel knobs of cfg shape every core's kernel, core i's burst schedule is
 // rotated by its PHASE_OFFSET_<i> knob, and its clock overridden by its
 // FREQ_GHZ_<i> knob (when present). The synthesizer is pure per call, so

@@ -250,22 +250,6 @@ type gridSupplyWindow struct {
 	hOverL, hOverC, hCoupl float64
 }
 
-// WorstDroopMV returns the deepest per-node droop of the grid — the
-// chip-worst supply excursion.
-func (g GridSupplyModel) WorstDroopMV(nodes []PowerTrace) (float64, error) {
-	droops, err := g.NodeDroopsMV(nodes)
-	if err != nil {
-		return 0, err
-	}
-	worst := droops[0]
-	for _, d := range droops[1:] {
-		if d > worst {
-			worst = d
-		}
-	}
-	return worst, nil
-}
-
 // GridThermalModel is the spatial die model: a Rows×Cols grid of thermal
 // nodes, each a lumped RC to ambient (the Node model), with adjacent nodes
 // exchanging heat through a LateralWPerC conductance. Concentrating
@@ -406,22 +390,6 @@ func (s *GridScratch) NodeTempsC(g GridThermalModel, nodes []PowerTrace) ([]floa
 		}
 	}
 	return tMax, nil
-}
-
-// MaxTempC returns the hottest per-node peak temperature of the grid — the
-// chip hotspot temperature.
-func (g GridThermalModel) MaxTempC(nodes []PowerTrace) (float64, error) {
-	temps, err := g.NodeTempsC(nodes)
-	if err != nil {
-		return 0, err
-	}
-	hottest := temps[0]
-	for _, t := range temps[1:] {
-		if t > hottest {
-			hottest = t
-		}
-	}
-	return hottest, nil
 }
 
 // waveform validates the node-trace count and derives, in s.dtS, the

@@ -54,18 +54,6 @@ func (l *droopLane) enter() bool {
 	}
 }
 
-// WorstDroopsMV returns models[k].WorstDroopMV(traces[k]) for every k, bit
-// for bit, integrating up to four of the solves together. Each lane runs
-// exactly the expressions of WorstDroopMV, in the same order, with its own
-// windows, step counts, pass count and replay stop; the lanes advance
-// together by the smallest number of substeps any of them has left in its
-// current window, and a lane that finishes hands its slot to the next
-// pending one. It panics when the two slices differ in length.
-func WorstDroopsMV(models []SupplyModel, traces []PowerTrace) []float64 {
-	var l DroopLanes
-	return l.WorstDroopsMV(models, traces)
-}
-
 // DroopLanes keeps the buffers of repeated laned droop solves, for a caller
 // that solves once per evaluation. The zero value is ready to use. It is
 // not safe for concurrent use.
@@ -75,8 +63,14 @@ type DroopLanes struct {
 	out     []float64
 }
 
-// WorstDroopsMV is the package-level WorstDroopsMV on l's buffers. The
-// returned slice is valid until the next call.
+// WorstDroopsMV returns models[k].WorstDroopMV(traces[k]) for every k, bit
+// for bit, integrating up to four of the solves together. Each lane runs
+// exactly the expressions of WorstDroopMV, in the same order, with its own
+// windows, step counts, pass count and replay stop; the lanes advance
+// together by the smallest number of substeps any of them has left in its
+// current window, and a lane that finishes hands its slot to the next
+// pending one. It panics when the two slices differ in length. The returned
+// slice is valid until the next call.
 func (l *DroopLanes) WorstDroopsMV(models []SupplyModel, traces []PowerTrace) []float64 {
 	if len(models) != len(traces) {
 		panic(fmt.Sprintf("powersim: %d supply models for %d traces", len(models), len(traces)))

@@ -14,8 +14,8 @@ import (
 // same lanes in reverse) left dirty.
 func requireLanesMatch(t *testing.T, models []SupplyModel, traces []PowerTrace) {
 	t.Helper()
-	fresh := WorstDroopsMV(models, traces)
-	var reused DroopLanes
+	var l, reused DroopLanes
+	fresh := l.WorstDroopsMV(models, traces)
 	reused.WorstDroopsMV(reversed(models), reversed(traces))
 	again := reused.WorstDroopsMV(models, traces)
 	for name, got := range map[string][]float64{"fresh": fresh, "reused": again} {
@@ -99,7 +99,8 @@ func TestWorstDroopsMVMatchesWorstDroopMV(t *testing.T) {
 			})
 		}
 	}
-	if got := WorstDroopsMV(nil, nil); len(got) != 0 {
+	var l DroopLanes
+	if got := l.WorstDroopsMV(nil, nil); len(got) != 0 {
 		t.Errorf("no lanes gave %d droops", len(got))
 	}
 }
@@ -111,7 +112,8 @@ func TestWorstDroopsMVRejectsMismatchedLanes(t *testing.T) {
 			t.Error("one model for two traces should panic")
 		}
 	}()
-	WorstDroopsMV([]SupplyModel{DefaultSupplyModel()}, []PowerTrace{flatTrace(4, 1), flatTrace(4, 2)})
+	var l DroopLanes
+	l.WorstDroopsMV([]SupplyModel{DefaultSupplyModel()}, []PowerTrace{flatTrace(4, 1), flatTrace(4, 2)})
 }
 
 // randomDroopTrace draws a trace for the droop fuzz targets: either domain

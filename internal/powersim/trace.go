@@ -254,16 +254,6 @@ func (t PowerTrace) fullWindow(i int, nominalNS float64) bool {
 	return t.Points[i].Cycles == uint64(t.WindowCycles)
 }
 
-// Resample redistributes the trace's energy onto a fresh time-domain grid of
-// windowNS-long windows, with the whole trace shifted right by offsetNS (the
-// leading offset windows draw no power). It is domain-aware: cycle-domain
-// points convert to time spans through the trace clock, time-domain points
-// carry their own durations. Energy is conserved, and the result is always a
-// time-domain trace (it rides the SumTracesTime engine).
-func (t PowerTrace) Resample(windowNS, offsetNS float64) (PowerTrace, error) {
-	return SumTracesTime(windowNS, []float64{offsetNS}, t)
-}
-
 // SumTracesTime aligns several power traces onto one common grid of
 // windowNS-long windows in the time domain — converting each trace's cycle
 // spans to nanoseconds through its own FrequencyGHz, shifting trace i right

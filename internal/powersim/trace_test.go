@@ -134,7 +134,7 @@ func TestMaxStepWPerNS(t *testing.T) {
 	}
 	// Time domain: the same waveform on the nanosecond grid keeps the metric
 	// (MaxStepWPerCycle reports 0 there — the gap this metric closes).
-	tim, err := tr.Resample(32, 0)
+	tim, err := SumTracesTime(32, []float64{0}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestMaxStepWPerNSExcludesPartialTailWindow(t *testing.T) {
 	if got := tr.MaxStepWPerNS(); got != 0 {
 		t.Errorf("partial tail window leaked into the per-ns step metric: %v", got)
 	}
-	tim, err := squareTrace(8, 2, 0.2, 1.0).Resample(48, 0)
+	tim, err := SumTracesTime(48, []float64{0}, squareTrace(8, 2, 0.2, 1.0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestMaxStepWPerNSExcludesPartialTailWindow(t *testing.T) {
 	if last := tim.Points[len(tim.Points)-1].DurationNS; math.Abs(last-16) > 1e-9 {
 		t.Fatalf("tail window spans %v ns, want 16", last)
 	}
-	full, err := squareTrace(8, 2, 0.2, 1.0).Resample(32, 0)
+	full, err := SumTracesTime(32, []float64{0}, squareTrace(8, 2, 0.2, 1.0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestMaxStepWPerNSExcludesPartialTailWindow(t *testing.T) {
 
 func TestResampleShiftsTrace(t *testing.T) {
 	a := flatTrace(2, 1.0)
-	shifted, err := a.Resample(32, 32) // one 64-cycle window at 2 GHz = 32 ns
+	shifted, err := SumTracesTime(32, []float64{32}, a) // one 64-cycle window at 2 GHz = 32 ns
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,9 +197,10 @@ func TestResampleShiftsTrace(t *testing.T) {
 }
 
 // TestResampleTimeDomainConservesEnergy is the regression pin for the
-// time-domain Resample hole: the old cycle-grid implementation summed
+// time-domain resampling hole: the old cycle-grid implementation summed
 // p.Cycles — all zero on a time-domain trace — and silently returned an
-// empty trace. Resampling must work in both domains and conserve energy.
+// empty trace. Resampling one trace through SumTracesTime must work in both
+// domains and conserve energy.
 func TestResampleTimeDomainConservesEnergy(t *testing.T) {
 	a := flatTraceAt(5, 64, 2.0, 1.0)
 	b := flatTraceAt(7, 48, 1.2, 0.5)
@@ -210,7 +211,7 @@ func TestResampleTimeDomainConservesEnergy(t *testing.T) {
 	if !tim.TimeDomain() || tim.Empty() {
 		t.Fatal("fixture should be a non-empty time-domain trace")
 	}
-	re, err := tim.Resample(40.25, 13.5)
+	re, err := SumTracesTime(40.25, []float64{13.5}, tim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,10 +226,10 @@ func TestResampleTimeDomainConservesEnergy(t *testing.T) {
 	if span := re.DurationNS(); math.Abs(span-wantSpan) > 1e-9*wantSpan {
 		t.Errorf("resampled span %v ns, want %v ns", span, wantSpan)
 	}
-	if _, err := tim.Resample(0, 0); err == nil {
+	if _, err := SumTracesTime(0, []float64{0}, tim); err == nil {
 		t.Error("non-positive resample window should be rejected")
 	}
-	if _, err := tim.Resample(32, -1); err == nil {
+	if _, err := SumTracesTime(32, []float64{-1}, tim); err == nil {
 		t.Error("negative resample offset should be rejected")
 	}
 }
@@ -367,7 +368,7 @@ func TestTraceWriteCSV(t *testing.T) {
 // carry cycles=0 but a real duration_ns, so heterogeneous chip traces are no
 // longer ambiguous.
 func TestTraceWriteCSVTimeDomain(t *testing.T) {
-	tim, err := flatTrace(3, 1.0).Resample(24, 0) // 96 ns of trace on a 24 ns grid
+	tim, err := SumTracesTime(24, []float64{0}, flatTrace(3, 1.0)) // 96 ns of trace on a 24 ns grid
 	if err != nil {
 		t.Fatal(err)
 	}

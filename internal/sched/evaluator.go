@@ -48,7 +48,7 @@ type ParallelEvaluator struct {
 }
 
 // NewParallelEvaluator builds a pool of workers evaluator instances from the
-// factory. A workers value <= 0 selects DefaultWorkers. The factory is
+// factory. A workers value <= 0 selects GOMAXPROCS. The factory is
 // called once per worker and must return evaluators that are independent of
 // each other (typically each wraps its own simulation platform).
 func NewParallelEvaluator(workers int, factory func() (EvalFunc, error)) (*ParallelEvaluator, error) {

@@ -18,17 +18,13 @@ import (
 	"sync/atomic"
 )
 
-// DefaultWorkers is the worker count used when a caller passes a
-// non-positive value: one worker per available CPU.
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
 // Workers normalizes a requested worker count: non-positive values select
-// DefaultWorkers, and the count never exceeds the number of tasks when that
-// bound is known (pass n <= 0 for "unbounded").
+// one worker per available CPU (GOMAXPROCS), and the count never exceeds the
+// number of tasks when that bound is known (pass n <= 0 for "unbounded").
 func Workers(requested, n int) int {
 	w := requested
 	if w <= 0 {
-		w = DefaultWorkers()
+		w = runtime.GOMAXPROCS(0)
 	}
 	if n > 0 && w > n {
 		w = n

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,8 +14,8 @@ import (
 )
 
 func TestWorkersNormalization(t *testing.T) {
-	if got := Workers(0, 0); got != DefaultWorkers() {
-		t.Errorf("Workers(0,0) = %d, want %d", got, DefaultWorkers())
+	if got := Workers(0, 0); got != runtime.GOMAXPROCS(0) {
+		t.Errorf("Workers(0,0) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
 	if got := Workers(8, 3); got != 3 {
 		t.Errorf("Workers(8,3) = %d, want 3 (capped by task count)", got)

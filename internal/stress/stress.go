@@ -149,11 +149,13 @@ type Options struct {
 	// Parallel is the number of candidate evaluations run concurrently
 	// inside each tuning epoch. Values <= 1 keep the serial path; results
 	// are bit-identical either way. Parallel runs additionally need
-	// NewPlatform so each worker gets its own platform instance.
+	// NewPlatform so each worker gets its own platform instance: Platform
+	// is the first worker's.
 	Parallel int
-	// NewPlatform creates an independent evaluation platform for one
-	// worker. Required when Parallel > 1 because Platform implementations
-	// are not concurrency-safe.
+	// NewPlatform creates an independent evaluation platform for one more
+	// worker; a parallel run calls it Parallel-1 times. Required when
+	// Parallel > 1 because Platform implementations are not
+	// concurrency-safe.
 	NewPlatform func() (platform.Platform, error)
 	// Memo optionally supplies a shared evaluation-cache group (one per
 	// daemon or experiment suite); the run's evaluator joins it with keys
@@ -328,14 +330,15 @@ func Run(ctx context.Context, kind Kind, opts Options) (Report, error) {
 		return Report{}, fmt.Errorf("stress: no evaluation platform configured")
 	}
 	opts = opts.normalized(kind)
-	// A kind and its platform must pair up: the co-run kind needs a platform
-	// that synthesizes per-core kernels, and the single-platform kinds stress
-	// metrics a chip-level vector never carries. An explicit Metric override
-	// opts out (the caller is stressing a custom metric knowingly).
-	_, coRunPlat := opts.Platform.(ConfigEvaluator)
+	// A kind and its platform must pair up: the co-run kinds need a chip
+	// (a platform of more than one core) to synthesize per-core kernels for,
+	// and the single-platform kinds stress metrics a chip-level vector never
+	// carries. An explicit Metric override opts out (the caller is stressing
+	// a custom metric knowingly).
+	coRunPlat := opts.Platform.NumCores() > 1
 	switch {
 	case multiCoreKind(kind) && !coRunPlat:
-		return Report{}, fmt.Errorf("stress: %s requires a co-run platform (got %s, which cannot synthesize per-core kernels)",
+		return Report{}, fmt.Errorf("stress: %s requires a co-run platform (got %s, a single core)",
 			kind, opts.Platform.Name())
 	case !multiCoreKind(kind) && coRunPlat && opts.Metric == "":
 		return Report{}, fmt.Errorf("stress: %s stresses %s, which the co-run platform %s does not produce (use %s or %s, or set Metric explicitly)",
@@ -364,7 +367,7 @@ func Run(ctx context.Context, kind Kind, opts Options) (Report, error) {
 			}
 			// Worker platforms must take the same evaluation path as the
 			// primary, or parallel runs would diverge from serial ones.
-			if _, ok := plat.(ConfigEvaluator); ok != coRunPlat {
+			if (plat.NumCores() > 1) != coRunPlat {
 				return nil, fmt.Errorf("stress: NewPlatform returned %s, which does not match the primary platform %s",
 					plat.Name(), opts.Platform.Name())
 			}
@@ -501,14 +504,6 @@ func Run(ctx context.Context, kind Kind, opts Options) (Report, error) {
 		})
 	}
 	return rep, nil
-}
-
-// ConfigEvaluator is implemented by platforms that derive their own kernels
-// from a knob configuration instead of evaluating one pre-synthesized
-// program — the multi-core co-run platform, which builds one phase-rotated
-// kernel per core from the shared configuration.
-type ConfigEvaluator interface {
-	EvaluateConfig(name string, cfg knobs.Config, syn *microprobe.Synthesizer, opts platform.EvalOptions) (metrics.Vector, error)
 }
 
 // powerDerived reports whether a metric is produced by the power model (and

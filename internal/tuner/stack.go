@@ -16,12 +16,13 @@ import (
 type PlatformOptions struct {
 	// Name labels the kernels synthesized for every request.
 	Name string
-	// Platform serves serial runs and supplies the cache identity.
+	// Platform serves serial runs, is the first worker of a parallel one,
+	// and supplies the cache identity.
 	Platform platform.Platform
 	// Parallel > 1 with NewPlatform set fans every batch out over Parallel
-	// workers, each evaluating on its own platform from NewPlatform
-	// (platforms are not concurrency-safe). Results are bit-identical to the
-	// serial stack.
+	// workers: Platform and Parallel-1 more platforms from NewPlatform, one
+	// per worker (platforms are not concurrency-safe). Results are
+	// bit-identical to the serial stack.
 	Parallel    int
 	NewPlatform func() (platform.Platform, error)
 	// Synth is the kernel-synthesis memo every worker shares; its options
@@ -54,9 +55,16 @@ func NewPlatformEvaluator(o PlatformOptions) (*MemoizingEvaluator, error) {
 			return resp.Metrics, err
 		}
 	}
-	var base Evaluator = worker(o.Platform)
+	first := worker(o.Platform)
+	var base Evaluator = first
 	if o.Parallel > 1 && o.NewPlatform != nil {
+		// The given platform is the first worker; NewPlatform builds the rest.
 		pe, err := sched.NewParallelEvaluator(o.Parallel, func() (sched.EvalFunc, error) {
+			if first != nil {
+				f := first
+				first = nil
+				return f, nil
+			}
 			plat, err := o.NewPlatform()
 			if err != nil {
 				return nil, err

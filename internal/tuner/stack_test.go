@@ -117,3 +117,46 @@ func TestReducedFidelitySimulatesFewerInstructions(t *testing.T) {
 		t.Errorf("synth memo = %d hits / %d misses, want the reduced pass to reuse every kernel", hits, misses)
 	}
 }
+
+// TestParallelStackEvaluatesOnTheGivenPlatform checks that a parallel stack
+// makes the platform it is given its first worker: NewPlatform builds only
+// the other Parallel-1 workers, and the given platform serves evaluations.
+func TestParallelStackEvaluatesOnTheGivenPlatform(t *testing.T) {
+	given, err := platform.NewSimPlatform(platform.Small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var built []*platform.SimPlatform
+	eval, err := NewPlatformEvaluator(PlatformOptions{
+		Name:     "stack",
+		Platform: given,
+		Parallel: 3,
+		NewPlatform: func() (platform.Platform, error) {
+			plat, err := platform.NewSimPlatform(platform.Small())
+			built = append(built, plat)
+			return plat, err
+		},
+		Synth:   microprobe.NewCachingSynthesizer(microprobe.Options{LoopSize: 120, Seed: 3}),
+		Options: platform.EvalOptions{DynamicInstructions: 4000, Seed: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(built) != 2 {
+		t.Errorf("a 3-worker stack called NewPlatform %d times, want 2", len(built))
+	}
+	cfgs := stackConfigs(9)
+	if _, err := eval.EvaluateBatch(context.Background(), cfgs, 1); err != nil {
+		t.Fatal(err)
+	}
+	served := given.Evaluations()
+	if served == 0 {
+		t.Error("the given platform served no evaluations")
+	}
+	for _, plat := range built {
+		served += plat.Evaluations()
+	}
+	if served != uint64(len(cfgs)) {
+		t.Errorf("the workers served %d evaluations, want %d", served, len(cfgs))
+	}
+}
