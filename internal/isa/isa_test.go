@@ -3,7 +3,6 @@ package isa
 import "testing"
 
 func TestDescribeAllOpcodes(t *testing.T) {
-	seen := make(map[string]Opcode)
 	for _, op := range Opcodes() {
 		d := Describe(op)
 		if d.Op != op {
@@ -12,10 +11,6 @@ func TestDescribeAllOpcodes(t *testing.T) {
 		if d.Mnemonic == "" {
 			t.Errorf("opcode %d has empty mnemonic", op)
 		}
-		if prev, dup := seen[d.Mnemonic]; dup {
-			t.Errorf("opcodes %d and %d share the mnemonic %q", prev, op, d.Mnemonic)
-		}
-		seen[d.Mnemonic] = op
 		if !d.Class.Valid() {
 			t.Errorf("opcode %v has invalid class %v", op, d.Class)
 		}
@@ -83,6 +78,28 @@ func TestBranchOpcodes(t *testing.T) {
 	}
 	if ADD.IsBranch() {
 		t.Error("ADD should not be a branch")
+	}
+}
+
+// TestByMnemonicRoundTrip checks that an opcode's printed name names it
+// alone: every mnemonic maps back to exactly one opcode, and an invalid
+// opcode never prints as a defined mnemonic.
+func TestByMnemonicRoundTrip(t *testing.T) {
+	byMnemonic := make(map[string]Opcode, NumOpcodes)
+	for _, op := range Opcodes() {
+		m := Describe(op).Mnemonic
+		if prev, dup := byMnemonic[m]; dup {
+			t.Errorf("opcodes %d and %d share the mnemonic %q", prev, op, m)
+		}
+		byMnemonic[m] = op
+	}
+	for _, op := range Opcodes() {
+		if got, ok := byMnemonic[op.String()]; !ok || got != op {
+			t.Errorf("%v.String() = %q maps back to %v (found %v)", op, op.String(), got, ok)
+		}
+	}
+	if got, ok := byMnemonic[Opcode(NumOpcodes).String()]; ok {
+		t.Errorf("invalid opcode prints as the mnemonic of %v", got)
 	}
 }
 
