@@ -190,11 +190,12 @@ func BenchmarkTraceExpansion(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	exp := trace.NewExpander(p, 1)
+	exp := trace.Reuse(new(trace.Expander), p, 1)
+	var entry trace.Entry
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		exp.Next()
+		exp.NextInto(&entry)
 	}
 }
 

@@ -30,9 +30,8 @@
 // Stress tuning is budget-centric: -tuner picks the search mechanism (gd,
 // ga, annealing, random, bruteforce, cmaes, halving-gd, halving-cmaes),
 // -budget caps the proposed evaluations per tuning run, and -power-cap
-// constrains the search to kernels under a dynamic power cap (no Pareto
-// front: only a stress run with a secondary metric reports one, and no
-// flag sets one). These three apply to -kind
+// constrains the search to kernels under a dynamic power cap. These three
+// apply to -kind
 // and to the stresscmp, corun, dvfs, spatial and tunercmp experiments; fig5
 // and fig6 ignore them, because they compare fixed GD and GA runs with the
 // uncapped brute-force reference. The tunercmp experiment

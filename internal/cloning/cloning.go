@@ -51,8 +51,6 @@ type Options struct {
 	// radar metrics (instruction distribution, miss rates, mispredictions,
 	// IPC).
 	Metrics []string
-	// Weights optionally weights individual metrics in the loss.
-	Weights map[string]float64
 	// Parallel is the number of candidate evaluations run concurrently
 	// inside each tuning epoch. Values <= 1 keep the serial path. Results
 	// are bit-identical either way (evaluation is a pure function of the
@@ -171,7 +169,7 @@ func Clone(ctx context.Context, name string, target metrics.Vector, opts Options
 		return Report{}, fmt.Errorf("cloning: %w", err)
 	}
 
-	loss := metrics.CloneLoss{Target: target, Weights: opts.Weights, Metrics: opts.Metrics}
+	loss := metrics.CloneLoss{Target: target, Metrics: opts.Metrics}
 	prob := tuner.Problem{
 		Space:      opts.Space,
 		Loss:       loss,

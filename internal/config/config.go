@@ -140,10 +140,3 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
-
-// Write serializes the configuration as indented JSON.
-func (c Config) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(c)
-}

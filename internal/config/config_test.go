@@ -1,7 +1,7 @@
 package config
 
 import (
-	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -104,11 +104,11 @@ func TestLoadAndWriteRoundTrip(t *testing.T) {
 	cfg.StressKind = "perf-virus"
 	cfg.MaxEpochs = 12
 
-	var buf bytes.Buffer
-	if err := cfg.Write(&buf); err != nil {
+	data, err := json.Marshal(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := Load(path)

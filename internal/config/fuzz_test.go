@@ -2,7 +2,7 @@ package config
 
 import (
 	"bytes"
-	"strings"
+	"encoding/json"
 	"testing"
 )
 
@@ -22,13 +22,13 @@ func FuzzParse(f *testing.F) {
 			return // rejected cleanly
 		}
 		// Accepted configurations must re-serialize and re-parse.
-		var out strings.Builder
-		if err := cfg.Write(&out); err != nil {
+		out, err := json.Marshal(cfg)
+		if err != nil {
 			t.Fatalf("accepted config failed to serialize: %v", err)
 		}
-		again, err := Parse(strings.NewReader(out.String()))
+		again, err := Parse(bytes.NewReader(out))
 		if err != nil {
-			t.Fatalf("round-tripped config rejected: %v\n%s", err, out.String())
+			t.Fatalf("round-tripped config rejected: %v\n%s", err, out)
 		}
 		if again.UseCase != cfg.UseCase || again.Core != cfg.Core || again.Seed != cfg.Seed {
 			t.Fatal("round trip changed the configuration")

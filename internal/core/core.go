@@ -61,12 +61,6 @@ func (f *Framework) newPlatform() (platform.Platform, error) {
 	return platform.NewSimPlatform(f.spec)
 }
 
-// Config returns the framework configuration.
-func (f *Framework) Config() config.Config { return f.cfg }
-
-// Platform returns the evaluation platform in use.
-func (f *Framework) Platform() *platform.SimPlatform { return f.plat }
-
 // Output bundles the framework outputs of one run (§III-F): the generated
 // kernel, its knob configuration, the measured metrics, and the per-epoch
 // progression, plus the use-case specific report.

@@ -47,8 +47,8 @@ func TestNewValidatesConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if good.Config().Benchmark != "hmmer" || good.Platform() == nil {
-		t.Error("framework accessors broken")
+	if good.cfg.Benchmark != "hmmer" || good.plat == nil {
+		t.Error("framework lost its configuration or platform")
 	}
 }
 

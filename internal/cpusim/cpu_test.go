@@ -283,8 +283,11 @@ func TestRunDeterminism(t *testing.T) {
 func TestClassFractionsMatchProgramMix(t *testing.T) {
 	p := genProgram(t, nil)
 	res := runOn(t, largeCore(), largeHier(t), p, 30000)
-	static := p.StaticMix()
-	for _, c := range isa.Classes() {
+	var static [isa.NumClasses]float64
+	for _, in := range p.Instructions {
+		static[in.Class()] += 1 / float64(p.StaticCount())
+	}
+	for c := range isa.Class(isa.NumClasses) {
 		want := static[c]
 		got := res.ClassFraction(c)
 		if diff := got - want; diff > 0.03 || diff < -0.03 {

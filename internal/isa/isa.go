@@ -203,12 +203,6 @@ func (op Opcode) IsBranch() bool { return Describe(op).IsBranch }
 // IsCondBranch reports whether op is a conditional branch.
 func (op Opcode) IsCondBranch() bool { return Describe(op).IsCondBr }
 
-// Latency returns the nominal execution latency of op in cycles.
-func (op Opcode) Latency() int { return Describe(op).Latency }
-
-// Unit returns the functional unit kind op executes on.
-func (op Opcode) Unit() UnitKind { return Describe(op).Unit }
-
 // MemBytes returns the number of bytes accessed by a memory opcode, or 0.
 func (op Opcode) MemBytes() int { return Describe(op).MemBytes }
 
@@ -216,18 +210,4 @@ func (op Opcode) MemBytes() int { return Describe(op).MemBytes }
 // instruction-fraction knobs of the paper's Listing 1, in knob order.
 func KnobOpcodes() []Opcode {
 	return []Opcode{ADD, MUL, FADDD, FMULD, BEQ, BNE, LD, LW, SD, SW}
-}
-
-// Opcodes returns every defined opcode.
-func Opcodes() []Opcode {
-	out := make([]Opcode, NumOpcodes)
-	for i := range out {
-		out[i] = Opcode(i)
-	}
-	return out
-}
-
-// Classes returns the metric-relevant classes (everything except ClassNop).
-func Classes() []Class {
-	return []Class{ClassInteger, ClassFloat, ClassBranch, ClassLoad, ClassStore}
 }

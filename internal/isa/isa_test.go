@@ -3,7 +3,7 @@ package isa
 import "testing"
 
 func TestDescribeAllOpcodes(t *testing.T) {
-	for _, op := range Opcodes() {
+	for op := range Opcode(NumOpcodes) {
 		d := Describe(op)
 		if d.Op != op {
 			t.Errorf("descriptor for %v has Op=%v", op, d.Op)
@@ -49,7 +49,7 @@ func TestOpcodeClassConsistency(t *testing.T) {
 }
 
 func TestMemoryOpcodes(t *testing.T) {
-	for _, op := range Opcodes() {
+	for op := range Opcode(NumOpcodes) {
 		isMem := op.Class() == ClassLoad || op.Class() == ClassStore
 		if op.IsMemory() != isMem {
 			t.Errorf("%v.IsMemory() = %v, want %v", op, op.IsMemory(), isMem)
@@ -86,14 +86,14 @@ func TestBranchOpcodes(t *testing.T) {
 // opcode never prints as a defined mnemonic.
 func TestByMnemonicRoundTrip(t *testing.T) {
 	byMnemonic := make(map[string]Opcode, NumOpcodes)
-	for _, op := range Opcodes() {
+	for op := range Opcode(NumOpcodes) {
 		m := Describe(op).Mnemonic
 		if prev, dup := byMnemonic[m]; dup {
 			t.Errorf("opcodes %d and %d share the mnemonic %q", prev, op, m)
 		}
 		byMnemonic[m] = op
 	}
-	for _, op := range Opcodes() {
+	for op := range Opcode(NumOpcodes) {
 		if got, ok := byMnemonic[op.String()]; !ok || got != op {
 			t.Errorf("%v.String() = %q maps back to %v (found %v)", op, op.String(), got, ok)
 		}
@@ -126,7 +126,7 @@ func TestInvalidOpcode(t *testing.T) {
 }
 
 func TestClassString(t *testing.T) {
-	for _, c := range Classes() {
+	for c := range Class(NumClasses) {
 		if c.String() == "" {
 			t.Errorf("class %d has empty string", c)
 		}

@@ -2,7 +2,9 @@ package knobs
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,7 +17,7 @@ import (
 // byte for byte.
 func canonicalKeyOracle(s Settings) string {
 	var b strings.Builder
-	for _, op := range s.SortedOpcodes() {
+	for _, op := range slices.Sorted(maps.Keys(s.InstrWeights)) {
 		fmt.Fprintf(&b, "%d:%g,", int(op), s.InstrWeights[op])
 	}
 	fmt.Fprintf(&b, "|rd=%d|fp=%d|st=%d|t1=%d|t2=%d|br=%g|dc=%g|bl=%d|po=%d",

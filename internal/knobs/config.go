@@ -2,7 +2,6 @@ package knobs
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -93,50 +92,6 @@ func (c Config) Equal(other Config) bool {
 	return true
 }
 
-// Distance returns the L1 distance between two configurations in index
-// space. It panics if the configurations belong to different spaces.
-func (c Config) Distance(other Config) int {
-	if c.space != other.space {
-		panic("knobs: Distance across different spaces")
-	}
-	d := 0
-	for i := range c.idx {
-		diff := c.idx[i] - other.idx[i]
-		if diff < 0 {
-			diff = -diff
-		}
-		d += diff
-	}
-	return d
-}
-
-// NormalizedDistance returns the distance between configurations scaled so
-// that 1.0 means "every knob differs by its full range".
-func (c Config) NormalizedDistance(other Config) float64 {
-	if c.space != other.space {
-		panic("knobs: NormalizedDistance across different spaces")
-	}
-	total := 0.0
-	for i := range c.idx {
-		diff := float64(c.idx[i] - other.idx[i])
-		rangeLen := float64(c.space.defs[i].NumValues() - 1)
-		if rangeLen == 0 {
-			continue
-		}
-		total += math.Abs(diff) / rangeLen
-	}
-	return total / float64(len(c.idx))
-}
-
-// Values returns a map of knob name to selected concrete value.
-func (c Config) Values() map[string]float64 {
-	out := make(map[string]float64, len(c.idx))
-	for i, d := range c.space.defs {
-		out[d.Name] = d.Values[c.idx[i]]
-	}
-	return out
-}
-
 // Key returns a compact string key uniquely identifying the configuration
 // within its space. Useful for memoizing evaluation results. The key is
 // canonicalized once at construction; Key only falls back to building it for
@@ -218,16 +173,9 @@ type Settings struct {
 	PhaseOffset int
 }
 
-// DefaultSettings returns the settings used when a knob is absent from the
-// space being tuned (e.g. the instruction-only stress space leaves the
-// memory system at a modest, well-behaved default).
-func DefaultSettings() Settings {
-	s := defaultScalars
-	s.InstrWeights = map[isa.Opcode]float64{isa.ADD: 1}
-	return s
-}
-
-// defaultScalars is DefaultSettings without its instruction profile, so
+// defaultScalars are the settings a knob absent from the space being tuned
+// keeps (e.g. the instruction-only stress space leaves the memory system at
+// a modest, well-behaved default). It carries no instruction profile, so
 // Config.Settings allocates only the profile it fills.
 var defaultScalars = Settings{
 	RegDist:           4,
@@ -241,7 +189,7 @@ var defaultScalars = Settings{
 }
 
 // Settings interprets the configuration into back-end settings. Knobs not
-// present in the space keep their DefaultSettings value.
+// present in the space keep their defaultScalars value.
 func (c Config) Settings() Settings {
 	instr := 0
 	for _, d := range c.space.defs {
@@ -283,29 +231,6 @@ func (c Config) Settings() Settings {
 		s.InstrWeights[isa.ADD] = 1
 	}
 	return s
-}
-
-// NormalizedInstrFractions returns the instruction profile implied by the
-// settings as fractions that sum to 1, sorted deterministically by opcode.
-func (s Settings) NormalizedInstrFractions() map[isa.Opcode]float64 {
-	total := 0.0
-	for _, w := range s.InstrWeights {
-		total += w
-	}
-	out := make(map[isa.Opcode]float64, len(s.InstrWeights))
-	if total <= 0 {
-		return out
-	}
-	for op, w := range s.InstrWeights {
-		out[op] = w / total
-	}
-	return out
-}
-
-// SortedOpcodes returns the opcodes present in the instruction profile in
-// ascending opcode order, giving deterministic iteration.
-func (s Settings) SortedOpcodes() []isa.Opcode {
-	return s.appendSortedOpcodes(make([]isa.Opcode, 0, len(s.InstrWeights)))
 }
 
 // appendSortedOpcodes appends the profile's opcodes to ops in ascending

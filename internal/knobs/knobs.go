@@ -83,11 +83,6 @@ type Def struct {
 // NumValues returns the number of discrete values the knob may take.
 func (d Def) NumValues() int { return len(d.Values) }
 
-// Value returns the knob value at index i, clamping i into range.
-func (d Def) Value(i int) float64 {
-	return d.Values[d.Clamp(i)]
-}
-
 // Clamp clamps an index into the valid range [0, NumValues).
 func (d Def) Clamp(i int) int {
 	if i < 0 {

@@ -3,6 +3,8 @@ package knobs
 import (
 	"math/rand"
 	"testing"
+
+	"micrograd/internal/isa"
 )
 
 func TestTransientStressSpaceShape(t *testing.T) {
@@ -38,24 +40,31 @@ func TestDutyCycleSettings(t *testing.T) {
 	}
 }
 
+// validSettings completes the absent-knob defaults with a one-opcode profile.
+func validSettings() Settings {
+	set := defaultScalars
+	set.InstrWeights = map[isa.Opcode]float64{isa.ADD: 1}
+	return set
+}
+
 func TestSettingsDutyCycleValidation(t *testing.T) {
-	set := DefaultSettings()
+	set := validSettings()
 	set.DutyCycle = -0.1
 	if err := set.Validate(); err == nil {
 		t.Error("negative duty cycle should be rejected")
 	}
-	set = DefaultSettings()
+	set = validSettings()
 	set.DutyCycle = 1.2
 	if err := set.Validate(); err == nil {
 		t.Error("duty cycle above 1 should be rejected")
 	}
-	set = DefaultSettings()
+	set = validSettings()
 	set.DutyCycle = 0.5
 	set.BurstLen = 1
 	if err := set.Validate(); err == nil {
 		t.Error("duty cycling with burst length 1 should be rejected")
 	}
-	set = DefaultSettings()
+	set = validSettings()
 	set.DutyCycle = 0 // "not configured" is allowed
 	set.BurstLen = 0
 	if err := set.Validate(); err != nil {

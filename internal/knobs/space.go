@@ -155,13 +155,6 @@ func (s *Space) Def(i int) Def {
 	return s.defs[i]
 }
 
-// Defs returns a copy of all knob definitions in order.
-func (s *Space) Defs() []Def {
-	out := make([]Def, len(s.defs))
-	copy(out, s.defs)
-	return out
-}
-
 // IndexOf returns the position of the named knob and whether it exists.
 func (s *Space) IndexOf(name string) (int, bool) {
 	i, ok := s.byName[name]

@@ -158,18 +158,6 @@ func (c *Cache) indexTag(addr uint64) (int, uint64) {
 	return set, tag
 }
 
-// Lookup probes the cache without modifying statistics; it reports whether
-// the address currently hits.
-func (c *Cache) Lookup(addr uint64) bool {
-	set, tag := c.indexTag(addr)
-	for w := range c.sets[set] {
-		if c.sets[set][w].valid && c.sets[set][w].tag == tag {
-			return true
-		}
-	}
-	return false
-}
-
 // Access performs a demand access. It returns true on hit. On miss the line
 // is installed (write-allocate for stores). A victim writeback is counted
 // when a dirty line is evicted.

@@ -80,14 +80,14 @@ func TestCacheLRUEviction(t *testing.T) {
 	c.Access(b, false)
 	c.Access(a, false) // a is now MRU
 	c.Access(d, false) // evicts b
-	if !c.Lookup(a) {
+	if !c.Access(a, false) {
 		t.Error("a should still be cached")
 	}
-	if c.Lookup(b) {
-		t.Error("b should have been evicted (LRU)")
-	}
-	if !c.Lookup(d) {
+	if !c.Access(d, false) {
 		t.Error("d should be cached")
+	}
+	if c.Access(b, false) {
+		t.Error("b should have been evicted (LRU)")
 	}
 }
 
@@ -106,9 +106,6 @@ func TestCacheResetAndEmptyStats(t *testing.T) {
 	c, _ := NewCache(smallCfg())
 	c.Access(0x40, true)
 	c.Reset()
-	if c.Lookup(0x40) {
-		t.Error("Reset did not clear contents")
-	}
 	st := c.Stats()
 	if st.Accesses != 0 {
 		t.Errorf("stats not reset: %+v", st)
@@ -118,6 +115,9 @@ func TestCacheResetAndEmptyStats(t *testing.T) {
 	}
 	if st.MissRate() != 0 {
 		t.Errorf("empty cache miss rate should be 0, got %v", st.MissRate())
+	}
+	if c.Access(0x40, false) {
+		t.Error("Reset did not clear contents")
 	}
 }
 

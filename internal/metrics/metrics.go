@@ -82,12 +82,6 @@ func (v Vector) Clone() Vector {
 	return out
 }
 
-// Get returns the named metric and whether it is present.
-func (v Vector) Get(name string) (float64, bool) {
-	val, ok := v[name]
-	return val, ok
-}
-
 // Names returns the metric names in sorted order.
 func (v Vector) Names() []string {
 	names := make([]string, 0, len(v))
@@ -96,18 +90,6 @@ func (v Vector) Names() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Subset returns a vector holding only the named metrics (missing names are
-// skipped).
-func (v Vector) Subset(names []string) Vector {
-	out := make(Vector, len(names))
-	for _, n := range names {
-		if val, ok := v[n]; ok {
-			out[n] = val
-		}
-	}
-	return out
 }
 
 // String renders the vector deterministically.
@@ -182,20 +164,14 @@ type Loss interface {
 	Loss(measured Vector) float64
 	// Name identifies the loss for reports.
 	Name() string
-	// MetricNames lists the metrics the loss reads, so platforms know what
-	// to collect.
-	MetricNames() []string
 }
 
-// CloneLoss is the workload-cloning loss: a weighted log-loss over the target
-// metrics (§IV-A4). For each metric m it accumulates
-// w_m * ln(measured_m / target_m)^2, which penalizes relative (not absolute)
-// deviation symmetrically.
+// CloneLoss is the workload-cloning loss: a log-loss over the target metrics
+// (§IV-A4). For each metric m it accumulates ln(measured_m / target_m)^2,
+// which penalizes relative (not absolute) deviation symmetrically.
 type CloneLoss struct {
 	// Target is the reference application's metric vector.
 	Target Vector
-	// Weights optionally weights individual metrics; missing entries get 1.
-	Weights map[string]float64
 	// Metrics restricts the loss to these names; empty means every metric in
 	// Target.
 	Metrics []string
@@ -204,10 +180,10 @@ type CloneLoss struct {
 // Name implements Loss.
 func (CloneLoss) Name() string { return "clone-logloss" }
 
-// MetricNames implements Loss.
-func (c CloneLoss) MetricNames() []string {
+// metricNames lists the metrics the loss reads, in summation order.
+func (c CloneLoss) metricNames() []string {
 	if len(c.Metrics) > 0 {
-		return append([]string(nil), c.Metrics...)
+		return c.Metrics
 	}
 	return c.Target.Names()
 }
@@ -215,7 +191,7 @@ func (c CloneLoss) MetricNames() []string {
 // Loss implements Loss.
 func (c CloneLoss) Loss(measured Vector) float64 {
 	total := 0.0
-	for _, name := range c.MetricNames() {
+	for _, name := range c.metricNames() {
 		target, ok := c.Target[name]
 		if !ok {
 			continue
@@ -227,14 +203,8 @@ func (c CloneLoss) Loss(measured Vector) float64 {
 			total += 10
 			continue
 		}
-		w := 1.0
-		if c.Weights != nil {
-			if cw, ok := c.Weights[name]; ok {
-				w = cw
-			}
-		}
 		lr := math.Log(AccuracyRatio(got, target))
-		total += w * lr * lr
+		total += lr * lr
 	}
 	return total
 }
@@ -258,9 +228,6 @@ func (s StressLoss) Name() string {
 	}
 	return fmt.Sprintf("stress-%s-%s", dir, s.Metric)
 }
-
-// MetricNames implements Loss.
-func (s StressLoss) MetricNames() []string { return []string{s.Metric} }
 
 // Loss implements Loss.
 func (s StressLoss) Loss(measured Vector) float64 {

@@ -25,14 +25,13 @@ import (
 
 // Builder is the mutable state threaded through a pass pipeline. A Builder
 // owns the program being constructed plus bookkeeping that later passes need
-// (the reserved registers, the names of the passes applied) and the passes'
-// working memory, which a Synthesizer reuses from one synthesis to the next.
+// (the reserved registers) and the passes' working memory, which a
+// Synthesizer reuses from one synthesis to the next.
 type Builder struct {
 	prog *program.Program
 	rng  *rand.Rand
 
 	reserved [isa.TotalRegs]bool // by register ID: registers the allocator must not touch
-	applied  []string            // names of passes applied, in order
 
 	// Pass scratch. Every pass overwrites what it uses; nothing the program
 	// keeps points into it.
@@ -45,34 +44,18 @@ type Builder struct {
 	notes                    []program.Note
 }
 
-// NewBuilder returns a Builder for a program with the given name. The
-// rng drives every stochastic decision made by passes (instruction
-// placement shuffling); passing a fixed seed makes generation fully
+// reset starts a new program with the given name on the builder, keeping its
+// scratch. The rng drives every stochastic decision made by passes
+// (instruction placement shuffling); a fixed seed makes generation fully
 // deterministic.
-func NewBuilder(name string, rng *rand.Rand) *Builder {
-	if rng == nil {
-		rng = rand.New(rand.NewSource(1))
-	}
-	b := new(Builder)
-	b.reset(name, rng)
-	return b
-}
-
-// reset starts a new program on the builder, keeping its scratch.
 func (b *Builder) reset(name string, rng *rand.Rand) {
 	b.prog = program.New(name)
 	b.rng = rng
 	b.reserved = [isa.TotalRegs]bool{}
-	b.applied = b.applied[:0]
 }
 
 // Program returns the program under construction.
 func (b *Builder) Program() *program.Program { return b.prog }
-
-// AppliedPasses returns the names of the passes applied so far, in order.
-func (b *Builder) AppliedPasses() []string {
-	return append([]string(nil), b.applied...)
-}
 
 // ReserveRegister marks a register as unavailable to the register allocator.
 func (b *Builder) ReserveRegister(r isa.Reg) { b.reserved[r.ID()] = true }
@@ -96,7 +79,6 @@ func (b *Builder) Apply(passes ...Pass) error {
 		if err := p.Apply(b); err != nil {
 			return fmt.Errorf("microprobe: pass %s: %w", p.Name(), err)
 		}
-		b.applied = append(b.applied, p.Name())
 	}
 	return nil
 }

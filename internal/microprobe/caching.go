@@ -42,9 +42,6 @@ func NewCachingSynthesizer(opts Options) *CachingSynthesizer {
 	}
 }
 
-// LoopSize returns the static loop size the synthesizer generates.
-func (c *CachingSynthesizer) LoopSize() int { return c.syn.LoopSize() }
-
 // Options returns the (normalized) synthesis options. They are part of a
 // kernel's content identity: two caching synthesizers with equal options
 // generate identical programs for the same settings, which is what lets a

@@ -1,17 +1,15 @@
 package microprobe
 
 import (
-	"math/rand"
 	"testing"
 
 	"micrograd/internal/isa"
-	"micrograd/internal/knobs"
 )
 
 func TestDutyCyclePassThrottlesBurstTails(t *testing.T) {
 	const loopSize, burst = 200, 48
 	duty := 0.5
-	set := knobs.DefaultSettings()
+	set := aluSettings()
 	set.DutyCycle = duty
 	set.BurstLen = burst
 	p, err := NewSynthesizer(Options{LoopSize: loopSize, Seed: 7}).SynthesizeSettings("duty-test", set)
@@ -45,7 +43,7 @@ func TestDutyCyclePassThrottlesBurstTails(t *testing.T) {
 }
 
 func TestDutyCycleOneIsNoOp(t *testing.T) {
-	set := knobs.DefaultSettings()
+	set := aluSettings()
 	set.DutyCycle = 1
 	set.BurstLen = 48
 	full, err := NewSynthesizer(Options{LoopSize: 200, Seed: 7}).SynthesizeSettings("full", set)
@@ -63,7 +61,7 @@ func TestDutyCycleOneIsNoOp(t *testing.T) {
 }
 
 func TestDutyCycleMetadata(t *testing.T) {
-	set := knobs.DefaultSettings()
+	set := aluSettings()
 	set.DutyCycle = 0.5
 	set.BurstLen = 64
 	p, err := NewSynthesizer(Options{LoopSize: 200, Seed: 7}).SynthesizeSettings("meta", set)
@@ -76,7 +74,7 @@ func TestDutyCycleMetadata(t *testing.T) {
 }
 
 func TestDutyCyclePassErrors(t *testing.T) {
-	b := NewBuilder("err", rand.New(rand.NewSource(1)))
+	b := newBuilder("err")
 	if err := (DutyCyclePass{Duty: 0.5, BurstLen: 8}).Apply(b); err == nil {
 		t.Error("pass on an empty builder should fail")
 	}
@@ -98,7 +96,7 @@ func TestDutyCycleThrottleCountScalesWithIdleFraction(t *testing.T) {
 	// More throttling means more long-latency serial divides, so the static
 	// mix must show the divides replacing profile instructions.
 	count := func(duty float64) int {
-		set := knobs.DefaultSettings()
+		set := aluSettings()
 		set.DutyCycle = duty
 		set.BurstLen = 48
 		p, err := NewSynthesizer(Options{LoopSize: 240, Seed: 7}).SynthesizeSettings("mix", set)

@@ -13,8 +13,23 @@ import (
 	"micrograd/internal/program"
 )
 
+// aluSettings are the settings of an instruction-only configuration with an
+// ADD-only profile: every memory, branch and duty knob at its default.
+func aluSettings() knobs.Settings {
+	set := knobs.InstructionOnlySpace().MidConfig().Settings()
+	set.InstrWeights = map[isa.Opcode]float64{isa.ADD: 1}
+	return set
+}
+
+// newBuilder starts a builder the way a Synthesizer does, with a fixed seed.
+func newBuilder(name string) *Builder {
+	b := new(Builder)
+	b.reset(name, rand.New(rand.NewSource(1)))
+	return b
+}
+
 func TestSimpleBuildingBlockPass(t *testing.T) {
-	b := NewBuilder("t", nil)
+	b := newBuilder("t")
 	if err := b.Apply(SimpleBuildingBlockPass{LoopSize: 50}); err != nil {
 		t.Fatal(err)
 	}
@@ -34,13 +49,13 @@ func TestSimpleBuildingBlockPass(t *testing.T) {
 		t.Error("second building-block pass should fail")
 	}
 	// Too-small loop must fail.
-	if err := NewBuilder("t2", nil).Apply(SimpleBuildingBlockPass{LoopSize: 1}); err == nil {
+	if err := newBuilder("t2").Apply(SimpleBuildingBlockPass{LoopSize: 1}); err == nil {
 		t.Error("loop size 1 should be rejected")
 	}
 }
 
 func TestReserveRegistersPass(t *testing.T) {
-	b := NewBuilder("t", nil)
+	b := newBuilder("t")
 	if err := b.Apply(ReserveRegistersPass{Regs: isa.DefaultReserved()}); err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +71,7 @@ func TestReserveRegistersPass(t *testing.T) {
 }
 
 func TestSetInstructionTypeByProfilePass(t *testing.T) {
-	b := NewBuilder("t", nil)
+	b := newBuilder("t")
 	profile := map[isa.Opcode]float64{isa.ADD: 5, isa.LD: 3, isa.SD: 2}
 	err := b.Apply(
 		SimpleBuildingBlockPass{LoopSize: 101},
@@ -93,11 +108,11 @@ func TestSetInstructionTypeByProfilePass(t *testing.T) {
 }
 
 func TestSetInstructionTypeByProfileErrors(t *testing.T) {
-	b := NewBuilder("t", nil)
+	b := newBuilder("t")
 	if err := b.Apply(SetInstructionTypeByProfilePass{Profile: map[isa.Opcode]float64{isa.ADD: 1}}); err == nil {
 		t.Error("profile pass before building block should fail")
 	}
-	b2 := NewBuilder("t2", nil)
+	b2 := newBuilder("t2")
 	_ = b2.Apply(SimpleBuildingBlockPass{LoopSize: 10})
 	if err := b2.Apply(SetInstructionTypeByProfilePass{Profile: nil}); err == nil {
 		t.Error("empty profile should fail")
@@ -111,7 +126,7 @@ func TestSetInstructionTypeByProfileErrors(t *testing.T) {
 }
 
 func TestRandomizeByTypePass(t *testing.T) {
-	b := NewBuilder("t", nil)
+	b := newBuilder("t")
 	err := b.Apply(
 		SimpleBuildingBlockPass{LoopSize: 51},
 		SetInstructionTypeByProfilePass{Profile: map[isa.Opcode]float64{isa.BEQ: 1, isa.ADD: 1}},
@@ -135,7 +150,7 @@ func TestRandomizeByTypePass(t *testing.T) {
 }
 
 func TestGenericMemoryStreamsPass(t *testing.T) {
-	b := NewBuilder("t", nil)
+	b := newBuilder("t")
 	err := b.Apply(
 		SimpleBuildingBlockPass{LoopSize: 101},
 		SetInstructionTypeByProfilePass{Profile: map[isa.Opcode]float64{isa.LD: 1, isa.SD: 1}},
@@ -172,7 +187,7 @@ func TestGenericMemoryStreamsPass(t *testing.T) {
 }
 
 func TestGenericMemoryStreamsErrors(t *testing.T) {
-	b := NewBuilder("t", nil)
+	b := newBuilder("t")
 	_ = b.Apply(SimpleBuildingBlockPass{LoopSize: 10})
 	cases := []GenericMemoryStreamsPass{
 		{},
@@ -185,7 +200,7 @@ func TestGenericMemoryStreamsErrors(t *testing.T) {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
-	empty := NewBuilder("e", nil)
+	empty := newBuilder("e")
 	if err := (GenericMemoryStreamsPass{Streams: []StreamSpec{{FootprintBytes: 64, Ratio: 1, StrideBytes: 8}}}).Apply(empty); err == nil {
 		t.Error("streams before building block should fail")
 	}
@@ -193,7 +208,7 @@ func TestGenericMemoryStreamsErrors(t *testing.T) {
 
 func TestDefaultRegisterAllocationDependencyDistance(t *testing.T) {
 	for _, dd := range []int{1, 2, 4, 8} {
-		b := NewBuilder("t", nil)
+		b := newBuilder("t")
 		err := b.Apply(
 			SimpleBuildingBlockPass{LoopSize: 41},
 			ReserveRegistersPass{Regs: isa.DefaultReserved()},
@@ -225,7 +240,7 @@ func TestDefaultRegisterAllocationDependencyDistance(t *testing.T) {
 }
 
 func TestDefaultRegisterAllocationErrors(t *testing.T) {
-	b := NewBuilder("t", nil)
+	b := newBuilder("t")
 	if err := (DefaultRegisterAllocationPass{DepDist: 1}).Apply(b); err == nil {
 		t.Error("allocation before building block should fail")
 	}
@@ -236,7 +251,7 @@ func TestDefaultRegisterAllocationErrors(t *testing.T) {
 }
 
 func TestUpdateInstructionAddressesRequiresStreams(t *testing.T) {
-	b := NewBuilder("t", nil)
+	b := newBuilder("t")
 	_ = b.Apply(
 		SimpleBuildingBlockPass{LoopSize: 11},
 		SetInstructionTypeByProfilePass{Profile: map[isa.Opcode]float64{isa.LD: 1}},
@@ -269,13 +284,22 @@ func TestSynthesizerEndToEnd(t *testing.T) {
 	// The static mix should approximate the knob-implied fractions. With all
 	// instruction knobs at the same value, each class fraction follows the
 	// number of opcodes in that class.
-	mix := p.StaticMix()
+	mix := staticMix(p)
 	if mix[isa.ClassLoad] < 0.15 || mix[isa.ClassLoad] > 0.25 {
 		t.Errorf("load fraction %.3f outside expectation", mix[isa.ClassLoad])
 	}
 	if p.Meta["generator"] == "" || p.Meta["reg_dependency_distance"] == "" {
 		t.Error("missing generation metadata")
 	}
+}
+
+// staticMix returns the fraction of p's static instructions in each class.
+func staticMix(p *program.Program) [isa.NumClasses]float64 {
+	var mix [isa.NumClasses]float64
+	for _, in := range p.Instructions {
+		mix[in.Class()] += 1 / float64(p.StaticCount())
+	}
+	return mix
 }
 
 func TestSynthesizerMixMatchesKnobWeights(t *testing.T) {
@@ -292,7 +316,7 @@ func TestSynthesizerMixMatchesKnobWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mix := p.StaticMix()
+	mix := staticMix(p)
 	total := 10.0 + 1 + 1 + 1 + 1 + 1 + 4 + 4 + 2 + 2
 	wantInt := 11.0 / total
 	wantLoad := 8.0 / total
@@ -350,10 +374,6 @@ func TestSynthesizerConcurrentMatchesSerial(t *testing.T) {
 		}
 		serial[i] = p
 	}
-	want := make([]*program.Program, len(serial))
-	for i, p := range serial {
-		want[i] = p.Clone()
-	}
 	var wg sync.WaitGroup
 	got := make([][]*program.Program, 4)
 	for g := range got {
@@ -372,6 +392,17 @@ func TestSynthesizerConcurrentMatchesSerial(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	// A fresh synthesizer's kernels are what every kernel above must still
+	// equal: nothing synthesized after them may have overwritten them.
+	fresh := NewSynthesizer(Options{LoopSize: 200, Seed: 3})
+	want := make([]*program.Program, len(sets))
+	for i, set := range sets {
+		p, err := fresh.SynthesizeSettings("k", set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = p
+	}
 	for i := range sets {
 		if !reflect.DeepEqual(serial[i], want[i]) {
 			t.Fatalf("kernel %d changed after later syntheses", i)
@@ -386,7 +417,7 @@ func TestSynthesizerConcurrentMatchesSerial(t *testing.T) {
 
 func TestSynthesizerRejectsInvalidSettings(t *testing.T) {
 	syn := NewSynthesizer(Options{})
-	bad := knobs.DefaultSettings()
+	bad := aluSettings()
 	bad.RegDist = 0
 	if _, err := syn.SynthesizeSettings("bad", bad); err == nil {
 		t.Error("invalid settings should be rejected")
@@ -413,14 +444,16 @@ func TestPropertySynthesizeAlwaysValid(t *testing.T) {
 	}
 }
 
+// TestBuilderAppliedPasses checks that Apply runs every pass it is given:
+// the building block exists and the register-initialization policy is
+// recorded.
 func TestBuilderAppliedPasses(t *testing.T) {
-	b := NewBuilder("t", nil)
+	b := newBuilder("t")
 	if err := b.Apply(SimpleBuildingBlockPass{LoopSize: 5}, InitializeRegistersPass{}); err != nil {
 		t.Fatal(err)
 	}
-	got := b.AppliedPasses()
-	if len(got) != 2 || got[0] != "SimpleBuildingBlock" || got[1] != "InitializeRegisters" {
-		t.Errorf("AppliedPasses = %v", got)
+	if got := b.Program().StaticCount(); got != 5 {
+		t.Errorf("building block has %d instructions, want 5", got)
 	}
 	if b.Program().Meta["register_init"] != "random" {
 		t.Error("register init policy not recorded")

@@ -330,17 +330,19 @@ func (p InitializeRegistersPass) Apply(b *Builder) error {
 
 // RandomizeByTypePass attaches a branch-direction pattern to the conditional
 // branches of the loop body: a fraction Probability of dynamic directions is
-// randomized, the rest follow a deterministic periodic pattern. It mirrors
-// Microprobe's RandomizeByTypePass over branch instructions.
+// randomized (taken with probability randomTakenBias), the rest follow a
+// deterministic pattern of period basePatternPeriod. It mirrors Microprobe's
+// RandomizeByTypePass over branch instructions.
 type RandomizeByTypePass struct {
 	// Probability is the randomization ratio in [0,1].
 	Probability float64
-	// TakenBias is the probability a randomized direction is taken. Zero
-	// means use the default of 0.5.
-	TakenBias float64
-	// Period is the deterministic base pattern length. Zero means 16.
-	Period int
 }
+
+// The fixed shape of every branch pattern RandomizeByTypePass attaches.
+const (
+	randomTakenBias   = 0.5 // probability a randomized direction is taken
+	basePatternPeriod = 16  // length of the deterministic base pattern
+)
 
 // Name implements Pass.
 func (RandomizeByTypePass) Name() string { return "RandomizeByType" }
@@ -353,19 +355,11 @@ func (p RandomizeByTypePass) Apply(b *Builder) error {
 	if p.Probability < 0 || p.Probability > 1 {
 		return fmt.Errorf("randomization probability %v outside [0,1]", p.Probability)
 	}
-	bias := p.TakenBias
-	if bias == 0 {
-		bias = 0.5
-	}
-	period := p.Period
-	if period == 0 {
-		period = 16
-	}
 	pattern := program.BranchPattern{
 		ID:          len(b.prog.Patterns),
 		RandomRatio: p.Probability,
-		TakenBias:   bias,
-		Period:      period,
+		TakenBias:   randomTakenBias,
+		Period:      basePatternPeriod,
 	}
 	b.prog.Patterns = append(b.prog.Patterns, pattern)
 	last := len(b.prog.Instructions) - 1

@@ -11,7 +11,7 @@ import (
 
 // phaseSettings returns duty-cycled settings with the given rotation.
 func phaseSettings(offset int) knobs.Settings {
-	set := knobs.DefaultSettings()
+	set := aluSettings()
 	set.InstrWeights = map[isa.Opcode]float64{isa.ADD: 5, isa.FMULD: 5}
 	set.DutyCycle = 0.5
 	set.BurstLen = 64
@@ -106,7 +106,7 @@ func TestPhaseRotateShiftsBurstSchedule(t *testing.T) {
 }
 
 func TestPhaseRotatePassValidation(t *testing.T) {
-	b := NewBuilder("phase", nil)
+	b := newBuilder("phase")
 	if err := (PhaseRotatePass{OffsetInstrs: 4}).Apply(b); err == nil {
 		t.Error("rotation before the building block should fail")
 	}
@@ -135,7 +135,7 @@ func TestPhaseRotatePassValidation(t *testing.T) {
 // slot 0, moves a body instruction's comment with the instruction, and
 // leaves the loop-closing branch's note in place.
 func TestPhaseRotateMovesNotes(t *testing.T) {
-	b := NewBuilder("notes", nil)
+	b := newBuilder("notes")
 	if err := b.Apply(SimpleBuildingBlockPass{LoopSize: 10}); err != nil {
 		t.Fatal(err)
 	}

@@ -58,9 +58,6 @@ func NewSynthesizer(opts Options) *Synthesizer {
 	return &Synthesizer{opts: opts, loopSize: strconv.Itoa(opts.LoopSize)}
 }
 
-// LoopSize returns the static loop size the synthesizer generates.
-func (s *Synthesizer) LoopSize() int { return s.opts.LoopSize }
-
 // Options returns the (normalized) synthesis options.
 func (s *Synthesizer) Options() Options { return s.opts }
 

@@ -82,9 +82,6 @@ func ParseFloorplan(s string, rows, cols int) (Floorplan, error) {
 // NodeCount returns the grid's node count.
 func (f Floorplan) NodeCount() int { return f.Rows * f.Cols }
 
-// NodeOf returns core i's row-major node index.
-func (f Floorplan) NodeOf(core int) int { return f.Nodes[core] }
-
 // String renders the floorplan in the ParseFloorplan syntax.
 func (f Floorplan) String() string {
 	parts := make([]string, len(f.Nodes))

@@ -98,27 +98,6 @@ func Homogeneous(core platform.CoreSpec, n int) CoRunSpec {
 	return spec
 }
 
-// WithFrequencies returns a copy of the spec with core i's clock set to
-// freqsGHz[i] (zero keeps that core's spec clock) — the static way to build
-// a heterogeneous-frequency (big.LITTLE-style) chip, next to the dynamic
-// per-evaluation FREQ_GHZ knob overrides.
-func (s CoRunSpec) WithFrequencies(freqsGHz []float64) (CoRunSpec, error) {
-	if len(freqsGHz) != len(s.Cores) {
-		return CoRunSpec{}, fmt.Errorf("multicore: %d clock overrides for %d cores", len(freqsGHz), len(s.Cores))
-	}
-	out := s
-	out.Cores = append([]platform.CoreSpec(nil), s.Cores...)
-	for i, f := range freqsGHz {
-		if err := platform.ValidFreqOverride(f, i); err != nil {
-			return CoRunSpec{}, err
-		}
-		if f > 0 {
-			out.Cores[i].CPU.FrequencyGHz = f
-		}
-	}
-	return out, nil
-}
-
 // Validate checks the spec.
 func (s CoRunSpec) Validate() error {
 	if len(s.Cores) == 0 {

@@ -34,6 +34,16 @@ func evalChip(c *CoRunPlatform, progs []*program.Program, freqs []float64, opts 
 	return resp.Metrics, resp.Trace, err
 }
 
+// energyPJ is a trace's total dissipated energy, which aggregating core
+// traces into a chip trace must conserve.
+func energyPJ(t powersim.PowerTrace) float64 {
+	total := 0.0
+	for _, p := range t.Points {
+		total += p.EnergyPJ
+	}
+	return total
+}
+
 // servedEvaluations is the number of chip evaluations c served: each one
 // either simulates or shares every core once.
 func servedEvaluations(c *CoRunPlatform) uint64 {
@@ -261,39 +271,14 @@ func TestHomogeneousBuildsNCores(t *testing.T) {
 	}
 }
 
-func TestWithFrequencies(t *testing.T) {
-	spec := Homogeneous(platform.Small(), 2)
-	het, err := spec.WithFrequencies([]float64{0, 1.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := het.Cores[0].CPU.FrequencyGHz; got != 2 {
-		t.Errorf("zero override changed core 0's clock to %g", got)
-	}
-	if got := het.Cores[1].CPU.FrequencyGHz; got != 1.2 {
-		t.Errorf("core 1 clock %g, want 1.2", got)
-	}
-	if got := spec.Cores[1].CPU.FrequencyGHz; got != 2 {
-		t.Errorf("WithFrequencies mutated the original spec (core 1 at %g)", got)
-	}
-	if _, err := spec.WithFrequencies([]float64{2}); err == nil {
-		t.Error("override/core count mismatch should be rejected")
-	}
-	if _, err := spec.WithFrequencies([]float64{2, -1}); err == nil {
-		t.Error("negative clock override should be rejected")
-	}
-}
-
 // TestHeterogeneousFrequencyChipEnergyReconciles is the mixed-clock energy
 // pin: a 2.0+1.2 GHz chip must aggregate on the nanosecond grid, and the
 // chip trace's total energy must equal the sum of the cores' own trace
 // energies to 1e-9 — time-domain summation conserves what the cores
 // dissipated.
 func TestHeterogeneousFrequencyChipEnergyReconciles(t *testing.T) {
-	spec, err := Homogeneous(platform.Small(), 2).WithFrequencies([]float64{2.0, 1.2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := Homogeneous(platform.Small(), 2)
+	spec.Cores[1].CPU.FrequencyGHz = 1.2
 	c, err := New(spec, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -321,9 +306,9 @@ func TestHeterogeneousFrequencyChipEnergyReconciles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want += resp.Trace.TotalEnergyPJ()
+		want += energyPJ(resp.Trace)
 	}
-	got := chip.TotalEnergyPJ()
+	got := energyPJ(chip)
 	if diff := got - want; diff > 1e-9*want || diff < -1e-9*want {
 		t.Errorf("chip trace energy %v pJ, want %v pJ (conservation to 1e-9)", got, want)
 	}
@@ -437,7 +422,7 @@ func TestHomogeneousChipMatchesRetiredCycleGrid(t *testing.T) {
 				{metrics.ChipPowerW, v[metrics.ChipPowerW], tc.powerW},
 				{metrics.ChipWorstDroopMV, v[metrics.ChipWorstDroopMV], tc.droopMV},
 				{metrics.ChipTempC, v[metrics.ChipTempC], tc.tempC},
-				{"trace energy (pJ)", chip.TotalEnergyPJ(), tc.energyPJ},
+				{"trace energy (pJ)", energyPJ(chip), tc.energyPJ},
 			} {
 				if diff := m.got - m.want; diff > 1e-9*m.want || diff < -1e-9*m.want {
 					t.Errorf("%s = %.17g, cycle-grid path recorded %.17g (want ≤1e-9 relative)",

@@ -73,8 +73,8 @@ func TestFloorplanParseDefaultAndString(t *testing.T) {
 	if got := parsed.Nodes; len(got) != 3 || got[0] != 0 || got[1] != 3 || got[2] != 1 {
 		t.Errorf("parsed nodes %v, want [0 3 1]", got)
 	}
-	if parsed.NodeOf(1) != 3 || parsed.NodeCount() != 4 {
-		t.Errorf("NodeOf(1)=%d NodeCount=%d, want 3 and 4", parsed.NodeOf(1), parsed.NodeCount())
+	if parsed.NodeCount() != 4 {
+		t.Errorf("NodeCount=%d, want 4", parsed.NodeCount())
 	}
 	// String renders the parse syntax back.
 	round, err := ParseFloorplan(parsed.String(), 2, 2)

@@ -77,7 +77,7 @@ func TestSessionFidelityReusesSynthesis(t *testing.T) {
 		t.Errorf("fidelity 0.5 simulated %.0f instructions, want >= 4000 (half the window)", halfInstr)
 	}
 
-	hits, misses := session.SynthStats()
+	hits, misses := syn.Stats()
 	if misses != 1 {
 		t.Errorf("synthesis misses = %d, want 1 (one kernel for the configuration)", misses)
 	}

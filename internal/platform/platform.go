@@ -219,8 +219,6 @@ type SimPlatform struct {
 	pred  *branchsim.Predictor
 	cpu   *cpusim.CPU
 	power *powersim.Model
-	// evaluations counts served evaluations, for resource accounting.
-	evaluations uint64
 	// tracePoints backs the power trace of evaluations that do not hand
 	// their trace out, and droop keeps the supply solve's windows; a
 	// SimPlatform serves one evaluation at a time, so plain fields suffice.
@@ -260,9 +258,6 @@ func (s *SimPlatform) Name() string {
 // Spec returns the platform's core specification.
 func (s *SimPlatform) Spec() CoreSpec { return s.spec }
 
-// Evaluations returns the number of evaluations served so far.
-func (s *SimPlatform) Evaluations() uint64 { return s.evaluations }
-
 // TraceWarmupWindows is the number of leading activity windows the transient
 // analyses discard as cache warmup (capped at a quarter of the trace for
 // very short runs).
@@ -284,7 +279,6 @@ func (s *SimPlatform) simulate(p *program.Program, opts EvalOptions, sharedWindo
 	if err != nil {
 		return cpusim.Result{}, err
 	}
-	s.evaluations++
 	return res, nil
 }
 

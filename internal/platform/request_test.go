@@ -232,10 +232,7 @@ func TestEvalSessionDeterminism(t *testing.T) {
 			t.Errorf("repeat %d trace diverges", i)
 		}
 	}
-	if got := session.Evaluations(); got != 3 {
-		t.Errorf("session served %d evaluations, want 3", got)
-	}
-	hits, misses := session.SynthStats()
+	hits, misses := syn.Stats()
 	if misses != 1 || hits != 2 {
 		t.Errorf("synthesis memo: %d hits / %d misses, want 2 / 1", hits, misses)
 	}
@@ -333,22 +330,13 @@ func TestNativeStubRequestPath(t *testing.T) {
 	}
 }
 
-// TestEvalSessionAccessors covers the session's introspection surface.
+// TestEvalSessionAccessors covers the session's introspection surface: a
+// synthesizer-less session rejects configuration requests, and every detail
+// level has a name.
 func TestEvalSessionAccessors(t *testing.T) {
-	plat := reqSinglePlatform(t)
-	syn := microprobe.NewCachingSynthesizer(microprobe.Options{LoopSize: reqLoopSize, Seed: reqSeed})
-	if syn.LoopSize() != reqLoopSize {
-		t.Errorf("synthesizer loop size = %d, want %d", syn.LoopSize(), reqLoopSize)
-	}
-	session := platform.NewEvalSession(plat, syn)
-	if session.Platform() != platform.Platform(plat) {
-		t.Error("session should expose its platform")
-	}
-	if h, m := session.SynthStats(); h != 0 || m != 0 {
-		t.Errorf("fresh session stats = %d/%d, want 0/0", h, m)
-	}
-	if h, m := platform.NewEvalSession(plat, nil).SynthStats(); h != 0 || m != 0 {
-		t.Errorf("synthesizer-less session stats = %d/%d, want 0/0", h, m)
+	session := platform.NewEvalSession(reqSinglePlatform(t), nil)
+	if _, err := session.Evaluate(platform.EvalRequest{Config: knobs.StressSpace().MidConfig()}); err == nil {
+		t.Error("a session without a synthesizer should reject a configuration request")
 	}
 	for _, d := range []platform.EvalDetail{platform.DetailMetrics, platform.DetailTrace, platform.DetailResult, platform.EvalDetail(9)} {
 		if d.String() == "" {

@@ -26,31 +26,15 @@ type EvalSession struct {
 	// the Config-driven hot path allocates no program slice; names are the
 	// per-core kernel names of request name namesOf, kept until the name
 	// changes.
-	progs       []*program.Program
-	names       []string
-	namesOf     string
-	evaluations uint64
+	progs   []*program.Program
+	names   []string
+	namesOf string
 }
 
 // NewEvalSession binds a platform to a kernel synthesizer. syn may be nil
 // when every request carries explicit Programs.
 func NewEvalSession(plat Platform, syn *microprobe.CachingSynthesizer) *EvalSession {
 	return &EvalSession{plat: plat, syn: syn}
-}
-
-// Platform returns the wrapped platform.
-func (s *EvalSession) Platform() Platform { return s.plat }
-
-// Evaluations returns the number of requests served so far.
-func (s *EvalSession) Evaluations() uint64 { return s.evaluations }
-
-// SynthStats returns the kernel-synthesis memo's hit and miss counts (zeros
-// without a synthesizer).
-func (s *EvalSession) SynthStats() (hits, misses uint64) {
-	if s.syn == nil {
-		return 0, 0
-	}
-	return s.syn.Stats()
 }
 
 // Evaluate serves one request. Requests without Programs are synthesized
@@ -67,7 +51,6 @@ func (s *EvalSession) Evaluate(req EvalRequest) (EvalResponse, error) {
 			return EvalResponse{}, err
 		}
 	}
-	s.evaluations++
 	return s.plat.EvaluateRequest(req)
 }
 

@@ -43,7 +43,7 @@ func FuzzSumTraces(f *testing.F) {
 		if err != nil {
 			t.Fatalf("SumTracesTime: %v", err)
 		}
-		got := sum.TotalEnergyPJ()
+		got := energyPJ(sum)
 		if diff := math.Abs(got - want); diff > 1e-9*math.Max(1, want) {
 			t.Errorf("energy not conserved: got %v pJ, want %v pJ (diff %g)", got, want, diff)
 		}
@@ -135,7 +135,7 @@ func FuzzGridLumpedOracle(f *testing.F) {
 		}
 
 		// 1×1 equivalence: the grid solvers are the lumped models.
-		gs, gt := DefaultGridSupplyModel(1, 1), DefaultGridThermalModel(1, 1)
+		gs, gt := defaultGridSupply(1, 1), defaultGridThermal(1, 1)
 		droops, err := gs.NodeDroopsMV([]PowerTrace{chip})
 		if err != nil {
 			t.Fatalf("1x1 droop solve: %v", err)
@@ -173,9 +173,9 @@ func FuzzGridLumpedOracle(f *testing.F) {
 			if err != nil {
 				t.Fatalf("node %d aggregation: %v", k, err)
 			}
-			nodeEnergy += node.TotalEnergyPJ()
+			nodeEnergy += energyPJ(node)
 		}
-		if want := chip.TotalEnergyPJ(); math.Abs(nodeEnergy-want) > 1e-9*math.Max(1, want) {
+		if want := energyPJ(chip); math.Abs(nodeEnergy-want) > 1e-9*math.Max(1, want) {
 			t.Errorf("node energies sum to %v pJ, chip trace holds %v pJ", nodeEnergy, want)
 		}
 	})
@@ -194,7 +194,7 @@ func FuzzSupplyReplayStop(f *testing.F) {
 	f.Add(int64(-9), uint8(255), uint8(255))
 	f.Fuzz(func(t *testing.T, seed int64, grid uint8, passes uint8) {
 		rng := rand.New(rand.NewSource(seed))
-		g := DefaultGridSupplyModel(int(grid%3)+1, int(grid/3%3)+1)
+		g := defaultGridSupply(int(grid%3)+1, int(grid/3%3)+1)
 		g.Node.Passes = int(passes%6) + 1
 		// Heavier damping settles within short traces, so the stop fires
 		// mid-pass as it does on full-length core traces.

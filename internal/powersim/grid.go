@@ -56,12 +56,6 @@ type GridSupplyModel struct {
 	CouplingS float64
 }
 
-// DefaultGridSupplyModel returns a rows×cols grid of the default lumped
-// supply model with the default lateral coupling.
-func DefaultGridSupplyModel(rows, cols int) GridSupplyModel {
-	return GridSupplyModel{Rows: rows, Cols: cols, Node: DefaultSupplyModel(), CouplingS: DefaultGridCouplingS}
-}
-
 // Nodes returns the node count of the grid.
 func (g GridSupplyModel) Nodes() int { return g.Rows * g.Cols }
 
@@ -264,12 +258,6 @@ type GridThermalModel struct {
 	// LateralWPerC is the thermal conductance between adjacent nodes in
 	// W/°C. Zero decouples the nodes entirely.
 	LateralWPerC float64
-}
-
-// DefaultGridThermalModel returns a rows×cols grid of the default lumped
-// thermal model with the default lateral conductance.
-func DefaultGridThermalModel(rows, cols int) GridThermalModel {
-	return GridThermalModel{Rows: rows, Cols: cols, Node: DefaultThermalModel(), LateralWPerC: DefaultGridLateralWPerC}
 }
 
 // Nodes returns the node count of the grid.

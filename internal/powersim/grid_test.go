@@ -7,6 +7,18 @@ import (
 	"testing"
 )
 
+// defaultGridSupply is a rows×cols grid of the default lumped supply model
+// with the default lateral coupling.
+func defaultGridSupply(rows, cols int) GridSupplyModel {
+	return GridSupplyModel{Rows: rows, Cols: cols, Node: DefaultSupplyModel(), CouplingS: DefaultGridCouplingS}
+}
+
+// defaultGridThermal is a rows×cols grid of the default lumped thermal model
+// with the default lateral conductance.
+func defaultGridThermal(rows, cols int) GridThermalModel {
+	return GridThermalModel{Rows: rows, Cols: cols, Node: DefaultThermalModel(), LateralWPerC: DefaultGridLateralWPerC}
+}
+
 // timeTrace builds a synthetic time-domain trace of constant power with
 // millisecond-scale windows — long enough for the thermal integration to
 // actually move temperature, unlike nanosecond core traces.
@@ -41,7 +53,7 @@ func TestGridModelsValidate(t *testing.T) {
 	if err := (GridThermalModel{Rows: 2, Cols: 0, Node: DefaultThermalModel()}).Validate(); err == nil {
 		t.Error("0-col thermal grid should be rejected")
 	}
-	gs := DefaultGridSupplyModel(2, 2)
+	gs := defaultGridSupply(2, 2)
 	if err := gs.Validate(); err != nil {
 		t.Errorf("default supply grid should validate: %v", err)
 	}
@@ -53,12 +65,12 @@ func TestGridModelsValidate(t *testing.T) {
 	if err := gs.Validate(); err == nil {
 		t.Error("NaN supply coupling should be rejected")
 	}
-	gs = DefaultGridSupplyModel(2, 2)
+	gs = defaultGridSupply(2, 2)
 	gs.Node.VddV = 0
 	if err := gs.Validate(); err == nil {
 		t.Error("bad per-node supply model should be rejected")
 	}
-	gt := DefaultGridThermalModel(2, 2)
+	gt := defaultGridThermal(2, 2)
 	if err := gt.Validate(); err != nil {
 		t.Errorf("default thermal grid should validate: %v", err)
 	}
@@ -66,7 +78,7 @@ func TestGridModelsValidate(t *testing.T) {
 	if err := gt.Validate(); err == nil {
 		t.Error("infinite thermal coupling should be rejected")
 	}
-	gt = DefaultGridThermalModel(2, 2)
+	gt = defaultGridThermal(2, 2)
 	gt.Node.CthJPerC = 0
 	if err := gt.Validate(); err == nil {
 		t.Error("bad per-node thermal model should be rejected")
@@ -75,11 +87,11 @@ func TestGridModelsValidate(t *testing.T) {
 
 func TestGridRejectsNodeTraceCountMismatch(t *testing.T) {
 	tr := squareTrace(8, 1, 0.2, 1.0)
-	gs := DefaultGridSupplyModel(2, 2)
+	gs := defaultGridSupply(2, 2)
 	if _, err := gs.NodeDroopsMV([]PowerTrace{tr}); err == nil || !strings.Contains(err.Error(), "node traces") {
 		t.Errorf("1 trace for a 4-node supply grid should be rejected, got %v", err)
 	}
-	gt := DefaultGridThermalModel(1, 2)
+	gt := defaultGridThermal(1, 2)
 	if _, err := gt.NodeTempsC([]PowerTrace{tr, tr, tr}); err == nil || !strings.Contains(err.Error(), "node traces") {
 		t.Errorf("3 traces for a 2-node thermal grid should be rejected, got %v", err)
 	}
@@ -104,7 +116,7 @@ func TestOneByOneGridMatchesLumpedSolvers(t *testing.T) {
 		{"empty", PowerTrace{WindowCycles: 64, FrequencyGHz: 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			gs := DefaultGridSupplyModel(1, 1)
+			gs := defaultGridSupply(1, 1)
 			droops, err := gs.NodeDroopsMV([]PowerTrace{tc.trace})
 			if err != nil {
 				t.Fatal(err)
@@ -112,7 +124,7 @@ func TestOneByOneGridMatchesLumpedSolvers(t *testing.T) {
 			if want := gs.Node.WorstDroopMV(tc.trace); !within(droops[0], want, 1e-9) {
 				t.Errorf("1x1 grid droop %.17g mV, lumped model %.17g mV", droops[0], want)
 			}
-			gt := DefaultGridThermalModel(1, 1)
+			gt := defaultGridThermal(1, 1)
 			temps, err := gt.NodeTempsC([]PowerTrace{tc.trace})
 			if err != nil {
 				t.Fatal(err)
@@ -135,7 +147,7 @@ func within(got, want, tol float64) bool {
 func TestDecoupledGridMatchesLumpedPerNode(t *testing.T) {
 	a := squareTrace(16, 2, 0.2, 1.5)
 	b := flatTrace(16, 0.6)
-	gs := DefaultGridSupplyModel(1, 2)
+	gs := defaultGridSupply(1, 2)
 	gs.CouplingS = 0
 	droops, err := gs.NodeDroopsMV([]PowerTrace{a, b})
 	if err != nil {
@@ -146,7 +158,7 @@ func TestDecoupledGridMatchesLumpedPerNode(t *testing.T) {
 			t.Errorf("decoupled node %d droop %.17g mV, lumped %.17g mV", i, droops[i], want)
 		}
 	}
-	gt := DefaultGridThermalModel(1, 2)
+	gt := defaultGridThermal(1, 2)
 	gt.LateralWPerC = 0
 	temps, err := gt.NodeTempsC([]PowerTrace{a, b})
 	if err != nil {
@@ -166,7 +178,7 @@ func TestDecoupledGridMatchesLumpedPerNode(t *testing.T) {
 func TestGridCouplingSpreadsDroop(t *testing.T) {
 	hot := squareTrace(32, 2, 0.1, 2.0) // resonant-ish burst train
 	idle := PowerTrace{}
-	gs := DefaultGridSupplyModel(1, 2)
+	gs := defaultGridSupply(1, 2)
 	coupled, err := gs.NodeDroopsMV([]PowerTrace{hot, idle})
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +202,7 @@ func TestGridCouplingSpreadsDroop(t *testing.T) {
 func TestGridThermalLateralHeatsIdleNeighbour(t *testing.T) {
 	hot := timeTrace(64, 5.0, 1e6) // 5 W for 64 ms
 	idle := PowerTrace{}
-	gt := DefaultGridThermalModel(1, 2)
+	gt := defaultGridThermal(1, 2)
 	temps, err := gt.NodeTempsC([]PowerTrace{hot, idle})
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +230,7 @@ func TestGridThermalLateralHeatsIdleNeighbour(t *testing.T) {
 func TestGridConcentrationBeatsSpreading(t *testing.T) {
 	burst := squareTrace(32, 2, 0.1, 1.2)
 	empty := PowerTrace{}
-	gs := DefaultGridSupplyModel(2, 2)
+	gs := defaultGridSupply(2, 2)
 	concentrated, err := gs.NodeDroopsMV([]PowerTrace{scaledTrace(burst, 2), empty, empty, empty})
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +243,7 @@ func TestGridConcentrationBeatsSpreading(t *testing.T) {
 		t.Errorf("concentrated droop %v mV should beat the spread chip's %v mV", slices.Max(concentrated), slices.Max(spread))
 	}
 	heat := timeTrace(64, 4.0, 1e6)
-	gt := DefaultGridThermalModel(2, 2)
+	gt := defaultGridThermal(2, 2)
 	hotspot, err := gt.NodeTempsC([]PowerTrace{scaledTrace(heat, 2), empty, empty, empty})
 	if err != nil {
 		t.Fatal(err)

@@ -111,7 +111,7 @@ func (e errOracle) Error() string { return "powersim oracle: " + string(e) }
 // 1e-9 of the total energy scale, and identical totals.
 func requireOneClockMatch(t *testing.T, cyc, tim PowerTrace) {
 	t.Helper()
-	total := cyc.TotalEnergyPJ()
+	total := energyPJ(cyc)
 	scale := 1e-9 * (1 + total)
 	if d := len(tim.Points) - len(cyc.Points); d < 0 || d > 1 {
 		t.Fatalf("time grid has %d windows, cycle grid %d (want equal or one extra)", len(tim.Points), len(cyc.Points))
@@ -125,7 +125,7 @@ func requireOneClockMatch(t *testing.T, cyc, tim PowerTrace) {
 			t.Errorf("window %d: time-grid energy %v, cycle-grid %v (tolerance %g)", i, te, ce, scale)
 		}
 	}
-	if got := tim.TotalEnergyPJ(); math.Abs(got-total) > scale {
+	if got := energyPJ(tim); math.Abs(got-total) > scale {
 		t.Errorf("time-grid total energy %v, cycle-grid %v", got, total)
 	}
 	if ca, ta := cyc.AvgPowerW(), tim.AvgPowerW(); math.Abs(ca-ta) > 1e-9*(1+ca) {
@@ -535,25 +535,25 @@ func TestSupplyReplayStopMatchesOracle(t *testing.T) {
 	nanLoad.Points[9].PowerW = math.NaN()
 	idle := PowerTrace{WindowCycles: 64, FrequencyGHz: 2}
 
-	onePass := DefaultGridSupplyModel(2, 2)
+	onePass := defaultGridSupply(2, 2)
 	onePass.Node.Passes = 1
-	decoupled := DefaultGridSupplyModel(2, 2)
+	decoupled := defaultGridSupply(2, 2)
 	decoupled.CouplingS = 0
 	for _, tc := range []struct {
 		name  string
 		grid  GridSupplyModel
 		nodes []PowerTrace
 	}{
-		{"1x1 cycle-domain", DefaultGridSupplyModel(1, 1), []PowerTrace{resonant}},
-		{"1x1 time-domain", DefaultGridSupplyModel(1, 1), []PowerTrace{mixed}},
-		{"1x1 constant load", DefaultGridSupplyModel(1, 1), []PowerTrace{flatTrace(20, 1.0)}},
-		{"2x2 default coupling", DefaultGridSupplyModel(2, 2), []PowerTrace{resonant, mixed, gaps, timeGaps}},
-		{"2x2 idle nodes", DefaultGridSupplyModel(2, 2), []PowerTrace{resonant, idle, PowerTrace{}, gaps}},
+		{"1x1 cycle-domain", defaultGridSupply(1, 1), []PowerTrace{resonant}},
+		{"1x1 time-domain", defaultGridSupply(1, 1), []PowerTrace{mixed}},
+		{"1x1 constant load", defaultGridSupply(1, 1), []PowerTrace{flatTrace(20, 1.0)}},
+		{"2x2 default coupling", defaultGridSupply(2, 2), []PowerTrace{resonant, mixed, gaps, timeGaps}},
+		{"2x2 idle nodes", defaultGridSupply(2, 2), []PowerTrace{resonant, idle, PowerTrace{}, gaps}},
 		{"2x2 coupling 0", decoupled, []PowerTrace{resonant, mixed, idle, gaps}},
-		{"1x2 zero-duration windows", DefaultGridSupplyModel(1, 2), []PowerTrace{gaps, timeGaps}},
+		{"1x2 zero-duration windows", defaultGridSupply(1, 2), []PowerTrace{gaps, timeGaps}},
 		{"2x2 one pass", onePass, []PowerTrace{resonant, mixed, gaps, idle}},
-		{"1x1 NaN load", DefaultGridSupplyModel(1, 1), []PowerTrace{nanLoad}},
-		{"2x2 NaN load", DefaultGridSupplyModel(2, 2), []PowerTrace{nanLoad, resonant, idle, mixed}},
+		{"1x1 NaN load", defaultGridSupply(1, 1), []PowerTrace{nanLoad}},
+		{"2x2 NaN load", defaultGridSupply(2, 2), []PowerTrace{nanLoad, resonant, idle, mixed}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			requireDroopsMatchOracle(t, tc.grid, tc.nodes)

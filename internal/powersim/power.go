@@ -15,8 +15,6 @@ package powersim
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"micrograd/internal/cpusim"
 	"micrograd/internal/isa"
@@ -133,63 +131,15 @@ func New(coeff Coefficients) (*Model, error) {
 	return m, nil
 }
 
-// Breakdown is the per-component energy attribution of a run.
-type Breakdown struct {
-	// Components maps component names to total energy in picojoules.
-	Components map[string]float64
-	// TotalPJ is the sum of all components.
-	TotalPJ float64
-	// Cycles and FrequencyGHz are carried from the run for power conversion.
-	Cycles       uint64
-	FrequencyGHz float64
-}
-
-// PowerW converts the breakdown into average dynamic power in watts.
-func (b Breakdown) PowerW() float64 {
-	if b.Cycles == 0 {
+// DynamicPower returns the run's average dynamic power in watts: its total
+// dynamic energy per cycle at the run's clock.
+func (m *Model) DynamicPower(r cpusim.Result) float64 {
+	if r.Cycles == 0 {
 		return 0
 	}
-	perCycle := b.TotalPJ / float64(b.Cycles) // pJ per cycle
+	perCycle := m.energy(r).totalPJ() / float64(r.Cycles) // pJ per cycle
 	// pJ/cycle * cycles/ns = mW; divide by 1000 for W.
-	return perCycle * b.FrequencyGHz / 1000
-}
-
-// String renders the breakdown deterministically.
-func (b Breakdown) String() string {
-	names := make([]string, 0, len(b.Components))
-	for n := range b.Components {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	parts := make([]string, 0, len(names))
-	for _, n := range names {
-		parts = append(parts, fmt.Sprintf("%s=%.0fpJ", n, b.Components[n]))
-	}
-	return strings.Join(parts, " ")
-}
-
-// EnergyBreakdown attributes the run's dynamic energy to components.
-func (m *Model) EnergyBreakdown(r cpusim.Result) Breakdown {
-	e := m.energy(r)
-	return Breakdown{
-		Components: map[string]float64{
-			"clock":      e.clock,
-			"execute":    e.execute,
-			"frontend":   e.frontend,
-			"l2":         e.l2,
-			"memory":     e.memory,
-			"mispredict": e.mispredict,
-		},
-		TotalPJ:      e.totalPJ(),
-		Cycles:       r.Cycles,
-		FrequencyGHz: r.Config.FrequencyGHz,
-	}
-}
-
-// DynamicPower returns the run's average dynamic power in watts: the
-// EnergyBreakdown power, bit for bit, without building its component map.
-func (m *Model) DynamicPower(r cpusim.Result) float64 {
-	return Breakdown{TotalPJ: m.energy(r).totalPJ(), Cycles: r.Cycles, FrequencyGHz: r.Config.FrequencyGHz}.PowerW()
+	return perCycle * r.Config.FrequencyGHz / 1000
 }
 
 // runEnergy is a run's dynamic energy per component, in picojoules.

@@ -97,7 +97,7 @@ func FuzzGridScratchReuse(f *testing.F) {
 		var buf []TracePoint
 		for r := 0; r < int(rounds%6)+2; r++ {
 			rows, cols := 1+rng.Intn(3), 1+rng.Intn(3)
-			gs, gt := DefaultGridSupplyModel(rows, cols), DefaultGridThermalModel(rows, cols)
+			gs, gt := defaultGridSupply(rows, cols), defaultGridThermal(rows, cols)
 			nodes := make([]PowerTrace, rows*cols)
 			for k := range nodes {
 				if rng.Intn(4) != 0 {
@@ -182,7 +182,7 @@ func TestAllocsGridScratch(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	nodes := []PowerTrace{randomEnergyTrace(rng, 200), {}, randomEnergyTrace(rng, 200), randomEnergyTrace(rng, 200)}
-	gs, gt := DefaultGridSupplyModel(2, 2), DefaultGridThermalModel(2, 2)
+	gs, gt := defaultGridSupply(2, 2), defaultGridThermal(2, 2)
 	var s GridScratch
 	solve := func() {
 		if _, err := s.NodeDroopsMV(gs, nodes); err != nil {

@@ -31,15 +31,15 @@ func TestSumTracesTimeConservesEnergyMixedFrequencies(t *testing.T) {
 		t.Errorf("sum carries WindowNS=%v WindowCycles=%d FrequencyGHz=%v, want 53.5/0/0",
 			sum.WindowNS, sum.WindowCycles, sum.FrequencyGHz)
 	}
-	want := a.TotalEnergyPJ() + b.TotalEnergyPJ() + c.TotalEnergyPJ()
-	got := sum.TotalEnergyPJ()
+	want := energyPJ(a) + energyPJ(b) + energyPJ(c)
+	got := energyPJ(sum)
 	if diff := math.Abs(got - want); diff > 1e-9*want {
 		t.Errorf("summed energy %v pJ, want %v pJ (conservation to 1e-9)", got, want)
 	}
 	// The grid spans the longest skewed trace: b runs 7*48/1.2 = 280 ns from
 	// 10.25 ns.
 	wantSpan := 10.25 + 7*48/1.2
-	if span := sum.DurationNS(); math.Abs(span-wantSpan) > 1e-9*wantSpan {
+	if span := durationNS(sum); math.Abs(span-wantSpan) > 1e-9*wantSpan {
 		t.Errorf("summed span %v ns, want %v ns", span, wantSpan)
 	}
 }

@@ -69,24 +69,6 @@ func (t PowerTrace) PointDurationNS(i int) float64 {
 	return float64(t.Points[i].Cycles) / t.FrequencyGHz
 }
 
-// DurationNS returns the trace's total time span in nanoseconds.
-func (t PowerTrace) DurationNS() float64 {
-	total := 0.0
-	for i := range t.Points {
-		total += t.PointDurationNS(i)
-	}
-	return total
-}
-
-// TotalEnergyPJ returns the trace's total dissipated energy.
-func (t PowerTrace) TotalEnergyPJ() float64 {
-	total := 0.0
-	for _, p := range t.Points {
-		total += p.EnergyPJ
-	}
-	return total
-}
-
 // Trace converts a run's window activity into a power trace. The result is
 // empty when the run was simulated without window bookkeeping
 // (cpusim.Config.WindowCycles == 0).

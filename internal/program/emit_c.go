@@ -24,11 +24,6 @@ func (p *Program) EmitC(w io.Writer) error {
 	}
 	ew := &errWriter{w: w}
 
-	counts := make(map[isa.Class]int)
-	for _, in := range p.Instructions {
-		counts[in.Class()]++
-	}
-
 	ew.printf("/* Synthetic test case %q generated by MicroGrad-Go.\n", p.Name)
 	ew.printf(" * Static instructions: %d; data footprint: %d bytes.\n", p.StaticCount(), p.FootprintBytes())
 	for _, k := range sortedMetaKeys(p.Meta) {

@@ -3,7 +3,6 @@ package program_test
 import (
 	"bytes"
 	"flag"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -13,7 +12,6 @@ import (
 	"micrograd/internal/microprobe"
 	"micrograd/internal/multicore"
 	"micrograd/internal/platform"
-	"micrograd/internal/powersim"
 	"micrograd/internal/program"
 	"micrograd/internal/workloads"
 )
@@ -89,41 +87,6 @@ func TestEmitGolden(t *testing.T) {
 			checkGolden(t, p.Name+".S", asm.Bytes())
 			checkGolden(t, p.Name+".c", c.Bytes())
 		})
-	}
-}
-
-// TestDynamicPowerMatchesBreakdown runs every golden kernel on both cores,
-// at the spec clock and under a DVFS override, and pins the power model's
-// DynamicPower to its reporting path, EnergyBreakdown(r).PowerW(), bit for
-// bit.
-func TestDynamicPowerMatchesBreakdown(t *testing.T) {
-	kernels := goldenKernels(t)
-	for _, spec := range platform.Cores() {
-		plat, err := platform.NewSimPlatform(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		model, err := powersim.New(spec.Power)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range kernels {
-			for _, ghz := range []float64{0, 1.3} {
-				resp, err := plat.EvaluateRequest(platform.EvalRequest{
-					Programs: []*program.Program{p},
-					Options:  platform.EvalOptions{DynamicInstructions: 3000, Seed: 7, FrequencyGHz: ghz},
-					Detail:   platform.DetailResult,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				r := resp.Results[0]
-				got, want := model.DynamicPower(r), model.EnergyBreakdown(r).PowerW()
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Errorf("%s on %s at %g GHz: DynamicPower = %v, EnergyBreakdown.PowerW = %v", p.Name, spec.Kind, ghz, got, want)
-				}
-			}
-		}
 	}
 }
 

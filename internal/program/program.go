@@ -191,9 +191,6 @@ func (p *Program) StaticCount() int { return len(p.Instructions) }
 // PC returns the virtual address of static instruction i.
 func (p *Program) PC(i int) uint64 { return p.CodeBase + uint64(i)*InstrBytes }
 
-// CodeBytes returns the total encoded size of the loop body.
-func (p *Program) CodeBytes() int { return len(p.Instructions) * InstrBytes }
-
 // Note returns the label and comment of instruction i (empty when it has
 // none).
 func (p *Program) Note(i int) Note {
@@ -244,24 +241,6 @@ func (p *Program) FootprintBytes() int {
 		total += s.FootprintBytes
 	}
 	return total
-}
-
-// StaticMix returns the fraction of static instructions per class
-// (ClassNop included if present). Fractions sum to 1 for non-empty programs.
-func (p *Program) StaticMix() map[isa.Class]float64 {
-	counts := make(map[isa.Class]int)
-	for _, in := range p.Instructions {
-		counts[in.Class()]++
-	}
-	out := make(map[isa.Class]float64, len(counts))
-	if len(p.Instructions) == 0 {
-		return out
-	}
-	n := float64(len(p.Instructions))
-	for c, k := range counts {
-		out[c] = float64(k) / n
-	}
-	return out
 }
 
 // Validate checks structural well-formedness: stream/pattern references in
@@ -338,22 +317,4 @@ func (p *Program) String() string {
 	fmt.Fprintf(&b, "program %q: %d static instructions, %d streams, %d patterns, %d B footprint",
 		p.Name, len(p.Instructions), len(p.Streams), len(p.Patterns), p.FootprintBytes())
 	return b.String()
-}
-
-// Clone returns a deep copy of the program.
-func (p *Program) Clone() *Program {
-	out := &Program{
-		Name:     p.Name,
-		CodeBase: p.CodeBase,
-		DataBase: p.DataBase,
-	}
-	out.Instructions = append([]Instruction(nil), p.Instructions...)
-	out.Streams = append([]MemoryStream(nil), p.Streams...)
-	out.Patterns = append([]BranchPattern(nil), p.Patterns...)
-	out.Notes = append([]Note(nil), p.Notes...)
-	out.Meta = make(map[string]string, len(p.Meta))
-	for k, v := range p.Meta {
-		out.Meta[k] = v
-	}
-	return out
 }

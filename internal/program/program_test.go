@@ -42,9 +42,6 @@ func TestProgramBasics(t *testing.T) {
 	if p.StaticCount() != 6 {
 		t.Errorf("StaticCount = %d, want 6", p.StaticCount())
 	}
-	if p.CodeBytes() != 24 {
-		t.Errorf("CodeBytes = %d, want 24", p.CodeBytes())
-	}
 	if p.FootprintBytes() != 4096+8192 {
 		t.Errorf("FootprintBytes = %d", p.FootprintBytes())
 	}
@@ -53,32 +50,6 @@ func TestProgramBasics(t *testing.T) {
 	}
 	if !strings.Contains(p.String(), "unit-test") {
 		t.Errorf("String() = %q", p.String())
-	}
-}
-
-func TestStaticMix(t *testing.T) {
-	p := testProgram(t)
-	mix := p.StaticMix()
-	// 1 integer, 1 float, 2 branches, 1 load, 1 store out of 6.
-	want := map[isa.Class]float64{
-		isa.ClassInteger: 1.0 / 6, isa.ClassFloat: 1.0 / 6, isa.ClassBranch: 2.0 / 6,
-		isa.ClassLoad: 1.0 / 6, isa.ClassStore: 1.0 / 6,
-	}
-	for c, w := range want {
-		if got := mix[c]; got < w-1e-9 || got > w+1e-9 {
-			t.Errorf("mix[%v] = %v, want %v", c, got, w)
-		}
-	}
-	sum := 0.0
-	for _, v := range mix {
-		sum += v
-	}
-	if sum < 0.999 || sum > 1.001 {
-		t.Errorf("mix sums to %v", sum)
-	}
-	empty := New("empty")
-	if len(empty.StaticMix()) != 0 {
-		t.Error("empty program should have empty mix")
 	}
 }
 
@@ -114,25 +85,6 @@ func TestValidateRejectsMalformed(t *testing.T) {
 				t.Errorf("Validate accepted malformed program (%s)", tc.name)
 			}
 		})
-	}
-}
-
-func TestClone(t *testing.T) {
-	p := testProgram(t)
-	p.Meta["seed"] = "42"
-	c := p.Clone()
-	if c.StaticCount() != p.StaticCount() || c.Meta["seed"] != "42" {
-		t.Fatal("clone lost content")
-	}
-	c.Instructions[0].Op = isa.MUL
-	c.Streams[0].StrideBytes = 999
-	c.Meta["seed"] = "1"
-	c.Notes[0].Label = "renamed"
-	if p.Instructions[0].Op == isa.MUL || p.Streams[0].StrideBytes == 999 || p.Meta["seed"] == "1" {
-		t.Error("mutating the clone affected the original")
-	}
-	if p.Note(0).Label != "kernel_loop" {
-		t.Error("mutating the clone's notes affected the original")
 	}
 }
 

@@ -21,6 +21,10 @@ func FuzzJobRequest(f *testing.F) {
 		`{"kind":"tunercmp","tuners":["gd","cmaes"],"cores":4,"rows":2,"cols":2}`,
 		`{"kind":"dvfs-noise-virus","freqs_ghz":[2.0,1.2]}`,
 		`{"kind":"no-such-virus"}`,
+		`{"kind":"perf-virus","tuner":"no-such-tuner"}`,
+		`{"kind":"perf-virus","core":"tiny"}`,
+		`{"kind":"tunercmp","tuners":["cmaes",""]}`,
+		`{"kind":"cloning","benchmarks":["no-such-benchmark"]}`,
 		`{"kind":"perf-virus","instructions":-5}`,
 		`{"kind":"spatial","cores":4,"rows":-2,"cols":2}`,
 		`{"kind":"perf-virus"} {"kind":"perf-virus"}`,

@@ -25,7 +25,10 @@ import (
 	"micrograd/internal/experiments"
 	"micrograd/internal/microprobe"
 	"micrograd/internal/multicore"
+	"micrograd/internal/platform"
 	"micrograd/internal/stress"
+	"micrograd/internal/tuner"
+	"micrograd/internal/workloads"
 )
 
 // State is a job's lifecycle state.
@@ -294,9 +297,10 @@ func (s *Server) Submit(req JobRequest) (JobStatus, error) {
 	return st, nil
 }
 
-// validateRequest rejects, at submission time, an unknown experiment kind
-// and a negative budget or placement override. Zero keeps a field's default;
-// the seed may take any value.
+// validateRequest rejects, at submission time, an unknown experiment kind,
+// tuner, core, tunercmp challenger or cloning benchmark, and a negative
+// budget or placement override. Zero and empty values keep a field's
+// default; the seed may take any value.
 func validateRequest(req JobRequest) error {
 	for _, f := range []struct {
 		name  string
@@ -313,6 +317,26 @@ func validateRequest(req JobRequest) error {
 	} {
 		if f.value < 0 {
 			return fmt.Errorf("serve: job request has negative %s %v", f.name, f.value)
+		}
+	}
+	if req.Tuner != "" {
+		if _, err := tuner.ByName(req.Tuner); err != nil {
+			return fmt.Errorf("serve: %w", err)
+		}
+	}
+	for _, name := range req.Tuners {
+		if _, err := tuner.ByName(name); err != nil {
+			return fmt.Errorf("serve: tuners: %w", err)
+		}
+	}
+	if req.Core != "" {
+		if _, err := platform.ByName(req.Core); err != nil {
+			return fmt.Errorf("serve: %w", err)
+		}
+	}
+	for _, name := range req.Benchmarks {
+		if _, err := workloads.ByName(name); err != nil {
+			return fmt.Errorf("serve: benchmarks: %w", err)
 		}
 	}
 	switch req.Kind {

@@ -254,14 +254,38 @@ func TestDiskBackedCacheSurvivesDaemonRestart(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsUnknownKind checks that a job naming an unknown kind,
+// tuner, core, tunercmp challenger or cloning benchmark is refused with a
+// 400 instead of being queued to fail, while empty names keep their
+// defaults.
 func TestSubmitRejectsUnknownKind(t *testing.T) {
-	s := New(Config{})
+	s := newServer(Config{})
 	defer s.Close()
-	if _, err := s.Submit(JobRequest{Kind: "no-such-virus"}); err == nil {
-		t.Fatal("submitting an unknown kind succeeded")
+	h := s.Handler()
+	for _, tc := range []struct {
+		body string
+		want int
+	}{
+		{`{"kind":"no-such-virus"}`, http.StatusBadRequest},
+		{`{}`, http.StatusBadRequest},
+		{`{"kind":"perf-virus","tuner":"no-such-tuner"}`, http.StatusBadRequest},
+		{`{"kind":"perf-virus","core":"tiny"}`, http.StatusBadRequest},
+		{`{"kind":"tunercmp","tuners":["cmaes","no-such-tuner"]}`, http.StatusBadRequest},
+		{`{"kind":"tunercmp","tuners":[""]}`, http.StatusBadRequest},
+		{`{"kind":"cloning","benchmarks":["mcf","no-such-benchmark"]}`, http.StatusBadRequest},
+		{`{"kind":"perf-virus","tuner":"","core":""}`, http.StatusAccepted},
+		{`{"kind":"power-virus","tuner":"halving-cmaes","core":"small","budget":40}`, http.StatusAccepted},
+		{`{"kind":"tunercmp","tuners":["gd","halving-gd"]}`, http.StatusAccepted},
+		{`{"kind":"cloning","benchmarks":["mcf","hmmer"]}`, http.StatusAccepted},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(tc.body)))
+		if rec.Code != tc.want {
+			t.Errorf("POST /jobs %s answered %d, want %d: %s", tc.body, rec.Code, tc.want, rec.Body)
+		}
 	}
-	if _, err := s.Submit(JobRequest{}); err == nil {
-		t.Fatal("submitting an empty kind succeeded")
+	if got := len(s.List()); got != 4 {
+		t.Errorf("%d jobs queued, want the 4 valid ones", got)
 	}
 }
 

@@ -132,11 +132,6 @@ type Options struct {
 	// power stays at or below the cap — chip_power_w on co-run platforms,
 	// dynamic_power_w otherwise. Zero or negative means unconstrained.
 	PowerCapW float64
-	// SecondaryMetric adds an optional second objective; the report then
-	// carries the Pareto front of (primary, secondary) over the feasible
-	// configurations evaluated. SecondaryMaximize selects its direction.
-	SecondaryMetric   string
-	SecondaryMaximize bool
 	// Metric overrides the stressed metric (default: IPC or dynamic power
 	// depending on Kind). Maximize selects the direction for custom metrics.
 	Metric   string
@@ -249,20 +244,6 @@ type EpochPoint struct {
 	CumulativeEvaluations int
 }
 
-// ParetoPoint is one non-dominated configuration of a multi-objective run,
-// reported in metric space (the tuner's loss space is an implementation
-// detail).
-type ParetoPoint struct {
-	// Config is the configuration.
-	Config knobs.Config
-	// Value is its primary stressed-metric value.
-	Value float64
-	// Secondary is its secondary-metric value.
-	Secondary float64
-	// Metrics is its full measured vector.
-	Metrics metrics.Vector
-}
-
 // Report is the outcome of one stress-testing run.
 type Report struct {
 	// Kind and Metric describe the goal.
@@ -302,10 +283,6 @@ type Report struct {
 	// PowerCapW echoes the power cap the search ran under (0 when
 	// unconstrained).
 	PowerCapW float64
-	// Pareto is the front of non-dominated (Value, Secondary) configurations
-	// when Options.SecondaryMetric was set, in metric space, sorted by the
-	// primary metric from most to least stressed.
-	Pareto []ParetoPoint
 	// TunerResult carries the raw tuning output.
 	TunerResult tuner.Result
 }
@@ -345,7 +322,7 @@ func Run(ctx context.Context, kind Kind, opts Options) (Report, error) {
 			kind, metric, opts.Platform.Name(), CoRunNoiseVirus, DVFSNoiseVirus)
 	}
 	evalOpts := opts.EvalOptions
-	if powerDerived(metric) || opts.PowerCapW > 0 || powerDerived(opts.SecondaryMetric) {
+	if powerDerived(metric) || opts.PowerCapW > 0 {
 		evalOpts.CollectPower = true
 	}
 
@@ -418,9 +395,6 @@ func Run(ctx context.Context, kind Kind, opts Options) (Report, error) {
 			})
 		}
 	}
-	if opts.SecondaryMetric != "" {
-		prob.Secondary = metrics.StressLoss{Metric: opts.SecondaryMetric, Maximize: opts.SecondaryMaximize}
-	}
 	if opts.PowerCapW > 0 {
 		capMetric := metrics.DynamicPowerW
 		if coRunPlat {
@@ -460,14 +434,6 @@ func Run(ctx context.Context, kind Kind, opts Options) (Report, error) {
 		Converged:   res.Converged,
 		PowerCapW:   opts.PowerCapW,
 		TunerResult: res,
-	}
-	for _, p := range res.Pareto {
-		rep.Pareto = append(rep.Pareto, ParetoPoint{
-			Config:    p.Config,
-			Value:     lossToValue(p.Loss, maximize),
-			Secondary: lossToValue(p.Secondary, opts.SecondaryMaximize),
-			Metrics:   p.Metrics,
-		})
 	}
 	if rd, ok := res.Best.ValueByName(knobs.NameRegDist); ok {
 		rep.RegDist = int(rd)

@@ -190,3 +190,55 @@ func TestDefaultSpacesPerKind(t *testing.T) {
 		t.Error("power virus should default to the stress space (instructions + REG_DIST)")
 	}
 }
+
+// TestVoltageNoiseVirusUnderPowerCap runs the README's power-capped
+// voltage-noise search (maximize worst-case droop subject to a dynamic power
+// cap) and checks the report: the cap is echoed, the budget holds, and the
+// winner is feasible and droops.
+func TestVoltageNoiseVirusUnderPowerCap(t *testing.T) {
+	opts := testOptions(t)
+	opts.PowerCapW = 50 // generous: binds nothing, exercises the whole path
+	opts.MaxEvaluations = 150
+	rep, err := Run(context.Background(), VoltageNoiseVirus, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.PowerCapW != 50 {
+		t.Errorf("report echoes cap %v, want 50", rep.PowerCapW)
+	}
+	if rep.Evaluations > 150 {
+		t.Errorf("spent %d evaluations, budget is 150", rep.Evaluations)
+	}
+	if p := rep.BestMetrics[metrics.DynamicPowerW]; p > 50 {
+		t.Errorf("winner infeasible: %.2f W over the cap", p)
+	}
+	if rep.Config.IsZero() || rep.BestValue <= 0 {
+		t.Errorf("winner lacks a config or a positive droop (%v)", rep.BestValue)
+	}
+}
+
+// TestPowerCapBindsOnPowerVirus caps the power virus below what the
+// unconstrained search reaches: the capped run's winner must respect the cap
+// while the search still makes progress under it.
+func TestPowerCapBindsOnPowerVirus(t *testing.T) {
+	free, err := Run(context.Background(), PowerVirus, testOptions(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cap := 0.9 * free.BestValue
+	opts := testOptions(t)
+	opts.PowerCapW = cap
+	capped, err := Run(context.Background(), PowerVirus, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if capped.PowerCapW != cap {
+		t.Errorf("report echoes cap %v, want %v", capped.PowerCapW, cap)
+	}
+	if capped.BestValue > cap {
+		t.Errorf("capped power virus reached %.3f W, cap is %.3f W", capped.BestValue, cap)
+	}
+	if capped.BestValue <= 0 {
+		t.Errorf("capped run found no feasible kernel (best %.3f W)", capped.BestValue)
+	}
+}

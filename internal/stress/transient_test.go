@@ -96,9 +96,10 @@ func TestVoltageNoiseVirusBeatsPowerVirusDroop(t *testing.T) {
 
 	// Embed the power-virus configuration into the transient space (duty 1 =
 	// the same always-on behaviour) and let the droop search take off from it.
-	vals := power.Config.Values()
-	vals[knobs.NameDutyCycle] = 1
-	vals[knobs.NameBurstLen] = 64
+	vals := map[string]float64{knobs.NameDutyCycle: 1, knobs.NameBurstLen: 64}
+	for _, name := range power.Config.Space().Names() {
+		vals[name], _ = power.Config.ValueByName(name)
+	}
 	initial, err := knobs.TransientStressSpace().ConfigFromValues(vals)
 	if err != nil {
 		t.Fatal(err)

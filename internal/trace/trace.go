@@ -123,11 +123,12 @@ func (p *patternState) next(rng *rand.Rand) bool {
 	return float64(phase) < p.threshold
 }
 
-// Entry kinds precomputed per static instruction, so Next never re-derives
-// opcode properties (or copies instruction structs) on the hot path. Each
-// kind writes exactly the Entry fields it owns; kindPlain instructions leave
-// Addr/Bytes/Taken untouched because no consumer reads them (a conditional
-// branch without a pattern gets kindCondNoPat so Taken is still cleared).
+// Entry kinds precomputed per static instruction, so NextInto never
+// re-derives opcode properties (or copies instruction structs) on the hot
+// path. Each kind writes exactly the Entry fields it owns; kindPlain
+// instructions leave Addr/Bytes/Taken untouched because no consumer reads
+// them (a conditional branch without a pattern gets kindCondNoPat so Taken
+// is still cleared).
 const (
 	kindPlain     uint8 = iota // no address, no direction
 	kindMem                    // memory access: address + width
@@ -153,18 +154,12 @@ type Expander struct {
 	patterns []patternState
 	meta     []staticMeta
 	pos      int
-	count    uint64
 }
 
-// NewExpander returns an expander positioned at the first instruction.
-func NewExpander(p *program.Program, seed int64) *Expander {
-	e := &Expander{}
-	Reuse(e, p, seed)
-	return e
-}
-
-// Reuse re-arms an expander in place for (p, seed), reusing its allocations.
-// The result is bit-identical to a freshly built NewExpander(p, seed).
+// Reuse arms an expander for (p, seed), positioned at the first
+// instruction. A zero Expander is ready to arm; re-arming one in place
+// reuses its allocations, and the result is bit-identical to arming a fresh
+// one.
 func Reuse(e *Expander, p *program.Program, seed int64) *Expander {
 	if e.rng == nil {
 		e.src = rand.NewSource(seed)
@@ -174,7 +169,6 @@ func Reuse(e *Expander, p *program.Program, seed int64) *Expander {
 	}
 	e.prog = p
 	e.pos = 0
-	e.count = 0
 
 	if cap(e.streams) < len(p.Streams) {
 		e.streams = make([]streamState, len(p.Streams))
@@ -224,19 +218,8 @@ func Reuse(e *Expander, p *program.Program, seed int64) *Expander {
 	return e
 }
 
-// Count returns the number of dynamic instructions produced so far.
-func (e *Expander) Count() uint64 { return e.count }
-
-// Next returns the next dynamic instruction. The program loops endlessly, so
-// Next never runs out.
-func (e *Expander) Next() Entry {
-	var entry Entry
-	e.NextInto(&entry)
-	return entry
-}
-
-// NextInto writes the next dynamic instruction into entry, avoiding the
-// struct return on the simulator's per-instruction path.
+// NextInto writes the next dynamic instruction into entry. The program
+// loops endlessly, so the expander never runs out.
 func (e *Expander) NextInto(entry *Entry) {
 	m := &e.meta[e.pos]
 	entry.Static = e.pos
@@ -256,17 +239,4 @@ func (e *Expander) NextInto(entry *Entry) {
 	if e.pos >= len(e.meta) {
 		e.pos = 0
 	}
-	e.count++
-}
-
-// Expand returns the first n dynamic instructions of the program as a slice.
-// It is a convenience wrapper for tests and small experiments; the simulator
-// streams entries via Next to avoid materializing long traces.
-func Expand(p *program.Program, seed int64, n int) []Entry {
-	e := NewExpander(p, seed)
-	out := make([]Entry, n)
-	for i := 0; i < n; i++ {
-		out[i] = e.Next()
-	}
-	return out
 }

@@ -34,11 +34,10 @@ func synth(t *testing.T, loop int, values map[string]float64) *program.Program {
 
 func TestExpandBasicInvariants(t *testing.T) {
 	p := synth(t, 100, nil)
-	entries := Expand(p, 1, 1000)
-	if len(entries) != 1000 {
-		t.Fatalf("got %d entries", len(entries))
-	}
-	for i, e := range entries {
+	x := Reuse(new(Expander), p, 1)
+	for i := 0; i < 1000; i++ {
+		var e Entry
+		x.NextInto(&e)
 		if e.Static != i%p.StaticCount() {
 			t.Fatalf("entry %d has static %d, want %d (loop must execute in order)", i, e.Static, i%p.StaticCount())
 		}
@@ -69,19 +68,29 @@ func TestExpandBasicInvariants(t *testing.T) {
 
 func TestExpanderDeterminism(t *testing.T) {
 	p := synth(t, 150, nil)
-	a := Expand(p, 42, 5000)
-	b := Expand(p, 42, 5000)
-	for i := range a {
-		if a[i] != b[i] {
+	a, b, c := Reuse(new(Expander), p, 42), Reuse(new(Expander), p, 42), Reuse(new(Expander), p, 43)
+	same := true
+	for i := 0; i < 5000; i++ {
+		var ea, eb, ec Entry
+		a.NextInto(&ea)
+		b.NextInto(&eb)
+		c.NextInto(&ec)
+		if ea != eb {
 			t.Fatalf("entry %d differs with identical seeds", i)
 		}
-	}
-	c := Expand(p, 43, 5000)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
+		if ea != ec {
 			same = false
-			break
+		}
+	}
+	// Re-arming a used expander replays a fresh one's stream.
+	fresh := Reuse(new(Expander), p, 42)
+	Reuse(c, p, 42)
+	for i := 0; i < 5000; i++ {
+		var ef, ec Entry
+		fresh.NextInto(&ef)
+		c.NextInto(&ec)
+		if ef != ec {
+			t.Fatalf("entry %d of a re-armed expander differs from a fresh one's", i)
 		}
 	}
 	if same {
@@ -104,9 +113,10 @@ func TestStrideAddressProgression(t *testing.T) {
 		}
 	}
 	var coldAddrs []uint64
-	e := NewExpander(p, 3)
+	e := Reuse(new(Expander), p, 3)
 	for i := 0; i < 20000 && len(coldAddrs) < 100; i++ {
-		ent := e.Next()
+		var ent Entry
+		e.NextInto(&ent)
 		in := p.Instructions[ent.Static]
 		if in.IsMemory() && int(in.Stream) == cold {
 			coldAddrs = append(coldAddrs, ent.Addr)
@@ -194,17 +204,6 @@ func TestBranchPatternRandomRatio(t *testing.T) {
 	}
 }
 
-func TestExpanderCount(t *testing.T) {
-	p := synth(t, 60, nil)
-	e := NewExpander(p, 1)
-	for i := 0; i < 500; i++ {
-		e.Next()
-	}
-	if e.Count() != 500 {
-		t.Errorf("Count = %d, want 500", e.Count())
-	}
-}
-
 // Property: memory addresses always stay within their stream's region, for
 // arbitrary knob configurations.
 func TestPropertyAddressesInBounds(t *testing.T) {
@@ -216,9 +215,10 @@ func TestPropertyAddressesInBounds(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		e := NewExpander(p, seed)
+		e := Reuse(new(Expander), p, seed)
 		for i := 0; i < 2000; i++ {
-			ent := e.Next()
+			var ent Entry
+			e.NextInto(&ent)
 			in := p.Instructions[ent.Static]
 			if in.IsMemory() {
 				s := p.Streams[in.Stream]
@@ -236,14 +236,20 @@ func TestPropertyAddressesInBounds(t *testing.T) {
 
 func TestDynamicMixMatchesStaticMix(t *testing.T) {
 	p := synth(t, 120, nil)
-	entries := Expand(p, 2, 12000)
-	counts := map[isa.Class]int{}
-	for _, e := range entries {
-		counts[p.Instructions[e.Static].Class()]++
+	const n = 12000
+	dynamic, static := map[isa.Class]int{}, map[isa.Class]int{}
+	x := Reuse(new(Expander), p, 2)
+	for i := 0; i < n; i++ {
+		var e Entry
+		x.NextInto(&e)
+		dynamic[p.Instructions[e.Static].Class()]++
 	}
-	static := p.StaticMix()
-	for c, f := range static {
-		dyn := float64(counts[c]) / float64(len(entries))
+	for _, in := range p.Instructions {
+		static[in.Class()]++
+	}
+	for c, k := range static {
+		dyn := float64(dynamic[c]) / n
+		f := float64(k) / float64(p.StaticCount())
 		if diff := dyn - f; diff > 0.02 || diff < -0.02 {
 			t.Errorf("class %v: dynamic %.3f vs static %.3f", c, dyn, f)
 		}

@@ -109,7 +109,7 @@ func (b *BruteForce) Run(ctx context.Context, prob Problem) (Result, error) {
 		if n := len(e.res.Epochs); n == 0 || e.res.Epochs[n-1].BestLoss != e.res.BestLoss {
 			e.appendRecord(e.res.BestLoss, e.res.TotalEvaluations%b.params.ReportEvery)
 		}
-		return e.result(), nil
+		return e.res, nil
 	}
 
 	// The problem's starting point, when given, is evaluated first so the

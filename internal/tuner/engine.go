@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"micrograd/internal/knobs"
 	"micrograd/internal/metrics"
@@ -19,11 +18,11 @@ const constraintPenaltyBase = 1e6
 
 // engine is the budget-centric core every tuning mechanism runs on. It owns
 // the bookkeeping the tuners used to duplicate around evalBatch: scoring
-// candidates (including the constraint penalty of multi-objective runs),
+// candidates (including the constraint penalty of power-capped runs),
 // counting proposals against Problem.MaxEvaluations, tracking the best
-// configuration and the optional Pareto front, appending epoch records
-// with cumulative evaluation counts, and deciding termination. A tuner
-// supplies only its proposal/update strategy (an epochStep).
+// configuration, appending epoch records with cumulative evaluation
+// counts, and deciding termination. A tuner supplies only its
+// proposal/update strategy (an epochStep).
 type engine struct {
 	prob Problem
 	res  Result
@@ -38,8 +37,6 @@ type engine struct {
 	// it is folded into the result — brute force uses it to emit its
 	// pseudo-epoch records at exact evaluation counts.
 	onFold func(cfg knobs.Config, loss float64, v metrics.Vector)
-	// pareto is the running non-dominated front (Secondary problems only).
-	pareto []ParetoPoint
 }
 
 // newEngine validates the problem and prepares a run for the named tuner.
@@ -81,7 +78,7 @@ func runEpochs(ctx context.Context, name string, prob Problem, init func(ctx con
 		}
 		e.endEpoch(epochLoss)
 	}
-	return e.result(), nil
+	return e.res, nil
 }
 
 // remaining returns how many evaluations the budget still allows.
@@ -110,13 +107,8 @@ func (e *engine) score(v metrics.Vector) float64 {
 	return loss
 }
 
-// feasible reports whether a measured vector satisfies the constraint.
-func (e *engine) feasible(v metrics.Vector) bool {
-	return e.prob.Constraint == nil || v[e.prob.Constraint.Metric] <= e.prob.Constraint.Max
-}
-
 // fold accumulates one evaluated candidate into the running result: the
-// evaluation counter, the best-so-far tracking, and the Pareto front.
+// evaluation counter and the best-so-far tracking.
 func (e *engine) fold(cfg knobs.Config, loss float64, v metrics.Vector) {
 	e.res.TotalEvaluations++
 	if better(loss, e.res.BestLoss) {
@@ -124,37 +116,9 @@ func (e *engine) fold(cfg knobs.Config, loss float64, v metrics.Vector) {
 		e.res.Best = cfg.Clone()
 		e.res.BestMetrics = v.Clone()
 	}
-	if e.prob.Secondary != nil && e.feasible(v) {
-		e.foldPareto(ParetoPoint{
-			Config:    cfg.Clone(),
-			Loss:      e.prob.Loss.Loss(v),
-			Secondary: e.prob.Secondary.Loss(v),
-			Metrics:   v.Clone(),
-		})
-	}
 	if e.onFold != nil {
 		e.onFold(cfg, loss, v)
 	}
-}
-
-// foldPareto inserts a feasible point into the non-dominated front.
-func (e *engine) foldPareto(p ParetoPoint) {
-	kept := e.pareto[:0]
-	for _, q := range e.pareto {
-		if dominates(q, p) {
-			return // an existing point is at least as good on both axes
-		}
-		if !dominates(p, q) {
-			kept = append(kept, q)
-		}
-	}
-	e.pareto = append(kept, p)
-}
-
-// dominates reports whether a is at least as good as b on both objectives
-// (ties count as dominated, so the front holds no duplicates).
-func dominates(a, b ParetoPoint) bool {
-	return a.Loss <= b.Loss && a.Secondary <= b.Secondary
 }
 
 // evalBatch evaluates candidates at full fidelity: the batch is truncated
@@ -168,7 +132,7 @@ func (e *engine) evalBatch(ctx context.Context, cfgs []knobs.Config) ([]float64,
 
 // evalBatchAt is evalBatch at an explicit fidelity. Reduced-fidelity
 // evaluations (fidelity in (0,1)) consume budget but are NOT folded into
-// the best-so-far tracking or the Pareto front: their metrics are cheaper
+// the best-so-far tracking: their metrics are cheaper
 // approximations that must not be compared against full-fidelity results.
 // The successive-halving wrapper uses them for its lower rungs.
 func (e *engine) evalBatchAt(ctx context.Context, cfgs []knobs.Config, fidelity float64) ([]float64, []metrics.Vector, error) {
@@ -267,21 +231,6 @@ func (e *engine) converge() {
 // done reports whether the run must stop: target reached or budget spent.
 func (e *engine) done() bool {
 	return e.res.Converged || e.exhausted
-}
-
-// result finalizes and returns the run's outcome.
-func (e *engine) result() Result {
-	if e.prob.Secondary != nil {
-		sort.SliceStable(e.pareto, func(i, j int) bool {
-			//lint:allow floateq exact tie-break in a sort comparator; a tolerance would break transitivity
-			if e.pareto[i].Loss != e.pareto[j].Loss {
-				return e.pareto[i].Loss < e.pareto[j].Loss
-			}
-			return e.pareto[i].Secondary < e.pareto[j].Secondary
-		})
-		e.res.Pareto = e.pareto
-	}
-	return e.res
 }
 
 // errBudget is a helper for strategies that must not run without a budget.

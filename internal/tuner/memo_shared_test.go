@@ -51,8 +51,8 @@ func TestSharedGroupServesCrossEvaluatorHits(t *testing.T) {
 	if countA.Load() != 1 || countB.Load() != 0 {
 		t.Fatalf("inner counts = %d/%d, want 1/0 (B must hit A's result)", countA.Load(), countB.Load())
 	}
-	if memoB.Hits() != 1 || memoB.Misses() != 0 {
-		t.Fatalf("memoB counters = %d hits / %d misses, want 1/0", memoB.Hits(), memoB.Misses())
+	if memoB.Misses() != 0 {
+		t.Fatalf("memoB misses = %d, want 0", memoB.Misses())
 	}
 	hits, misses := group.Stats()
 	if hits != 1 || misses != 1 {

@@ -52,18 +52,3 @@ func Names() []string {
 	sort.Strings(names)
 	return names
 }
-
-// All returns one default instance of every registered mechanism, including
-// the halving-wrapped variants — the set the conformance tests run against.
-func All() []Tuner {
-	return []Tuner{
-		NewGradientDescent(GDParams{}),
-		NewGeneticAlgorithm(GAParams{}),
-		NewSimulatedAnnealing(SAParams{}),
-		NewRandomSearch(RandomSearchParams{}),
-		NewBruteForce(BruteForceParams{}),
-		NewCMAES(CMAESParams{}),
-		NewSuccessiveHalving(NewGradientDescent(GDParams{}), SuccessiveHalvingParams{}),
-		NewSuccessiveHalving(NewCMAES(CMAESParams{}), SuccessiveHalvingParams{}),
-	}
-}

@@ -118,23 +118,40 @@ func TestReducedFidelitySimulatesFewerInstructions(t *testing.T) {
 	}
 }
 
+// countingPlatform counts the requests a platform serves.
+type countingPlatform struct {
+	platform.Platform
+	served int
+}
+
+func (c *countingPlatform) EvaluateRequest(req platform.EvalRequest) (platform.EvalResponse, error) {
+	c.served++
+	return c.Platform.EvaluateRequest(req)
+}
+
+func newCountingPlatform(t *testing.T) *countingPlatform {
+	t.Helper()
+	plat, err := platform.NewSimPlatform(platform.Small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &countingPlatform{Platform: plat}
+}
+
 // TestParallelStackEvaluatesOnTheGivenPlatform checks that a parallel stack
 // makes the platform it is given its first worker: NewPlatform builds only
 // the other Parallel-1 workers, and the given platform serves evaluations.
 func TestParallelStackEvaluatesOnTheGivenPlatform(t *testing.T) {
-	given, err := platform.NewSimPlatform(platform.Small())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var built []*platform.SimPlatform
+	given := newCountingPlatform(t)
+	var built []*countingPlatform
 	eval, err := NewPlatformEvaluator(PlatformOptions{
 		Name:     "stack",
 		Platform: given,
 		Parallel: 3,
 		NewPlatform: func() (platform.Platform, error) {
-			plat, err := platform.NewSimPlatform(platform.Small())
+			plat := newCountingPlatform(t)
 			built = append(built, plat)
-			return plat, err
+			return plat, nil
 		},
 		Synth:   microprobe.NewCachingSynthesizer(microprobe.Options{LoopSize: 120, Seed: 3}),
 		Options: platform.EvalOptions{DynamicInstructions: 4000, Seed: 3},
@@ -149,14 +166,14 @@ func TestParallelStackEvaluatesOnTheGivenPlatform(t *testing.T) {
 	if _, err := eval.EvaluateBatch(context.Background(), cfgs, 1); err != nil {
 		t.Fatal(err)
 	}
-	served := given.Evaluations()
+	served := given.served
 	if served == 0 {
 		t.Error("the given platform served no evaluations")
 	}
 	for _, plat := range built {
-		served += plat.Evaluations()
+		served += plat.served
 	}
-	if served != uint64(len(cfgs)) {
+	if served != len(cfgs) {
 		t.Errorf("the workers served %d evaluations, want %d", served, len(cfgs))
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"micrograd/internal/evalcache"
 	"micrograd/internal/knobs"
 	"micrograd/internal/metrics"
-	"micrograd/internal/microprobe"
 	"micrograd/internal/platform"
 )
 
@@ -45,9 +44,8 @@ type Evaluator interface {
 // brute-force sweeps) does not pay for a second simulation. Its Misses
 // counter is the number of evaluations the wrapped evaluator really ran.
 //
-// The cache lives in an evalcache.Group, which may be private (the
-// NewMemoizingEvaluator default — unbounded) or shared across evaluators and
-// jobs (NewSharedMemoizingEvaluator). Keys come from a platform.EvalKeyer,
+// The cache lives in an evalcache.Group, which may be private (unbounded)
+// or shared across evaluators and jobs. Keys come from a platform.EvalKeyer,
 // which addresses the platform identity, synthesizer options, evaluation
 // options, effective simulation window and configuration. Either way it is
 // safe for concurrent use: concurrent evaluations of the same key are
@@ -60,14 +58,7 @@ type MemoizingEvaluator struct {
 	inner  Evaluator
 	group  *evalcache.Group
 	keyer  platform.EvalKeyer
-	hits   atomic.Uint64
 	misses atomic.Uint64
-}
-
-// NewMemoizingEvaluator wraps inner with a private unbounded cache — the
-// right default for one standalone run over a single evaluator.
-func NewMemoizingEvaluator(inner Evaluator) *MemoizingEvaluator {
-	return NewSharedMemoizingEvaluator(inner, nil, platform.NewEvalKeyer("", microprobe.Options{}, platform.EvalOptions{}))
 }
 
 // NewSharedMemoizingEvaluator wraps inner over an existing cache group, so
@@ -110,12 +101,10 @@ func (m *MemoizingEvaluator) EvaluateBatch(ctx context.Context, cfgs []knobs.Con
 			// Duplicate within the batch: resolved from this call's own
 			// flight once it settles below.
 			waits[i] = f
-			m.hits.Add(1)
 			continue
 		}
 		v, f, owner := m.group.Lookup(key)
 		if !owner {
-			m.hits.Add(1)
 			if v != nil {
 				out[i] = v
 				continue
@@ -172,11 +161,6 @@ func (m *MemoizingEvaluator) EvaluateBatch(ctx context.Context, cfgs []knobs.Con
 	return out, nil
 }
 
-// Hits returns the number of requests answered without new simulator work:
-// cache hits, waits on another caller's in-flight evaluation, and duplicates
-// within one batch.
-func (m *MemoizingEvaluator) Hits() uint64 { return m.hits.Load() }
-
 // Misses returns the number of requests that triggered an inner evaluation
 // — the evaluator's real simulator work, counted per evaluator (a shared
 // group's own counters add up every evaluator attached to it).
@@ -197,8 +181,8 @@ type Problem struct {
 	// evaluations — every candidate a tuner submits, whether or not a
 	// memoizing evaluator answers it from cache — so a run's budget (and
 	// its progression-vs-evaluations curve) is deterministic regardless of
-	// what a shared cache happens to contain. MemoizingEvaluator's
-	// Hits/Misses counters still report real simulator work separately.
+	// what a shared cache happens to contain. MemoizingEvaluator's Misses
+	// counter still reports real simulator work separately.
 	MaxEvaluations int
 	// TargetLoss stops tuning early once the best loss drops to or below
 	// this value. Use NoTargetLoss to disable. Negative targets are
@@ -210,11 +194,6 @@ type Problem struct {
 	// Initial optionally fixes the starting configuration; when zero the
 	// tuner starts from a random configuration (the paper's behaviour).
 	Initial knobs.Config
-	// Secondary is an optional second objective (also a loss, minimized).
-	// When set, the run additionally records the Pareto front of
-	// (Loss, Secondary) over the feasible configurations it evaluated in
-	// Result.Pareto. The primary Loss still drives the search.
-	Secondary metrics.Loss
 	// Constraint optionally restricts the search to configurations whose
 	// measured metric stays at or below a cap. Violating candidates are
 	// still evaluated but receive a graded penalty loss that keeps any
@@ -316,31 +295,6 @@ type Result struct {
 	// the target-loss threshold (as opposed to exhausting MaxEpochs or the
 	// evaluation budget).
 	Converged bool
-	// Pareto is the non-dominated front of (Loss, Secondary) over the
-	// feasible configurations evaluated at full fidelity, sorted by primary
-	// loss. Nil unless the problem set a Secondary objective.
-	Pareto []ParetoPoint
-}
-
-// ParetoPoint is one non-dominated configuration of a multi-objective run.
-type ParetoPoint struct {
-	// Config is the evaluated configuration.
-	Config knobs.Config
-	// Loss is its primary loss (without any constraint penalty; only
-	// feasible configurations enter the front).
-	Loss float64
-	// Secondary is its secondary loss.
-	Secondary float64
-	// Metrics is its measured metric vector.
-	Metrics metrics.Vector
-}
-
-// EvaluationsPerEpoch returns the average number of evaluations per epoch.
-func (r Result) EvaluationsPerEpoch() float64 {
-	if len(r.Epochs) == 0 {
-		return 0
-	}
-	return float64(r.TotalEvaluations) / float64(len(r.Epochs))
 }
 
 // Tuner is a tuning mechanism.

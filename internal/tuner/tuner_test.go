@@ -63,7 +63,7 @@ func TestCountingAndMemoizingEvaluators(t *testing.T) {
 		calls++
 		return metrics.Vector{"x": float64(cfg.Index(0))}, nil
 	})
-	memo := NewMemoizingEvaluator(raw)
+	memo := NewSharedMemoizingEvaluator(raw, nil, sharedKeyer)
 
 	a := space.MidConfig()
 	if _, err := evalSingle(memo, a); err != nil {
@@ -85,8 +85,8 @@ func TestCountingAndMemoizingEvaluators(t *testing.T) {
 	if calls != 2 {
 		t.Errorf("distinct config should miss the cache, calls=%d", calls)
 	}
-	if memo.Hits() != 1 || memo.Misses() != 2 {
-		t.Errorf("memo counters = %d hits / %d misses, want 1 / 2", memo.Hits(), memo.Misses())
+	if memo.Misses() != 2 {
+		t.Errorf("memo misses = %d, want 2", memo.Misses())
 	}
 	// Cached results must not alias.
 	v, _ := evalSingle(memo, a)
@@ -99,9 +99,9 @@ func TestCountingAndMemoizingEvaluators(t *testing.T) {
 
 func TestMemoizingEvaluatorPropagatesErrors(t *testing.T) {
 	sentinel := errors.New("boom")
-	memo := NewMemoizingEvaluator(blind(func(knobs.Config) (metrics.Vector, error) {
+	memo := NewSharedMemoizingEvaluator(blind(func(knobs.Config) (metrics.Vector, error) {
 		return nil, sentinel
-	}))
+	}), nil, sharedKeyer)
 	if _, err := evalSingle(memo, knobs.InstructionOnlySpace().MidConfig()); !errors.Is(err, sentinel) {
 		t.Error("error not propagated")
 	}
@@ -143,7 +143,7 @@ func TestGDEvaluationsPerEpochNearTwoTimesKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perEpoch := res.EvaluationsPerEpoch()
+	perEpoch := float64(res.TotalEvaluations) / float64(len(res.Epochs))
 	// 2*knobs gradient checks + base + step evaluations; must stay well
 	// below the GA's 50 per epoch.
 	if perEpoch < float64(2*space.Len()) || perEpoch > float64(2*space.Len()+4) {
@@ -259,8 +259,8 @@ func TestGAEvaluationsPerEpochEqualsPopulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.EvaluationsPerEpoch(); got != float64(DefaultGAParams().PopulationSize) {
-		t.Errorf("GA evaluations per epoch = %v, want %d", got, DefaultGAParams().PopulationSize)
+	if got, want := res.TotalEvaluations, len(res.Epochs)*DefaultGAParams().PopulationSize; got != want {
+		t.Errorf("GA evaluated %d candidates in %d epochs, want %d (one population per epoch)", got, len(res.Epochs), want)
 	}
 }
 
@@ -281,11 +281,12 @@ func TestGDUsesFewerEvaluationsThanGA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gdRes.EvaluationsPerEpoch() >= gaRes.EvaluationsPerEpoch() {
-		t.Errorf("GD per-epoch cost %.1f should be below GA %.1f",
-			gdRes.EvaluationsPerEpoch(), gaRes.EvaluationsPerEpoch())
+	gdPerEpoch := float64(gdRes.TotalEvaluations) / float64(len(gdRes.Epochs))
+	gaPerEpoch := float64(gaRes.TotalEvaluations) / float64(len(gaRes.Epochs))
+	if gdPerEpoch >= gaPerEpoch {
+		t.Errorf("GD per-epoch cost %.1f should be below GA %.1f", gdPerEpoch, gaPerEpoch)
 	}
-	ratio := gaRes.EvaluationsPerEpoch() / gdRes.EvaluationsPerEpoch()
+	ratio := gaPerEpoch / gdPerEpoch
 	if ratio < 1.5 {
 		t.Errorf("GA/GD evaluation ratio %.2f, expected >= 1.5 (paper reports up to 2.5x)", ratio)
 	}
@@ -449,5 +450,86 @@ func TestTunersAreInterchangeable(t *testing.T) {
 		if res.Best.IsZero() || math.IsInf(res.BestLoss, 1) {
 			t.Errorf("%s produced no result", tn.Name())
 		}
+	}
+}
+
+// constraintSpace is a 4x4 space over two knobs a, b in 1..4, on which the
+// constraint tests measure power = a+b against a cap of 5.
+func constraintSpace(t *testing.T) *knobs.Space {
+	t.Helper()
+	space, err := knobs.NewSpace([]knobs.Def{
+		{Name: "a", Kind: knobs.KindRegDist, Values: []float64{1, 2, 3, 4}},
+		{Name: "b", Kind: knobs.KindMemSize, Values: []float64{1, 2, 3, 4}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return space
+}
+
+// TestConstraintKeepsFeasibleOptimum sweeps the whole space with brute force
+// under a power cap the unconstrained optimum (a=1) satisfies: the cap must
+// not move the best away from it.
+func TestConstraintKeepsFeasibleOptimum(t *testing.T) {
+	res, err := NewBruteForce(BruteForceParams{}).Run(context.Background(), Problem{
+		Space: constraintSpace(t),
+		Loss:  metrics.StressLoss{Metric: "obj"},
+		Evaluator: blind(func(cfg knobs.Config) (metrics.Vector, error) {
+			a, b := cfg.Value(0), cfg.Value(1)
+			return metrics.Vector{"obj": a, "power": a + b}, nil
+		}),
+		Constraint: &Constraint{Metric: "power", Max: 5},
+		MaxEpochs:  1,
+		TargetLoss: NoTargetLoss,
+		Seed:       1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.BestLoss != 1 {
+		t.Errorf("BestLoss = %v, want 1 (a=1 is feasible)", res.BestLoss)
+	}
+	if res.BestMetrics["power"] > 5 {
+		t.Errorf("best configuration violates the cap: power %v > 5", res.BestMetrics["power"])
+	}
+}
+
+// TestConstraintSteersBestAwayFromInfeasible inverts the objective so the
+// unconstrained optimum (a=b=4) violates the cap: the penalty must keep the
+// reported best inside the feasible region, and it must grow with the
+// violation while staying above every feasible loss.
+func TestConstraintSteersBestAwayFromInfeasible(t *testing.T) {
+	res, err := NewBruteForce(BruteForceParams{}).Run(context.Background(), Problem{
+		Space: constraintSpace(t),
+		Loss:  metrics.StressLoss{Metric: "obj"},
+		Evaluator: blind(func(cfg knobs.Config) (metrics.Vector, error) {
+			a, b := cfg.Value(0), cfg.Value(1)
+			return metrics.Vector{"obj": 10 - a - b, "power": a + b}, nil
+		}),
+		Constraint: &Constraint{Metric: "power", Max: 5},
+		MaxEpochs:  1,
+		TargetLoss: NoTargetLoss,
+		Seed:       1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.BestMetrics["power"] > 5 {
+		t.Errorf("best configuration violates the cap: power %v > 5", res.BestMetrics["power"])
+	}
+	if res.BestLoss != 5 {
+		t.Errorf("BestLoss = %v, want 5 (the best feasible a+b is 5)", res.BestLoss)
+	}
+
+	e := &engine{prob: Problem{
+		Loss:       metrics.StressLoss{Metric: "obj"},
+		Constraint: &Constraint{Metric: "power", Max: 5},
+	}}
+	feasible := e.score(metrics.Vector{"obj": 9, "power": 5})
+	slight := e.score(metrics.Vector{"obj": 0, "power": 6})
+	far := e.score(metrics.Vector{"obj": 0, "power": 8})
+	if !(feasible < slight && slight < far) {
+		t.Errorf("scores feasible %v, 1 W over %v, 3 W over %v: want a penalty above every feasible loss that grows with the violation",
+			feasible, slight, far)
 	}
 }
