@@ -11,16 +11,19 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 )
 
 // exportedButUnused lists the exported names under internal/ that no
-// non-test file references yet, each with the reason it is kept.
+// non-test file references yet, and the exported struct fields that no
+// non-test file writes, each with the reason it is kept.
 var exportedButUnused = map[string]string{
 	"multicore.CoRunPlatform.CoreSimulations": "pins core sharing in the multicore tests; mgserve's /stats is to report it",
 	"multicore.CoRunPlatform.SharedCores":     "pins core sharing in the multicore tests; mgserve's /stats is to report it",
+	"multicore.CoRunSpec.OffsetCycles":        "benchmark/replay.go reads it; it goes with the replay (ROADMAP item 1)",
 }
 
 // TestEveryInternalExportIsUsed keeps API that only tests call out of
@@ -32,11 +35,19 @@ var exportedButUnused = map[string]string{
 // and String and Error always count, since the standard library calls them
 // through interfaces. A name only a test needs belongs in that package's
 // _test.go files.
+//
+// It also fails on any exported field of a package-level struct type under
+// internal/ that none of those files writes, since a setting nothing sets is
+// a constant. A write is a composite-literal key, an unkeyed composite
+// literal, the target of an assignment or of ++/-- (through index
+// expressions) or an address-of; a field with a json tag counts as written
+// by decoding.
 func TestEveryInternalExportIsUsed(t *testing.T) {
 	l := &sourceLoader{
 		fset:         token.NewFileSet(),
 		pkgs:         map[string]*types.Package{},
 		uses:         map[types.Object]bool{},
+		writes:       map[types.Object]bool{},
 		ifaceMethods: map[string][]*types.Signature{},
 	}
 	l.std = importer.ForCompiler(l.fset, "source", nil).(types.ImporterFrom)
@@ -94,6 +105,14 @@ func TestEveryInternalExportIsUsed(t *testing.T) {
 			if !ok || tn.IsAlias() {
 				continue
 			}
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				for i := range st.NumFields() {
+					f := st.Field(i)
+					if f.Exported() && !l.writes[f] && reflect.StructTag(st.Tag(i)).Get("json") == "" {
+						unused = append(unused, qualified+"."+f.Name())
+					}
+				}
+			}
 			named, ok := tn.Type().(*types.Named)
 			if !ok || types.IsInterface(named) {
 				continue
@@ -108,7 +127,7 @@ func TestEveryInternalExportIsUsed(t *testing.T) {
 
 	for _, name := range unused {
 		if _, ok := exportedButUnused[name]; !ok {
-			t.Errorf("%s is exported from internal/ but no non-test file uses it: delete it, unexport it, or move it into its package's tests", name)
+			t.Errorf("%s is exported from internal/ but no non-test file uses it (or, for a field, writes it): delete it, unexport it, or move it into its package's tests", name)
 		}
 	}
 	for name := range exportedButUnused {
@@ -127,6 +146,7 @@ type sourceLoader struct {
 	std          types.ImporterFrom
 	pkgs         map[string]*types.Package
 	uses         map[types.Object]bool         // objects declared here that a non-test file references
+	writes       map[types.Object]bool         // struct fields that a non-test file writes
 	ifaceMethods map[string][]*types.Signature // referenced interface methods by name
 }
 
@@ -177,7 +197,7 @@ func (l *sourceLoader) load(path string) (*types.Package, error) {
 		}
 		files = append(files, f)
 	}
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
 	conf := types.Config{Importer: l}
 	pkg, err := conf.Check(path, l.fset, files, info)
 	if err != nil {
@@ -187,7 +207,67 @@ func (l *sourceLoader) load(path string) (*types.Package, error) {
 	for _, obj := range info.Uses {
 		l.use(obj)
 	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			l.recordWrites(info, n)
+			return true
+		})
+	}
 	return pkg, nil
+}
+
+// recordWrites marks the struct fields node n writes.
+func (l *sourceLoader) recordWrites(info *types.Info, n ast.Node) {
+	switch n := n.(type) {
+	case *ast.CompositeLit:
+		st, ok := info.Types[n].Type.Underlying().(*types.Struct)
+		if !ok {
+			return
+		}
+		for i, elt := range n.Elts {
+			if kv, ok := elt.(*ast.KeyValueExpr); ok {
+				if key, ok := kv.Key.(*ast.Ident); ok {
+					l.writeField(info.Uses[key])
+				}
+			} else {
+				l.writeField(st.Field(i))
+			}
+		}
+	case *ast.AssignStmt:
+		for _, lhs := range n.Lhs {
+			l.writeTarget(info, lhs)
+		}
+	case *ast.IncDecStmt:
+		l.writeTarget(info, n.X)
+	case *ast.UnaryExpr:
+		if n.Op == token.AND {
+			l.writeTarget(info, n.X)
+		}
+	}
+}
+
+// writeTarget marks the field that assigning to, or taking the address of,
+// e writes: the selected field, through any index expressions.
+func (l *sourceLoader) writeTarget(info *types.Info, e ast.Expr) {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			l.writeField(info.Uses[x.Sel])
+			return
+		default:
+			return
+		}
+	}
+}
+
+func (l *sourceLoader) writeField(obj types.Object) {
+	if v, ok := obj.(*types.Var); ok && v.IsField() {
+		l.writes[v.Origin()] = true
+	}
 }
 
 func (l *sourceLoader) use(obj types.Object) {

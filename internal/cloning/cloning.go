@@ -28,8 +28,6 @@ const DefaultTargetAccuracy = 0.99
 
 // Options configures a cloning run.
 type Options struct {
-	// Space is the knob space to tune; nil means knobs.DefaultSpace().
-	Space *knobs.Space
 	// Tuner is the tuning mechanism; nil means gradient descent with default
 	// parameters.
 	Tuner tuner.Tuner
@@ -67,10 +65,6 @@ type Options struct {
 	// successive runs pointed at the same group reuse each other's
 	// evaluations. Nil keeps today's behavior (a private cache per run).
 	Memo *evalcache.Group
-	// MemoCap bounds the private evaluation cache when Memo is nil:
-	// 0 keeps it unbounded, N > 0 selects an N-entry LRU. Ignored when
-	// Memo is set.
-	MemoCap int
 	// Synth, when set, is a shared caching synthesizer; its options
 	// override LoopSize and Seed for program generation so that every run
 	// sharing it (and a Memo group) agrees on kernel content identity.
@@ -82,11 +76,8 @@ type Options struct {
 
 // normalized fills in defaults.
 func (o Options) normalized() Options {
-	if o.Space == nil {
-		o.Space = knobs.DefaultSpace()
-	}
 	if o.Tuner == nil {
-		o.Tuner = tuner.NewGradientDescent(tuner.GDParams{})
+		o.Tuner = tuner.NewGradientDescent()
 	}
 	if o.MaxEpochs <= 0 {
 		o.MaxEpochs = DefaultMaxEpochs
@@ -163,7 +154,6 @@ func Clone(ctx context.Context, name string, target metrics.Vector, opts Options
 		Synth:       csyn,
 		Options:     opts.EvalOptions,
 		Memo:        opts.Memo,
-		MemoCap:     opts.MemoCap,
 	})
 	if err != nil {
 		return Report{}, fmt.Errorf("cloning: %w", err)
@@ -171,7 +161,7 @@ func Clone(ctx context.Context, name string, target metrics.Vector, opts Options
 
 	loss := metrics.CloneLoss{Target: target, Metrics: opts.Metrics}
 	prob := tuner.Problem{
-		Space:      opts.Space,
+		Space:      knobs.DefaultSpace(),
 		Loss:       loss,
 		Evaluator:  memo,
 		MaxEpochs:  opts.MaxEpochs,

@@ -120,8 +120,8 @@ func TestCloneDirectTargetVector(t *testing.T) {
 
 func TestCloneWithGATunerRuns(t *testing.T) {
 	opts := testOptions(t, platform.Large())
-	opts.MaxEpochs = 3
-	opts.Tuner = tuner.NewGeneticAlgorithm(tuner.GAParams{PopulationSize: 8})
+	opts.MaxEpochs = 2
+	opts.Tuner = tuner.NewGeneticAlgorithm()
 	bm, _ := workloads.ByName("bzip2")
 	rep, err := CloneBenchmark(context.Background(), bm, opts)
 	if err != nil {
@@ -133,11 +133,12 @@ func TestCloneWithGATunerRuns(t *testing.T) {
 	// The tuner requests population*epochs evaluations; duplicates within
 	// the population are served from the memoization cache, so the platform
 	// count may be lower but never higher.
-	if rep.TunerResult.TotalEvaluations != 3*8 {
-		t.Errorf("GA tuner evaluations = %d, want 24", rep.TunerResult.TotalEvaluations)
+	want := 2 * tuner.GAPopulationSize
+	if rep.TunerResult.TotalEvaluations != want {
+		t.Errorf("GA tuner evaluations = %d, want %d", rep.TunerResult.TotalEvaluations, want)
 	}
-	if rep.Evaluations > 3*8 || rep.Evaluations == 0 {
-		t.Errorf("platform evaluations = %d, want in (0,24]", rep.Evaluations)
+	if rep.Evaluations > want || rep.Evaluations == 0 {
+		t.Errorf("platform evaluations = %d, want in (0,%d]", rep.Evaluations, want)
 	}
 }
 

@@ -129,8 +129,6 @@ type Result struct {
 	UnitOps [isa.NumUnitKinds]uint64
 	// L1I, L1D, L2 are the cache statistics of the run.
 	L1I, L1D, L2 memsim.Stats
-	// DTLB holds the data-TLB statistics (zero when the hierarchy has no TLB).
-	DTLB memsim.Stats
 	// Branch is the branch predictor statistics of the run.
 	Branch branchsim.Stats
 	// MemAccesses is the number of accesses that reached main memory
@@ -329,7 +327,6 @@ func (c *CPU) run(p *program.Program, dynInstrs int, seed int64, sharedWindows b
 	res.L1I = c.mem.L1I().Stats()
 	res.L1D = c.mem.L1D().Stats()
 	res.L2 = l2.Stats()
-	res.DTLB = c.mem.DTLB().Stats()
 	res.Branch = c.pred.Stats()
 	res.MemAccesses = res.L2.Misses
 	if windowed {
@@ -595,10 +592,9 @@ func (c *CPU) step(st *coreState, op *staticOp, entry *trace.Entry, l1iHitLat in
 
 	// Execute: latency is the opcode latency, or the cache latency for
 	// memory operations. L2/memory events are read off the cache counters
-	// rather than inferred from latency (a DTLB miss penalty would otherwise
-	// masquerade as an L2 access); prefetch fills are charged to the access
-	// that triggered them. Both keep windowed energy reconciled with the
-	// aggregate model exactly.
+	// rather than inferred from latency, and prefetch fills are charged to
+	// the access that triggered them. Both keep windowed energy reconciled
+	// with the aggregate model exactly.
 	latency := op.latency
 	if op.isMem {
 		dataLat, dL2, dMem, dPref := c.mem.AccessDataEv(entry.Addr, op.isStore)

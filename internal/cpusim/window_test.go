@@ -109,19 +109,6 @@ func TestWindowEventsMatchAggregates(t *testing.T) {
 	p := genProgram(t, map[string]float64{
 		"LD": 10, "SD": 5, "ADD": 3, "MEM_SIZE": 2048, "MEM_STRIDE": 64,
 	})
-	// A DTLB-equipped hierarchy exercises the case where a TLB miss penalty
-	// inflates the latency of an L1D hit: events must come from the cache
-	// statistics, not latency thresholds, to stay exact.
-	tlbHier, err := memsim.NewHierarchy(memsim.HierarchyConfig{
-		L1I:        memsim.CacheConfig{Name: "L1I", SizeBytes: 16 << 10, LineBytes: 64, Assoc: 4, HitLatency: 1},
-		L1D:        memsim.CacheConfig{Name: "L1D", SizeBytes: 16 << 10, LineBytes: 64, Assoc: 4, HitLatency: 2},
-		L2:         memsim.CacheConfig{Name: "L2", SizeBytes: 256 << 10, LineBytes: 64, Assoc: 8, HitLatency: 12},
-		DTLB:       memsim.TLBConfig{Entries: 4, PageBytes: 4096, MissPenalty: 30},
-		MemLatency: 120,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		name string
 		cfg  Config
@@ -129,7 +116,6 @@ func TestWindowEventsMatchAggregates(t *testing.T) {
 	}{
 		{"small", windowedCore(64), smallHier(t)},
 		{"large-prefetch", func() Config { c := largeCore(); c.WindowCycles = 64; return c }(), largeHier(t)},
-		{"small-dtlb", windowedCore(64), tlbHier},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res := runOn(t, tc.cfg, tc.hier, p, 8000)

@@ -94,6 +94,10 @@ func runCloningExperiment(ctx context.Context, figure string, core platform.Core
 				maxEpochs = e
 			}
 		}
+		memo, err := b.runMemo()
+		if err != nil {
+			return cloning.Report{}, err
+		}
 		opts := cloning.Options{
 			Tuner:       newTuner(),
 			Platform:    plat,
@@ -106,8 +110,7 @@ func runCloningExperiment(ctx context.Context, figure string, core platform.Core
 			// No shared Synth: each benchmark's generation seed differs, so
 			// the run builds its own synthesizer; the shared Memo group is
 			// still safe because the generation seed is part of the eval key.
-			Memo:    b.Memo,
-			MemoCap: b.MemoCap,
+			Memo: memo,
 			OnEpoch: progress(b, bm.Name, func(rec tuner.EpochRecord) (x, y float64) {
 				return float64(rec.Epoch), rec.BestLoss
 			}),
@@ -139,13 +142,13 @@ func runCloningExperiment(ctx context.Context, figure string, core platform.Core
 // Large core with gradient-descent tuning.
 func RunFig2(ctx context.Context, b Budget) (CloningResult, error) {
 	return runCloningExperiment(ctx, "fig2", platform.Large(), "gradient-descent",
-		func() tuner.Tuner { return tuner.NewGradientDescent(tuner.GDParams{}) }, b, nil)
+		func() tuner.Tuner { return tuner.NewGradientDescent() }, b, nil)
 }
 
 // RunFig3 reproduces Fig. 3: the same cloning experiment on the Small core.
 func RunFig3(ctx context.Context, b Budget) (CloningResult, error) {
 	return runCloningExperiment(ctx, "fig3", platform.Small(), "gradient-descent",
-		func() tuner.Tuner { return tuner.NewGradientDescent(tuner.GDParams{}) }, b, nil)
+		func() tuner.Tuner { return tuner.NewGradientDescent() }, b, nil)
 }
 
 // RunFig4 reproduces Fig. 4: cloning on the Large core with the GA baseline.
@@ -154,5 +157,5 @@ func RunFig3(ctx context.Context, b Budget) (CloningResult, error) {
 // that. A nil map falls back to the budget's CloneEpochs.
 func RunFig4(ctx context.Context, b Budget, gdEpochs map[string]int) (CloningResult, error) {
 	return runCloningExperiment(ctx, "fig4", platform.Large(), "genetic-algorithm",
-		func() tuner.Tuner { return tuner.NewGeneticAlgorithm(tuner.GAParams{}) }, b, gdEpochs)
+		func() tuner.Tuner { return tuner.NewGeneticAlgorithm() }, b, gdEpochs)
 }

@@ -167,9 +167,23 @@ func (b Budget) normalized() Budget {
 // state; empty keeps the gradient-descent default.
 func (b Budget) stressTuner() (tuner.Tuner, error) {
 	if b.Tuner == "" {
-		return tuner.NewGradientDescent(tuner.GDParams{}), nil
+		return tuner.NewGradientDescent(), nil
 	}
 	return tuner.ByName(b.Tuner)
+}
+
+// runMemo returns the evaluation-cache group of one tuning run: the shared
+// Memo when set, else a private MemoCap-entry LRU group when MemoCap > 0,
+// else nil, which leaves the run a private unbounded cache.
+func (b Budget) runMemo() (*evalcache.Group, error) {
+	if b.Memo != nil || b.MemoCap <= 0 {
+		return b.Memo, nil
+	}
+	lru, err := evalcache.NewLRU(b.MemoCap)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
+	return evalcache.NewGroup(lru), nil
 }
 
 // evalOptions is the budget's per-evaluation window.
@@ -191,6 +205,10 @@ func (b Budget) stressOptions(newPlatform func() (platform.Platform, error), par
 	if err != nil {
 		return opts, err
 	}
+	memo, err := b.runMemo()
+	if err != nil {
+		return opts, err
+	}
 	return stress.Options{
 		Tuner:          tn,
 		Platform:       plat,
@@ -202,8 +220,7 @@ func (b Budget) stressOptions(newPlatform func() (platform.Platform, error), par
 		PowerCapW:      b.PowerCapW,
 		Parallel:       parallel,
 		NewPlatform:    newPlatform,
-		Memo:           b.Memo,
-		MemoCap:        b.MemoCap,
+		Memo:           memo,
 		Synth:          b.Synth,
 		OnEpoch: progress(b, series, func(p stress.EpochPoint) (x, y float64) {
 			return float64(p.Epoch), p.BestValue
@@ -240,27 +257,26 @@ func (b Budget) benchmarks() ([]workloads.Benchmark, error) {
 	return out, nil
 }
 
-// TableIResult reproduces Table I (the GA parameters used by prior work and
-// by this repository's GA baseline).
-type TableIResult struct {
-	Params tuner.GAParams
-}
+// TableIResult reproduces Table I (the GA parameters used by prior work). It
+// renders the GA tuner's own constants, so it shows what the GA baseline
+// runs.
+type TableIResult struct{}
 
 // TableI returns the Table I contents.
-func TableI() TableIResult { return TableIResult{Params: tuner.DefaultGAParams()} }
+func TableI() TableIResult { return TableIResult{} }
 
 // Render renders Table I.
-func (r TableIResult) Render() string {
+func (TableIResult) Render() string {
 	t := report.NewTable("Table I: GA parameters", "parameter", "value")
-	t.AddRow("Population Size", fmt.Sprintf("%d", r.Params.PopulationSize))
-	t.AddRow("Mutation Rate", fmt.Sprintf("%.0f%%", r.Params.MutationRate*100))
+	t.AddRow("Population Size", fmt.Sprintf("%d", tuner.GAPopulationSize))
+	t.AddRow("Mutation Rate", fmt.Sprintf("%.0f%%", tuner.GAMutationRate*100))
 	t.AddRow("Mutation position", "Random")
 	t.AddRow("Mutation type", "Random")
 	t.AddRow("Crossover Operator", "1-point")
-	t.AddRow("Crossover Rate", fmt.Sprintf("%.0f%%", r.Params.CrossoverRate*100))
+	t.AddRow("Crossover Rate", fmt.Sprintf("%.0f%%", tuner.GACrossoverRate*100))
 	t.AddRow("Crossover Position", "Random")
-	t.AddRow("Elitism", fmt.Sprintf("%v", r.Params.Elitism))
-	t.AddRow("Tournament Size", fmt.Sprintf("%d", r.Params.TournamentSize))
+	t.AddRow("Elitism", fmt.Sprintf("%v", tuner.GAElitism))
+	t.AddRow("Tournament Size", fmt.Sprintf("%d", tuner.GATournamentSize))
 	return t.String()
 }
 

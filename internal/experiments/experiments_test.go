@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"micrograd/internal/metrics"
+	"micrograd/internal/tuner"
 )
 
 // tinyBudget keeps experiment tests fast while still exercising the full
@@ -51,6 +53,10 @@ func TestTableI(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table I missing %q:\n%s", want, out)
 		}
+	}
+	// The elitism row renders the constant the GA runs with.
+	if want := fmt.Sprintf("Elitism             %v", tuner.GAElitism); !strings.Contains(out, want) {
+		t.Errorf("Table I missing %q:\n%s", want, out)
 	}
 }
 

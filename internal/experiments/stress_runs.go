@@ -107,19 +107,15 @@ func runStressExperiment(ctx context.Context, figure string, kind stress.Kind, b
 	gaEpochs := b.StressEpochs + b.StressEpochs/2 // 1.5x, as observed in the paper
 	runs := []func(ctx context.Context) error{
 		func(ctx context.Context) (err error) {
-			gd, err = tune(ctx, tuner.NewGradientDescent(tuner.GDParams{}), b.StressEpochs, "GD", true)
+			gd, err = tune(ctx, tuner.NewGradientDescent(), b.StressEpochs, "GD", true)
 			return err
 		},
 		func(ctx context.Context) (err error) {
-			ga, err = tune(ctx, tuner.NewGeneticAlgorithm(tuner.GAParams{}), gaEpochs, "GA", true)
+			ga, err = tune(ctx, tuner.NewGeneticAlgorithm(), gaEpochs, "GA", true)
 			return err
 		},
 		func(ctx context.Context) (err error) {
-			bf, err = tune(ctx, tuner.NewBruteForce(tuner.BruteForceParams{
-				MaxEvaluations:       b.BruteForceEvaluations,
-				LatticePointsPerKnob: 2,
-				ReportEvery:          256,
-			}), 1, "BruteForce", false)
+			bf, err = tune(ctx, tuner.NewBruteForce(b.BruteForceEvaluations), 1, "BruteForce", false)
 			return err
 		},
 	}

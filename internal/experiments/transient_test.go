@@ -45,6 +45,31 @@ func TestRunStressKindCharacterizesKernel(t *testing.T) {
 	}
 }
 
+// TestMemoCapBoundsEachRunsCache checks that the budget's MemoCap reaches
+// the run: a one-entry LRU forgets the configurations gradient descent
+// revisits, so the run simulates more, while the cache still never changes
+// what the search finds.
+func TestMemoCapBoundsEachRunsCache(t *testing.T) {
+	unbounded, err := RunStressKind(context.Background(), stress.PerfVirus, "small", transientBudget())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := transientBudget()
+	b.MemoCap = 1
+	capped, err := RunStressKind(context.Background(), stress.PerfVirus, "small", b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if capped.Report.Evaluations <= unbounded.Report.Evaluations {
+		t.Errorf("a 1-entry cache simulated %d evaluations, the unbounded cache %d: want more",
+			capped.Report.Evaluations, unbounded.Report.Evaluations)
+	}
+	if capped.Report.Config.Key() != unbounded.Report.Config.Key() || capped.Report.BestValue != unbounded.Report.BestValue {
+		t.Errorf("the cache bound changed the result: %v (%v) vs %v (%v)",
+			capped.Report.Config, capped.Report.BestValue, unbounded.Report.Config, unbounded.Report.BestValue)
+	}
+}
+
 func TestRunStressKindRejectsUnknownCore(t *testing.T) {
 	if _, err := RunStressKind(context.Background(), stress.PerfVirus, "medium", transientBudget()); err == nil {
 		t.Error("unknown core should be rejected")

@@ -67,9 +67,6 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Accesses)
 }
 
-// MissRate returns 1 - HitRate.
-func (s Stats) MissRate() float64 { return 1 - s.HitRate() }
-
 // line is one cache line.
 type line struct {
 	tag   uint64
@@ -248,13 +245,11 @@ func (c *Cache) touch(addr uint64, write, demand bool) (bool, *line) {
 }
 
 // HierarchyConfig describes a two-level hierarchy with split L1 caches and a
-// unified L2, plus an optional data TLB.
+// unified L2.
 type HierarchyConfig struct {
 	L1I CacheConfig
 	L1D CacheConfig
 	L2  CacheConfig
-	// DTLB optionally models a data TLB (zero value = disabled).
-	DTLB TLBConfig
 	// MemLatency is the additional latency of a main-memory access in cycles.
 	MemLatency int
 }
@@ -266,9 +261,6 @@ func (h HierarchyConfig) Validate() error {
 			return err
 		}
 	}
-	if err := h.DTLB.Validate(); err != nil {
-		return err
-	}
 	if h.MemLatency <= 0 {
 		return fmt.Errorf("memsim: non-positive memory latency %d", h.MemLatency)
 	}
@@ -277,11 +269,10 @@ func (h HierarchyConfig) Validate() error {
 
 // Hierarchy is the instantiated cache hierarchy.
 type Hierarchy struct {
-	cfg  HierarchyConfig
-	l1i  *Cache
-	l1d  *Cache
-	l2   *Cache
-	dtlb *TLB
+	cfg HierarchyConfig
+	l1i *Cache
+	l1d *Cache
+	l2  *Cache
 	// fetchLineNum/fetchWay remember the L1I line of the previous fetch.
 	// Nothing but instruction fetches touches the L1I, so a fetch to the
 	// same line as its predecessor is guaranteed still resident and takes
@@ -290,8 +281,7 @@ type Hierarchy struct {
 	fetchWay     *line
 	// dataLineNum/dataWay are the analogous shortcut for the L1D: recorded
 	// on demand hits and invalidated on any miss (a miss may trigger a
-	// prefetch install that evicts an arbitrary line). Only used when no
-	// DTLB is configured, since a TLB must observe every access.
+	// prefetch install that evicts an arbitrary line).
 	dataLineNum uint64
 	dataWay     *line
 }
@@ -313,11 +303,7 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 	if err != nil {
 		return nil, err
 	}
-	dtlb, err := NewTLB(cfg.DTLB)
-	if err != nil {
-		return nil, err
-	}
-	return &Hierarchy{cfg: cfg, l1i: l1i, l1d: l1d, l2: l2, dtlb: dtlb}, nil
+	return &Hierarchy{cfg: cfg, l1i: l1i, l1d: l1d, l2: l2}, nil
 }
 
 // Config returns the hierarchy configuration.
@@ -332,15 +318,11 @@ func (h *Hierarchy) L1D() *Cache { return h.l1d }
 // L2 returns the unified second-level cache.
 func (h *Hierarchy) L2() *Cache { return h.l2 }
 
-// DTLB returns the data TLB, or nil when the hierarchy was built without one.
-func (h *Hierarchy) DTLB() *TLB { return h.dtlb }
-
 // Reset clears all levels.
 func (h *Hierarchy) Reset() {
 	h.l1i.Reset()
 	h.l1d.Reset()
 	h.l2.Reset()
-	h.dtlb.Reset()
 	h.fetchLineNum = 0
 	h.fetchWay = nil
 	h.dataLineNum = 0
@@ -353,34 +335,31 @@ func (h *Hierarchy) Reset() {
 // attribute energy events to activity windows without snapshotting cache
 // counters around every access.
 func (h *Hierarchy) AccessDataEv(addr uint64, write bool) (lat int, l2acc, l2miss, l2pref uint8) {
-	if h.dtlb == nil {
-		if h.dataWay != nil && addr>>h.l1d.lineShift == h.dataLineNum {
-			c := h.l1d
-			c.stats.Accesses++
-			c.stats.Hits++
-			c.clock++
-			h.dataWay.used = c.clock
-			if write {
-				h.dataWay.dirty = true
-			}
-			return h.cfg.L1D.HitLatency, 0, 0, 0
+	if h.dataWay != nil && addr>>h.l1d.lineShift == h.dataLineNum {
+		c := h.l1d
+		c.stats.Accesses++
+		c.stats.Hits++
+		c.clock++
+		h.dataWay.used = c.clock
+		if write {
+			h.dataWay.dirty = true
 		}
-		return h.accessDataNewLine(addr, write, 0)
+		return h.cfg.L1D.HitLatency, 0, 0, 0
 	}
-	return h.accessDataNewLine(addr, write, h.dtlb.Access(addr))
+	return h.accessDataNewLine(addr, write)
 }
 
 // accessDataNewLine is the data path past the same-line shortcut: a full L1D
 // access, falling through to L2, memory and the prefetcher on a miss.
-func (h *Hierarchy) accessDataNewLine(addr uint64, write bool, tlbPenalty int) (lat int, l2acc, l2miss, l2pref uint8) {
+func (h *Hierarchy) accessDataNewLine(addr uint64, write bool) (lat int, l2acc, l2miss, l2pref uint8) {
 	hit, way := h.l1d.accessWay(addr, write)
 	if hit {
 		h.dataLineNum = addr >> h.l1d.lineShift
 		h.dataWay = way
-		return h.cfg.L1D.HitLatency + tlbPenalty, 0, 0, 0
+		return h.cfg.L1D.HitLatency, 0, 0, 0
 	}
 	h.dataWay = nil
-	lat = h.cfg.L1D.HitLatency + tlbPenalty
+	lat = h.cfg.L1D.HitLatency
 	l2acc = 1
 	if h.l2.Access(addr, write) {
 		lat += h.cfg.L2.HitLatency

@@ -113,9 +113,6 @@ func TestCacheResetAndEmptyStats(t *testing.T) {
 	if st.HitRate() != 1 {
 		t.Errorf("empty cache hit rate should be 1, got %v", st.HitRate())
 	}
-	if st.MissRate() != 0 {
-		t.Errorf("empty cache miss rate should be 0, got %v", st.MissRate())
-	}
 	if c.Access(0x40, false) {
 		t.Error("Reset did not clear contents")
 	}

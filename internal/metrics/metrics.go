@@ -28,7 +28,6 @@ const (
 	L1IHitRate           = "l1i_hit_rate"
 	L1DHitRate           = "l1d_hit_rate"
 	L2HitRate            = "l2_hit_rate"
-	DTLBMissRate         = "dtlb_miss_rate"
 	Instructions         = "instructions"
 	Cycles               = "cycles"
 	// Transient-power metrics derived from the windowed power trace.

@@ -16,6 +16,10 @@ import (
 // endless loop".
 const DefaultLoopSize = 500
 
+// hotStreamBytes is the footprint of the small "hot" memory stream that
+// models the temporally-local portion of the access stream.
+const hotStreamBytes = 4096
+
 // Options configures the Synthesizer.
 type Options struct {
 	// LoopSize is the static size of the generated loop (including the
@@ -23,10 +27,6 @@ type Options struct {
 	LoopSize int
 	// Seed drives the deterministic pseudo-random choices of generation.
 	Seed int64
-	// HotStreamBytes is the footprint of the small "hot" memory stream that
-	// models the temporally-local portion of the access stream. Zero means
-	// 4096 bytes.
-	HotStreamBytes int
 }
 
 // Normalized returns the options with defaults filled in. Synthesizers with
@@ -34,9 +34,6 @@ type Options struct {
 func (o Options) Normalized() Options {
 	if o.LoopSize == 0 {
 		o.LoopSize = DefaultLoopSize
-	}
-	if o.HotStreamBytes == 0 {
-		o.HotStreamBytes = 4096
 	}
 	return o
 }
@@ -122,7 +119,7 @@ func (s *Synthesizer) SynthesizeSettings(name string, set knobs.Settings) (*prog
 	// (how many accesses repeat).
 	hotRatio := temporalHotRatio(set.MemTemp1)
 	coldFootprint := set.MemFootprintKB * 1024
-	hotFootprint := minInt(s.opts.HotStreamBytes, coldFootprint)
+	hotFootprint := minInt(hotStreamBytes, coldFootprint)
 	sc.streams = [2]StreamSpec{
 		{FootprintBytes: hotFootprint, Ratio: hotRatio, StrideBytes: 8, Temp1: 1, Temp2: 1},
 		{FootprintBytes: coldFootprint, Ratio: 1 - hotRatio, StrideBytes: set.MemStrideB, Temp1: set.MemTemp1, Temp2: set.MemTemp2},

@@ -1,15 +1,10 @@
 // Package platform implements MicroGrad's evaluation platforms (§III-E of
 // the paper): the boundary through which generated test cases are executed
 // and their metrics collected. The paper interfaces with Gem5, McPAT and
-// native hardware; this reproduction provides
-//
-//   - SimPlatform      — the Gem5+McPAT substitute built on internal/cpusim,
-//     internal/memsim, internal/branchsim and internal/powersim;
-//   - NativeStub       — an interface-compatible placeholder for native
-//     hardware counters, which replays canned readings (real PMU access is
-//     out of scope for this environment);
-//
-// plus the two core configurations of the paper's Table II (Small, Large).
+// native hardware; this reproduction provides SimPlatform, the Gem5+McPAT
+// substitute built on internal/cpusim, internal/memsim, internal/branchsim
+// and internal/powersim, plus the two core configurations of the paper's
+// Table II (Small, Large).
 package platform
 
 import (
@@ -351,8 +346,8 @@ func (s *SimPlatform) EvaluateCore(p *program.Program, opts EvalOptions, keepRes
 }
 
 // resultVectorCap is the most metrics a single-core evaluation reports:
-// ResultVector's 15, the dynamic power and the three transient metrics.
-const resultVectorCap = 15 + 1 + 3
+// ResultVector's 14, the dynamic power and the three transient metrics.
+const resultVectorCap = 14 + 1 + 3
 
 // ResultVector converts a raw simulation result into the standard metric
 // vector, sized so the power and transient metrics fit without regrowing it.
@@ -372,21 +367,5 @@ func ResultVector(res cpusim.Result) metrics.Vector {
 	v[metrics.L1IHitRate] = res.L1I.HitRate()
 	v[metrics.L1DHitRate] = res.L1D.HitRate()
 	v[metrics.L2HitRate] = res.L2.HitRate()
-	if res.DTLB.Accesses > 0 {
-		v[metrics.DTLBMissRate] = res.DTLB.MissRate()
-	}
 	return v
 }
-
-// NativeStub is an interface-compatible stand-in for the paper's
-// native-hardware back-end. Real hardware-counter access is not available in
-// this environment, so the stub replays a canned metric vector; it exists to
-// demonstrate (and test) that the framework boundary supports non-simulated
-// platforms.
-type NativeStub struct {
-	// Canned is the metric vector returned by every evaluation.
-	Canned metrics.Vector
-}
-
-// Name implements Platform.
-func (NativeStub) Name() string { return "native-stub" }

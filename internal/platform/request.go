@@ -160,25 +160,3 @@ func (s *SimPlatform) EvaluateRequest(req EvalRequest) (EvalResponse, error) {
 	}
 	return resp, nil
 }
-
-// NumCores implements Platform.
-func (NativeStub) NumCores() int { return 1 }
-
-// EvaluateRequest implements Platform. The stub replays its canned metrics
-// for any non-empty kernel; trace and result payloads are not available on
-// native hardware.
-func (n NativeStub) EvaluateRequest(req EvalRequest) (EvalResponse, error) {
-	if len(req.Programs) != 1 {
-		return EvalResponse{}, fmt.Errorf("platform: native stub serves exactly one kernel, got %d", len(req.Programs))
-	}
-	if req.Detail > DetailMetrics {
-		return EvalResponse{}, fmt.Errorf("platform: native stub cannot serve %s detail", req.Detail)
-	}
-	if p := req.Programs[0]; p == nil || p.StaticCount() == 0 {
-		return EvalResponse{}, fmt.Errorf("platform: native stub needs a non-empty program")
-	}
-	if len(n.Canned) == 0 {
-		return EvalResponse{}, fmt.Errorf("platform: native stub has no canned metrics configured")
-	}
-	return EvalResponse{Metrics: n.Canned.Clone()}, nil
-}

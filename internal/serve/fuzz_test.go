@@ -25,6 +25,7 @@ func FuzzJobRequest(f *testing.F) {
 		`{"kind":"perf-virus","core":"tiny"}`,
 		`{"kind":"tunercmp","tuners":["cmaes",""]}`,
 		`{"kind":"cloning","benchmarks":["no-such-benchmark"]}`,
+		`{"kind":"perf-virus","tuner":"halving-gd"}`,
 		`{"kind":"perf-virus","instructions":-5}`,
 		`{"kind":"spatial","cores":4,"rows":-2,"cols":2}`,
 		`{"kind":"perf-virus"} {"kind":"perf-virus"}`,

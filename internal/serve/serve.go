@@ -319,8 +319,10 @@ func validateRequest(req JobRequest) error {
 			return fmt.Errorf("serve: job request has negative %s %v", f.name, f.value)
 		}
 	}
+	var tn tuner.Tuner
 	if req.Tuner != "" {
-		if _, err := tuner.ByName(req.Tuner); err != nil {
+		var err error
+		if tn, err = tuner.ByName(req.Tuner); err != nil {
 			return fmt.Errorf("serve: %w", err)
 		}
 	}
@@ -347,6 +349,11 @@ func validateRequest(req JobRequest) error {
 	}
 	if _, err := stress.KindByName(req.Kind); err != nil {
 		return fmt.Errorf("serve: %w", err)
+	}
+	// A halving tuner plans its rungs from the evaluation budget, which a
+	// stress job takes from the request (tunercmp derives its own).
+	if _, halving := tn.(*tuner.SuccessiveHalving); halving && req.Budget == 0 {
+		return fmt.Errorf("serve: tuner %q needs a budget", req.Tuner)
 	}
 	return nil
 }

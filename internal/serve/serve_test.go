@@ -255,8 +255,9 @@ func TestDiskBackedCacheSurvivesDaemonRestart(t *testing.T) {
 }
 
 // TestSubmitRejectsUnknownKind checks that a job naming an unknown kind,
-// tuner, core, tunercmp challenger or cloning benchmark is refused with a
-// 400 instead of being queued to fail, while empty names keep their
+// tuner, core, tunercmp challenger or cloning benchmark, or a stress job
+// whose halving tuner has no budget to plan its rungs from, is refused with
+// a 400 instead of being queued to fail, while empty names keep their
 // defaults.
 func TestSubmitRejectsUnknownKind(t *testing.T) {
 	s := newServer(Config{})
@@ -273,10 +274,12 @@ func TestSubmitRejectsUnknownKind(t *testing.T) {
 		{`{"kind":"tunercmp","tuners":["cmaes","no-such-tuner"]}`, http.StatusBadRequest},
 		{`{"kind":"tunercmp","tuners":[""]}`, http.StatusBadRequest},
 		{`{"kind":"cloning","benchmarks":["mcf","no-such-benchmark"]}`, http.StatusBadRequest},
+		{`{"kind":"perf-virus","tuner":"halving-gd"}`, http.StatusBadRequest},
 		{`{"kind":"perf-virus","tuner":"","core":""}`, http.StatusAccepted},
 		{`{"kind":"power-virus","tuner":"halving-cmaes","core":"small","budget":40}`, http.StatusAccepted},
 		{`{"kind":"tunercmp","tuners":["gd","halving-gd"]}`, http.StatusAccepted},
 		{`{"kind":"cloning","benchmarks":["mcf","hmmer"]}`, http.StatusAccepted},
+		{`{"kind":"perf-virus","tuner":"halving-gd","budget":40}`, http.StatusAccepted},
 	} {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(tc.body)))
@@ -284,8 +287,8 @@ func TestSubmitRejectsUnknownKind(t *testing.T) {
 			t.Errorf("POST /jobs %s answered %d, want %d: %s", tc.body, rec.Code, tc.want, rec.Body)
 		}
 	}
-	if got := len(s.List()); got != 4 {
-		t.Errorf("%d jobs queued, want the 4 valid ones", got)
+	if got := len(s.List()); got != 5 {
+		t.Errorf("%d jobs queued, want the 5 valid ones", got)
 	}
 }
 

@@ -158,10 +158,6 @@ type Options struct {
 	// evaluation options, so concurrent runs over the same platform reuse
 	// each other's results. Nil keeps a private cache.
 	Memo *evalcache.Group
-	// MemoCap bounds a private evaluation cache (entries, LRU eviction);
-	// zero keeps it unbounded. Ignored when Memo is set — a shared group
-	// carries its own bound.
-	MemoCap int
 	// Synth optionally supplies a shared kernel-synthesis memo. Its options
 	// override LoopSize/Seed for generation, so every run sharing it —
 	// and the evaluation cache keys derived from it — agree on kernel
@@ -221,7 +217,7 @@ func (o Options) normalized(kind Kind) Options {
 		}
 	}
 	if o.Tuner == nil {
-		o.Tuner = tuner.NewGradientDescent(tuner.GDParams{})
+		o.Tuner = tuner.NewGradientDescent()
 	}
 	if o.MaxEpochs <= 0 {
 		o.MaxEpochs = DefaultMaxEpochs
@@ -359,7 +355,6 @@ func Run(ctx context.Context, kind Kind, opts Options) (Report, error) {
 		Synth:       csyn,
 		Options:     evalOpts,
 		Memo:        opts.Memo,
-		MemoCap:     opts.MemoCap,
 	})
 	if err != nil {
 		return Report{}, fmt.Errorf("stress: %w", err)

@@ -162,7 +162,8 @@ func TestMissingPlatformRejected(t *testing.T) {
 func TestStressWithGATuner(t *testing.T) {
 	opts := testOptions(t)
 	opts.MaxEpochs = 3
-	opts.Tuner = tuner.NewGeneticAlgorithm(tuner.GAParams{PopulationSize: 8})
+	opts.MaxEvaluations = 24
+	opts.Tuner = tuner.NewGeneticAlgorithm()
 	rep, err := Run(context.Background(), PerfVirus, opts)
 	if err != nil {
 		t.Fatal(err)

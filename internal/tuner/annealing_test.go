@@ -12,7 +12,7 @@ func TestSAFindsQuadraticOptimum(t *testing.T) {
 	space := knobs.InstructionOnlySpace()
 	target := space.RandomConfig(rand.New(rand.NewSource(8)))
 	prob := quadraticProblem(space, target, 60, 19)
-	sa := NewSimulatedAnnealing(SAParams{})
+	sa := NewSimulatedAnnealing()
 	res, err := sa.Run(context.Background(), prob)
 	if err != nil {
 		t.Fatal(err)
@@ -34,13 +34,12 @@ func TestSAEvaluationBudget(t *testing.T) {
 	space := knobs.InstructionOnlySpace()
 	prob := quadraticProblem(space, space.MidConfig(), 5, 3)
 	prob.TargetLoss = NoTargetLoss
-	sa := NewSimulatedAnnealing(SAParams{MovesPerEpoch: 12})
-	res, err := sa.Run(context.Background(), prob)
+	res, err := NewSimulatedAnnealing().Run(context.Background(), prob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 1 initial evaluation + 12 per epoch.
-	if want := 1 + 5*12; res.TotalEvaluations != want {
+	// 1 initial evaluation + saMovesPerEpoch per epoch.
+	if want := 1 + 5*saMovesPerEpoch; res.TotalEvaluations != want {
 		t.Errorf("evaluations = %d, want %d", res.TotalEvaluations, want)
 	}
 }
@@ -50,7 +49,7 @@ func TestSAConvergesOnTarget(t *testing.T) {
 	target := space.MidConfig()
 	prob := quadraticProblem(space, target, 100, 4)
 	prob.Initial = target.Clone()
-	res, err := NewSimulatedAnnealing(SAParams{}).Run(context.Background(), prob)
+	res, err := NewSimulatedAnnealing().Run(context.Background(), prob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,44 +63,32 @@ func TestSAErrorAndCancellation(t *testing.T) {
 	prob := quadraticProblem(space, space.MidConfig(), 10, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := NewSimulatedAnnealing(SAParams{}).Run(ctx, prob); err == nil {
+	if _, err := NewSimulatedAnnealing().Run(ctx, prob); err == nil {
 		t.Error("cancelled context should abort")
 	}
-	if _, err := NewSimulatedAnnealing(SAParams{}).Run(context.Background(), Problem{}); err == nil {
+	if _, err := NewSimulatedAnnealing().Run(context.Background(), Problem{}); err == nil {
 		t.Error("invalid problem should be rejected")
-	}
-}
-
-func TestSAParamsNormalization(t *testing.T) {
-	p := SAParams{MovesPerEpoch: -1, InitialTemperature: 0, CoolingRate: 2, MaxKnobsPerMove: 0}.normalized()
-	if p != DefaultSAParams() {
-		t.Errorf("normalized params %+v differ from defaults", p)
-	}
-	sa := NewSimulatedAnnealing(SAParams{})
-	if sa.params.MovesPerEpoch != DefaultSAParams().MovesPerEpoch {
-		t.Error("constructor did not normalize the params")
 	}
 }
 
 func TestSANeighbourStaysInRange(t *testing.T) {
 	space := knobs.DefaultSpace()
-	sa := NewSimulatedAnnealing(SAParams{MaxKnobsPerMove: 3})
 	rng := rand.New(rand.NewSource(2))
 	cfg := space.MidConfig()
 	for i := 0; i < 200; i++ {
-		n := sa.neighbour(rng, space, cfg)
+		n := perturb(rng, cfg)
 		for k := 0; k < space.Len(); k++ {
 			if n.Index(k) < 0 || n.Index(k) >= space.Def(k).NumValues() {
 				t.Fatal("neighbour out of range")
 			}
 		}
 		// Two moves on the same knob may cancel, so distance 0 is possible
-		// but never more than MaxKnobsPerMove single-index steps.
+		// but never more than two single-index steps.
 		dist := 0
 		for k := 0; k < space.Len(); k++ {
 			dist += max(n.Index(k)-cfg.Index(k), cfg.Index(k)-n.Index(k))
 		}
-		if dist > 3 {
+		if dist > 2 {
 			t.Fatalf("neighbour distance %d exceeds the move limit", dist)
 		}
 	}

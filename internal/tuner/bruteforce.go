@@ -9,73 +9,51 @@ import (
 	"micrograd/internal/metrics"
 )
 
-// BruteForceParams configures the brute-force reference search used to
-// establish the "optimal worst case" lines of the paper's Figs. 5-6.
-type BruteForceParams struct {
-	// MaxEvaluations caps the total number of configurations evaluated. When
-	// the full space fits within the cap it is enumerated exhaustively;
-	// otherwise the search enumerates a regular lattice (every knob
-	// restricted to a coarse subset of its indices, always including the
-	// extremes) and spends the remaining budget on uniform random sampling.
-	MaxEvaluations int
-	// LatticePointsPerKnob is the number of indices kept per knob when the
-	// full space does not fit in the budget (extremes always included).
-	LatticePointsPerKnob int
-	// ReportEvery groups the progression into pseudo-epochs of this many
-	// evaluations so the result can be plotted against the tuners' epochs.
-	ReportEvery int
-}
-
-// DefaultBruteForceParams returns a budget suitable for the built-in spaces.
-func DefaultBruteForceParams() BruteForceParams {
-	return BruteForceParams{
-		MaxEvaluations:       4096,
-		LatticePointsPerKnob: 2,
-		ReportEvery:          256,
-	}
-}
-
-// normalized fills zero fields with defaults.
-func (p BruteForceParams) normalized() BruteForceParams {
-	d := DefaultBruteForceParams()
-	if p.MaxEvaluations <= 0 {
-		p.MaxEvaluations = d.MaxEvaluations
-	}
-	if p.LatticePointsPerKnob < 2 {
-		p.LatticePointsPerKnob = d.LatticePointsPerKnob
-	}
-	if p.ReportEvery <= 0 {
-		p.ReportEvery = d.ReportEvery
-	}
-	return p
-}
+// The brute-force sweep's fixed shape.
+const (
+	// bruteForceLatticePoints is the number of indices kept per knob when
+	// the full space does not fit in the budget (extremes always included).
+	bruteForceLatticePoints = 2
+	// bruteForceReportEvery groups the progression into pseudo-epochs of
+	// this many evaluations so the result can be plotted against the
+	// tuners' epochs.
+	bruteForceReportEvery = 256
+)
 
 // BruteForce exhaustively explores the knob space (or a coarse lattice of it
 // plus random refinement when the space is too large) and returns the best
 // configuration found. It is not a practical tuning mechanism — its role is
 // to approximate the true optimum that the GD and GA tuners are measured
-// against.
+// against, establishing the "optimal worst case" lines of the paper's
+// Figs. 5-6.
 type BruteForce struct {
-	params BruteForceParams
+	// maxEvaluations caps the total number of configurations evaluated.
+	// When the full space fits within the cap it is enumerated
+	// exhaustively; otherwise the search enumerates a regular lattice
+	// (every knob restricted to bruteForceLatticePoints of its indices,
+	// always including the extremes) and spends the remaining budget on
+	// uniform random sampling.
+	maxEvaluations int
 }
 
-// NewBruteForce builds the search; zero-valued params take defaults.
-func NewBruteForce(params BruteForceParams) *BruteForce {
-	return &BruteForce{params: params.normalized()}
+// NewBruteForce builds the search over at most maxEvaluations
+// configurations.
+func NewBruteForce(maxEvaluations int) *BruteForce {
+	return &BruteForce{maxEvaluations: maxEvaluations}
 }
 
 // Name implements Tuner.
 func (b *BruteForce) Name() string { return "brute-force" }
 
-// Run implements Tuner. MaxEpochs is ignored (the budget is
-// MaxEvaluations, further capped by Problem.MaxEvaluations when set); the
-// epoch records group evaluations into pseudo-epochs of ReportEvery
-// evaluations. Unlike the epoch-driven tuners it runs directly on the engine
-// primitives: every phase generates its candidate list up front, evaluates it
-// as one batch (fanned out when the evaluator supports it) and folds the
-// results in generation order, so the accumulated state — best-so-far,
-// evaluation counter, pseudo-epoch records — is bit-identical to the serial
-// sweep.
+// Run implements Tuner. MaxEpochs is ignored (the budget is the search's
+// maxEvaluations, further capped by Problem.MaxEvaluations when set); the
+// epoch records group evaluations into pseudo-epochs of
+// bruteForceReportEvery evaluations. Unlike the epoch-driven tuners it runs
+// directly on the engine primitives: every phase generates its candidate
+// list up front, evaluates it as one batch (fanned out when the evaluator
+// supports it) and folds the results in generation order, so the
+// accumulated state — best-so-far, evaluation counter, pseudo-epoch
+// records — is bit-identical to the serial sweep.
 func (b *BruteForce) Run(ctx context.Context, prob Problem) (Result, error) {
 	e, err := newEngine(b.Name(), prob)
 	if err != nil {
@@ -86,8 +64,8 @@ func (b *BruteForce) Run(ctx context.Context, prob Problem) (Result, error) {
 	// Pseudo-epoch records are emitted at exact evaluation counts through the
 	// engine's fold hook.
 	e.onFold = func(_ knobs.Config, loss float64, _ metrics.Vector) {
-		if e.res.TotalEvaluations%b.params.ReportEvery == 0 {
-			e.appendRecord(loss, b.params.ReportEvery)
+		if e.res.TotalEvaluations%bruteForceReportEvery == 0 {
+			e.appendRecord(loss, bruteForceReportEvery)
 		}
 	}
 	evalChunk := func(cfgs []knobs.Config) error {
@@ -107,7 +85,7 @@ func (b *BruteForce) Run(ctx context.Context, prob Problem) (Result, error) {
 		e.res.Converged = true
 		//lint:allow floateq identity check of a copied value, not a numeric comparison
 		if n := len(e.res.Epochs); n == 0 || e.res.Epochs[n-1].BestLoss != e.res.BestLoss {
-			e.appendRecord(e.res.BestLoss, e.res.TotalEvaluations%b.params.ReportEvery)
+			e.appendRecord(e.res.BestLoss, e.res.TotalEvaluations%bruteForceReportEvery)
 		}
 		return e.res, nil
 	}
@@ -129,7 +107,7 @@ func (b *BruteForce) Run(ctx context.Context, prob Problem) (Result, error) {
 	counters := make([]int, prob.Space.Len())
 	var lattice []knobs.Config
 	done := false
-	for !done && len(lattice) < b.params.MaxEvaluations {
+	for !done && len(lattice) < b.maxEvaluations {
 		idx := make([]int, prob.Space.Len())
 		for k := range idx {
 			idx[k] = indexSets[k][counters[k]]
@@ -160,7 +138,7 @@ func (b *BruteForce) Run(ctx context.Context, prob Problem) (Result, error) {
 	// Random refinement with half of the remaining budget. The samples are
 	// drawn serially from the seeded RNG (evaluations consume no randomness)
 	// and then evaluated as one batch.
-	randomBudget := (b.params.MaxEvaluations - e.res.TotalEvaluations) / 2
+	randomBudget := (b.maxEvaluations - e.res.TotalEvaluations) / 2
 	if randomBudget > 0 {
 		samples := make([]knobs.Config, randomBudget)
 		for i := range samples {
@@ -184,7 +162,7 @@ func (b *BruteForce) Run(ctx context.Context, prob Problem) (Result, error) {
 	// evaluation budget (the problem's own MaxEvaluations, when set, is still
 	// enforced exactly by the engine).
 	improved := true
-	for improved && e.res.TotalEvaluations < b.params.MaxEvaluations+2*prob.Space.Len() {
+	for improved && e.res.TotalEvaluations < b.maxEvaluations+2*prob.Space.Len() {
 		if err := ctx.Err(); err != nil {
 			return e.res, err
 		}
@@ -213,14 +191,14 @@ func (b *BruteForce) Run(ctx context.Context, prob Problem) (Result, error) {
 
 // indexSets returns, per knob, the indices enumerated by the lattice sweep.
 // When the whole space fits inside the evaluation budget every index is
-// kept; otherwise each knob is reduced to LatticePointsPerKnob indices spread
-// across its range (extremes always included).
+// kept; otherwise each knob is reduced to bruteForceLatticePoints indices
+// spread across its range (extremes always included).
 func (b *BruteForce) indexSets(space *knobs.Space) [][]int {
-	full := space.Size() <= int64(b.params.MaxEvaluations)
+	full := space.Size() <= int64(b.maxEvaluations)
 	sets := make([][]int, space.Len())
 	for k := 0; k < space.Len(); k++ {
 		n := space.Def(k).NumValues()
-		if full || n <= b.params.LatticePointsPerKnob {
+		if full || n <= bruteForceLatticePoints {
 			all := make([]int, n)
 			for i := range all {
 				all[i] = i
@@ -228,7 +206,7 @@ func (b *BruteForce) indexSets(space *knobs.Space) [][]int {
 			sets[k] = all
 			continue
 		}
-		points := b.params.LatticePointsPerKnob
+		points := bruteForceLatticePoints
 		set := make([]int, 0, points)
 		for i := 0; i < points; i++ {
 			idx := i * (n - 1) / (points - 1)

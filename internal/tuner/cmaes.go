@@ -10,41 +10,15 @@ import (
 	"micrograd/internal/knobs"
 )
 
-// CMAESParams configures the CMA-ES tuner.
-type CMAESParams struct {
-	// Population is the number of candidates sampled per epoch (λ). Zero
-	// selects Hansen's default 4+⌊3·ln(n)⌋ for an n-knob space.
-	Population int
-	// InitialSigma is the initial global step size in normalized coordinates
-	// (every knob's index range is mapped to [0,1]).
-	InitialSigma float64
-	// MinSigma declares convergence once the step size falls below it.
-	MinSigma float64
-}
-
-// DefaultCMAESParams returns the defaults used throughout the evaluation.
-func DefaultCMAESParams() CMAESParams {
-	return CMAESParams{
-		Population:   0, // resolved from the space dimension at run time
-		InitialSigma: 0.3,
-		MinSigma:     1e-3,
-	}
-}
-
-// normalized fills zero fields with defaults.
-func (p CMAESParams) normalized() CMAESParams {
-	d := DefaultCMAESParams()
-	if p.Population < 0 {
-		p.Population = d.Population
-	}
-	if p.InitialSigma <= 0 || p.InitialSigma > 1 {
-		p.InitialSigma = d.InitialSigma
-	}
-	if p.MinSigma <= 0 {
-		p.MinSigma = d.MinSigma
-	}
-	return p
-}
+// The CMA-ES step-size schedule, in normalized coordinates (every knob's
+// index range is mapped to [0,1]). The population λ is Hansen's default
+// 4+⌊3·ln(n)⌋ for an n-knob space.
+const (
+	// cmaesInitialSigma is the initial global step size.
+	cmaesInitialSigma = 0.3
+	// cmaesMinSigma declares convergence once the step size falls below it.
+	cmaesMinSigma = 1e-3
+)
 
 // CMAES is a separable (diagonal-covariance) CMA-ES tuner. It searches in a
 // continuous normalized index space and rounds each sample to the nearest
@@ -53,14 +27,10 @@ func (p CMAESParams) normalized() CMAESParams {
 // joint multi-core spaces (3 knobs per core since PR 7) call for: unlike GD
 // it learns per-knob scales, and unlike the GA it adapts its sampling
 // distribution from every generation.
-type CMAES struct {
-	params CMAESParams
-}
+type CMAES struct{}
 
-// NewCMAES builds the tuner; zero-valued params take defaults.
-func NewCMAES(params CMAESParams) *CMAES {
-	return &CMAES{params: params.normalized()}
-}
+// NewCMAES builds the tuner.
+func NewCMAES() *CMAES { return &CMAES{} }
 
 // Name implements Tuner.
 func (c *CMAES) Name() string { return "cmaes" }
@@ -72,13 +42,7 @@ func (c *CMAES) Run(ctx context.Context, prob Problem) (Result, error) {
 		nf := float64(n)
 		rng := rand.New(rand.NewSource(prob.Seed))
 
-		lambda := c.params.Population
-		if lambda <= 0 {
-			lambda = 4 + int(3*math.Log(nf))
-		}
-		if lambda < 4 {
-			lambda = 4
-		}
+		lambda := 4 + int(3*math.Log(nf))
 		mu := lambda / 2
 
 		// Weighted recombination: log-linear weights over the μ best.
@@ -117,7 +81,7 @@ func (c *CMAES) Run(ctx context.Context, prob Problem) (Result, error) {
 				mean[k] = float64(start.Index(k)) / float64(nv-1)
 			}
 		}
-		sigma := c.params.InitialSigma
+		sigma := cmaesInitialSigma
 		cov := make([]float64, n)
 		for k := range cov {
 			cov[k] = 1
@@ -243,7 +207,7 @@ func (c *CMAES) Run(ctx context.Context, prob Problem) (Result, error) {
 			if sigma > 1 {
 				sigma = 1
 			}
-			if sigma < c.params.MinSigma {
+			if sigma < cmaesMinSigma {
 				e.converge() // the sampling distribution has collapsed
 			}
 			return epochLoss, nil

@@ -121,7 +121,7 @@ func TestBudgetCountsProposedEvaluations(t *testing.T) {
 	}
 	eval, calls := countingEval(bumpyEval)
 	memo := NewSharedMemoizingEvaluator(eval, nil, sharedKeyer)
-	res, err := NewRandomSearch(RandomSearchParams{EvaluationsPerEpoch: 10}).Run(context.Background(), Problem{
+	res, err := NewRandomSearch().Run(context.Background(), Problem{
 		Space:          space,
 		Loss:           metrics.StressLoss{Metric: "score"},
 		Evaluator:      memo,
@@ -136,11 +136,11 @@ func TestBudgetCountsProposedEvaluations(t *testing.T) {
 	if res.TotalEvaluations != 35 {
 		t.Errorf("TotalEvaluations = %d, want exactly the budget 35 (proposed evaluations, hits included)", res.TotalEvaluations)
 	}
-	if got := len(res.Epochs); got != 4 {
-		t.Errorf("epochs = %d, want 4 (10+10+10+5)", got)
+	if got := len(res.Epochs); got != 2 {
+		t.Errorf("epochs = %d, want 2 (20+15)", got)
 	}
-	if last := res.Epochs[len(res.Epochs)-1]; last.Evaluations != 5 || last.CumulativeEvaluations != 35 {
-		t.Errorf("final epoch = %d evaluations / %d cumulative, want 5 / 35 (budget truncates the epoch)",
+	if last := res.Epochs[len(res.Epochs)-1]; last.Evaluations != 15 || last.CumulativeEvaluations != 35 {
+		t.Errorf("final epoch = %d evaluations / %d cumulative, want 15 / 35 (budget truncates the epoch)",
 			last.Evaluations, last.CumulativeEvaluations)
 	}
 	if calls.Load() > 4 {

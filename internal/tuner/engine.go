@@ -206,7 +206,6 @@ func (e *engine) appendRecord(epochLoss float64, evaluations int) {
 		Epoch:                 len(e.res.Epochs) + 1,
 		BestLoss:              e.res.BestLoss,
 		EpochLoss:             epochLoss,
-		BestMetrics:           e.res.BestMetrics.Clone(),
 		Evaluations:           evaluations,
 		CumulativeEvaluations: e.res.TotalEvaluations,
 	}

@@ -76,7 +76,7 @@ func TestMemoViewsKeepFidelityLevelsApart(t *testing.T) {
 // evaluates at full fidelity.
 func TestHalvingBindsExplorationFidelity(t *testing.T) {
 	var calls []float64
-	sh := NewSuccessiveHalving(NewRandomSearch(RandomSearchParams{EvaluationsPerEpoch: 9}), SuccessiveHalvingParams{})
+	sh := NewSuccessiveHalving(NewRandomSearch())
 	res, err := sh.Run(context.Background(), Problem{
 		Space:          parallelTestSpace(t),
 		Loss:           metrics.StressLoss{Metric: "score"},
@@ -94,8 +94,8 @@ func TestHalvingBindsExplorationFidelity(t *testing.T) {
 		t.Fatalf("explored %d, evaluated %d, charged %d", explore, len(calls), res.TotalEvaluations)
 	}
 	for i, f := range calls[:explore] {
-		if f != sh.fidelityAt(0) {
-			t.Fatalf("exploration call %d ran at fidelity %g, want %g", i, f, sh.fidelityAt(0))
+		if f != halvingFidelityAt(0) {
+			t.Fatalf("exploration call %d ran at fidelity %g, want %g", i, f, halvingFidelityAt(0))
 		}
 	}
 	for i := explore + 1; i < len(calls); i++ {

@@ -9,67 +9,30 @@ import (
 	"micrograd/internal/knobs"
 )
 
-// GAParams configures the genetic-algorithm baseline. The defaults are the
-// parameters prior work uses (the paper's Table I).
-type GAParams struct {
-	// PopulationSize is the number of individuals per generation.
-	PopulationSize int
-	// MutationRate is the per-gene probability of mutation.
-	MutationRate float64
-	// CrossoverRate is the probability that two parents are crossed over
-	// (Table I: 100%, 1-point crossover at a random position).
-	CrossoverRate float64
-	// Elitism carries the best individual of a generation over unchanged.
-	Elitism bool
-	// TournamentSize is the tournament selection size.
-	TournamentSize int
-}
-
-// DefaultGAParams returns the paper's Table I parameters.
-func DefaultGAParams() GAParams {
-	return GAParams{
-		PopulationSize: 50,
-		MutationRate:   0.03,
-		CrossoverRate:  1.0,
-		Elitism:        true,
-		TournamentSize: 5,
-	}
-}
-
-// normalized fills zero fields with defaults.
-func (p GAParams) normalized() GAParams {
-	d := DefaultGAParams()
-	if p.PopulationSize <= 1 {
-		p.PopulationSize = d.PopulationSize
-	}
-	if p.MutationRate <= 0 || p.MutationRate > 1 {
-		p.MutationRate = d.MutationRate
-	}
-	if p.CrossoverRate <= 0 || p.CrossoverRate > 1 {
-		p.CrossoverRate = d.CrossoverRate
-	}
-	if p.TournamentSize <= 0 {
-		p.TournamentSize = d.TournamentSize
-	}
-	if p.TournamentSize > p.PopulationSize {
-		p.TournamentSize = p.PopulationSize
-	}
-	return p
-}
+// The genetic-algorithm parameters prior work uses: the paper's Table I,
+// which the experiments render from these same constants.
+const (
+	// GAPopulationSize is the number of individuals per generation.
+	GAPopulationSize = 50
+	// GAMutationRate is the per-gene probability of mutation.
+	GAMutationRate = 0.03
+	// GACrossoverRate is the probability that two parents are crossed over
+	// (1-point crossover at a random position).
+	GACrossoverRate = 1.0
+	// GAElitism carries the best individual of a generation over unchanged.
+	GAElitism = true
+	// GATournamentSize is the tournament selection size.
+	GATournamentSize = 5
+)
 
 // GeneticAlgorithm is the GA tuning baseline used by prior stress-test and
 // cloning frameworks. One generation is one tuning epoch; every generation
-// evaluates the full population (PopulationSize platform evaluations), which
-// is the resource-cost asymmetry against GD that the paper quantifies.
-type GeneticAlgorithm struct {
-	params GAParams
-}
+// evaluates the full population (GAPopulationSize platform evaluations),
+// which is the resource-cost asymmetry against GD that the paper quantifies.
+type GeneticAlgorithm struct{}
 
-// NewGeneticAlgorithm builds the tuner; zero-valued params take Table I
-// defaults.
-func NewGeneticAlgorithm(params GAParams) *GeneticAlgorithm {
-	return &GeneticAlgorithm{params: params.normalized()}
-}
+// NewGeneticAlgorithm builds the tuner with Table I's parameters.
+func NewGeneticAlgorithm() *GeneticAlgorithm { return &GeneticAlgorithm{} }
 
 // Name implements Tuner.
 func (g *GeneticAlgorithm) Name() string { return "genetic-algorithm" }
@@ -87,7 +50,7 @@ func (g *GeneticAlgorithm) Run(ctx context.Context, prob Problem) (Result, error
 
 		// Initial population: random individuals, optionally seeded with the
 		// problem's initial configuration.
-		pop := make([]individual, g.params.PopulationSize)
+		pop := make([]individual, GAPopulationSize)
 		for i := range pop {
 			pop[i] = individual{cfg: prob.Space.RandomConfig(rng), loss: math.NaN()}
 		}
@@ -119,19 +82,19 @@ func (g *GeneticAlgorithm) Run(ctx context.Context, prob Problem) (Result, error
 
 			// Breed the next generation.
 			next := make([]individual, 0, len(pop))
-			if g.params.Elitism {
+			if GAElitism {
 				next = append(next, individual{cfg: e.res.Best.Clone(), loss: math.NaN()})
 			}
 			for len(next) < len(pop) {
-				a := g.tournament(rng, pop)
-				b := g.tournament(rng, pop)
+				a := tournament(rng, pop)
+				b := tournament(rng, pop)
 				childA, childB := a.cfg, b.cfg
-				if rng.Float64() < g.params.CrossoverRate {
+				if rng.Float64() < GACrossoverRate {
 					childA, childB = crossover(rng, prob.Space, a.cfg, b.cfg)
 				}
-				next = append(next, individual{cfg: g.mutate(rng, prob.Space, childA)})
+				next = append(next, individual{cfg: mutate(rng, prob.Space, childA)})
 				if len(next) < len(pop) {
-					next = append(next, individual{cfg: g.mutate(rng, prob.Space, childB)})
+					next = append(next, individual{cfg: mutate(rng, prob.Space, childB)})
 				}
 			}
 			pop = next
@@ -151,10 +114,10 @@ func bestOf(pop []individual) float64 {
 	return best
 }
 
-// tournament picks the best of TournamentSize random individuals.
-func (g *GeneticAlgorithm) tournament(rng *rand.Rand, pop []individual) individual {
+// tournament picks the best of GATournamentSize random individuals.
+func tournament(rng *rand.Rand, pop []individual) individual {
 	best := pop[rng.Intn(len(pop))]
-	for i := 1; i < g.params.TournamentSize; i++ {
+	for i := 1; i < GATournamentSize; i++ {
 		cand := pop[rng.Intn(len(pop))]
 		if cand.loss < best.loss {
 			best = cand
@@ -181,11 +144,11 @@ func crossover(rng *rand.Rand, space *knobs.Space, a, b knobs.Config) (knobs.Con
 	return ra, rb
 }
 
-// mutate flips each gene to a random value with probability MutationRate.
-func (g *GeneticAlgorithm) mutate(rng *rand.Rand, space *knobs.Space, cfg knobs.Config) knobs.Config {
+// mutate flips each gene to a random value with probability GAMutationRate.
+func mutate(rng *rand.Rand, space *knobs.Space, cfg knobs.Config) knobs.Config {
 	out := cfg.Clone()
 	for k := 0; k < space.Len(); k++ {
-		if rng.Float64() < g.params.MutationRate {
+		if rng.Float64() < GAMutationRate {
 			out = out.WithIndex(k, rng.Intn(space.Def(k).NumValues()))
 		}
 	}

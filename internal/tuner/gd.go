@@ -9,93 +9,45 @@ import (
 	"micrograd/internal/knobs"
 )
 
-// GDParams configures the gradient-descent tuner. The defaults follow the
-// behaviour described in §III-D of the paper: ±δ gradient checks per knob
-// (2×knobs evaluations per epoch), adaptive step sizes that shrink over
-// epochs, and a stochastic knob-skipping probability that also decays over
-// epochs to help escape local minima early while converging surely later.
-type GDParams struct {
-	// Delta is the index perturbation used for gradient checks.
-	Delta int
-	// InitialStep and FinalStep bound the adaptive step size (index units).
-	InitialStep float64
-	FinalStep   float64
-	// StepDecayEpochs is the number of epochs over which the step size
-	// decays linearly from InitialStep to FinalStep.
-	StepDecayEpochs int
-	// InitialSkipProb is the probability that a knob is skipped in an epoch.
-	InitialSkipProb float64
-	// SkipDecay multiplies the skip probability after every epoch.
-	SkipDecay float64
-	// StallEpochs is the number of consecutive epochs without configuration
-	// movement after which the search is declared converged.
-	StallEpochs int
-}
+// The gradient-descent schedule of §III-D of the paper: ±δ gradient checks
+// per knob (2×knobs evaluations per epoch) and a step size that shrinks
+// linearly over the first gdStepDecayEpochs epochs.
+const (
+	// gdDelta is the index perturbation used for gradient checks.
+	gdDelta = 1
+	// gdInitialStep and gdFinalStep bound the adaptive step size (index
+	// units).
+	gdInitialStep = 3.0
+	gdFinalStep   = 1.0
+	// gdStepDecayEpochs is the number of epochs over which the step size
+	// decays from gdInitialStep to gdFinalStep.
+	gdStepDecayEpochs = 15
+	// gdSkipProb is the probability that a knob skips its gradient check in
+	// an epoch. The paper's stochastic skipping (0.25, decaying ×0.9 per
+	// epoch) has never been enabled here. Every knob still draws its skip
+	// decision from the tuner's RNG, because perturb draws from the same
+	// stream: dropping the draw would change every gradient-descent run.
+	gdSkipProb = 0.0
+	// gdStallEpochs is the number of consecutive epochs without
+	// configuration movement after which the search is declared converged.
+	gdStallEpochs = 8
+)
 
-// DefaultGDParams returns the parameter set used throughout the evaluation.
-func DefaultGDParams() GDParams {
-	return GDParams{
-		Delta:           1,
-		InitialStep:     3,
-		FinalStep:       1,
-		StepDecayEpochs: 15,
-		InitialSkipProb: 0.25,
-		SkipDecay:       0.9,
-		StallEpochs:     8,
+// gdStepAt returns the step size for a (0-based) epoch.
+func gdStepAt(epoch int) float64 {
+	if epoch >= gdStepDecayEpochs {
+		return gdFinalStep
 	}
-}
-
-// normalized fills zero fields with defaults.
-func (p GDParams) normalized() GDParams {
-	d := DefaultGDParams()
-	if p.Delta <= 0 {
-		p.Delta = d.Delta
-	}
-	if p.InitialStep <= 0 {
-		p.InitialStep = d.InitialStep
-	}
-	if p.FinalStep <= 0 {
-		p.FinalStep = d.FinalStep
-	}
-	if p.StepDecayEpochs <= 0 {
-		p.StepDecayEpochs = d.StepDecayEpochs
-	}
-	if p.InitialSkipProb < 0 || p.InitialSkipProb >= 1 {
-		p.InitialSkipProb = d.InitialSkipProb
-	}
-	if p.SkipDecay <= 0 || p.SkipDecay > 1 {
-		p.SkipDecay = d.SkipDecay
-	}
-	if p.StallEpochs <= 0 {
-		p.StallEpochs = d.StallEpochs
-	}
-	return p
-}
-
-// stepAt returns the step size for a (0-based) epoch.
-func (p GDParams) stepAt(epoch int) float64 {
-	if epoch >= p.StepDecayEpochs {
-		return p.FinalStep
-	}
-	frac := float64(epoch) / float64(p.StepDecayEpochs)
-	return p.InitialStep + (p.FinalStep-p.InitialStep)*frac
-}
-
-// skipProbAt returns the knob-skip probability for a (0-based) epoch.
-func (p GDParams) skipProbAt(epoch int) float64 {
-	return p.InitialSkipProb * math.Pow(p.SkipDecay, float64(epoch))
+	frac := float64(epoch) / float64(gdStepDecayEpochs)
+	return gdInitialStep + (gdFinalStep-gdInitialStep)*frac
 }
 
 // GradientDescent is the paper's gradient-descent tuning mechanism
 // (Listing 3).
-type GradientDescent struct {
-	params GDParams
-}
+type GradientDescent struct{}
 
-// NewGradientDescent builds the tuner; zero-valued params take defaults.
-func NewGradientDescent(params GDParams) *GradientDescent {
-	return &GradientDescent{params: params.normalized()}
-}
+// NewGradientDescent builds the tuner.
+func NewGradientDescent() *GradientDescent { return &GradientDescent{} }
 
 // Name implements Tuner.
 func (g *GradientDescent) Name() string { return "gradient-descent" }
@@ -110,8 +62,7 @@ func (g *GradientDescent) Run(ctx context.Context, prob Problem) (Result, error)
 		}
 		stall := 0
 		return func(ctx context.Context, e *engine, epoch int) (float64, error) {
-			step := g.params.stepAt(epoch)
-			skipProb := g.params.skipProbAt(epoch)
+			step := gdStepAt(epoch)
 
 			// 1. Measure the base configuration.
 			baseLoss, _, ok, err := e.evalOne(ctx, current)
@@ -132,11 +83,11 @@ func (g *GradientDescent) Run(ctx context.Context, prob Problem) (Result, error)
 			probed := make([]int, 0, prob.Space.Len())
 			probes := make([]knobs.Config, 0, 2*prob.Space.Len())
 			for k := 0; k < prob.Space.Len(); k++ {
-				if rng.Float64() < skipProb {
+				if rng.Float64() < gdSkipProb {
 					continue // stochastically skipped this epoch
 				}
 				probed = append(probed, k)
-				probes = append(probes, current.Step(k, g.params.Delta), current.Step(k, -g.params.Delta))
+				probes = append(probes, current.Step(k, gdDelta), current.Step(k, -gdDelta))
 			}
 			probeLosses, _, err := e.evalBatch(ctx, probes)
 			if err != nil {
@@ -231,7 +182,7 @@ func (g *GradientDescent) Run(ctx context.Context, prob Problem) (Result, error)
 			// 5. Termination beyond the shared target/budget checks: the
 			// search stalled for several consecutive epochs despite the
 			// stochastic escapes.
-			if stall >= g.params.StallEpochs {
+			if stall >= gdStallEpochs {
 				e.converge()
 			}
 			return epochLoss, nil

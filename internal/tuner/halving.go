@@ -10,39 +10,18 @@ import (
 	"micrograd/internal/metrics"
 )
 
-// SuccessiveHalvingParams configures the successive-halving meta-tuner.
-type SuccessiveHalvingParams struct {
-	// Rungs is the number of fidelity rungs, including the full-fidelity
-	// final rung (minimum 2: explore + confirm).
-	Rungs int
-	// Eta is the halving rate: each rung promotes roughly the best 1/Eta of
-	// its candidates to the next, more expensive rung.
-	Eta float64
-	// MinFidelity is the fidelity of the cheapest (exploration) rung; the
-	// ladder rises geometrically from it to 1.
-	MinFidelity float64
-}
-
-// DefaultSuccessiveHalvingParams returns the defaults used throughout the
-// evaluation: three rungs at fidelities 1/9, 1/3 and 1.
-func DefaultSuccessiveHalvingParams() SuccessiveHalvingParams {
-	return SuccessiveHalvingParams{Rungs: 3, Eta: 3, MinFidelity: 1.0 / 9}
-}
-
-// normalized fills zero fields with defaults.
-func (p SuccessiveHalvingParams) normalized() SuccessiveHalvingParams {
-	d := DefaultSuccessiveHalvingParams()
-	if p.Rungs < 2 {
-		p.Rungs = d.Rungs
-	}
-	if p.Eta <= 1 {
-		p.Eta = d.Eta
-	}
-	if p.MinFidelity <= 0 || p.MinFidelity >= 1 {
-		p.MinFidelity = d.MinFidelity
-	}
-	return p
-}
+// The successive-halving ladder: three rungs at fidelities 1/9, 1/3 and 1.
+const (
+	// halvingRungs is the number of fidelity rungs, including the
+	// full-fidelity final rung.
+	halvingRungs = 3
+	// halvingEta is the halving rate: each rung promotes roughly the best
+	// 1/halvingEta of its candidates to the next, more expensive rung.
+	halvingEta = 3.0
+	// halvingMinFidelity is the fidelity of the cheapest (exploration) rung;
+	// the ladder rises geometrically from it to 1.
+	halvingMinFidelity = 1.0 / 9
+)
 
 // SuccessiveHalving wraps any inner tuner with reduced-fidelity screening:
 // the inner tuner explores at the cheapest fidelity (shortened simulation
@@ -57,23 +36,22 @@ func (p SuccessiveHalvingParams) normalized() SuccessiveHalvingParams {
 // Every evaluation, at any fidelity, counts against Problem.MaxEvaluations,
 // which the wrapper requires: the budget is what it allocates across rungs.
 type SuccessiveHalving struct {
-	params SuccessiveHalvingParams
-	inner  Tuner
+	inner Tuner
 }
 
-// NewSuccessiveHalving wraps inner; zero-valued params take defaults.
-func NewSuccessiveHalving(inner Tuner, params SuccessiveHalvingParams) *SuccessiveHalving {
-	return &SuccessiveHalving{params: params.normalized(), inner: inner}
+// NewSuccessiveHalving wraps inner.
+func NewSuccessiveHalving(inner Tuner) *SuccessiveHalving {
+	return &SuccessiveHalving{inner: inner}
 }
 
 // Name implements Tuner.
 func (s *SuccessiveHalving) Name() string { return "halving-" + s.inner.Name() }
 
-// fidelityAt returns the fidelity of rung r on the geometric ladder from
-// MinFidelity (r=0) to 1 (r=Rungs-1).
-func (s *SuccessiveHalving) fidelityAt(r int) float64 {
-	frac := float64(s.params.Rungs-1-r) / float64(s.params.Rungs-1)
-	return math.Pow(s.params.MinFidelity, frac)
+// halvingFidelityAt returns the fidelity of rung r on the geometric ladder
+// from halvingMinFidelity (r=0) to 1 (r=halvingRungs-1).
+func halvingFidelityAt(r int) float64 {
+	frac := float64(halvingRungs-1-r) / float64(halvingRungs-1)
+	return math.Pow(halvingMinFidelity, frac)
 }
 
 // candidate is one configuration surfaced by the exploration rung.
@@ -129,13 +107,13 @@ func (s *SuccessiveHalving) Run(ctx context.Context, prob Problem) (Result, erro
 	// Rung 0: the inner tuner explores at the cheapest fidelity with an
 	// equal share of the budget. Its own target check is disabled (screening
 	// losses are not comparable to the caller's full-fidelity target).
-	exploreBudget := prob.MaxEvaluations / s.params.Rungs
+	exploreBudget := prob.MaxEvaluations / halvingRungs
 	if exploreBudget < 1 {
 		exploreBudget = 1
 	}
 	rec := &recordingEvaluator{
 		inner:    prob.Evaluator,
-		fidelity: s.fidelityAt(0),
+		fidelity: halvingFidelityAt(0),
 		score:    e.score,
 		first:    make(map[string]bool),
 	}
@@ -176,9 +154,9 @@ func (s *SuccessiveHalving) Run(ctx context.Context, prob Problem) (Result, erro
 	// rung evaluates them fully and is what populates Best. Each promotion
 	// keeps the top 1/Eta (at least one), and every rung leaves at least one
 	// evaluation for the final rung.
-	for r := 1; r < s.params.Rungs && len(pool) > 0 && !e.done(); r++ {
-		final := r == s.params.Rungs-1
-		keep := int(math.Ceil(float64(len(pool)) / s.params.Eta))
+	for r := 1; r < halvingRungs && len(pool) > 0 && !e.done(); r++ {
+		final := r == halvingRungs-1
+		keep := int(math.Ceil(float64(len(pool)) / halvingEta))
 		if keep < 1 {
 			keep = 1
 		}
@@ -199,7 +177,7 @@ func (s *SuccessiveHalving) Run(ctx context.Context, prob Problem) (Result, erro
 			cfgs[i] = pool[i].cfg
 		}
 		e.startEpoch()
-		losses, _, err := e.evalBatchAt(ctx, cfgs, s.fidelityAt(r))
+		losses, _, err := e.evalBatchAt(ctx, cfgs, halvingFidelityAt(r))
 		if err != nil {
 			return e.res, fmt.Errorf("tuner: halving rung %d: %w", r, err)
 		}

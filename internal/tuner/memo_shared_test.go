@@ -177,7 +177,7 @@ func TestOnEpochStreamsRecordsInOrder(t *testing.T) {
 		Seed:      1,
 		OnEpoch:   func(rec EpochRecord) { streamed = append(streamed, rec) },
 	}
-	res, err := NewGradientDescent(GDParams{}).Run(context.Background(), prob)
+	res, err := NewGradientDescent().Run(context.Background(), prob)
 	if err != nil {
 		t.Fatal(err)
 	}

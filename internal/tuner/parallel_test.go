@@ -138,13 +138,13 @@ func assertResultsIdentical(t *testing.T, serial, parallel Result) {
 
 func TestParallelGADeterminism(t *testing.T) {
 	space := parallelTestSpace(t)
-	serial, parallel := runBoth(t, NewGeneticAlgorithm(GAParams{}), space, 6)
+	serial, parallel := runBoth(t, NewGeneticAlgorithm(), space, 6)
 	assertResultsIdentical(t, serial, parallel)
 }
 
 func TestParallelBruteForceDeterminism(t *testing.T) {
 	space := parallelTestSpace(t)
-	bf := NewBruteForce(BruteForceParams{MaxEvaluations: 300, LatticePointsPerKnob: 2, ReportEvery: 64})
+	bf := NewBruteForce(300)
 	serial, parallel := runBoth(t, bf, space, 1)
 	assertResultsIdentical(t, serial, parallel)
 	if !parallel.Converged {
@@ -154,27 +154,27 @@ func TestParallelBruteForceDeterminism(t *testing.T) {
 
 func TestParallelGDDeterminism(t *testing.T) {
 	space := parallelTestSpace(t)
-	serial, parallel := runBoth(t, NewGradientDescent(GDParams{}), space, 12)
+	serial, parallel := runBoth(t, NewGradientDescent(), space, 12)
 	assertResultsIdentical(t, serial, parallel)
 }
 
 func TestParallelRandomSearchDeterminism(t *testing.T) {
 	space := parallelTestSpace(t)
-	serial, parallel := runBoth(t, NewRandomSearch(RandomSearchParams{EvaluationsPerEpoch: 15}), space, 5)
+	serial, parallel := runBoth(t, NewRandomSearch(), space, 5)
 	assertResultsIdentical(t, serial, parallel)
 }
 
 func TestParallelCMAESDeterminism(t *testing.T) {
 	space := parallelTestSpace(t)
-	serial, parallel := runBoth(t, NewCMAES(CMAESParams{}), space, 8)
+	serial, parallel := runBoth(t, NewCMAES(), space, 8)
 	assertResultsIdentical(t, serial, parallel)
 }
 
 func TestParallelHalvingDeterminism(t *testing.T) {
 	space := parallelTestSpace(t)
 	for _, tun := range []Tuner{
-		NewSuccessiveHalving(NewGradientDescent(GDParams{}), SuccessiveHalvingParams{}),
-		NewSuccessiveHalving(NewCMAES(CMAESParams{}), SuccessiveHalvingParams{}),
+		NewSuccessiveHalving(NewGradientDescent()),
+		NewSuccessiveHalving(NewCMAES()),
 	} {
 		t.Run(tun.Name(), func(t *testing.T) {
 			serial, parallel := runBothBudget(t, tun, space, 8, 120)

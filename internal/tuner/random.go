@@ -9,28 +9,17 @@ import (
 	"micrograd/internal/knobs"
 )
 
-// RandomSearchParams configures the random-search baseline.
-type RandomSearchParams struct {
-	// EvaluationsPerEpoch is the number of random configurations drawn per
-	// epoch. The default matches GD's 2×knobs+overhead budget so the two can
-	// be compared at equal cost.
-	EvaluationsPerEpoch int
-}
+// randomEvaluationsPerEpoch is the number of random configurations drawn
+// per epoch, GD's 2×knobs+overhead budget, so the two compare at equal cost.
+const randomEvaluationsPerEpoch = 20
 
 // RandomSearch is an additional baseline tuner (not part of the paper's
 // evaluation, but useful as a sanity reference): it samples configurations
 // uniformly at random and keeps the best.
-type RandomSearch struct {
-	params RandomSearchParams
-}
+type RandomSearch struct{}
 
 // NewRandomSearch builds the tuner.
-func NewRandomSearch(params RandomSearchParams) *RandomSearch {
-	if params.EvaluationsPerEpoch <= 0 {
-		params.EvaluationsPerEpoch = 20
-	}
-	return &RandomSearch{params: params}
-}
+func NewRandomSearch() *RandomSearch { return &RandomSearch{} }
 
 // Name implements Tuner.
 func (r *RandomSearch) Name() string { return "random-search" }
@@ -43,7 +32,7 @@ func (r *RandomSearch) Run(ctx context.Context, prob Problem) (Result, error) {
 			// Draw the epoch's samples first (the RNG stream is identical to the
 			// serial loop because evaluations consume no randomness), then
 			// evaluate them as one batch and fold the results in draw order.
-			cfgs := make([]knobs.Config, r.params.EvaluationsPerEpoch)
+			cfgs := make([]knobs.Config, randomEvaluationsPerEpoch)
 			for i := range cfgs {
 				cfgs[i] = prob.Space.RandomConfig(rng)
 				if !prob.Initial.IsZero() && epoch == 0 && i == 0 {

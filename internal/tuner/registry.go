@@ -6,22 +6,26 @@ import (
 	"strings"
 )
 
+// registryBruteForceEvaluations is the evaluation cap of a brute-force
+// search built by name, enough for the built-in spaces.
+const registryBruteForceEvaluations = 4096
+
 // builders maps the canonical tuner names (and their aliases) to default
 // constructions. Every mechanism here runs on the shared budget-centric
 // engine, which is what makes them interchangeable behind one CLI flag.
 var builders = map[string]func() Tuner{
-	"gd":                  func() Tuner { return NewGradientDescent(GDParams{}) },
-	"gradient-descent":    func() Tuner { return NewGradientDescent(GDParams{}) },
-	"ga":                  func() Tuner { return NewGeneticAlgorithm(GAParams{}) },
-	"genetic-algorithm":   func() Tuner { return NewGeneticAlgorithm(GAParams{}) },
-	"sa":                  func() Tuner { return NewSimulatedAnnealing(SAParams{}) },
-	"annealing":           func() Tuner { return NewSimulatedAnnealing(SAParams{}) },
-	"simulated-annealing": func() Tuner { return NewSimulatedAnnealing(SAParams{}) },
-	"random":              func() Tuner { return NewRandomSearch(RandomSearchParams{}) },
-	"random-search":       func() Tuner { return NewRandomSearch(RandomSearchParams{}) },
-	"bruteforce":          func() Tuner { return NewBruteForce(BruteForceParams{}) },
-	"brute-force":         func() Tuner { return NewBruteForce(BruteForceParams{}) },
-	"cmaes":               func() Tuner { return NewCMAES(CMAESParams{}) },
+	"gd":                  func() Tuner { return NewGradientDescent() },
+	"gradient-descent":    func() Tuner { return NewGradientDescent() },
+	"ga":                  func() Tuner { return NewGeneticAlgorithm() },
+	"genetic-algorithm":   func() Tuner { return NewGeneticAlgorithm() },
+	"sa":                  func() Tuner { return NewSimulatedAnnealing() },
+	"annealing":           func() Tuner { return NewSimulatedAnnealing() },
+	"simulated-annealing": func() Tuner { return NewSimulatedAnnealing() },
+	"random":              func() Tuner { return NewRandomSearch() },
+	"random-search":       func() Tuner { return NewRandomSearch() },
+	"bruteforce":          func() Tuner { return NewBruteForce(registryBruteForceEvaluations) },
+	"brute-force":         func() Tuner { return NewBruteForce(registryBruteForceEvaluations) },
+	"cmaes":               func() Tuner { return NewCMAES() },
 }
 
 // ByName builds a tuner with default parameters from its CLI name. A
@@ -37,7 +41,7 @@ func ByName(name string) (Tuner, error) {
 		if _, nested := in.(*SuccessiveHalving); nested {
 			return nil, fmt.Errorf("tuner: halving wrapper cannot nest")
 		}
-		return NewSuccessiveHalving(in, SuccessiveHalvingParams{}), nil
+		return NewSuccessiveHalving(in), nil
 	}
 	build, ok := builders[name]
 	if !ok {

@@ -31,10 +31,8 @@ type PlatformOptions struct {
 	// Options are the base evaluation options; each evaluation sets their
 	// Fidelity.
 	Options platform.EvalOptions
-	// Memo is a shared cache group; nil builds a private one, bounded to
-	// MemoCap entries with LRU eviction (0 = unbounded).
-	Memo    *evalcache.Group
-	MemoCap int
+	// Memo is a shared cache group; nil builds a private unbounded one.
+	Memo *evalcache.Group
 }
 
 // NewPlatformEvaluator builds the evaluation stack every use case runs on:
@@ -76,14 +74,6 @@ func NewPlatformEvaluator(o PlatformOptions) (*MemoizingEvaluator, error) {
 		}
 		base = pe
 	}
-	group := o.Memo
-	if group == nil {
-		cache, err := evalcache.New(o.MemoCap)
-		if err != nil {
-			return nil, fmt.Errorf("tuner: %w", err)
-		}
-		group = evalcache.NewGroup(cache)
-	}
 	keyer := platform.NewEvalKeyer(platform.EvalIdentityOf(o.Platform), o.Synth.Options(), o.Options)
-	return NewSharedMemoizingEvaluator(base, group, keyer), nil
+	return NewSharedMemoizingEvaluator(base, o.Memo, keyer), nil
 }

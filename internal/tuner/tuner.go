@@ -203,8 +203,7 @@ type Problem struct {
 	// OnEpoch, when set, observes every epoch record the moment it is
 	// appended to the progression — the streaming hook long-running callers
 	// (the mgserve daemon) use to push rows before the run completes. It is
-	// called synchronously from the tuning loop and must not retain the
-	// record's metric vector beyond the call.
+	// called synchronously from the tuning loop.
 	OnEpoch func(EpochRecord)
 }
 
@@ -265,8 +264,6 @@ type EpochRecord struct {
 	BestLoss float64
 	// EpochLoss is the loss of the epoch's own output configuration.
 	EpochLoss float64
-	// BestMetric is the metric vector of the best configuration so far.
-	BestMetrics metrics.Vector
 	// Evaluations is the number of platform evaluations performed in this
 	// epoch.
 	Evaluations int

@@ -111,7 +111,7 @@ func TestGDFindsQuadraticOptimum(t *testing.T) {
 	space := knobs.InstructionOnlySpace()
 	target := space.RandomConfig(rand.New(rand.NewSource(3)))
 	prob := quadraticProblem(space, target, 60, 17)
-	gd := NewGradientDescent(GDParams{})
+	gd := NewGradientDescent()
 	res, err := gd.Run(context.Background(), prob)
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestGDEvaluationsPerEpochNearTwoTimesKnobs(t *testing.T) {
 	target := space.MidConfig()
 	prob := quadraticProblem(space, target, 10, 5)
 	prob.TargetLoss = NoTargetLoss
-	gd := NewGradientDescent(GDParams{InitialSkipProb: 0})
+	gd := NewGradientDescent()
 	res, err := gd.Run(context.Background(), prob)
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +156,7 @@ func TestGDRespectsTargetLossAndConverges(t *testing.T) {
 	target := space.MidConfig()
 	prob := quadraticProblem(space, target, 100, 7)
 	prob.Initial = target.Clone() // start at the optimum
-	gd := NewGradientDescent(GDParams{})
+	gd := NewGradientDescent()
 	res, err := gd.Run(context.Background(), prob)
 	if err != nil {
 		t.Fatal(err)
@@ -178,16 +178,16 @@ func TestGDContextCancellation(t *testing.T) {
 	prob.TargetLoss = NoTargetLoss
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := NewGradientDescent(GDParams{}).Run(ctx, prob); err == nil {
+	if _, err := NewGradientDescent().Run(ctx, prob); err == nil {
 		t.Error("cancelled context should abort the run")
 	}
-	if _, err := NewGeneticAlgorithm(GAParams{}).Run(ctx, prob); err == nil {
+	if _, err := NewGeneticAlgorithm().Run(ctx, prob); err == nil {
 		t.Error("cancelled context should abort the GA run")
 	}
-	if _, err := NewBruteForce(BruteForceParams{}).Run(ctx, prob); err == nil {
+	if _, err := NewBruteForce(registryBruteForceEvaluations).Run(ctx, prob); err == nil {
 		t.Error("cancelled context should abort the brute force run")
 	}
-	if _, err := NewRandomSearch(RandomSearchParams{}).Run(ctx, prob); err == nil {
+	if _, err := NewRandomSearch().Run(ctx, prob); err == nil {
 		t.Error("cancelled context should abort the random search run")
 	}
 }
@@ -198,33 +198,23 @@ func TestGDErrorPropagation(t *testing.T) {
 	prob.Evaluator = blind(func(knobs.Config) (metrics.Vector, error) {
 		return nil, errors.New("platform exploded")
 	})
-	if _, err := NewGradientDescent(GDParams{}).Run(context.Background(), prob); err == nil {
+	if _, err := NewGradientDescent().Run(context.Background(), prob); err == nil {
 		t.Error("evaluator error should propagate")
 	}
-	if _, err := NewGeneticAlgorithm(GAParams{}).Run(context.Background(), prob); err == nil {
+	if _, err := NewGeneticAlgorithm().Run(context.Background(), prob); err == nil {
 		t.Error("evaluator error should propagate from GA")
 	}
 }
 
 func TestGDParamsSchedules(t *testing.T) {
-	p := DefaultGDParams()
-	if p.stepAt(0) != p.InitialStep {
+	if gdStepAt(0) != gdInitialStep {
 		t.Error("initial step wrong")
 	}
-	if p.stepAt(p.StepDecayEpochs+5) != p.FinalStep {
+	if gdStepAt(gdStepDecayEpochs+5) != gdFinalStep {
 		t.Error("final step wrong")
 	}
-	if p.stepAt(5) > p.stepAt(0) || p.stepAt(10) > p.stepAt(5) {
+	if gdStepAt(5) > gdStepAt(0) || gdStepAt(10) > gdStepAt(5) {
 		t.Error("step size should be non-increasing")
-	}
-	if p.skipProbAt(10) >= p.skipProbAt(0) {
-		t.Error("skip probability should decay")
-	}
-	// Normalization of invalid values.
-	n := GDParams{Delta: -1, InitialStep: -1, FinalStep: -1, StepDecayEpochs: -1,
-		InitialSkipProb: 2, SkipDecay: 0, StallEpochs: 0}.normalized()
-	if n != DefaultGDParams() {
-		t.Errorf("normalized params %+v differ from defaults", n)
 	}
 }
 
@@ -232,7 +222,7 @@ func TestGAFindsGoodSolution(t *testing.T) {
 	space := knobs.InstructionOnlySpace()
 	target := space.RandomConfig(rand.New(rand.NewSource(11)))
 	prob := quadraticProblem(space, target, 30, 23)
-	ga := NewGeneticAlgorithm(GAParams{})
+	ga := NewGeneticAlgorithm()
 	res, err := ga.Run(context.Background(), prob)
 	if err != nil {
 		t.Fatal(err)
@@ -254,12 +244,12 @@ func TestGAEvaluationsPerEpochEqualsPopulation(t *testing.T) {
 	space := knobs.InstructionOnlySpace()
 	prob := quadraticProblem(space, space.MidConfig(), 5, 3)
 	prob.TargetLoss = NoTargetLoss
-	ga := NewGeneticAlgorithm(GAParams{})
+	ga := NewGeneticAlgorithm()
 	res, err := ga.Run(context.Background(), prob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := res.TotalEvaluations, len(res.Epochs)*DefaultGAParams().PopulationSize; got != want {
+	if got, want := res.TotalEvaluations, len(res.Epochs)*GAPopulationSize; got != want {
 		t.Errorf("GA evaluated %d candidates in %d epochs, want %d (one population per epoch)", got, len(res.Epochs), want)
 	}
 }
@@ -270,14 +260,14 @@ func TestGDUsesFewerEvaluationsThanGA(t *testing.T) {
 	space := knobs.InstructionOnlySpace()
 	target := space.RandomConfig(rand.New(rand.NewSource(2)))
 	epochs := 10
-	gdRes, err := NewGradientDescent(GDParams{}).Run(context.Background(),
+	gdRes, err := NewGradientDescent().Run(context.Background(),
 		quadraticProblem(space, target, epochs, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	gaProb := quadraticProblem(space, target, epochs, 5)
 	gaProb.TargetLoss = NoTargetLoss
-	gaRes, err := NewGeneticAlgorithm(GAParams{}).Run(context.Background(), gaProb)
+	gaRes, err := NewGeneticAlgorithm().Run(context.Background(), gaProb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,20 +283,38 @@ func TestGDUsesFewerEvaluationsThanGA(t *testing.T) {
 }
 
 func TestDefaultGAParamsMatchTableI(t *testing.T) {
-	p := DefaultGAParams()
-	if p.PopulationSize != 50 || p.MutationRate != 0.03 || p.CrossoverRate != 1.0 ||
-		!p.Elitism || p.TournamentSize != 5 {
-		t.Errorf("default GA params %+v do not match Table I", p)
+	if GAPopulationSize != 50 || GAMutationRate != 0.03 || GACrossoverRate != 1.0 ||
+		!GAElitism || GATournamentSize != 5 {
+		t.Error("GA parameters do not match Table I")
 	}
 }
 
-func TestGAParamsNormalization(t *testing.T) {
-	p := GAParams{PopulationSize: 1, MutationRate: 2, CrossoverRate: 0, TournamentSize: 1000}.normalized()
-	if p.PopulationSize != 50 || p.MutationRate != 0.03 || p.CrossoverRate != 1.0 {
-		t.Errorf("normalization wrong: %+v", p)
-	}
-	if p.TournamentSize > p.PopulationSize {
-		t.Error("tournament size must not exceed population")
+// TestGAKeepsBestIndividual checks Table I's elitism: the best individual
+// of every generation is carried into the next unchanged, so on a rugged
+// landscape the best loss within each generation still never worsens.
+func TestGAKeepsBestIndividual(t *testing.T) {
+	const generations = 8
+	for seed := int64(1); seed <= 10; seed++ {
+		res, err := NewGeneticAlgorithm().Run(context.Background(), Problem{
+			Space:          knobs.DefaultSpace(),
+			Loss:           metrics.StressLoss{Metric: "score"},
+			Evaluator:      blind(bumpyEval),
+			MaxEpochs:      generations,
+			MaxEvaluations: generations * GAPopulationSize,
+			TargetLoss:     NoTargetLoss,
+			Seed:           seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Epochs) != generations {
+			t.Fatalf("seed %d: GA ran %d generations, want %d", seed, len(res.Epochs), generations)
+		}
+		for i := 1; i < len(res.Epochs); i++ {
+			if prev, cur := res.Epochs[i-1].EpochLoss, res.Epochs[i].EpochLoss; cur > prev {
+				t.Errorf("seed %d: generation %d's best loss %v is worse than generation %d's %v", seed, i+1, cur, i, prev)
+			}
+		}
 	}
 }
 
@@ -336,11 +344,10 @@ func TestCrossoverPreservesGenes(t *testing.T) {
 
 func TestMutationStaysInRange(t *testing.T) {
 	space := knobs.DefaultSpace()
-	ga := NewGeneticAlgorithm(GAParams{MutationRate: 1.0})
 	rng := rand.New(rand.NewSource(9))
 	cfg := space.MidConfig()
 	for i := 0; i < 50; i++ {
-		m := ga.mutate(rng, space, cfg)
+		m := mutate(rng, space, cfg)
 		for k := 0; k < space.Len(); k++ {
 			if m.Index(k) < 0 || m.Index(k) >= space.Def(k).NumValues() {
 				t.Fatalf("mutation produced out-of-range index at knob %d", k)
@@ -357,7 +364,7 @@ func TestBruteForceFindsOptimumOnSmallSpace(t *testing.T) {
 	})
 	target, _ := space.ConfigFromIndices([]int{3, 1})
 	prob := quadraticProblem(space, target, 1, 1)
-	bf := NewBruteForce(BruteForceParams{MaxEvaluations: 100, ReportEvery: 10})
+	bf := NewBruteForce(100)
 	res, err := bf.Run(context.Background(), prob)
 	if err != nil {
 		t.Fatal(err)
@@ -376,7 +383,7 @@ func TestBruteForceFindsOptimumOnSmallSpace(t *testing.T) {
 func TestBruteForceLatticeRespectsBudget(t *testing.T) {
 	space := knobs.DefaultSpace() // far too large to enumerate
 	prob := quadraticProblem(space, space.MidConfig(), 1, 1)
-	bf := NewBruteForce(BruteForceParams{MaxEvaluations: 500, LatticePointsPerKnob: 2, ReportEvery: 100})
+	bf := NewBruteForce(500)
 	res, err := bf.Run(context.Background(), prob)
 	if err != nil {
 		t.Fatal(err)
@@ -392,7 +399,7 @@ func TestBruteForceLatticeRespectsBudget(t *testing.T) {
 }
 
 func TestBruteForceIndexSets(t *testing.T) {
-	bf := NewBruteForce(BruteForceParams{MaxEvaluations: 64, LatticePointsPerKnob: 3})
+	bf := NewBruteForce(64)
 	space := knobs.DefaultSpace()
 	sets := bf.indexSets(space)
 	if len(sets) != space.Len() {
@@ -403,8 +410,8 @@ func TestBruteForceIndexSets(t *testing.T) {
 		if set[0] != 0 || set[len(set)-1] != n-1 {
 			t.Errorf("knob %d lattice must include the extremes: %v", k, set)
 		}
-		if len(set) > 3 {
-			t.Errorf("knob %d lattice has %d points, want <= 3", k, len(set))
+		if len(set) > bruteForceLatticePoints {
+			t.Errorf("knob %d lattice has %d points, want <= %d", k, len(set), bruteForceLatticePoints)
 		}
 	}
 }
@@ -414,7 +421,7 @@ func TestRandomSearchImproves(t *testing.T) {
 	target := space.RandomConfig(rand.New(rand.NewSource(21)))
 	prob := quadraticProblem(space, target, 20, 2)
 	prob.TargetLoss = NoTargetLoss
-	rs := NewRandomSearch(RandomSearchParams{EvaluationsPerEpoch: 20})
+	rs := NewRandomSearch()
 	res, err := rs.Run(context.Background(), prob)
 	if err != nil {
 		t.Fatal(err)
@@ -435,10 +442,10 @@ func TestTunersAreInterchangeable(t *testing.T) {
 	space := knobs.InstructionOnlySpace()
 	target := space.MidConfig()
 	tuners := []Tuner{
-		NewGradientDescent(GDParams{}),
-		NewGeneticAlgorithm(GAParams{PopulationSize: 10}),
-		NewBruteForce(BruteForceParams{MaxEvaluations: 200, ReportEvery: 50}),
-		NewRandomSearch(RandomSearchParams{EvaluationsPerEpoch: 10}),
+		NewGradientDescent(),
+		NewGeneticAlgorithm(),
+		NewBruteForce(200),
+		NewRandomSearch(),
 	}
 	for _, tn := range tuners {
 		prob := quadraticProblem(space, target, 5, 13)
@@ -471,7 +478,7 @@ func constraintSpace(t *testing.T) *knobs.Space {
 // under a power cap the unconstrained optimum (a=1) satisfies: the cap must
 // not move the best away from it.
 func TestConstraintKeepsFeasibleOptimum(t *testing.T) {
-	res, err := NewBruteForce(BruteForceParams{}).Run(context.Background(), Problem{
+	res, err := NewBruteForce(registryBruteForceEvaluations).Run(context.Background(), Problem{
 		Space: constraintSpace(t),
 		Loss:  metrics.StressLoss{Metric: "obj"},
 		Evaluator: blind(func(cfg knobs.Config) (metrics.Vector, error) {
@@ -499,7 +506,7 @@ func TestConstraintKeepsFeasibleOptimum(t *testing.T) {
 // reported best inside the feasible region, and it must grow with the
 // violation while staying above every feasible loss.
 func TestConstraintSteersBestAwayFromInfeasible(t *testing.T) {
-	res, err := NewBruteForce(BruteForceParams{}).Run(context.Background(), Problem{
+	res, err := NewBruteForce(registryBruteForceEvaluations).Run(context.Background(), Problem{
 		Space: constraintSpace(t),
 		Loss:  metrics.StressLoss{Metric: "obj"},
 		Evaluator: blind(func(cfg knobs.Config) (metrics.Vector, error) {

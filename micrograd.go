@@ -183,11 +183,11 @@ func StressTest(ctx context.Context, kind StressKind, opts StressOptions) (Stres
 
 // GradientDescentTuner returns the paper's gradient-descent tuning mechanism
 // with default parameters.
-func GradientDescentTuner() Tuner { return tuner.NewGradientDescent(tuner.GDParams{}) }
+func GradientDescentTuner() Tuner { return tuner.NewGradientDescent() }
 
 // GeneticAlgorithmTuner returns the GA baseline with the paper's Table I
 // parameters.
-func GeneticAlgorithmTuner() Tuner { return tuner.NewGeneticAlgorithm(tuner.GAParams{}) }
+func GeneticAlgorithmTuner() Tuner { return tuner.NewGeneticAlgorithm() }
 
 // CloningMetricNames returns the nine metrics cloning targets by default.
 func CloningMetricNames() []string { return metrics.CloningMetricNames() }
