@@ -13,8 +13,8 @@ COVER_MIN ?= 86.0
 # Repo-specific static analysis (cmd/mglint): machine-checks the
 # determinism and concurrency invariants — seeded randomness, no wall clock
 # in simulation code, no order-sensitive metric-map iteration, no mixed
-# atomic/plain field access, no float equality. Runs standalone here; the
-# same binary also works as `go vet -vettool=`.
+# atomic/plain field access, no float equality, over the non-test files of
+# every package.
 lint:
 	$(GO) run ./cmd/mglint ./...
 

@@ -1,13 +1,11 @@
 // Command mglint runs the repo's determinism and concurrency analyzers
-// (internal/lint) over Go packages. It supports two modes:
+// (internal/lint) over the non-test files of Go packages:
 //
-//	mglint ./...                     standalone, over package patterns
-//	go vet -vettool=$(which mglint)  as a vet tool (unitchecker protocol)
+//	mglint [-list] [packages]   (default ./...)
 //
-// In standalone mode package metadata and export data come from
-// `go list -export -deps -json`; in vet mode they come from the .cfg file
-// the go command passes. Exit status: 0 clean, 1 diagnostics reported,
-// 2 operational error (bad patterns, packages that do not type-check).
+// Package metadata and export data come from `go list -export -deps -json`.
+// Exit status: 0 clean, 1 diagnostics reported, 2 operational error (bad
+// patterns, packages that do not type-check).
 package main
 
 import (
@@ -34,24 +32,8 @@ func main() {
 }
 
 func run(args []string) int {
-	// The go command probes vet tools for a version line (-V=full) and for
-	// their flag set (-flags) before handing them a config file.
-	if len(args) == 1 {
-		switch {
-		case strings.HasPrefix(args[0], "-V"):
-			fmt.Printf("%s version v1.0.0\n", progName())
-			return 0
-		case args[0] == "-flags":
-			fmt.Println("[]")
-			return 0
-		case strings.HasSuffix(args[0], ".cfg"):
-			return runVetTool(args[0])
-		}
-	}
-
 	fs := flag.NewFlagSet("mglint", flag.ContinueOnError)
 	list := fs.Bool("list", false, "list analyzers and exit")
-	spec := fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -61,20 +43,11 @@ func run(args []string) int {
 		}
 		return 0
 	}
-	analyzers, err := lint.ByName(*spec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	return runStandalone(patterns, analyzers)
-}
-
-func progName() string {
-	return strings.TrimSuffix(filepath.Base(os.Args[0]), ".exe")
+	return runStandalone(patterns)
 }
 
 // listPackage is the subset of `go list -json` output mglint needs.
@@ -88,7 +61,7 @@ type listPackage struct {
 	Error      *struct{ Err string }
 }
 
-func runStandalone(patterns []string, analyzers []*lint.Analyzer) int {
+func runStandalone(patterns []string) int {
 	cmdArgs := append([]string{"list", "-export", "-deps", "-json"}, patterns...)
 	cmd := exec.Command("go", cmdArgs...)
 	cmd.Stderr = os.Stderr
@@ -124,12 +97,18 @@ func runStandalone(patterns []string, analyzers []*lint.Analyzer) int {
 	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
 
 	fset := token.NewFileSet()
-	imp := exportImporter(fset, func(path string) (io.ReadCloser, error) {
+	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		file, ok := exports[path]
 		if !ok {
 			return nil, fmt.Errorf("no export data for %q", path)
 		}
 		return os.Open(file)
+	})
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if path == "unsafe" {
+			return types.Unsafe, nil
+		}
+		return gc.Import(path)
 	})
 
 	exit := 0
@@ -143,110 +122,12 @@ func runStandalone(patterns []string, analyzers []*lint.Analyzer) int {
 			fmt.Fprintf(os.Stderr, "mglint: %s: %v\n", p.ImportPath, err)
 			return 2
 		}
-		for _, d := range lint.Check(pkg, analyzers) {
+		for _, d := range lint.Check(pkg, lint.All()) {
 			printDiag(d)
 			exit = 1
 		}
 	}
 	return exit
-}
-
-// vetConfig mirrors the JSON config the go command feeds vet tools
-// (x/tools unitchecker protocol).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-func runVetTool(cfgFile string) int {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mglint: %v\n", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "mglint: parsing %s: %v\n", cfgFile, err)
-		return 2
-	}
-
-	// The go command expects a facts file regardless of findings; mglint
-	// keeps no cross-package facts, so an empty one satisfies the protocol.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
-			fmt.Fprintf(os.Stderr, "mglint: %v\n", err)
-			return 2
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	base := exportImporter(fset, func(path string) (io.ReadCloser, error) {
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no package file for %q", path)
-		}
-		return os.Open(file)
-	})
-	imp := importerFunc(func(path string) (*types.Package, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		return base.Import(path)
-	})
-
-	// The go command also routes test packages through vet tools. The
-	// repo's determinism rules scope to compiled non-test code (_test.go
-	// may use wall clock, exact comparisons in tolerance helpers, ...), so
-	// test files are dropped; an external test package has nothing left.
-	var files []string
-	for _, f := range cfg.GoFiles {
-		if !strings.HasSuffix(f, "_test.go") {
-			files = append(files, f)
-		}
-	}
-	if len(files) == 0 {
-		return 0
-	}
-
-	pkg, err := loadPackage(fset, cfg.ImportPath, files, imp)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "mglint: %s: %v\n", cfg.ImportPath, err)
-		return 2
-	}
-	exit := 0
-	for _, d := range lint.Check(pkg, lint.All()) {
-		printDiag(d)
-		exit = 1
-	}
-	return exit
-}
-
-// exportImporter builds a gc-export-data importer that resolves package
-// files through lookup, with the unsafe package special-cased.
-func exportImporter(fset *token.FileSet, lookup func(string) (io.ReadCloser, error)) types.Importer {
-	gc := importer.ForCompiler(fset, "gc", lookup)
-	return importerFunc(func(path string) (*types.Package, error) {
-		if path == "unsafe" {
-			return types.Unsafe, nil
-		}
-		return gc.Import(path)
-	})
 }
 
 type importerFunc func(string) (*types.Package, error)

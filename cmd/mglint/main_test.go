@@ -1,28 +1,15 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
-// TestRunProbeFlags covers the go-command probe handshake (-V=full, -flags)
-// and the -list flag.
-func TestRunProbeFlags(t *testing.T) {
-	if got := run([]string{"-V=full"}); got != 0 {
-		t.Fatalf("run(-V=full) = %d, want 0", got)
-	}
-	if got := run([]string{"-flags"}); got != 0 {
-		t.Fatalf("run(-flags) = %d, want 0", got)
-	}
+// TestRunList covers the -list flag.
+func TestRunList(t *testing.T) {
 	if got := run([]string{"-list"}); got != 0 {
 		t.Fatalf("run(-list) = %d, want 0", got)
-	}
-	if got := run([]string{"-analyzers", "nosuch", "./..."}); got != 2 {
-		t.Fatalf("run(-analyzers nosuch) = %d, want 2", got)
 	}
 }
 
@@ -62,106 +49,5 @@ func TestStandaloneBrokenFixture(t *testing.T) {
 	}()
 	if got := run([]string{"./..."}); got != 1 {
 		t.Fatalf("mglint over the broken fixture = %d, want 1", got)
-	}
-}
-
-// TestVetConfigMode drives runVetTool in-process with a hand-built .cfg
-// (the JSON the go command passes vet tools), pointing at the broken smoke
-// fixture: the facts file must be written, VetxOnly runs must stay silent,
-// and the analysis run must report diagnostics.
-func TestVetConfigMode(t *testing.T) {
-	if testing.Short() {
-		t.Skip("shells out to go list")
-	}
-	smokeDir, err := filepath.Abs(filepath.Join("..", "..", "internal", "lint", "testdata", "smoke"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	list := exec.Command("go", "list", "-export", "-deps", "-json", "./...")
-	list.Dir = smokeDir
-	out, err := list.Output()
-	if err != nil {
-		t.Fatalf("go list: %v", err)
-	}
-	exports := map[string]string{}
-	var goFiles []string
-	dec := json.NewDecoder(strings.NewReader(string(out)))
-	for {
-		var p listPackage
-		if err := dec.Decode(&p); err != nil {
-			break
-		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-		if p.ImportPath == "lintsmoke/internal/sim" {
-			for _, f := range p.GoFiles {
-				goFiles = append(goFiles, filepath.Join(p.Dir, f))
-			}
-		}
-	}
-	if len(goFiles) == 0 {
-		t.Fatal("go list did not surface the fixture package")
-	}
-
-	tmp := t.TempDir()
-	writeCfg := func(name string, vetxOnly bool) string {
-		cfg := vetConfig{
-			Compiler:    "gc",
-			Dir:         smokeDir,
-			ImportPath:  "lintsmoke/internal/sim",
-			GoFiles:     goFiles,
-			PackageFile: exports,
-			VetxOnly:    vetxOnly,
-			VetxOutput:  filepath.Join(tmp, name+".vetx"),
-		}
-		data, err := json.Marshal(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(tmp, name+".cfg")
-		if err := os.WriteFile(path, data, 0o666); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-
-	if got := run([]string{writeCfg("facts", true)}); got != 0 {
-		t.Fatalf("VetxOnly run = %d, want 0", got)
-	}
-	if _, err := os.Stat(filepath.Join(tmp, "facts.vetx")); err != nil {
-		t.Fatalf("VetxOnly run left no facts file: %v", err)
-	}
-	if got := run([]string{writeCfg("check", false)}); got != 1 {
-		t.Fatalf("analysis run over the broken fixture = %d, want 1", got)
-	}
-}
-
-// TestVetToolProtocol builds the real binary and drives it through
-// `go vet -vettool=` over clean repo packages — the full unitchecker
-// handshake (version probe, facts files, per-package .cfg runs).
-func TestVetToolProtocol(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the binary and runs go vet")
-	}
-	bin := filepath.Join(t.TempDir(), "mglint")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building mglint: %v\n%s", err, out)
-	}
-	vet := exec.Command("go", "vet", "-vettool="+bin, "../../internal/metrics", "../../internal/multicore")
-	if out, err := vet.CombinedOutput(); err != nil {
-		t.Fatalf("go vet -vettool over clean packages failed: %v\n%s", err, out)
-	}
-
-	// The same handshake over the broken fixture must surface diagnostics.
-	vet = exec.Command("go", "vet", "-vettool="+bin, "./...")
-	vet.Dir = filepath.Join("..", "..", "internal", "lint", "testdata", "smoke")
-	out, err := vet.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet -vettool over the broken fixture passed; output:\n%s", out)
-	}
-	if !strings.Contains(string(out), "[maprange]") {
-		t.Fatalf("go vet output lacks a maprange diagnostic:\n%s", out)
 	}
 }

@@ -26,15 +26,15 @@ var exportedButUnused = map[string]string{
 	"multicore.CoRunSpec.OffsetCycles":        "benchmark/replay.go reads it; it goes with the replay (ROADMAP item 1)",
 }
 
-// TestEveryInternalExportIsUsed keeps API that only tests call out of
-// internal/: it type-checks the non-test files of every package of this
-// module and of the benchmark module, and fails on any exported
-// package-level name, or exported method of an exported type, declared
-// under internal/ that none of those files references. A method also counts
-// as used when a referenced interface method has its name and signature,
-// and String and Error always count, since the standard library calls them
-// through interfaces. A name only a test needs belongs in that package's
-// _test.go files.
+// TestEveryInternalExportIsUsed keeps API and code that only tests call out
+// of internal/: it type-checks the non-test files of every package of this
+// module and of the benchmark module, and fails on any package-level name,
+// exported method of an exported type or unexported method of any type,
+// declared under internal/ that none of those files references. A method
+// also counts as used when a referenced interface method has its name and
+// signature, and String and Error always count, since the standard library
+// calls them through interfaces. A name only a test needs belongs in that
+// package's _test.go files.
 //
 // It also fails on any exported field of a package-level struct type under
 // internal/ that none of those files writes, since a setting nothing sets is
@@ -94,9 +94,6 @@ func TestEveryInternalExportIsUsed(t *testing.T) {
 		scope := pkg.Scope()
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
-			if !obj.Exported() {
-				continue
-			}
 			qualified := pkg.Name() + "." + name
 			if !l.uses[obj] {
 				unused = append(unused, qualified)
@@ -105,7 +102,7 @@ func TestEveryInternalExportIsUsed(t *testing.T) {
 			if !ok || tn.IsAlias() {
 				continue
 			}
-			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok && tn.Exported() {
 				for i := range st.NumFields() {
 					f := st.Field(i)
 					if f.Exported() && !l.writes[f] && reflect.StructTag(st.Tag(i)).Get("json") == "" {
@@ -118,7 +115,9 @@ func TestEveryInternalExportIsUsed(t *testing.T) {
 				continue
 			}
 			for m := range named.Methods() {
-				if m.Exported() && !l.uses[m] && !l.calledThroughInterface(m) {
+				// An exported method of an unexported type may satisfy an
+				// interface only the standard library calls.
+				if (tn.Exported() || !m.Exported()) && !l.uses[m] && !l.calledThroughInterface(m) {
 					unused = append(unused, qualified+"."+m.Name())
 				}
 			}
@@ -127,7 +126,7 @@ func TestEveryInternalExportIsUsed(t *testing.T) {
 
 	for _, name := range unused {
 		if _, ok := exportedButUnused[name]; !ok {
-			t.Errorf("%s is exported from internal/ but no non-test file uses it (or, for a field, writes it): delete it, unexport it, or move it into its package's tests", name)
+			t.Errorf("%s is declared under internal/ but no non-test file uses it (or, for a field, writes it): delete it, unexport it, or move it into its package's tests", name)
 		}
 	}
 	for name := range exportedButUnused {

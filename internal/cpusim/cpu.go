@@ -15,9 +15,9 @@
 //
 // A CPU owns reusable per-run scratch — the scoreboard ring buffers, the
 // window accumulators, the trace expander and a per-program predecode table —
-// so that back-to-back Run calls (the shape of every tuning loop) allocate
-// almost nothing and never touch the isa descriptor table on the per-
-// instruction hot path.
+// so that back-to-back RunShared calls (the shape of every tuning loop)
+// allocate almost nothing and never touch the isa descriptor table on the
+// per-instruction hot path.
 package cpusim
 
 import (
@@ -193,7 +193,7 @@ type CPU struct {
 	mem  *memsim.Hierarchy
 	pred *branchsim.Predictor
 
-	// Per-run scratch, reset by Run.
+	// Per-run scratch, reset by RunShared.
 	st coreState
 	wt windowTracker
 
@@ -205,7 +205,7 @@ type CPU struct {
 }
 
 // New builds a CPU. The hierarchy and predictor are owned by the CPU for the
-// duration of a run; Run resets them before simulating.
+// duration of a run; RunShared resets them before simulating.
 func New(cfg Config, mem *memsim.Hierarchy, pred *branchsim.Predictor) (*CPU, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -250,22 +250,12 @@ func (c *CPU) predecode(p *program.Program) {
 	c.lastLen = n
 }
 
-// Run simulates dynInstrs dynamic instructions of the program and returns the
-// collected statistics. The seed drives the trace expander's stochastic
-// branch directions; the timing model itself is deterministic.
-func (c *CPU) Run(p *program.Program, dynInstrs int, seed int64) (Result, error) {
-	return c.run(p, dynInstrs, seed, false)
-}
-
-// RunShared is Run with the returned Result's Windows aliasing the CPU's
-// reusable scratch: the slice is valid only until the next Run/RunShared
-// call. Metrics-only evaluation paths use it to skip the per-run copy of the
-// window sequence; callers that hand the Result out must use Run.
+// RunShared simulates dynInstrs dynamic instructions of the program and
+// returns the collected statistics. The seed drives the trace expander's
+// stochastic branch directions; the timing model itself is deterministic.
+// The returned Result's Windows alias the CPU's reusable scratch: the slice
+// is valid only until the next RunShared call.
 func (c *CPU) RunShared(p *program.Program, dynInstrs int, seed int64) (Result, error) {
-	return c.run(p, dynInstrs, seed, true)
-}
-
-func (c *CPU) run(p *program.Program, dynInstrs int, seed int64, sharedWindows bool) (Result, error) {
 	if dynInstrs <= 0 {
 		return Result{}, fmt.Errorf("cpusim: non-positive dynamic instruction count %d", dynInstrs)
 	}
@@ -330,7 +320,7 @@ func (c *CPU) run(p *program.Program, dynInstrs int, seed int64, sharedWindows b
 	res.Branch = c.pred.Stats()
 	res.MemAccesses = res.L2.Misses
 	if windowed {
-		res.Windows = wt.finish(st.lastRetire, sharedWindows)
+		res.Windows = wt.finish(st.lastRetire)
 		for i := range res.Windows {
 			w := &res.Windows[i]
 			for cl, n := range w.ClassCounts {
@@ -353,8 +343,7 @@ type stepEvents struct {
 // by completion cycle, which is not monotonic across instructions (a ready
 // ALU operation completes while an older divide chain is still executing),
 // so windows are kept addressable until the run ends. The wins scratch is
-// reused across runs; finish copies the windows into a fresh slice because
-// the Result escapes the CPU.
+// reused across runs, and finish hands it out until the next run.
 type windowTracker struct {
 	size uint64
 	// shift is the power-of-two shortcut for the per-instruction division
@@ -400,9 +389,8 @@ func (w *windowTracker) observe(ev stepEvents, class isa.Class) {
 
 // finish sizes the window sequence to cover the whole run and fills in the
 // window lengths (the final window may be partial). It returns the scratch
-// itself when shared is set (valid until the next run) and a copy that is
-// safe to hand out otherwise.
-func (w *windowTracker) finish(lastRetire uint64, shared bool) []Window {
+// itself, valid until the next run.
+func (w *windowTracker) finish(lastRetire uint64) []Window {
 	if lastRetire == 0 {
 		return nil
 	}
@@ -416,12 +404,7 @@ func (w *windowTracker) finish(lastRetire uint64, shared bool) []Window {
 	if tail := lastRetire - uint64(n-1)*w.size; tail > 0 {
 		w.wins[n-1].Cycles = tail
 	}
-	if shared {
-		return w.wins
-	}
-	out := make([]Window, len(w.wins))
-	copy(out, w.wins)
-	return out
+	return w.wins
 }
 
 // coreState is the per-run scoreboard. It is embedded in the CPU and reset
@@ -505,13 +488,6 @@ func zero(s []uint64) {
 	for i := range s {
 		s[i] = 0
 	}
-}
-
-// newCoreState builds a standalone scoreboard (kept for tests).
-func newCoreState(cfg Config) *coreState {
-	st := &coreState{}
-	st.init(cfg)
-	return st
 }
 
 // step advances the scoreboard by one dynamic instruction and reports the

@@ -92,7 +92,7 @@ func runOn(t *testing.T, core Config, hier *memsim.Hierarchy, p *program.Program
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cpu.Run(p, n, 1)
+	res, err := cpu.RunShared(p, n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +136,11 @@ func TestNewRejectsNilComponents(t *testing.T) {
 
 func TestRunRejectsBadInputs(t *testing.T) {
 	cpu, _ := New(smallCore(), smallHier(t), pred(t, 12))
-	if _, err := cpu.Run(program.New("empty"), 100, 1); err == nil {
+	if _, err := cpu.RunShared(program.New("empty"), 100, 1); err == nil {
 		t.Error("invalid program should be rejected")
 	}
 	p := genProgram(t, nil)
-	if _, err := cpu.Run(p, 0, 1); err == nil {
+	if _, err := cpu.RunShared(p, 0, 1); err == nil {
 		t.Error("zero dynamic instructions should be rejected")
 	}
 }

@@ -8,7 +8,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"micrograd/internal/evalcache"
 	"micrograd/internal/isa"
@@ -347,15 +346,4 @@ func (r TableIIIResult) Render() string {
 		fmt.Sprintf("%.1f%%", r.Mix[isa.ClassStore]*100),
 	)
 	return t.String() + fmt.Sprintf("register dependency distance: %d\n", r.RegDist)
-}
-
-// sortedKeys returns map keys in sorted order (helper for deterministic
-// rendering).
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

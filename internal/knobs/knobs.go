@@ -32,7 +32,6 @@ const (
 	KindBurstLen                  // activity burst period in static instructions
 	KindPhaseOffset               // rotation of the kernel's burst schedule in static instructions
 	KindFreqGHz                   // one co-running core's clock frequency in GHz (DVFS)
-	numKinds
 )
 
 // String returns the kind name.

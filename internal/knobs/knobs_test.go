@@ -342,6 +342,9 @@ func TestRandomConfigDeterministic(t *testing.T) {
 	}
 }
 
+// numKinds is one past the last knob kind.
+const numKinds = KindFreqGHz + 1
+
 func TestKindString(t *testing.T) {
 	for k := Kind(0); k < numKinds; k++ {
 		if k.String() == "" {

@@ -46,28 +46,6 @@ func All() []*Analyzer {
 	}
 }
 
-// ByName resolves a comma-separated analyzer list against All. An empty
-// spec selects the whole suite.
-func ByName(spec string) ([]*Analyzer, error) {
-	if strings.TrimSpace(spec) == "" {
-		return All(), nil
-	}
-	byName := make(map[string]*Analyzer)
-	for _, a := range All() {
-		byName[a.Name] = a
-	}
-	var out []*Analyzer
-	for _, name := range strings.Split(spec, ",") {
-		name = strings.TrimSpace(name)
-		a, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("lint: unknown analyzer %q", name)
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
 // Package is one type-checked package ready for analysis.
 type Package struct {
 	// Path is the package's import path; analyzers use it to scope rules

@@ -215,19 +215,10 @@ func TestCheckDeterministic(t *testing.T) {
 	}
 }
 
-// TestByName covers the analyzer registry used by mglint's -analyzers flag.
-func TestByName(t *testing.T) {
-	all, err := lint.ByName("")
-	if err != nil || len(all) != len(lint.All()) {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want the full suite", len(all), err)
-	}
-	two, err := lint.ByName("floateq, maprange")
-	if err != nil || len(two) != 2 || two[0].Name != "floateq" || two[1].Name != "maprange" {
-		t.Fatalf("ByName(\"floateq, maprange\") = %v, err %v", two, err)
-	}
-	if _, err := lint.ByName("nosuch"); err == nil {
-		t.Fatal("ByName(\"nosuch\") did not fail")
-	}
+// TestAnalyzerNames covers the suite's registry: every analyzer has a
+// unique lowercase name, the tag its diagnostics and suppressions use, and
+// a doc line and run function.
+func TestAnalyzerNames(t *testing.T) {
 	seen := map[string]bool{}
 	for _, a := range lint.All() {
 		if a.Name == "" || strings.ToLower(a.Name) != a.Name || seen[a.Name] {

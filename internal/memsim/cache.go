@@ -177,16 +177,6 @@ func (c *Cache) accessWay(addr uint64, write bool) (bool, *line) {
 	return hit, way
 }
 
-// fastHit re-touches a line known to still be resident — the same line as
-// the previous access to this cache, with no intervening accesses that could
-// have evicted it. It performs exactly the bookkeeping of a read hit.
-func (c *Cache) fastHit(w *line) {
-	c.stats.Accesses++
-	c.stats.Hits++
-	c.clock++
-	w.used = c.clock
-}
-
 // Prefetch installs the line containing addr without counting a demand
 // access. It returns true if the line was already present.
 func (c *Cache) Prefetch(addr uint64) bool {
@@ -276,7 +266,7 @@ type Hierarchy struct {
 	// fetchLineNum/fetchWay remember the L1I line of the previous fetch.
 	// Nothing but instruction fetches touches the L1I, so a fetch to the
 	// same line as its predecessor is guaranteed still resident and takes
-	// the fastHit path — the common case for sequential code.
+	// the FastFetchHit path — the common case for sequential code.
 	fetchLineNum uint64
 	fetchWay     *line
 	// dataLineNum/dataWay are the analogous shortcut for the L1D: recorded
@@ -379,19 +369,6 @@ func (h *Hierarchy) accessDataNewLine(addr uint64, write bool) (lat int, l2acc, 
 	return lat, l2acc, l2miss, l2pref
 }
 
-// AccessInstrEv performs an instruction fetch and returns its latency in
-// cycles and the L2 events it caused (see AccessDataEv). The same-line fast
-// path is kept small enough to inline into the timing model's
-// per-instruction step.
-func (h *Hierarchy) AccessInstrEv(pc uint64) (lat int, l2acc, l2miss uint8) {
-	lineNum := pc >> h.l1i.lineShift
-	if h.fetchWay != nil && lineNum == h.fetchLineNum {
-		h.l1i.fastHit(h.fetchWay)
-		return h.cfg.L1I.HitLatency, 0, 0
-	}
-	return h.accessInstrNewLine(pc, lineNum)
-}
-
 // FastFetchHit attempts the same-line fetch fast path without any function
 // calls, so it inlines into the timing model's per-instruction step. It
 // reports false when the fetch targets a new line and needs AccessInstrEv;
@@ -409,11 +386,13 @@ func (h *Hierarchy) FastFetchHit(pc uint64) bool {
 	return true
 }
 
-// accessInstrNewLine is the fetch path for a line other than the previous
-// fetch's: a full L1I access, falling through to L2 and memory on a miss.
-func (h *Hierarchy) accessInstrNewLine(pc, lineNum uint64) (lat int, l2acc, l2miss uint8) {
+// AccessInstrEv performs an instruction fetch and returns its latency in
+// cycles and the L2 events it caused (see AccessDataEv): a full L1I access,
+// falling through to L2 and memory on a miss. The timing model calls it
+// once FastFetchHit has reported a new line.
+func (h *Hierarchy) AccessInstrEv(pc uint64) (lat int, l2acc, l2miss uint8) {
 	hit, way := h.l1i.accessWay(pc, false)
-	h.fetchLineNum = lineNum
+	h.fetchLineNum = pc >> h.l1i.lineShift
 	h.fetchWay = way
 	if hit {
 		return h.cfg.L1I.HitLatency, 0, 0

@@ -27,7 +27,6 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"micrograd/internal/cpusim"
 	"micrograd/internal/knobs"
 	"micrograd/internal/metrics"
 	"micrograd/internal/microprobe"
@@ -144,10 +143,9 @@ func (s CoRunSpec) Validate() error {
 }
 
 // CoRunPlatform simulates N co-running cores. It implements
-// platform.Platform (Evaluate runs the same kernel on every core), and its
-// NumCores above 1 is what selects the chip evaluation path in stress.Run:
-// an EvalSession derives per-core kernels from one knob configuration via
-// the PHASE_OFFSET knobs.
+// platform.Platform, and its NumCores above 1 is what selects the chip
+// evaluation path in stress.Run: an EvalSession derives per-core kernels
+// from one knob configuration via the PHASE_OFFSET knobs.
 //
 // Like the single-core platforms it is not safe for concurrent use; the
 // per-core fan-out inside one evaluation is internal (each core owns its
@@ -292,12 +290,11 @@ func (c *CoRunPlatform) CoreSimulations() uint64 { return c.coreSims.Load() }
 // another core's simulation of the same evaluation instead of simulating.
 func (c *CoRunPlatform) SharedCores() uint64 { return c.sharedCores.Load() }
 
-// EvaluateRequest implements platform.Platform — the one evaluation path. A
-// single program fans out to every core; FreqOverrides apply per core;
-// DetailTrace adds the summed chip trace and DetailResult the raw per-core
-// simulation results. Options.Fidelity
-// shortens every core's simulated window (each per-core simulator applies it),
-// so reduced-fidelity chip evaluations — the successive-halving screening
+// EvaluateRequest implements platform.Platform — the one evaluation path.
+// The request carries one kernel per core; FreqOverrides apply per core;
+// DetailTrace adds the summed chip trace. Options.Fidelity shortens every
+// core's simulated window (each per-core simulator applies it), so
+// reduced-fidelity chip evaluations — the successive-halving screening
 // rungs — are proportionally cheaper while still producing the chip-level
 // metrics a power cap constrains on.
 func (c *CoRunPlatform) EvaluateRequest(req platform.EvalRequest) (platform.EvalResponse, error) {
@@ -307,14 +304,7 @@ func (c *CoRunPlatform) EvaluateRequest(req platform.EvalRequest) (platform.Eval
 		}
 		return platform.EvalResponse{}, fmt.Errorf("multicore: request without programs")
 	}
-	progs := req.Programs
-	if len(progs) == 1 && len(c.sims) > 1 {
-		progs = make([]*program.Program, len(c.sims))
-		for i := range progs {
-			progs[i] = req.Programs[0]
-		}
-	}
-	return c.evaluateDetailed(progs, req.FreqOverrides, req.Options, req.Detail, true)
+	return c.evaluateDetailed(req.Programs, req.FreqOverrides, req.Options, req.Detail, true)
 }
 
 // EvaluateConfig evaluates one knob configuration on the chip: the shared
@@ -355,8 +345,6 @@ type coreRun struct {
 	ipc, powerW float64
 	// trace lives in the simulating core's platform buffer.
 	trace powersim.PowerTrace
-	// result is the raw simulation result, collected only for DetailResult.
-	result cpusim.Result
 	// freqGHz is the effective clock the core ran at (spec or override).
 	freqGHz float64
 }
@@ -391,20 +379,17 @@ func (c *CoRunPlatform) evaluateDetailed(progs []*program.Program, freqsGHz []fl
 		}
 	}
 	c.shareCores(progs, share)
-	// Only DetailResult copies the raw results out of the simulators'
-	// window scratch.
-	keep := detail >= platform.DetailResult
 	c.simRuns = slices.Grow(c.simRuns[:0], len(c.distinct))[:len(c.distinct)]
 	sims := c.simRuns
 	err := sched.Run(context.Background(), c.parallel, len(c.distinct), func(_ context.Context, j int) error {
 		i := c.distinct[j]
 		coreOpts := opts
 		coreOpts.FrequencyGHz = c.freqs[i]
-		ipc, powerW, trace, res, err := c.sims[i].EvaluateCore(progs[i], coreOpts, keep)
+		ipc, powerW, trace, err := c.sims[i].EvaluateCore(progs[i], coreOpts)
 		if err != nil {
 			return fmt.Errorf("multicore: core %d: %w", i, err)
 		}
-		sims[j] = coreRun{ipc: ipc, powerW: powerW, trace: trace, result: res, freqGHz: c.freqs[i]}
+		sims[j] = coreRun{ipc: ipc, powerW: powerW, trace: trace, freqGHz: c.freqs[i]}
 		return nil
 	})
 	if err != nil {
@@ -413,9 +398,6 @@ func (c *CoRunPlatform) evaluateDetailed(progs []*program.Program, freqsGHz []fl
 	runs := c.runs
 	for i := range runs {
 		runs[i] = sims[c.slot[i]]
-		if keep && c.distinct[c.slot[i]] != i {
-			runs[i].result.Windows = slices.Clone(runs[i].result.Windows)
-		}
 	}
 
 	// The chip trace is built in the chip's buffer unless the response
@@ -471,13 +453,7 @@ func (c *CoRunPlatform) evaluateDetailed(progs []*program.Program, freqsGHz []fl
 	if detail >= platform.DetailTrace {
 		resp.Trace = chip
 	}
-	if keep {
-		resp.Results = make([]cpusim.Result, len(runs))
-		for i, r := range runs {
-			resp.Results[i] = r.result
-		}
-	}
-	// Keep no result of this evaluation alive until the next one.
+	// Keep no trace of this evaluation referenced until the next one.
 	clear(c.simRuns)
 	clear(c.runs)
 	clear(c.lanes)

@@ -1,6 +1,7 @@
 package multicore
 
 import (
+	"slices"
 	"testing"
 
 	"micrograd/internal/knobs"
@@ -21,10 +22,15 @@ func twoSmall(t *testing.T, parallel int) *CoRunPlatform {
 }
 
 // chipMetrics serves one metrics-only chip request: progs holds one kernel
-// per core, or a single kernel every core co-runs.
+// per core.
 func chipMetrics(c *CoRunPlatform, progs []*program.Program, opts platform.EvalOptions) (metrics.Vector, error) {
 	resp, err := c.EvaluateRequest(platform.EvalRequest{Programs: progs, Options: opts})
 	return resp.Metrics, err
+}
+
+// everyCore returns p once for every core of c.
+func everyCore(c *CoRunPlatform, p *program.Program) []*program.Program {
+	return slices.Repeat([]*program.Program{p}, c.NumCores())
 }
 
 // evalChip serves one chip request at DetailTrace with optional per-core
@@ -93,7 +99,7 @@ func TestCoRunSpecValidation(t *testing.T) {
 
 func TestCoRunEvaluateProducesChipMetrics(t *testing.T) {
 	c := twoSmall(t, 1)
-	v, err := chipMetrics(c, []*program.Program{testKernel(t)}, platform.EvalOptions{DynamicInstructions: 6000, Seed: 1})
+	v, err := chipMetrics(c, everyCore(c, testKernel(t)), platform.EvalOptions{DynamicInstructions: 6000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +135,7 @@ func TestCoRunFidelityShortensChipTrace(t *testing.T) {
 	eval := func(fidelity float64) platform.EvalResponse {
 		t.Helper()
 		resp, err := c.EvaluateRequest(platform.EvalRequest{
-			Programs: []*program.Program{p},
+			Programs: everyCore(c, p),
 			Options:  platform.EvalOptions{DynamicInstructions: 8000, Seed: 1, Fidelity: fidelity},
 			Detail:   platform.DetailTrace,
 		})
@@ -155,11 +161,11 @@ func TestCoRunFidelityShortensChipTrace(t *testing.T) {
 func TestCoRunParallelBitIdenticalToSerial(t *testing.T) {
 	p := testKernel(t)
 	opts := platform.EvalOptions{DynamicInstructions: 6000, Seed: 1}
-	serial, err := chipMetrics(twoSmall(t, 1), []*program.Program{p}, opts)
+	serial, err := chipMetrics(twoSmall(t, 1), []*program.Program{p, p}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := chipMetrics(twoSmall(t, 4), []*program.Program{p}, opts)
+	par, err := chipMetrics(twoSmall(t, 4), []*program.Program{p, p}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,10 +210,21 @@ func TestEvaluateConfigRotatesPerCore(t *testing.T) {
 }
 
 func TestCoRunRejectsKernelCountMismatch(t *testing.T) {
-	c := twoSmall(t, 1)
 	p := testKernel(t)
-	if _, err := chipMetrics(c, []*program.Program{p, p, p}, platform.EvalOptions{DynamicInstructions: 1000}); err == nil {
-		t.Error("kernel/core count mismatch should be rejected")
+	for _, tc := range []struct {
+		cores, kernels int
+	}{
+		{2, 3},
+		{4, 1},
+	} {
+		c, err := New(Homogeneous(platform.Small(), tc.cores), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs := slices.Repeat([]*program.Program{p}, tc.kernels)
+		if _, err := chipMetrics(c, progs, platform.EvalOptions{DynamicInstructions: 1000}); err == nil {
+			t.Errorf("%d kernels on a %d-core chip should be rejected", tc.kernels, tc.cores)
+		}
 	}
 }
 
@@ -489,7 +506,7 @@ func TestEvaluationsCounterIsAtomic(t *testing.T) {
 	}()
 	opts := platform.EvalOptions{DynamicInstructions: 3000, Seed: 1}
 	for i := 0; i < 3; i++ {
-		if _, err := chipMetrics(c, []*program.Program{p}, opts); err != nil {
+		if _, err := chipMetrics(c, everyCore(c, p), opts); err != nil {
 			t.Fatal(err)
 		}
 	}

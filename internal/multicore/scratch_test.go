@@ -56,7 +56,7 @@ func TestChipScratchReuseKeepsResults(t *testing.T) {
 					Options: platform.EvalOptions{DynamicInstructions: instructions, Seed: 5}}
 			}
 			a, b := request("a", 3000), request("b", 6000)
-			for _, detail := range []platform.EvalDetail{platform.DetailMetrics, platform.DetailTrace, platform.DetailResult} {
+			for _, detail := range []platform.EvalDetail{platform.DetailMetrics, platform.DetailTrace} {
 				a.Detail, b.Detail = detail, detail
 				first, err := c.EvaluateRequest(a)
 				if err != nil {
@@ -88,7 +88,7 @@ func TestChipDetailTraceOutlivesNextEvaluation(t *testing.T) {
 	}
 	p := testKernel(t)
 	opts := platform.EvalOptions{DynamicInstructions: 4000, Seed: 1}
-	resp, err := c.EvaluateRequest(platform.EvalRequest{Programs: []*program.Program{p}, Options: opts, Detail: platform.DetailTrace})
+	resp, err := c.EvaluateRequest(platform.EvalRequest{Programs: everyCore(c, p), Options: opts, Detail: platform.DetailTrace})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestChipDetailTraceOutlivesNextEvaluation(t *testing.T) {
 	next := opts
 	next.Seed = 2
 	for _, detail := range []platform.EvalDetail{platform.DetailMetrics, platform.DetailTrace} {
-		if _, err := c.EvaluateRequest(platform.EvalRequest{Programs: []*program.Program{p}, Options: next, Detail: detail}); err != nil {
+		if _, err := c.EvaluateRequest(platform.EvalRequest{Programs: everyCore(c, p), Options: next, Detail: detail}); err != nil {
 			t.Fatal(err)
 		}
 		if !sameTrace(resp.Trace, want) {

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
-	"micrograd/internal/cpusim"
 	"micrograd/internal/knobs"
 	"micrograd/internal/microprobe"
 	"micrograd/internal/platform"
@@ -16,8 +14,7 @@ import (
 )
 
 // requireSameResponse asserts that two chip responses are bit-identical:
-// the metric vectors key by key, the chip traces point by point, and the
-// raw per-core results.
+// the metric vectors key by key and the chip traces point by point.
 func requireSameResponse(t *testing.T, got, want platform.EvalResponse) {
 	t.Helper()
 	if len(got.Metrics) != len(want.Metrics) {
@@ -31,9 +28,6 @@ func requireSameResponse(t *testing.T, got, want platform.EvalResponse) {
 	}
 	if !sameTrace(got.Trace, want.Trace) {
 		t.Errorf("chip trace differs from the every-core run")
-	}
-	if !reflect.DeepEqual(got.Results, want.Results) {
-		t.Errorf("raw per-core results differ from the every-core run")
 	}
 }
 
@@ -74,8 +68,7 @@ func forceDuplicates(cfg knobs.Config, rng *rand.Rand) knobs.Config {
 // small+large, start skews, spatial and a hotspot floorplan — with
 // duplicate phase offsets and clocks forced, an evaluation that simulates
 // each distinct core once must equal one that simulates every core, bit for
-// bit, at Parallel 1 and 4 and at every detail level. Shared cores must
-// still get their own copy of the raw activity windows.
+// bit, at Parallel 1 and 4 and at every detail level.
 func TestChipSharedCoresMatchEveryCoreRun(t *testing.T) {
 	small, large := platform.Small(), platform.Large()
 	skewed := Homogeneous(small, 4)
@@ -99,7 +92,7 @@ func TestChipSharedCoresMatchEveryCoreRun(t *testing.T) {
 	}
 	syn := microprobe.NewSynthesizer(microprobe.Options{LoopSize: 120, Seed: 3})
 	opts := platform.EvalOptions{DynamicInstructions: 3000, Seed: 5}
-	details := []platform.EvalDetail{platform.DetailMetrics, platform.DetailTrace, platform.DetailResult}
+	details := []platform.EvalDetail{platform.DetailMetrics, platform.DetailTrace}
 	for ki, kind := range kinds {
 		t.Run(kind.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(ki + 1)))
@@ -131,9 +124,6 @@ func TestChipSharedCoresMatchEveryCoreRun(t *testing.T) {
 							t.Fatal(err)
 						}
 						requireSameResponse(t, got, want)
-						if detail == platform.DetailResult {
-							requireOwnWindows(t, got.Results)
-						}
 					}
 				}
 				shared += c.SharedCores()
@@ -170,24 +160,10 @@ func sameKernelOtherClock(c *CoRunPlatform, progs []*program.Program, freqs []fl
 	return n
 }
 
-// requireOwnWindows asserts that no two cores' raw results share a window
-// backing array.
-func requireOwnWindows(t *testing.T, results []cpusim.Result) {
-	t.Helper()
-	for i := range results {
-		for j := range i {
-			a, b := results[i].Windows, results[j].Windows
-			if len(a) > 0 && len(b) > 0 && &a[0] == &b[0] {
-				t.Errorf("cores %d and %d share one window slice", j, i)
-			}
-		}
-	}
-}
-
 // TestCoRunCountsSharedCores pins the sharing counters on a 4-core chip:
 // equal phase offsets on every core cost one core simulation per
 // evaluation, offsets {0,16,0,16} two, distinct offsets four, and one
-// program fanned out to every core one.
+// program on every core one.
 func TestCoRunCountsSharedCores(t *testing.T) {
 	space := knobs.SpatialStressSpace(4)
 	sess := func(t *testing.T) (*CoRunPlatform, *platform.EvalSession) {
@@ -230,11 +206,11 @@ func TestCoRunCountsSharedCores(t *testing.T) {
 	}
 	t.Run("one-program-fanned-out", func(t *testing.T) {
 		c, _ := sess(t)
-		if _, err := chipMetrics(c, []*program.Program{testKernel(t)}, opts); err != nil {
+		if _, err := chipMetrics(c, everyCore(c, testKernel(t)), opts); err != nil {
 			t.Fatal(err)
 		}
 		if c.CoreSimulations() != 1 || c.SharedCores() != 3 {
-			t.Errorf("fanned-out program: %d simulations, %d shared cores; want 1, 3",
+			t.Errorf("one program on every core: %d simulations, %d shared cores; want 1, 3",
 				c.CoreSimulations(), c.SharedCores())
 		}
 	})

@@ -260,7 +260,7 @@ func TestFailedAggregationDoesNotCountEvaluation(t *testing.T) {
 	// SumTracesTime rejects after the per-core simulations succeeded.
 	c.spec.Cores[0].CPU.WindowCycles = 0
 	c.spec.Cores[1].CPU.WindowCycles = 0
-	if _, err := chipMetrics(c, []*program.Program{p}, opts); err == nil {
+	if _, err := chipMetrics(c, everyCore(c, p), opts); err == nil {
 		t.Fatal("zero-window chip aggregation should fail")
 	}
 	if sims, shared := c.CoreSimulations(), c.SharedCores(); sims != 0 || shared != 0 {
@@ -268,7 +268,7 @@ func TestFailedAggregationDoesNotCountEvaluation(t *testing.T) {
 	}
 	c.spec.Cores[0].CPU.WindowCycles = 64
 	c.spec.Cores[1].CPU.WindowCycles = 64
-	if _, err := chipMetrics(c, []*program.Program{p}, opts); err != nil {
+	if _, err := chipMetrics(c, everyCore(c, p), opts); err != nil {
 		t.Fatal(err)
 	}
 	if got := servedEvaluations(c); got != 1 {

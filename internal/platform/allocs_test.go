@@ -57,8 +57,7 @@ func TestAllocsDynamicPower(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := stressKernel(t, microprobe.NewSynthesizer(microprobe.Options{LoopSize: 500, Seed: 1}))
-	resp, err := plat.EvaluateRequest(EvalRequest{Programs: []*program.Program{p},
-		Options: EvalOptions{DynamicInstructions: 4000, Seed: 1}, Detail: DetailResult})
+	r, err := plat.simulate(p, EvalOptions{DynamicInstructions: 4000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +65,6 @@ func TestAllocsDynamicPower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := resp.Results[0]
 	if got := testing.AllocsPerRun(50, func() { model.DynamicPower(r) }); got != 0 {
 		t.Errorf("DynamicPower allocates %v times, want 0", got)
 	}

@@ -259,22 +259,11 @@ func (s *SimPlatform) Spec() CoreSpec { return s.spec }
 const TraceWarmupWindows = 16
 
 // simulate is the cycle-domain step of an evaluation: one cpusim run of
-// the kernel. Its result does not depend on the clock. sharedWindows
-// selects the copy-free window scratch for callers that do not let the
-// Result escape past the next run.
-func (s *SimPlatform) simulate(p *program.Program, opts EvalOptions, sharedWindows bool) (cpusim.Result, error) {
+// the kernel. Its result does not depend on the clock, and its windows alias
+// the simulator's scratch until the platform's next evaluation.
+func (s *SimPlatform) simulate(p *program.Program, opts EvalOptions) (cpusim.Result, error) {
 	opts = opts.normalized()
-	var res cpusim.Result
-	var err error
-	if sharedWindows {
-		res, err = s.cpu.RunShared(p, opts.DynamicInstructions, opts.Seed)
-	} else {
-		res, err = s.cpu.Run(p, opts.DynamicInstructions, opts.Seed)
-	}
-	if err != nil {
-		return cpusim.Result{}, err
-	}
-	return res, nil
+	return s.cpu.RunShared(p, opts.DynamicInstructions, opts.Seed)
 }
 
 // timeDomain is the time-domain step: it puts the result on the effective
@@ -329,20 +318,17 @@ func (s *SimPlatform) addTransientMetrics(v metrics.Vector, trace powersim.Power
 
 // EvaluateCore serves one core of a chip evaluation: the cycle-domain and
 // time-domain steps only, reduced to what the chip reads. It returns the
-// core's IPC and dynamic power, its untrimmed power trace and the raw
-// result; the transient metrics are left to the chip, which reports none of
-// them per core except the droop it solves itself. The trace lives in the
-// platform's buffer and stays valid until the platform's next evaluation.
-// keepResult copies the result's activity windows out of the simulator's
-// scratch, so the Result stays valid after the next run; without it the
-// windows alias the scratch.
-func (s *SimPlatform) EvaluateCore(p *program.Program, opts EvalOptions, keepResult bool) (ipc, powerW float64, trace powersim.PowerTrace, res cpusim.Result, err error) {
-	res, err = s.simulate(p, opts, !keepResult)
+// core's IPC and dynamic power and its untrimmed power trace; the transient
+// metrics are left to the chip, which reports none of them per core except
+// the droop it solves itself. The trace lives in the platform's buffer and
+// stays valid until the platform's next evaluation.
+func (s *SimPlatform) EvaluateCore(p *program.Program, opts EvalOptions) (ipc, powerW float64, trace powersim.PowerTrace, err error) {
+	res, err := s.simulate(p, opts)
 	if err != nil {
-		return 0, 0, powersim.PowerTrace{}, cpusim.Result{}, err
+		return 0, 0, powersim.PowerTrace{}, err
 	}
 	onClock(&res, opts)
-	return res.IPC(), s.power.DynamicPower(res), s.sharedTrace(res), res, nil
+	return res.IPC(), s.power.DynamicPower(res), s.sharedTrace(res), nil
 }
 
 // resultVectorCap is the most metrics a single-core evaluation reports:

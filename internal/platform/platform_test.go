@@ -117,12 +117,10 @@ func TestSimPlatformPowerCollection(t *testing.T) {
 	resp, err := plat.EvaluateRequest(EvalRequest{
 		Programs: []*program.Program{p},
 		Options:  EvalOptions{DynamicInstructions: 10000, Seed: 1, CollectPower: true},
-		Detail:   DetailResult,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := resp.Results[0]
 	pw, ok := resp.Metrics[metrics.DynamicPowerW]
 	if !ok || pw <= 0 {
 		t.Errorf("dynamic power missing or non-positive: %v", pw)
@@ -130,8 +128,8 @@ func TestSimPlatformPowerCollection(t *testing.T) {
 	if pw > 5 {
 		t.Errorf("dynamic power %.2f W implausibly high for the large core", pw)
 	}
-	if res.Instructions != 10000 {
-		t.Errorf("detailed result instructions = %d", res.Instructions)
+	if n := resp.Metrics[metrics.Instructions]; n != 10000 {
+		t.Errorf("evaluated instructions = %v", n)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"micrograd/internal/cpusim"
 	"micrograd/internal/knobs"
 	"micrograd/internal/metrics"
 	"micrograd/internal/powersim"
@@ -12,9 +11,8 @@ import (
 )
 
 // EvalDetail selects how much of an evaluation's output the caller needs.
-// Higher levels cost more: DetailMetrics lets the simulator reuse its window
-// scratch between runs, DetailTrace additionally materializes the power
-// trace, and DetailResult copies the full raw simulation results out.
+// DetailTrace costs more than DetailMetrics: it materializes a power trace
+// the response owns.
 type EvalDetail uint8
 
 const (
@@ -24,8 +22,6 @@ const (
 	// single-core platforms the core trace, for co-run platforms the summed
 	// chip trace).
 	DetailTrace
-	// DetailResult additionally returns the raw per-core simulation results.
-	DetailResult
 )
 
 // String names the detail level.
@@ -35,8 +31,6 @@ func (d EvalDetail) String() string {
 		return "metrics"
 	case DetailTrace:
 		return "trace"
-	case DetailResult:
-		return "result"
 	default:
 		return fmt.Sprintf("detail(%d)", uint8(d))
 	}
@@ -51,19 +45,19 @@ type EvalRequest struct {
 	// "<name>-core<i>" on multi-core platforms). Ignored when Programs is
 	// set.
 	Name string
-	// Programs are the per-core kernels. A single entry fans out to every
-	// core; otherwise the length must match the platform's core count.
+	// Programs are the per-core kernels, one per core of the platform.
 	Programs []*program.Program
 	// Config is the knob configuration to synthesize kernels from when
 	// Programs is empty. Only EvalSession serves Config-driven requests
 	// (platforms own no synthesizer).
 	Config knobs.Config
-	// FreqOverrides optionally overrides per-core clocks in GHz (zero
-	// entries keep the spec clock, nil overrides nothing). Single-core
-	// platforms accept one entry.
+	// FreqOverrides optionally overrides per-core clocks of a multi-core
+	// platform in GHz (zero entries keep the default clock, nil overrides
+	// nothing). Single-core platforms reject it: their clock is
+	// Options.FrequencyGHz.
 	FreqOverrides []float64
 	// Options are the shared evaluation options (instructions, seed, power
-	// collection). DetailTrace and DetailResult force power collection.
+	// collection). DetailTrace forces power collection.
 	Options EvalOptions
 	// Detail selects the response payload.
 	Detail EvalDetail
@@ -75,9 +69,6 @@ type EvalResponse struct {
 	Metrics metrics.Vector
 	// Trace is the untrimmed power trace; valid for Detail >= DetailTrace.
 	Trace powersim.PowerTrace
-	// Results are the raw per-core simulation results; valid for
-	// Detail >= DetailResult.
-	Results []cpusim.Result
 }
 
 // RequestEvaluator is another name for Platform, from when the request
@@ -126,24 +117,14 @@ func (s *SimPlatform) EvaluateRequest(req EvalRequest) (EvalResponse, error) {
 	if len(req.Programs) != 1 {
 		return EvalResponse{}, fmt.Errorf("platform: %d kernels for the single-core platform %s", len(req.Programs), s.Name())
 	}
-	opts := req.Options
 	if len(req.FreqOverrides) > 0 {
-		if len(req.FreqOverrides) != 1 {
-			return EvalResponse{}, fmt.Errorf("platform: %d clock overrides for the single-core platform %s", len(req.FreqOverrides), s.Name())
-		}
-		if err := ValidFreqOverride(req.FreqOverrides[0], 0); err != nil {
-			return EvalResponse{}, err
-		}
-		if req.FreqOverrides[0] > 0 {
-			opts.FrequencyGHz = req.FreqOverrides[0]
-		}
+		return EvalResponse{}, fmt.Errorf("platform: clock overrides for the single-core platform %s (set Options.FrequencyGHz)", s.Name())
 	}
+	opts := req.Options
 	if req.Detail >= DetailTrace {
 		opts.CollectPower = true
 	}
-	// Only DetailResult hands the raw result out, so the lower detail levels
-	// share the simulator's window scratch instead of copying it.
-	res, err := s.simulate(req.Programs[0], opts, req.Detail < DetailResult)
+	res, err := s.simulate(req.Programs[0], opts)
 	if err != nil {
 		return EvalResponse{}, err
 	}
@@ -154,9 +135,6 @@ func (s *SimPlatform) EvaluateRequest(req EvalRequest) (EvalResponse, error) {
 	resp := EvalResponse{Metrics: v}
 	if req.Detail >= DetailTrace {
 		resp.Trace = trace
-	}
-	if req.Detail >= DetailResult {
-		resp.Results = []cpusim.Result{res}
 	}
 	return resp, nil
 }

@@ -5,7 +5,10 @@ import (
 	"reflect"
 	"testing"
 
+	"micrograd/internal/branchsim"
+	"micrograd/internal/cpusim"
 	"micrograd/internal/knobs"
+	"micrograd/internal/memsim"
 	"micrograd/internal/microprobe"
 	"micrograd/internal/multicore"
 	"micrograd/internal/platform"
@@ -49,18 +52,17 @@ func reqCoRunPlatform(t *testing.T) *multicore.CoRunPlatform {
 
 // TestEvalRequestMatrix checks every detail level on both platform shapes,
 // with and without clock overrides, against request-path invariants: the
-// metric vector does not depend on the detail level, the trace is the same
-// at DetailTrace and DetailResult, and a single-core clock override equals
-// the same clock set through EvalOptions.FrequencyGHz.
+// metric vector does not depend on the detail level, and only DetailTrace
+// carries a trace.
 func TestEvalRequestMatrix(t *testing.T) {
 	cfg := knobs.StressSpace().MidConfig()
 	powerOpts := platform.EvalOptions{DynamicInstructions: reqInstr, Seed: reqSeed, CollectPower: true}
-	details := []platform.EvalDetail{platform.DetailMetrics, platform.DetailTrace, platform.DetailResult}
+	details := []platform.EvalDetail{platform.DetailMetrics, platform.DetailTrace}
 
 	// check serves req at every detail level on fresh platforms and compares
-	// each response against the metrics-only one and the result-level trace;
-	// subtests are named "<detail>-<variant>".
-	check := func(t *testing.T, newPlat func(*testing.T) platform.Platform, req platform.EvalRequest, cores int, variant string) {
+	// each response against the metrics-only one; subtests are named
+	// "<detail>-<variant>".
+	check := func(t *testing.T, newPlat func(*testing.T) platform.Platform, req platform.EvalRequest, variant string) {
 		t.Helper()
 		serve := func(detail platform.EvalDetail) platform.EvalResponse {
 			t.Helper()
@@ -72,7 +74,7 @@ func TestEvalRequestMatrix(t *testing.T) {
 			}
 			return resp
 		}
-		base, full := serve(platform.DetailMetrics), serve(platform.DetailResult)
+		base := serve(platform.DetailMetrics)
 		for _, detail := range details {
 			t.Run(detail.String()+"-"+variant, func(t *testing.T) {
 				resp := serve(detail)
@@ -80,25 +82,11 @@ func TestEvalRequestMatrix(t *testing.T) {
 					t.Errorf("%s metrics diverge from metrics-only:\n got %v\nwant %v", detail, resp.Metrics, base.Metrics)
 				}
 				if detail >= platform.DetailTrace {
-					if len(resp.Trace.Points) == 0 || !reflect.DeepEqual(resp.Trace, full.Trace) {
-						t.Errorf("%s trace missing or diverging from the result-level trace", detail)
+					if len(resp.Trace.Points) == 0 {
+						t.Errorf("%s response carries no trace", detail)
 					}
 				} else if len(resp.Trace.Points) != 0 {
 					t.Error("metrics-only response carries a trace")
-				}
-				if detail < platform.DetailResult {
-					if resp.Results != nil {
-						t.Error("low-detail response carries raw results")
-					}
-					return
-				}
-				if len(resp.Results) != cores {
-					t.Fatalf("want %d raw results, got %d", cores, len(resp.Results))
-				}
-				for i, res := range resp.Results {
-					if res.Instructions == 0 {
-						t.Errorf("core %d raw result is empty", i)
-					}
 				}
 			})
 		}
@@ -109,25 +97,8 @@ func TestEvalRequestMatrix(t *testing.T) {
 		single := func(t *testing.T) platform.Platform { return reqSinglePlatform(t) }
 		for _, freq := range []float64{0, 1.5} {
 			req := platform.EvalRequest{Programs: []*program.Program{p}, Options: powerOpts}
-			if freq > 0 {
-				req.FreqOverrides = []float64{freq}
-				// The override must equal the same clock set in the options.
-				viaOpts := platform.EvalRequest{Programs: req.Programs, Options: powerOpts, Detail: platform.DetailTrace}
-				viaOpts.Options.FrequencyGHz = freq
-				want, err := reqSinglePlatform(t).EvaluateRequest(viaOpts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				req.Detail = platform.DetailTrace
-				got, err := reqSinglePlatform(t).EvaluateRequest(req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got.Metrics, want.Metrics) || !reflect.DeepEqual(got.Trace, want.Trace) {
-					t.Errorf("FreqOverrides %g diverges from EvalOptions.FrequencyGHz:\n got %v\nwant %v", freq, got.Metrics, want.Metrics)
-				}
-			}
-			check(t, single, req, 1, fmt.Sprintf("freq%g", freq))
+			req.Options.FrequencyGHz = freq
+			check(t, single, req, fmt.Sprintf("freq%g", freq))
 		}
 	})
 
@@ -138,70 +109,53 @@ func TestEvalRequestMatrix(t *testing.T) {
 		}
 		chip := func(t *testing.T) platform.Platform { return reqCoRunPlatform(t) }
 		for _, freqs := range [][]float64{nil, {1.2, 1.8}} {
-			check(t, chip, platform.EvalRequest{Programs: progs, FreqOverrides: freqs, Options: powerOpts}, 2, fmt.Sprintf("freqs%v", freqs != nil))
+			check(t, chip, platform.EvalRequest{Programs: progs, FreqOverrides: freqs, Options: powerOpts}, fmt.Sprintf("freqs%v", freqs != nil))
 		}
 	})
 }
 
 // TestSingleCoreTraceIsResultTrace checks that the trace a single-core
 // response carries — the one the power metrics were derived from — is the
-// power model's trace of the raw result, clock overrides included.
+// power model's trace of the simulator's raw result, clock overrides
+// included.
 func TestSingleCoreTraceIsResultTrace(t *testing.T) {
 	p := reqKernel(t, "req-trace", knobs.StressSpace().MidConfig())
-	model, err := powersim.New(platform.Small().Power)
+	spec := platform.Small()
+	model, err := powersim.New(spec.Power)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, freqs := range [][]float64{nil, {1.5}} {
+	for _, freq := range []float64{0, 1.5} {
+		opts := platform.EvalOptions{DynamicInstructions: reqInstr, Seed: reqSeed, FrequencyGHz: freq}
 		resp, err := reqSinglePlatform(t).EvaluateRequest(platform.EvalRequest{
-			Programs:      []*program.Program{p},
-			FreqOverrides: freqs,
-			Options:       platform.EvalOptions{DynamicInstructions: reqInstr, Seed: reqSeed},
-			Detail:        platform.DetailResult,
+			Programs: []*program.Program{p},
+			Options:  opts,
+			Detail:   platform.DetailTrace,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := model.Trace(resp.Results[0]); len(want.Points) == 0 || !reflect.DeepEqual(resp.Trace, want) {
-			t.Errorf("freqs %v: response trace diverges from the model trace of the raw result", freqs)
+		mem, err := memsim.NewHierarchy(spec.Memory)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestEvalRequestSingleKernelFansOut checks the request-path convenience: one
-// kernel on an N-core platform co-runs on every core, exactly like passing
-// the same kernel N times — metrics, chip trace and per-core results.
-func TestEvalRequestSingleKernelFansOut(t *testing.T) {
-	cfg := knobs.StressSpace().MidConfig()
-	p := reqKernel(t, "req-fan", cfg)
-	opts := platform.EvalOptions{DynamicInstructions: reqInstr, Seed: reqSeed}
-
-	for _, cores := range []int{2, 3} {
-		serve := func(progs []*program.Program) platform.EvalResponse {
-			t.Helper()
-			c, err := multicore.New(multicore.Homogeneous(platform.Small(), cores), 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp, err := c.EvaluateRequest(platform.EvalRequest{Programs: progs, Options: opts, Detail: platform.DetailResult})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return resp
+		pred, err := branchsim.New(spec.Branch)
+		if err != nil {
+			t.Fatal(err)
 		}
-		explicit := make([]*program.Program, cores)
-		for i := range explicit {
-			explicit[i] = p
+		cpu, err := cpusim.New(spec.CPU, mem, pred)
+		if err != nil {
+			t.Fatal(err)
 		}
-		one, many := serve([]*program.Program{p}), serve(explicit)
-		if !reflect.DeepEqual(one.Metrics, many.Metrics) {
-			t.Errorf("%d cores: fan-out diverges from explicit duplication:\n got %v\nwant %v", cores, one.Metrics, many.Metrics)
+		res, err := cpu.RunShared(p, reqInstr, reqSeed)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(one.Trace, many.Trace) {
-			t.Errorf("%d cores: fan-out chip trace diverges", cores)
+		if freq > 0 {
+			res.Config.FrequencyGHz = freq
 		}
-		if len(one.Results) != cores || !reflect.DeepEqual(one.Results, many.Results) {
-			t.Errorf("%d cores: fan-out per-core results diverge", cores)
+		if want := model.Trace(res); len(want.Points) == 0 || !reflect.DeepEqual(resp.Trace, want) {
+			t.Errorf("freq %g: response trace diverges from the model trace of the raw result", freq)
 		}
 	}
 }
@@ -338,7 +292,7 @@ func TestEvalSessionAccessors(t *testing.T) {
 	if _, err := session.Evaluate(platform.EvalRequest{Config: knobs.StressSpace().MidConfig()}); err == nil {
 		t.Error("a session without a synthesizer should reject a configuration request")
 	}
-	for _, d := range []platform.EvalDetail{platform.DetailMetrics, platform.DetailTrace, platform.DetailResult, platform.EvalDetail(9)} {
+	for _, d := range []platform.EvalDetail{platform.DetailMetrics, platform.DetailTrace, platform.EvalDetail(9)} {
 		if d.String() == "" {
 			t.Errorf("detail %d has no name", uint8(d))
 		}
@@ -390,6 +344,12 @@ func TestEvalRequestErrors(t *testing.T) {
 		FreqOverrides: []float64{-1},
 	}); err == nil {
 		t.Error("negative clock override should be rejected")
+	}
+	if _, err := plat.EvaluateRequest(platform.EvalRequest{
+		Programs:      []*program.Program{p},
+		FreqOverrides: []float64{1.5},
+	}); err == nil {
+		t.Error("a clock override on a single-core platform should be rejected: its clock is Options.FrequencyGHz")
 	}
 
 	sessionless := platform.NewEvalSession(plat, nil)

@@ -100,7 +100,6 @@ const (
 const (
 	DetailMetrics = platform.DetailMetrics
 	DetailTrace   = platform.DetailTrace
-	DetailResult  = platform.DetailResult
 )
 
 // DefaultConfig returns the framework configuration defaults.

@@ -100,7 +100,7 @@ run "mgbench cmaes power-cap" "$bin_dir/mgbench" -kind power-virus -quick -core 
 
 # Static analysis: mglint must list its suite, pass the (clean) tree, and —
 # run over the deliberately broken fixture module — report a violation from
-# every analyzer and exit non-zero in both standalone and vet-tool modes.
+# every analyzer and exit non-zero.
 run "mglint list"         "$bin_dir/mglint" -list
 echo "smoke: mglint clean tree"
 "$bin_dir/mglint" ./... || { echo "FAIL: mglint found diagnostics on the clean tree" >&2; exit 1; }
@@ -115,15 +115,6 @@ for a in seededrand walltime maprange mixedatomic floateq; do
         exit 1
     }
 done
-echo "smoke: mglint as go vet -vettool"
-(cd internal/lint/testdata/smoke && go vet -vettool="$bin_dir/mglint" ./... 2>/dev/null) && {
-    echo "FAIL: go vet -vettool=mglint exited 0 on the broken fixture" >&2
-    exit 1
-}
-go vet -vettool="$bin_dir/mglint" ./internal/metrics || {
-    echo "FAIL: go vet -vettool=mglint failed on a clean package" >&2
-    exit 1
-}
 
 run "mgworkload list"     "$bin_dir/mgworkload" -list
 run "mgworkload measure"  "$bin_dir/mgworkload" -benchmark mcf -instructions 5000
