@@ -94,6 +94,8 @@ fuzz:
 	$(GO) test -fuzz='^FuzzSupplyReplayStop$$' -fuzztime=10s -run='^$$' ./internal/powersim
 	$(GO) test -fuzz='^FuzzWorstDroopsLanes$$' -fuzztime=10s -run='^$$' ./internal/powersim
 	$(GO) test -fuzz=FuzzDiskEntry -fuzztime=10s -run='^$$' ./internal/evalcache
+	$(GO) test -fuzz=FuzzSimPlatformReuse -fuzztime=10s -run='^$$' ./internal/platform
+	$(GO) test -fuzz=FuzzLRUInclusion -fuzztime=10s -run='^$$' ./internal/memsim
 	$(GO) test -fuzz=FuzzJobRequest -fuzztime=10s -run='^$$' ./internal/serve
 
 cover:

@@ -7,7 +7,6 @@
 package evalcache
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -58,16 +57,23 @@ func (c *MapCache) Len() int { return len(c.m) }
 
 // LRUCache is a bounded in-memory store with least-recently-used eviction.
 // Get refreshes recency; Put of an existing key replaces the value in
-// place. The entry count never exceeds the capacity.
+// place. The entry count never exceeds the capacity. Entries live in one
+// slice, linked into a recency list by int32 index (no cache holds 2^31
+// metric vectors), and an eviction reuses the evicted entry's slot, so a
+// Put at capacity allocates nothing.
 type LRUCache struct {
-	cap   int
-	order *list.List // front = most recently used; values are *lruEntry
-	index map[string]*list.Element
+	cap     int
+	entries []lruEntry
+	index   map[string]int32 // key -> slot in entries
+	// head is the most and tail the least recently used slot (-1 when
+	// empty).
+	head, tail int32
 }
 
 type lruEntry struct {
-	key string
-	v   metrics.Vector
+	key        string
+	v          metrics.Vector
+	prev, next int32 // towards head and tail; -1 at the ends
 }
 
 // NewLRU returns an empty cache holding at most cap entries; cap must be
@@ -76,36 +82,78 @@ func NewLRU(cap int) (*LRUCache, error) {
 	if cap <= 0 {
 		return nil, fmt.Errorf("evalcache: LRU capacity must be positive, got %d", cap)
 	}
-	return &LRUCache{cap: cap, order: list.New(), index: make(map[string]*list.Element)}, nil
+	return &LRUCache{cap: cap, index: make(map[string]int32), head: -1, tail: -1}, nil
 }
 
 // Get implements Cache.
 func (c *LRUCache) Get(key string) (metrics.Vector, bool) {
-	el, ok := c.index[key]
+	i, ok := c.index[key]
 	if !ok {
 		return nil, false
 	}
-	c.order.MoveToFront(el)
-	return el.Value.(*lruEntry).v, true
+	c.moveToFront(i)
+	return c.entries[i].v, true
 }
 
 // Put implements Cache.
 func (c *LRUCache) Put(key string, v metrics.Vector) {
-	if el, ok := c.index[key]; ok {
-		el.Value.(*lruEntry).v = v
-		c.order.MoveToFront(el)
+	if i, ok := c.index[key]; ok {
+		c.entries[i].v = v
+		c.moveToFront(i)
 		return
 	}
-	if c.order.Len() >= c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.index, oldest.Value.(*lruEntry).key)
+	var i int32
+	if len(c.entries) < c.cap {
+		i = int32(len(c.entries))
+		c.entries = append(c.entries, lruEntry{})
+	} else {
+		i = c.tail
+		c.unlink(i)
+		delete(c.index, c.entries[i].key)
 	}
-	c.index[key] = c.order.PushFront(&lruEntry{key: key, v: v})
+	c.entries[i] = lruEntry{key: key, v: v, prev: -1, next: -1}
+	c.pushFront(i)
+	c.index[key] = i
 }
 
 // Len implements Cache.
-func (c *LRUCache) Len() int { return c.order.Len() }
+func (c *LRUCache) Len() int { return len(c.index) }
+
+// moveToFront makes slot i the most recently used.
+func (c *LRUCache) moveToFront(i int32) {
+	if c.head != i {
+		c.unlink(i)
+		c.pushFront(i)
+	}
+}
+
+// unlink takes slot i out of the recency list.
+func (c *LRUCache) unlink(i int32) {
+	e := &c.entries[i]
+	if e.prev >= 0 {
+		c.entries[e.prev].next = e.next
+	} else {
+		c.head = e.next
+	}
+	if e.next >= 0 {
+		c.entries[e.next].prev = e.prev
+	} else {
+		c.tail = e.prev
+	}
+	e.prev, e.next = -1, -1
+}
+
+// pushFront links the unlinked slot i in as the most recently used.
+func (c *LRUCache) pushFront(i int32) {
+	e := &c.entries[i]
+	e.next = c.head
+	if c.head >= 0 {
+		c.entries[c.head].prev = i
+	} else {
+		c.tail = i
+	}
+	c.head = i
+}
 
 // DiskCache persists entries as one JSON file per key under a directory, so
 // a daemon restart (or a second process pointed at the same -cache-dir)

@@ -10,9 +10,10 @@ import (
 // Flight is one in-progress evaluation. Callers that request a key already
 // being evaluated wait on the flight instead of paying for a duplicate
 // simulation; the result settles into the flight itself, so waiters are
-// immune to the cache evicting the entry between settle and read.
+// immune to the cache evicting the entry between settle and read. A flight
+// is one allocation: waiters block on its embedded WaitGroup.
 type Flight struct {
-	done chan struct{}
+	done sync.WaitGroup
 	v    metrics.Vector
 	err  error
 }
@@ -20,7 +21,7 @@ type Flight struct {
 // Wait blocks until the flight settles and returns its result (cloned, so
 // every waiter owns its vector).
 func (f *Flight) Wait() (metrics.Vector, error) {
-	<-f.done
+	f.done.Wait()
 	if f.err != nil {
 		return nil, f.err
 	}
@@ -99,7 +100,8 @@ func (g *Group) Lookup(key string) (metrics.Vector, *Flight, bool) {
 		g.count(true)
 		return nil, f, false
 	}
-	f := &Flight{done: make(chan struct{})}
+	f := &Flight{}
+	f.done.Add(1)
 	g.flights[key] = f
 	g.mu.Unlock()
 	g.count(false)
@@ -117,7 +119,7 @@ func (g *Group) Settle(key string, f *Flight, v metrics.Vector, err error) {
 	f.v, f.err = v, err
 	delete(g.flights, key)
 	g.mu.Unlock()
-	close(f.done)
+	f.done.Done()
 }
 
 // Len returns the number of cached entries.

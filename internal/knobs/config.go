@@ -2,7 +2,8 @@ package knobs
 
 import (
 	"fmt"
-	"slices"
+	"iter"
+	"math/bits"
 	"strconv"
 	"strings"
 
@@ -135,14 +136,56 @@ func (c Config) String() string {
 	return strings.Join(parts, " ")
 }
 
+// Profile is an instruction profile: the relative weight of each profiled
+// opcode (weights need not sum to anything in particular; the synthesizer
+// normalizes them). It is a fixed table indexed by opcode that also records
+// which opcodes the profile names, an explicit zero weight included, so
+// building, copying and reading one allocates nothing.
+type Profile struct {
+	weights [isa.NumOpcodes]float64
+	named   uint32 // bit op is set when the profile names op
+}
+
+// The named set is one bit per opcode.
+var _ [32 - isa.NumOpcodes]struct{}
+
+// NewProfile returns the profile of the given weights.
+func NewProfile(weights map[isa.Opcode]float64) Profile {
+	var p Profile
+	for op, w := range weights {
+		p.Set(op, w)
+	}
+	return p
+}
+
+// Set names op in the profile with weight w. It panics on an invalid
+// opcode.
+func (p *Profile) Set(op isa.Opcode, w float64) {
+	p.weights[op] = w
+	p.named |= 1 << op
+}
+
+// Len returns the number of opcodes the profile names.
+func (p *Profile) Len() int { return bits.OnesCount32(p.named) }
+
+// All yields the named opcodes and their weights in ascending opcode order.
+func (p *Profile) All() iter.Seq2[isa.Opcode, float64] {
+	return func(yield func(isa.Opcode, float64) bool) {
+		for named := p.named; named != 0; named &= named - 1 {
+			op := isa.Opcode(bits.TrailingZeros32(named))
+			if !yield(op, p.weights[op]) {
+				return
+			}
+		}
+	}
+}
+
 // Settings is the concrete, back-end-facing interpretation of a Config: the
 // inputs the Microprobe-like synthesizer needs to build a test case. It is
 // the bridge between the abstract workload model and code generation.
 type Settings struct {
-	// InstrWeights maps each profiled opcode to its relative weight in the
-	// instruction profile (weights need not sum to anything in particular;
-	// the synthesizer normalizes them).
-	InstrWeights map[isa.Opcode]float64
+	// Profile is the instruction profile.
+	Profile Profile
 	// RegDist is the register dependency distance: a producing instruction's
 	// result is consumed RegDist instructions later (larger = more ILP).
 	RegDist int
@@ -175,8 +218,8 @@ type Settings struct {
 
 // defaultScalars are the settings a knob absent from the space being tuned
 // keeps (e.g. the instruction-only stress space leaves the memory system at
-// a modest, well-behaved default). It carries no instruction profile, so
-// Config.Settings allocates only the profile it fills.
+// a modest, well-behaved default). Its profile is empty; a space without
+// instruction-fraction knobs profiles ADD alone.
 var defaultScalars = Settings{
 	RegDist:           4,
 	MemFootprintKB:    16,
@@ -189,21 +232,15 @@ var defaultScalars = Settings{
 }
 
 // Settings interprets the configuration into back-end settings. Knobs not
-// present in the space keep their defaultScalars value.
+// present in the space keep their defaultScalars value. It allocates
+// nothing.
 func (c Config) Settings() Settings {
-	instr := 0
-	for _, d := range c.space.defs {
-		if d.Kind == KindInstrFraction {
-			instr++
-		}
-	}
 	s := defaultScalars
-	s.InstrWeights = make(map[isa.Opcode]float64, max(instr, 1))
 	for i, d := range c.space.defs {
 		v := d.Values[c.idx[i]]
 		switch d.Kind {
 		case KindInstrFraction:
-			s.InstrWeights[d.Opcode] = v
+			s.Profile.Set(d.Opcode, v)
 		case KindRegDist:
 			s.RegDist = int(v)
 		case KindMemSize:
@@ -227,39 +264,26 @@ func (c Config) Settings() Settings {
 			// clock at evaluation time and never reaches the synthesizer.
 		}
 	}
-	if instr == 0 {
-		s.InstrWeights[isa.ADD] = 1
+	if s.Profile.Len() == 0 {
+		s.Profile.Set(isa.ADD, 1)
 	}
 	return s
 }
 
-// appendSortedOpcodes appends the profile's opcodes to ops in ascending
-// order.
-func (s Settings) appendSortedOpcodes(ops []isa.Opcode) []isa.Opcode {
-	for op := range s.InstrWeights {
-		ops = append(ops, op)
-	}
-	slices.Sort(ops)
-	return ops
-}
-
-// CanonicalKey serializes the settings into a deterministic string: two
-// settings produce the same key exactly when they synthesize the same kernel.
-// It deliberately covers every synthesis input (and nothing else), so
+// AppendCanonicalKey appends the settings' canonical key to b: two settings
+// produce the same key exactly when they synthesize the same kernel. It
+// deliberately covers every synthesis input (and nothing else), so
 // evaluation-time parameters — seeds, instruction budgets, clock overrides —
 // never fragment a synthesis memo keyed on it. The format is
 // "<op>:<weight>," per profiled opcode in ascending order, then
 // "|rd=..|fp=..|st=..|t1=..|t2=..|br=..|dc=..|bl=..|po=..", floats in
-// shortest 'g' form; building it in one stack buffer leaves the returned
-// string its only allocation.
-func (s Settings) CanonicalKey() string {
-	var opsBuf [isa.NumOpcodes]isa.Opcode
-	var buf [256]byte
-	b := buf[:0]
-	for _, op := range s.appendSortedOpcodes(opsBuf[:0]) {
+// shortest 'g' form. Appending into a caller's stack buffer lets a memo
+// look a key up without allocating.
+func (s *Settings) AppendCanonicalKey(b []byte) []byte {
+	for op, w := range s.Profile.All() {
 		b = strconv.AppendInt(b, int64(op), 10)
 		b = append(b, ':')
-		b = strconv.AppendFloat(b, s.InstrWeights[op], 'g', -1, 64)
+		b = strconv.AppendFloat(b, w, 'g', -1, 64)
 		b = append(b, ',')
 	}
 	b = strconv.AppendInt(append(b, "|rd="...), int64(s.RegDist), 10)
@@ -270,19 +294,15 @@ func (s Settings) CanonicalKey() string {
 	b = strconv.AppendFloat(append(b, "|br="...), s.BranchRandomRatio, 'g', -1, 64)
 	b = strconv.AppendFloat(append(b, "|dc="...), s.DutyCycle, 'g', -1, 64)
 	b = strconv.AppendInt(append(b, "|bl="...), int64(s.BurstLen), 10)
-	b = strconv.AppendInt(append(b, "|po="...), int64(s.PhaseOffset), 10)
-	return string(b)
+	return strconv.AppendInt(append(b, "|po="...), int64(s.PhaseOffset), 10)
 }
 
 // Validate checks the settings for internal consistency.
 func (s Settings) Validate() error {
-	if len(s.InstrWeights) == 0 {
+	if s.Profile.Len() == 0 {
 		return fmt.Errorf("knobs: settings have empty instruction profile")
 	}
-	for op, w := range s.InstrWeights {
-		if !op.Valid() {
-			return fmt.Errorf("knobs: settings reference invalid opcode %d", op)
-		}
+	for op, w := range s.Profile.All() {
 		if w < 0 {
 			return fmt.Errorf("knobs: negative weight %v for opcode %v", w, op)
 		}

@@ -265,8 +265,8 @@ func TestSettingsInterpretation(t *testing.T) {
 		set.MemTemp1 != 32 || set.MemTemp2 != 4 || set.BranchRandomRatio != 0.5 {
 		t.Errorf("settings misinterpreted: %+v", set)
 	}
-	if set.InstrWeights[isa.ADD] != 10 || set.InstrWeights[isa.LD] != 5 {
-		t.Errorf("instruction weights misinterpreted: %+v", set.InstrWeights)
+	if w := weightMap(set.Profile); w[isa.ADD] != 10 || w[isa.LD] != 5 {
+		t.Errorf("instruction weights misinterpreted: %v", w)
 	}
 }
 
@@ -286,8 +286,8 @@ func TestSettingsDefaultsWhenKnobsAbsent(t *testing.T) {
 func TestSettingsValidateRejectsBadInputs(t *testing.T) {
 	good := defaultScalars
 	cases := []func(s *Settings){
-		func(s *Settings) { s.InstrWeights = nil },
-		func(s *Settings) { s.InstrWeights = map[isa.Opcode]float64{isa.ADD: -1} },
+		func(s *Settings) { s.Profile = Profile{} },
+		func(s *Settings) { s.Profile.Set(isa.ADD, -1) },
 		func(s *Settings) { s.RegDist = 0 },
 		func(s *Settings) { s.MemFootprintKB = 0 },
 		func(s *Settings) { s.MemStrideB = 0 },
@@ -298,7 +298,7 @@ func TestSettingsValidateRejectsBadInputs(t *testing.T) {
 	}
 	for i, mutate := range cases {
 		s := good
-		s.InstrWeights = map[isa.Opcode]float64{isa.ADD: 1}
+		s.Profile = NewProfile(map[isa.Opcode]float64{isa.ADD: 1})
 		mutate(&s)
 		if err := s.Validate(); err == nil {
 			t.Errorf("case %d: expected validation error", i)

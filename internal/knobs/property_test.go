@@ -43,7 +43,7 @@ func TestDutyCycleSettings(t *testing.T) {
 // validSettings completes the absent-knob defaults with a one-opcode profile.
 func validSettings() Settings {
 	set := defaultScalars
-	set.InstrWeights = map[isa.Opcode]float64{isa.ADD: 1}
+	set.Profile = NewProfile(map[isa.Opcode]float64{isa.ADD: 1})
 	return set
 }
 

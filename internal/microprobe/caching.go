@@ -20,26 +20,17 @@ import (
 // may synthesize twice (the synthesizer is pure, so both results are
 // identical and either may be cached).
 type CachingSynthesizer struct {
-	syn   *Synthesizer
-	mu    sync.Mutex
-	cache map[string]*program.Program
-	// cfgCache fronts the settings cache with the cheaper precomputed
-	// configuration key, so the warm Synthesize path skips building Settings
-	// and its canonical key entirely. Distinct configurations that reduce to
-	// the same settings (eval-time knobs differ) still dedupe below.
-	cfgCache map[string]*program.Program
-	hits     atomic.Uint64
-	misses   atomic.Uint64
+	syn    *Synthesizer
+	mu     sync.Mutex
+	memo   map[string]*program.Program
+	hits   atomic.Uint64
+	misses atomic.Uint64
 }
 
 // NewCachingSynthesizer returns a caching synthesizer with the given options
 // and an unbounded memo.
 func NewCachingSynthesizer(opts Options) *CachingSynthesizer {
-	return &CachingSynthesizer{
-		syn:      NewSynthesizer(opts),
-		cache:    make(map[string]*program.Program),
-		cfgCache: make(map[string]*program.Program),
-	}
+	return &CachingSynthesizer{syn: NewSynthesizer(opts), memo: make(map[string]*program.Program)}
 }
 
 // Options returns the (normalized) synthesis options. They are part of a
@@ -49,65 +40,70 @@ func NewCachingSynthesizer(opts Options) *CachingSynthesizer {
 func (c *CachingSynthesizer) Options() Options { return c.syn.Options() }
 
 // Synthesize generates (or recalls) the test case for a knob configuration.
+// A hit allocates nothing.
 func (c *CachingSynthesizer) Synthesize(name string, cfg knobs.Config) (*program.Program, error) {
-	ck := cfg.Key()
-	if ck == "" {
-		return c.SynthesizeSettings(name, cfg.Settings())
-	}
+	set := cfg.Settings()
 	var buf [memoKeyBuf]byte
-	key := memoKey(buf[:0], name, ck)
-	c.mu.Lock()
-	if p, ok := c.cfgCache[string(key)]; ok {
-		c.mu.Unlock()
-		c.hits.Add(1)
+	key := memoKey(buf[:0], name, &set)
+	if p, ok := c.recall(key); ok {
 		return p, nil
 	}
-	c.mu.Unlock()
-	p, err := c.SynthesizeSettings(name, cfg.Settings())
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	c.cfgCache[string(key)] = p
-	c.mu.Unlock()
-	return p, nil
-}
-
-// SynthesizeSettings generates (or recalls) the test case for explicit
-// back-end settings.
-func (c *CachingSynthesizer) SynthesizeSettings(name string, set knobs.Settings) (*program.Program, error) {
-	var buf [memoKeyBuf]byte
-	key := memoKey(buf[:0], name, set.CanonicalKey())
-	c.mu.Lock()
-	if p, ok := c.cache[string(key)]; ok {
-		c.mu.Unlock()
-		c.hits.Add(1)
-		return p, nil
-	}
-	c.mu.Unlock()
-
 	p, err := c.syn.SynthesizeSettings(name, set)
 	if err != nil {
 		return nil, err
 	}
-	c.misses.Add(1)
-	c.mu.Lock()
-	c.cache[string(key)] = p
-	c.mu.Unlock()
+	c.remember(key, p)
 	return p, nil
+}
+
+// SynthesizeCores generates (or recalls) the kernels of a co-run
+// configuration, as Synthesizer.SynthesizeCores does. The cores the memo
+// misses are built and memoized: a single miss through the whole pipeline,
+// as Synthesize would, and several from one pipeline run for their shared
+// shape.
+func (c *CachingSynthesizer) SynthesizeCores(progs []*program.Program, names []string, cfg knobs.Config) error {
+	set := cfg.Settings()
+	misses := 0
+	for i := range progs {
+		coreSet := coreSettings(cfg, set, i)
+		var buf [memoKeyBuf]byte
+		if progs[i], _ = c.recall(memoKey(buf[:0], names[i], &coreSet)); progs[i] == nil {
+			misses++
+		}
+	}
+	return c.syn.buildCores(progs, names, cfg, set, misses, c)
 }
 
 // memoKeyBuf is the stack buffer size memo keys are built in; longer keys
 // spill to the heap.
 const memoKeyBuf = 256
 
-// memoKey appends a memo key, the kernel name and the configuration or
-// settings key joined by a NUL, to buf. Lookups index the memo with
-// string(key), which does not allocate; only an insertion copies the key.
-func memoKey(buf []byte, name, key string) []byte {
+// memoKey appends a memo key, the kernel name and the settings' canonical
+// key joined by a NUL, to buf. Lookups index the memo with string(key),
+// which does not allocate; only an insertion copies the key.
+func memoKey(buf []byte, name string, set *knobs.Settings) []byte {
 	buf = append(buf, name...)
 	buf = append(buf, 0)
-	return append(buf, key...)
+	return set.AppendCanonicalKey(buf)
+}
+
+// recall returns the kernel memoized under key, counting a hit.
+func (c *CachingSynthesizer) recall(key []byte) (*program.Program, bool) {
+	c.mu.Lock()
+	p, ok := c.memo[string(key)]
+	c.mu.Unlock()
+	if ok {
+		c.hits.Add(1)
+	}
+	return p, ok
+}
+
+// remember memoizes a kernel synthesized on a miss under key.
+func (c *CachingSynthesizer) remember(key []byte, p *program.Program) {
+	c.misses.Add(1)
+	c.mu.Lock()
+	c.memo[string(key)] = p
+	c.mu.Unlock()
 }
 
 // Len returns the number of kernels the memo holds, one per distinct kernel
@@ -115,7 +111,7 @@ func memoKey(buf []byte, name, key string) []byte {
 func (c *CachingSynthesizer) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.cache)
+	return len(c.memo)
 }
 
 // Stats returns the memo's cumulative hit and miss counts.

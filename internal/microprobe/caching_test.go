@@ -75,11 +75,11 @@ func TestCachingSynthesizerDedupesEvalTimeKnobs(t *testing.T) {
 	}
 
 	c := NewCachingSynthesizer(Options{LoopSize: 120, Seed: 3})
-	pA, err := c.SynthesizeSettings("dvfs", cfgA.Settings())
+	pA, err := c.Synthesize("dvfs", cfgA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pB, err := c.SynthesizeSettings("dvfs", cfgB.Settings())
+	pB, err := c.Synthesize("dvfs", cfgB)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 // ADD-only profile: every memory, branch and duty knob at its default.
 func aluSettings() knobs.Settings {
 	set := knobs.InstructionOnlySpace().MidConfig().Settings()
-	set.InstrWeights = map[isa.Opcode]float64{isa.ADD: 1}
+	set.Profile = knobs.NewProfile(map[isa.Opcode]float64{isa.ADD: 1})
 	return set
 }
 
@@ -72,7 +72,7 @@ func TestReserveRegistersPass(t *testing.T) {
 
 func TestSetInstructionTypeByProfilePass(t *testing.T) {
 	b := newBuilder("t")
-	profile := map[isa.Opcode]float64{isa.ADD: 5, isa.LD: 3, isa.SD: 2}
+	profile := knobs.NewProfile(map[isa.Opcode]float64{isa.ADD: 5, isa.LD: 3, isa.SD: 2})
 	err := b.Apply(
 		SimpleBuildingBlockPass{LoopSize: 101},
 		SetInstructionTypeByProfilePass{Profile: profile},
@@ -109,18 +109,18 @@ func TestSetInstructionTypeByProfilePass(t *testing.T) {
 
 func TestSetInstructionTypeByProfileErrors(t *testing.T) {
 	b := newBuilder("t")
-	if err := b.Apply(SetInstructionTypeByProfilePass{Profile: map[isa.Opcode]float64{isa.ADD: 1}}); err == nil {
+	if err := b.Apply(SetInstructionTypeByProfilePass{Profile: knobs.NewProfile(map[isa.Opcode]float64{isa.ADD: 1})}); err == nil {
 		t.Error("profile pass before building block should fail")
 	}
 	b2 := newBuilder("t2")
 	_ = b2.Apply(SimpleBuildingBlockPass{LoopSize: 10})
-	if err := b2.Apply(SetInstructionTypeByProfilePass{Profile: nil}); err == nil {
+	if err := b2.Apply(SetInstructionTypeByProfilePass{}); err == nil {
 		t.Error("empty profile should fail")
 	}
-	if err := b2.Apply(SetInstructionTypeByProfilePass{Profile: map[isa.Opcode]float64{isa.ADD: -1}}); err == nil {
+	if err := b2.Apply(SetInstructionTypeByProfilePass{Profile: knobs.NewProfile(map[isa.Opcode]float64{isa.ADD: -1})}); err == nil {
 		t.Error("negative weight should fail")
 	}
-	if err := b2.Apply(SetInstructionTypeByProfilePass{Profile: map[isa.Opcode]float64{isa.ADD: 0}}); err == nil {
+	if err := b2.Apply(SetInstructionTypeByProfilePass{Profile: knobs.NewProfile(map[isa.Opcode]float64{isa.ADD: 0})}); err == nil {
 		t.Error("zero total weight should fail")
 	}
 }
@@ -129,7 +129,7 @@ func TestRandomizeByTypePass(t *testing.T) {
 	b := newBuilder("t")
 	err := b.Apply(
 		SimpleBuildingBlockPass{LoopSize: 51},
-		SetInstructionTypeByProfilePass{Profile: map[isa.Opcode]float64{isa.BEQ: 1, isa.ADD: 1}},
+		SetInstructionTypeByProfilePass{Profile: knobs.NewProfile(map[isa.Opcode]float64{isa.BEQ: 1, isa.ADD: 1})},
 		RandomizeByTypePass{Probability: 0.4},
 	)
 	if err != nil {
@@ -153,7 +153,7 @@ func TestGenericMemoryStreamsPass(t *testing.T) {
 	b := newBuilder("t")
 	err := b.Apply(
 		SimpleBuildingBlockPass{LoopSize: 101},
-		SetInstructionTypeByProfilePass{Profile: map[isa.Opcode]float64{isa.LD: 1, isa.SD: 1}},
+		SetInstructionTypeByProfilePass{Profile: knobs.NewProfile(map[isa.Opcode]float64{isa.LD: 1, isa.SD: 1})},
 		GenericMemoryStreamsPass{Streams: []StreamSpec{
 			{FootprintBytes: 4096, Ratio: 0.75, StrideBytes: 8},
 			{FootprintBytes: 65536, Ratio: 0.25, StrideBytes: 64},
@@ -212,7 +212,7 @@ func TestDefaultRegisterAllocationDependencyDistance(t *testing.T) {
 		err := b.Apply(
 			SimpleBuildingBlockPass{LoopSize: 41},
 			ReserveRegistersPass{Regs: isa.DefaultReserved()},
-			SetInstructionTypeByProfilePass{Profile: map[isa.Opcode]float64{isa.ADD: 1}},
+			SetInstructionTypeByProfilePass{Profile: knobs.NewProfile(map[isa.Opcode]float64{isa.ADD: 1})},
 			DefaultRegisterAllocationPass{DepDist: dd},
 		)
 		if err != nil {
@@ -254,7 +254,7 @@ func TestUpdateInstructionAddressesRequiresStreams(t *testing.T) {
 	b := newBuilder("t")
 	_ = b.Apply(
 		SimpleBuildingBlockPass{LoopSize: 11},
-		SetInstructionTypeByProfilePass{Profile: map[isa.Opcode]float64{isa.LD: 1}},
+		SetInstructionTypeByProfilePass{Profile: knobs.NewProfile(map[isa.Opcode]float64{isa.LD: 1})},
 	)
 	if err := (UpdateInstructionAddressesPass{}).Apply(b); err == nil {
 		t.Error("address pass without streams should fail")

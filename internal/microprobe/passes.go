@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"micrograd/internal/isa"
+	"micrograd/internal/knobs"
 	"micrograd/internal/program"
 )
 
@@ -76,8 +77,8 @@ func (p ReserveRegistersPass) Apply(b *Builder) error {
 // spread evenly through the body (weighted round-robin placement) so that
 // functional-unit pressure is uniform across the loop rather than clustered.
 type SetInstructionTypeByProfilePass struct {
-	// Profile maps opcodes to relative weights. Weights need not sum to 1.
-	Profile map[isa.Opcode]float64
+	// Profile holds the opcodes' relative weights. Weights need not sum to 1.
+	Profile knobs.Profile
 }
 
 // Name implements Pass.
@@ -88,15 +89,14 @@ func (p SetInstructionTypeByProfilePass) Apply(b *Builder) error {
 	if len(b.prog.Instructions) == 0 {
 		return fmt.Errorf("building block not created yet")
 	}
-	if len(p.Profile) == 0 {
+	if p.Profile.Len() == 0 {
 		return fmt.Errorf("empty instruction profile")
 	}
+	// All yields ascending opcodes, the order the placement below breaks
+	// ties in.
 	entries := b.entries[:0]
 	total := 0.0
-	for op, w := range p.Profile {
-		if !op.Valid() {
-			return fmt.Errorf("invalid opcode %d in profile", op)
-		}
+	for op, w := range p.Profile.All() {
 		if w < 0 {
 			return fmt.Errorf("negative weight %v for %v", w, op)
 		}
@@ -110,7 +110,6 @@ func (p SetInstructionTypeByProfilePass) Apply(b *Builder) error {
 	if total == 0 {
 		return fmt.Errorf("instruction profile has zero total weight")
 	}
-	slices.SortFunc(entries, func(a, c profileEntry) int { return cmp.Compare(a.op, c.op) })
 
 	body := len(b.prog.Instructions) - 1 // excluding the loop-closing branch
 	// Largest-remainder apportionment of body slots to opcodes.

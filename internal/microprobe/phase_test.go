@@ -1,6 +1,10 @@
 package microprobe
 
 import (
+	"bytes"
+	"fmt"
+	"io"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -12,7 +16,7 @@ import (
 // phaseSettings returns duty-cycled settings with the given rotation.
 func phaseSettings(offset int) knobs.Settings {
 	set := aluSettings()
-	set.InstrWeights = map[isa.Opcode]float64{isa.ADD: 5, isa.FMULD: 5}
+	set.Profile = knobs.NewProfile(map[isa.Opcode]float64{isa.ADD: 5, isa.FMULD: 5})
 	set.DutyCycle = 0.5
 	set.BurstLen = 64
 	set.PhaseOffset = offset
@@ -156,5 +160,67 @@ func TestPhaseRotateMovesNotes(t *testing.T) {
 	}
 	if p.Instructions[1].Op != isa.ADD {
 		t.Errorf("commented instruction moved to slot 1 without its opcode: %v", p.Instructions[1].Op)
+	}
+}
+
+// sameKernel fails the test unless got and want are the same kernel under
+// reflect.DeepEqual and emit the same assembly and C.
+func sameKernel(t *testing.T, what string, got, want *program.Program) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: kernel differs from direct synthesis", what)
+	}
+	for _, emit := range []func(*program.Program, io.Writer) error{
+		(*program.Program).EmitAssembly, (*program.Program).EmitC,
+	} {
+		var g, w bytes.Buffer
+		if err := emit(got, &g); err != nil {
+			t.Fatal(err)
+		}
+		if err := emit(want, &w); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g.Bytes(), w.Bytes()) {
+			t.Fatalf("%s: emitted kernel differs from direct synthesis", what)
+		}
+	}
+}
+
+// TestSynthesizeCoreMatchesSynthesizeSettings checks that a core kernel
+// deriveCore derives from its shape's base is the kernel the whole
+// pipeline builds, for offsets of 0, inside the body, at and above its
+// length, with the base built by the call itself or handed in from an
+// earlier core.
+func TestSynthesizeCoreMatchesSynthesizeSettings(t *testing.T) {
+	// Memory instructions, whose address offsets depend on their order in
+	// the body, and branches besides the duty-cycled ALU work.
+	settings := func(offset int) knobs.Settings {
+		set := phaseSettings(offset)
+		set.Profile = knobs.NewProfile(map[isa.Opcode]float64{isa.ADD: 4, isa.FMULD: 2, isa.LD: 2, isa.SD: 1, isa.BNE: 1})
+		return set
+	}
+	for _, loopSize := range []int{100, 257} {
+		syn := NewSynthesizer(Options{LoopSize: loopSize, Seed: 3})
+		body := loopSize - 1
+		var base *program.Program
+		for _, off := range []int{0, 1, 96, body - 1, body, body + 1, 2*body + 7, 1000} {
+			want, err := syn.SynthesizeSettings("core", settings(off))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, _, err := syn.deriveCore("core", settings(off), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameKernel(t, fmt.Sprintf("loop %d offset %d, own base", loopSize, off), fresh, want)
+			var got *program.Program
+			if got, base, err = syn.deriveCore("core", settings(off), base); err != nil {
+				t.Fatal(err)
+			}
+			sameKernel(t, fmt.Sprintf("loop %d offset %d, shared base", loopSize, off), got, want)
+		}
+	}
+	if _, _, err := NewSynthesizer(Options{}).deriveCore("bad", settings(-1), nil); err == nil {
+		t.Error("negative phase offset should be rejected")
 	}
 }

@@ -2,7 +2,9 @@ package microprobe
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -106,7 +108,7 @@ func (s *Synthesizer) SynthesizeSettings(name string, set knobs.Settings) (*prog
 	sc := scratchPool.Get().(*synthScratch)
 	defer func() {
 		// Drop the references into the caller's data before pooling.
-		sc.b.prog, sc.profile.Profile = nil, nil
+		sc.b.prog = nil
 		scratchPool.Put(sc)
 	}()
 	sc.rng.Seed(s.opts.Seed)
@@ -126,7 +128,7 @@ func (s *Synthesizer) SynthesizeSettings(name string, set knobs.Settings) (*prog
 	}
 
 	sc.block.LoopSize = s.opts.LoopSize
-	sc.profile.Profile = set.InstrWeights
+	sc.profile.Profile = set.Profile
 	sc.branches.Probability = set.BranchRandomRatio
 	sc.memory.Streams = sc.streams[:]
 	sc.regAlloc.DepDist = set.RegDist
@@ -164,6 +166,105 @@ func (s *Synthesizer) SynthesizeSettings(name string, set knobs.Settings) (*prog
 		p.Meta["phase_offset"] = strconv.Itoa(set.PhaseOffset)
 	}
 	return p, nil
+}
+
+// SynthesizeCores fills progs, one entry per core, with the kernels of a
+// co-run configuration: cfg's shared kernel shape, core i's kernel named
+// names[i] and its burst schedule rotated by its PHASE_OFFSET_<i> knob.
+// Core i's kernel is SynthesizeSettings(names[i], coreSettings(cfg, set, i)),
+// but with two or more cores the pass pipeline runs once, for the shape,
+// and each core's kernel derives from it (see deriveCore).
+func (s *Synthesizer) SynthesizeCores(progs []*program.Program, names []string, cfg knobs.Config) error {
+	clear(progs)
+	return s.buildCores(progs, names, cfg, cfg.Settings(), len(progs), nil)
+}
+
+// coreSettings returns core i's settings in a co-run configuration cfg:
+// the shared settings set, rotated by the core's PHASE_OFFSET_<i> knob.
+func coreSettings(cfg knobs.Config, set knobs.Settings, i int) knobs.Settings {
+	if off, ok := cfg.ValueByName(knobs.PhaseOffsetName(i)); ok {
+		set.PhaseOffset = int(off)
+	}
+	return set
+}
+
+// buildCores synthesizes the nil entries of progs, misses in number, for
+// the co-run configuration cfg whose shared settings are set. A single
+// miss runs the whole pipeline for its core; several derive from one run
+// for their shape. With memo set, every kernel built is memoized.
+func (s *Synthesizer) buildCores(progs []*program.Program, names []string, cfg knobs.Config, set knobs.Settings, misses int, memo *CachingSynthesizer) error {
+	var base *program.Program
+	for i, p := range progs {
+		if p != nil {
+			continue
+		}
+		coreSet := coreSettings(cfg, set, i)
+		var err error
+		if misses == 1 {
+			p, err = s.SynthesizeSettings(names[i], coreSet)
+		} else {
+			p, base, err = s.deriveCore(names[i], coreSet, base)
+		}
+		if err != nil {
+			return fmt.Errorf("microprobe: synthesizing core %d kernel: %w", i, err)
+		}
+		if memo != nil {
+			var buf [memoKeyBuf]byte
+			memo.remember(memoKey(buf[:0], names[i], &coreSet), p)
+		}
+		progs[i] = p
+	}
+	return nil
+}
+
+// deriveCore generates one kernel of a co-run whose cores share one kernel
+// shape and differ only in set.PhaseOffset: the kernel
+// SynthesizeSettings(name, set) returns, built without re-running the pass
+// pipeline. base is the shape's unrotated kernel, or nil when no core has
+// built it yet; deriveCore then synthesizes it with PhaseOffset 0, and a
+// core at offset 0 gets that base itself. Any other core's kernel is a copy
+// of base under name with PhaseRotatePass and
+// UpdateInstructionAddressesPass applied. It returns the core's kernel and
+// the base for the next core of the same shape.
+func (s *Synthesizer) deriveCore(name string, set knobs.Settings, base *program.Program) (*program.Program, *program.Program, error) {
+	if err := set.Validate(); err != nil {
+		return nil, base, fmt.Errorf("microprobe: invalid settings: %w", err)
+	}
+	if base == nil {
+		shape := set
+		shape.PhaseOffset = 0
+		var err error
+		if base, err = s.SynthesizeSettings(name, shape); err != nil {
+			return nil, nil, err
+		}
+		if set.PhaseOffset == 0 {
+			return base, base, nil
+		}
+	}
+	p := &program.Program{
+		Name:         name,
+		Instructions: slices.Clone(base.Instructions),
+		Streams:      slices.Clone(base.Streams),
+		Patterns:     slices.Clone(base.Patterns),
+		Notes:        slices.Clone(base.Notes),
+		CodeBase:     base.CodeBase,
+		DataBase:     base.DataBase,
+		Meta:         maps.Clone(base.Meta),
+	}
+	if set.PhaseOffset > 0 {
+		p.Meta["phase_offset"] = strconv.Itoa(set.PhaseOffset)
+	}
+	sc := scratchPool.Get().(*synthScratch)
+	defer func() {
+		sc.b.prog = nil
+		scratchPool.Put(sc)
+	}()
+	sc.b.prog = p
+	sc.rotate.OffsetInstrs = set.PhaseOffset
+	if err := sc.b.Apply(&sc.rotate, &sc.addrs); err != nil {
+		return nil, base, err
+	}
+	return p, base, nil
 }
 
 // temporalHotRatio maps the MEM_TEMP1 knob (1..512, "how many accesses

@@ -332,7 +332,7 @@ func (c *CoRunPlatform) SynthesizeCoRun(name string, cfg knobs.Config, syn *micr
 	progs := make([]*program.Program, len(c.sims))
 	names := make([]string, len(c.sims))
 	platform.CoreKernelNames(names, name)
-	if err := platform.SynthesizeCores(progs, names, cfg, syn); err != nil {
+	if err := syn.SynthesizeCores(progs, names, cfg); err != nil {
 		return nil, err
 	}
 	return progs, nil

@@ -72,10 +72,25 @@ func NewEvalKeyer(identity string, synth microprobe.Options, base EvalOptions) E
 	return EvalKeyer{prefix: hex.EncodeToString(sum[:]), base: base}
 }
 
+// appendHead appends the key head of an n-instruction window,
+// "<prefix>|n<n>|", to b.
+func (k EvalKeyer) appendHead(b []byte, n int) []byte {
+	b = append(append(b, k.prefix...), "|n"...)
+	return append(strconv.AppendInt(b, int64(n), 10), '|')
+}
+
 // Key returns the content-addressed key of evaluating cfg at the given
-// fidelity (values outside (0,1) mean full fidelity).
+// fidelity (values outside (0,1) mean full fidelity),
+// "<prefix>|n<window>|<cfg.Key()>". The returned string is its only
+// allocation.
 func (k EvalKeyer) Key(cfg knobs.Config, fidelity float64) string {
 	o := k.base
 	o.Fidelity = fidelity
-	return k.prefix + "|n" + strconv.Itoa(o.EffectiveInstructions()) + "|" + cfg.Key()
+	var buf [keyBuf]byte
+	return string(append(k.appendHead(buf[:0], o.EffectiveInstructions()), cfg.Key()...))
 }
+
+// keyBuf is the stack buffer size a key is built in: the
+// 64-digit prefix, the window and a configuration key of up to about 150
+// bytes. Longer keys spill to the heap.
+const keyBuf = 256

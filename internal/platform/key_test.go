@@ -107,3 +107,30 @@ func TestEffectiveInstructions(t *testing.T) {
 		}
 	}
 }
+
+// TestEvalKeyerKeyPinned pins whole key strings, recorded before keys were
+// built from a precomputed head, at full fidelity and at two reduced ones
+// (the second floored at MinFidelityInstructions): a shared or disk cache
+// filled by an earlier build keeps serving its entries.
+func TestEvalKeyerKeyPinned(t *testing.T) {
+	const prefix = "3f3610ae026e66b442c48e9c0e407074a4706cd58f9f35e26334124c313de899"
+	k := NewEvalKeyer("sim|pinned", microprobe.Options{LoopSize: 500, Seed: 3},
+		EvalOptions{DynamicInstructions: 40000, Seed: 3, CollectPower: true})
+	for _, tc := range []struct {
+		cfg      knobs.Config
+		cfgKey   string
+		fidelity float64
+		window   string
+	}{
+		{knobs.StressSpace().MidConfig(), "5,5,5,5,5,5,5,5,5,5,5", 1, "40000"},
+		{knobs.StressSpace().MidConfig(), "5,5,5,5,5,5,5,5,5,5,5", 0.25, "10000"},
+		{knobs.StressSpace().MidConfig(), "5,5,5,5,5,5,5,5,5,5,5", 0.01, "2000"},
+		{knobs.SpatialStressSpace(4).MidConfig(), "5,5,5,5,5,5,5,5,5,5,5,5,5,12,12,12,12", 1, "40000"},
+		{knobs.SpatialStressSpace(4).MidConfig(), "5,5,5,5,5,5,5,5,5,5,5,5,5,12,12,12,12", 0.25, "10000"},
+	} {
+		want := prefix + "|n" + tc.window + "|" + tc.cfgKey
+		if got := k.Key(tc.cfg, tc.fidelity); got != want {
+			t.Errorf("Key(%s, %v) = %q, want %q", tc.cfgKey, tc.fidelity, got, want)
+		}
+	}
+}

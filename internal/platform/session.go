@@ -3,7 +3,6 @@ package platform
 import (
 	"fmt"
 
-	"micrograd/internal/knobs"
 	"micrograd/internal/microprobe"
 	"micrograd/internal/program"
 )
@@ -57,7 +56,7 @@ func (s *EvalSession) Evaluate(req EvalRequest) (EvalResponse, error) {
 // synthesize fills req.Programs (and, on multi-core platforms, missing
 // FreqOverrides) from req.Config. Single-core platforms get one kernel named
 // req.Name from the shared settings; multi-core platforms get one kernel per
-// core from SynthesizeCores.
+// core from microprobe.CachingSynthesizer.SynthesizeCores.
 func (s *EvalSession) synthesize(req *EvalRequest) error {
 	n := s.plat.NumCores()
 	if cap(s.progs) < n {
@@ -77,7 +76,7 @@ func (s *EvalSession) synthesize(req *EvalRequest) error {
 		s.names, s.namesOf = make([]string, n), req.Name
 		CoreKernelNames(s.names, req.Name)
 	}
-	if err := SynthesizeCores(progs, s.names, req.Config, s.syn); err != nil {
+	if err := s.syn.SynthesizeCores(progs, s.names, req.Config); err != nil {
 		return err
 	}
 	req.Programs = progs
@@ -93,27 +92,4 @@ func CoreKernelNames(names []string, name string) {
 	for i := range names {
 		names[i] = fmt.Sprintf("%s-core%d", name, i)
 	}
-}
-
-// SynthesizeCores fills progs, one entry per core, with the kernels of a
-// co-run configuration: cfg's shared kernel shape, core i's kernel named
-// names[i] (see CoreKernelNames) and its burst schedule rotated by its
-// PHASE_OFFSET_<i> knob. The caller owns progs and names, so a session
-// reuses them across evaluations.
-func SynthesizeCores(progs []*program.Program, names []string, cfg knobs.Config, syn interface {
-	SynthesizeSettings(name string, set knobs.Settings) (*program.Program, error)
-}) error {
-	set := cfg.Settings()
-	for i := range progs {
-		coreSet := set
-		if off, ok := cfg.ValueByName(knobs.PhaseOffsetName(i)); ok {
-			coreSet.PhaseOffset = int(off)
-		}
-		p, err := syn.SynthesizeSettings(names[i], coreSet)
-		if err != nil {
-			return fmt.Errorf("platform: synthesizing core %d kernel: %w", i, err)
-		}
-		progs[i] = p
-	}
-	return nil
 }

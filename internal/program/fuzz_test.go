@@ -14,12 +14,12 @@ import (
 // target exercises the validation boundary too.
 func fuzzSettings(regDist, memKB, stride, temp1, temp2 uint8, branch, duty float64, burst uint8, addW, fpW, memW uint8) knobs.Settings {
 	return knobs.Settings{
-		InstrWeights: map[isa.Opcode]float64{
+		Profile: knobs.NewProfile(map[isa.Opcode]float64{
 			isa.ADD:   float64(addW),
 			isa.FMULD: float64(fpW),
 			isa.LD:    float64(memW),
 			isa.BNE:   1,
-		},
+		}),
 		RegDist:           int(regDist),
 		MemFootprintKB:    int(memKB),
 		MemStrideB:        int(stride),

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"micrograd/internal/evalcache"
 	"micrograd/internal/knobs"
 	"micrograd/internal/metrics"
 	"micrograd/internal/sched"
@@ -266,7 +267,8 @@ func TestMemoizingEvaluatorConcurrentDistinct(t *testing.T) {
 func TestMemoizingEvaluatorBatchDedup(t *testing.T) {
 	space := parallelTestSpace(t)
 	eval, calls := countingEval(bumpyEval)
-	memo := NewSharedMemoizingEvaluator(eval, nil, sharedKeyer)
+	group := evalcache.NewGroup(nil)
+	memo := NewSharedMemoizingEvaluator(eval, group, sharedKeyer)
 
 	a := space.MidConfig()
 	b := a.Step(0, 1)
@@ -278,6 +280,17 @@ func TestMemoizingEvaluatorBatchDedup(t *testing.T) {
 	}
 	if calls.Load() != 3 {
 		t.Errorf("inner evaluations = %d, want 3 (batch dedup)", calls.Load())
+	}
+	// A duplicate of a key the batch evaluates itself waits on the batch's
+	// own flight without a cache lookup, so the group counts no hit for it.
+	if hits, misses := group.Stats(); hits != 0 || misses != 3 {
+		t.Errorf("group stats = %d hits / %d misses, want 0 / 3", hits, misses)
+	}
+	// Every slot owns its vector, duplicates included.
+	for _, dup := range [][2]int{{0, 2}, {0, 5}, {2, 5}, {1, 4}} {
+		if reflect.ValueOf(out[dup[0]]).UnsafePointer() == reflect.ValueOf(out[dup[1]]).UnsafePointer() {
+			t.Errorf("slots %d and %d share one metric vector", dup[0], dup[1])
+		}
 	}
 	for i, cfg := range batch {
 		want, _ := bumpyEval(cfg)

@@ -139,15 +139,6 @@ func (b Benchmark) PhaseReferences(plat platform.Platform, opts platform.EvalOpt
 	return out, nil
 }
 
-// weights builds an instruction-weight map in one line per call site.
-func weights(pairs ...any) map[isa.Opcode]float64 {
-	m := make(map[isa.Opcode]float64, len(pairs)/2)
-	for i := 0; i+1 < len(pairs); i += 2 {
-		m[pairs[i].(isa.Opcode)] = pairs[i+1].(float64)
-	}
-	return m
-}
-
 // SPECInt2006 returns the 8 reference applications standing in for the
 // paper's SPEC INT CPU2006 subset (astar, bzip2, gcc, hmmer, libquantum,
 // mcf, sjeng, xalancbmk). Profiles follow published characterizations: the
@@ -162,8 +153,9 @@ func SPECInt2006() []Benchmark {
 			Phases: []Phase{{
 				Name: "steady", Weight: 1, LoopSize: 900, Seed: 101,
 				Settings: knobs.Settings{
-					InstrWeights: weights(isa.ADD, 28.0, isa.SUB, 9.0, isa.MUL, 3.0, isa.SLL, 4.0,
-						isa.BEQ, 7.0, isa.BNE, 9.0, isa.LD, 22.0, isa.LW, 8.0, isa.SD, 6.0, isa.SW, 4.0),
+					Profile: knobs.NewProfile(map[isa.Opcode]float64{isa.ADD: 28, isa.SUB: 9,
+						isa.MUL: 3, isa.SLL: 4, isa.BEQ: 7, isa.BNE: 9, isa.LD: 22, isa.LW: 8,
+						isa.SD: 6, isa.SW: 4}),
 					RegDist: 4, MemFootprintKB: 384, MemStrideB: 24,
 					MemTemp1: 16, MemTemp2: 6, BranchRandomRatio: 0.42,
 				},
@@ -175,8 +167,9 @@ func SPECInt2006() []Benchmark {
 			Phases: []Phase{{
 				Name: "steady", Weight: 1, LoopSize: 700, Seed: 102,
 				Settings: knobs.Settings{
-					InstrWeights: weights(isa.ADD, 26.0, isa.SUB, 8.0, isa.AND, 6.0, isa.OR, 5.0, isa.SLL, 7.0, isa.SRL, 6.0,
-						isa.BEQ, 5.0, isa.BNE, 7.0, isa.LD, 12.0, isa.LW, 9.0, isa.SD, 5.0, isa.SW, 6.0),
+					Profile: knobs.NewProfile(map[isa.Opcode]float64{isa.ADD: 26, isa.SUB: 8,
+						isa.AND: 6, isa.OR: 5, isa.SLL: 7, isa.SRL: 6, isa.BEQ: 5, isa.BNE: 7,
+						isa.LD: 12, isa.LW: 9, isa.SD: 5, isa.SW: 6}),
 					RegDist: 5, MemFootprintKB: 96, MemStrideB: 8,
 					MemTemp1: 64, MemTemp2: 3, BranchRandomRatio: 0.22,
 				},
@@ -189,8 +182,9 @@ func SPECInt2006() []Benchmark {
 				{
 					Name: "parse", Weight: 0.6, LoopSize: 4200, Seed: 103,
 					Settings: knobs.Settings{
-						InstrWeights: weights(isa.ADD, 22.0, isa.SUB, 6.0, isa.AND, 4.0, isa.XOR, 3.0,
-							isa.BEQ, 10.0, isa.BNE, 10.0, isa.LD, 18.0, isa.LW, 7.0, isa.SD, 11.0, isa.SW, 6.0),
+						Profile: knobs.NewProfile(map[isa.Opcode]float64{isa.ADD: 22, isa.SUB: 6,
+							isa.AND: 4, isa.XOR: 3, isa.BEQ: 10, isa.BNE: 10, isa.LD: 18, isa.LW: 7,
+							isa.SD: 11, isa.SW: 6}),
 						RegDist: 3, MemFootprintKB: 768, MemStrideB: 32,
 						MemTemp1: 8, MemTemp2: 5, BranchRandomRatio: 0.5,
 					},
@@ -198,8 +192,9 @@ func SPECInt2006() []Benchmark {
 				{
 					Name: "optimize", Weight: 0.4, LoopSize: 3600, Seed: 113,
 					Settings: knobs.Settings{
-						InstrWeights: weights(isa.ADD, 25.0, isa.SUB, 7.0, isa.SLL, 4.0,
-							isa.BEQ, 9.0, isa.BNE, 9.0, isa.LD, 16.0, isa.LW, 8.0, isa.SD, 9.0, isa.SW, 5.0),
+						Profile: knobs.NewProfile(map[isa.Opcode]float64{isa.ADD: 25, isa.SUB: 7,
+							isa.SLL: 4, isa.BEQ: 9, isa.BNE: 9, isa.LD: 16, isa.LW: 8, isa.SD: 9,
+							isa.SW: 5}),
 						RegDist: 4, MemFootprintKB: 512, MemStrideB: 24,
 						MemTemp1: 16, MemTemp2: 4, BranchRandomRatio: 0.45,
 					},
@@ -212,8 +207,9 @@ func SPECInt2006() []Benchmark {
 			Phases: []Phase{{
 				Name: "steady", Weight: 1, LoopSize: 600, Seed: 104,
 				Settings: knobs.Settings{
-					InstrWeights: weights(isa.ADD, 34.0, isa.SUB, 6.0, isa.MUL, 5.0,
-						isa.BEQ, 3.0, isa.BNE, 4.0, isa.LD, 24.0, isa.LW, 12.0, isa.SD, 7.0, isa.SW, 5.0),
+					Profile: knobs.NewProfile(map[isa.Opcode]float64{isa.ADD: 34, isa.SUB: 6,
+						isa.MUL: 5, isa.BEQ: 3, isa.BNE: 4, isa.LD: 24, isa.LW: 12, isa.SD: 7,
+						isa.SW: 5}),
 					RegDist: 8, MemFootprintKB: 48, MemStrideB: 8,
 					MemTemp1: 128, MemTemp2: 2, BranchRandomRatio: 0.08,
 				},
@@ -225,8 +221,9 @@ func SPECInt2006() []Benchmark {
 			Phases: []Phase{{
 				Name: "steady", Weight: 1, LoopSize: 500, Seed: 105,
 				Settings: knobs.Settings{
-					InstrWeights: weights(isa.ADD, 22.0, isa.AND, 6.0, isa.XOR, 5.0, isa.SLL, 4.0,
-						isa.BEQ, 4.0, isa.BNE, 6.0, isa.LD, 26.0, isa.LW, 6.0, isa.SD, 14.0, isa.SW, 7.0),
+					Profile: knobs.NewProfile(map[isa.Opcode]float64{isa.ADD: 22, isa.AND: 6,
+						isa.XOR: 5, isa.SLL: 4, isa.BEQ: 4, isa.BNE: 6, isa.LD: 26, isa.LW: 6,
+						isa.SD: 14, isa.SW: 7}),
 					RegDist: 7, MemFootprintKB: 2048, MemStrideB: 16,
 					MemTemp1: 2, MemTemp2: 9, BranchRandomRatio: 0.05,
 				},
@@ -238,8 +235,8 @@ func SPECInt2006() []Benchmark {
 			Phases: []Phase{{
 				Name: "steady", Weight: 1, LoopSize: 800, Seed: 106,
 				Settings: knobs.Settings{
-					InstrWeights: weights(isa.ADD, 20.0, isa.SUB, 7.0,
-						isa.BEQ, 8.0, isa.BNE, 9.0, isa.LD, 30.0, isa.LW, 8.0, isa.SD, 8.0, isa.SW, 4.0),
+					Profile: knobs.NewProfile(map[isa.Opcode]float64{isa.ADD: 20, isa.SUB: 7,
+						isa.BEQ: 8, isa.BNE: 9, isa.LD: 30, isa.LW: 8, isa.SD: 8, isa.SW: 4}),
 					RegDist: 2, MemFootprintKB: 1536, MemStrideB: 56,
 					MemTemp1: 4, MemTemp2: 8, BranchRandomRatio: 0.38,
 				},
@@ -251,8 +248,9 @@ func SPECInt2006() []Benchmark {
 			Phases: []Phase{{
 				Name: "steady", Weight: 1, LoopSize: 1100, Seed: 107,
 				Settings: knobs.Settings{
-					InstrWeights: weights(isa.ADD, 24.0, isa.SUB, 6.0, isa.AND, 7.0, isa.OR, 4.0, isa.SLL, 5.0,
-						isa.BEQ, 11.0, isa.BNE, 12.0, isa.LD, 14.0, isa.LW, 6.0, isa.SD, 5.0, isa.SW, 4.0),
+					Profile: knobs.NewProfile(map[isa.Opcode]float64{isa.ADD: 24, isa.SUB: 6,
+						isa.AND: 7, isa.OR: 4, isa.SLL: 5, isa.BEQ: 11, isa.BNE: 12, isa.LD: 14,
+						isa.LW: 6, isa.SD: 5, isa.SW: 4}),
 					RegDist: 4, MemFootprintKB: 192, MemStrideB: 16,
 					MemTemp1: 32, MemTemp2: 4, BranchRandomRatio: 0.62,
 				},
@@ -264,8 +262,9 @@ func SPECInt2006() []Benchmark {
 			Phases: []Phase{{
 				Name: "steady", Weight: 1, LoopSize: 5200, Seed: 108,
 				Settings: knobs.Settings{
-					InstrWeights: weights(isa.ADD, 21.0, isa.SUB, 5.0, isa.AND, 4.0,
-						isa.BEQ, 10.0, isa.BNE, 11.0, isa.LD, 24.0, isa.LW, 8.0, isa.SD, 8.0, isa.SW, 5.0),
+					Profile: knobs.NewProfile(map[isa.Opcode]float64{isa.ADD: 21, isa.SUB: 5,
+						isa.AND: 4, isa.BEQ: 10, isa.BNE: 11, isa.LD: 24, isa.LW: 8, isa.SD: 8,
+						isa.SW: 5}),
 					RegDist: 3, MemFootprintKB: 640, MemStrideB: 40,
 					MemTemp1: 8, MemTemp2: 6, BranchRandomRatio: 0.48,
 				},
