@@ -1,48 +1,33 @@
 // Command mgbench reproduces the paper's evaluation section: every table and
 // figure has an experiment that can be run individually or as a full suite.
+// Experiments: tableI, tableII, fig2, fig3, fig4, fig5, fig6, tableIII,
+// stresscmp, corun, dvfs, spatial, summary, all — plus tunercmp, which is not
+// part of "all" (it re-runs the spatial stress problem once per tuner).
+// -kind instead runs one stress test of any built-in kind ("spatial" and
+// "hotspot" name the two spatial kinds), and -trace dumps its tuned kernel's
+// windowed power trace as CSV (chip traces live on a nanosecond grid, so
+// their rows carry duration_ns with cycles 0).
+//
+// The chip kinds and experiments co-run -cores copies of -core on one
+// power-delivery network: dvfs also tunes per-core clocks warm-started from
+// -freqs, and the spatial ones solve a -grid RxC PDN/thermal grid with the
+// cores placed by -floorplan. Stress tuning is budget-centric: -tuner picks
+// the mechanism (for tunercmp, a comma-separated challenger list), -budget
+// caps the proposed evaluations per tuning run and -power-cap the kernels'
+// dynamic power; fig5 and fig6 ignore all three.
+//
+// The run flags are the fields of one experiments.Request, the body of an
+// mgserve job, so both front ends validate and budget a run the same way:
+// -epochs bounds the cloning and the stress epochs alike, and a negative
+// override, a halving tuner without -budget or a chip kind on one core is
+// rejected before anything runs.
 //
 //	mgbench -experiment all            # full reproduction (minutes)
 //	mgbench -experiment fig5 -quick    # one figure at reduced budget
 //	mgbench -experiment fig2 -csv out/ # also dump CSV data for plotting
-//
-// Experiments: tableI, tableII, fig2, fig3, fig4, fig5, fig6, tableIII,
-// stresscmp, corun, dvfs, spatial, summary, all — plus tunercmp, which is not
-// part of "all" (it re-runs the spatial stress problem once per tuner).
-//
-// Alternatively -kind runs a single stress test of any built-in kind
-// (perf-virus, power-virus, voltage-noise-virus, thermal-virus,
-// corun-noise-virus, dvfs-noise-virus, spatial-noise-virus,
-// hotspot-migration-virus — the last two also answer to "spatial" and
-// "hotspot") on the core selected with -core, and -trace dumps the tuned
-// kernel's windowed power trace as CSV
-// (window,cycles,time_ns,duration_ns,energy_pj,power_w; chip-level traces
-// live on a nanosecond grid, so their rows carry duration_ns with cycles 0). The corun
-// kind and experiment co-run -cores copies of the core on a shared
-// power-delivery network and tune the chip-level droop; the dvfs kind and
-// experiment additionally tune per-core clocks, warm-started from -freqs,
-// and compare against the homogeneous fixed-clock baseline. The spatial
-// kinds and experiment evaluate the chip on a -grid RxC spatial PDN/thermal
-// grid with cores placed by -floorplan ("row,col" per core; default
-// round-robin), emit per-node droop/temperature metrics, and the spatial
-// experiment compares against the spatially-oblivious co-run virus
-// re-scored on the same grid:
-//
-// Stress tuning is budget-centric: -tuner picks the search mechanism (gd,
-// ga, annealing, random, bruteforce, cmaes, halving-gd, halving-cmaes),
-// -budget caps the proposed evaluations per tuning run, and -power-cap
-// constrains the search to kernels under a dynamic power cap. These three
-// apply to -kind
-// and to the stresscmp, corun, dvfs, spatial and tunercmp experiments; fig5
-// and fig6 ignore them, because they compare fixed GD and GA runs with the
-// uncapped brute-force reference. The tunercmp experiment
-// pits a comma-separated -tuner challenger list against the gradient-descent
-// baseline at an equal budget on the spatial-grid chip problem:
-//
 //	mgbench -kind voltage-noise-virus -quick -core small -trace trace.csv
-//	mgbench -kind corun-noise-virus -quick -core small -cores 2
 //	mgbench -experiment dvfs -quick -core small -freqs 2.0,1.2
-//	mgbench -kind spatial -quick -core small -cores 4 -grid 2x2
-//	mgbench -experiment spatial -quick -core small -cores 4 -grid 2x2 -floorplan "0,0;0,0;1,1;1,1"
+//	mgbench -kind spatial -quick -core small -cores 4 -grid 2x2 -floorplan "0,0;0,0;1,1;1,1"
 //	mgbench -kind power-virus -quick -core small -tuner cmaes -budget 200 -power-cap 30
 //	mgbench -experiment tunercmp -quick -core small -cores 4 -grid 2x2 -tuner cmaes,halving-cmaes
 package main
@@ -52,7 +37,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -62,7 +46,6 @@ import (
 
 	"micrograd/internal/experiments"
 	"micrograd/internal/metrics"
-	"micrograd/internal/multicore"
 	"micrograd/internal/report"
 	"micrograd/internal/stress"
 )
@@ -75,111 +58,99 @@ func main() {
 }
 
 func run(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("mgbench", flag.ContinueOnError)
-	var (
-		experiment = fs.String("experiment", "all", "experiment to run: tableI, tableII, fig2, fig3, fig4, fig5, fig6, tableIII, stresscmp, corun, dvfs, spatial, tunercmp, summary, all")
-		quick      = fs.Bool("quick", false, "use the reduced quick budget (3 benchmarks, short simulations)")
-		csvDir     = fs.String("csv", "", "directory to write CSV data files into (empty = don't write)")
-		dynInstr   = fs.Int("instructions", 0, "override dynamic instructions per evaluation")
-		epochs     = fs.Int("epochs", 0, "override cloning epochs")
-		seed       = fs.Int64("seed", 0, "override random seed")
-		benchList  = fs.String("benchmarks", "", "comma-separated benchmark subset (default: all eight)")
-		parallel   = fs.Int("parallel", runtime.GOMAXPROCS(0), "worker count of the parallel evaluation engine (1 = serial; results are identical at any count)")
-		kind       = fs.String("kind", "", "run a single stress test of this kind instead of an experiment: perf-virus, power-virus, voltage-noise-virus, thermal-virus, corun-noise-virus, dvfs-noise-virus, spatial-noise-virus (alias: spatial), hotspot-migration-virus (alias: hotspot)")
-		coreName   = fs.String("core", "large", "core the -kind stress test and the corun/dvfs/spatial experiments run on: small or large")
-		cores      = fs.Int("cores", 2, "number of co-running cores of the corun/dvfs/spatial experiments and kinds")
-		freqList   = fs.String("freqs", "", "comma-separated per-core warm-start clocks in GHz for the dvfs experiment and the dvfs-noise-virus kind (e.g. 2.0,1.2; sets the core count, empty = start from the knob-space midpoint)")
-		gridDims   = fs.String("grid", "", "spatial PDN/thermal grid dimensions RxC for the spatial experiment and kinds (e.g. 2x2; empty = near-square grid sized to -cores)")
-		floorplan  = fs.String("floorplan", "", "core placement on the -grid, one row,col pair per core (e.g. \"0,0;0,1;1,0;1,1\"; empty = round-robin)")
-		tracePath  = fs.String("trace", "", "file to write the -kind kernel's windowed power trace into (CSV; empty = don't write)")
-		tunerName  = fs.String("tuner", "", "stress-tuning mechanism of -kind and the stresscmp, corun, dvfs and spatial experiments: gd, ga, annealing, random, bruteforce, cmaes, halving-gd, halving-cmaes (empty = gd; fig5/fig6 always run gd and ga); for -experiment tunercmp, a comma-separated challenger list")
-		maxEvals   = fs.Int("budget", 0, "proposed-evaluation budget per stress tuning run of -kind and the stresscmp, corun, dvfs and spatial experiments, and tunercmp's shared budget (0 = bounded by epochs only; fig5/fig6 ignore it)")
-		powerCap   = fs.Float64("power-cap", 0, "dynamic power cap in watts for the stress tuning of -kind and the stresscmp, corun, dvfs, spatial and tunercmp experiments (0 = uncapped; fig5/fig6 ignore it)")
-		memoCap    = fs.Int("memo-cap", 0, "bound each run's evaluation cache to this many entries with LRU eviction (0 = unbounded)")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-
-	budget := experiments.FullBudget()
-	if *quick {
-		budget = experiments.QuickBudget()
-	}
-	if *dynInstr > 0 {
-		budget.DynamicInstructions = *dynInstr
-	}
-	if *epochs > 0 {
-		budget.CloneEpochs = *epochs
-	}
-	if *seed != 0 {
-		budget.Seed = *seed
-	}
-	if *benchList != "" {
-		budget.Benchmarks = strings.Split(*benchList, ",")
-	}
-	if *parallel > 0 {
-		budget.Parallel = *parallel
-	}
-	if *maxEvals > 0 {
-		budget.MaxEvaluations = *maxEvals
-	}
-	if *powerCap > 0 {
-		budget.PowerCapW = *powerCap
-	}
-	if *memoCap > 0 {
-		budget.MemoCap = *memoCap
-	}
-	var challengers []string
-	if *tunerName != "" {
-		for _, name := range strings.Split(*tunerName, ",") {
-			challengers = append(challengers, strings.ToLower(strings.TrimSpace(name)))
-		}
-		if len(challengers) == 1 {
-			budget.Tuner = challengers[0]
-		} else if strings.ToLower(*experiment) != "tunercmp" {
-			return fmt.Errorf("a comma-separated -tuner list is only valid with -experiment tunercmp")
-		}
-	}
-
-	freqs, err := parseFreqs(*freqList)
+	req, opt, err := parseArgs(args)
 	if err != nil {
 		return err
 	}
-	if freqs != nil {
-		*cores = len(freqs)
-	}
-
-	rows, cols, err := parseGrid(*gridDims, *cores)
-	if err != nil {
-		return err
-	}
-	var fp *multicore.Floorplan
-	if *floorplan != "" {
-		plan, err := multicore.ParseFloorplan(*floorplan, rows, cols)
-		if err != nil {
-			return fmt.Errorf("bad -floorplan: %w", err)
-		}
-		fp = &plan
-	}
-
+	budget := req.RunBudget()
+	budget.MemoCap = opt.memoCap
+	runner := &suite{out: out, csvDir: opt.csvDir, budget: budget, req: req.Normalized()}
 	ctx := context.Background()
-	runner := &suite{out: out, csvDir: *csvDir, budget: budget, core: strings.ToLower(*coreName),
-		cores: *cores, freqs: freqs, rows: rows, cols: cols, fp: fp, tuners: challengers}
-	// -kind and -core are normalized like -experiment, so "Voltage-Noise-Virus"
-	// or "SMALL" work the same as their lower-case spellings.
-	if *kind != "" {
-		return runner.runKind(ctx, strings.ToLower(*kind), *tracePath)
+	if req.Kind != "" {
+		return runner.runKind(ctx, opt.tracePath)
 	}
-	return runner.run(ctx, strings.ToLower(*experiment))
+	return runner.run(ctx, opt.experiment)
 }
 
-// parseGrid parses the -grid dimensions ("2x2"). An empty value picks
-// multicore.DefaultGrid for the core count, so the spatial kinds work
-// without an explicit -grid.
-func parseGrid(s string, cores int) (rows, cols int, err error) {
+// options holds the flags that are not part of the run request.
+type options struct {
+	experiment, csvDir, tracePath string
+	memoCap                       int
+}
+
+// parseArgs binds the flags to a validated request and the options around
+// it. Only flag syntax lives here: case-insensitive names, the RxC grid
+// and the comma-separated lists.
+func parseArgs(args []string) (experiments.Request, options, error) {
+	fs := flag.NewFlagSet("mgbench", flag.ContinueOnError)
+	var (
+		req experiments.Request
+		opt options
+	)
+	fs.StringVar(&opt.experiment, "experiment", "all", "experiment to run: tableI, tableII, fig2, fig3, fig4, fig5, fig6, tableIII, stresscmp, corun, dvfs, spatial, tunercmp, summary, all")
+	fs.StringVar(&opt.csvDir, "csv", "", "directory to write CSV data files into (empty = don't write)")
+	fs.StringVar(&opt.tracePath, "trace", "", "file to write the -kind kernel's windowed power trace into (CSV; empty = don't write)")
+	fs.IntVar(&opt.memoCap, "memo-cap", 0, "bound each run's evaluation cache to this many entries with LRU eviction (0 = unbounded)")
+	fs.BoolVar(&req.Quick, "quick", false, "use the reduced quick budget (3 benchmarks, short simulations)")
+	fs.IntVar(&req.Instructions, "instructions", 0, "override dynamic instructions per evaluation")
+	fs.IntVar(&req.Epochs, "epochs", 0, "override the cloning and stress epoch bounds")
+	fs.Int64Var(&req.Seed, "seed", 0, "override random seed")
+	fs.IntVar(&req.Parallel, "parallel", runtime.GOMAXPROCS(0), "worker count of the parallel evaluation engine (1 = serial; results are identical at any count)")
+	fs.StringVar(&req.Kind, "kind", "", "run a single stress test of this kind instead of an experiment: perf-virus, power-virus, voltage-noise-virus, thermal-virus, corun-noise-virus, dvfs-noise-virus, spatial-noise-virus (alias: spatial), hotspot-migration-virus (alias: hotspot)")
+	fs.StringVar(&req.Core, "core", "", "core the -kind stress test and the corun/dvfs/spatial experiments run on: small or large (empty = large)")
+	fs.IntVar(&req.Cores, "cores", 0, "number of co-running cores of the corun/dvfs/spatial experiments and kinds (0 = the -freqs count, else 2)")
+	fs.StringVar(&req.Floorplan, "floorplan", "", "core placement on the -grid, one row,col pair per core (e.g. \"0,0;0,1;1,0;1,1\"; empty = round-robin)")
+	fs.IntVar(&req.Budget, "budget", 0, "proposed-evaluation budget per stress tuning run of -kind and the stresscmp, corun, dvfs and spatial experiments, and tunercmp's shared budget (0 = bounded by epochs only; fig5/fig6 ignore it)")
+	fs.Float64Var(&req.PowerCapW, "power-cap", 0, "dynamic power cap in watts for the stress tuning of -kind and the stresscmp, corun, dvfs, spatial and tunercmp experiments (0 = uncapped; fig5/fig6 ignore it)")
+	var (
+		benchList = fs.String("benchmarks", "", "comma-separated benchmark subset (default: all eight)")
+		freqList  = fs.String("freqs", "", "comma-separated per-core warm-start clocks in GHz for the dvfs experiment and the dvfs-noise-virus kind (e.g. 2.0,1.2; sets the core count, empty = start from the knob-space midpoint)")
+		gridDims  = fs.String("grid", "", "spatial PDN/thermal grid dimensions RxC for the spatial experiment and kinds (e.g. 2x2; empty = near-square grid sized to -cores)")
+		tunerName = fs.String("tuner", "", "stress-tuning mechanism of -kind and the stresscmp, corun, dvfs and spatial experiments: gd, ga, annealing, random, bruteforce, cmaes, halving-gd, halving-cmaes (empty = gd; fig5/fig6 always run gd and ga); for -experiment tunercmp, a comma-separated challenger list")
+	)
+	if err := fs.Parse(args); err != nil {
+		return req, opt, err
+	}
+	// Names are case-insensitive: "Voltage-Noise-Virus" or "SMALL" work
+	// the same as their lower-case spellings.
+	req.Kind, req.Core, opt.experiment = strings.ToLower(req.Kind), strings.ToLower(req.Core), strings.ToLower(opt.experiment)
+	req.Benchmarks = splitList(*benchList)
+	switch tuners := splitList(strings.ToLower(*tunerName)); {
+	case opt.experiment == "tunercmp" && req.Kind == "":
+		req.Tuners = tuners
+	case len(tuners) > 1:
+		return req, opt, fmt.Errorf("a comma-separated -tuner list is only valid with -experiment tunercmp")
+	case len(tuners) == 1:
+		req.Tuner = tuners[0]
+	}
+	var err error
+	if req.FreqsGHz, err = parseFreqs(*freqList); err != nil {
+		return req, opt, err
+	}
+	if req.Rows, req.Cols, err = parseGrid(*gridDims); err != nil {
+		return req, opt, err
+	}
+	return req, opt, req.Validate()
+}
+
+// splitList splits a comma-separated flag value into its trimmed entries
+// (nil for an empty value).
+func splitList(s string) []string {
 	if s == "" {
-		rows, cols = multicore.DefaultGrid(cores)
-		return rows, cols, nil
+		return nil
+	}
+	parts := strings.Split(s, ",")
+	for i, p := range parts {
+		parts[i] = strings.TrimSpace(p)
+	}
+	return parts
+}
+
+// parseGrid parses the -grid dimensions ("2x2"). An empty value leaves
+// both at zero, which the request turns into its default grid.
+func parseGrid(s string) (rows, cols int, err error) {
+	if s == "" {
+		return 0, 0, nil
 	}
 	parts := strings.SplitN(strings.ToLower(s), "x", 2)
 	if len(parts) != 2 {
@@ -195,40 +166,34 @@ func parseGrid(s string, cores int) (rows, cols int, err error) {
 	return rows, cols, nil
 }
 
-// parseFreqs parses the -freqs list ("2.0,1.2") into per-core GHz values.
+// parseFreqs parses the -freqs list ("2.0,1.2") into per-core GHz values;
+// the request's Validate checks that each is a usable clock.
 func parseFreqs(list string) ([]float64, error) {
-	if list == "" {
+	parts := splitList(list)
+	if parts == nil {
 		return nil, nil
 	}
-	parts := strings.Split(list, ",")
 	freqs := make([]float64, len(parts))
 	for i, p := range parts {
-		f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+		f, err := strconv.ParseFloat(p, 64)
 		if err != nil {
 			return nil, fmt.Errorf("bad -freqs entry %q: %w", p, err)
-		}
-		if !(f > 0) || math.IsInf(f, 0) { // !(f>0) also catches NaN
-			return nil, fmt.Errorf("-freqs entry %q must be a positive finite clock in GHz", p)
 		}
 		freqs[i] = f
 	}
 	return freqs, nil
 }
 
-// runKind runs one stress test of the given kind and optionally dumps the
-// tuned kernel's power trace (for the co-run kind: the summed chip trace)
-// and, with -csv, the tuning progression series.
-func (s *suite) runKind(ctx context.Context, kindName, tracePath string) error {
-	kind, err := stress.KindByName(kindName)
-	if err != nil {
-		return err
-	}
+// runKind runs the request's stress test and optionally dumps the tuned
+// kernel's power trace (for the chip kinds: the summed chip trace) and,
+// with -csv, the tuning progression series.
+func (s *suite) runKind(ctx context.Context, tracePath string) error {
 	start := time.Now()
-	res, err := experiments.RunKind(ctx, experiments.KindRequest{Kind: kind, Core: s.core, Cores: s.cores,
-		FreqsGHz: s.freqs, Rows: s.rows, Cols: s.cols, Floorplan: s.fp}, s.budget)
+	res, err := experiments.RunKind(ctx, s.req, s.budget)
 	if err != nil {
 		return err
 	}
+	kind := res.Report.Kind
 	fmt.Fprintln(s.out, res.Output)
 	fmt.Fprintf(s.out, "[%s completed in %s]\n", kind, time.Since(start).Round(time.Millisecond))
 	if err := s.writeKindCSV(kind, res.Report); err != nil {
@@ -261,15 +226,9 @@ type suite struct {
 	out    io.Writer
 	csvDir string
 	budget experiments.Budget
-	core   string
-	cores  int
-	freqs  []float64
-	// rows/cols/fp describe the spatial grid of the spatial experiment and
-	// kinds (fp nil = round-robin default floorplan).
-	rows, cols int
-	fp         *multicore.Floorplan
-	// tuners is the tunercmp challenger list from -tuner (nil = defaults).
-	tuners []string
+	// req is the normalized request: the placement of the corun, dvfs,
+	// spatial and tunercmp experiments and the -kind run.
+	req experiments.Request
 
 	fig2 *experiments.CloningResult
 	fig4 *experiments.CloningResult
@@ -357,49 +316,17 @@ func (s *suite) runOne(ctx context.Context, which string) error {
 		}
 		fmt.Fprintln(s.out, res.Render())
 	case "corun":
-		res, err := experiments.RunCoRun(ctx, s.core, s.cores, s.budget)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(s.out, res.Render())
-		if s.csvDir != "" {
-			return writeCSVFile(filepath.Join(s.csvDir, "corun.csv"), func(w io.Writer) error {
-				return report.SeriesCSV(w, res.Series()...)
-			})
-		}
+		res, err := experiments.RunCoRun(ctx, s.req.Core, s.req.Cores, s.budget)
+		return s.show(which, res, err)
 	case "dvfs":
-		res, err := experiments.RunDVFS(ctx, s.core, s.cores, s.freqs, s.budget)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(s.out, res.Render())
-		if s.csvDir != "" {
-			return writeCSVFile(filepath.Join(s.csvDir, "dvfs.csv"), func(w io.Writer) error {
-				return report.SeriesCSV(w, res.Series()...)
-			})
-		}
+		res, err := experiments.RunDVFS(ctx, s.req.Core, s.req.Cores, s.req.FreqsGHz, s.budget)
+		return s.show(which, res, err)
 	case "spatial":
-		res, err := experiments.RunSpatial(ctx, s.core, s.cores, s.rows, s.cols, s.fp, s.budget)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(s.out, res.Render())
-		if s.csvDir != "" {
-			return writeCSVFile(filepath.Join(s.csvDir, "spatial.csv"), func(w io.Writer) error {
-				return report.SeriesCSV(w, res.Series()...)
-			})
-		}
+		res, err := experiments.RunSpatial(ctx, s.req.Core, s.req.Cores, s.req.Rows, s.req.Cols, s.req.Floorplan, s.budget)
+		return s.show(which, res, err)
 	case "tunercmp":
-		res, err := experiments.RunTunerCmp(ctx, s.core, s.cores, s.rows, s.cols, s.tuners, s.budget)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(s.out, res.Render())
-		if s.csvDir != "" {
-			return writeCSVFile(filepath.Join(s.csvDir, "tunercmp.csv"), func(w io.Writer) error {
-				return report.SeriesCSV(w, res.Series()...)
-			})
-		}
+		res, err := experiments.RunTunerCmp(ctx, s.req.Core, s.req.Cores, s.req.Rows, s.req.Cols, s.req.Tuners, s.budget)
+		return s.show(which, res, err)
 	case "summary":
 		if err := s.ensureSummaryInputs(ctx); err != nil {
 			return err
@@ -410,6 +337,24 @@ func (s *suite) runOne(ctx context.Context, which string) error {
 		return fmt.Errorf("unknown experiment %q", which)
 	}
 	return nil
+}
+
+// show prints a chip experiment's table and, with -csv, dumps its series
+// into <name>.csv.
+func (s *suite) show(name string, res interface {
+	Render() string
+	Series() []report.Series
+}, err error) error {
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(s.out, res.Render())
+	if s.csvDir == "" {
+		return nil
+	}
+	return writeCSVFile(filepath.Join(s.csvDir, name+".csv"), func(w io.Writer) error {
+		return report.SeriesCSV(w, res.Series()...)
+	})
 }
 
 // ensureSummaryInputs runs any experiment the summary still needs.

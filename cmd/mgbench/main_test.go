@@ -2,42 +2,47 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"micrograd/internal/experiments"
 )
 
+// TestParseGrid pins the -grid syntax. An empty value leaves the grid to
+// the request's default (experiments.Request.Normalized).
 func TestParseGrid(t *testing.T) {
 	cases := []struct {
 		in         string
-		cores      int
 		rows, cols int
 		wantErr    bool
 	}{
-		{"", 2, 1, 2, false},
-		{"", 4, 2, 2, false},
-		{"", 5, 2, 3, false},
-		{"", 0, 1, 1, false},
-		{"2x3", 4, 2, 3, false},
-		{" 2 X 3 ", 4, 2, 3, false},
-		{"2x3x4", 4, 0, 0, true},
-		{"2", 4, 0, 0, true},
-		{"0x3", 4, 0, 0, true},
-		{"ax3", 4, 0, 0, true},
+		{"", 0, 0, false},
+		{"2x3", 2, 3, false},
+		{" 2 X 3 ", 2, 3, false},
+		{"2x3x4", 0, 0, true},
+		{"2", 0, 0, true},
+		{"0x3", 0, 0, true},
+		{"3x0", 0, 0, true},
+		{"ax3", 0, 0, true},
 	}
 	for _, c := range cases {
-		rows, cols, err := parseGrid(c.in, c.cores)
+		rows, cols, err := parseGrid(c.in)
 		if (err != nil) != c.wantErr {
-			t.Errorf("parseGrid(%q, %d) error = %v, wantErr %v", c.in, c.cores, err, c.wantErr)
+			t.Errorf("parseGrid(%q) error = %v, wantErr %v", c.in, err, c.wantErr)
 			continue
 		}
 		if err == nil && (rows != c.rows || cols != c.cols) {
-			t.Errorf("parseGrid(%q, %d) = %dx%d, want %dx%d", c.in, c.cores, rows, cols, c.rows, c.cols)
+			t.Errorf("parseGrid(%q) = %dx%d, want %dx%d", c.in, rows, cols, c.rows, c.cols)
 		}
 	}
 }
 
+// TestParseFreqs pins the -freqs syntax; a clock that parses but is not
+// positive and finite is the request's to reject, before any output.
 func TestParseFreqs(t *testing.T) {
 	freqs, err := parseFreqs(" 2.0, 1.2 ")
 	if err != nil || len(freqs) != 2 || freqs[0] != 2.0 || freqs[1] != 1.2 {
@@ -46,9 +51,48 @@ func TestParseFreqs(t *testing.T) {
 	if got, err := parseFreqs(""); got != nil || err != nil {
 		t.Fatalf("empty list = %v, %v", got, err)
 	}
-	for _, bad := range []string{"2.0,x", "0", "-1", "+Inf"} {
-		if _, err := parseFreqs(bad); err == nil {
-			t.Errorf("parseFreqs(%q) accepted", bad)
+	if _, err := parseFreqs("2.0,x"); err == nil {
+		t.Error("parseFreqs(\"2.0,x\") accepted")
+	}
+	for _, bad := range []string{"0,2", "-1,2", "+Inf,2", "NaN,2"} {
+		var out bytes.Buffer
+		if err := run([]string{"-kind", "dvfs-noise-virus", "-freqs", bad}, &out); err == nil || out.Len() != 0 {
+			t.Errorf("-freqs %s: err = %v after %d bytes of output, want a rejection before any", bad, err, out.Len())
+		}
+	}
+}
+
+// TestFlagsAndJSONGiveOneRequest parses mgbench flag lines and the
+// equivalent mgserve job bodies: both front ends must describe the same
+// run with the same Request.
+func TestFlagsAndJSONGiveOneRequest(t *testing.T) {
+	for _, c := range []struct {
+		flags []string
+		body  string
+	}{
+		{[]string{"-kind", "spatial", "-quick", "-core", "small", "-cores", "4", "-grid", "2x2",
+			"-floorplan", "0,0;0,0;1,1;1,1", "-instructions", "3000", "-seed", "1", "-parallel", "1"},
+			`{"kind":"spatial","quick":true,"core":"small","cores":4,"rows":2,"cols":2,"floorplan":"0,0;0,0;1,1;1,1","instructions":3000,"seed":1,"parallel":1}`},
+		{[]string{"-kind", "Power-Virus", "-core", "LARGE", "-epochs", "3", "-seed", "-4", "-budget", "50",
+			"-power-cap", "20.5", "-tuner", "Halving-CMAES", "-parallel", "2"},
+			`{"kind":"power-virus","core":"large","epochs":3,"seed":-4,"budget":50,"power_cap_w":20.5,"tuner":"halving-cmaes","parallel":2}`},
+		{[]string{"-kind", "dvfs-noise-virus", "-freqs", "2.0, 1.2", "-parallel", "3"},
+			`{"kind":"dvfs-noise-virus","freqs_ghz":[2.0,1.2],"parallel":3}`},
+		{[]string{"-experiment", "tunercmp", "-cores", "4", "-grid", "2x2", "-tuner", "cmaes,halving-cmaes", "-parallel", "1"},
+			`{"cores":4,"rows":2,"cols":2,"tuners":["cmaes","halving-cmaes"],"parallel":1}`},
+		{[]string{"-experiment", "fig2", "-benchmarks", "mcf,hmmer", "-parallel", "1"},
+			`{"benchmarks":["mcf","hmmer"],"parallel":1}`},
+	} {
+		fromFlags, _, err := parseArgs(c.flags)
+		if err != nil {
+			t.Fatalf("%v: %v", c.flags, err)
+		}
+		var fromJSON experiments.Request
+		if err := json.Unmarshal([]byte(c.body), &fromJSON); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fromFlags, fromJSON) {
+			t.Errorf("flags %v give\n%+v\nJSON %s gives\n%+v", c.flags, fromFlags, c.body, fromJSON)
 		}
 	}
 }
@@ -66,8 +110,9 @@ func TestRunStaticTables(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadInputs checks that a bad flag line fails before
+// anything runs or prints.
 func TestRunRejectsBadInputs(t *testing.T) {
-	var out bytes.Buffer
 	for _, args := range [][]string{
 		{"-no-such-flag"},
 		{"-experiment", "no-such-experiment"},
@@ -76,9 +121,18 @@ func TestRunRejectsBadInputs(t *testing.T) {
 		{"-freqs", "bogus"},
 		{"-experiment", "fig5", "-tuner", "gd,ga"}, // tuner lists are tunercmp-only
 		{"-experiment", "spatial", "-floorplan", "9,9", "-grid", "2x2"},
+		{"-kind", "power-virus", "-tuner", "halving-gd"}, // no budget to plan rungs from
+		{"-kind", "perf-virus", "-budget", "-5"},
+		{"-experiment", "fig5", "-instructions", "-1"},
+		{"-kind", "corun-noise-virus", "-cores", "1"},
+		{"-kind", "spatial", "-cores", "1"},
 	} {
+		var out bytes.Buffer
 		if err := run(args, &out); err == nil {
 			t.Errorf("run(%v) succeeded", args)
+		}
+		if out.Len() != 0 {
+			t.Errorf("run(%v) printed before failing:\n%s", args, out.String())
 		}
 	}
 }

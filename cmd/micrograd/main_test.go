@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"micrograd/internal/tuner"
 )
 
 // TestRunFlagsWritesArtifacts drives the flag path with a tuner only the
@@ -67,6 +69,41 @@ func TestRunRejectsUnknownNames(t *testing.T) {
 		}
 		if out.Len() != 0 {
 			t.Errorf("run %v started a run:\n%s", args, out.String())
+		}
+	}
+}
+
+// TestRunEveryRegisteredTuner runs the stress use case with every tuner
+// the registry lists, at a tiny budget. The halving wrappers plan their
+// rungs from an evaluation budget the configuration does not have, so they
+// must be rejected before anything prints; every other tuner must finish.
+func TestRunEveryRegisteredTuner(t *testing.T) {
+	for _, name := range tuner.Names() {
+		var out bytes.Buffer
+		err := run([]string{"-use-case", "stress", "-stress-kind", "perf-virus", "-core", "small",
+			"-tuner", name, "-epochs", "2", "-instructions", "1000", "-loop-size", "100", "-parallel", "1"}, &out)
+		if strings.HasPrefix(name, "halving-") {
+			if err == nil || out.Len() != 0 {
+				t.Errorf("tuner %s: err = %v after %d bytes of output, want a rejection before any", name, err, out.Len())
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("tuner %s: %v", name, err)
+		} else if !strings.Contains(out.String(), "run \"perf-virus\" finished") {
+			t.Errorf("tuner %s: unexpected output:\n%s", name, out.String())
+		}
+	}
+}
+
+// TestRunRejectsWhatItCannotRun checks that a stress kind the single-core
+// framework cannot run, or cannot name, fails at parse time, before the
+// banner.
+func TestRunRejectsWhatItCannotRun(t *testing.T) {
+	for _, kind := range []string{"corun-noise-virus", "dvfs-noise-virus", "spatial-noise-virus", "hotspot-migration-virus", "no-such-virus"} {
+		var out bytes.Buffer
+		if err := run([]string{"-use-case", "stress", "-stress-kind", kind}, &out); err == nil || out.Len() != 0 {
+			t.Errorf("stress kind %s: err = %v after %d bytes of output, want a rejection before any", kind, err, out.Len())
 		}
 	}
 }

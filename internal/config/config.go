@@ -12,6 +12,7 @@ import (
 	"os"
 
 	"micrograd/internal/platform"
+	"micrograd/internal/stress"
 	"micrograd/internal/tuner"
 )
 
@@ -28,8 +29,8 @@ type Config struct {
 	// Core selects the architecture configuration ("small" or "large",
 	// Table II).
 	Core string `json:"core"`
-	// Tuner selects the tuning mechanism, one of tuner.Names(); default
-	// "gd".
+	// Tuner selects the tuning mechanism, one of tuner.Names() but the
+	// halving-* wrappers, which need an evaluation budget; default "gd".
 	Tuner string `json:"tuner"`
 	// MaxEpochs bounds tuning (0 = use-case default).
 	MaxEpochs int `json:"max_epochs"`
@@ -60,7 +61,8 @@ type Config struct {
 	Metrics []string `json:"metrics,omitempty"`
 
 	// StressKind selects "perf-virus", "power-virus", "voltage-noise-virus"
-	// or "thermal-virus".
+	// or "thermal-virus"; with StressMetric set, any other name labels the
+	// run. The chip kinds are rejected: the framework runs on one core.
 	StressKind string `json:"stress_kind,omitempty"`
 	// StressMetric optionally overrides the stressed metric; Maximize sets
 	// the direction for custom metrics.
@@ -121,16 +123,23 @@ func (c Config) Validate() error {
 		if c.StressKind == "" && c.StressMetric == "" {
 			return fmt.Errorf("config: stress needs stress_kind or stress_metric")
 		}
+		if kind, err := stress.KindByName(c.StressKind); err != nil && c.StressMetric == "" {
+			return fmt.Errorf("config: %w", err)
+		} else if err == nil && kind.MultiCore() {
+			return fmt.Errorf("config: stress kind %q needs a multi-core chip, and the framework runs on one core", c.StressKind)
+		}
 	default:
 		return fmt.Errorf("config: unknown use_case %q (want %q or %q)", c.UseCase, UseCaseCloning, UseCaseStress)
 	}
 	if _, err := platform.ByName(c.Core); err != nil {
 		return fmt.Errorf("config: %w", err)
 	}
-	if c.Tuner != "" {
-		if _, err := tuner.ByName(c.Tuner); err != nil {
-			return fmt.Errorf("config: %w", err)
-		}
+	tn, err := tuner.ByName(c.Tuner)
+	if err != nil {
+		return fmt.Errorf("config: %w", err)
+	}
+	if _, halving := tn.(*tuner.SuccessiveHalving); halving {
+		return fmt.Errorf("config: tuner %q plans its rungs from an evaluation budget, which the configuration does not have", c.Tuner)
 	}
 	if c.MaxEpochs < 0 || c.DynamicInstructions < 0 || c.LoopSize < 0 || c.Parallel < 0 {
 		return fmt.Errorf("config: negative budget values")

@@ -73,6 +73,13 @@ func TestValidate(t *testing.T) {
 		{"unknown tuner", func(c *Config) { c.Tuner = "hillclimb" }},
 		{"negative epochs", func(c *Config) { c.MaxEpochs = -1 }},
 		{"bad accuracy", func(c *Config) { c.TargetAccuracy = 1.5 }},
+		{"empty tuner", func(c *Config) { c.Tuner = "" }},
+		{"halving tuner", func(c *Config) { c.Tuner = "halving-gd" }},
+		{"chip stress kind", func(c *Config) { c.UseCase, c.StressKind = UseCaseStress, "corun-noise-virus" }},
+		{"chip stress kind with metric", func(c *Config) {
+			c.UseCase, c.StressKind, c.StressMetric = UseCaseStress, "spatial", "ipc"
+		}},
+		{"unknown stress kind", func(c *Config) { c.UseCase, c.StressKind = UseCaseStress, "no-such-virus" }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -93,6 +100,11 @@ func TestValidate(t *testing.T) {
 	stressMetricOnly.StressMetric = "ipc"
 	if err := stressMetricOnly.Validate(); err != nil {
 		t.Errorf("stress with explicit metric should validate: %v", err)
+	}
+	customKind := stressMetricOnly
+	customKind.StressKind = "my-virus"
+	if err := customKind.Validate(); err != nil {
+		t.Errorf("a custom kind name with an explicit metric should validate: %v", err)
 	}
 }
 

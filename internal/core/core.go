@@ -44,11 +44,7 @@ func New(cfg config.Config) (*Framework, error) {
 	if err != nil {
 		return nil, err
 	}
-	name := cfg.Tuner
-	if name == "" {
-		name = "gd"
-	}
-	tun, err := tuner.ByName(name)
+	tun, err := tuner.ByName(cfg.Tuner)
 	if err != nil {
 		return nil, err
 	}

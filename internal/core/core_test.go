@@ -54,11 +54,22 @@ func TestNewValidatesConfig(t *testing.T) {
 
 // TestNewBuildsEveryRegisteredTuner pins that the front-end resolves tuner
 // names through the tuner registry: every name it lists validates and
-// builds, and the empty name keeps the gradient-descent default.
+// builds, except the halving wrappers, which the configuration has no
+// budget for. The default "gd" comes from config.Default alone, so an
+// empty name is rejected like any unknown one.
 func TestNewBuildsEveryRegisteredTuner(t *testing.T) {
-	for _, name := range append(tuner.Names(), "") {
+	for _, name := range tuner.Names() {
 		cfg := stressConfig()
 		cfg.Tuner = name
+		if strings.HasPrefix(name, "halving-") {
+			if cfg.Validate() == nil {
+				t.Errorf("tuner %q: Validate accepted a tuner that needs a budget", name)
+			}
+			if _, err := New(cfg); err == nil {
+				t.Errorf("tuner %q: New accepted a tuner that needs a budget", name)
+			}
+			continue
+		}
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("tuner %q: Validate: %v", name, err)
 			continue
@@ -68,11 +79,7 @@ func TestNewBuildsEveryRegisteredTuner(t *testing.T) {
 			t.Errorf("tuner %q: New: %v", name, err)
 			continue
 		}
-		want := "gd"
-		if name != "" {
-			want = name
-		}
-		ref, err := tuner.ByName(want)
+		ref, err := tuner.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,10 +87,15 @@ func TestNewBuildsEveryRegisteredTuner(t *testing.T) {
 			t.Errorf("tuner %q built %q, want %q", name, got, ref.Name())
 		}
 	}
-	bad := stressConfig()
-	bad.Tuner = "hillclimb"
-	if _, err := New(bad); err == nil {
-		t.Error("unknown tuner should be rejected")
+	if got := stressConfig().Tuner; got != "gd" {
+		t.Errorf("default tuner %q, want gd", got)
+	}
+	for _, name := range []string{"hillclimb", ""} {
+		bad := stressConfig()
+		bad.Tuner = name
+		if _, err := New(bad); err == nil {
+			t.Errorf("tuner %q should be rejected", name)
+		}
 	}
 }
 

@@ -46,7 +46,7 @@ func TestRunCoRunKindSkipsBaseline(t *testing.T) {
 	var rows []ProgressRow
 	b := transientBudget()
 	b.OnProgress = func(r ProgressRow) { rows = append(rows, r) }
-	res, err := RunKind(context.Background(), KindRequest{Kind: stress.CoRunNoiseVirus, Core: "small", Cores: 2}, b)
+	res, err := RunKind(context.Background(), Request{Kind: string(stress.CoRunNoiseVirus), Core: "small", Cores: 2}, b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func TestRunDVFSKindSkipsBaseline(t *testing.T) {
 	var rows []ProgressRow
 	b := transientBudget()
 	b.OnProgress = func(r ProgressRow) { rows = append(rows, r) }
-	res, err := RunKind(context.Background(), KindRequest{Kind: stress.DVFSNoiseVirus, Core: "small", Cores: 2}, b)
+	res, err := RunKind(context.Background(), Request{Kind: string(stress.DVFSNoiseVirus), Core: "small", Cores: 2}, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,9 +84,6 @@ func TestRunDVFSValidation(t *testing.T) {
 	}
 	if _, err := RunDVFS(ctx, "small", 2, []float64{2.0}, b); err == nil {
 		t.Error("start-clock/core count mismatch should be rejected")
-	}
-	if _, err := RunDVFS(ctx, "small", 2, []float64{2.0, -1}, b); err == nil {
-		t.Error("non-positive start clock should be rejected")
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"micrograd/internal/metrics"
-	"micrograd/internal/multicore"
 	"micrograd/internal/powersim"
 	"micrograd/internal/report"
 	"micrograd/internal/stress"
@@ -105,7 +104,7 @@ func traceCSV(t *testing.T, tr powersim.PowerTrace) string {
 
 // goldenKind runs one -kind stress test the way mgbench -kind and mgserve
 // run it.
-func goldenKind(t *testing.T, ctx context.Context, req KindRequest, b Budget) goldenOutput {
+func goldenKind(t *testing.T, ctx context.Context, req Request, b Budget) goldenOutput {
 	t.Helper()
 	res, err := RunKind(ctx, req, b)
 	if err != nil {
@@ -113,7 +112,7 @@ func goldenKind(t *testing.T, ctx context.Context, req KindRequest, b Budget) go
 	}
 	return goldenOutput{
 		render: res.Output,
-		csv:    seriesCSV(t, res.Report.ProgressionSeries(string(req.Kind))),
+		csv:    seriesCSV(t, res.Report.ProgressionSeries(req.Kind)),
 		trace:  traceCSV(t, res.Trace),
 	}
 }
@@ -177,7 +176,7 @@ var goldenCases = []struct {
 		return goldenOutput{render: res.Render(), csv: seriesCSV(t, res.Series()...), trace: traceCSV(t, res.Trace)}
 	}},
 	{name: "spatial", run: func(t *testing.T, ctx context.Context, b Budget) goldenOutput {
-		res, err := RunSpatial(ctx, "small", 4, 2, 2, nil, b)
+		res, err := RunSpatial(ctx, "small", 4, 2, 2, "", b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,30 +190,26 @@ var goldenCases = []struct {
 		return goldenOutput{render: res.Render(), csv: seriesCSV(t, res.Series()...)}
 	}},
 	{name: "kind_voltage-noise-virus", run: func(t *testing.T, ctx context.Context, b Budget) goldenOutput {
-		return goldenKind(t, ctx, KindRequest{Kind: stress.VoltageNoiseVirus, Core: "small"}, b)
+		return goldenKind(t, ctx, Request{Kind: string(stress.VoltageNoiseVirus), Core: "small"}, b)
 	}},
 	{name: "kind_power-virus_capped", budget: func(b *Budget) {
 		b.Tuner, b.MaxEvaluations, b.PowerCapW = "cmaes", 24, 1.5
 	}, run: func(t *testing.T, ctx context.Context, b Budget) goldenOutput {
-		return goldenKind(t, ctx, KindRequest{Kind: stress.PowerVirus, Core: "large"}, b)
+		return goldenKind(t, ctx, Request{Kind: string(stress.PowerVirus), Core: "large"}, b)
 	}},
 	{name: "kind_corun-noise-virus", run: func(t *testing.T, ctx context.Context, b Budget) goldenOutput {
-		return goldenKind(t, ctx, KindRequest{Kind: stress.CoRunNoiseVirus, Core: "small", Cores: 2}, b)
+		return goldenKind(t, ctx, Request{Kind: string(stress.CoRunNoiseVirus), Core: "small", Cores: 2}, b)
 	}},
 	{name: "kind_dvfs-noise-virus", budget: func(b *Budget) {
 		b.Tuner, b.MaxEvaluations = "random", 20
 	}, run: func(t *testing.T, ctx context.Context, b Budget) goldenOutput {
-		return goldenKind(t, ctx, KindRequest{Kind: stress.DVFSNoiseVirus, Core: "small", Cores: 2, FreqsGHz: []float64{2.0, 1.2}}, b)
+		return goldenKind(t, ctx, Request{Kind: string(stress.DVFSNoiseVirus), Core: "small", Cores: 2, FreqsGHz: []float64{2.0, 1.2}}, b)
 	}},
 	{name: "kind_hotspot-migration-virus", run: func(t *testing.T, ctx context.Context, b Budget) goldenOutput {
-		return goldenKind(t, ctx, KindRequest{Kind: stress.HotspotMigrationVirus, Core: "small", Cores: 4, Rows: 2, Cols: 2}, b)
+		return goldenKind(t, ctx, Request{Kind: string(stress.HotspotMigrationVirus), Core: "small", Cores: 4, Rows: 2, Cols: 2}, b)
 	}},
 	{name: "kind_spatial-noise-virus_floorplan", run: func(t *testing.T, ctx context.Context, b Budget) goldenOutput {
-		fp, err := multicore.ParseFloorplan("0,0;0,0;1,1;1,1", 2, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return goldenKind(t, ctx, KindRequest{Kind: stress.SpatialNoiseVirus, Core: "small", Cores: 4, Rows: 2, Cols: 2, Floorplan: &fp}, b)
+		return goldenKind(t, ctx, Request{Kind: string(stress.SpatialNoiseVirus), Core: "small", Cores: 4, Rows: 2, Cols: 2, Floorplan: "0,0;0,0;1,1;1,1"}, b)
 	}},
 }
 

@@ -45,13 +45,14 @@ type SpatialResult struct {
 }
 
 // RunSpatial tunes the spatial-noise-virus on cores copies of the named core
-// over a rows×cols PDN/thermal grid (fp maps cores onto nodes; nil uses the
-// round-robin default), after first tuning the spatially-oblivious
-// corun-noise-virus on the lumped version of the same chip. The oblivious
+// over a rows×cols PDN/thermal grid (floorplan maps cores onto nodes in the
+// multicore.ParseFloorplan syntax; empty uses the round-robin default),
+// after first tuning the spatially-oblivious corun-noise-virus on the
+// lumped version of the same chip. The oblivious
 // winner is re-scored on the grid and seeds the spatial search, so the
 // experiment isolates exactly the gain from exploiting locality.
-func RunSpatial(ctx context.Context, coreName string, cores, rows, cols int, fp *multicore.Floorplan, b Budget) (SpatialResult, error) {
-	return runSpatial(ctx, stress.SpatialNoiseVirus, coreName, cores, rows, cols, fp, b, true)
+func RunSpatial(ctx context.Context, coreName string, cores, rows, cols int, floorplan string, b Budget) (SpatialResult, error) {
+	return runSpatial(ctx, stress.SpatialNoiseVirus, coreName, cores, rows, cols, floorplan, b, true)
 }
 
 // spatialInitial translates the spatially-oblivious winner into the spatial
@@ -68,7 +69,7 @@ func spatialInitial(space *knobs.Space, cfg knobs.Config) (knobs.Config, error) 
 	return space.ConfigFromValues(values)
 }
 
-func runSpatial(ctx context.Context, kind stress.Kind, coreName string, cores, rows, cols int, fp *multicore.Floorplan, b Budget, withOblivious bool) (SpatialResult, error) {
+func runSpatial(ctx context.Context, kind stress.Kind, coreName string, cores, rows, cols int, floorplan string, b Budget, withOblivious bool) (SpatialResult, error) {
 	b = b.normalized()
 	if cores < 2 {
 		return SpatialResult{}, fmt.Errorf("experiments: spatial co-run needs at least 2 cores, have %d", cores)
@@ -77,6 +78,10 @@ func runSpatial(ctx context.Context, kind stress.Kind, coreName string, cores, r
 		return SpatialResult{}, fmt.Errorf("experiments: %s is not a spatial stress kind", kind)
 	}
 	core, err := platform.ByName(coreName)
+	if err != nil {
+		return SpatialResult{}, err
+	}
+	fp, err := parseFloorplan(floorplan, rows, cols, cores)
 	if err != nil {
 		return SpatialResult{}, err
 	}

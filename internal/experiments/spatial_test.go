@@ -16,7 +16,7 @@ import (
 // winner's own chip-worst droop on the same grid. The margin is what knowing
 // the floorplan buys the attacker.
 func TestRunSpatialBeatsObliviousAndRenders(t *testing.T) {
-	res, err := RunSpatial(context.Background(), "small", 4, 2, 2, nil, transientBudget())
+	res, err := RunSpatial(context.Background(), "small", 4, 2, 2, "", transientBudget())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestRunSpatialKindSkipsComparison(t *testing.T) {
 	var rows []ProgressRow
 	b := transientBudget()
 	b.OnProgress = func(r ProgressRow) { rows = append(rows, r) }
-	res, err := RunKind(context.Background(), KindRequest{Kind: stress.HotspotMigrationVirus, Core: "small", Cores: 4, Rows: 2, Cols: 2}, b)
+	res, err := RunKind(context.Background(), Request{Kind: string(stress.HotspotMigrationVirus), Core: "small", Cores: 4, Rows: 2, Cols: 2}, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,28 +84,28 @@ func TestRunSpatialKindSkipsComparison(t *testing.T) {
 
 func TestRunSpatialValidation(t *testing.T) {
 	b := transientBudget()
-	if _, err := RunSpatial(context.Background(), "small", 1, 1, 1, nil, b); err == nil {
+	if _, err := RunSpatial(context.Background(), "small", 1, 1, 1, "", b); err == nil {
 		t.Error("single-core spatial run should be rejected")
 	}
-	if _, err := RunSpatial(context.Background(), "medium", 4, 2, 2, nil, b); err == nil {
+	if _, err := RunSpatial(context.Background(), "medium", 4, 2, 2, "", b); err == nil {
 		t.Error("unknown core should be rejected")
 	}
-	if _, err := RunSpatial(context.Background(), "small", 4, 0, 2, nil, b); err == nil {
+	if _, err := RunSpatial(context.Background(), "small", 4, 0, 2, "", b); err == nil {
 		t.Error("0-row grid should be rejected")
 	}
-	if _, err := runSpatial(context.Background(), stress.CoRunNoiseVirus, "small", 4, 2, 2, nil, b, false); err == nil {
+	if _, err := runSpatial(context.Background(), stress.CoRunNoiseVirus, "small", 4, 2, 2, "", b, false); err == nil {
 		t.Error("non-spatial kind should be rejected")
 	}
 }
 
 func TestRunSpatialParallelMatchesSerial(t *testing.T) {
-	serial, err := RunSpatial(context.Background(), "small", 4, 2, 2, nil, transientBudget())
+	serial, err := RunSpatial(context.Background(), "small", 4, 2, 2, "", transientBudget())
 	if err != nil {
 		t.Fatal(err)
 	}
 	pb := transientBudget()
 	pb.Parallel = 8
-	par, err := RunSpatial(context.Background(), "small", 4, 2, 2, nil, pb)
+	par, err := RunSpatial(context.Background(), "small", 4, 2, 2, "", pb)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"micrograd/internal/metrics"
-	"micrograd/internal/multicore"
 	"micrograd/internal/platform"
 	"micrograd/internal/powersim"
 	"micrograd/internal/program"
@@ -87,20 +86,6 @@ func (r StressKindRun) Render() string {
 	return t.String()
 }
 
-// KindRequest selects one stress test of any built-in kind and the chip it
-// runs on. Core names the core kind; Cores is the copy count of the co-run
-// kinds, FreqsGHz the dvfs-noise-virus warm-start clocks (nil = the space
-// midpoint), and Rows, Cols and Floorplan (nil = round-robin) place the
-// spatial kinds on their grid. Fields a kind does not use are ignored.
-type KindRequest struct {
-	Kind       stress.Kind
-	Core       string
-	Cores      int
-	FreqsGHz   []float64
-	Rows, Cols int
-	Floorplan  *multicore.Floorplan
-}
-
 // KindResult is one kind run's outcome: the tuning report, the best
 // kernel's power trace (the summed chip trace for the chip kinds) and the
 // rendered summary table.
@@ -111,12 +96,17 @@ type KindResult struct {
 }
 
 // RunKind is the one entry point of mgbench -kind and the mgserve stress
-// jobs: it tunes a stress test of the requested kind on the chip that kind
-// needs — one core, co-running cores, or a spatial grid — and characterizes
-// its best kernel, without the comparison runs RunCoRun, RunDVFS and
-// RunSpatial add.
-func RunKind(ctx context.Context, req KindRequest, b Budget) (KindResult, error) {
-	switch req.Kind {
+// jobs: it tunes a stress test of the request's kind under b on the chip
+// that kind needs — one core, co-running cores, or a spatial grid — placed
+// as req.Normalized() says, and characterizes its best kernel, without the
+// comparison runs RunCoRun, RunDVFS and RunSpatial add.
+func RunKind(ctx context.Context, req Request, b Budget) (KindResult, error) {
+	kind, err := stress.KindByName(req.Kind)
+	if err != nil {
+		return KindResult{}, err
+	}
+	req = req.Normalized()
+	switch kind {
 	case stress.CoRunNoiseVirus:
 		res, err := runCoRun(ctx, req.Core, req.Cores, b, false)
 		if err != nil {
@@ -130,13 +120,13 @@ func RunKind(ctx context.Context, req KindRequest, b Budget) (KindResult, error)
 		}
 		return KindResult{Report: res.Report, Trace: res.Trace, Output: res.Render()}, nil
 	case stress.SpatialNoiseVirus, stress.HotspotMigrationVirus:
-		res, err := runSpatial(ctx, req.Kind, req.Core, req.Cores, req.Rows, req.Cols, req.Floorplan, b, false)
+		res, err := runSpatial(ctx, kind, req.Core, req.Cores, req.Rows, req.Cols, req.Floorplan, b, false)
 		if err != nil {
 			return KindResult{}, err
 		}
 		return KindResult{Report: res.Report, Trace: res.Trace, Output: res.Render()}, nil
 	}
-	res, err := RunStressKind(ctx, req.Kind, req.Core, b)
+	res, err := RunStressKind(ctx, kind, req.Core, b)
 	if err != nil {
 		return KindResult{}, err
 	}

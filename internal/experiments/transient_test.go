@@ -99,9 +99,9 @@ func TestRunStressKindParallelMatchesSerial(t *testing.T) {
 // are bit-identical at any worker count: rendered table, trace and
 // progression.
 func TestRunKindParallelMatchesSerial(t *testing.T) {
-	for _, req := range []KindRequest{
-		{Kind: stress.CoRunNoiseVirus, Core: "small", Cores: 2},
-		{Kind: stress.HotspotMigrationVirus, Core: "small", Cores: 4, Rows: 2, Cols: 2},
+	for _, req := range []Request{
+		{Kind: string(stress.CoRunNoiseVirus), Core: "small", Cores: 2},
+		{Kind: string(stress.HotspotMigrationVirus), Core: "small", Cores: 4, Rows: 2, Cols: 2},
 	} {
 		serial, err := RunKind(context.Background(), req, transientBudget())
 		if err != nil {
@@ -123,7 +123,7 @@ func TestRunKindParallelMatchesSerial(t *testing.T) {
 }
 
 func TestRunKindRejectsUnknownKind(t *testing.T) {
-	if _, err := RunKind(context.Background(), KindRequest{Kind: "no-such-virus", Core: "small"}, transientBudget()); err == nil {
+	if _, err := RunKind(context.Background(), Request{Kind: "no-such-virus", Core: "small"}, transientBudget()); err == nil {
 		t.Error("unknown kind should be rejected")
 	}
 }

@@ -244,12 +244,15 @@ func (s *Synthesizer) deriveCore(name string, set knobs.Settings, base *program.
 	p := &program.Program{
 		Name:         name,
 		Instructions: slices.Clone(base.Instructions),
-		Streams:      slices.Clone(base.Streams),
-		Patterns:     slices.Clone(base.Patterns),
-		Notes:        slices.Clone(base.Notes),
-		CodeBase:     base.CodeBase,
-		DataBase:     base.DataBase,
-		Meta:         maps.Clone(base.Meta),
+		// A rotation reads streams and patterns but never writes them, so
+		// every core shares the base's; the full slice expressions keep
+		// an append from writing into the base.
+		Streams:  base.Streams[:len(base.Streams):len(base.Streams)],
+		Patterns: base.Patterns[:len(base.Patterns):len(base.Patterns)],
+		Notes:    slices.Clone(base.Notes),
+		CodeBase: base.CodeBase,
+		DataBase: base.DataBase,
+		Meta:     maps.Clone(base.Meta),
 	}
 	if set.PhaseOffset > 0 {
 		p.Meta["phase_offset"] = strconv.Itoa(set.PhaseOffset)

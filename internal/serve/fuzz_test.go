@@ -10,8 +10,9 @@ import (
 
 // FuzzJobRequest posts arbitrary bodies to POST /jobs on a daemon whose
 // workers never start, so an accepted job stays queued. The handler must
-// never panic; a body json.Unmarshal rejects, or one validateRequest rejects
-// (no known kind, a negative override), must get a 4xx and leave the queue
+// never panic; a body json.Unmarshal rejects, one without a kind, or one
+// Request.Validate rejects (an unknown kind, a negative override, a
+// floorplan off its grid), must get a 4xx and leave the queue
 // empty; any other body must be queued as exactly one job of its kind.
 // Wired into `make fuzz`.
 func FuzzJobRequest(f *testing.F) {
@@ -36,6 +37,9 @@ func FuzzJobRequest(f *testing.F) {
 		`null`,
 		`[]`,
 		``,
+		`{"kind":"spatial","quick":true,"core":"small","cores":4,"rows":2,"cols":2,"floorplan":"0,0;0,0;1,1;1,1"}`,
+		`{"kind":"spatial","cores":4,"rows":2,"cols":2,"floorplan":"0,0;0,0;2,2;1,1"}`,
+		`{"kind":"dvfs-noise-virus","freqs_ghz":[-1]}`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -46,7 +50,7 @@ func FuzzJobRequest(f *testing.F) {
 		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(body)))
 
 		var req JobRequest
-		valid := json.Unmarshal(body, &req) == nil && validateRequest(req) == nil
+		valid := json.Unmarshal(body, &req) == nil && req.Kind != "" && req.Validate() == nil
 		jobs := s.List()
 		if !valid {
 			if rec.Code < 400 || rec.Code > 499 {

@@ -24,11 +24,7 @@ import (
 	"micrograd/internal/evalcache"
 	"micrograd/internal/experiments"
 	"micrograd/internal/microprobe"
-	"micrograd/internal/multicore"
 	"micrograd/internal/platform"
-	"micrograd/internal/stress"
-	"micrograd/internal/tuner"
-	"micrograd/internal/workloads"
 )
 
 // State is a job's lifecycle state.
@@ -51,47 +47,9 @@ func (s State) Terminal() bool {
 // beyond it are rejected rather than buffered without bound.
 const queueCapacity = 1024
 
-// JobRequest describes one job. Kind selects the experiment: any stress
-// kind name stress.KindByName accepts (perf-virus, power-virus,
-// corun-noise-virus, spatial, ...), "cloning" (the benchmark-suite cloning
-// experiment), or "tunercmp" (the equal-budget tuner comparison). The
-// remaining fields override the evaluation budget and placement exactly
-// like the corresponding mgbench flags; zero values keep the defaults, and
-// Submit rejects negative ones (the seed may take any value).
-type JobRequest struct {
-	Kind string `json:"kind"`
-	// Quick selects the reduced CI-sized budget.
-	Quick bool `json:"quick,omitempty"`
-	// Instructions overrides the per-evaluation simulation window.
-	Instructions int `json:"instructions,omitempty"`
-	// Epochs overrides both the stress and cloning epoch bounds.
-	Epochs int `json:"epochs,omitempty"`
-	// Seed overrides the run's random seed.
-	Seed int64 `json:"seed,omitempty"`
-	// Budget caps the proposed evaluations per tuning run.
-	Budget int `json:"budget,omitempty"`
-	// PowerCapW constrains stress searches to kernels under the cap.
-	PowerCapW float64 `json:"power_cap_w,omitempty"`
-	// Parallel is the job's evaluation fan-out; it is clamped to the
-	// server's per-job cap. Zero takes the server cap.
-	Parallel int `json:"parallel,omitempty"`
-	// Tuner names the stress-tuning mechanism (empty = gradient descent).
-	Tuner string `json:"tuner,omitempty"`
-	// Tuners lists the tunercmp challengers (nil = the default set).
-	Tuners []string `json:"tuners,omitempty"`
-	// Core names the core kind ("small", "large"; empty = large).
-	Core string `json:"core,omitempty"`
-	// Cores is the co-running core count of the multi-core kinds.
-	Cores int `json:"cores,omitempty"`
-	// Rows and Cols shape the spatial PDN/thermal grid (zero = near-square
-	// grid sized to Cores).
-	Rows int `json:"rows,omitempty"`
-	Cols int `json:"cols,omitempty"`
-	// FreqsGHz warm-starts the dvfs-noise-virus per-core clocks.
-	FreqsGHz []float64 `json:"freqs_ghz,omitempty"`
-	// Benchmarks restricts the cloning experiment's suite.
-	Benchmarks []string `json:"benchmarks,omitempty"`
-}
+// JobRequest is the POST /jobs body: experiments.Request, the run the
+// mgbench flags describe, under the name the benchmark module uses.
+type JobRequest = experiments.Request
 
 // JobStatus is a job's externally visible state.
 type JobStatus struct {
@@ -260,10 +218,14 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// Submit validates and enqueues a job.
+// Submit validates and enqueues a job. A job must name its kind; every
+// other check is the request's own Validate.
 func (s *Server) Submit(req JobRequest) (JobStatus, error) {
-	if err := validateRequest(req); err != nil {
-		return JobStatus{}, err
+	if req.Kind == "" {
+		return JobStatus{}, errors.New("serve: job request has no kind")
+	}
+	if err := req.Validate(); err != nil {
+		return JobStatus{}, fmt.Errorf("serve: %w", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s.mu.Lock()
@@ -295,67 +257,6 @@ func (s *Server) Submit(req JobRequest) (JobStatus, error) {
 	st := s.statusLocked(jb)
 	s.mu.Unlock()
 	return st, nil
-}
-
-// validateRequest rejects, at submission time, an unknown experiment kind,
-// tuner, core, tunercmp challenger or cloning benchmark, and a negative
-// budget or placement override. Zero and empty values keep a field's
-// default; the seed may take any value.
-func validateRequest(req JobRequest) error {
-	for _, f := range []struct {
-		name  string
-		value float64
-	}{
-		{"instructions", float64(req.Instructions)},
-		{"epochs", float64(req.Epochs)},
-		{"budget", float64(req.Budget)},
-		{"power_cap_w", req.PowerCapW},
-		{"parallel", float64(req.Parallel)},
-		{"cores", float64(req.Cores)},
-		{"rows", float64(req.Rows)},
-		{"cols", float64(req.Cols)},
-	} {
-		if f.value < 0 {
-			return fmt.Errorf("serve: job request has negative %s %v", f.name, f.value)
-		}
-	}
-	var tn tuner.Tuner
-	if req.Tuner != "" {
-		var err error
-		if tn, err = tuner.ByName(req.Tuner); err != nil {
-			return fmt.Errorf("serve: %w", err)
-		}
-	}
-	for _, name := range req.Tuners {
-		if _, err := tuner.ByName(name); err != nil {
-			return fmt.Errorf("serve: tuners: %w", err)
-		}
-	}
-	if req.Core != "" {
-		if _, err := platform.ByName(req.Core); err != nil {
-			return fmt.Errorf("serve: %w", err)
-		}
-	}
-	for _, name := range req.Benchmarks {
-		if _, err := workloads.ByName(name); err != nil {
-			return fmt.Errorf("serve: benchmarks: %w", err)
-		}
-	}
-	switch req.Kind {
-	case "cloning", "tunercmp":
-		return nil
-	case "":
-		return errors.New("serve: job request has no kind")
-	}
-	if _, err := stress.KindByName(req.Kind); err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	// A halving tuner plans its rungs from the evaluation budget, which a
-	// stress job takes from the request (tunercmp derives its own).
-	if _, halving := tn.(*tuner.SuccessiveHalving); halving && req.Budget == 0 {
-		return fmt.Errorf("serve: tuner %q needs a budget", req.Tuner)
-	}
-	return nil
 }
 
 // Status returns a job's status.
@@ -567,37 +468,11 @@ func (s *Server) synthFor(opts microprobe.Options) *microprobe.CachingSynthesize
 	return syn
 }
 
-// budgetFor translates a job request into an experiments budget wired to
-// the shared caches and the job's row stream.
+// budgetFor is the job request's budget with what the server owns on top:
+// the fan-out clamped to the per-job cap, the shared caches and the job's
+// row stream.
 func (s *Server) budgetFor(jb *job) experiments.Budget {
-	req := jb.req
-	b := experiments.FullBudget()
-	if req.Quick {
-		b = experiments.QuickBudget()
-	}
-	if req.Instructions > 0 {
-		b.DynamicInstructions = req.Instructions
-	}
-	if req.Epochs > 0 {
-		b.CloneEpochs = req.Epochs
-		b.StressEpochs = req.Epochs
-	}
-	if req.Seed != 0 {
-		b.Seed = req.Seed
-	}
-	if req.Budget > 0 {
-		b.MaxEvaluations = req.Budget
-	}
-	if req.PowerCapW > 0 {
-		b.PowerCapW = req.PowerCapW
-	}
-	if req.Tuner != "" {
-		b.Tuner = req.Tuner
-	}
-	if len(req.Benchmarks) > 0 {
-		b.Benchmarks = req.Benchmarks
-	}
-	b.Parallel = req.Parallel
+	b := jb.req.RunBudget()
 	if b.Parallel < 1 || b.Parallel > s.cfg.Parallel {
 		b.Parallel = s.cfg.Parallel
 	}
@@ -610,28 +485,12 @@ func (s *Server) budgetFor(jb *job) experiments.Budget {
 // execute dispatches a job to its experiment runner and returns the
 // rendered report.
 func (s *Server) execute(ctx context.Context, jb *job) (string, error) {
-	req := jb.req
+	req := jb.req.Normalized()
 	b := s.budgetFor(jb)
-	core := req.Core
-	if core == "" {
-		core = "large"
-	}
-	cores := req.Cores
-	if len(req.FreqsGHz) > 0 {
-		cores = len(req.FreqsGHz)
-	}
-	if cores < 2 {
-		cores = 2
-	}
-	rows, cols := req.Rows, req.Cols
-	if rows <= 0 || cols <= 0 {
-		rows, cols = multicore.DefaultGrid(cores)
-	}
-
 	switch req.Kind {
 	case "cloning":
 		run := experiments.RunFig2
-		if core == "small" {
+		if req.Core == string(platform.SmallCore) {
 			run = experiments.RunFig3
 		}
 		res, err := run(ctx, b)
@@ -640,18 +499,12 @@ func (s *Server) execute(ctx context.Context, jb *job) (string, error) {
 		}
 		return res.Render(), nil
 	case "tunercmp":
-		res, err := experiments.RunTunerCmp(ctx, core, cores, rows, cols, req.Tuners, b)
+		res, err := experiments.RunTunerCmp(ctx, req.Core, req.Cores, req.Rows, req.Cols, req.Tuners, b)
 		if err != nil {
 			return "", err
 		}
 		return res.Render(), nil
 	}
-
-	kind, err := stress.KindByName(req.Kind)
-	if err != nil {
-		return "", err
-	}
-	res, err := experiments.RunKind(ctx, experiments.KindRequest{Kind: kind, Core: core, Cores: cores,
-		FreqsGHz: req.FreqsGHz, Rows: rows, Cols: cols}, b)
+	res, err := experiments.RunKind(ctx, req, b)
 	return res.Output, err
 }

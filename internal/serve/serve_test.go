@@ -293,8 +293,10 @@ func TestSubmitRejectsUnknownKind(t *testing.T) {
 }
 
 // TestSubmitRejectsNegativeOverrides checks that a negative budget or
-// placement override is refused with a 400, not queued to run the default
-// budget, while zero (the default) and a negative seed are accepted.
+// placement override, a half-zero grid, a single-core chip job, a
+// non-positive clock and an off-grid floorplan are refused with a 400, not
+// queued to run a default, while zero (the default) and a negative seed are
+// accepted.
 func TestSubmitRejectsNegativeOverrides(t *testing.T) {
 	s := newServer(Config{})
 	defer s.Close()
@@ -311,6 +313,10 @@ func TestSubmitRejectsNegativeOverrides(t *testing.T) {
 		{`{"kind":"corun-noise-virus","cores":-4}`, http.StatusBadRequest},
 		{`{"kind":"spatial","cores":4,"rows":-2,"cols":2}`, http.StatusBadRequest},
 		{`{"kind":"spatial","cores":4,"rows":2,"cols":-2}`, http.StatusBadRequest},
+		{`{"kind":"spatial","cores":4,"rows":3,"cols":0}`, http.StatusBadRequest},
+		{`{"kind":"corun-noise-virus","cores":1}`, http.StatusBadRequest},
+		{`{"kind":"dvfs-noise-virus","freqs_ghz":[0,2]}`, http.StatusBadRequest},
+		{`{"kind":"spatial","cores":4,"rows":2,"cols":2,"floorplan":"0,0;9,9;1,1;1,1"}`, http.StatusBadRequest},
 		{`{"kind":"perf-virus","instructions":0,"epochs":0,"budget":0,"power_cap_w":0,"parallel":0,"cores":0,"rows":0,"cols":0}`, http.StatusAccepted},
 		{`{"kind":"perf-virus","seed":-7}`, http.StatusAccepted},
 	} {

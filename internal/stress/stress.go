@@ -69,8 +69,8 @@ func Kinds() []Kind {
 	return []Kind{PerfVirus, PowerVirus, VoltageNoiseVirus, ThermalVirus}
 }
 
-// multiCoreKind reports whether a kind needs the multi-core co-run platform.
-func multiCoreKind(k Kind) bool {
+// MultiCore reports whether the kind needs the multi-core co-run platform.
+func (k Kind) MultiCore() bool {
 	return k == CoRunNoiseVirus || k == DVFSNoiseVirus || k == SpatialNoiseVirus || k == HotspotMigrationVirus
 }
 
@@ -202,7 +202,7 @@ func (o Options) normalized(kind Kind) Options {
 			o.Space = knobs.StressSpace()
 		case kind == VoltageNoiseVirus || kind == ThermalVirus:
 			o.Space = knobs.TransientStressSpace()
-		case multiCoreKind(kind):
+		case kind.MultiCore():
 			cores := o.Platform.NumCores()
 			switch kind {
 			case DVFSNoiseVirus:
@@ -310,10 +310,10 @@ func Run(ctx context.Context, kind Kind, opts Options) (Report, error) {
 	// a custom metric knowingly).
 	coRunPlat := opts.Platform.NumCores() > 1
 	switch {
-	case multiCoreKind(kind) && !coRunPlat:
+	case kind.MultiCore() && !coRunPlat:
 		return Report{}, fmt.Errorf("stress: %s requires a co-run platform (got %s, a single core)",
 			kind, opts.Platform.Name())
-	case !multiCoreKind(kind) && coRunPlat && opts.Metric == "":
+	case !kind.MultiCore() && coRunPlat && opts.Metric == "":
 		return Report{}, fmt.Errorf("stress: %s stresses %s, which the co-run platform %s does not produce (use %s or %s, or set Metric explicitly)",
 			kind, metric, opts.Platform.Name(), CoRunNoiseVirus, DVFSNoiseVirus)
 	}

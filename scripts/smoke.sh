@@ -153,6 +153,22 @@ kernels="$(curl -sf "$base/stats" | sed -n 's/.*"synth_kernels": \([0-9]*\),*/\1
     exit 1
 }
 
+# One request, two front ends: a spatial job with a floorplan must render
+# exactly what the same run prints through the mgbench flags (minus the
+# timing line).
+spatial_req='{"kind":"spatial","quick":true,"core":"small","cores":4,"rows":2,"cols":2,"floorplan":"0,0;0,0;1,1;1,1","instructions":3000,"seed":1,"parallel":1}'
+job_sp="$(curl -sf "$base/jobs" -d "$spatial_req" | grep '"id"' | sed 's/.*: "\(.*\)",*/\1/')"
+[ -n "$job_sp" ] || { echo "FAIL: mgserve rejected the spatial floorplan job" >&2; exit 1; }
+curl -sf "$base/jobs/$job_sp/stream" > /dev/null
+curl -sf "$base/jobs/$job_sp/result" | jq -r .output > "$bin_dir/spatial_served.txt"
+"$bin_dir/mgbench" -kind spatial -quick -core small -cores 4 -grid 2x2 -floorplan "0,0;0,0;1,1;1,1" \
+    -instructions 3000 -seed 1 -parallel 1 | grep -v 'completed in' > "$bin_dir/spatial_cli.txt"
+test -s "$bin_dir/spatial_cli.txt" || { echo "FAIL: mgbench spatial floorplan run produced no output" >&2; exit 1; }
+diff "$bin_dir/spatial_cli.txt" "$bin_dir/spatial_served.txt" || {
+    echo "FAIL: mgserve's spatial floorplan job differs from the same mgbench run" >&2
+    exit 1
+}
+
 # Cancel a long-running job; the daemon must mark it cancelled, not failed.
 job2="$(curl -sf "$base/jobs" -d '{"kind":"power-virus","instructions":40000,"epochs":200,"seed":3,"parallel":1}' \
     | grep '"id"' | sed 's/.*: "\(.*\)",*/\1/')"
