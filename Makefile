@@ -50,7 +50,7 @@ determinism:
 		"-experiment dvfs -quick -core small -cores 2 -freqs 2.0,1.2 -instructions 3000" \
 		"-experiment corun -quick -core small -cores 2 -instructions 3000" \
 		"-experiment spatial -quick -core small -cores 4 -grid 2x2 -instructions 3000" \
-		"-experiment tunercmp -quick -core small -cores 4 -grid 2x2 -instructions 3000 -tuner cmaes,halving-cmaes" \
+		"-kind tunercmp -quick -core small -cores 4 -grid 2x2 -instructions 3000 -tuner cmaes,halving-cmaes" \
 		"-kind corun-noise-virus -quick -core small -cores 4 -instructions 3000"; do \
 		echo "mgbench $$args: -parallel 1 vs 4"; \
 		"$$dir/mgbench" $$args -parallel 1 | grep -v 'completed in' > "$$dir/serial.txt" || exit 1; \

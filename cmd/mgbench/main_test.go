@@ -78,8 +78,8 @@ func TestFlagsAndJSONGiveOneRequest(t *testing.T) {
 			`{"kind":"power-virus","core":"large","epochs":3,"seed":-4,"budget":50,"power_cap_w":20.5,"tuner":"halving-cmaes","parallel":2}`},
 		{[]string{"-kind", "dvfs-noise-virus", "-freqs", "2.0, 1.2", "-parallel", "3"},
 			`{"kind":"dvfs-noise-virus","freqs_ghz":[2.0,1.2],"parallel":3}`},
-		{[]string{"-experiment", "tunercmp", "-cores", "4", "-grid", "2x2", "-tuner", "cmaes,halving-cmaes", "-parallel", "1"},
-			`{"cores":4,"rows":2,"cols":2,"tuners":["cmaes","halving-cmaes"],"parallel":1}`},
+		{[]string{"-kind", "tunercmp", "-cores", "4", "-grid", "2x2", "-tuner", "cmaes,halving-cmaes", "-parallel", "1"},
+			`{"kind":"tunercmp","cores":4,"rows":2,"cols":2,"tuners":["cmaes","halving-cmaes"],"parallel":1}`},
 		{[]string{"-experiment", "fig2", "-benchmarks", "mcf,hmmer", "-parallel", "1"},
 			`{"benchmarks":["mcf","hmmer"],"parallel":1}`},
 	} {
@@ -126,6 +126,13 @@ func TestRunRejectsBadInputs(t *testing.T) {
 		{"-experiment", "fig5", "-instructions", "-1"},
 		{"-kind", "corun-noise-virus", "-cores", "1"},
 		{"-kind", "spatial", "-cores", "1"},
+		// Every chip experiment in the run list is checked as its kind
+		// before the first experiment prints.
+		{"-experiment", "all", "-quick", "-instructions", "1000", "-benchmarks", "mcf", "-epochs", "2", "-cores", "1"},
+		{"-experiment", "all", "-quick", "-instructions", "1000", "-benchmarks", "mcf", "-epochs", "2", "-freqs", "2.0"},
+		{"-experiment", "all", "-grid", "2x2", "-floorplan", "0,0;9,9"},
+		{"-experiment", "dvfs", "-freqs", "1.5"},
+		{"-experiment", "spatial", "-cores", "1"},
 	} {
 		var out bytes.Buffer
 		if err := run(args, &out); err == nil {
@@ -157,5 +164,40 @@ func TestRunKindWithCSVAndTrace(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "perf-virus") {
 		t.Fatalf("kind run produced: %q", out.String())
+	}
+}
+
+// TestRunKindCloningAndTunerCmp runs the two kinds that are not stress
+// kinds through -kind, as an mgserve job names them: each prints its table,
+// and -trace, which needs one tuned kernel, is rejected before any output.
+// tunercmp is a kind, not an -experiment name.
+func TestRunKindCloningAndTunerCmp(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two quick tuning loops")
+	}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-kind", "cloning", "-quick", "-benchmarks", "mcf", "-epochs", "2", "-instructions", "1500", "-parallel", "1"}, "FIG2: workload cloning"},
+		{[]string{"-kind", "Cloning", "-core", "small", "-quick", "-benchmarks", "mcf", "-epochs", "2", "-instructions", "1500", "-parallel", "1"}, "FIG3: workload cloning"},
+		{[]string{"-kind", "tunercmp", "-quick", "-core", "small", "-cores", "2", "-grid", "1x2", "-tuner", "random",
+			"-budget", "20", "-epochs", "2", "-instructions", "1500", "-parallel", "1"}, "random"},
+	} {
+		var out bytes.Buffer
+		if err := run(c.args, &out); err != nil {
+			t.Fatalf("%v: %v", c.args, err)
+		}
+		if !strings.Contains(out.String(), c.want) || !strings.Contains(out.String(), "completed in") {
+			t.Errorf("%v printed:\n%s", c.args, out.String())
+		}
+		out.Reset()
+		if err := run(append(c.args, "-trace", filepath.Join(t.TempDir(), "trace.csv")), &out); err == nil || out.Len() != 0 {
+			t.Errorf("%v -trace: err = %v after %d bytes of output, want a rejection before any", c.args, err, out.Len())
+		}
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-experiment", "tunercmp", "-cores", "1"}, &out); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+		t.Errorf("-experiment tunercmp: err = %v, want an unknown-experiment error", err)
 	}
 }

@@ -78,9 +78,6 @@ func run(args []string, out io.Writer) error {
 		cfg.Seed = *seed
 		cfg.Parallel = *parallel
 		cfg.OutputDir = *outDir
-		if err := cfg.Validate(); err != nil {
-			return err
-		}
 	}
 
 	fw, err := core.New(cfg)

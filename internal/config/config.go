@@ -11,9 +11,8 @@ import (
 	"io"
 	"os"
 
-	"micrograd/internal/platform"
+	"micrograd/internal/experiments"
 	"micrograd/internal/stress"
-	"micrograd/internal/tuner"
 )
 
 // Use cases.
@@ -109,8 +108,19 @@ func Load(path string) (Config, error) {
 	return Parse(f)
 }
 
-// Validate checks the configuration for consistency.
+// Validate checks the configuration for consistency. The fields it shares
+// with an mgbench or mgserve run go through experiments.Request.Validate on
+// one core and with no evaluation budget, so a chip kind and a halving tuner
+// fail as they would there.
 func (c Config) Validate() error {
+	req := experiments.Request{
+		Instructions: c.DynamicInstructions,
+		Epochs:       c.MaxEpochs,
+		Parallel:     c.Parallel,
+		Tuner:        c.Tuner,
+		Core:         c.Core,
+		Cores:        1,
+	}
 	switch c.UseCase {
 	case UseCaseCloning:
 		if c.Benchmark == "" && len(c.TargetMetrics) == 0 {
@@ -123,26 +133,23 @@ func (c Config) Validate() error {
 		if c.StressKind == "" && c.StressMetric == "" {
 			return fmt.Errorf("config: stress needs stress_kind or stress_metric")
 		}
-		if kind, err := stress.KindByName(c.StressKind); err != nil && c.StressMetric == "" {
+		// With a stress_metric, an unknown stress_kind only labels the run.
+		if _, err := stress.KindByName(c.StressKind); err == nil {
+			req.Kind = c.StressKind
+		} else if c.StressMetric == "" {
 			return fmt.Errorf("config: %w", err)
-		} else if err == nil && kind.MultiCore() {
-			return fmt.Errorf("config: stress kind %q needs a multi-core chip, and the framework runs on one core", c.StressKind)
 		}
 	default:
 		return fmt.Errorf("config: unknown use_case %q (want %q or %q)", c.UseCase, UseCaseCloning, UseCaseStress)
 	}
-	if _, err := platform.ByName(c.Core); err != nil {
+	if c.Core == "" || c.Tuner == "" {
+		return fmt.Errorf("config: core %q and tuner %q must both be named", c.Core, c.Tuner)
+	}
+	if err := req.Validate(); err != nil {
 		return fmt.Errorf("config: %w", err)
 	}
-	tn, err := tuner.ByName(c.Tuner)
-	if err != nil {
-		return fmt.Errorf("config: %w", err)
-	}
-	if _, halving := tn.(*tuner.SuccessiveHalving); halving {
-		return fmt.Errorf("config: tuner %q plans its rungs from an evaluation budget, which the configuration does not have", c.Tuner)
-	}
-	if c.MaxEpochs < 0 || c.DynamicInstructions < 0 || c.LoopSize < 0 || c.Parallel < 0 {
-		return fmt.Errorf("config: negative budget values")
+	if c.LoopSize < 0 {
+		return fmt.Errorf("config: negative loop_size %d", c.LoopSize)
 	}
 	if c.TargetAccuracy < 0 || c.TargetAccuracy > 1 {
 		return fmt.Errorf("config: target_accuracy %v outside [0,1]", c.TargetAccuracy)

@@ -80,6 +80,20 @@ func TestValidate(t *testing.T) {
 			c.UseCase, c.StressKind, c.StressMetric = UseCaseStress, "spatial", "ipc"
 		}},
 		{"unknown stress kind", func(c *Config) { c.UseCase, c.StressKind = UseCaseStress, "no-such-virus" }},
+		{"empty core", func(c *Config) { c.Core = "" }},
+		{"negative instructions", func(c *Config) { c.DynamicInstructions = -1 }},
+		{"negative parallel", func(c *Config) { c.Parallel = -2 }},
+		{"negative loop size", func(c *Config) { c.LoopSize = -1 }},
+		// The stress use case sets a request kind; the shared rules still hold.
+		{"dvfs stress kind", func(c *Config) { c.UseCase, c.StressKind = UseCaseStress, "dvfs-noise-virus" }},
+		{"hotspot alias", func(c *Config) { c.UseCase, c.StressKind = UseCaseStress, "hotspot" }},
+		{"halving tuner on stress", func(c *Config) { c.UseCase, c.StressKind, c.Tuner = UseCaseStress, "power-virus", "halving-cmaes" }},
+		{"halving tuner on a custom metric", func(c *Config) {
+			c.UseCase, c.StressKind, c.StressMetric, c.Tuner = UseCaseStress, "my-virus", "ipc", "halving-gd"
+		}},
+		{"unknown tuner on stress", func(c *Config) { c.UseCase, c.StressKind, c.Tuner = UseCaseStress, "power-virus", "hillclimb" }},
+		{"unknown core on stress", func(c *Config) { c.UseCase, c.StressKind, c.Core = UseCaseStress, "power-virus", "medium" }},
+		{"negative epochs on stress", func(c *Config) { c.UseCase, c.StressKind, c.MaxEpochs = UseCaseStress, "power-virus", -3 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

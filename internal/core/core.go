@@ -14,6 +14,7 @@ import (
 
 	"micrograd/internal/cloning"
 	"micrograd/internal/config"
+	"micrograd/internal/experiments"
 	"micrograd/internal/knobs"
 	"micrograd/internal/metrics"
 	"micrograd/internal/platform"
@@ -95,9 +96,8 @@ func (f *Framework) Run(ctx context.Context) (*Output, error) {
 	}
 }
 
-// cloningOptions assembles the cloning options from the configuration.
-func (f *Framework) cloningOptions() cloning.Options {
-	return cloning.Options{
+func (f *Framework) runCloning(ctx context.Context) (*Output, error) {
+	opts := cloning.Options{
 		Tuner:          f.tun,
 		Platform:       f.plat,
 		EvalOptions:    platform.EvalOptions{DynamicInstructions: f.cfg.DynamicInstructions, Seed: f.cfg.Seed},
@@ -109,10 +109,6 @@ func (f *Framework) cloningOptions() cloning.Options {
 		Parallel:       f.cfg.Parallel,
 		NewPlatform:    f.newPlatform,
 	}
-}
-
-func (f *Framework) runCloning(ctx context.Context) (*Output, error) {
-	opts := f.cloningOptions()
 	out := &Output{UseCase: config.UseCaseCloning, CloneReports: map[string]cloning.Report{}}
 
 	switch {
@@ -175,21 +171,23 @@ func fillFromClone(out *Output, rep cloning.Report) {
 	out.Evaluations = rep.Evaluations
 }
 
+// runStress takes its options from experiments.Budget.StressOptions, the
+// one stress path. The budget is the config as given, not normalized, so a
+// zero max_epochs still means stress.DefaultMaxEpochs.
 func (f *Framework) runStress(ctx context.Context) (*Output, error) {
-	kind := stress.Kind(f.cfg.StressKind)
-	opts := stress.Options{
-		Tuner:       f.tun,
-		Platform:    f.plat,
-		EvalOptions: platform.EvalOptions{DynamicInstructions: f.cfg.DynamicInstructions, Seed: f.cfg.Seed},
-		LoopSize:    f.cfg.LoopSize,
-		Seed:        f.cfg.Seed,
-		MaxEpochs:   f.cfg.MaxEpochs,
-		Metric:      f.cfg.StressMetric,
-		Maximize:    f.cfg.Maximize,
-		Parallel:    f.cfg.Parallel,
-		NewPlatform: f.newPlatform,
+	b := experiments.Budget{
+		DynamicInstructions: f.cfg.DynamicInstructions,
+		StressEpochs:        f.cfg.MaxEpochs,
+		LoopSize:            f.cfg.LoopSize,
+		Seed:                f.cfg.Seed,
+		Tuner:               f.cfg.Tuner,
 	}
-	rep, err := stress.Run(ctx, kind, opts)
+	opts, err := b.StressOptions(f.newPlatform, f.cfg.Parallel, f.cfg.StressKind)
+	if err != nil {
+		return nil, err
+	}
+	opts.Metric, opts.Maximize = f.cfg.StressMetric, f.cfg.Maximize
+	rep, err := stress.Run(ctx, stress.Kind(f.cfg.StressKind), opts)
 	if err != nil {
 		return nil, err
 	}

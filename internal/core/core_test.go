@@ -4,11 +4,14 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"micrograd/internal/config"
 	"micrograd/internal/metrics"
+	"micrograd/internal/platform"
+	"micrograd/internal/stress"
 	"micrograd/internal/tuner"
 )
 
@@ -233,5 +236,77 @@ func TestWriteArtifacts(t *testing.T) {
 	empty := &Output{}
 	if _, err := empty.WriteArtifacts(dir); err == nil {
 		t.Error("output without program should be rejected")
+	}
+}
+
+// TestStressRunMatchesHandBuiltOptions pins the stress use case to the
+// stress.Options the framework used to assemble field by field from the
+// configuration: its output must equal stress.Run under those options, with
+// max_epochs 0 still meaning stress.DefaultMaxEpochs, an explicit
+// stress_metric and direction, and a parallel fan-out. (The default case
+// runs 38 epochs, past the 30 a full experiments budget would allow.)
+func TestStressRunMatchesHandBuiltOptions(t *testing.T) {
+	base := config.Default()
+	base.UseCase, base.StressKind = config.UseCaseStress, "power-virus"
+	base.DynamicInstructions, base.LoopSize = 1500, 100
+	custom := base
+	custom.StressKind, custom.StressMetric, custom.Maximize = "ipc-virus", metrics.IPC, true
+	custom.MaxEpochs, custom.Core, custom.Tuner, custom.Seed = 4, "small", "annealing", 7
+	parallel := base
+	parallel.MaxEpochs, parallel.Parallel = 5, 2
+	for _, c := range []struct {
+		name string
+		cfg  config.Config
+	}{{"default", base}, {"stress_metric", custom}, {"parallel", parallel}} {
+		cfg := c.cfg
+		t.Run(c.name, func(t *testing.T) {
+			fw, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := fw.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec, err := platform.ByName(cfg.Core)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plat, err := platform.NewSimPlatform(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tun, err := tuner.ByName(cfg.Tuner)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := stress.Run(context.Background(), stress.Kind(cfg.StressKind), stress.Options{
+				Tuner:       tun,
+				Platform:    plat,
+				EvalOptions: platform.EvalOptions{DynamicInstructions: cfg.DynamicInstructions, Seed: cfg.Seed},
+				LoopSize:    cfg.LoopSize,
+				Seed:        cfg.Seed,
+				MaxEpochs:   cfg.MaxEpochs,
+				Metric:      cfg.StressMetric,
+				Maximize:    cfg.Maximize,
+				Parallel:    cfg.Parallel,
+				NewPlatform: func() (platform.Platform, error) { return platform.NewSimPlatform(spec) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Name != string(want.Kind) || got.Knobs.String() != want.Config.String() {
+				t.Errorf("run %q with knobs %s, want %q with %s", got.Name, got.Knobs, want.Kind, want.Config)
+			}
+			if !reflect.DeepEqual(got.Metrics, want.BestMetrics) {
+				t.Errorf("metrics %v, want %v", got.Metrics, want.BestMetrics)
+			}
+			if !reflect.DeepEqual(got.Progression, want.TunerResult.Epochs) || !reflect.DeepEqual(got.StressReport.Progression, want.Progression) {
+				t.Errorf("progression differs from the hand-built run's")
+			}
+			if got.Evaluations != want.Evaluations || got.StressReport.Epochs != want.Epochs {
+				t.Errorf("%d evaluations over %d epochs, want %d over %d", got.Evaluations, got.StressReport.Epochs, want.Evaluations, want.Epochs)
+			}
+		})
 	}
 }

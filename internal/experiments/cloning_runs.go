@@ -3,6 +3,8 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"micrograd/internal/cloning"
@@ -44,6 +46,20 @@ func (r CloningResult) AccuracyRatios() map[string]map[string]float64 {
 	out := make(map[string]map[string]float64, len(r.Reports))
 	for name, rep := range r.Reports {
 		out[name] = rep.Accuracy
+	}
+	return out
+}
+
+// Series returns every benchmark's best-loss progression per epoch (the
+// rows a cloning job streams), in benchmark-name order.
+func (r CloningResult) Series() []report.Series {
+	var out []report.Series
+	for _, name := range slices.Sorted(maps.Keys(r.Reports)) {
+		s := report.Series{Name: name}
+		for _, rec := range r.Reports[name].TunerResult.Epochs {
+			s.AddPoint(float64(rec.Epoch), rec.BestLoss)
+		}
+		out = append(out, s)
 	}
 	return out
 }

@@ -64,7 +64,7 @@ func runCoRun(ctx context.Context, coreName string, cores int, b Budget, withBas
 	var corun, baseline stress.Report
 	runs := []func(ctx context.Context) error{
 		func(ctx context.Context) error {
-			opts, err := b.stressOptions(func() (platform.Platform, error) { return multicore.New(spec, corePar) }, candWorkers, "CoRun")
+			opts, err := b.StressOptions(func() (platform.Platform, error) { return multicore.New(spec, corePar) }, candWorkers, "CoRun")
 			if err != nil {
 				return err
 			}
@@ -76,7 +76,7 @@ func runCoRun(ctx context.Context, coreName string, cores int, b Budget, withBas
 	}
 	if withBaseline {
 		runs = append(runs, func(ctx context.Context) error {
-			opts, err := b.stressOptions(func() (platform.Platform, error) { return platform.NewSimPlatform(core) }, inner, "SingleCore")
+			opts, err := b.StressOptions(func() (platform.Platform, error) { return platform.NewSimPlatform(core) }, inner, "SingleCore")
 			if err != nil {
 				return err
 			}

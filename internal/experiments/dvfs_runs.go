@@ -91,7 +91,7 @@ func runDVFS(ctx context.Context, coreName string, cores int, freqsGHz []float64
 	}
 	outer, _, candWorkers, corePar := coRunBudgetSplit(b.Parallel, nRuns, cores)
 	tune := func(ctx context.Context, kind stress.Kind, init knobs.Config, series string) (stress.Report, error) {
-		opts, err := b.stressOptions(func() (platform.Platform, error) { return multicore.New(spec, corePar) }, candWorkers, series)
+		opts, err := b.StressOptions(func() (platform.Platform, error) { return multicore.New(spec, corePar) }, candWorkers, series)
 		if err != nil {
 			return stress.Report{}, err
 		}

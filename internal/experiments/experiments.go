@@ -190,12 +190,12 @@ func (b Budget) evalOptions() platform.EvalOptions {
 	return platform.EvalOptions{DynamicInstructions: b.DynamicInstructions, Seed: b.Seed}
 }
 
-// stressOptions builds the options of one budgeted stress tuning run on
+// StressOptions builds the options of one budgeted stress tuning run on
 // platforms from newPlatform, with parallel candidate workers, streaming
-// its progression as series. It applies every stress field of the budget —
-// tuner, window, epochs, evaluation budget, power cap, caches — so callers
-// override only what their experiment fixes differently.
-func (b Budget) stressOptions(newPlatform func() (platform.Platform, error), parallel int, series string) (opts stress.Options, err error) {
+// its progression as series: the one way the experiments and micrograd turn
+// a budget into a stress run. It applies every stress field of the budget
+// as given, not normalized, so callers override only what their run fixes.
+func (b Budget) StressOptions(newPlatform func() (platform.Platform, error), parallel int, series string) (opts stress.Options, err error) {
 	plat, err := newPlatform()
 	if err != nil {
 		return opts, err

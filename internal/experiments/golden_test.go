@@ -112,7 +112,7 @@ func goldenKind(t *testing.T, ctx context.Context, req Request, b Budget) golden
 	}
 	return goldenOutput{
 		render: res.Output,
-		csv:    seriesCSV(t, res.Report.ProgressionSeries(req.Kind)),
+		csv:    seriesCSV(t, res.Series()...),
 		trace:  traceCSV(t, res.Trace),
 	}
 }
@@ -187,7 +187,7 @@ var goldenCases = []struct {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return goldenOutput{render: res.Render(), csv: seriesCSV(t, res.Series()...)}
+		return goldenOutput{render: res.Render(), csv: seriesCSV(t, res.Progressions...)}
 	}},
 	{name: "kind_voltage-noise-virus", run: func(t *testing.T, ctx context.Context, b Budget) goldenOutput {
 		return goldenKind(t, ctx, Request{Kind: string(stress.VoltageNoiseVirus), Core: "small"}, b)

@@ -95,7 +95,7 @@ func runSpatial(ctx context.Context, kind stress.Kind, coreName string, cores, r
 	// from the oblivious winner — so each gets the full worker budget.
 	_, _, candWorkers, corePar := coRunBudgetSplit(b.Parallel, 1, cores)
 	tune := func(ctx context.Context, kind stress.Kind, spec multicore.CoRunSpec, space *knobs.Space, init knobs.Config, series string) (stress.Report, error) {
-		opts, err := b.stressOptions(func() (platform.Platform, error) { return multicore.New(spec, corePar) }, candWorkers, series)
+		opts, err := b.StressOptions(func() (platform.Platform, error) { return multicore.New(spec, corePar) }, candWorkers, series)
 		if err != nil {
 			return stress.Report{}, err
 		}

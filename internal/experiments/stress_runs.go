@@ -89,7 +89,7 @@ func runStressExperiment(ctx context.Context, figure string, kind stress.Kind, b
 	// Only the tuners stream their progression; the brute-force reference
 	// is one flat line, drawn after the fact.
 	tune := func(ctx context.Context, tn tuner.Tuner, epochs int, series string, stream bool) (stress.Report, error) {
-		opts, err := b.stressOptions(newPlatform, inner, series)
+		opts, err := b.StressOptions(newPlatform, inner, series)
 		if err != nil {
 			return stress.Report{}, err
 		}

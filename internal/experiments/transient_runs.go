@@ -38,7 +38,7 @@ func RunStressKind(ctx context.Context, kind stress.Kind, coreName string, b Bud
 	if err != nil {
 		return StressKindRun{}, err
 	}
-	opts, err := b.stressOptions(func() (platform.Platform, error) { return platform.NewSimPlatform(core) }, b.Parallel, string(kind))
+	opts, err := b.StressOptions(func() (platform.Platform, error) { return platform.NewSimPlatform(core) }, b.Parallel, string(kind))
 	if err != nil {
 		return StressKindRun{}, err
 	}
@@ -86,51 +86,80 @@ func (r StressKindRun) Render() string {
 	return t.String()
 }
 
-// KindResult is one kind run's outcome: the tuning report, the best
-// kernel's power trace (the summed chip trace for the chip kinds) and the
-// rendered summary table.
+// KindResult is one kind run's outcome: the canonical kind name, the
+// tuning report and best kernel's power trace (the summed chip trace for
+// the chip kinds; zero for cloning and tunercmp) and the rendered table.
 type KindResult struct {
+	Kind   string
 	Report stress.Report
 	Trace  powersim.PowerTrace
 	Output string
+	series []report.Series // cloning's and tunercmp's; nil for a stress kind
 }
 
-// RunKind is the one entry point of mgbench -kind and the mgserve stress
-// jobs: it tunes a stress test of the request's kind under b on the chip
-// that kind needs — one core, co-running cores, or a spatial grid — placed
-// as req.Normalized() says, and characterizes its best kernel, without the
-// comparison runs RunCoRun, RunDVFS and RunSpatial add.
+// Series returns the run's progression series, what a CSV dump holds; a
+// stress kind's is built here, so mgserve, which streams rows, builds none.
+func (r KindResult) Series() []report.Series {
+	if r.series != nil {
+		return r.series
+	}
+	return []report.Series{r.Report.ProgressionSeries(r.Kind)}
+}
+
+// RunKind runs every kind Request.Validate accepts, for mgbench -kind and
+// every mgserve job: "cloning" is RunFig2 on the large core and RunFig3 on
+// the small one, "tunercmp" is RunTunerCmp, and a stress kind is tuned on
+// the chip it needs, placed as req.Normalized() says, and its best kernel
+// characterized, without the comparison runs RunCoRun, RunDVFS and
+// RunSpatial add.
 func RunKind(ctx context.Context, req Request, b Budget) (KindResult, error) {
+	req = req.Normalized()
+	switch req.Kind {
+	case "cloning":
+		run := RunFig2
+		if req.Core == string(platform.SmallCore) {
+			run = RunFig3
+		}
+		res, err := run(ctx, b)
+		if err != nil {
+			return KindResult{}, err
+		}
+		return KindResult{Kind: req.Kind, Output: res.Render(), series: res.Series()}, nil
+	case "tunercmp":
+		res, err := RunTunerCmp(ctx, req.Core, req.Cores, req.Rows, req.Cols, req.Tuners, b)
+		if err != nil {
+			return KindResult{}, err
+		}
+		return KindResult{Kind: req.Kind, Output: res.Render(), series: res.Progressions}, nil
+	}
 	kind, err := stress.KindByName(req.Kind)
 	if err != nil {
 		return KindResult{}, err
 	}
-	req = req.Normalized()
+	// Each runner's render is called only once it has succeeded.
+	var (
+		rep    stress.Report
+		trace  powersim.PowerTrace
+		render func() string
+	)
 	switch kind {
 	case stress.CoRunNoiseVirus:
-		res, err := runCoRun(ctx, req.Core, req.Cores, b, false)
-		if err != nil {
-			return KindResult{}, err
-		}
-		return KindResult{Report: res.Report, Trace: res.Trace, Output: res.Render()}, nil
+		res, runErr := runCoRun(ctx, req.Core, req.Cores, b, false)
+		rep, trace, render, err = res.Report, res.Trace, res.Render, runErr
 	case stress.DVFSNoiseVirus:
-		res, err := runDVFS(ctx, req.Core, req.Cores, req.FreqsGHz, b, false)
-		if err != nil {
-			return KindResult{}, err
-		}
-		return KindResult{Report: res.Report, Trace: res.Trace, Output: res.Render()}, nil
+		res, runErr := runDVFS(ctx, req.Core, req.Cores, req.FreqsGHz, b, false)
+		rep, trace, render, err = res.Report, res.Trace, res.Render, runErr
 	case stress.SpatialNoiseVirus, stress.HotspotMigrationVirus:
-		res, err := runSpatial(ctx, kind, req.Core, req.Cores, req.Rows, req.Cols, req.Floorplan, b, false)
-		if err != nil {
-			return KindResult{}, err
-		}
-		return KindResult{Report: res.Report, Trace: res.Trace, Output: res.Render()}, nil
+		res, runErr := runSpatial(ctx, kind, req.Core, req.Cores, req.Rows, req.Cols, req.Floorplan, b, false)
+		rep, trace, render, err = res.Report, res.Trace, res.Render, runErr
+	default:
+		res, runErr := RunStressKind(ctx, kind, req.Core, b)
+		rep, trace, render, err = res.Report, res.Trace, res.Render, runErr
 	}
-	res, err := RunStressKind(ctx, kind, req.Core, b)
 	if err != nil {
 		return KindResult{}, err
 	}
-	return KindResult{Report: res.Report, Trace: res.Trace, Output: res.Render()}, nil
+	return KindResult{Kind: string(kind), Report: rep, Trace: trace, Output: render()}, nil
 }
 
 // transientRows extracts the shared power-characterization rows of a metric

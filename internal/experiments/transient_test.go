@@ -8,6 +8,7 @@ import (
 
 	"micrograd/internal/metrics"
 	"micrograd/internal/platform"
+	"micrograd/internal/report"
 	"micrograd/internal/stress"
 )
 
@@ -118,6 +119,48 @@ func TestRunKindParallelMatchesSerial(t *testing.T) {
 		}
 		if !reflect.DeepEqual(serial.Trace, par.Trace) || !reflect.DeepEqual(serial.Report.Progression, par.Report.Progression) {
 			t.Errorf("%s: parallel trace or progression differs from serial", req.Kind)
+		}
+	}
+}
+
+// TestRunKindMatchesRunners checks that the dispatcher runs the two kinds
+// that are not stress kinds exactly as their experiment runners do:
+// cloning is Fig. 2 on the large core and Fig. 3 on the small one.
+func TestRunKindMatchesRunners(t *testing.T) {
+	ctx := context.Background()
+	b := transientBudget()
+	b.DynamicInstructions, b.CloneEpochs, b.Benchmarks, b.MaxEvaluations = 2000, 2, []string{"mcf"}, 20
+	fig2, err := RunFig2(ctx, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig3, err := RunFig3(ctx, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmp, err := RunTunerCmp(ctx, "small", 2, 1, 2, []string{"random"}, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		req    Request
+		output string
+		series []report.Series
+	}{
+		{Request{Kind: "cloning"}, fig2.Render(), fig2.Series()},
+		{Request{Kind: "cloning", Core: "large"}, fig2.Render(), fig2.Series()},
+		{Request{Kind: "cloning", Core: "small"}, fig3.Render(), fig3.Series()},
+		{Request{Kind: "tunercmp", Core: "small", Cores: 2, Rows: 1, Cols: 2, Tuners: []string{"random"}}, cmp.Render(), cmp.Progressions},
+	} {
+		res, err := RunKind(ctx, c.req, b)
+		if err != nil {
+			t.Fatalf("%+v: %v", c.req, err)
+		}
+		if res.Kind != c.req.Kind || res.Output != c.output {
+			t.Errorf("%+v: kind %q rendered\n%s\nwant the runner's\n%s", c.req, res.Kind, res.Output, c.output)
+		}
+		if got := res.Series(); !reflect.DeepEqual(got, c.series) || len(got) == 0 {
+			t.Errorf("%+v: series %v, want the runner's %v", c.req, got, c.series)
 		}
 	}
 }

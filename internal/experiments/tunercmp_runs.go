@@ -112,7 +112,7 @@ func RunTunerCmp(ctx context.Context, coreName string, cores, rows, cols int, tu
 	tune := func(ctx context.Context, name string, target *float64) (stress.Report, error) {
 		bb := b
 		bb.Tuner = name
-		opts, err := bb.stressOptions(func() (platform.Platform, error) { return multicore.New(spec, corePar) }, candWorkers, name)
+		opts, err := bb.StressOptions(func() (platform.Platform, error) { return multicore.New(spec, corePar) }, candWorkers, name)
 		if err != nil {
 			return stress.Report{}, err
 		}
@@ -214,9 +214,6 @@ func (r TunerCmpResult) Render() string {
 	}
 	return t.String()
 }
-
-// Series returns every run's progression for CSV dumps.
-func (r TunerCmpResult) Series() []report.Series { return r.Progressions }
 
 // progressionByEvals converts a run's per-epoch progression onto the
 // evaluations x-axis, the fair axis for mechanisms with different per-epoch

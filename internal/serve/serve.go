@@ -24,7 +24,6 @@ import (
 	"micrograd/internal/evalcache"
 	"micrograd/internal/experiments"
 	"micrograd/internal/microprobe"
-	"micrograd/internal/platform"
 )
 
 // State is a job's lifecycle state.
@@ -414,7 +413,8 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob executes one job end to end.
+// runJob executes one job end to end through experiments.RunKind, the
+// dispatcher mgbench -kind runs too.
 func (s *Server) runJob(jb *job) {
 	s.mu.Lock()
 	if jb.state != StateQueued { // cancelled while waiting
@@ -427,13 +427,23 @@ func (s *Server) runJob(jb *job) {
 	jb.broadcastLocked()
 	s.mu.Unlock()
 
-	output, err := s.execute(jb.ctx, jb)
+	// The job runs under its request's budget with what the server owns on
+	// top: the fan-out clamped to the per-job cap, the shared caches and the
+	// job's row stream.
+	b := jb.req.RunBudget()
+	if b.Parallel < 1 || b.Parallel > s.cfg.Parallel {
+		b.Parallel = s.cfg.Parallel
+	}
+	b.Memo = jb.memo
+	b.Synth = s.synthFor(microprobe.Options{LoopSize: b.LoopSize, Seed: b.Seed})
+	b.OnProgress = func(row experiments.ProgressRow) { s.appendRow(jb, row) }
+	res, err := experiments.RunKind(jb.ctx, jb.req, b)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch {
 	case err == nil:
-		jb.output = output
+		jb.output = res.Output
 		s.finishLocked(jb, StateDone, nil)
 	case errors.Is(err, context.Canceled):
 		s.finishLocked(jb, StateCancelled, context.Canceled)
@@ -466,45 +476,4 @@ func (s *Server) synthFor(opts microprobe.Options) *microprobe.CachingSynthesize
 	s.synths[key] = syn
 	s.synthKeys = append(s.synthKeys, key)
 	return syn
-}
-
-// budgetFor is the job request's budget with what the server owns on top:
-// the fan-out clamped to the per-job cap, the shared caches and the job's
-// row stream.
-func (s *Server) budgetFor(jb *job) experiments.Budget {
-	b := jb.req.RunBudget()
-	if b.Parallel < 1 || b.Parallel > s.cfg.Parallel {
-		b.Parallel = s.cfg.Parallel
-	}
-	b.Memo = jb.memo
-	b.Synth = s.synthFor(microprobe.Options{LoopSize: b.LoopSize, Seed: b.Seed})
-	b.OnProgress = func(row experiments.ProgressRow) { s.appendRow(jb, row) }
-	return b
-}
-
-// execute dispatches a job to its experiment runner and returns the
-// rendered report.
-func (s *Server) execute(ctx context.Context, jb *job) (string, error) {
-	req := jb.req.Normalized()
-	b := s.budgetFor(jb)
-	switch req.Kind {
-	case "cloning":
-		run := experiments.RunFig2
-		if req.Core == string(platform.SmallCore) {
-			run = experiments.RunFig3
-		}
-		res, err := run(ctx, b)
-		if err != nil {
-			return "", err
-		}
-		return res.Render(), nil
-	case "tunercmp":
-		res, err := experiments.RunTunerCmp(ctx, req.Core, req.Cores, req.Rows, req.Cols, req.Tuners, b)
-		if err != nil {
-			return "", err
-		}
-		return res.Render(), nil
-	}
-	res, err := experiments.RunKind(ctx, req, b)
-	return res.Output, err
 }

@@ -63,8 +63,8 @@ const (
 )
 
 // Kinds returns every built-in single-platform stress kind (the ones a plain
-// platform.SimPlatform can evaluate). CoRunNoiseVirus and DVFSNoiseVirus are
-// excluded: they need the multi-core co-run platform.
+// platform.SimPlatform can evaluate). The co-run, DVFS and two spatial kinds
+// are excluded: they need the multi-core co-run platform.
 func Kinds() []Kind {
 	return []Kind{PerfVirus, PowerVirus, VoltageNoiseVirus, ThermalVirus}
 }

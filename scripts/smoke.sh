@@ -83,11 +83,11 @@ diff "$bin_dir/spatial_serial.txt" "$bin_dir/spatial_parallel.txt" || {
 # the halving wrapper chase it; the whole table must be bit-deterministic at
 # any parallelism.
 echo "smoke: mgbench tunercmp parallel==serial"
-"$bin_dir/mgbench" -experiment tunercmp -quick -core small -cores 4 -grid 2x2 -instructions 3000 -tuner cmaes,halving-cmaes -parallel 1 \
+"$bin_dir/mgbench" -kind tunercmp -quick -core small -cores 4 -grid 2x2 -instructions 3000 -tuner cmaes,halving-cmaes -parallel 1 \
     | grep -v 'completed in' > "$bin_dir/tunercmp_serial.txt"
 test -s "$bin_dir/tunercmp_serial.txt" || { echo "FAIL: tunercmp run produced no output" >&2; exit 1; }
 grep -q 'cmaes' "$bin_dir/tunercmp_serial.txt" || { echo "FAIL: tunercmp table lacks the cmaes row" >&2; exit 1; }
-"$bin_dir/mgbench" -experiment tunercmp -quick -core small -cores 4 -grid 2x2 -instructions 3000 -tuner cmaes,halving-cmaes -parallel 4 \
+"$bin_dir/mgbench" -kind tunercmp -quick -core small -cores 4 -grid 2x2 -instructions 3000 -tuner cmaes,halving-cmaes -parallel 4 \
     | grep -v 'completed in' > "$bin_dir/tunercmp_parallel.txt"
 diff "$bin_dir/tunercmp_serial.txt" "$bin_dir/tunercmp_parallel.txt" || {
     echo "FAIL: tunercmp results differ between -parallel 1 and -parallel 4" >&2
@@ -166,6 +166,25 @@ curl -sf "$base/jobs/$job_sp/result" | jq -r .output > "$bin_dir/spatial_served.
 test -s "$bin_dir/spatial_cli.txt" || { echo "FAIL: mgbench spatial floorplan run produced no output" >&2; exit 1; }
 diff "$bin_dir/spatial_cli.txt" "$bin_dir/spatial_served.txt" || {
     echo "FAIL: mgserve's spatial floorplan job differs from the same mgbench run" >&2
+    exit 1
+}
+
+# The same for the tuner comparison: a tunercmp job and mgbench -kind
+# tunercmp go through one dispatcher and must print one table. Only the sims
+# column (simulations actually run) may differ: the daemon shares one cache
+# across the job's baseline and challengers, where mgbench gives each tuning
+# run its own, so a served challenger can hit what the baseline simulated.
+tunercmp_req='{"kind":"tunercmp","quick":true,"core":"small","cores":2,"rows":1,"cols":2,"tuners":["random"],"budget":20,"instructions":2000,"seed":1,"parallel":1}'
+job_tc="$(curl -sf "$base/jobs" -d "$tunercmp_req" | grep '"id"' | sed 's/.*: "\(.*\)",*/\1/')"
+[ -n "$job_tc" ] || { echo "FAIL: mgserve rejected the tunercmp job" >&2; exit 1; }
+curl -sf "$base/jobs/$job_tc/stream" > /dev/null
+drop_sims='NF == 6 { $4 = "-" } { print }'
+curl -sf "$base/jobs/$job_tc/result" | jq -r .output | awk "$drop_sims" > "$bin_dir/tunercmp_served.txt"
+"$bin_dir/mgbench" -kind tunercmp -quick -core small -cores 2 -grid 1x2 -tuner random -budget 20 \
+    -instructions 2000 -seed 1 -parallel 1 | grep -v 'completed in' | awk "$drop_sims" > "$bin_dir/tunercmp_cli.txt"
+grep -q 'random' "$bin_dir/tunercmp_cli.txt" || { echo "FAIL: mgbench -kind tunercmp table lacks the random row" >&2; exit 1; }
+diff "$bin_dir/tunercmp_cli.txt" "$bin_dir/tunercmp_served.txt" || {
+    echo "FAIL: mgserve's tunercmp job differs from the same mgbench run" >&2
     exit 1
 }
 
