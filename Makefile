@@ -96,6 +96,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDiskEntry -fuzztime=10s -run='^$$' ./internal/evalcache
 	$(GO) test -fuzz=FuzzSimPlatformReuse -fuzztime=10s -run='^$$' ./internal/platform
 	$(GO) test -fuzz=FuzzLRUInclusion -fuzztime=10s -run='^$$' ./internal/memsim
+	$(GO) test -fuzz=FuzzWindowedRunMatchesTotals -fuzztime=10s -run='^$$' ./internal/cpusim
 	$(GO) test -fuzz=FuzzJobRequest -fuzztime=10s -run='^$$' ./internal/serve
 
 cover:

@@ -7,9 +7,10 @@
 // ("spatial" and "hotspot" name the two spatial kinds), cloning (fig2 on the
 // large -core, fig3 on the small one) or tunercmp, the equal-budget tuner
 // comparison on the spatial stress problem, which "all" does not run.
-// -trace dumps a stress kind's tuned kernel's windowed power trace as CSV
-// (chip traces live on a nanosecond grid, so their rows carry duration_ns
-// with cycles 0); cloning and tunercmp tune many kernels and reject it.
+// -trace dumps a -kind stress kind's tuned kernel's windowed power trace as
+// CSV (chip traces live on a nanosecond grid, so their rows carry
+// duration_ns with cycles 0); an experiment writes no trace, and cloning and
+// tunercmp tune many kernels, so all three reject it.
 //
 // The chip kinds and experiments co-run -cores copies of -core on one
 // power-delivery network: dvfs also tunes per-core clocks warm-started from
@@ -93,7 +94,7 @@ func parseArgs(args []string) (experiments.Request, options, error) {
 	)
 	fs.StringVar(&opt.experiment, "experiment", "all", "experiment to run: tableI, tableII, fig2, fig3, fig4, fig5, fig6, tableIII, stresscmp, corun, dvfs, spatial, summary, all")
 	fs.StringVar(&opt.csvDir, "csv", "", "directory to write CSV data files into (empty = don't write)")
-	fs.StringVar(&opt.tracePath, "trace", "", "file to write the -kind stress kernel's windowed power trace into (CSV; empty = don't write; not with cloning or tunercmp)")
+	fs.StringVar(&opt.tracePath, "trace", "", "file to write the -kind stress kernel's windowed power trace into (CSV; empty = don't write; needs -kind, and not cloning or tunercmp)")
 	fs.IntVar(&opt.memoCap, "memo-cap", 0, "bound each run's evaluation cache to this many entries with LRU eviction (0 = unbounded)")
 	fs.BoolVar(&req.Quick, "quick", false, "use the reduced quick budget (3 benchmarks, short simulations)")
 	fs.IntVar(&req.Instructions, "instructions", 0, "override dynamic instructions per evaluation")
@@ -134,7 +135,10 @@ func parseArgs(args []string) (experiments.Request, options, error) {
 	if req.Rows, req.Cols, err = parseGrid(*gridDims); err != nil {
 		return req, opt, err
 	}
-	if opt.tracePath != "" && (req.Kind == "cloning" || req.Kind == "tunercmp") {
+	switch {
+	case opt.tracePath != "" && req.Kind == "":
+		return req, opt, fmt.Errorf("-trace needs -kind: an experiment writes no power trace")
+	case opt.tracePath != "" && (req.Kind == "cloning" || req.Kind == "tunercmp"):
 		return req, opt, fmt.Errorf("-trace needs one tuned kernel, and -kind %s tunes many", req.Kind)
 	}
 	if err := req.Validate(); err != nil || req.Kind != "" {

@@ -169,8 +169,9 @@ func TestRunKindWithCSVAndTrace(t *testing.T) {
 
 // TestRunKindCloningAndTunerCmp runs the two kinds that are not stress
 // kinds through -kind, as an mgserve job names them: each prints its table,
-// and -trace, which needs one tuned kernel, is rejected before any output.
-// tunercmp is a kind, not an -experiment name.
+// and -trace, which needs one tuned kernel, is rejected before any output,
+// as it is on an experiment, which has no -kind. tunercmp is a kind, not an
+// -experiment name.
 func TestRunKindCloningAndTunerCmp(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two quick tuning loops")
@@ -197,6 +198,10 @@ func TestRunKindCloningAndTunerCmp(t *testing.T) {
 		}
 	}
 	var out bytes.Buffer
+	if err := run([]string{"-experiment", "tableI", "-trace", filepath.Join(t.TempDir(), "trace.csv")}, &out); err == nil || out.Len() != 0 {
+		t.Errorf("-experiment tableI -trace: err = %v after %d bytes of output, want a rejection before any", err, out.Len())
+	}
+	out.Reset()
 	if err := run([]string{"-experiment", "tunercmp", "-cores", "1"}, &out); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
 		t.Errorf("-experiment tunercmp: err = %v, want an unknown-experiment error", err)
 	}

@@ -62,6 +62,7 @@ func TestRunRejectsUnknownNames(t *testing.T) {
 	for _, args := range [][]string{
 		{"-use-case", "stress", "-tuner", "hillclimb"},
 		{"-use-case", "stress", "-core", "medium"},
+		{"-use-case", "cloning", "-benchmark", "nosuch"},
 	} {
 		var out bytes.Buffer
 		if err := run(args, &out); err == nil || !strings.Contains(err.Error(), "unknown") {

@@ -146,7 +146,7 @@ func Clone(ctx context.Context, name string, target metrics.Vector, opts Options
 	if csyn == nil {
 		csyn = microprobe.NewCachingSynthesizer(microprobe.Options{LoopSize: opts.LoopSize, Seed: opts.Seed})
 	}
-	memo, err := tuner.NewPlatformEvaluator(tuner.PlatformOptions{
+	res, prog, evaluations, err := tuner.TunePlatform(ctx, opts.Tuner, tuner.PlatformOptions{
 		Name:        "clone-" + name,
 		Platform:    opts.Platform,
 		Parallel:    opts.Parallel,
@@ -154,37 +154,19 @@ func Clone(ctx context.Context, name string, target metrics.Vector, opts Options
 		Synth:       csyn,
 		Options:     opts.EvalOptions,
 		Memo:        opts.Memo,
-	})
-	if err != nil {
-		return Report{}, fmt.Errorf("cloning: %w", err)
-	}
-
-	loss := metrics.CloneLoss{Target: target, Metrics: opts.Metrics}
-	prob := tuner.Problem{
+	}, tuner.Problem{
 		Space:      knobs.DefaultSpace(),
-		Loss:       loss,
-		Evaluator:  memo,
+		Loss:       metrics.CloneLoss{Target: target, Metrics: opts.Metrics},
 		MaxEpochs:  opts.MaxEpochs,
 		TargetLoss: TargetLossFor(opts.TargetAccuracy, len(opts.Metrics)),
 		Seed:       opts.Seed,
 		OnEpoch:    opts.OnEpoch,
-	}
-
-	res, err := opts.Tuner.Run(ctx, prob)
+	})
 	if err != nil {
-		return Report{}, fmt.Errorf("cloning: tuning %s: %w", name, err)
+		return Report{}, fmt.Errorf("cloning: %w", err)
 	}
-	if res.Best.IsZero() {
-		return Report{}, fmt.Errorf("cloning: tuner produced no configuration for %s", name)
-	}
-
-	cloneProg, err := microprobe.NewSynthesizer(csyn.Options()).Synthesize("clone-"+name, res.Best)
-	if err != nil {
-		return Report{}, fmt.Errorf("cloning: regenerating clone for %s: %w", name, err)
-	}
-	cloneProg.Meta["use_case"] = "workload-cloning"
-	cloneProg.Meta["cloned_application"] = name
-	cloneProg.Meta["tuner"] = res.Tuner
+	prog.Meta["use_case"] = "workload-cloning"
+	prog.Meta["cloned_application"] = name
 
 	rep := Report{
 		Name:         name,
@@ -193,10 +175,10 @@ func Clone(ctx context.Context, name string, target metrics.Vector, opts Options
 		Accuracy:     make(map[string]float64, len(opts.Metrics)),
 		MeanAccuracy: metrics.MeanAccuracy(res.BestMetrics, target, opts.Metrics),
 		Epochs:       len(res.Epochs),
-		Evaluations:  int(memo.Misses()),
+		Evaluations:  evaluations,
 		Converged:    res.Converged,
 		Config:       res.Best,
-		Program:      cloneProg,
+		Program:      prog,
 		TunerResult:  res,
 	}
 	for _, m := range opts.Metrics {
@@ -212,14 +194,13 @@ func Clone(ctx context.Context, name string, target metrics.Vector, opts Options
 // CloneBenchmark measures the reference metrics of a benchmark's dominant
 // phase on the options' platform and clones it.
 func CloneBenchmark(ctx context.Context, bm workloads.Benchmark, opts Options) (Report, error) {
-	o := opts.normalized()
-	if o.Platform == nil {
+	if opts.Platform == nil {
 		return Report{}, fmt.Errorf("cloning: no evaluation platform configured")
 	}
 	if err := bm.Validate(); err != nil {
 		return Report{}, err
 	}
-	target, err := bm.Reference(o.Platform, o.EvalOptions)
+	target, err := bm.Reference(opts.Platform, opts.EvalOptions)
 	if err != nil {
 		return Report{}, fmt.Errorf("cloning: measuring reference %s: %w", bm.Name, err)
 	}
@@ -230,14 +211,13 @@ func CloneBenchmark(ctx context.Context, bm workloads.Benchmark, opts Options) (
 // and returns the per-phase reports keyed by phase name, mirroring the
 // paper's "one clone per interesting phase" input mode.
 func CloneSimpoints(ctx context.Context, bm workloads.Benchmark, opts Options) (map[string]Report, error) {
-	o := opts.normalized()
-	if o.Platform == nil {
+	if opts.Platform == nil {
 		return nil, fmt.Errorf("cloning: no evaluation platform configured")
 	}
 	if err := bm.Validate(); err != nil {
 		return nil, err
 	}
-	refs, err := bm.PhaseReferences(o.Platform, o.EvalOptions)
+	refs, err := bm.PhaseReferences(opts.Platform, opts.EvalOptions)
 	if err != nil {
 		return nil, fmt.Errorf("cloning: measuring %s phases: %w", bm.Name, err)
 	}

@@ -110,8 +110,8 @@ func Load(path string) (Config, error) {
 
 // Validate checks the configuration for consistency. The fields it shares
 // with an mgbench or mgserve run go through experiments.Request.Validate on
-// one core and with no evaluation budget, so a chip kind and a halving tuner
-// fail as they would there.
+// one core and with no evaluation budget, so a chip kind, a halving tuner
+// and an unknown benchmark fail as they would there.
 func (c Config) Validate() error {
 	req := experiments.Request{
 		Instructions: c.DynamicInstructions,
@@ -120,6 +120,9 @@ func (c Config) Validate() error {
 		Tuner:        c.Tuner,
 		Core:         c.Core,
 		Cores:        1,
+	}
+	if c.Benchmark != "" {
+		req.Benchmarks = []string{c.Benchmark}
 	}
 	switch c.UseCase {
 	case UseCaseCloning:

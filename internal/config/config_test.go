@@ -84,6 +84,7 @@ func TestValidate(t *testing.T) {
 		{"negative instructions", func(c *Config) { c.DynamicInstructions = -1 }},
 		{"negative parallel", func(c *Config) { c.Parallel = -2 }},
 		{"negative loop size", func(c *Config) { c.LoopSize = -1 }},
+		{"unknown benchmark", func(c *Config) { c.Benchmark = "nosuch" }},
 		// The stress use case sets a request kind; the shared rules still hold.
 		{"dvfs stress kind", func(c *Config) { c.UseCase, c.StressKind = UseCaseStress, "dvfs-noise-virus" }},
 		{"hotspot alias", func(c *Config) { c.UseCase, c.StressKind = UseCaseStress, "hotspot" }},

@@ -1,8 +1,10 @@
-// Package core is the MicroGrad framework front-end: it wires the framework
-// inputs (internal/config) to the evaluation platform, tuning mechanism and
-// use case, runs the tuning loop, and produces the framework outputs the
-// paper lists in §III-F — the clone or stress-test kernel, the knob values,
-// the measured metrics and the epoch progression.
+// Package core is the MicroGrad framework front-end: it turns the framework
+// inputs (internal/config) into an experiments.Budget, builds the use
+// case's options through Budget.CloneOptions or Budget.StressOptions — the
+// same path the experiments and mgserve jobs take — runs the tuning loop,
+// and produces the framework outputs the paper lists in §III-F: the clone
+// or stress-test kernel, the knob values, the measured metrics and the
+// epoch progression.
 package core
 
 import (
@@ -24,12 +26,12 @@ import (
 	"micrograd/internal/workloads"
 )
 
-// Framework is one configured MicroGrad instance.
+// Framework is one configured MicroGrad instance: the validated
+// configuration and the core it runs on. Each run builds its platforms and
+// tuner through the experiments budget.
 type Framework struct {
 	cfg  config.Config
 	spec platform.CoreSpec
-	plat *platform.SimPlatform
-	tun  tuner.Tuner
 }
 
 // New builds a framework from a validated configuration.
@@ -41,21 +43,27 @@ func New(cfg config.Config) (*Framework, error) {
 	if err != nil {
 		return nil, err
 	}
-	plat, err := platform.NewSimPlatform(spec)
-	if err != nil {
-		return nil, err
-	}
-	tun, err := tuner.ByName(cfg.Tuner)
-	if err != nil {
-		return nil, err
-	}
-	return &Framework{cfg: cfg, spec: spec, plat: plat, tun: tun}, nil
+	return &Framework{cfg: cfg, spec: spec}, nil
 }
 
-// newPlatform creates an additional platform instance for one worker of the
-// parallel evaluation engine.
+// newPlatform creates one platform instance of the configured core: the
+// first of a run, or one more worker of the parallel evaluation engine.
 func (f *Framework) newPlatform() (platform.Platform, error) {
 	return platform.NewSimPlatform(f.spec)
+}
+
+// budget is the configuration as an experiments budget, as given, not
+// normalized: a zero max_epochs still means the use case's own default
+// (cloning.DefaultMaxEpochs, stress.DefaultMaxEpochs).
+func (f *Framework) budget() experiments.Budget {
+	return experiments.Budget{
+		DynamicInstructions: f.cfg.DynamicInstructions,
+		CloneEpochs:         f.cfg.MaxEpochs,
+		StressEpochs:        f.cfg.MaxEpochs,
+		LoopSize:            f.cfg.LoopSize,
+		Seed:                f.cfg.Seed,
+		Tuner:               f.cfg.Tuner,
+	}
 }
 
 // Output bundles the framework outputs of one run (§III-F): the generated
@@ -96,93 +104,67 @@ func (f *Framework) Run(ctx context.Context) (*Output, error) {
 	}
 }
 
+// runCloning takes its options from experiments.Budget.CloneOptions, the
+// one cloning path; the accuracy target and the metric subset are the
+// configuration's own.
 func (f *Framework) runCloning(ctx context.Context) (*Output, error) {
-	opts := cloning.Options{
-		Tuner:          f.tun,
-		Platform:       f.plat,
-		EvalOptions:    platform.EvalOptions{DynamicInstructions: f.cfg.DynamicInstructions, Seed: f.cfg.Seed},
-		LoopSize:       f.cfg.LoopSize,
-		Seed:           f.cfg.Seed,
-		MaxEpochs:      f.cfg.MaxEpochs,
-		TargetAccuracy: f.cfg.TargetAccuracy,
-		Metrics:        f.cfg.Metrics,
-		Parallel:       f.cfg.Parallel,
-		NewPlatform:    f.newPlatform,
+	name := f.cfg.Benchmark
+	if len(f.cfg.TargetMetrics) > 0 {
+		name = "target"
 	}
-	out := &Output{UseCase: config.UseCaseCloning, CloneReports: map[string]cloning.Report{}}
-
-	switch {
-	case len(f.cfg.TargetMetrics) > 0:
-		target := metrics.Vector(f.cfg.TargetMetrics)
-		rep, err := cloning.Clone(ctx, "target", target, opts)
+	opts, err := f.budget().CloneOptions(f.newPlatform, f.cfg.Parallel, name)
+	if err != nil {
+		return nil, err
+	}
+	opts.TargetAccuracy, opts.Metrics = f.cfg.TargetAccuracy, f.cfg.Metrics
+	out := &Output{UseCase: config.UseCaseCloning, Name: name, CloneReports: map[string]cloning.Report{}}
+	if len(f.cfg.TargetMetrics) > 0 {
+		rep, err := cloning.Clone(ctx, name, metrics.Vector(f.cfg.TargetMetrics), opts)
 		if err != nil {
 			return nil, err
 		}
-		out.Name = "target"
-		out.CloneReports["target"] = rep
-		fillFromClone(out, rep)
-	case f.cfg.CloneSimpoints:
-		bm, err := workloads.ByName(f.cfg.Benchmark)
-		if err != nil {
-			return nil, err
-		}
-		reports, err := cloning.CloneSimpoints(ctx, bm, opts)
-		if err != nil {
-			return nil, err
-		}
-		out.Name = bm.Name
-		var dominant cloning.Report
-		dominantWeight := -1.0
-		evaluations := 0
-		for _, ph := range bm.Phases {
-			rep := reports[ph.Name]
-			out.CloneReports[ph.Name] = rep
-			evaluations += rep.Evaluations
-			if ph.Weight > dominantWeight {
-				dominantWeight = ph.Weight
-				dominant = rep
-			}
-		}
-		// The dominant phase stands for the run; every phase's tuning counts.
-		fillFromClone(out, dominant)
-		out.Evaluations = evaluations
-	default:
-		bm, err := workloads.ByName(f.cfg.Benchmark)
-		if err != nil {
-			return nil, err
-		}
+		out.CloneReports[name] = rep
+		return fillFromClone(out, rep), nil
+	}
+	bm, err := workloads.ByName(name)
+	if err != nil {
+		return nil, err
+	}
+	if !f.cfg.CloneSimpoints {
 		rep, err := cloning.CloneBenchmark(ctx, bm, opts)
 		if err != nil {
 			return nil, err
 		}
-		out.Name = bm.Name
 		out.CloneReports[bm.DominantPhase().Name] = rep
-		fillFromClone(out, rep)
+		return fillFromClone(out, rep), nil
+	}
+	if out.CloneReports, err = cloning.CloneSimpoints(ctx, bm, opts); err != nil {
+		return nil, err
+	}
+	// The dominant phase stands for the run; every phase's tuning counts.
+	fillFromClone(out, out.CloneReports[bm.DominantPhase().Name])
+	out.Evaluations = 0
+	for _, rep := range out.CloneReports {
+		out.Evaluations += rep.Evaluations
 	}
 	return out, nil
 }
 
-// fillFromClone populates the generic output fields from a cloning report.
-func fillFromClone(out *Output, rep cloning.Report) {
+// fillFromClone populates the generic output fields from a cloning report
+// and returns out.
+func fillFromClone(out *Output, rep cloning.Report) *Output {
 	out.Program = rep.Program
 	out.Knobs = rep.Config
 	out.Metrics = rep.Clone
 	out.Progression = rep.TunerResult.Epochs
 	out.Evaluations = rep.Evaluations
+	return out
 }
 
 // runStress takes its options from experiments.Budget.StressOptions, the
-// one stress path. The budget is the config as given, not normalized, so a
-// zero max_epochs still means stress.DefaultMaxEpochs.
+// one stress path.
 func (f *Framework) runStress(ctx context.Context) (*Output, error) {
-	b := experiments.Budget{
-		DynamicInstructions: f.cfg.DynamicInstructions,
-		StressEpochs:        f.cfg.MaxEpochs,
-		LoopSize:            f.cfg.LoopSize,
-		Seed:                f.cfg.Seed,
-		Tuner:               f.cfg.Tuner,
-	}
-	opts, err := b.StressOptions(f.newPlatform, f.cfg.Parallel, f.cfg.StressKind)
+	opts, err := f.budget().StressOptions(f.newPlatform, f.cfg.Parallel, f.cfg.StressKind)
 	if err != nil {
 		return nil, err
 	}

@@ -8,11 +8,13 @@ import (
 	"strings"
 	"testing"
 
+	"micrograd/internal/cloning"
 	"micrograd/internal/config"
 	"micrograd/internal/metrics"
 	"micrograd/internal/platform"
 	"micrograd/internal/stress"
 	"micrograd/internal/tuner"
+	"micrograd/internal/workloads"
 )
 
 func cloningConfig() config.Config {
@@ -50,20 +52,20 @@ func TestNewValidatesConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if good.cfg.Benchmark != "hmmer" || good.plat == nil {
-		t.Error("framework lost its configuration or platform")
+	if good.cfg.Benchmark != "hmmer" || good.spec.Kind != platform.LargeCore {
+		t.Error("framework lost its configuration or core")
 	}
 }
 
 // TestNewBuildsEveryRegisteredTuner pins that the front-end resolves tuner
-// names through the tuner registry: every name it lists validates and
-// builds, except the halving wrappers, which the configuration has no
+// names through the tuner registry: every name it lists validates and runs
+// that tuner, except the halving wrappers, which the configuration has no
 // budget for. The default "gd" comes from config.Default alone, so an
 // empty name is rejected like any unknown one.
 func TestNewBuildsEveryRegisteredTuner(t *testing.T) {
 	for _, name := range tuner.Names() {
 		cfg := stressConfig()
-		cfg.Tuner = name
+		cfg.Tuner, cfg.MaxEpochs, cfg.DynamicInstructions, cfg.LoopSize = name, 1, 1000, 60
 		if strings.HasPrefix(name, "halving-") {
 			if cfg.Validate() == nil {
 				t.Errorf("tuner %q: Validate accepted a tuner that needs a budget", name)
@@ -82,11 +84,16 @@ func TestNewBuildsEveryRegisteredTuner(t *testing.T) {
 			t.Errorf("tuner %q: New: %v", name, err)
 			continue
 		}
+		out, err := fw.Run(context.Background())
+		if err != nil {
+			t.Errorf("tuner %q: Run: %v", name, err)
+			continue
+		}
 		ref, err := tuner.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := fw.tun.Name(); got != ref.Name() {
+		if got := out.StressReport.TunerResult.Tuner; got != ref.Name() {
 			t.Errorf("tuner %q built %q, want %q", name, got, ref.Name())
 		}
 	}
@@ -306,6 +313,110 @@ func TestStressRunMatchesHandBuiltOptions(t *testing.T) {
 			}
 			if got.Evaluations != want.Evaluations || got.StressReport.Epochs != want.Epochs {
 				t.Errorf("%d evaluations over %d epochs, want %d over %d", got.Evaluations, got.StressReport.Epochs, want.Evaluations, want.Epochs)
+			}
+		})
+	}
+}
+
+// TestCloneRunMatchesHandBuiltOptions pins the cloning use case to the
+// cloning.Options the framework used to assemble field by field from the
+// configuration: its reports and output must equal cloning.CloneBenchmark,
+// Clone and CloneSimpoints under those options, for a benchmark, explicit
+// target metrics, per-phase simpoint cloning, and a parallel fan-out with
+// max_epochs 0 still meaning cloning.DefaultMaxEpochs.
+func TestCloneRunMatchesHandBuiltOptions(t *testing.T) {
+	base := config.Default()
+	base.UseCase, base.Benchmark, base.Core = config.UseCaseCloning, "mcf", "small"
+	base.DynamicInstructions, base.LoopSize, base.MaxEpochs = 1500, 100, 4
+	target := base
+	target.Benchmark, target.Tuner, target.Seed, target.TargetAccuracy = "", "annealing", 7, 0.9
+	target.TargetMetrics = map[string]float64{
+		metrics.FracInteger: 0.5, metrics.FracLoad: 0.2, metrics.FracStore: 0.1,
+		metrics.FracBranch: 0.1, metrics.L1DHitRate: 0.95, metrics.IPC: 1.5,
+	}
+	target.Metrics = []string{metrics.FracInteger, metrics.FracLoad, metrics.FracStore, metrics.FracBranch, metrics.L1DHitRate, metrics.IPC}
+	simpoints := base
+	simpoints.Benchmark, simpoints.CloneSimpoints, simpoints.MaxEpochs = "gcc", true, 2
+	parallel := base
+	parallel.Core, parallel.MaxEpochs, parallel.Parallel = "large", 0, 2
+	for _, c := range []struct {
+		name string
+		cfg  config.Config
+	}{{"benchmark", base}, {"target_metrics", target}, {"clone_simpoints", simpoints}, {"parallel", parallel}} {
+		cfg := c.cfg
+		t.Run(c.name, func(t *testing.T) {
+			ctx := context.Background()
+			fw, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := fw.Run(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec, err := platform.ByName(cfg.Core)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plat, err := platform.NewSimPlatform(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tun, err := tuner.ByName(cfg.Tuner)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := cloning.Options{
+				Tuner:          tun,
+				Platform:       plat,
+				EvalOptions:    platform.EvalOptions{DynamicInstructions: cfg.DynamicInstructions, Seed: cfg.Seed},
+				LoopSize:       cfg.LoopSize,
+				Seed:           cfg.Seed,
+				MaxEpochs:      cfg.MaxEpochs,
+				TargetAccuracy: cfg.TargetAccuracy,
+				Metrics:        cfg.Metrics,
+				Parallel:       cfg.Parallel,
+				NewPlatform:    func() (platform.Platform, error) { return platform.NewSimPlatform(spec) },
+			}
+			want := map[string]cloning.Report{}
+			name, dominant := "target", "target"
+			switch {
+			case len(cfg.TargetMetrics) > 0:
+				want["target"], err = cloning.Clone(ctx, "target", metrics.Vector(cfg.TargetMetrics), opts)
+			default:
+				bm, berr := workloads.ByName(cfg.Benchmark)
+				if berr != nil {
+					t.Fatal(berr)
+				}
+				name, dominant = bm.Name, bm.DominantPhase().Name
+				if cfg.CloneSimpoints {
+					want, err = cloning.CloneSimpoints(ctx, bm, opts)
+				} else {
+					want[dominant], err = cloning.CloneBenchmark(ctx, bm, opts)
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.CloneReports, want) {
+				t.Errorf("clone reports differ from the hand-built run's")
+			}
+			rep := want[dominant]
+			evaluations := 0
+			for _, r := range want {
+				evaluations += r.Evaluations
+			}
+			if got.Name != name || got.Knobs.String() != rep.Config.String() {
+				t.Errorf("run %q with knobs %s, want %q with %s", got.Name, got.Knobs, name, rep.Config)
+			}
+			if !reflect.DeepEqual(got.Metrics, rep.Clone) {
+				t.Errorf("metrics %v, want %v", got.Metrics, rep.Clone)
+			}
+			if !reflect.DeepEqual(got.Progression, rep.TunerResult.Epochs) {
+				t.Errorf("progression differs from the hand-built run's")
+			}
+			if got.Evaluations != evaluations {
+				t.Errorf("%d evaluations, want %d", got.Evaluations, evaluations)
 			}
 		})
 	}

@@ -100,36 +100,15 @@ func runCloningExperiment(ctx context.Context, figure string, core platform.Core
 	// instead of multiplying to Parallel².
 	outer, inner := splitWorkers(b.Parallel, len(bms))
 	runOne := func(ctx context.Context, i int, bm workloads.Benchmark) (cloning.Report, error) {
-		plat, err := platform.NewSimPlatform(core)
+		opts, err := b.CloneOptions(func() (platform.Platform, error) { return platform.NewSimPlatform(core) }, inner, bm.Name)
 		if err != nil {
 			return cloning.Report{}, err
 		}
-		maxEpochs := b.CloneEpochs
-		if epochOverride != nil {
-			if e, ok := epochOverride[bm.Name]; ok && e > 0 {
-				maxEpochs = e
-			}
-		}
-		memo, err := b.runMemo()
-		if err != nil {
-			return cloning.Report{}, err
-		}
-		opts := cloning.Options{
-			Tuner:       newTuner(),
-			Platform:    plat,
-			EvalOptions: b.evalOptions(),
-			LoopSize:    b.LoopSize,
-			Seed:        b.Seed + int64(i)*101,
-			MaxEpochs:   maxEpochs,
-			Parallel:    inner,
-			NewPlatform: func() (platform.Platform, error) { return platform.NewSimPlatform(core) },
-			// No shared Synth: each benchmark's generation seed differs, so
-			// the run builds its own synthesizer; the shared Memo group is
-			// still safe because the generation seed is part of the eval key.
-			Memo: memo,
-			OnEpoch: progress(b, bm.Name, func(rec tuner.EpochRecord) (x, y float64) {
-				return float64(rec.Epoch), rec.BestLoss
-			}),
+		// Each benchmark generates from its own seed; the evaluation
+		// window keeps the budget's.
+		opts.Tuner, opts.Seed = newTuner(), b.Seed+int64(i)*101
+		if e, ok := epochOverride[bm.Name]; ok && e > 0 {
+			opts.MaxEpochs = e
 		}
 		rep, err := cloning.CloneBenchmark(ctx, bm, opts)
 		if err != nil {

@@ -9,6 +9,7 @@ package experiments
 import (
 	"fmt"
 
+	"micrograd/internal/cloning"
 	"micrograd/internal/evalcache"
 	"micrograd/internal/isa"
 	"micrograd/internal/microprobe"
@@ -37,9 +38,10 @@ type Budget struct {
 	// BruteForceEvaluations is the evaluation budget of the brute-force
 	// reference search.
 	BruteForceEvaluations int
-	// Tuner names the tuning mechanism of the stress experiments (a
-	// tuner.ByName spelling such as "cmaes" or "halving-gd"); empty keeps
-	// the paper's gradient descent.
+	// Tuner names the tuning mechanism of the stress experiments and of
+	// micrograd's cloning run (a tuner.ByName spelling such as "cmaes" or
+	// "halving-gd"); empty keeps the paper's gradient descent. The cloning
+	// figures override it with the mechanism each figure compares.
 	Tuner string
 	// MaxEvaluations bounds each stress tuning run's proposed-evaluation
 	// budget; zero means unlimited (epochs alone bound the run). The
@@ -161,28 +163,30 @@ func (b Budget) normalized() Budget {
 	return b
 }
 
-// stressTuner resolves the budget's tuner selection for one stress run.
-// Every call builds a fresh instance so concurrent runs never share tuner
-// state; empty keeps the gradient-descent default.
-func (b Budget) stressTuner() (tuner.Tuner, error) {
-	if b.Tuner == "" {
-		return tuner.NewGradientDescent(), nil
-	}
-	return tuner.ByName(b.Tuner)
-}
-
-// runMemo returns the evaluation-cache group of one tuning run: the shared
+// runParts builds what every tuning run of the budget owns: its first
+// platform from newPlatform; a fresh instance of the budget's tuner, so
+// concurrent runs never share tuner state (empty keeps the
+// gradient-descent default); and its evaluation-cache group — the shared
 // Memo when set, else a private MemoCap-entry LRU group when MemoCap > 0,
 // else nil, which leaves the run a private unbounded cache.
-func (b Budget) runMemo() (*evalcache.Group, error) {
+func (b Budget) runParts(newPlatform func() (platform.Platform, error)) (plat platform.Platform, tn tuner.Tuner, memo *evalcache.Group, err error) {
+	if plat, err = newPlatform(); err != nil {
+		return nil, nil, nil, err
+	}
+	tn = tuner.NewGradientDescent()
+	if b.Tuner != "" {
+		if tn, err = tuner.ByName(b.Tuner); err != nil {
+			return nil, nil, nil, err
+		}
+	}
 	if b.Memo != nil || b.MemoCap <= 0 {
-		return b.Memo, nil
+		return plat, tn, b.Memo, nil
 	}
 	lru, err := evalcache.NewLRU(b.MemoCap)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
+		return nil, nil, nil, fmt.Errorf("experiments: %w", err)
 	}
-	return evalcache.NewGroup(lru), nil
+	return plat, tn, evalcache.NewGroup(lru), nil
 }
 
 // evalOptions is the budget's per-evaluation window.
@@ -196,15 +200,7 @@ func (b Budget) evalOptions() platform.EvalOptions {
 // a budget into a stress run. It applies every stress field of the budget
 // as given, not normalized, so callers override only what their run fixes.
 func (b Budget) StressOptions(newPlatform func() (platform.Platform, error), parallel int, series string) (opts stress.Options, err error) {
-	plat, err := newPlatform()
-	if err != nil {
-		return opts, err
-	}
-	tn, err := b.stressTuner()
-	if err != nil {
-		return opts, err
-	}
-	memo, err := b.runMemo()
+	plat, tn, memo, err := b.runParts(newPlatform)
 	if err != nil {
 		return opts, err
 	}
@@ -223,6 +219,35 @@ func (b Budget) StressOptions(newPlatform func() (platform.Platform, error), par
 		Synth:          b.Synth,
 		OnEpoch: progress(b, series, func(p stress.EpochPoint) (x, y float64) {
 			return float64(p.Epoch), p.BestValue
+		}),
+	}, nil
+}
+
+// CloneOptions builds the options of one budgeted cloning tuning run on
+// platforms from newPlatform, with parallel candidate workers, streaming
+// its progression as series: the one way the experiments and micrograd turn
+// a budget into a cloning run. Like StressOptions it applies the budget as
+// given, not normalized, so callers override only what their run fixes.
+func (b Budget) CloneOptions(newPlatform func() (platform.Platform, error), parallel int, series string) (opts cloning.Options, err error) {
+	plat, tn, memo, err := b.runParts(newPlatform)
+	if err != nil {
+		return opts, err
+	}
+	return cloning.Options{
+		Tuner:       tn,
+		Platform:    plat,
+		EvalOptions: b.evalOptions(),
+		LoopSize:    b.LoopSize,
+		Seed:        b.Seed,
+		MaxEpochs:   b.CloneEpochs,
+		Parallel:    parallel,
+		NewPlatform: newPlatform,
+		// No shared Synth: each benchmark's generation seed differs, so
+		// the run builds its own synthesizer; the shared Memo group is
+		// still safe because the generation seed is part of the eval key.
+		Memo: memo,
+		OnEpoch: progress(b, series, func(rec tuner.EpochRecord) (x, y float64) {
+			return float64(rec.Epoch), rec.BestLoss
 		}),
 	}, nil
 }

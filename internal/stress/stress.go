@@ -347,18 +347,6 @@ func Run(ctx context.Context, kind Kind, opts Options) (Report, error) {
 			return plat, nil
 		}
 	}
-	memo, err := tuner.NewPlatformEvaluator(tuner.PlatformOptions{
-		Name:        string(kind),
-		Platform:    opts.Platform,
-		Parallel:    opts.Parallel,
-		NewPlatform: newPlatform,
-		Synth:       csyn,
-		Options:     evalOpts,
-		Memo:        opts.Memo,
-	})
-	if err != nil {
-		return Report{}, fmt.Errorf("stress: %w", err)
-	}
 
 	targetLoss := tuner.NoTargetLoss
 	if opts.TargetValue != nil {
@@ -372,7 +360,6 @@ func Run(ctx context.Context, kind Kind, opts Options) (Report, error) {
 	prob := tuner.Problem{
 		Space:          opts.Space,
 		Loss:           metrics.StressLoss{Metric: metric, Maximize: maximize},
-		Evaluator:      memo,
 		MaxEpochs:      opts.MaxEpochs,
 		MaxEvaluations: opts.MaxEvaluations,
 		TargetLoss:     targetLoss,
@@ -397,23 +384,20 @@ func Run(ctx context.Context, kind Kind, opts Options) (Report, error) {
 		}
 		prob.Constraint = &tuner.Constraint{Metric: capMetric, Max: opts.PowerCapW}
 	}
-	res, err := opts.Tuner.Run(ctx, prob)
+	res, prog, evaluations, err := tuner.TunePlatform(ctx, opts.Tuner, tuner.PlatformOptions{
+		Name:        string(kind),
+		Platform:    opts.Platform,
+		Parallel:    opts.Parallel,
+		NewPlatform: newPlatform,
+		Synth:       csyn,
+		Options:     evalOpts,
+		Memo:        opts.Memo,
+	}, prob)
 	if err != nil {
-		return Report{}, fmt.Errorf("stress: tuning %s: %w", kind, err)
-	}
-	if res.Best.IsZero() {
-		return Report{}, fmt.Errorf("stress: tuner produced no configuration for %s", kind)
-	}
-
-	// The winner's kernel is regenerated with a plain synthesizer built
-	// from the same options, so it matches what the memo evaluated.
-	prog, err := microprobe.NewSynthesizer(csyn.Options()).Synthesize(string(kind), res.Best)
-	if err != nil {
-		return Report{}, fmt.Errorf("stress: regenerating %s kernel: %w", kind, err)
+		return Report{}, fmt.Errorf("stress: %w", err)
 	}
 	prog.Meta["use_case"] = "stress-testing"
 	prog.Meta["stress_metric"] = metric
-	prog.Meta["tuner"] = res.Tuner
 
 	rep := Report{
 		Kind:        kind,
@@ -425,7 +409,7 @@ func Run(ctx context.Context, kind Kind, opts Options) (Report, error) {
 		Config:      res.Best,
 		Program:     prog,
 		Epochs:      len(res.Epochs),
-		Evaluations: int(memo.Misses()),
+		Evaluations: evaluations,
 		Converged:   res.Converged,
 		PowerCapW:   opts.PowerCapW,
 		TunerResult: res,

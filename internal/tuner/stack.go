@@ -1,6 +1,7 @@
 package tuner
 
 import (
+	"context"
 	"fmt"
 
 	"micrograd/internal/evalcache"
@@ -8,6 +9,7 @@ import (
 	"micrograd/internal/metrics"
 	"micrograd/internal/microprobe"
 	"micrograd/internal/platform"
+	"micrograd/internal/program"
 	"micrograd/internal/sched"
 )
 
@@ -35,12 +37,36 @@ type PlatformOptions struct {
 	Memo *evalcache.Group
 }
 
-// NewPlatformEvaluator builds the evaluation stack every use case runs on:
+// TunePlatform is the tuning spine of every use case: it runs t on prob
+// over the evaluation stack o describes, rejects a run that found no
+// configuration, and regenerates the winner's kernel, named o.Name, with a
+// plain synthesizer built from o.Synth's options, so the kernel matches
+// what the memo evaluated. evaluations is the run's real simulator work.
+func TunePlatform(ctx context.Context, t Tuner, o PlatformOptions, prob Problem) (res Result, prog *program.Program, evaluations int, err error) {
+	memo, err := newPlatformEvaluator(o)
+	if err != nil {
+		return res, nil, 0, err
+	}
+	prob.Evaluator = memo
+	if res, err = t.Run(ctx, prob); err != nil {
+		return res, nil, 0, fmt.Errorf("tuning %s: %w", o.Name, err)
+	}
+	if res.Best.IsZero() {
+		return res, nil, 0, fmt.Errorf("tuner produced no configuration for %s", o.Name)
+	}
+	if prog, err = microprobe.NewSynthesizer(o.Synth.Options()).Synthesize(o.Name, res.Best); err != nil {
+		return res, nil, 0, fmt.Errorf("regenerating %s kernel: %w", o.Name, err)
+	}
+	prog.Meta["tuner"] = res.Tuner
+	return res, prog, int(memo.Misses()), nil
+}
+
+// newPlatformEvaluator builds the evaluation stack every use case runs on:
 // one EvalSession per worker (serial, or pooled when o.Parallel asks for
 // it), behind a memo keyed through platform.EvalKeyer — so a shared group
 // only ever serves results an isolated run would have computed
 // identically. The memo's Misses counter is the run's real simulator work.
-func NewPlatformEvaluator(o PlatformOptions) (*MemoizingEvaluator, error) {
+func newPlatformEvaluator(o PlatformOptions) (*MemoizingEvaluator, error) {
 	if o.Platform == nil || o.Synth == nil {
 		return nil, fmt.Errorf("tuner: platform evaluator needs a platform and a synthesizer")
 	}

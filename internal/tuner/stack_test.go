@@ -27,7 +27,7 @@ func stackConfigs(n int) []knobs.Config {
 	return cfgs
 }
 
-// smallStack builds a Small-core NewPlatformEvaluator stack over the shared
+// smallStack builds a Small-core newPlatformEvaluator stack over the shared
 // synthesis memo syn and the cache group memo (nil: a private cache).
 func smallStack(t *testing.T, syn *microprobe.CachingSynthesizer, memo *evalcache.Group) *MemoizingEvaluator {
 	t.Helper()
@@ -35,7 +35,7 @@ func smallStack(t *testing.T, syn *microprobe.CachingSynthesizer, memo *evalcach
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval, err := NewPlatformEvaluator(PlatformOptions{
+	eval, err := newPlatformEvaluator(PlatformOptions{
 		Name:     "stack",
 		Platform: plat,
 		Synth:    syn,
@@ -144,7 +144,7 @@ func newCountingPlatform(t *testing.T) *countingPlatform {
 func TestParallelStackEvaluatesOnTheGivenPlatform(t *testing.T) {
 	given := newCountingPlatform(t)
 	var built []*countingPlatform
-	eval, err := NewPlatformEvaluator(PlatformOptions{
+	eval, err := newPlatformEvaluator(PlatformOptions{
 		Name:     "stack",
 		Platform: given,
 		Parallel: 3,

@@ -35,7 +35,8 @@ import (
 //
 // Three implementations cover every stack: the serial sched.EvalFunc, the
 // worker pool sched.ParallelEvaluator, and MemoizingEvaluator in front of
-// either; NewPlatformEvaluator assembles them over a simulation platform.
+// either; TunePlatform assembles them over a simulation platform and runs a
+// tuner on the result.
 type Evaluator interface {
 	EvaluateBatch(ctx context.Context, cfgs []knobs.Config, fidelity float64) ([]metrics.Vector, error)
 }
