@@ -146,15 +146,13 @@ func loadPackage(fset *token.FileSet, path string, files []string, imp types.Imp
 	}
 	info := lint.NewInfo()
 	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(path, fset, astFiles, info)
-	if err != nil {
+	if _, err := conf.Check(path, fset, astFiles, info); err != nil {
 		return nil, err
 	}
 	return &lint.Package{
 		Path:  path,
 		Fset:  fset,
 		Files: astFiles,
-		Types: tpkg,
 		Info:  info,
 	}, nil
 }

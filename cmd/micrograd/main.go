@@ -36,56 +36,37 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("micrograd", flag.ContinueOnError)
-	var (
-		configPath = fs.String("config", "", "path to a JSON framework configuration (overrides other flags)")
-		useCase    = fs.String("use-case", config.UseCaseCloning, "use case: cloning or stress")
-		benchmark  = fs.String("benchmark", "", "reference application to clone (astar, bzip2, gcc, hmmer, libquantum, mcf, sjeng, xalancbmk)")
-		simpoints  = fs.Bool("simpoints", false, "clone every phase (simpoint) of the benchmark individually")
-		stressKind = fs.String("stress-kind", "perf-virus", "stress kind: perf-virus, power-virus, voltage-noise-virus or thermal-virus")
-		coreName   = fs.String("core", "large", "core configuration: small or large (Table II)")
-		tunerName  = fs.String("tuner", "gd", "tuning mechanism: "+strings.Join(tuner.Names(), ", "))
-		epochs     = fs.Int("epochs", 0, "maximum tuning epochs (0 = use-case default)")
-		accuracy   = fs.Float64("accuracy", 0.99, "cloning target accuracy")
-		dynInstr   = fs.Int("instructions", 0, "dynamic instructions per evaluation (0 = default)")
-		loopSize   = fs.Int("loop-size", 0, "static kernel size (0 = ~500)")
-		seed       = fs.Int64("seed", 1, "random seed")
-		parallel   = fs.Int("parallel", runtime.GOMAXPROCS(0), "worker count of the parallel evaluation engine (1 = serial; results are identical at any count)")
-		outDir     = fs.String("out", "", "directory to write the kernel and reports into (empty = don't write)")
-	)
+	configPath := fs.String("config", "", "path to a JSON framework configuration (overrides other flags)")
+	cfg := config.Default()
+	fs.StringVar(&cfg.UseCase, "use-case", cfg.UseCase, "use case: cloning or stress")
+	fs.StringVar(&cfg.Benchmark, "benchmark", cfg.Benchmark, "reference application to clone (astar, bzip2, gcc, hmmer, libquantum, mcf, sjeng, xalancbmk)")
+	fs.BoolVar(&cfg.CloneSimpoints, "simpoints", cfg.CloneSimpoints, "clone every phase (simpoint) of the benchmark individually")
+	fs.StringVar(&cfg.StressKind, "stress-kind", "perf-virus", "stress kind: perf-virus, power-virus, voltage-noise-virus or thermal-virus")
+	fs.StringVar(&cfg.Core, "core", cfg.Core, "core configuration: small or large (Table II)")
+	fs.StringVar(&cfg.Tuner, "tuner", cfg.Tuner, "tuning mechanism: "+strings.Join(tuner.Names(), ", "))
+	fs.IntVar(&cfg.MaxEpochs, "epochs", cfg.MaxEpochs, "maximum tuning epochs (0 = use-case default)")
+	fs.Float64Var(&cfg.TargetAccuracy, "accuracy", cfg.TargetAccuracy, "cloning target accuracy")
+	fs.IntVar(&cfg.DynamicInstructions, "instructions", cfg.DynamicInstructions, "dynamic instructions per evaluation (0 = default)")
+	fs.IntVar(&cfg.LoopSize, "loop-size", cfg.LoopSize, "static kernel size (0 = ~500)")
+	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "random seed")
+	fs.IntVar(&cfg.Parallel, "parallel", runtime.GOMAXPROCS(0), "worker count of the parallel evaluation engine (1 = serial; results are identical at any count)")
+	fs.StringVar(&cfg.OutputDir, "out", cfg.OutputDir, "directory to write the kernel and reports into (empty = don't write)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	var cfg config.Config
-	var err error
 	if *configPath != "" {
-		cfg, err = config.Load(*configPath)
+		loaded, err := config.Load(*configPath)
 		if err != nil {
 			return err
 		}
-	} else {
-		cfg = config.Default()
-		cfg.UseCase = *useCase
-		cfg.Benchmark = *benchmark
-		cfg.CloneSimpoints = *simpoints
-		cfg.StressKind = *stressKind
-		cfg.Core = *coreName
-		cfg.Tuner = *tunerName
-		cfg.MaxEpochs = *epochs
-		cfg.TargetAccuracy = *accuracy
-		cfg.DynamicInstructions = *dynInstr
-		cfg.LoopSize = *loopSize
-		cfg.Seed = *seed
-		cfg.Parallel = *parallel
-		cfg.OutputDir = *outDir
+		cfg = loaded
 	}
-
-	fw, err := core.New(cfg)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return err
 	}
+
 	fmt.Fprintf(out, "MicroGrad: %s on the %q core with tuner %q\n", cfg.UseCase, cfg.Core, cfg.Tuner)
-	result, err := fw.Run(context.Background())
+	result, err := core.Run(context.Background(), cfg)
 	if err != nil {
 		return err
 	}

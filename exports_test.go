@@ -18,12 +18,14 @@ import (
 )
 
 // exportedButUnused lists the exported names under internal/ that no
-// non-test file references yet, and the exported struct fields that no
-// non-test file writes, each with the reason it is kept.
+// non-test file references yet, and the struct fields that no non-test file
+// reads or, if exported, writes, each with the reason it is kept.
 var exportedButUnused = map[string]string{
+	"cpusim.Config.Name":                      "rendered into `SimPlatform.EvalIdentity` by `%+v`",
 	"multicore.CoRunPlatform.CoreSimulations": "pins core sharing in the multicore tests; mgserve's /stats is to report it",
 	"multicore.CoRunPlatform.SharedCores":     "pins core sharing in the multicore tests; mgserve's /stats is to report it",
 	"multicore.CoRunSpec.OffsetCycles":        "benchmark/replay.go reads it; it goes with the replay (ROADMAP item 1)",
+	"powersim.Coefficients.Name":              "rendered into `SimPlatform.EvalIdentity` by `%+v`",
 }
 
 // TestEveryInternalExportIsUsed keeps API and code that only tests call out
@@ -42,6 +44,12 @@ var exportedButUnused = map[string]string{
 // literal, the target of an assignment or of ++/-- (through index
 // expressions) or an address-of; a field with a json tag counts as written
 // by decoding.
+//
+// And it fails on any field, exported or not, of a package-level struct type
+// under internal/ that none of those files reads, since state nothing reads
+// is dead. A read is any use but a composite-literal key or the target of an
+// assignment or of ++/--; a field with a json tag counts as read by
+// encoding, and an embedded field as read through its promoted names.
 func TestEveryInternalExportIsUsed(t *testing.T) {
 	l := &sourceLoader{
 		fset:         token.NewFileSet(),
@@ -102,10 +110,15 @@ func TestEveryInternalExportIsUsed(t *testing.T) {
 			if !ok || tn.IsAlias() {
 				continue
 			}
-			if st, ok := tn.Type().Underlying().(*types.Struct); ok && tn.Exported() {
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
 				for i := range st.NumFields() {
 					f := st.Field(i)
-					if f.Exported() && !l.writes[f] && reflect.StructTag(st.Tag(i)).Get("json") == "" {
+					if reflect.StructTag(st.Tag(i)).Get("json") != "" {
+						continue
+					}
+					unwritten := tn.Exported() && f.Exported() && !l.writes[f]
+					unread := !l.uses[f] && !f.Embedded()
+					if unwritten || unread {
 						unused = append(unused, qualified+"."+f.Name())
 					}
 				}
@@ -126,7 +139,7 @@ func TestEveryInternalExportIsUsed(t *testing.T) {
 
 	for _, name := range unused {
 		if _, ok := exportedButUnused[name]; !ok {
-			t.Errorf("%s is declared under internal/ but no non-test file uses it (or, for a field, writes it): delete it, unexport it, or move it into its package's tests", name)
+			t.Errorf("%s is declared under internal/ but no non-test file uses it (or, for a field, reads it or, if exported, writes it): delete it, unexport it, or move it into its package's tests", name)
 		}
 	}
 	for name := range exportedButUnused {
@@ -144,7 +157,7 @@ type sourceLoader struct {
 	fset         *token.FileSet
 	std          types.ImporterFrom
 	pkgs         map[string]*types.Package
-	uses         map[types.Object]bool         // objects declared here that a non-test file references
+	uses         map[types.Object]bool         // objects declared here that a non-test file references; for a field, reads
 	writes       map[types.Object]bool         // struct fields that a non-test file writes
 	ifaceMethods map[string][]*types.Signature // referenced interface methods by name
 }
@@ -203,20 +216,25 @@ func (l *sourceLoader) load(path string) (*types.Package, error) {
 		return nil, err
 	}
 	l.pkgs[path] = pkg
-	for _, obj := range info.Uses {
-		l.use(obj)
-	}
+	notRead := map[*ast.Ident]bool{}
 	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			l.recordWrites(info, n)
+			l.recordWrites(info, n, notRead)
 			return true
 		})
+	}
+	for id, obj := range info.Uses {
+		if !notRead[id] {
+			l.use(obj)
+		}
 	}
 	return pkg, nil
 }
 
-// recordWrites marks the struct fields node n writes.
-func (l *sourceLoader) recordWrites(info *types.Info, n ast.Node) {
+// recordWrites marks the struct fields node n writes, and adds to notRead
+// the identifiers in n that name a field without reading it: composite-literal
+// keys and assignment and ++/-- targets.
+func (l *sourceLoader) recordWrites(info *types.Info, n ast.Node, notRead map[*ast.Ident]bool) {
 	switch n := n.(type) {
 	case *ast.CompositeLit:
 		st, ok := info.Types[n].Type.Underlying().(*types.Struct)
@@ -225,8 +243,8 @@ func (l *sourceLoader) recordWrites(info *types.Info, n ast.Node) {
 		}
 		for i, elt := range n.Elts {
 			if kv, ok := elt.(*ast.KeyValueExpr); ok {
-				if key, ok := kv.Key.(*ast.Ident); ok {
-					l.writeField(info.Uses[key])
+				if key, ok := kv.Key.(*ast.Ident); ok && l.writeField(info.Uses[key]) {
+					notRead[key] = true
 				}
 			} else {
 				l.writeField(st.Field(i))
@@ -234,10 +252,14 @@ func (l *sourceLoader) recordWrites(info *types.Info, n ast.Node) {
 		}
 	case *ast.AssignStmt:
 		for _, lhs := range n.Lhs {
-			l.writeTarget(info, lhs)
+			if id := l.writeTarget(info, lhs); id != nil {
+				notRead[id] = true
+			}
 		}
 	case *ast.IncDecStmt:
-		l.writeTarget(info, n.X)
+		if id := l.writeTarget(info, n.X); id != nil {
+			notRead[id] = true
+		}
 	case *ast.UnaryExpr:
 		if n.Op == token.AND {
 			l.writeTarget(info, n.X)
@@ -246,8 +268,9 @@ func (l *sourceLoader) recordWrites(info *types.Info, n ast.Node) {
 }
 
 // writeTarget marks the field that assigning to, or taking the address of,
-// e writes: the selected field, through any index expressions.
-func (l *sourceLoader) writeTarget(info *types.Info, e ast.Expr) {
+// e writes: the selected field, through any index expressions. It returns
+// the identifier naming that field, or nil if e writes none.
+func (l *sourceLoader) writeTarget(info *types.Info, e ast.Expr) *ast.Ident {
 	for {
 		switch x := e.(type) {
 		case *ast.ParenExpr:
@@ -255,18 +278,23 @@ func (l *sourceLoader) writeTarget(info *types.Info, e ast.Expr) {
 		case *ast.IndexExpr:
 			e = x.X
 		case *ast.SelectorExpr:
-			l.writeField(info.Uses[x.Sel])
-			return
+			if l.writeField(info.Uses[x.Sel]) {
+				return x.Sel
+			}
+			return nil
 		default:
-			return
+			return nil
 		}
 	}
 }
 
-func (l *sourceLoader) writeField(obj types.Object) {
-	if v, ok := obj.(*types.Var); ok && v.IsField() {
+// writeField marks obj written and reports whether it is a struct field.
+func (l *sourceLoader) writeField(obj types.Object) bool {
+	v, ok := obj.(*types.Var)
+	if ok && v.IsField() {
 		l.writes[v.Origin()] = true
 	}
+	return ok && v.IsField()
 }
 
 func (l *sourceLoader) use(obj types.Object) {

@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 
 	"micrograd/internal/evalcache"
 	"micrograd/internal/knobs"
@@ -109,8 +110,6 @@ type Report struct {
 	Epochs int
 	// Evaluations is the number of platform evaluations consumed.
 	Evaluations int
-	// Converged reports whether tuning stopped before exhausting MaxEpochs.
-	Converged bool
 	// Config is the best knob configuration.
 	Config knobs.Config
 	// Program is the generated clone.
@@ -129,14 +128,30 @@ func TargetLossFor(accuracy float64, n int) float64 {
 	return float64(n) * lr * lr
 }
 
-// Clone tunes a synthetic workload to match the target metric vector.
+// Clone tunes a synthetic workload to match the target metric vector. The
+// loss skips any metric the target lacks, so Clone fails before tuning when
+// a caller-set metric is missing from the target, or when the target has
+// none of the metrics the loss reads: tuning towards nothing would report a
+// perfect clone.
 func Clone(ctx context.Context, name string, target metrics.Vector, opts Options) (Report, error) {
+	callerMetrics := len(opts.Metrics) > 0
 	opts = opts.normalized()
 	if opts.Platform == nil {
 		return Report{}, fmt.Errorf("cloning: no evaluation platform configured")
 	}
 	if len(target) == 0 {
 		return Report{}, fmt.Errorf("cloning: empty target metric vector")
+	}
+	covered := false
+	for _, m := range opts.Metrics {
+		if _, ok := target[m]; ok {
+			covered = true
+		} else if callerMetrics {
+			return Report{}, fmt.Errorf("cloning: metric %q is not in the target", m)
+		}
+	}
+	if !covered {
+		return Report{}, fmt.Errorf("cloning: the target has none of the cloned metrics %s", strings.Join(opts.Metrics, ", "))
 	}
 
 	// The synthesizer is pure per call (it derives a fresh RNG from its
@@ -176,7 +191,6 @@ func Clone(ctx context.Context, name string, target metrics.Vector, opts Options
 		MeanAccuracy: metrics.MeanAccuracy(res.BestMetrics, target, opts.Metrics),
 		Epochs:       len(res.Epochs),
 		Evaluations:  evaluations,
-		Converged:    res.Converged,
 		Config:       res.Best,
 		Program:      prog,
 		TunerResult:  res,

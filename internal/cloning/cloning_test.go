@@ -2,6 +2,7 @@ package cloning
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"micrograd/internal/metrics"
@@ -46,6 +47,43 @@ func TestCloneRejectsBadInputs(t *testing.T) {
 	opts := testOptions(t, platform.Small())
 	if _, err := Clone(ctx, "x", metrics.Vector{}, opts); err == nil {
 		t.Error("empty target should be rejected")
+	}
+}
+
+// TestCloneRejectsMetricsOutsideTheTarget pins that a run whose loss would
+// read nothing fails before tuning, naming the metric: the loss skips a
+// name the target lacks, so such a run used to stop after one epoch and
+// report a perfect clone.
+func TestCloneRejectsMetricsOutsideTheTarget(t *testing.T) {
+	full := metrics.Vector{
+		metrics.FracInteger: 0.45, metrics.FracLoad: 0.2, metrics.FracStore: 0.1,
+		metrics.FracBranch: 0.15, metrics.BranchMispredictRate: 0.05,
+		metrics.L1IHitRate: 1.0, metrics.L1DHitRate: 0.92, metrics.L2HitRate: 0.8,
+		metrics.IPC: 1.2,
+	}
+	for _, c := range []struct {
+		name    string
+		target  metrics.Vector
+		metrics []string
+		want    string
+	}{
+		{"default metrics, typo target", metrics.Vector{"ipcc": 1.2}, nil, "none of the cloned metrics"},
+		{"typo metrics", full, []string{"ipcc", "l1d_hitrate"}, `"ipcc"`},
+		{"one metric outside the target", metrics.Vector{metrics.IPC: 1.2}, []string{metrics.IPC, metrics.L2HitRate}, `"l2_hit_rate"`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			opts := testOptions(t, platform.Small())
+			opts.Metrics = c.metrics
+			epochs := 0
+			opts.OnEpoch = func(tuner.EpochRecord) { epochs++ }
+			_, err := Clone(context.Background(), "x", c.target, opts)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("error %v, want one containing %s", err, c.want)
+			}
+			if epochs != 0 {
+				t.Errorf("ran %d tuning epochs before failing", epochs)
+			}
+		})
 	}
 }
 

@@ -10,8 +10,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 
 	"micrograd/internal/experiments"
+	"micrograd/internal/metrics"
 	"micrograd/internal/stress"
 )
 
@@ -131,6 +134,15 @@ func (c Config) Validate() error {
 		}
 		if c.Benchmark != "" && len(c.TargetMetrics) > 0 {
 			return fmt.Errorf("config: benchmark and target_metrics are mutually exclusive")
+		}
+		cloned := c.Metrics
+		if len(cloned) == 0 {
+			cloned = metrics.CloningMetricNames()
+		}
+		for _, m := range metrics.Vector(c.TargetMetrics).Names() {
+			if !slices.Contains(cloned, m) {
+				return fmt.Errorf("config: target_metrics key %q is not a cloned metric (%s)", m, strings.Join(cloned, ", "))
+			}
 		}
 	case UseCaseStress:
 		if c.StressKind == "" && c.StressMetric == "" {

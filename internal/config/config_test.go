@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"micrograd/internal/tuner"
 )
 
 func TestParseCloningConfig(t *testing.T) {
@@ -62,47 +64,68 @@ func TestValidate(t *testing.T) {
 	if err := base.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
+	type validateCase struct {
 		name   string
+		valid  bool
 		mutate func(c *Config)
-	}{
-		{"unknown use case", func(c *Config) { c.UseCase = "foo" }},
-		{"cloning without target", func(c *Config) { c.Benchmark = ""; c.TargetMetrics = nil }},
-		{"both benchmark and metrics", func(c *Config) { c.TargetMetrics = map[string]float64{"ipc": 1} }},
-		{"unknown core", func(c *Config) { c.Core = "medium" }},
-		{"unknown tuner", func(c *Config) { c.Tuner = "hillclimb" }},
-		{"negative epochs", func(c *Config) { c.MaxEpochs = -1 }},
-		{"bad accuracy", func(c *Config) { c.TargetAccuracy = 1.5 }},
-		{"empty tuner", func(c *Config) { c.Tuner = "" }},
-		{"halving tuner", func(c *Config) { c.Tuner = "halving-gd" }},
-		{"chip stress kind", func(c *Config) { c.UseCase, c.StressKind = UseCaseStress, "corun-noise-virus" }},
-		{"chip stress kind with metric", func(c *Config) {
+	}
+	cases := []validateCase{
+		{"unknown use case", false, func(c *Config) { c.UseCase = "foo" }},
+		{"cloning without target", false, func(c *Config) { c.Benchmark = ""; c.TargetMetrics = nil }},
+		{"both benchmark and metrics", false, func(c *Config) { c.TargetMetrics = map[string]float64{"ipc": 1} }},
+		{"unknown core", false, func(c *Config) { c.Core = "medium" }},
+		{"unknown tuner", false, func(c *Config) { c.Tuner = "hillclimb" }},
+		{"negative epochs", false, func(c *Config) { c.MaxEpochs = -1 }},
+		{"bad accuracy", false, func(c *Config) { c.TargetAccuracy = 1.5 }},
+		{"empty tuner", false, func(c *Config) { c.Tuner = "" }},
+		{"halving tuner", false, func(c *Config) { c.Tuner = "halving-gd" }},
+		{"chip stress kind", false, func(c *Config) { c.UseCase, c.StressKind = UseCaseStress, "corun-noise-virus" }},
+		{"chip stress kind with metric", false, func(c *Config) {
 			c.UseCase, c.StressKind, c.StressMetric = UseCaseStress, "spatial", "ipc"
 		}},
-		{"unknown stress kind", func(c *Config) { c.UseCase, c.StressKind = UseCaseStress, "no-such-virus" }},
-		{"empty core", func(c *Config) { c.Core = "" }},
-		{"negative instructions", func(c *Config) { c.DynamicInstructions = -1 }},
-		{"negative parallel", func(c *Config) { c.Parallel = -2 }},
-		{"negative loop size", func(c *Config) { c.LoopSize = -1 }},
-		{"unknown benchmark", func(c *Config) { c.Benchmark = "nosuch" }},
+		{"unknown stress kind", false, func(c *Config) { c.UseCase, c.StressKind = UseCaseStress, "no-such-virus" }},
+		{"empty core", false, func(c *Config) { c.Core = "" }},
+		{"negative instructions", false, func(c *Config) { c.DynamicInstructions = -1 }},
+		{"negative parallel", false, func(c *Config) { c.Parallel = -2 }},
+		{"negative loop size", false, func(c *Config) { c.LoopSize = -1 }},
+		{"unknown benchmark", false, func(c *Config) { c.Benchmark = "nosuch" }},
 		// The stress use case sets a request kind; the shared rules still hold.
-		{"dvfs stress kind", func(c *Config) { c.UseCase, c.StressKind = UseCaseStress, "dvfs-noise-virus" }},
-		{"hotspot alias", func(c *Config) { c.UseCase, c.StressKind = UseCaseStress, "hotspot" }},
-		{"halving tuner on stress", func(c *Config) { c.UseCase, c.StressKind, c.Tuner = UseCaseStress, "power-virus", "halving-cmaes" }},
-		{"halving tuner on a custom metric", func(c *Config) {
+		{"dvfs stress kind", false, func(c *Config) { c.UseCase, c.StressKind = UseCaseStress, "dvfs-noise-virus" }},
+		{"hotspot alias", false, func(c *Config) { c.UseCase, c.StressKind = UseCaseStress, "hotspot" }},
+		{"halving tuner on stress", false, func(c *Config) { c.UseCase, c.StressKind, c.Tuner = UseCaseStress, "power-virus", "halving-cmaes" }},
+		{"halving tuner on a custom metric", false, func(c *Config) {
 			c.UseCase, c.StressKind, c.StressMetric, c.Tuner = UseCaseStress, "my-virus", "ipc", "halving-gd"
 		}},
-		{"unknown tuner on stress", func(c *Config) { c.UseCase, c.StressKind, c.Tuner = UseCaseStress, "power-virus", "hillclimb" }},
-		{"unknown core on stress", func(c *Config) { c.UseCase, c.StressKind, c.Core = UseCaseStress, "power-virus", "medium" }},
-		{"negative epochs on stress", func(c *Config) { c.UseCase, c.StressKind, c.MaxEpochs = UseCaseStress, "power-virus", -3 }},
+		{"unknown tuner on stress", false, func(c *Config) { c.UseCase, c.StressKind, c.Tuner = UseCaseStress, "power-virus", "hillclimb" }},
+		{"unknown core on stress", false, func(c *Config) { c.UseCase, c.StressKind, c.Core = UseCaseStress, "power-virus", "medium" }},
+		{"negative epochs on stress", false, func(c *Config) { c.UseCase, c.StressKind, c.MaxEpochs = UseCaseStress, "power-virus", -3 }},
+		// The clone loss skips a target metric it does not read, so a
+		// target_metrics key outside the cloned metrics would tune towards
+		// nothing.
+		{"target metric outside the default metrics", false, func(c *Config) {
+			c.Benchmark, c.TargetMetrics = "", map[string]float64{"ipcc": 1.2}
+		}},
+		{"target metric outside metrics", false, func(c *Config) {
+			c.Benchmark, c.TargetMetrics = "", map[string]float64{"ipc": 1.2, "l2_hit_rate": 0.9}
+			c.Metrics = []string{"ipc"}
+		}},
+	}
+	// Every registered tuner validates on both use cases but the halving
+	// wrappers, which the configuration has no budget for.
+	for _, name := range tuner.Names() {
+		valid := !strings.HasPrefix(name, "halving-")
+		cases = append(cases,
+			validateCase{"tuner " + name, valid, func(c *Config) { c.Tuner = name }},
+			validateCase{"tuner " + name + " on stress", valid, func(c *Config) { c.UseCase, c.StressKind, c.Tuner = UseCaseStress, "perf-virus", name }},
+		)
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Default()
 			cfg.Benchmark = "mcf"
 			tc.mutate(&cfg)
-			if err := cfg.Validate(); err == nil {
-				t.Errorf("expected validation error")
+			if err := cfg.Validate(); (err == nil) != tc.valid {
+				t.Errorf("Validate() = %v, want valid %v", err, tc.valid)
 			}
 		})
 	}

@@ -26,52 +26,10 @@ import (
 	"micrograd/internal/workloads"
 )
 
-// Framework is one configured MicroGrad instance: the validated
-// configuration and the core it runs on. Each run builds its platforms and
-// tuner through the experiments budget.
-type Framework struct {
-	cfg  config.Config
-	spec platform.CoreSpec
-}
-
-// New builds a framework from a validated configuration.
-func New(cfg config.Config) (*Framework, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	spec, err := platform.ByName(cfg.Core)
-	if err != nil {
-		return nil, err
-	}
-	return &Framework{cfg: cfg, spec: spec}, nil
-}
-
-// newPlatform creates one platform instance of the configured core: the
-// first of a run, or one more worker of the parallel evaluation engine.
-func (f *Framework) newPlatform() (platform.Platform, error) {
-	return platform.NewSimPlatform(f.spec)
-}
-
-// budget is the configuration as an experiments budget, as given, not
-// normalized: a zero max_epochs still means the use case's own default
-// (cloning.DefaultMaxEpochs, stress.DefaultMaxEpochs).
-func (f *Framework) budget() experiments.Budget {
-	return experiments.Budget{
-		DynamicInstructions: f.cfg.DynamicInstructions,
-		CloneEpochs:         f.cfg.MaxEpochs,
-		StressEpochs:        f.cfg.MaxEpochs,
-		LoopSize:            f.cfg.LoopSize,
-		Seed:                f.cfg.Seed,
-		Tuner:               f.cfg.Tuner,
-	}
-}
-
 // Output bundles the framework outputs of one run (§III-F): the generated
 // kernel, its knob configuration, the measured metrics, and the per-epoch
 // progression, plus the use-case specific report.
 type Output struct {
-	// UseCase is the configured use case.
-	UseCase string
 	// Name identifies the run (benchmark name or stress kind).
 	Name string
 	// Program is the generated clone / stress kernel.
@@ -92,34 +50,54 @@ type Output struct {
 	StressReport *stress.Report
 }
 
-// Run executes the configured use case.
-func (f *Framework) Run(ctx context.Context) (*Output, error) {
-	switch f.cfg.UseCase {
-	case config.UseCaseCloning:
-		return f.runCloning(ctx)
-	case config.UseCaseStress:
-		return f.runStress(ctx)
-	default:
-		return nil, fmt.Errorf("core: unknown use case %q", f.cfg.UseCase)
+// Run validates the configuration and runs its use case on the configured
+// core, building every platform and the tuner through the experiments
+// budget.
+func Run(ctx context.Context, cfg config.Config) (*Output, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
+	spec, err := platform.ByName(cfg.Core)
+	if err != nil {
+		return nil, err
+	}
+	// One platform instance of the configured core: the first of a run, or
+	// one more worker of the parallel evaluation engine.
+	newPlatform := func() (platform.Platform, error) { return platform.NewSimPlatform(spec) }
+	// The configuration as an experiments budget, as given, not normalized:
+	// a zero max_epochs still means the use case's own default
+	// (cloning.DefaultMaxEpochs, stress.DefaultMaxEpochs).
+	b := experiments.Budget{
+		DynamicInstructions: cfg.DynamicInstructions,
+		CloneEpochs:         cfg.MaxEpochs,
+		StressEpochs:        cfg.MaxEpochs,
+		LoopSize:            cfg.LoopSize,
+		Seed:                cfg.Seed,
+		Tuner:               cfg.Tuner,
+	}
+	// Validate admits no use case but these two.
+	if cfg.UseCase == config.UseCaseStress {
+		return runStress(ctx, cfg, b, newPlatform)
+	}
+	return runCloning(ctx, cfg, b, newPlatform)
 }
 
 // runCloning takes its options from experiments.Budget.CloneOptions, the
 // one cloning path; the accuracy target and the metric subset are the
 // configuration's own.
-func (f *Framework) runCloning(ctx context.Context) (*Output, error) {
-	name := f.cfg.Benchmark
-	if len(f.cfg.TargetMetrics) > 0 {
+func runCloning(ctx context.Context, cfg config.Config, b experiments.Budget, newPlatform func() (platform.Platform, error)) (*Output, error) {
+	name := cfg.Benchmark
+	if len(cfg.TargetMetrics) > 0 {
 		name = "target"
 	}
-	opts, err := f.budget().CloneOptions(f.newPlatform, f.cfg.Parallel, name)
+	opts, err := b.CloneOptions(newPlatform, cfg.Parallel, name)
 	if err != nil {
 		return nil, err
 	}
-	opts.TargetAccuracy, opts.Metrics = f.cfg.TargetAccuracy, f.cfg.Metrics
-	out := &Output{UseCase: config.UseCaseCloning, Name: name, CloneReports: map[string]cloning.Report{}}
-	if len(f.cfg.TargetMetrics) > 0 {
-		rep, err := cloning.Clone(ctx, name, metrics.Vector(f.cfg.TargetMetrics), opts)
+	opts.TargetAccuracy, opts.Metrics = cfg.TargetAccuracy, cfg.Metrics
+	out := &Output{Name: name, CloneReports: map[string]cloning.Report{}}
+	if len(cfg.TargetMetrics) > 0 {
+		rep, err := cloning.Clone(ctx, name, metrics.Vector(cfg.TargetMetrics), opts)
 		if err != nil {
 			return nil, err
 		}
@@ -130,7 +108,7 @@ func (f *Framework) runCloning(ctx context.Context) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !f.cfg.CloneSimpoints {
+	if !cfg.CloneSimpoints {
 		rep, err := cloning.CloneBenchmark(ctx, bm, opts)
 		if err != nil {
 			return nil, err
@@ -163,18 +141,17 @@ func fillFromClone(out *Output, rep cloning.Report) *Output {
 
 // runStress takes its options from experiments.Budget.StressOptions, the
 // one stress path.
-func (f *Framework) runStress(ctx context.Context) (*Output, error) {
-	opts, err := f.budget().StressOptions(f.newPlatform, f.cfg.Parallel, f.cfg.StressKind)
+func runStress(ctx context.Context, cfg config.Config, b experiments.Budget, newPlatform func() (platform.Platform, error)) (*Output, error) {
+	opts, err := b.StressOptions(newPlatform, cfg.Parallel, cfg.StressKind)
 	if err != nil {
 		return nil, err
 	}
-	opts.Metric, opts.Maximize = f.cfg.StressMetric, f.cfg.Maximize
-	rep, err := stress.Run(ctx, stress.Kind(f.cfg.StressKind), opts)
+	opts.Metric, opts.Maximize = cfg.StressMetric, cfg.Maximize
+	rep, err := stress.Run(ctx, stress.Kind(cfg.StressKind), opts)
 	if err != nil {
 		return nil, err
 	}
 	out := &Output{
-		UseCase:      config.UseCaseStress,
 		Name:         string(rep.Kind),
 		Program:      rep.Program,
 		Knobs:        rep.Config,

@@ -39,86 +39,24 @@ func stressConfig() config.Config {
 	return cfg
 }
 
-func TestNewValidatesConfig(t *testing.T) {
-	if _, err := New(config.Config{}); err == nil {
+func TestRunValidatesConfig(t *testing.T) {
+	ctx := context.Background()
+	if _, err := Run(ctx, config.Config{}); err == nil {
 		t.Error("empty config should be rejected")
 	}
 	bad := cloningConfig()
 	bad.Core = "tiny"
-	if _, err := New(bad); err == nil {
+	if _, err := Run(ctx, bad); err == nil {
 		t.Error("unknown core should be rejected")
-	}
-	good, err := New(cloningConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if good.cfg.Benchmark != "hmmer" || good.spec.Kind != platform.LargeCore {
-		t.Error("framework lost its configuration or core")
-	}
-}
-
-// TestNewBuildsEveryRegisteredTuner pins that the front-end resolves tuner
-// names through the tuner registry: every name it lists validates and runs
-// that tuner, except the halving wrappers, which the configuration has no
-// budget for. The default "gd" comes from config.Default alone, so an
-// empty name is rejected like any unknown one.
-func TestNewBuildsEveryRegisteredTuner(t *testing.T) {
-	for _, name := range tuner.Names() {
-		cfg := stressConfig()
-		cfg.Tuner, cfg.MaxEpochs, cfg.DynamicInstructions, cfg.LoopSize = name, 1, 1000, 60
-		if strings.HasPrefix(name, "halving-") {
-			if cfg.Validate() == nil {
-				t.Errorf("tuner %q: Validate accepted a tuner that needs a budget", name)
-			}
-			if _, err := New(cfg); err == nil {
-				t.Errorf("tuner %q: New accepted a tuner that needs a budget", name)
-			}
-			continue
-		}
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("tuner %q: Validate: %v", name, err)
-			continue
-		}
-		fw, err := New(cfg)
-		if err != nil {
-			t.Errorf("tuner %q: New: %v", name, err)
-			continue
-		}
-		out, err := fw.Run(context.Background())
-		if err != nil {
-			t.Errorf("tuner %q: Run: %v", name, err)
-			continue
-		}
-		ref, err := tuner.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := out.StressReport.TunerResult.Tuner; got != ref.Name() {
-			t.Errorf("tuner %q built %q, want %q", name, got, ref.Name())
-		}
-	}
-	if got := stressConfig().Tuner; got != "gd" {
-		t.Errorf("default tuner %q, want gd", got)
-	}
-	for _, name := range []string{"hillclimb", ""} {
-		bad := stressConfig()
-		bad.Tuner = name
-		if _, err := New(bad); err == nil {
-			t.Errorf("tuner %q should be rejected", name)
-		}
 	}
 }
 
 func TestRunCloningUseCase(t *testing.T) {
-	fw, err := New(cloningConfig())
+	out, err := Run(context.Background(), cloningConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := fw.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.UseCase != config.UseCaseCloning || out.Name != "hmmer" {
+	if out.Name != "hmmer" {
 		t.Errorf("output identity wrong: %+v", out.Name)
 	}
 	if out.Program == nil || out.Program.Validate() != nil {
@@ -144,11 +82,7 @@ func TestRunCloningDirectTarget(t *testing.T) {
 		metrics.L1IHitRate: 1, metrics.L1DHitRate: 0.95, metrics.L2HitRate: 0.9, metrics.IPC: 2,
 	}
 	cfg.MaxEpochs = 5
-	fw, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := fw.Run(context.Background())
+	out, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +97,7 @@ func TestRunCloningSimpoints(t *testing.T) {
 	cfg.CloneSimpoints = true
 	cfg.MaxEpochs = 3
 	cfg.DynamicInstructions = 2500
-	fw, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := fw.Run(context.Background())
+	out, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,11 +116,7 @@ func TestRunCloningSimpoints(t *testing.T) {
 }
 
 func TestRunStressUseCase(t *testing.T) {
-	fw, err := New(stressConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := fw.Run(context.Background())
+	out, err := Run(context.Background(), stressConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +129,7 @@ func TestRunStressUseCase(t *testing.T) {
 }
 
 func TestWriteArtifacts(t *testing.T) {
-	fw, err := New(stressConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := fw.Run(context.Background())
+	out, err := Run(context.Background(), stressConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,11 +189,7 @@ func TestStressRunMatchesHandBuiltOptions(t *testing.T) {
 	}{{"default", base}, {"stress_metric", custom}, {"parallel", parallel}} {
 		cfg := c.cfg
 		t.Run(c.name, func(t *testing.T) {
-			fw, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := fw.Run(context.Background())
+			got, err := Run(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -346,11 +264,7 @@ func TestCloneRunMatchesHandBuiltOptions(t *testing.T) {
 		cfg := c.cfg
 		t.Run(c.name, func(t *testing.T) {
 			ctx := context.Background()
-			fw, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := fw.Run(ctx)
+			got, err := Run(ctx, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

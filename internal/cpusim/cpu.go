@@ -124,9 +124,6 @@ type Result struct {
 	// isa.Class. It is a fixed-size array (not a map) so results carry no
 	// per-run allocations and iterate in deterministic class order.
 	ClassCounts [isa.NumClasses]uint64
-	// UnitOps counts operations issued per functional unit kind, indexed by
-	// isa.UnitKind.
-	UnitOps [isa.NumUnitKinds]uint64
 	// L1I, L1D, L2 are the cache statistics of the run.
 	L1I, L1D, L2 memsim.Stats
 	// Branch is the branch predictor statistics of the run.
@@ -177,7 +174,6 @@ type staticOp struct {
 	class    isa.Class
 	unit     isa.UnitKind
 	isMem    bool
-	isStore  bool
 	isCondBr bool
 	hasDest  bool
 	// longOp marks non-pipelined operations (DIV, FDIVD) that occupy their
@@ -237,7 +233,6 @@ func (c *CPU) predecode(p *program.Program) {
 			class:    d.Class,
 			unit:     d.Unit,
 			isMem:    d.Class == isa.ClassLoad || d.Class == isa.ClassStore,
-			isStore:  d.Class == isa.ClassStore,
 			isCondBr: d.IsCondBr,
 			hasDest:  d.HasDest,
 			longOp:   in.Op == isa.DIV || in.Op == isa.FDIVD,
@@ -296,7 +291,6 @@ func (c *CPU) RunShared(p *program.Program, dynInstrs int, seed int64) (Result, 
 		for i := 0; i < dynInstrs; i++ {
 			exp.NextInto(&entry)
 			op := &c.ops[entry.Static]
-			res.UnitOps[op.unit]++
 			wt.observe(c.step(st, op, &entry, l1iHitLat), op.class)
 		}
 	} else {
@@ -304,7 +298,6 @@ func (c *CPU) RunShared(p *program.Program, dynInstrs int, seed int64) (Result, 
 			exp.NextInto(&entry)
 			op := &c.ops[entry.Static]
 			res.ClassCounts[op.class]++
-			res.UnitOps[op.unit]++
 			c.step(st, op, &entry, l1iHitLat)
 		}
 	}
@@ -573,7 +566,7 @@ func (c *CPU) step(st *coreState, op *staticOp, entry *trace.Entry, l1iHitLat in
 	// with the aggregate model exactly.
 	latency := op.latency
 	if op.isMem {
-		dataLat, dL2, dMem, dPref := c.mem.AccessDataEv(entry.Addr, op.isStore)
+		dataLat, dL2, dMem, dPref := c.mem.AccessDataEv(entry.Addr)
 		latency = uint64(dataLat)
 		ev.l2 += dL2 + dPref
 		ev.mem += dMem

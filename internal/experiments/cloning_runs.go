@@ -28,8 +28,6 @@ type CloningResult struct {
 	Reports map[string]cloning.Report
 	// MeanError is the mean |accuracy-1| across all benchmarks and metrics.
 	MeanError float64
-	// TotalEvaluations is the summed platform evaluation count.
-	TotalEvaluations int
 }
 
 // EpochsPerBenchmark returns benchmark -> epochs used.
@@ -124,7 +122,6 @@ func runCloningExperiment(ctx context.Context, figure string, core platform.Core
 	for i, bm := range bms {
 		rep := reports[i]
 		res.Reports[bm.Name] = rep
-		res.TotalEvaluations += rep.Evaluations
 		totalErr += report.MeanAbsError(rep.Accuracy)
 	}
 	if len(bms) > 0 {

@@ -32,9 +32,8 @@ type TunerCmpEntry struct {
 	// Evaluations: a run stops as soon as it reaches the target).
 	ReachedTarget bool
 	EvalsToTarget int
-	// Epochs and Converged summarize the tuning run.
-	Epochs    int
-	Converged bool
+	// Epochs is the length of the tuning run.
+	Epochs int
 }
 
 // TunerCmpResult is the equal-budget tuner comparison: gradient descent (the
@@ -185,7 +184,6 @@ func entryFrom(name string, rep stress.Report, target float64) TunerCmpEntry {
 		Evaluations: rep.TunerResult.TotalEvaluations,
 		Simulations: rep.Evaluations,
 		Epochs:      rep.Epochs,
-		Converged:   rep.Converged,
 	}
 	if reached(rep.BestValue, target, rep.Maximize) {
 		e.ReachedTarget = true

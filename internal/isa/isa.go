@@ -128,44 +128,41 @@ const NumOpcodes = int(numOpcodes)
 
 // Descriptor holds the static properties of an opcode.
 type Descriptor struct {
-	Op         Opcode
 	Mnemonic   string
 	Class      Class
 	Unit       UnitKind
 	Latency    int  // execution latency in cycles (hit latency for memory ops)
-	MemBytes   int  // access width in bytes for loads/stores, 0 otherwise
 	IsBranch   bool // any control transfer
 	IsCondBr   bool // conditional branch (prediction applies)
-	EnergyWt   float64
-	NumSources int // number of register source operands
+	NumSources int  // number of register source operands
 	HasDest    bool
 }
 
 // descriptors is indexed by Opcode.
 var descriptors = [numOpcodes]Descriptor{
-	ADD:   {Op: ADD, Mnemonic: "add", Class: ClassInteger, Unit: UnitALU, Latency: 1, NumSources: 2, HasDest: true, EnergyWt: 1.0},
-	SUB:   {Op: SUB, Mnemonic: "sub", Class: ClassInteger, Unit: UnitALU, Latency: 1, NumSources: 2, HasDest: true, EnergyWt: 1.0},
-	AND:   {Op: AND, Mnemonic: "and", Class: ClassInteger, Unit: UnitALU, Latency: 1, NumSources: 2, HasDest: true, EnergyWt: 0.9},
-	OR:    {Op: OR, Mnemonic: "or", Class: ClassInteger, Unit: UnitALU, Latency: 1, NumSources: 2, HasDest: true, EnergyWt: 0.9},
-	XOR:   {Op: XOR, Mnemonic: "xor", Class: ClassInteger, Unit: UnitALU, Latency: 1, NumSources: 2, HasDest: true, EnergyWt: 0.9},
-	SLL:   {Op: SLL, Mnemonic: "sll", Class: ClassInteger, Unit: UnitALU, Latency: 1, NumSources: 2, HasDest: true, EnergyWt: 1.0},
-	SRL:   {Op: SRL, Mnemonic: "srl", Class: ClassInteger, Unit: UnitALU, Latency: 1, NumSources: 2, HasDest: true, EnergyWt: 1.0},
-	MUL:   {Op: MUL, Mnemonic: "mul", Class: ClassInteger, Unit: UnitMul, Latency: 3, NumSources: 2, HasDest: true, EnergyWt: 2.2},
-	DIV:   {Op: DIV, Mnemonic: "div", Class: ClassInteger, Unit: UnitMul, Latency: 12, NumSources: 2, HasDest: true, EnergyWt: 4.0},
-	FADDD: {Op: FADDD, Mnemonic: "fadd.d", Class: ClassFloat, Unit: UnitFP, Latency: 3, NumSources: 2, HasDest: true, EnergyWt: 2.6},
-	FSUBD: {Op: FSUBD, Mnemonic: "fsub.d", Class: ClassFloat, Unit: UnitFP, Latency: 3, NumSources: 2, HasDest: true, EnergyWt: 2.6},
-	FMULD: {Op: FMULD, Mnemonic: "fmul.d", Class: ClassFloat, Unit: UnitFP, Latency: 4, NumSources: 2, HasDest: true, EnergyWt: 3.2},
-	FDIVD: {Op: FDIVD, Mnemonic: "fdiv.d", Class: ClassFloat, Unit: UnitFP, Latency: 14, NumSources: 2, HasDest: true, EnergyWt: 5.0},
-	BEQ:   {Op: BEQ, Mnemonic: "beq", Class: ClassBranch, Unit: UnitALU, Latency: 1, IsBranch: true, IsCondBr: true, NumSources: 2, EnergyWt: 1.1},
-	BNE:   {Op: BNE, Mnemonic: "bne", Class: ClassBranch, Unit: UnitALU, Latency: 1, IsBranch: true, IsCondBr: true, NumSources: 2, EnergyWt: 1.1},
-	BGE:   {Op: BGE, Mnemonic: "bge", Class: ClassBranch, Unit: UnitALU, Latency: 1, IsBranch: true, IsCondBr: true, NumSources: 2, EnergyWt: 1.1},
-	BLT:   {Op: BLT, Mnemonic: "blt", Class: ClassBranch, Unit: UnitALU, Latency: 1, IsBranch: true, IsCondBr: true, NumSources: 2, EnergyWt: 1.1},
-	JAL:   {Op: JAL, Mnemonic: "jal", Class: ClassBranch, Unit: UnitALU, Latency: 1, IsBranch: true, NumSources: 0, HasDest: true, EnergyWt: 1.0},
-	LD:    {Op: LD, Mnemonic: "ld", Class: ClassLoad, Unit: UnitLSU, Latency: 2, MemBytes: 8, NumSources: 1, HasDest: true, EnergyWt: 2.8},
-	LW:    {Op: LW, Mnemonic: "lw", Class: ClassLoad, Unit: UnitLSU, Latency: 2, MemBytes: 4, NumSources: 1, HasDest: true, EnergyWt: 2.6},
-	SD:    {Op: SD, Mnemonic: "sd", Class: ClassStore, Unit: UnitLSU, Latency: 1, MemBytes: 8, NumSources: 2, EnergyWt: 2.9},
-	SW:    {Op: SW, Mnemonic: "sw", Class: ClassStore, Unit: UnitLSU, Latency: 1, MemBytes: 4, NumSources: 2, EnergyWt: 2.7},
-	NOP:   {Op: NOP, Mnemonic: "nop", Class: ClassNop, Unit: UnitNone, Latency: 1, EnergyWt: 0.2},
+	ADD:   {Mnemonic: "add", Class: ClassInteger, Unit: UnitALU, Latency: 1, NumSources: 2, HasDest: true},
+	SUB:   {Mnemonic: "sub", Class: ClassInteger, Unit: UnitALU, Latency: 1, NumSources: 2, HasDest: true},
+	AND:   {Mnemonic: "and", Class: ClassInteger, Unit: UnitALU, Latency: 1, NumSources: 2, HasDest: true},
+	OR:    {Mnemonic: "or", Class: ClassInteger, Unit: UnitALU, Latency: 1, NumSources: 2, HasDest: true},
+	XOR:   {Mnemonic: "xor", Class: ClassInteger, Unit: UnitALU, Latency: 1, NumSources: 2, HasDest: true},
+	SLL:   {Mnemonic: "sll", Class: ClassInteger, Unit: UnitALU, Latency: 1, NumSources: 2, HasDest: true},
+	SRL:   {Mnemonic: "srl", Class: ClassInteger, Unit: UnitALU, Latency: 1, NumSources: 2, HasDest: true},
+	MUL:   {Mnemonic: "mul", Class: ClassInteger, Unit: UnitMul, Latency: 3, NumSources: 2, HasDest: true},
+	DIV:   {Mnemonic: "div", Class: ClassInteger, Unit: UnitMul, Latency: 12, NumSources: 2, HasDest: true},
+	FADDD: {Mnemonic: "fadd.d", Class: ClassFloat, Unit: UnitFP, Latency: 3, NumSources: 2, HasDest: true},
+	FSUBD: {Mnemonic: "fsub.d", Class: ClassFloat, Unit: UnitFP, Latency: 3, NumSources: 2, HasDest: true},
+	FMULD: {Mnemonic: "fmul.d", Class: ClassFloat, Unit: UnitFP, Latency: 4, NumSources: 2, HasDest: true},
+	FDIVD: {Mnemonic: "fdiv.d", Class: ClassFloat, Unit: UnitFP, Latency: 14, NumSources: 2, HasDest: true},
+	BEQ:   {Mnemonic: "beq", Class: ClassBranch, Unit: UnitALU, Latency: 1, IsBranch: true, IsCondBr: true, NumSources: 2},
+	BNE:   {Mnemonic: "bne", Class: ClassBranch, Unit: UnitALU, Latency: 1, IsBranch: true, IsCondBr: true, NumSources: 2},
+	BGE:   {Mnemonic: "bge", Class: ClassBranch, Unit: UnitALU, Latency: 1, IsBranch: true, IsCondBr: true, NumSources: 2},
+	BLT:   {Mnemonic: "blt", Class: ClassBranch, Unit: UnitALU, Latency: 1, IsBranch: true, IsCondBr: true, NumSources: 2},
+	JAL:   {Mnemonic: "jal", Class: ClassBranch, Unit: UnitALU, Latency: 1, IsBranch: true, NumSources: 0, HasDest: true},
+	LD:    {Mnemonic: "ld", Class: ClassLoad, Unit: UnitLSU, Latency: 2, NumSources: 1, HasDest: true},
+	LW:    {Mnemonic: "lw", Class: ClassLoad, Unit: UnitLSU, Latency: 2, NumSources: 1, HasDest: true},
+	SD:    {Mnemonic: "sd", Class: ClassStore, Unit: UnitLSU, Latency: 1, NumSources: 2},
+	SW:    {Mnemonic: "sw", Class: ClassStore, Unit: UnitLSU, Latency: 1, NumSources: 2},
+	NOP:   {Mnemonic: "nop", Class: ClassNop, Unit: UnitNone, Latency: 1},
 }
 
 // Describe returns the static descriptor of op. It panics if op is not a
@@ -202,9 +199,6 @@ func (op Opcode) IsBranch() bool { return Describe(op).IsBranch }
 
 // IsCondBranch reports whether op is a conditional branch.
 func (op Opcode) IsCondBranch() bool { return Describe(op).IsCondBr }
-
-// MemBytes returns the number of bytes accessed by a memory opcode, or 0.
-func (op Opcode) MemBytes() int { return Describe(op).MemBytes }
 
 // KnobOpcodes returns the ten opcodes that correspond to the
 // instruction-fraction knobs of the paper's Listing 1, in knob order.

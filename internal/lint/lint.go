@@ -53,7 +53,6 @@ type Package struct {
 	Path  string
 	Fset  *token.FileSet
 	Files []*ast.File
-	Types *types.Package
 	Info  *types.Info
 }
 

@@ -44,11 +44,10 @@ func loadTestdata(t *testing.T, dir, path string) *lint.Package {
 	}
 	info := lint.NewInfo()
 	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	tpkg, err := conf.Check(path, fset, files, info)
-	if err != nil {
+	if _, err := conf.Check(path, fset, files, info); err != nil {
 		t.Fatalf("type-checking %s: %v", dir, err)
 	}
-	return &lint.Package{Path: path, Fset: fset, Files: files, Types: tpkg, Info: info}
+	return &lint.Package{Path: path, Fset: fset, Files: files, Info: info}
 }
 
 // wantRe matches the expectation markers in fixture files:

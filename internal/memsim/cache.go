@@ -1,13 +1,15 @@
 // Package memsim implements the cache hierarchy model used by the
 // performance-simulator substrate (the Gem5 substitute): set-associative
 // L1 instruction and data caches backed by a unified L2, with LRU
-// replacement, write-allocate stores and an optional next-line prefetcher
-// (present on the paper's "Large" core configuration).
+// replacement and an optional next-line prefetcher (present on the paper's
+// "Large" core configuration).
 //
 // The model is a functional hit/miss simulator with fixed per-level
 // latencies; it produces the cache hit-rate metrics the cloning use case
 // targets (IC hit rate, DC hit rate, L2 hit rate) and the access latencies
-// the out-of-order timing model consumes.
+// the out-of-order timing model consumes. A store is timed exactly as a
+// load of the same address: no dirty state and no writeback traffic is
+// modelled.
 package memsim
 
 import "fmt"
@@ -55,7 +57,6 @@ type Stats struct {
 	Hits       uint64
 	Misses     uint64
 	Prefetches uint64
-	Writebacks uint64
 }
 
 // HitRate returns Hits/Accesses, or 1 when the cache was never accessed
@@ -71,7 +72,6 @@ func (s Stats) HitRate() float64 {
 type line struct {
 	tag   uint64
 	valid bool
-	dirty bool
 	used  uint64 // LRU timestamp
 }
 
@@ -155,20 +155,20 @@ func (c *Cache) indexTag(addr uint64) (int, uint64) {
 	return set, tag
 }
 
-// Access performs a demand access. It returns true on hit. On miss the line
-// is installed (write-allocate for stores). A victim writeback is counted
-// when a dirty line is evicted.
-func (c *Cache) Access(addr uint64, write bool) bool {
-	hit, _ := c.accessWay(addr, write)
+// Access performs a demand access, load or store alike. It returns true on
+// hit. On miss the line is installed over the LRU victim; evicting a line
+// costs nothing, since no dirty state is kept.
+func (c *Cache) Access(addr uint64) bool {
+	hit, _ := c.accessWay(addr)
 	return hit
 }
 
 // accessWay is Access plus the way now holding the line (valid on hit and
 // after a miss install alike), enabling the hierarchy's same-line fetch fast
 // path.
-func (c *Cache) accessWay(addr uint64, write bool) (bool, *line) {
+func (c *Cache) accessWay(addr uint64) (bool, *line) {
 	c.stats.Accesses++
-	hit, way := c.touch(addr, write, true)
+	hit, way := c.touch(addr)
 	if hit {
 		c.stats.Hits++
 	} else {
@@ -180,7 +180,7 @@ func (c *Cache) accessWay(addr uint64, write bool) (bool, *line) {
 // Prefetch installs the line containing addr without counting a demand
 // access. It returns true if the line was already present.
 func (c *Cache) Prefetch(addr uint64) bool {
-	present, _ := c.touch(addr, false, false)
+	present, _ := c.touch(addr)
 	if !present {
 		c.stats.Prefetches++
 	}
@@ -189,7 +189,7 @@ func (c *Cache) Prefetch(addr uint64) bool {
 
 // touch looks up the line, updates LRU state and installs it on miss. It
 // returns whether the line was present and the way now holding it.
-func (c *Cache) touch(addr uint64, write, demand bool) (bool, *line) {
+func (c *Cache) touch(addr uint64) (bool, *line) {
 	c.clock++
 	set, tag := c.indexTag(addr)
 	ways := c.sets[set]
@@ -198,18 +198,12 @@ func (c *Cache) touch(addr uint64, write, demand bool) (bool, *line) {
 	if m := c.mru[set]; int(m) < len(ways) {
 		if l := &ways[m]; l.valid && l.tag == tag {
 			l.used = c.clock
-			if write {
-				l.dirty = true
-			}
 			return true, l
 		}
 	}
 	for w := range ways {
 		if ways[w].valid && ways[w].tag == tag {
 			ways[w].used = c.clock
-			if write {
-				ways[w].dirty = true
-			}
 			c.mru[set] = int32(w)
 			return true, &ways[w]
 		}
@@ -225,12 +219,8 @@ func (c *Cache) touch(addr uint64, write, demand bool) (bool, *line) {
 			victim = w
 		}
 	}
-	if ways[victim].valid && ways[victim].dirty {
-		c.stats.Writebacks++
-	}
-	ways[victim] = line{tag: tag, valid: true, dirty: write, used: c.clock}
+	ways[victim] = line{tag: tag, valid: true, used: c.clock}
 	c.mru[set] = int32(victim)
-	_ = demand
 	return false, &ways[victim]
 }
 
@@ -319,30 +309,27 @@ func (h *Hierarchy) Reset() {
 	h.dataWay = nil
 }
 
-// AccessDataEv performs a data access (load or store) and returns its latency
-// in cycles and the L2 events it caused — demand accesses, misses
-// (main-memory fetches) and prefetch fills — so the timing model can
-// attribute energy events to activity windows without snapshotting cache
-// counters around every access.
-func (h *Hierarchy) AccessDataEv(addr uint64, write bool) (lat int, l2acc, l2miss, l2pref uint8) {
+// AccessDataEv performs a data access (a load or a store, timed alike) and
+// returns its latency in cycles and the L2 events it caused — demand
+// accesses, misses (main-memory fetches) and prefetch fills — so the timing
+// model can attribute energy events to activity windows without
+// snapshotting cache counters around every access.
+func (h *Hierarchy) AccessDataEv(addr uint64) (lat int, l2acc, l2miss, l2pref uint8) {
 	if h.dataWay != nil && addr>>h.l1d.lineShift == h.dataLineNum {
 		c := h.l1d
 		c.stats.Accesses++
 		c.stats.Hits++
 		c.clock++
 		h.dataWay.used = c.clock
-		if write {
-			h.dataWay.dirty = true
-		}
 		return h.cfg.L1D.HitLatency, 0, 0, 0
 	}
-	return h.accessDataNewLine(addr, write)
+	return h.accessDataNewLine(addr)
 }
 
 // accessDataNewLine is the data path past the same-line shortcut: a full L1D
 // access, falling through to L2, memory and the prefetcher on a miss.
-func (h *Hierarchy) accessDataNewLine(addr uint64, write bool) (lat int, l2acc, l2miss, l2pref uint8) {
-	hit, way := h.l1d.accessWay(addr, write)
+func (h *Hierarchy) accessDataNewLine(addr uint64) (lat int, l2acc, l2miss, l2pref uint8) {
+	hit, way := h.l1d.accessWay(addr)
 	if hit {
 		h.dataLineNum = addr >> h.l1d.lineShift
 		h.dataWay = way
@@ -351,7 +338,7 @@ func (h *Hierarchy) accessDataNewLine(addr uint64, write bool) (lat int, l2acc, 
 	h.dataWay = nil
 	lat = h.cfg.L1D.HitLatency
 	l2acc = 1
-	if h.l2.Access(addr, write) {
+	if h.l2.Access(addr) {
 		lat += h.cfg.L2.HitLatency
 	} else {
 		lat += h.cfg.L2.HitLatency + h.cfg.MemLatency
@@ -391,14 +378,14 @@ func (h *Hierarchy) FastFetchHit(pc uint64) bool {
 // falling through to L2 and memory on a miss. The timing model calls it
 // once FastFetchHit has reported a new line.
 func (h *Hierarchy) AccessInstrEv(pc uint64) (lat int, l2acc, l2miss uint8) {
-	hit, way := h.l1i.accessWay(pc, false)
+	hit, way := h.l1i.accessWay(pc)
 	h.fetchLineNum = pc >> h.l1i.lineShift
 	h.fetchWay = way
 	if hit {
 		return h.cfg.L1I.HitLatency, 0, 0
 	}
 	lat = h.cfg.L1I.HitLatency
-	if h.l2.Access(pc, false) {
+	if h.l2.Access(pc) {
 		lat += h.cfg.L2.HitLatency
 	} else {
 		lat += h.cfg.L2.HitLatency + h.cfg.MemLatency

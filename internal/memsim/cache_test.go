@@ -49,16 +49,16 @@ func TestCacheHitAfterMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Access(0x1000, false) {
+	if c.Access(0x1000) {
 		t.Error("first access should miss")
 	}
-	if !c.Access(0x1000, false) {
+	if !c.Access(0x1000) {
 		t.Error("second access to same address should hit")
 	}
-	if !c.Access(0x1038, false) {
+	if !c.Access(0x1038) {
 		t.Error("access within the same line should hit")
 	}
-	if c.Access(0x1040, false) {
+	if c.Access(0x1040) {
 		t.Error("access to next line should miss")
 	}
 	st := c.Stats()
@@ -76,35 +76,24 @@ func TestCacheLRUEviction(t *testing.T) {
 	c, _ := NewCache(smallCfg())
 	setStride := uint64(smallCfg().NumSets() * 64)
 	a, b, d := uint64(0), setStride, 2*setStride
-	c.Access(a, false)
-	c.Access(b, false)
-	c.Access(a, false) // a is now MRU
-	c.Access(d, false) // evicts b
-	if !c.Access(a, false) {
+	c.Access(a)
+	c.Access(b)
+	c.Access(a) // a is now MRU
+	c.Access(d) // evicts b
+	if !c.Access(a) {
 		t.Error("a should still be cached")
 	}
-	if !c.Access(d, false) {
+	if !c.Access(d) {
 		t.Error("d should be cached")
 	}
-	if c.Access(b, false) {
+	if c.Access(b) {
 		t.Error("b should have been evicted (LRU)")
-	}
-}
-
-func TestCacheWritebackCounting(t *testing.T) {
-	c, _ := NewCache(smallCfg())
-	setStride := uint64(smallCfg().NumSets() * 64)
-	c.Access(0, true)            // dirty
-	c.Access(setStride, false)   // fills second way
-	c.Access(2*setStride, false) // evicts dirty line 0
-	if got := c.Stats().Writebacks; got != 1 {
-		t.Errorf("writebacks = %d, want 1", got)
 	}
 }
 
 func TestCacheResetAndEmptyStats(t *testing.T) {
 	c, _ := NewCache(smallCfg())
-	c.Access(0x40, true)
+	c.Access(0x40)
 	c.Reset()
 	st := c.Stats()
 	if st.Accesses != 0 {
@@ -113,7 +102,7 @@ func TestCacheResetAndEmptyStats(t *testing.T) {
 	if st.HitRate() != 1 {
 		t.Errorf("empty cache hit rate should be 1, got %v", st.HitRate())
 	}
-	if c.Access(0x40, false) {
+	if c.Access(0x40) {
 		t.Error("Reset did not clear contents")
 	}
 }
@@ -123,7 +112,7 @@ func TestCachePrefetch(t *testing.T) {
 	if c.Prefetch(0x80) {
 		t.Error("prefetch of absent line should report not-present")
 	}
-	if !c.Access(0x80, false) {
+	if !c.Access(0x80) {
 		t.Error("demand access after prefetch should hit")
 	}
 	st := c.Stats()
@@ -142,13 +131,13 @@ func TestHierarchyLatencies(t *testing.T) {
 	}
 	cfg := hierCfg()
 	// Cold access: L1 miss + L2 miss + memory.
-	lat, _, _, _ := h.AccessDataEv(0x10000, false)
+	lat, _, _, _ := h.AccessDataEv(0x10000)
 	want := cfg.L1D.HitLatency + cfg.L2.HitLatency + cfg.MemLatency
 	if lat != want {
 		t.Errorf("cold access latency = %d, want %d", lat, want)
 	}
 	// Second access: L1 hit.
-	if lat, _, _, _ := h.AccessDataEv(0x10000, false); lat != cfg.L1D.HitLatency {
+	if lat, _, _, _ := h.AccessDataEv(0x10000); lat != cfg.L1D.HitLatency {
 		t.Errorf("warm access latency = %d, want %d", lat, cfg.L1D.HitLatency)
 	}
 	// Instruction fetch path.
@@ -171,7 +160,7 @@ func TestHierarchyL2HitPath(t *testing.T) {
 	// Touch 64 lines (4 KiB), which fit in L2 but not in the 256-byte L1D.
 	for pass := 0; pass < 2; pass++ {
 		for i := uint64(0); i < 64; i++ {
-			h.AccessDataEv(i*64, false)
+			h.AccessDataEv(i * 64)
 		}
 	}
 	l1 := h.L1D().Stats()
@@ -196,8 +185,8 @@ func TestHierarchyPrefetcher(t *testing.T) {
 	// Stream through 256 KiB (beyond L2) with 64B stride: the next-line
 	// prefetcher should convert many L2 misses into hits.
 	for i := uint64(0); i < 4096; i++ {
-		noPf.AccessDataEv(i*64, false)
-		withPf.AccessDataEv(i*64, false)
+		noPf.AccessDataEv(i * 64)
+		withPf.AccessDataEv(i * 64)
 	}
 	if withPf.L2().Stats().HitRate() <= noPf.L2().Stats().HitRate() {
 		t.Errorf("prefetcher did not improve L2 hit rate: with=%v without=%v",
@@ -223,7 +212,7 @@ func TestSmallFootprintFitsInL1(t *testing.T) {
 	// 2 KiB working set inside a 4 KiB L1D: after the first pass everything hits.
 	for pass := 0; pass < 10; pass++ {
 		for i := uint64(0); i < 32; i++ {
-			h.AccessDataEv(0x5000+i*64, false)
+			h.AccessDataEv(0x5000 + i*64)
 		}
 	}
 	if hr := h.L1D().Stats().HitRate(); hr < 0.85 {
@@ -241,7 +230,7 @@ func TestPropertyStatsConsistency(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < int(n)%2000; i++ {
-			c.Access(uint64(rng.Intn(1<<16)), rng.Intn(2) == 0)
+			c.Access(uint64(rng.Intn(1 << 16)))
 		}
 		st := c.Stats()
 		if st.Hits+st.Misses != st.Accesses {
@@ -265,7 +254,7 @@ func TestPropertyResidentSetHits(t *testing.T) {
 		base := uint64(baseSeed) * 64
 		for pass := 0; pass < 8; pass++ {
 			for i := uint64(0); i < 32; i++ { // 2 KiB set in an 8 KiB cache
-				c.Access(base+i*64, false)
+				c.Access(base + i*64)
 			}
 		}
 		return c.Stats().HitRate() > 0.8

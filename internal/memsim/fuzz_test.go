@@ -29,11 +29,10 @@ func FuzzLRUInclusion(f *testing.F) {
 		}
 		lo, hi := newCache(waysSmall), newCache(waysLarge)
 		// Two bytes per access: the low 15 bits pick a word, so the trace
-		// spans 512 lines (several per set), and the top bit marks a store.
+		// spans 512 lines (several per set).
 		for i := 0; i+1 < len(trace); i += 2 {
-			v := binary.LittleEndian.Uint16(trace[i:])
-			addr, write := uint64(v&0x7fff)*8, v&0x8000 != 0
-			if hitLo, hitHi := lo.Access(addr, write), hi.Access(addr, write); hitLo && !hitHi {
+			addr := uint64(binary.LittleEndian.Uint16(trace[i:])&0x7fff) * 8
+			if hitLo, hitHi := lo.Access(addr), hi.Access(addr); hitLo && !hitHi {
 				t.Fatalf("access %d (%#x): %d ways hit, %d ways missed", i/2, addr, waysSmall, waysLarge)
 			}
 		}

@@ -17,7 +17,6 @@ package microprobe
 
 import (
 	"fmt"
-	"math/rand"
 
 	"micrograd/internal/isa"
 	"micrograd/internal/program"
@@ -29,7 +28,6 @@ import (
 // Synthesizer reuses from one synthesis to the next.
 type Builder struct {
 	prog *program.Program
-	rng  *rand.Rand
 
 	reserved [isa.TotalRegs]bool // by register ID: registers the allocator must not touch
 
@@ -45,12 +43,9 @@ type Builder struct {
 }
 
 // reset starts a new program with the given name on the builder, keeping its
-// scratch. The rng drives every stochastic decision made by passes
-// (instruction placement shuffling); a fixed seed makes generation fully
-// deterministic.
-func (b *Builder) reset(name string, rng *rand.Rand) {
+// scratch.
+func (b *Builder) reset(name string) {
 	b.prog = program.New(name)
-	b.rng = rng
 	b.reserved = [isa.TotalRegs]bool{}
 }
 

@@ -21,10 +21,10 @@ func aluSettings() knobs.Settings {
 	return set
 }
 
-// newBuilder starts a builder the way a Synthesizer does, with a fixed seed.
+// newBuilder starts a builder the way a Synthesizer does.
 func newBuilder(name string) *Builder {
 	b := new(Builder)
-	b.reset(name, rand.New(rand.NewSource(1)))
+	b.reset(name)
 	return b
 }
 

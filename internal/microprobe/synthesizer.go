@@ -113,7 +113,7 @@ func (s *Synthesizer) SynthesizeSettings(name string, set knobs.Settings) (*prog
 	}()
 	sc.rng.Seed(s.opts.Seed)
 	b := &sc.b
-	b.reset(name, sc.rng)
+	b.reset(name)
 
 	// Two memory streams, as in the paper's Listing 2: a small "hot" stream
 	// capturing temporal re-use and a "cold" stream with the configured

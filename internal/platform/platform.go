@@ -210,8 +210,6 @@ type Platform interface {
 // simulation plus an activity-based power estimate.
 type SimPlatform struct {
 	spec  CoreSpec
-	mem   *memsim.Hierarchy
-	pred  *branchsim.Predictor
 	cpu   *cpusim.CPU
 	power *powersim.Model
 	// tracePoints backs the power trace of evaluations that do not hand
@@ -242,7 +240,7 @@ func NewSimPlatform(spec CoreSpec) (*SimPlatform, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SimPlatform{spec: spec, mem: mem, pred: pred, cpu: cpu, power: power}, nil
+	return &SimPlatform{spec: spec, cpu: cpu, power: power}, nil
 }
 
 // Name implements Platform.

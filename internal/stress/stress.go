@@ -275,10 +275,6 @@ type Report struct {
 	// Epochs and Evaluations account for the tuning cost.
 	Epochs      int
 	Evaluations int
-	Converged   bool
-	// PowerCapW echoes the power cap the search ran under (0 when
-	// unconstrained).
-	PowerCapW float64
 	// TunerResult carries the raw tuning output.
 	TunerResult tuner.Result
 }
@@ -410,8 +406,6 @@ func Run(ctx context.Context, kind Kind, opts Options) (Report, error) {
 		Program:     prog,
 		Epochs:      len(res.Epochs),
 		Evaluations: evaluations,
-		Converged:   res.Converged,
-		PowerCapW:   opts.PowerCapW,
 		TunerResult: res,
 	}
 	if rd, ok := res.Best.ValueByName(knobs.NameRegDist); ok {

@@ -194,8 +194,8 @@ func TestDefaultSpacesPerKind(t *testing.T) {
 
 // TestVoltageNoiseVirusUnderPowerCap runs the README's power-capped
 // voltage-noise search (maximize worst-case droop subject to a dynamic power
-// cap) and checks the report: the cap is echoed, the budget holds, and the
-// winner is feasible and droops.
+// cap) and checks the report: the budget holds, and the winner is feasible
+// and droops.
 func TestVoltageNoiseVirusUnderPowerCap(t *testing.T) {
 	opts := testOptions(t)
 	opts.PowerCapW = 50 // generous: binds nothing, exercises the whole path
@@ -203,9 +203,6 @@ func TestVoltageNoiseVirusUnderPowerCap(t *testing.T) {
 	rep, err := Run(context.Background(), VoltageNoiseVirus, opts)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if rep.PowerCapW != 50 {
-		t.Errorf("report echoes cap %v, want 50", rep.PowerCapW)
 	}
 	if rep.Evaluations > 150 {
 		t.Errorf("spent %d evaluations, budget is 150", rep.Evaluations)
@@ -233,11 +230,8 @@ func TestPowerCapBindsOnPowerVirus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if capped.PowerCapW != cap {
-		t.Errorf("report echoes cap %v, want %v", capped.PowerCapW, cap)
-	}
-	if capped.BestValue > cap {
-		t.Errorf("capped power virus reached %.3f W, cap is %.3f W", capped.BestValue, cap)
+	if p := capped.BestMetrics[metrics.DynamicPowerW]; p > cap {
+		t.Errorf("capped power virus reached %.3f W, cap is %.3f W", p, cap)
 	}
 	if capped.BestValue <= 0 {
 		t.Errorf("capped run found no feasible kernel (best %.3f W)", capped.BestValue)

@@ -25,8 +25,6 @@ type Entry struct {
 	PC uint64
 	// Addr is the data address accessed, valid only for memory instructions.
 	Addr uint64
-	// Bytes is the data access width in bytes (0 for non-memory).
-	Bytes int
 	// Taken is the branch direction, valid only for branches.
 	Taken bool
 }
@@ -126,12 +124,12 @@ func (p *patternState) next(rng *rand.Rand) bool {
 // Entry kinds precomputed per static instruction, so NextInto never
 // re-derives opcode properties (or copies instruction structs) on the hot
 // path. Each kind writes exactly the Entry fields it owns; kindPlain
-// instructions leave Addr/Bytes/Taken untouched because no consumer reads
+// instructions leave Addr/Taken untouched because no consumer reads
 // them (a conditional branch without a pattern gets kindCondNoPat so Taken
 // is still cleared).
 const (
 	kindPlain     uint8 = iota // no address, no direction
-	kindMem                    // memory access: address + width
+	kindMem                    // memory access: address
 	kindPattern                // conditional branch driven by a pattern
 	kindLoopClose              // the loop-closing back edge: always taken
 	kindCondNoPat              // conditional branch without a pattern: never taken
@@ -140,14 +138,12 @@ const (
 // staticMeta is the predecoded per-static-instruction expansion recipe.
 type staticMeta struct {
 	kind  uint8
-	bytes int32 // access width for kindMem
 	index int32 // stream (kindMem) or pattern (kindPattern) index
 	pc    uint64
 }
 
 // Expander produces the dynamic instruction stream of a program.
 type Expander struct {
-	prog     *program.Program
 	rng      *rand.Rand
 	src      rand.Source
 	streams  []streamState
@@ -167,7 +163,6 @@ func Reuse(e *Expander, p *program.Program, seed int64) *Expander {
 	} else {
 		e.src.Seed(seed)
 	}
-	e.prog = p
 	e.pos = 0
 
 	if cap(e.streams) < len(p.Streams) {
@@ -200,7 +195,6 @@ func Reuse(e *Expander, p *program.Program, seed int64) *Expander {
 		case in.IsMemory():
 			m.kind = kindMem
 			m.index = int32(in.Stream)
-			m.bytes = int32(in.Op.MemBytes())
 		case in.Op.IsBranch():
 			if i == n-1 {
 				m.kind = kindLoopClose
@@ -227,7 +221,6 @@ func (e *Expander) NextInto(entry *Entry) {
 	switch m.kind {
 	case kindMem:
 		entry.Addr = e.streams[m.index].next()
-		entry.Bytes = int(m.bytes)
 	case kindPattern:
 		entry.Taken = e.patterns[m.index].next(e.rng)
 	case kindLoopClose:

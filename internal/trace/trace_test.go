@@ -47,9 +47,6 @@ func TestExpandBasicInvariants(t *testing.T) {
 		in := p.Instructions[e.Static]
 		switch {
 		case in.IsMemory():
-			if e.Bytes == 0 {
-				t.Fatalf("memory entry %d has no access size", i)
-			}
 			s := p.Streams[in.Stream]
 			if e.Addr < s.Base || e.Addr >= s.Base+uint64(s.FootprintBytes) {
 				t.Fatalf("entry %d address %#x outside stream region [%#x,%#x)", i, e.Addr, s.Base, s.Base+uint64(s.FootprintBytes))
@@ -59,7 +56,7 @@ func TestExpandBasicInvariants(t *testing.T) {
 				t.Fatalf("loop-closing branch not taken at entry %d", i)
 			}
 		default:
-			if e.Addr != 0 || e.Bytes != 0 {
+			if e.Addr != 0 {
 				t.Fatalf("non-memory entry %d carries an address", i)
 			}
 		}

@@ -5,7 +5,7 @@
 // The package re-exports the framework's user-facing API from the internal
 // packages so that applications can depend on a single import:
 //
-//   - configure and run the framework end to end (NewFramework / RunConfig),
+//   - configure and run the framework end to end (RunConfig),
 //   - clone a reference application's behaviour into a synthetic kernel
 //     (CloneBenchmark, Clone),
 //   - generate performance and power viruses (StressTest),
@@ -39,8 +39,6 @@ type (
 	// Config is the framework input configuration (use case, core, tuner,
 	// budgets, target application or stress goal).
 	Config = config.Config
-	// Framework is a configured MicroGrad instance.
-	Framework = core.Framework
 	// Output is the framework output bundle (kernel, knobs, metrics,
 	// progression).
 	Output = core.Output
@@ -105,20 +103,8 @@ const (
 // DefaultConfig returns the framework configuration defaults.
 func DefaultConfig() Config { return config.Default() }
 
-// LoadConfig reads a JSON framework configuration from disk.
-func LoadConfig(path string) (Config, error) { return config.Load(path) }
-
-// NewFramework builds a framework instance from a configuration.
-func NewFramework(cfg Config) (*Framework, error) { return core.New(cfg) }
-
-// RunConfig builds a framework from cfg and runs its use case.
-func RunConfig(ctx context.Context, cfg Config) (*Output, error) {
-	fw, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return fw.Run(ctx)
-}
+// RunConfig validates cfg and runs its use case.
+func RunConfig(ctx context.Context, cfg Config) (*Output, error) { return core.Run(ctx, cfg) }
 
 // Benchmarks returns the built-in reference application suite (the SPEC INT
 // CPU2006 stand-ins).

@@ -216,6 +216,28 @@ mgserve_pid=""
 run "micrograd stress"    "$bin_dir/micrograd" -use-case stress -stress-kind voltage-noise-virus -core small -epochs 4 -instructions 5000 -loop-size 200
 run "micrograd cloning"   "$bin_dir/micrograd" -use-case cloning -benchmark mcf -epochs 4 -instructions 4000 -loop-size 200
 
+# The -config path: the JSON document alone selects the run. A cloning
+# configuration whose metrics the target lacks would tune towards nothing,
+# so it must fail, naming the metric, before any run finishes.
+cat > "$bin_dir/stress.json" <<'EOF'
+{"use_case": "stress", "core": "small", "stress_kind": "power-virus", "max_epochs": 3,
+ "dynamic_instructions": 2000, "loop_size": 100, "parallel": 1}
+EOF
+run "micrograd -config stress" "$bin_dir/micrograd" -config "$bin_dir/stress.json"
+cat > "$bin_dir/typo.json" <<'EOF'
+{"use_case": "cloning", "benchmark": "mcf", "metrics": ["ipcc"], "max_epochs": 3,
+ "dynamic_instructions": 2000, "loop_size": 100, "parallel": 1}
+EOF
+echo "smoke: micrograd -config rejects a metric the target lacks"
+if typo_out="$("$bin_dir/micrograd" -config "$bin_dir/typo.json" 2>&1)"; then
+    echo "FAIL: micrograd ran a cloning configuration with metrics [\"ipcc\"]" >&2
+    exit 1
+fi
+if echo "$typo_out" | grep -q finished || ! echo "$typo_out" | grep -q '"ipcc"'; then
+    echo "FAIL: the [\"ipcc\"] cloning run did not fail before finishing, naming the metric (got: $typo_out)" >&2
+    exit 1
+fi
+
 # Examples run from the scratch directory so any artifacts they write
 # (e.g. the cloning example's clones/ output) stay out of the repository.
 cd "$bin_dir"
