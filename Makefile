@@ -36,14 +36,15 @@ allocs:
 # the parallel≡serial determinism pins with -count=1, so a cached pass can
 # never mask a scheduling-dependent regression. Every such pin is named
 # *MatchesSerial or *BitIdenticalToSerial (plus the CMA-ES and halving tuner
-# determinism tests); check the pattern with `go test -list` when adding
+# determinism tests, and mgserve's warm-platform-pool job against a serial
+# standalone run); check the pattern with `go test -list` when adding
 # one. The mgbench runs close the loop at the CLI: the heterogeneous
 # 2.0+1.2 GHz dvfs chip, the homogeneous corun chip, the 2x2 spatial-grid
 # chip, the equal-budget tuner comparison and a gd 4-core corun kind (its
 # final configuration puts cores 0 and 3 at one phase offset, so they share
 # a simulation) must print the same at -parallel 1 and 4.
 determinism:
-	$(GO) test -race -count=1 -run 'MatchesSerial|BitIdenticalToSerial|TestParallel(CMAES|Halving)Determinism' ./internal/multicore ./internal/stress ./internal/experiments ./internal/tuner
+	$(GO) test -race -count=1 -run 'MatchesSerial|BitIdenticalToSerial|TestParallel(CMAES|Halving)Determinism' ./internal/multicore ./internal/stress ./internal/experiments ./internal/tuner ./internal/serve
 	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir" ./cmd/mgbench || exit 1; \
 	for args in \

@@ -154,19 +154,16 @@ func Clone(ctx context.Context, name string, target metrics.Vector, opts Options
 		return Report{}, fmt.Errorf("cloning: the target has none of the cloned metrics %s", strings.Join(opts.Metrics, ", "))
 	}
 
-	// The synthesizer is pure per call (it derives a fresh RNG from its
-	// fixed seed), so one memoizing instance is shared by every worker;
-	// platforms are stateful and get one session per worker.
-	csyn := opts.Synth
-	if csyn == nil {
-		csyn = microprobe.NewCachingSynthesizer(microprobe.Options{LoopSize: opts.LoopSize, Seed: opts.Seed})
-	}
+	// The synthesizer is pure per call, so one memoizing instance is shared
+	// by every worker; platforms are stateful and get one session per
+	// worker.
 	res, prog, evaluations, err := tuner.TunePlatform(ctx, opts.Tuner, tuner.PlatformOptions{
 		Name:        "clone-" + name,
 		Platform:    opts.Platform,
 		Parallel:    opts.Parallel,
 		NewPlatform: opts.NewPlatform,
-		Synth:       csyn,
+		Synth:       opts.Synth,
+		LoopSize:    opts.LoopSize,
 		Options:     opts.EvalOptions,
 		Memo:        opts.Memo,
 	}, tuner.Problem{

@@ -61,9 +61,6 @@ func Run(ctx context.Context, cfg config.Config) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One platform instance of the configured core: the first of a run, or
-	// one more worker of the parallel evaluation engine.
-	newPlatform := func() (platform.Platform, error) { return platform.NewSimPlatform(spec) }
 	// The configuration as an experiments budget, as given, not normalized:
 	// a zero max_epochs still means the use case's own default
 	// (cloning.DefaultMaxEpochs, stress.DefaultMaxEpochs).
@@ -75,6 +72,10 @@ func Run(ctx context.Context, cfg config.Config) (*Output, error) {
 		Seed:                cfg.Seed,
 		Tuner:               cfg.Tuner,
 	}
+	// The run's platforms of the configured core: its first, and one more
+	// per worker of the parallel evaluation engine.
+	newPlatform, release := b.CorePlatforms(spec)
+	defer release()
 	// Validate admits no use case but these two.
 	if cfg.UseCase == config.UseCaseStress {
 		return runStress(ctx, cfg, b, newPlatform)

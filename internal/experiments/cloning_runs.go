@@ -98,7 +98,9 @@ func runCloningExperiment(ctx context.Context, figure string, core platform.Core
 	// instead of multiplying to Parallel².
 	outer, inner := splitWorkers(b.Parallel, len(bms))
 	runOne := func(ctx context.Context, i int, bm workloads.Benchmark) (cloning.Report, error) {
-		opts, err := b.CloneOptions(func() (platform.Platform, error) { return platform.NewSimPlatform(core) }, inner, bm.Name)
+		newPlatform, release := b.CorePlatforms(core)
+		defer release()
+		opts, err := b.CloneOptions(newPlatform, inner, bm.Name)
 		if err != nil {
 			return cloning.Report{}, err
 		}

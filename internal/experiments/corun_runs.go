@@ -7,7 +7,6 @@ import (
 
 	"micrograd/internal/knobs"
 	"micrograd/internal/metrics"
-	"micrograd/internal/microprobe"
 	"micrograd/internal/multicore"
 	"micrograd/internal/platform"
 	"micrograd/internal/powersim"
@@ -76,7 +75,9 @@ func runCoRun(ctx context.Context, coreName string, cores int, b Budget, withBas
 	}
 	if withBaseline {
 		runs = append(runs, func(ctx context.Context) error {
-			opts, err := b.StressOptions(func() (platform.Platform, error) { return platform.NewSimPlatform(core) }, inner, "SingleCore")
+			newPlatform, release := b.CorePlatforms(core)
+			defer release()
+			opts, err := b.StressOptions(newPlatform, inner, "SingleCore")
 			if err != nil {
 				return err
 			}
@@ -126,19 +127,16 @@ func coRunBudgetSplit(parallel, nRuns, cores int) (outer, inner, candWorkers, co
 }
 
 // characterizeCoRun re-evaluates a tuned chip configuration on a fresh
-// co-run platform — per-core kernels synthesized from the config, FREQ_GHZ
-// clock overrides applied when the space tunes them — and returns the full
-// chip metric vector plus the summed chip trace.
+// co-run platform — per-core kernels synthesized from the config by the
+// normalized budget's synthesizer, FREQ_GHZ clock overrides applied when
+// the space tunes them — and returns the full chip metric vector plus the
+// summed chip trace.
 func characterizeCoRun(spec multicore.CoRunSpec, corePar int, kind stress.Kind, cfg knobs.Config, b Budget) (metrics.Vector, powersim.PowerTrace, error) {
 	measure, err := multicore.New(spec, corePar)
 	if err != nil {
 		return nil, powersim.PowerTrace{}, err
 	}
-	syn := b.Synth
-	if syn == nil {
-		syn = microprobe.NewCachingSynthesizer(microprobe.Options{LoopSize: b.LoopSize, Seed: b.Seed})
-	}
-	session := platform.NewEvalSession(measure, syn)
+	session := platform.NewEvalSession(measure, b.Synth)
 	resp, err := session.Evaluate(platform.EvalRequest{
 		Name:    string(kind),
 		Config:  cfg,

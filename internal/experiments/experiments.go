@@ -71,9 +71,14 @@ type Budget struct {
 	MemoCap int
 	// Synth, when set, is a shared caching synthesizer reused by every
 	// tuning run whose generation options (LoopSize, Seed) match the
-	// budget's. Cloning runs ignore it: each benchmark derives its own
+	// budget's; an experiment without one shares one of its own across its
+	// runs. Cloning runs ignore it: each benchmark derives its own
 	// generation seed, so a shared instance would change the clones.
 	Synth *microprobe.CachingSynthesizer
+	// Platforms, when set, is a shared pool every single-core run leases
+	// its platforms from (CorePlatforms); an experiment without one shares
+	// one of its own across its runs.
+	Platforms *platform.Pool
 	// OnProgress, when set, streams every tuning epoch as a labeled
 	// progression point — the same long-format (series, x, y) rows the CSV
 	// dumps contain. Runs within one experiment may execute concurrently,
@@ -136,7 +141,8 @@ func QuickBudget() Budget {
 	}
 }
 
-// normalized fills missing fields from FullBudget.
+// normalized fills missing fields from FullBudget, and a missing Synth
+// and Platforms with ones the budget's runs share.
 func (b Budget) normalized() Budget {
 	full := FullBudget()
 	if b.DynamicInstructions <= 0 {
@@ -160,7 +166,24 @@ func (b Budget) normalized() Budget {
 	if b.Parallel <= 0 {
 		b.Parallel = 1
 	}
+	if b.Synth == nil {
+		b.Synth = microprobe.NewCachingSynthesizer(microprobe.Options{LoopSize: b.LoopSize, Seed: b.Seed})
+	}
+	if b.Platforms == nil {
+		b.Platforms = new(platform.Pool)
+	}
 	return b
+}
+
+// CorePlatforms leases one run's platforms of core (platform.Pool.Lease)
+// from the budget's pool, a private one when the budget has none (as
+// core.Run's budget, which is not normalized).
+func (b Budget) CorePlatforms(core platform.CoreSpec) (newPlatform func() (platform.Platform, error), release func()) {
+	pool := b.Platforms
+	if pool == nil {
+		pool = new(platform.Pool)
+	}
+	return pool.Lease(core)
 }
 
 // runParts builds what every tuning run of the budget owns: its first

@@ -80,7 +80,6 @@ func runStressExperiment(ctx context.Context, figure string, kind stress.Kind, b
 	// differently-tuned run would not be comparable with the reference.
 	b.Tuner, b.MaxEvaluations, b.PowerCapW = "", 0, 0
 	core := platform.Large()
-	newPlatform := func() (platform.Platform, error) { return platform.NewSimPlatform(core) }
 
 	// The three searches (GD, GA, brute force) are independent runs with
 	// their own platforms, so they execute concurrently on the engine; each
@@ -89,6 +88,8 @@ func runStressExperiment(ctx context.Context, figure string, kind stress.Kind, b
 	// Only the tuners stream their progression; the brute-force reference
 	// is one flat line, drawn after the fact.
 	tune := func(ctx context.Context, tn tuner.Tuner, epochs int, series string, stream bool) (stress.Report, error) {
+		newPlatform, release := b.CorePlatforms(core)
+		defer release()
 		opts, err := b.StressOptions(newPlatform, inner, series)
 		if err != nil {
 			return stress.Report{}, err

@@ -38,7 +38,9 @@ func RunStressKind(ctx context.Context, kind stress.Kind, coreName string, b Bud
 	if err != nil {
 		return StressKindRun{}, err
 	}
-	opts, err := b.StressOptions(func() (platform.Platform, error) { return platform.NewSimPlatform(core) }, b.Parallel, string(kind))
+	newPlatform, release := b.CorePlatforms(core)
+	defer release()
+	opts, err := b.StressOptions(newPlatform, b.Parallel, string(kind))
 	if err != nil {
 		return StressKindRun{}, err
 	}
@@ -46,13 +48,10 @@ func RunStressKind(ctx context.Context, kind stress.Kind, coreName string, b Bud
 	if err != nil {
 		return StressKindRun{}, fmt.Errorf("experiments: stress %s: %w", kind, err)
 	}
-	// Characterize the winning kernel on a fresh platform with power
-	// collection on, so every kind's row carries the same metric set.
-	measure, err := platform.NewSimPlatform(core)
-	if err != nil {
-		return StressKindRun{}, err
-	}
-	resp, err := measure.EvaluateRequest(platform.EvalRequest{
+	// Characterize the winning kernel on the run's own tuning platform with
+	// power collection on, so every kind's row carries the same metric set.
+	// The response owns its trace, so it outlives the platforms' release.
+	resp, err := opts.Platform.EvaluateRequest(platform.EvalRequest{
 		Programs: []*program.Program{rep.Program},
 		Options:  b.evalOptions(),
 		Detail:   platform.DetailTrace,

@@ -152,7 +152,9 @@ func (s CoRunSpec) Validate() error {
 // platform instance) and folds results in core order, so evaluations are
 // bit-identical at any Parallel setting.
 type CoRunPlatform struct {
-	spec     CoRunSpec
+	spec CoRunSpec
+	// identity is EvalIdentity, rendered once at build time.
+	identity string
 	sims     []*platform.SimPlatform
 	parallel int
 	// specClass[i] is the lowest core index whose spec equals core i's:
@@ -218,9 +220,6 @@ func New(spec CoRunSpec, parallel int) (*CoRunPlatform, error) {
 			c.nodeKeys[k] = nodeKeys{droop: metrics.NodeDroopMV(k/cols, k%cols), temp: metrics.NodeTempC(k/cols, k%cols)}
 		}
 	}
-	// Specs compare in the rendering EvalIdentity keys the chip by (the
-	// power coefficients hold a map, so CoreSpec has no ==).
-	rendered := make([]string, n)
 	for i, core := range spec.Cores {
 		sim, err := platform.NewSimPlatform(core)
 		if err != nil {
@@ -229,12 +228,27 @@ func New(spec CoRunSpec, parallel int) (*CoRunPlatform, error) {
 		c.sims = append(c.sims, sim)
 		c.coreKeys[i] = coreKeys{ipc: coreMetric(i, metrics.IPC), power: coreMetric(i, metrics.DynamicPowerW),
 			droop: coreMetric(i, metrics.WorstDroopMV), freq: coreMetric(i, metrics.FreqGHz)}
-		rendered[i] = fmt.Sprintf("%+v", core)
-		c.specClass[i] = slices.Index(rendered[:i], rendered[i])
-		if c.specClass[i] < 0 {
-			c.specClass[i] = i
-		}
+		// Specs compare by identity (the power coefficients hold a map, so
+		// CoreSpec has no ==).
+		c.specClass[i] = slices.IndexFunc(c.sims, func(s *platform.SimPlatform) bool { return s.EvalIdentity() == sim.EvalIdentity() })
 	}
+	// The chip identity renders each core spec as its SimPlatform does,
+	// after the "sim|" tag.
+	var b strings.Builder
+	fmt.Fprintf(&b, "corun|supply=%+v|thermal=%+v|offsets=%v", spec.Supply, spec.Thermal, spec.OffsetCycles)
+	for i, sim := range c.sims {
+		fmt.Fprintf(&b, "|core%d=%s", i, strings.TrimPrefix(sim.EvalIdentity(), "sim|"))
+	}
+	if spec.GridSupply != nil {
+		fmt.Fprintf(&b, "|gridsupply=%+v", *spec.GridSupply)
+	}
+	if spec.GridThermal != nil {
+		fmt.Fprintf(&b, "|gridthermal=%+v", *spec.GridThermal)
+	}
+	if spec.Floorplan != nil {
+		fmt.Fprintf(&b, "|floorplan=%+v", *spec.Floorplan)
+	}
+	c.identity = b.String()
 	return c, nil
 }
 
@@ -260,24 +274,8 @@ func (c *CoRunPlatform) Spec() CoRunSpec { return c.spec }
 // spatial grid/floorplan when configured — canonically rendered so that two
 // chips built from the same spec key their evaluations identically.
 // Pointer-typed spec fields are dereferenced (a rendered address would make
-// every chip unique).
-func (c *CoRunPlatform) EvalIdentity() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "corun|supply=%+v|thermal=%+v|offsets=%v", c.spec.Supply, c.spec.Thermal, c.spec.OffsetCycles)
-	for i, core := range c.spec.Cores {
-		fmt.Fprintf(&b, "|core%d=%+v", i, core)
-	}
-	if c.spec.GridSupply != nil {
-		fmt.Fprintf(&b, "|gridsupply=%+v", *c.spec.GridSupply)
-	}
-	if c.spec.GridThermal != nil {
-		fmt.Fprintf(&b, "|gridthermal=%+v", *c.spec.GridThermal)
-	}
-	if c.spec.Floorplan != nil {
-		fmt.Fprintf(&b, "|floorplan=%+v", *c.spec.Floorplan)
-	}
-	return b.String()
-}
+// every chip unique). It is rendered once, when the chip is built.
+func (c *CoRunPlatform) EvalIdentity() string { return c.identity }
 
 // NumCores returns the number of co-running cores.
 func (c *CoRunPlatform) NumCores() int { return len(c.sims) }

@@ -31,10 +31,12 @@ type Identifier interface {
 }
 
 // EvalIdentity implements Identifier: the full core spec, canonically
-// rendered (struct fields in declaration order, map keys sorted by fmt).
-func (s *SimPlatform) EvalIdentity() string {
-	return fmt.Sprintf("sim|%+v", s.spec)
-}
+// rendered (struct fields in declaration order, map keys sorted by fmt)
+// when the platform was built.
+func (s *SimPlatform) EvalIdentity() string { return s.identity }
+
+// specIdentity renders a core spec's evaluation identity.
+func specIdentity(spec CoreSpec) string { return fmt.Sprintf("sim|%+v", spec) }
 
 // EvalIdentityOf returns the platform's evaluation identity, falling back
 // to its name for platforms without a canonical one.

@@ -209,9 +209,11 @@ type Platform interface {
 // SimPlatform is the Gem5+McPAT substitute: a trace-driven performance
 // simulation plus an activity-based power estimate.
 type SimPlatform struct {
-	spec  CoreSpec
-	cpu   *cpusim.CPU
-	power *powersim.Model
+	spec CoreSpec
+	// identity is EvalIdentity, rendered once at build time.
+	identity string
+	cpu      *cpusim.CPU
+	power    *powersim.Model
 	// tracePoints backs the power trace of evaluations that do not hand
 	// their trace out, and droop keeps the supply solve's windows; a
 	// SimPlatform serves one evaluation at a time, so plain fields suffice.
@@ -240,7 +242,7 @@ func NewSimPlatform(spec CoreSpec) (*SimPlatform, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SimPlatform{spec: spec, cpu: cpu, power: power}, nil
+	return &SimPlatform{spec: spec, identity: specIdentity(spec), cpu: cpu, power: power}, nil
 }
 
 // Name implements Platform.

@@ -5,7 +5,10 @@
 // through ONE shared, content-addressed evaluation cache and one shared
 // kernel-synthesis memo. Jobs with overlapping candidate sets hit each
 // other's results, whether they run concurrently or hours apart, and a
-// disk-backed cache keeps the warmth across daemon restarts.
+// disk-backed cache keeps the warmth across daemon restarts. The daemon
+// also shares its built simulation platforms: a single-core job takes its
+// platforms from one daemon-wide pool and returns them when it ends, so
+// later jobs on the same core run on them instead of building their own.
 //
 // The package deliberately observes no wall clock of its own (timestamps
 // come from an injected clock) and draws no randomness (job IDs are a
@@ -24,6 +27,7 @@ import (
 	"micrograd/internal/evalcache"
 	"micrograd/internal/experiments"
 	"micrograd/internal/microprobe"
+	"micrograd/internal/platform"
 )
 
 // State is a job's lifecycle state.
@@ -91,6 +95,10 @@ type Stats struct {
 	SynthMisses  uint64 `json:"synth_misses"`
 	Synthesizers int    `json:"synthesizers"`
 	SynthKernels int    `json:"synth_kernels"`
+	// PlatformsBuilt is the number of simulation platforms the shared
+	// platform pool has built: at most the peak number in use at once per
+	// core spec, however many jobs ran.
+	PlatformsBuilt uint64 `json:"platforms_built"`
 	// Per-state job counts.
 	Queued    int `json:"queued"`
 	Running   int `json:"running"`
@@ -137,11 +145,13 @@ type job struct {
 	memo *evalcache.Group
 }
 
-// Server owns the shared caches, the job table and the worker pool.
+// Server owns the shared caches, the platform pool, the job table and the
+// worker pool.
 type Server struct {
-	cfg   Config
-	group *evalcache.Group
-	now   func() time.Time
+	cfg       Config
+	group     *evalcache.Group
+	platforms platform.Pool
+	now       func() time.Time
 
 	mu        sync.Mutex
 	jobs      map[string]*job
@@ -342,7 +352,7 @@ func (s *Server) RowsSince(id string, from int) (rows []experiments.ProgressRow,
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := Stats{CacheEntries: s.group.Len(), Synthesizers: len(s.synthKeys)}
+	st := Stats{CacheEntries: s.group.Len(), Synthesizers: len(s.synthKeys), PlatformsBuilt: s.platforms.Built()}
 	st.CacheHits, st.CacheMisses = s.group.Stats()
 	if dc, ok := s.cfg.Cache.(*evalcache.DiskCache); ok {
 		st.DiskPutErrors = dc.PutErrors()
@@ -428,14 +438,15 @@ func (s *Server) runJob(jb *job) {
 	s.mu.Unlock()
 
 	// The job runs under its request's budget with what the server owns on
-	// top: the fan-out clamped to the per-job cap, the shared caches and the
-	// job's row stream.
+	// top: the fan-out clamped to the per-job cap, the shared caches, the
+	// platform pool and the job's row stream.
 	b := jb.req.RunBudget()
 	if b.Parallel < 1 || b.Parallel > s.cfg.Parallel {
 		b.Parallel = s.cfg.Parallel
 	}
 	b.Memo = jb.memo
 	b.Synth = s.synthFor(microprobe.Options{LoopSize: b.LoopSize, Seed: b.Seed})
+	b.Platforms = &s.platforms
 	b.OnProgress = func(row experiments.ProgressRow) { s.appendRow(jb, row) }
 	res, err := experiments.RunKind(jb.ctx, jb.req, b)
 

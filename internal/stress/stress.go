@@ -323,10 +323,6 @@ func Run(ctx context.Context, kind Kind, opts Options) (Report, error) {
 	// workers — and, when Options.Synth supplies one, across whole jobs —
 	// so candidates differing only in evaluation-time knobs (per-core
 	// clocks, start skews) reuse the already-synthesized kernels.
-	csyn := opts.Synth
-	if csyn == nil {
-		csyn = microprobe.NewCachingSynthesizer(microprobe.Options{LoopSize: opts.LoopSize, Seed: opts.Seed})
-	}
 	newPlatform := opts.NewPlatform
 	if newPlatform != nil {
 		newPlatform = func() (platform.Platform, error) {
@@ -385,12 +381,21 @@ func Run(ctx context.Context, kind Kind, opts Options) (Report, error) {
 		Platform:    opts.Platform,
 		Parallel:    opts.Parallel,
 		NewPlatform: newPlatform,
-		Synth:       csyn,
+		Synth:       opts.Synth,
+		LoopSize:    opts.LoopSize,
 		Options:     evalOpts,
 		Memo:        opts.Memo,
 	}, prob)
 	if err != nil {
 		return Report{}, fmt.Errorf("stress: %w", err)
+	}
+	// Under a cap nothing met, the tuner's best is the least-violating
+	// candidate and its loss a penalty: no result to report.
+	if c := prob.Constraint; c != nil {
+		if got, ok := res.BestMetrics[c.Metric]; !ok || got > c.Max {
+			return Report{}, fmt.Errorf("stress: %s found no configuration within the %g W power cap: the best measures %s = %.4g W",
+				kind, c.Max, c.Metric, got)
+		}
 	}
 	prog.Meta["use_case"] = "stress-testing"
 	prog.Meta["stress_metric"] = metric

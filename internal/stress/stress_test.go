@@ -3,6 +3,7 @@ package stress
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"micrograd/internal/knobs"
@@ -235,5 +236,31 @@ func TestPowerCapBindsOnPowerVirus(t *testing.T) {
 	}
 	if capped.BestValue <= 0 {
 		t.Errorf("capped run found no feasible kernel (best %.3f W)", capped.BestValue)
+	}
+}
+
+// TestInfeasiblePowerCapIsAnError caps the power virus far below anything
+// a kernel draws: every tuner must fail, naming the cap and the best
+// measured power, rather than report the constraint penalty as a result.
+func TestInfeasiblePowerCapIsAnError(t *testing.T) {
+	for _, name := range []string{"gd", "ga", "cmaes", "annealing"} {
+		t.Run(name, func(t *testing.T) {
+			tn, err := tuner.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := testOptions(t)
+			opts.Tuner, opts.PowerCapW, opts.MaxEpochs = tn, 0.001, 3
+			opts.EvalOptions.DynamicInstructions = 2000
+			rep, err := Run(context.Background(), PowerVirus, opts)
+			if err == nil {
+				t.Fatalf("capped run succeeded, reporting best %s = %g", rep.Metric, rep.BestValue)
+			}
+			for _, want := range []string{"0.001 W power cap", metrics.DynamicPowerW + " = "} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("error %q does not name %q", err, want)
+				}
+			}
+		})
 	}
 }

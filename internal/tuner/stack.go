@@ -28,8 +28,10 @@ type PlatformOptions struct {
 	Parallel    int
 	NewPlatform func() (platform.Platform, error)
 	// Synth is the kernel-synthesis memo every worker shares; its options
-	// are part of the cache identity.
-	Synth *microprobe.CachingSynthesizer
+	// are part of the cache identity. Nil gives the run a private one of
+	// LoopSize, seeded with the problem's Seed.
+	Synth    *microprobe.CachingSynthesizer
+	LoopSize int
 	// Options are the base evaluation options; each evaluation sets their
 	// Fidelity.
 	Options platform.EvalOptions
@@ -43,6 +45,9 @@ type PlatformOptions struct {
 // plain synthesizer built from o.Synth's options, so the kernel matches
 // what the memo evaluated. evaluations is the run's real simulator work.
 func TunePlatform(ctx context.Context, t Tuner, o PlatformOptions, prob Problem) (res Result, prog *program.Program, evaluations int, err error) {
+	if o.Synth == nil {
+		o.Synth = microprobe.NewCachingSynthesizer(microprobe.Options{LoopSize: o.LoopSize, Seed: prob.Seed})
+	}
 	memo, err := newPlatformEvaluator(o)
 	if err != nil {
 		return res, nil, 0, err
