@@ -94,6 +94,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzGridScratchReuse$$' -fuzztime=10s -run='^$$' ./internal/powersim
 	$(GO) test -fuzz='^FuzzSupplyReplayStop$$' -fuzztime=10s -run='^$$' ./internal/powersim
 	$(GO) test -fuzz='^FuzzWorstDroopsLanes$$' -fuzztime=10s -run='^$$' ./internal/powersim
+	$(GO) test -fuzz='^FuzzGridSolvesInRegisters$$' -fuzztime=10s -run='^$$' ./internal/powersim
 	$(GO) test -fuzz=FuzzDiskEntry -fuzztime=10s -run='^$$' ./internal/evalcache
 	$(GO) test -fuzz=FuzzSimPlatformReuse -fuzztime=10s -run='^$$' ./internal/platform
 	$(GO) test -fuzz=FuzzLRUInclusion -fuzztime=10s -run='^$$' ./internal/memsim

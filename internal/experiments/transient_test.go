@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -193,5 +195,79 @@ func TestRunStressCompareCoversAllKinds(t *testing.T) {
 		if !strings.Contains(out, string(k)) {
 			t.Errorf("rendered table missing %s:\n%s", k, out)
 		}
+	}
+}
+
+// TestStressReportsWhatItMeasured pins that a stress run reports a value it
+// measured: for every single-core and chip kind, uncapped and under a power
+// cap, Report.BestValue is the winner's BestMetrics[Metric], bit for bit.
+// Two caps are run. One no candidate exceeds, which still makes a run
+// measure power, as an uncapped droop or thermal run does not. The other is
+// 97% of that run's winner's power, so it binds: the run must find a winner
+// within it, which is another candidate, or fail naming the cap (at these
+// budgets perf-virus's capped search finds nothing below its winner). The
+// spatial kinds run on a 1×2 and a 2×2 grid.
+func TestStressReportsWhatItMeasured(t *testing.T) {
+	b := transientBudget()
+	b.DynamicInstructions, b.StressEpochs = 3000, 2
+	run := func(t *testing.T, req Request, capW float64) (stress.Report, error) {
+		t.Helper()
+		bb := b
+		bb.PowerCapW = capW
+		res, err := RunKind(context.Background(), req, bb)
+		if err != nil {
+			return stress.Report{}, err
+		}
+		rep := res.Report
+		if got, ok := rep.BestMetrics[rep.Metric]; !ok || math.Float64bits(got) != math.Float64bits(rep.BestValue) {
+			t.Errorf("%s (cap %g W): reported best %s = %v, its metric vector holds %v (present %v)",
+				req.Kind, capW, rep.Metric, rep.BestValue, got, ok)
+		}
+		return rep, nil
+	}
+	var reqs []Request
+	for _, k := range stress.Kinds() {
+		reqs = append(reqs, Request{Kind: string(k), Core: "small"})
+	}
+	reqs = append(reqs,
+		Request{Kind: string(stress.CoRunNoiseVirus), Core: "small", Cores: 2},
+		Request{Kind: string(stress.DVFSNoiseVirus), Core: "small", Cores: 2})
+	for _, k := range []stress.Kind{stress.SpatialNoiseVirus, stress.HotspotMigrationVirus} {
+		reqs = append(reqs,
+			Request{Kind: string(k), Core: "small", Cores: 2},
+			Request{Kind: string(k), Core: "small", Cores: 4})
+	}
+	for _, req := range reqs {
+		name := req.Kind
+		if req.Cores > 0 {
+			name = fmt.Sprintf("%s-%dc", req.Kind, req.Cores)
+		}
+		t.Run(name, func(t *testing.T) {
+			powerMetric := metrics.DynamicPowerW
+			if stress.Kind(req.Kind).MultiCore() {
+				powerMetric = metrics.ChipPowerW
+			}
+			if _, err := run(t, req, 0); err != nil {
+				t.Fatalf("uncapped: %v", err)
+			}
+			loose, err := run(t, req, math.MaxFloat64)
+			if err != nil {
+				t.Fatalf("under a cap no candidate exceeds: %v", err)
+			}
+			p, ok := loose.BestMetrics[powerMetric]
+			if !ok {
+				t.Fatalf("a run under a cap reports no %s", powerMetric)
+			}
+			capW := 0.97 * p
+			capped, err := run(t, req, capW)
+			switch {
+			case err != nil:
+				if !strings.Contains(err.Error(), "found no configuration within") {
+					t.Errorf("under the %v W cap: %v", capW, err)
+				}
+			case !(capped.BestMetrics[powerMetric] <= capW):
+				t.Errorf("capped winner measures %s = %v, above the %v W cap", powerMetric, capped.BestMetrics[powerMetric], capW)
+			}
+		})
 	}
 }

@@ -48,6 +48,7 @@ func TestAllocsChipEvaluate(t *testing.T) {
 	}{
 		{"lumped-4c", Homogeneous(platform.Small(), 4), knobs.CoRunStressSpace(4), 5 + 1},
 		{"grid-2x2", Homogeneous(platform.Small(), 4).WithGrid(2, 2, nil), knobs.SpatialStressSpace(4), 5 + 1},
+		{"grid-1x2", Homogeneous(platform.Small(), 2).WithGrid(1, 2, nil), knobs.SpatialStressSpace(2), 5 + 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, err := New(tc.spec, 1)

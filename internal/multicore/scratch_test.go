@@ -14,8 +14,9 @@ import (
 
 // TestChipScratchReuseKeepsResults pins the chip's per-evaluation buffers:
 // evaluating A, then B, then A again on one chip must give A's bits both
-// times, for a lumped chip, a grid chip with an idle node, a chip under
-// per-core clock overrides and a chip whose cores share simulations. B
+// times, for a lumped chip, grid chips on both grid solves (1×2 and 2×2 in
+// registers, 2×3 in the slice loops; the 2×2 with an idle node), a chip
+// under per-core clock overrides and a chip whose cores share simulations. B
 // runs a longer window than A, so every buffer grows for B and is then
 // reused, longer than needed, for A.
 func TestChipScratchReuseKeepsResults(t *testing.T) {
@@ -32,6 +33,8 @@ func TestChipScratchReuseKeepsResults(t *testing.T) {
 	}{
 		{"lumped", Homogeneous(small, 4), knobs.CoRunStressSpace(4), false},
 		{"grid-idle-node", Homogeneous(small, 4).WithGrid(2, 2, &hotspot), knobs.SpatialStressSpace(4), false},
+		{"grid-1x2", Homogeneous(small, 2).WithGrid(1, 2, nil), knobs.SpatialStressSpace(2), false},
+		{"grid-2x3", Homogeneous(small, 6).WithGrid(2, 3, nil), knobs.SpatialStressSpace(6), false},
 		{"dvfs", Homogeneous(small, 4), knobs.DVFSStressSpace(4), false},
 		{"shared-cores", Homogeneous(small, 4).WithGrid(2, 2, nil), knobs.SpatialStressSpace(4), true},
 	}
@@ -52,7 +55,7 @@ func TestChipScratchReuseKeepsResults(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return platform.EvalRequest{Programs: progs, FreqOverrides: platform.FreqOverrides(cfg, 4),
+				return platform.EvalRequest{Programs: progs, FreqOverrides: platform.FreqOverrides(cfg, c.NumCores()),
 					Options: platform.EvalOptions{DynamicInstructions: instructions, Seed: 5}}
 			}
 			a, b := request("a", 3000), request("b", 6000)

@@ -85,9 +85,9 @@ func (g GridSupplyModel) NodeDroopsMV(nodes []PowerTrace) ([]float64, error) {
 // solves once per evaluation. The zero value is ready to use. It is not
 // safe for concurrent use.
 type GridScratch struct {
-	// dtS is the common step grid, cells the supply solve's per-window
-	// blocks, win its per-window step constants and state the solvers'
-	// per-node vectors.
+	// dtS is the common step grid, cells the solves' per-window blocks
+	// (one solve's at a time), win the supply solve's per-window step
+	// constants and state the solvers' per-node vectors.
 	dtS   []float64
 	cells []float64
 	win   []gridSupplyWindow
@@ -98,8 +98,17 @@ type GridScratch struct {
 }
 
 // NodeDroopsMV is g.NodeDroopsMV on s's buffers. The returned slice is
-// valid until the next NodeDroopsMV call on s.
+// valid until the next NodeDroopsMV call on s. A 2×2 grid, or one of two
+// nodes, is integrated in registers on a ring (droopsInRegisters), any
+// other in the slice loops (droopsInSlices); both give the same bits.
 func (s *GridScratch) NodeDroopsMV(g GridSupplyModel, nodes []PowerTrace) ([]float64, error) {
+	return s.nodeDroopsMV(g, nodes, ringEmbeds(g.Rows, g.Cols))
+}
+
+// nodeDroopsMV is NodeDroopsMV with the solve chosen by the caller:
+// inRegisters (for a grid that ringEmbeds only) or the slice loops, which
+// serve any grid and are the tests' reference for the other.
+func (s *GridScratch) nodeDroopsMV(g GridSupplyModel, nodes []PowerTrace, inRegisters bool) ([]float64, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -116,16 +125,20 @@ func (s *GridScratch) NodeDroopsMV(g GridSupplyModel, nodes []PowerTrace) ([]flo
 	}
 
 	m := g.Node
-	// cells holds, per window, a block of 3n values: every node's load
-	// current, then the currents and the voltages the latest settling pass
-	// entered the window with (the replay-stop record).
-	stride := 3 * n
+	// cells holds, per window, a block of 3 columns per node: every node's
+	// load current, then the currents and the voltages the latest settling
+	// pass entered the window with (the replay-stop record). In registers
+	// the columns are the ring's slots instead, each node's load in its own
+	// slot.
+	var ring gridRing
+	width := n
+	if inRegisters {
+		ring = newGridRing(g.Rows, g.Cols)
+		width = ringSlots
+	}
+	stride := 3 * width
 	s.cells = zeroed(s.cells, windows*stride)
 	cells := s.cells
-	block := func(w int) (load, iRec, vRec []float64) {
-		b := cells[w*stride : (w+1)*stride]
-		return b[:n], b[n : 2*n], b[2*n:]
-	}
 
 	// Per-node load current per window and warm-start average — the lumped
 	// WorstDroopMV arithmetic, applied per node so a 1×1 grid is
@@ -135,13 +148,17 @@ func (s *GridScratch) NodeDroopsMV(g GridSupplyModel, nodes []PowerTrace) ([]flo
 	s.state = zeroed(s.state, 4*n)
 	iv, vv, vMin, lat := s.state[:n], s.state[n:2*n], s.state[2*n:3*n], s.state[3*n:]
 	for nn, tr := range nodes {
+		c := nn
+		if inRegisters {
+			c = ring.slot[nn]
+		}
 		avg := 0.0
 		if tr.gridDriven() {
 			var weight float64
 			timeDomain := tr.TimeDomain()
 			for i, p := range tr.Points {
 				ld := p.PowerW / m.VddV
-				cells[i*stride+nn] = ld
+				cells[i*stride+c] = ld
 				if timeDomain {
 					d := tr.PointDurationNS(i) * 1e-9
 					avg += ld * d
@@ -189,6 +206,29 @@ func (s *GridScratch) NodeDroopsMV(g GridSupplyModel, nodes []PowerTrace) ([]flo
 		}
 	}
 
+	if inRegisters {
+		droopsInRegisters(m, &ring, coupled, win, cells, iv, vv, vMin)
+	} else {
+		droopsInSlices(g, coupled, win, cells, iv, vv, vMin, lat)
+	}
+	for nn := range droops {
+		droops[nn] = (m.VddV - vMin[nn]) * 1000
+	}
+	return droops, nil
+}
+
+// droopsInSlices runs the settling passes of the supply solve on node
+// vectors, for a grid of any size: the per-window blocks of cells, the
+// step constants of win, and the state vectors iv, vv and vMin (which it
+// advances) and lat (scratch).
+func droopsInSlices(g GridSupplyModel, coupled bool, win []gridSupplyWindow, cells, iv, vv, vMin, lat []float64) {
+	m := g.Node
+	n := len(iv)
+	stride := 3 * n
+	block := func(w int) (load, iRec, vRec []float64) {
+		b := cells[w*stride : (w+1)*stride]
+		return b[:n], b[n : 2*n], b[2*n:]
+	}
 settle:
 	for pass := 0; pass < m.Passes; pass++ {
 		for w := range win {
@@ -231,10 +271,6 @@ settle:
 			}
 		}
 	}
-	for nn := range droops {
-		droops[nn] = (m.VddV - vMin[nn]) * 1000
-	}
-	return droops, nil
 }
 
 // gridSupplyWindow is one common window of the grid supply solve: its step
@@ -286,8 +322,16 @@ func (g GridThermalModel) NodeTempsC(nodes []PowerTrace) ([]float64, error) {
 }
 
 // NodeTempsC is g.NodeTempsC on s's buffers. The returned slice is valid
-// until the next NodeTempsC call on s.
+// until the next NodeTempsC call on s. A 2×2 grid, or one of two nodes, is
+// integrated in registers on a ring (tempsInRegisters), any other in the
+// slice loop; both give the same bits.
 func (s *GridScratch) NodeTempsC(g GridThermalModel, nodes []PowerTrace) ([]float64, error) {
+	return s.nodeTempsC(g, nodes, ringEmbeds(g.Rows, g.Cols))
+}
+
+// nodeTempsC is NodeTempsC with the solve chosen by the caller, as
+// nodeDroopsMV is NodeDroopsMV's.
+func (s *GridScratch) nodeTempsC(g GridThermalModel, nodes []PowerTrace, inRegisters bool) ([]float64, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -330,6 +374,10 @@ func (s *GridScratch) NodeTempsC(g GridThermalModel, nodes []PowerTrace) ([]floa
 		if b := m.CthJPerC / (1/m.RthCPerW + 4*g.LateralWPerC); b < maxStep {
 			maxStep = b
 		}
+	}
+	if inRegisters {
+		s.tempsInRegisters(g, coupled, maxStep, commonDtS, nodes, temps, tMax)
+		return tMax, nil
 	}
 
 	for pass := 0; pass < m.Passes; pass++ {
@@ -378,6 +426,268 @@ func (s *GridScratch) NodeTempsC(g GridThermalModel, nodes []PowerTrace) ([]floa
 		}
 	}
 	return tMax, nil
+}
+
+// ringSlots is the slot count of the grid solves in registers.
+const ringSlots = 4
+
+// The solves in registers (droopsInRegisters, tempsInRegisters) integrate
+// a small grid with every per-node state in a local variable, unrolled per
+// slot of a four-slot ring, as integrateLanes does for the lumped lanes,
+// and read the step constants from memory. In the slice loops each substep
+// stores every state to memory and loads it back, and the lateral sum
+// indexes neighbours on top; on the chip grids that round trip, not the
+// floating-point latency of the recurrence, is the bound (ROADMAP,
+// "Measured dead ends").
+//
+// A grid embeds in the ring when each node's grid neighbours are the ring
+// neighbours of its slot. A 2×2 grid is the ring itself, nodes 0, 1, 3, 2
+// around it. A grid of two nodes is mirrored onto the two spare slots,
+// nodes 0, 1, 1, 0: a mirror slot draws its node's load and stays equal to
+// it bit for bit, so where a node has no neighbour in the grid its mirror
+// contributes x − x, which is the +0 lateralSums starts its sum from. Each
+// slot adds its two terms in lateralSums' order, so the solves in
+// registers give the slice loops' bits, as long as no state overflows (a
+// 2×2 sum skips lateralSums' leading +0, which changes nothing while no
+// state is −0). A chain of three or four nodes does not embed without
+// zero-weighted edges, and 0·NaN = NaN would carry a NaN between nodes
+// that are not neighbours, so such grids, and larger ones, take the slice
+// loops. So does a single node: it would fill all four slots, and four
+// copies of its supply solve ran slower than the slice loop's one.
+
+// ringEmbeds reports whether a rows×cols grid embeds in the ring of the
+// solves in registers.
+func ringEmbeds(rows, cols int) bool {
+	return rows*cols == 2 || rows == 2 && cols == 2
+}
+
+// gridRing is the embedding of a grid in the ring: the node each slot
+// holds, and each node's own slot (the first that holds it).
+type gridRing struct {
+	node, slot [ringSlots]int
+}
+
+// newGridRing returns the ring of a rows×cols grid that ringEmbeds.
+func newGridRing(rows, cols int) gridRing {
+	var r gridRing
+	if rows*cols == 2 {
+		r.node = [ringSlots]int{0, 1, 1, 0}
+	} else {
+		r.node = [ringSlots]int{0, 1, 3, 2}
+	}
+	for k := ringSlots - 1; k >= 0; k-- {
+		r.slot[r.node[k]] = k
+	}
+	return r
+}
+
+// droopsInRegisters runs the settling passes of the supply solve of a grid
+// that ringEmbeds, with the expressions of droopsInSlices: cells holds the
+// ring's per-window blocks (the nodes' load currents in their own slots,
+// which it copies into the mirror slots, then the replay-stop record) and
+// win the step constants, and the node vectors iv, vv and vMin hold the
+// warm start; it writes the node minima back into vMin.
+func droopsInRegisters(m SupplyModel, ring *gridRing, coupled bool, win []gridSupplyWindow, cells, iv, vv, vMin []float64) {
+	const stride = 3 * ringSlots
+	var i, v, lo [ringSlots]float64
+	for k, nn := range ring.node {
+		i[k], v[k], lo[k] = iv[nn], vv[nn], vMin[nn]
+		if own := ring.slot[nn]; own != k {
+			for w := range win {
+				cells[w*stride+k] = cells[w*stride+own]
+			}
+		}
+	}
+	// Only the states and minima are local variables; the constants are
+	// read from memory, which leaves the registers to the loop-carried
+	// values.
+	i0, v0, lo0 := i[0], v[0], lo[0]
+	i1, v1, lo1 := i[1], v[1], lo[1]
+	i2, v2, lo2 := i[2], v[2], lo[2]
+	i3, v3, lo3 := i[3], v[3], lo[3]
+settle:
+	for pass := 0; pass < m.Passes; pass++ {
+		for w := range win {
+			// The block's columns: four loads, four currents, four voltages.
+			b := (*[stride]float64)(cells[w*stride:])
+			if pass > 0 && sameState(i0, b[4]) && sameState(i1, b[5]) && sameState(i2, b[6]) && sameState(i3, b[7]) &&
+				sameState(v0, b[8]) && sameState(v1, b[9]) && sameState(v2, b[10]) && sameState(v3, b[11]) {
+				break settle
+			}
+			b[4], b[5], b[6], b[7] = i0, i1, i2, i3
+			b[8], b[9], b[10], b[11] = v0, v1, v2, v3
+			c := &win[w]
+			if coupled {
+				for k := int32(0); k < c.steps; k++ {
+					i0 += c.hOverL * (m.VddV - v0 - m.ResistanceOhm*i0)
+					i1 += c.hOverL * (m.VddV - v1 - m.ResistanceOhm*i1)
+					i2 += c.hOverL * (m.VddV - v2 - m.ResistanceOhm*i2)
+					i3 += c.hOverL * (m.VddV - v3 - m.ResistanceOhm*i3)
+					l0 := (v3 - v0) + (v1 - v0)
+					l1 := (v2 - v1) + (v0 - v1)
+					l2 := (v1 - v2) + (v3 - v2)
+					l3 := (v0 - v3) + (v2 - v3)
+					v0 += c.hOverC*(i0-b[0]) + c.hCoupl*l0
+					v1 += c.hOverC*(i1-b[1]) + c.hCoupl*l1
+					v2 += c.hOverC*(i2-b[2]) + c.hCoupl*l2
+					v3 += c.hOverC*(i3-b[3]) + c.hCoupl*l3
+					if v0 < lo0 {
+						lo0 = v0
+					}
+					if v1 < lo1 {
+						lo1 = v1
+					}
+					if v2 < lo2 {
+						lo2 = v2
+					}
+					if v3 < lo3 {
+						lo3 = v3
+					}
+				}
+			} else {
+				for k := int32(0); k < c.steps; k++ {
+					i0 += c.hOverL * (m.VddV - v0 - m.ResistanceOhm*i0)
+					v0 += c.hOverC * (i0 - b[0])
+					if v0 < lo0 {
+						lo0 = v0
+					}
+					i1 += c.hOverL * (m.VddV - v1 - m.ResistanceOhm*i1)
+					v1 += c.hOverC * (i1 - b[1])
+					if v1 < lo1 {
+						lo1 = v1
+					}
+					i2 += c.hOverL * (m.VddV - v2 - m.ResistanceOhm*i2)
+					v2 += c.hOverC * (i2 - b[2])
+					if v2 < lo2 {
+						lo2 = v2
+					}
+					i3 += c.hOverL * (m.VddV - v3 - m.ResistanceOhm*i3)
+					v3 += c.hOverC * (i3 - b[3])
+					if v3 < lo3 {
+						lo3 = v3
+					}
+				}
+			}
+		}
+	}
+	lo = [ringSlots]float64{lo0, lo1, lo2, lo3}
+	for nn := range vMin {
+		vMin[nn] = lo[ring.slot[nn]]
+	}
+}
+
+// heatBlock is the length of a window's block of a thermal solve in
+// registers: its step count, then the step constants the slice loop derives
+// in every pass, the leak h/(Cth·Rth), the coupling h·K/Cth and each slot's
+// heat gain h·P/Cth.
+const heatBlock = 3 + ringSlots
+
+// tempsInRegisters runs the settling passes of the thermal solve of a grid
+// that ringEmbeds, with the expressions of the slice loop in NodeTempsC.
+// It derives every window's step constants once, into s.cells one block
+// per window, where the slice loop derives them in every pass. temps holds
+// the nodes' warm start and tMax their maxima so far, which it raises.
+func (s *GridScratch) tempsInRegisters(g GridThermalModel, coupled bool, maxStep float64, dtS []float64, nodes []PowerTrace, temps, tMax []float64) {
+	m := g.Node
+	ring := newGridRing(g.Rows, g.Cols)
+	// Each slot's points: its node's, when the node's trace drives it.
+	var points [ringSlots][]TracePoint
+	for k, nn := range ring.node {
+		if tr := nodes[nn]; tr.gridDriven() {
+			points[k] = tr.Points
+		}
+	}
+	// The slice loop's per-window expressions, with the shared quotients
+	// h/Cth and Cth·Rth taken once: (h/Cth)·P is h / Cth * P, bit for bit.
+	// A slot draws no heat past its trace's end, nor when its node is not
+	// driven. A zero-duration window keeps zero steps.
+	s.cells = zeroed(s.cells, len(dtS)*heatBlock)
+	heat := s.cells
+	cthRth := m.CthJPerC * m.RthCPerW
+	for w, dt := range dtS {
+		if dt == 0 {
+			continue
+		}
+		steps := int(dt/maxStep) + 1
+		h := dt / float64(steps)
+		hc := h / m.CthJPerC
+		b := (*[heatBlock]float64)(heat[w*heatBlock:])
+		b[0], b[1], b[2] = float64(steps), h/cthRth, hc*g.LateralWPerC
+		for k, pts := range points {
+			if w < len(pts) {
+				b[3+k] = hc * pts[w].PowerW
+			}
+		}
+	}
+
+	amb := m.AmbientC
+	var t, hi [ringSlots]float64
+	for k, nn := range ring.node {
+		t[k], hi[k] = temps[nn], tMax[nn]
+	}
+	t0, t1, t2, t3 := t[0], t[1], t[2], t[3]
+	hi0, hi1, hi2, hi3 := hi[0], hi[1], hi[2], hi[3]
+	for pass := 0; pass < m.Passes; pass++ {
+		start := [ringSlots]float64{t0, t1, t2, t3}
+		if coupled {
+			for w := 0; w < len(heat); w += heatBlock {
+				b := (*[heatBlock]float64)(heat[w:])
+				for k, steps := 0, int(b[0]); k < steps; k++ {
+					l0 := (t3 - t0) + (t1 - t0)
+					l1 := (t2 - t1) + (t0 - t1)
+					l2 := (t1 - t2) + (t3 - t2)
+					l3 := (t0 - t3) + (t2 - t3)
+					t0 += b[3] - b[1]*(t0-amb) + b[2]*l0
+					t1 += b[4] - b[1]*(t1-amb) + b[2]*l1
+					t2 += b[5] - b[1]*(t2-amb) + b[2]*l2
+					t3 += b[6] - b[1]*(t3-amb) + b[2]*l3
+					if t0 > hi0 {
+						hi0 = t0
+					}
+					if t1 > hi1 {
+						hi1 = t1
+					}
+					if t2 > hi2 {
+						hi2 = t2
+					}
+					if t3 > hi3 {
+						hi3 = t3
+					}
+				}
+			}
+		} else {
+			for w := 0; w < len(heat); w += heatBlock {
+				b := (*[heatBlock]float64)(heat[w:])
+				for k, steps := 0, int(b[0]); k < steps; k++ {
+					t0 += b[3] - b[1]*(t0-amb)
+					t1 += b[4] - b[1]*(t1-amb)
+					t2 += b[5] - b[1]*(t2-amb)
+					t3 += b[6] - b[1]*(t3-amb)
+					if t0 > hi0 {
+						hi0 = t0
+					}
+					if t1 > hi1 {
+						hi1 = t1
+					}
+					if t2 > hi2 {
+						hi2 = t2
+					}
+					if t3 > hi3 {
+						hi3 = t3
+					}
+				}
+			}
+		}
+		// Exact-state convergence, as in the slice loop.
+		//lint:allow floateq deliberate exact-state convergence check; stopping is bit-identical
+		if t0 == start[0] && t1 == start[1] && t2 == start[2] && t3 == start[3] {
+			break
+		}
+	}
+	hi = [ringSlots]float64{hi0, hi1, hi2, hi3}
+	for nn := range tMax {
+		tMax[nn] = hi[ring.slot[nn]]
+	}
 }
 
 // waveform validates the node-trace count and derives, in s.dtS, the

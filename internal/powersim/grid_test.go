@@ -2,6 +2,7 @@ package powersim
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -255,4 +256,91 @@ func TestGridConcentrationBeatsSpreading(t *testing.T) {
 	if slices.Max(hotspot) <= slices.Max(uniform) {
 		t.Errorf("concentrated hotspot %v °C should beat the spread chip's %v °C", slices.Max(hotspot), slices.Max(uniform))
 	}
+}
+
+// ringGrids are the grid shapes the solves in registers take: both grids
+// of two nodes, and 2×2.
+var ringGrids = [][2]int{{1, 2}, {2, 1}, {2, 2}}
+
+// TestRingEmbedsOnlyRingGrids pins which grids take the solves in
+// registers: ringGrids, and no single node, chain of three or four nodes
+// or larger grid. FuzzGridSolvesInRegisters draws its shapes from
+// ringGrids, so a shape ringEmbeds gains must join them.
+func TestRingEmbedsOnlyRingGrids(t *testing.T) {
+	for _, dims := range [][2]int{{1, 1}, {1, 2}, {2, 1}, {1, 3}, {3, 1}, {1, 4}, {4, 1}, {2, 2}, {2, 3}, {3, 3}} {
+		if got, want := ringEmbeds(dims[0], dims[1]), slices.Contains(ringGrids, dims); got != want {
+			t.Errorf("ringEmbeds(%d, %d) = %v, want %v", dims[0], dims[1], got, want)
+		}
+	}
+}
+
+// requireSlicesMatch requires the supply and thermal solves in registers of
+// a grid that ringEmbeds to equal the slice loops' bit for bit.
+func requireSlicesMatch(t *testing.T, gs GridSupplyModel, gt GridThermalModel, nodes []PowerTrace) {
+	t.Helper()
+	var s, ref GridScratch
+	droops, err := s.nodeDroopsMV(gs, nodes, true)
+	if err != nil {
+		t.Fatalf("%dx%d droop solve: %v", gs.Rows, gs.Cols, err)
+	}
+	want, err := ref.nodeDroopsMV(gs, nodes, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameBits(droops, want) {
+		t.Errorf("%dx%d grid: droops %v, slice loop %v", gs.Rows, gs.Cols, droops, want)
+	}
+	temps, err := s.nodeTempsC(gt, nodes, true)
+	if err != nil {
+		t.Fatalf("%dx%d thermal solve: %v", gt.Rows, gt.Cols, err)
+	}
+	if want, err = ref.nodeTempsC(gt, nodes, false); err != nil {
+		t.Fatal(err)
+	}
+	if !sameBits(temps, want) {
+		t.Errorf("%dx%d grid: temperatures %v, slice loop %v", gt.Rows, gt.Cols, temps, want)
+	}
+}
+
+// FuzzGridSolvesInRegisters requires the supply and thermal solves in
+// registers of every ringGrids shape to equal the slice loops bit for bit:
+// coupling off or random, random pass counts, supply damping and
+// thermal time constants, idle nodes, and node traces in either domain with
+// zero-duration windows and NaN power. The thermal time constants reach
+// down to tens of nanoseconds, so a solve can settle within a trace and the
+// exact convergence check end it early. Wired into `make fuzz`.
+func FuzzGridSolvesInRegisters(f *testing.F) {
+	for shape := range ringGrids {
+		f.Add(int64(shape+1), uint8(shape), uint8(6*shape+5))
+		f.Add(int64(shape+11), uint8(shape), uint8(31*shape+191))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, shape, passes uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		dims := ringGrids[int(shape)%len(ringGrids)]
+		gs, gt := defaultGridSupply(dims[0], dims[1]), defaultGridThermal(dims[0], dims[1])
+		gs.Node.Passes = int(passes%6) + 1
+		gt.Node.Passes = int(passes/6%6) + 1
+		if rng.Intn(2) == 0 {
+			gs.Node.ResistanceOhm = 0.02 + 0.3*rng.Float64()
+		}
+		if rng.Intn(2) == 0 {
+			// τ = Rth·Cth from 28 ns to 2.8 µs, with a step cap of up to τ
+			// so windows take several steps and stay stable uncoupled.
+			gt.Node.CthJPerC = 1e-9 * math.Pow(10, 2*rng.Float64())
+			gt.Node.MaxStepS = gt.Node.RthCPerW * gt.Node.CthJPerC * (0.01 + 0.99*rng.Float64())
+		}
+		switch rng.Intn(3) {
+		case 0:
+			gs.CouplingS, gt.LateralWPerC = 0, 0
+		case 1:
+			gs.CouplingS, gt.LateralWPerC = 20*rng.Float64(), rng.Float64()
+		}
+		nodes := make([]PowerTrace, gs.Nodes())
+		for k := range nodes {
+			if rng.Intn(5) != 0 { // else an idle node
+				nodes[k] = randomDroopTrace(rng)
+			}
+		}
+		requireSlicesMatch(t, gs, gt, nodes)
+	})
 }

@@ -180,20 +180,28 @@ func TestAllocsGridScratch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	rng := rand.New(rand.NewSource(1))
-	nodes := []PowerTrace{randomEnergyTrace(rng, 200), {}, randomEnergyTrace(rng, 200), randomEnergyTrace(rng, 200)}
-	gs, gt := defaultGridSupply(2, 2), defaultGridThermal(2, 2)
-	var s GridScratch
-	solve := func() {
-		if _, err := s.NodeDroopsMV(gs, nodes); err != nil {
-			t.Fatal(err)
+	// 2×2 takes the solves in registers, 2×3 the slice loops.
+	for _, dims := range [][2]int{{2, 2}, {2, 3}} {
+		rng := rand.New(rand.NewSource(1))
+		nodes := make([]PowerTrace, dims[0]*dims[1])
+		for k := range nodes {
+			if k != 1 { // node 1 idles
+				nodes[k] = randomEnergyTrace(rng, 200)
+			}
 		}
-		if _, err := s.NodeTempsC(gt, nodes); err != nil {
-			t.Fatal(err)
+		gs, gt := defaultGridSupply(dims[0], dims[1]), defaultGridThermal(dims[0], dims[1])
+		var s GridScratch
+		solve := func() {
+			if _, err := s.NodeDroopsMV(gs, nodes); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.NodeTempsC(gt, nodes); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	solve()
-	if got := testing.AllocsPerRun(20, solve); got != 0 {
-		t.Errorf("warm GridScratch droop and thermal solves allocate %v times, want 0", got)
+		solve()
+		if got := testing.AllocsPerRun(20, solve); got != 0 {
+			t.Errorf("warm %dx%d GridScratch droop and thermal solves allocate %v times, want 0", dims[0], dims[1], got)
+		}
 	}
 }
