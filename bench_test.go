@@ -201,25 +201,36 @@ func BenchmarkTraceExpansion(b *testing.B) {
 
 // BenchmarkSimulatorLargeCore measures the end-to-end evaluation cost of one
 // configuration on the Large core (the unit of work inside every tuning
-// epoch); the reported time is per 10k dynamic instructions.
+// epoch); the reported time is per 10k dynamic instructions. The metrics
+// case collects no power, as cloning does, so its run records no activity
+// windows; the power case records them and adds the power trace and the
+// transient solves, as a stress run does.
 func BenchmarkSimulatorLargeCore(b *testing.B) {
-	plat, err := platform.NewSimPlatform(platform.Large())
-	if err != nil {
-		b.Fatal(err)
-	}
 	cfg := knobs.DefaultSpace().MidConfig()
 	p, err := microprobe.NewSynthesizer(microprobe.Options{LoopSize: 500, Seed: 1}).Synthesize("bench", cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := plat.EvaluateRequest(platform.EvalRequest{
-			Programs: []*program.Program{p}, Options: platform.EvalOptions{DynamicInstructions: 10000, Seed: 1},
-		}); err != nil {
-			b.Fatal(err)
+	for _, power := range []bool{false, true} {
+		name := "metrics"
+		if power {
+			name = "power"
 		}
+		b.Run(name, func(b *testing.B) {
+			plat, err := platform.NewSimPlatform(platform.Large())
+			if err != nil {
+				b.Fatal(err)
+			}
+			req := platform.EvalRequest{Programs: []*program.Program{p},
+				Options: platform.EvalOptions{DynamicInstructions: 10000, Seed: 1, CollectPower: power}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := plat.EvaluateRequest(req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -18,6 +18,13 @@
 // so that back-to-back RunShared calls (the shape of every tuning loop)
 // allocate almost nothing and never touch the isa descriptor table on the
 // per-instruction hot path.
+//
+// Activity windows are recorded only when a power trace will read them.
+// RunShared records them on a CPU built with Config.WindowCycles > 0;
+// RunTotals runs the same CPU without the per-instruction window
+// bookkeeping, for evaluations that read only the run totals (a metrics-only
+// evaluation without power), and returns the result a CPU without windows
+// would. Timing never depends on which entry ran.
 package cpusim
 
 import (
@@ -57,6 +64,8 @@ type Config struct {
 	// this many cycles and records per-window statistics in Result.Windows,
 	// the raw material for transient power analyses (dI/dt, voltage droop,
 	// thermal). Zero disables window bookkeeping; it never affects timing.
+	// Windows are recorded only by RunShared: RunTotals skips them, so a
+	// run whose trace nobody reads pays nothing for them.
 	WindowCycles int
 }
 
@@ -251,6 +260,19 @@ func (c *CPU) predecode(p *program.Program) {
 // The returned Result's Windows alias the CPU's reusable scratch: the slice
 // is valid only until the next RunShared call.
 func (c *CPU) RunShared(p *program.Program, dynInstrs int, seed int64) (Result, error) {
+	return c.run(p, dynInstrs, seed, c.cfg.WindowCycles > 0)
+}
+
+// RunTotals is RunShared without window bookkeeping, for callers that read
+// no window: the Result is bit for bit the one a CPU built with
+// WindowCycles 0 returns, so its Windows are nil and its Config reports
+// WindowCycles 0. A later RunShared records windows again.
+func (c *CPU) RunTotals(p *program.Program, dynInstrs int, seed int64) (Result, error) {
+	return c.run(p, dynInstrs, seed, false)
+}
+
+// run is RunShared, recording windows when windowed is set.
+func (c *CPU) run(p *program.Program, dynInstrs int, seed int64, windowed bool) (Result, error) {
 	if dynInstrs <= 0 {
 		return Result{}, fmt.Errorf("cpusim: non-positive dynamic instruction count %d", dynInstrs)
 	}
@@ -266,12 +288,14 @@ func (c *CPU) RunShared(p *program.Program, dynInstrs int, seed int64) (Result, 
 	}
 
 	res := Result{Config: c.cfg}
+	if !windowed {
+		res.Config.WindowCycles = 0
+	}
 
 	exp := trace.Reuse(&c.st.exp, p, seed)
 	st := &c.st
 	st.reset()
 
-	windowed := c.cfg.WindowCycles > 0
 	wt := &c.wt
 	if windowed {
 		wt.reset()
@@ -539,13 +563,18 @@ func (c *CPU) step(st *coreState, op *staticOp, entry *trace.Entry, l1iHitLat in
 	}
 	issue := ready
 	if units := st.unitFree[op.unit]; len(units) > 0 {
+		// Only the multiset of free times affects timing, so any earliest-
+		// free unit would do; this scan takes the first. The comparison
+		// outcome is data-dependent and unpredictable, so the loop is written
+		// to compile to conditional moves rather than a branch.
 		best := 0
 		bestFree := units[0]
 		for u := 1; u < len(units); u++ {
-			if units[u] < bestFree {
+			f := units[u]
+			if f < bestFree {
 				best = u
-				bestFree = units[u]
 			}
+			bestFree = min(bestFree, f)
 		}
 		if bestFree > issue {
 			issue = bestFree

@@ -3,6 +3,7 @@ package cpusim
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"micrograd/internal/knobs"
@@ -13,12 +14,15 @@ import (
 // stress-space kernels, both cores, any window length and run seed: a run
 // with WindowCycles N reports the cycles, instructions and every total a
 // run with WindowCycles 0 does, bit for bit, and its windows tile the run
-// and sum to those totals.
+// and sum to those totals. The windowed CPU then runs the kernel four more
+// times, each run through RunShared or RunTotals as the order bits pick:
+// every RunTotals result is the WindowCycles 0 result bit for bit, and every
+// RunShared run reports the first windowed run's windows again.
 func FuzzWindowedRunMatchesTotals(f *testing.F) {
-	f.Add(int64(1), false, int64(1), uint16(63), uint16(2000))
-	f.Add(int64(2), true, int64(7), uint16(0), uint16(500))
-	f.Add(int64(3), true, int64(-4), uint16(99), uint16(3999))
-	f.Fuzz(func(t *testing.T, cfgSeed int64, large bool, runSeed int64, window, instr uint16) {
+	f.Add(int64(1), false, int64(1), uint16(63), uint16(2000), uint8(0b0101))
+	f.Add(int64(2), true, int64(7), uint16(0), uint16(500), uint8(0b0011))
+	f.Add(int64(3), true, int64(-4), uint16(99), uint16(3999), uint8(0b1110))
+	f.Fuzz(func(t *testing.T, cfgSeed int64, large bool, runSeed int64, window, instr uint16, order uint8) {
 		cfg := knobs.StressSpace().RandomConfig(rand.New(rand.NewSource(cfgSeed)))
 		p, err := microprobe.NewSynthesizer(microprobe.Options{LoopSize: 150, Seed: 1}).Synthesize("window-fuzz", cfg)
 		if err != nil {
@@ -29,22 +33,26 @@ func FuzzWindowedRunMatchesTotals(f *testing.F) {
 			core, hier = largeCore(), largeHier
 		}
 		n := 500 + int(instr%4000)
-		run := func(winCycles int) Result {
+		newCPU := func(winCycles int) *CPU {
 			c := core
 			c.WindowCycles = winCycles
 			cpu, err := New(c, hier(t), pred(t, 12))
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := cpu.RunShared(p, n, runSeed)
+			return cpu
+		}
+		check := func(res Result, err error) Result {
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res
 		}
+
 		winCycles := 1 + int(window%256)
-		plain, windowed := run(0), run(winCycles)
-		wins := windowed.Windows
+		cpu := newCPU(winCycles)
+		plain, windowed := check(newCPU(0).RunShared(p, n, runSeed)), check(cpu.RunShared(p, n, runSeed))
+		wins := slices.Clone(windowed.Windows)
 
 		totals := windowed
 		totals.Windows, totals.Config.WindowCycles = nil, 0
@@ -76,6 +84,19 @@ func FuzzWindowedRunMatchesTotals(f *testing.F) {
 		}
 		if sum != want {
 			t.Fatalf("%d windows of %d cycles sum to %+v, the run's totals are %+v", len(wins), winCycles, sum, want)
+		}
+
+		for i := 0; i < 4; i++ {
+			if order&(1<<i) != 0 {
+				if got := check(cpu.RunTotals(p, n, runSeed)); !reflect.DeepEqual(got, plain) {
+					t.Fatalf("run %d, RunTotals on the windowed CPU:\n got %+v\nwant %+v", i, got, plain)
+				}
+				continue
+			}
+			if got := check(cpu.RunShared(p, n, runSeed)); !reflect.DeepEqual(got.Windows, wins) || got.Cycles != windowed.Cycles {
+				t.Fatalf("run %d, RunShared after order %04b reports %d windows over %d cycles, the first run %d over %d",
+					i, order&(1<<i-1), len(got.Windows), got.Cycles, len(wins), windowed.Cycles)
+			}
 		}
 	})
 }

@@ -57,7 +57,7 @@ func TestAllocsDynamicPower(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := stressKernel(t, microprobe.NewSynthesizer(microprobe.Options{LoopSize: 500, Seed: 1}))
-	r, err := plat.simulate(p, EvalOptions{DynamicInstructions: 4000, Seed: 1})
+	r, err := plat.simulate(p, EvalOptions{DynamicInstructions: 4000, Seed: 1}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,27 +70,51 @@ func TestAllocsDynamicPower(t *testing.T) {
 	}
 }
 
+// TestAllocsEvaluateRequestMetrics pins a warmed metrics-only evaluation,
+// with power (windows, trace and transient solves in platform buffers) and
+// without (the run records no windows): each allocates only the metric
+// vector it returns.
 func TestAllocsEvaluateRequestMetrics(t *testing.T) {
 	skipUnderRace(t)
-	plat, err := NewSimPlatform(Large())
-	if err != nil {
-		t.Fatal(err)
-	}
 	p := stressKernel(t, microprobe.NewSynthesizer(microprobe.Options{LoopSize: 500, Seed: 1}))
-	req := EvalRequest{Programs: []*program.Program{p},
-		Options: EvalOptions{DynamicInstructions: 20000, Seed: 1, CollectPower: true}}
-	if _, err := plat.EvaluateRequest(req); err != nil { // warm the platform's buffers
-		t.Fatal(err)
-	}
-	// The metric vector, the one thing a metrics-only evaluation returns.
-	const bound = 4 + 1
-	got := testing.AllocsPerRun(10, func() {
-		if _, err := plat.EvaluateRequest(req); err != nil {
+	for _, power := range []bool{true, false} {
+		plat, err := NewSimPlatform(Large())
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if got > bound {
-		t.Errorf("metrics-only evaluation with power allocates %v times, want at most %d", got, bound)
+		req := EvalRequest{Programs: []*program.Program{p},
+			Options: EvalOptions{DynamicInstructions: 20000, Seed: 1, CollectPower: power}}
+		if _, err := plat.EvaluateRequest(req); err != nil { // warm the platform's buffers
+			t.Fatal(err)
+		}
+		const bound = 4 + 1
+		got := testing.AllocsPerRun(10, func() {
+			if _, err := plat.EvaluateRequest(req); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > bound {
+			t.Errorf("metrics-only evaluation (power %t) allocates %v times, want at most %d", power, got, bound)
+		}
+	}
+}
+
+// TestAllocsNewSimPlatform pins a platform build: the cache hierarchy, the
+// predictor, the simulator's scratch and the power model. The evaluation
+// identity (15 more) is rendered on the first EvalIdentity call, which an
+// unpooled worker platform never makes.
+func TestAllocsNewSimPlatform(t *testing.T) {
+	skipUnderRace(t)
+	const bound = 26 + 1
+	for _, spec := range Cores() {
+		got := testing.AllocsPerRun(20, func() {
+			if _, err := NewSimPlatform(spec); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > bound {
+			t.Errorf("building a %s platform allocates %v times, want at most %d", spec.Kind, got, bound)
+		}
 	}
 }
 

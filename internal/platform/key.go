@@ -31,9 +31,12 @@ type Identifier interface {
 }
 
 // EvalIdentity implements Identifier: the full core spec, canonically
-// rendered (struct fields in declaration order, map keys sorted by fmt)
-// when the platform was built.
-func (s *SimPlatform) EvalIdentity() string { return s.identity }
+// rendered (struct fields in declaration order, map keys sorted by fmt) on
+// the first call. It is safe for concurrent use.
+func (s *SimPlatform) EvalIdentity() string {
+	s.identityOnce.Do(func() { s.identity = specIdentity(s.spec) })
+	return s.identity
+}
 
 // specIdentity renders a core spec's evaluation identity.
 func specIdentity(spec CoreSpec) string { return fmt.Sprintf("sim|%+v", spec) }

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"micrograd/internal/knobs"
@@ -26,6 +27,32 @@ func TestEvalIdentityMatchesAcrossInstances(t *testing.T) {
 	}
 	if a.EvalIdentity() == small.EvalIdentity() {
 		t.Fatal("small and large cores share an identity")
+	}
+}
+
+// TestEvalIdentityConcurrentFirstCall has several goroutines ask a fresh
+// platform for its identity at once: each gets the rendered spec, and the
+// race detector sees the one rendering published to every caller.
+func TestEvalIdentityConcurrentFirstCall(t *testing.T) {
+	plat, err := NewSimPlatform(Small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := specIdentity(Small())
+	got := make([]string, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = plat.EvalIdentity()
+		}()
+	}
+	wg.Wait()
+	for i, id := range got {
+		if id != want {
+			t.Errorf("caller %d got identity %q, want %q", i, id, want)
+		}
 	}
 }
 

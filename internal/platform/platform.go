@@ -9,6 +9,7 @@ package platform
 
 import (
 	"fmt"
+	"sync"
 
 	"micrograd/internal/branchsim"
 	"micrograd/internal/cpusim"
@@ -210,10 +211,12 @@ type Platform interface {
 // simulation plus an activity-based power estimate.
 type SimPlatform struct {
 	spec CoreSpec
-	// identity is EvalIdentity, rendered once at build time.
-	identity string
-	cpu      *cpusim.CPU
-	power    *powersim.Model
+	// identity is EvalIdentity, rendered on its first call: a worker
+	// platform that no pool or chip keys is never asked for it.
+	identityOnce sync.Once
+	identity     string
+	cpu          *cpusim.CPU
+	power        *powersim.Model
 	// tracePoints backs the power trace of evaluations that do not hand
 	// their trace out, and droop keeps the supply solve's windows; a
 	// SimPlatform serves one evaluation at a time, so plain fields suffice.
@@ -242,7 +245,7 @@ func NewSimPlatform(spec CoreSpec) (*SimPlatform, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SimPlatform{spec: spec, identity: specIdentity(spec), cpu: cpu, power: power}, nil
+	return &SimPlatform{spec: spec, cpu: cpu, power: power}, nil
 }
 
 // Name implements Platform.
@@ -259,10 +262,15 @@ func (s *SimPlatform) Spec() CoreSpec { return s.spec }
 const TraceWarmupWindows = 16
 
 // simulate is the cycle-domain step of an evaluation: one cpusim run of
-// the kernel. Its result does not depend on the clock, and its windows alias
-// the simulator's scratch until the platform's next evaluation.
-func (s *SimPlatform) simulate(p *program.Program, opts EvalOptions) (cpusim.Result, error) {
+// the kernel. Its result does not depend on the clock. With windows it
+// records the activity windows a power trace is built from, which alias the
+// simulator's scratch until the platform's next evaluation; without, it
+// skips their bookkeeping and returns the totals alone.
+func (s *SimPlatform) simulate(p *program.Program, opts EvalOptions, windows bool) (cpusim.Result, error) {
 	opts = opts.normalized()
+	if !windows {
+		return s.cpu.RunTotals(p, opts.DynamicInstructions, opts.Seed)
+	}
 	return s.cpu.RunShared(p, opts.DynamicInstructions, opts.Seed)
 }
 
@@ -321,9 +329,10 @@ func (s *SimPlatform) addTransientMetrics(v metrics.Vector, trace powersim.Power
 // core's IPC and dynamic power and its untrimmed power trace; the transient
 // metrics are left to the chip, which reports none of them per core except
 // the droop it solves itself. The trace lives in the platform's buffer and
-// stays valid until the platform's next evaluation.
+// stays valid until the platform's next evaluation. The chip always reads
+// the trace, so the run records its windows whatever opts.CollectPower says.
 func (s *SimPlatform) EvaluateCore(p *program.Program, opts EvalOptions) (ipc, powerW float64, trace powersim.PowerTrace, err error) {
-	res, err := s.simulate(p, opts)
+	res, err := s.simulate(p, opts, true)
 	if err != nil {
 		return 0, 0, powersim.PowerTrace{}, err
 	}

@@ -124,7 +124,8 @@ func (s *SimPlatform) EvaluateRequest(req EvalRequest) (EvalResponse, error) {
 	if req.Detail >= DetailTrace {
 		opts.CollectPower = true
 	}
-	res, err := s.simulate(req.Programs[0], opts)
+	// Only the power trace reads activity windows.
+	res, err := s.simulate(req.Programs[0], opts, opts.CollectPower)
 	if err != nil {
 		return EvalResponse{}, err
 	}

@@ -1,6 +1,7 @@
 package platform_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -18,12 +19,15 @@ import (
 // state, window scratch — leaks into B. The configurations come from the
 // default, stress and co-run spaces; the core, power collection, the
 // instruction counts, A's detail level and whether B reruns A's very kernel
-// vary too.
+// vary too. The platform then serves A and B in turn four more times, each
+// with power collection on or off as the bits of powers pick, so runs that
+// record activity windows and runs that skip them interleave on one
+// simulator; every response must equal a fresh platform's.
 func FuzzSimPlatformReuse(f *testing.F) {
-	f.Add(uint8(0), false, int64(1), int64(2), uint16(0), uint16(500), false, true, false)
-	f.Add(uint8(1), true, int64(3), int64(3), uint16(1000), uint16(1000), true, true, true)
-	f.Add(uint8(2), false, int64(4), int64(5), uint16(3000), uint16(200), true, false, true)
-	f.Fuzz(func(t *testing.T, spaceSel uint8, large bool, seedA, seedB int64, instrA, instrB uint16, powerA, powerB, traceA bool) {
+	f.Add(uint8(0), false, int64(1), int64(2), uint16(0), uint16(500), false, true, false, uint8(0b0110))
+	f.Add(uint8(1), true, int64(3), int64(3), uint16(1000), uint16(1000), true, true, true, uint8(0b1001))
+	f.Add(uint8(2), false, int64(4), int64(5), uint16(3000), uint16(200), true, false, true, uint8(0b0101))
+	f.Fuzz(func(t *testing.T, spaceSel uint8, large bool, seedA, seedB int64, instrA, instrB uint16, powerA, powerB, traceA bool, powers uint8) {
 		space := []*knobs.Space{knobs.DefaultSpace(), knobs.StressSpace(), knobs.CoRunStressSpace(2)}[spaceSel%3]
 		spec := platform.Small()
 		if large {
@@ -51,16 +55,26 @@ func FuzzSimPlatformReuse(f *testing.F) {
 			}
 			return resp.Metrics
 		}
-		reused, fresh := newSim(t, spec), newSim(t, spec)
-		evaluate(reused, a)
-		got, want := evaluate(reused, b), evaluate(fresh, b)
-		if len(got) != len(want) {
-			t.Fatalf("B after A has %d metrics, on a fresh platform %d", len(got), len(want))
-		}
-		for name, w := range want {
-			if g, ok := got[name]; !ok || math.Float64bits(g) != math.Float64bits(w) {
-				t.Errorf("%s: B after A %v, on a fresh platform %v", name, g, w)
+		same := func(what string, got, want metrics.Vector) {
+			t.Helper()
+			if len(got) != len(want) {
+				t.Fatalf("%s has %d metrics, on a fresh platform %d", what, len(got), len(want))
 			}
+			for name, w := range want {
+				if g, ok := got[name]; !ok || math.Float64bits(g) != math.Float64bits(w) {
+					t.Errorf("%s: %s %v, on a fresh platform %v", name, what, g, w)
+				}
+			}
+		}
+		reused := newSim(t, spec)
+		evaluate(reused, a)
+		same("B after A", evaluate(reused, b), evaluate(newSim(t, spec), b))
+
+		a.Detail = platform.DetailMetrics
+		for i, req := range []platform.EvalRequest{a, b, a, b} {
+			req.Options.CollectPower = powers&(1<<i) != 0
+			same(fmt.Sprintf("request %d (power %t) of the interleaving", i, req.Options.CollectPower),
+				evaluate(reused, req), evaluate(newSim(t, spec), req))
 		}
 	})
 }
