@@ -101,7 +101,7 @@ func parseArgs(args []string) (experiments.Request, options, error) {
 	fs.IntVar(&req.Epochs, "epochs", 0, "override the cloning and stress epoch bounds")
 	fs.Int64Var(&req.Seed, "seed", 0, "override random seed")
 	fs.IntVar(&req.Parallel, "parallel", runtime.GOMAXPROCS(0), "worker count of the parallel evaluation engine (1 = serial; results are identical at any count)")
-	fs.StringVar(&req.Kind, "kind", "", "run one kind instead of an experiment, as an mgserve job does: a stress test (perf-virus, power-virus, voltage-noise-virus, thermal-virus, corun-noise-virus, dvfs-noise-virus, spatial-noise-virus (alias: spatial), hotspot-migration-virus (alias: hotspot)), cloning (fig2 on the large core, fig3 on the small) or tunercmp")
+	fs.StringVar(&req.Kind, "kind", "", "run one kind instead of an experiment, as an mgserve job does: a stress test ("+stress.KindList(true)+"), cloning (fig2 on the large core, fig3 on the small) or tunercmp")
 	fs.StringVar(&req.Core, "core", "", "core the -kind run and the corun/dvfs/spatial experiments run on: small or large (empty = large)")
 	fs.IntVar(&req.Cores, "cores", 0, "number of co-running cores of the corun/dvfs/spatial experiments and the chip and tunercmp kinds (0 = the -freqs count, else 2)")
 	fs.StringVar(&req.Floorplan, "floorplan", "", "core placement on the -grid, one row,col pair per core (e.g. \"0,0;0,1;1,0;1,1\"; empty = round-robin)")
@@ -144,15 +144,12 @@ func parseArgs(args []string) (experiments.Request, options, error) {
 	if err := req.Validate(); err != nil || req.Kind != "" {
 		return req, opt, err
 	}
-	// A chip experiment runs as its kind, so the request must hold for that
-	// kind too, before -experiment all prints its first table.
-	chipKinds := map[string][]stress.Kind{
-		"all":   {stress.CoRunNoiseVirus, stress.DVFSNoiseVirus, stress.SpatialNoiseVirus},
-		"corun": {stress.CoRunNoiseVirus}, "dvfs": {stress.DVFSNoiseVirus}, "spatial": {stress.SpatialNoiseVirus},
-	}
-	for _, kind := range chipKinds[opt.experiment] {
+	// A chip experiment runs chip kinds, which all validate alike, so the
+	// request must hold for one before -experiment all prints its first table.
+	switch opt.experiment {
+	case "all", "corun", "dvfs", "spatial":
 		r := req
-		r.Kind = string(kind)
+		r.Kind = string(stress.CoRunNoiseVirus)
 		if err := r.Validate(); err != nil {
 			return req, opt, fmt.Errorf("-experiment %s: %w", opt.experiment, err)
 		}

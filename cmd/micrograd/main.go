@@ -24,6 +24,7 @@ import (
 	"micrograd/internal/core"
 	"micrograd/internal/metrics"
 	"micrograd/internal/report"
+	"micrograd/internal/stress"
 	"micrograd/internal/tuner"
 )
 
@@ -41,7 +42,7 @@ func run(args []string, out io.Writer) error {
 	fs.StringVar(&cfg.UseCase, "use-case", cfg.UseCase, "use case: cloning or stress")
 	fs.StringVar(&cfg.Benchmark, "benchmark", cfg.Benchmark, "reference application to clone (astar, bzip2, gcc, hmmer, libquantum, mcf, sjeng, xalancbmk)")
 	fs.BoolVar(&cfg.CloneSimpoints, "simpoints", cfg.CloneSimpoints, "clone every phase (simpoint) of the benchmark individually")
-	fs.StringVar(&cfg.StressKind, "stress-kind", "perf-virus", "stress kind: perf-virus, power-virus, voltage-noise-virus or thermal-virus")
+	fs.StringVar(&cfg.StressKind, "stress-kind", "perf-virus", "stress kind: "+stress.KindList(false))
 	fs.StringVar(&cfg.Core, "core", cfg.Core, "core configuration: small or large (Table II)")
 	fs.StringVar(&cfg.Tuner, "tuner", cfg.Tuner, "tuning mechanism: "+strings.Join(tuner.Names(), ", "))
 	fs.IntVar(&cfg.MaxEpochs, "epochs", cfg.MaxEpochs, "maximum tuning epochs (0 = use-case default)")

@@ -15,6 +15,7 @@ import (
 
 	"micrograd/internal/experiments"
 	"micrograd/internal/metrics"
+	"micrograd/internal/platform"
 	"micrograd/internal/stress"
 )
 
@@ -62,12 +63,13 @@ type Config struct {
 	// default nine cloning metrics).
 	Metrics []string `json:"metrics,omitempty"`
 
-	// StressKind selects "perf-virus", "power-virus", "voltage-noise-virus"
-	// or "thermal-virus"; with StressMetric set, any other name labels the
-	// run. The chip kinds are rejected: the framework runs on one core.
+	// StressKind selects one of stress.Kinds(), the kinds one core runs;
+	// with StressMetric set, any other name labels the run. The chip kinds
+	// are rejected: the framework runs on one core.
 	StressKind string `json:"stress_kind,omitempty"`
-	// StressMetric optionally overrides the stressed metric; Maximize sets
-	// the direction for custom metrics.
+	// StressMetric optionally overrides the stressed metric, which must be
+	// one of platform.CoreMetrics (the framework runs on one core);
+	// Maximize sets the direction for custom metrics.
 	StressMetric string `json:"stress_metric,omitempty"`
 	Maximize     bool   `json:"maximize,omitempty"`
 
@@ -153,6 +155,10 @@ func (c Config) Validate() error {
 			req.Kind = c.StressKind
 		} else if c.StressMetric == "" {
 			return fmt.Errorf("config: %w", err)
+		}
+		if c.StressMetric != "" && !slices.Contains(platform.CoreMetrics, c.StressMetric) {
+			return fmt.Errorf("config: stress_metric %q is not a metric one core measures (%s)",
+				c.StressMetric, strings.Join(platform.CoreMetrics, ", "))
 		}
 	default:
 		return fmt.Errorf("config: unknown use_case %q (want %q or %q)", c.UseCase, UseCaseCloning, UseCaseStress)

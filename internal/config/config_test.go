@@ -96,6 +96,14 @@ func TestValidate(t *testing.T) {
 		{"halving tuner on a custom metric", false, func(c *Config) {
 			c.UseCase, c.StressKind, c.StressMetric, c.Tuner = UseCaseStress, "my-virus", "ipc", "halving-gd"
 		}},
+		// One core measures neither a typo nor a chip metric, whatever
+		// the tuner.
+		{"stress metric one core does not measure", false, func(c *Config) {
+			c.UseCase, c.StressKind, c.StressMetric = UseCaseStress, "my-virus", "ipcc"
+		}},
+		{"chip stress metric under ga", false, func(c *Config) {
+			c.UseCase, c.StressMetric, c.Tuner = UseCaseStress, "chip_power_w", "ga"
+		}},
 		{"unknown tuner on stress", false, func(c *Config) { c.UseCase, c.StressKind, c.Tuner = UseCaseStress, "power-virus", "hillclimb" }},
 		{"unknown core on stress", false, func(c *Config) { c.UseCase, c.StressKind, c.Core = UseCaseStress, "power-virus", "medium" }},
 		{"negative epochs on stress", false, func(c *Config) { c.UseCase, c.StressKind, c.MaxEpochs = UseCaseStress, "power-virus", -3 }},
@@ -143,6 +151,10 @@ func TestValidate(t *testing.T) {
 	customKind.StressKind = "my-virus"
 	if err := customKind.Validate(); err != nil {
 		t.Errorf("a custom kind name with an explicit metric should validate: %v", err)
+	}
+	customKind.StressMetric = "ipcc"
+	if err := customKind.Validate(); err == nil || !strings.Contains(err.Error(), `"ipcc"`) {
+		t.Errorf("Validate() = %v, want an error naming \"ipcc\"", err)
 	}
 }
 

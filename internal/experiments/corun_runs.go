@@ -46,9 +46,6 @@ func RunCoRun(ctx context.Context, coreName string, cores int, b Budget) (CoRunR
 
 func runCoRun(ctx context.Context, coreName string, cores int, b Budget, withBaseline bool) (CoRunResult, error) {
 	b = b.normalized()
-	if cores < 2 {
-		return CoRunResult{}, fmt.Errorf("experiments: co-run needs at least 2 cores, have %d", cores)
-	}
 	core, err := platform.ByName(coreName)
 	if err != nil {
 		return CoRunResult{}, err
@@ -61,39 +58,30 @@ func runCoRun(ctx context.Context, coreName string, cores int, b Budget, withBas
 	}
 	outer, inner, candWorkers, corePar := coRunBudgetSplit(b.Parallel, nRuns, cores)
 	var corun, baseline stress.Report
-	runs := []func(ctx context.Context) error{
-		func(ctx context.Context) error {
-			opts, err := b.StressOptions(func() (platform.Platform, error) { return multicore.New(spec, corePar) }, candWorkers, "CoRun")
-			if err != nil {
-				return err
-			}
-			if corun, err = stress.Run(ctx, stress.CoRunNoiseVirus, opts); err != nil {
+	var chip platform.Platform
+	err = sched.Run(ctx, outer, nRuns, func(ctx context.Context, i int) (err error) {
+		if i == 0 {
+			if corun, chip, err = b.tuneChip(ctx, stress.CoRunNoiseVirus, spec, candWorkers, corePar, "CoRun", nil); err != nil {
 				return fmt.Errorf("experiments: corun tuning: %w", err)
 			}
 			return nil
-		},
-	}
-	if withBaseline {
-		runs = append(runs, func(ctx context.Context) error {
-			newPlatform, release := b.CorePlatforms(core)
-			defer release()
-			opts, err := b.StressOptions(newPlatform, inner, "SingleCore")
-			if err != nil {
-				return err
-			}
-			if baseline, err = stress.Run(ctx, stress.VoltageNoiseVirus, opts); err != nil {
-				return fmt.Errorf("experiments: single-core baseline: %w", err)
-			}
-			return nil
-		})
-	}
-	if err := sched.Run(ctx, outer, len(runs), func(ctx context.Context, i int) error {
-		return runs[i](ctx)
-	}); err != nil {
+		}
+		newPlatform, release := b.CorePlatforms(core)
+		defer release()
+		opts, err := b.StressOptions(newPlatform, inner, "SingleCore")
+		if err != nil {
+			return err
+		}
+		if baseline, err = stress.Run(ctx, stress.VoltageNoiseVirus, opts); err != nil {
+			return fmt.Errorf("experiments: single-core baseline: %w", err)
+		}
+		return nil
+	})
+	if err != nil {
 		return CoRunResult{}, err
 	}
 
-	full, trace, err := characterizeCoRun(spec, corePar, stress.CoRunNoiseVirus, corun.Config, b)
+	full, trace, err := characterizeCoRun(chip, stress.CoRunNoiseVirus, corun.Config, b)
 	if err != nil {
 		return CoRunResult{}, err
 	}
@@ -126,17 +114,28 @@ func coRunBudgetSplit(parallel, nRuns, cores int) (outer, inner, candWorkers, co
 	return outer, inner, candWorkers, corePar
 }
 
-// characterizeCoRun re-evaluates a tuned chip configuration on a fresh
-// co-run platform — per-core kernels synthesized from the config by the
+// tuneChip tunes kind on chips of spec, sized by coRunBudgetSplit's
+// candWorkers and corePar and streamed as series; set, when not nil, adjusts
+// the options first. It returns the report and the run's own tuning chip.
+func (b Budget) tuneChip(ctx context.Context, kind stress.Kind, spec multicore.CoRunSpec, candWorkers, corePar int, series string, set func(*stress.Options)) (stress.Report, platform.Platform, error) {
+	opts, err := b.StressOptions(func() (platform.Platform, error) { return multicore.New(spec, corePar) }, candWorkers, series)
+	if err != nil {
+		return stress.Report{}, nil, err
+	}
+	if set != nil {
+		set(&opts)
+	}
+	rep, err := stress.Run(ctx, kind, opts)
+	return rep, opts.Platform, err
+}
+
+// characterizeCoRun re-evaluates a tuned chip configuration on a run's
+// tuning chip — per-core kernels synthesized from the config by the
 // normalized budget's synthesizer, FREQ_GHZ clock overrides applied when
 // the space tunes them — and returns the full chip metric vector plus the
 // summed chip trace.
-func characterizeCoRun(spec multicore.CoRunSpec, corePar int, kind stress.Kind, cfg knobs.Config, b Budget) (metrics.Vector, powersim.PowerTrace, error) {
-	measure, err := multicore.New(spec, corePar)
-	if err != nil {
-		return nil, powersim.PowerTrace{}, err
-	}
-	session := platform.NewEvalSession(measure, b.Synth)
+func characterizeCoRun(chip platform.Platform, kind stress.Kind, cfg knobs.Config, b Budget) (metrics.Vector, powersim.PowerTrace, error) {
+	session := platform.NewEvalSession(chip, b.Synth)
 	resp, err := session.Evaluate(platform.EvalRequest{
 		Name:    string(kind),
 		Config:  cfg,

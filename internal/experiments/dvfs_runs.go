@@ -72,9 +72,6 @@ func dvfsInitial(cores int, freqsGHz []float64) (knobs.Config, error) {
 
 func runDVFS(ctx context.Context, coreName string, cores int, freqsGHz []float64, b Budget, withBaseline bool) (DVFSResult, error) {
 	b = b.normalized()
-	if cores < 2 {
-		return DVFSResult{}, fmt.Errorf("experiments: DVFS co-run needs at least 2 cores, have %d", cores)
-	}
 	core, err := platform.ByName(coreName)
 	if err != nil {
 		return DVFSResult{}, err
@@ -90,38 +87,23 @@ func runDVFS(ctx context.Context, coreName string, cores int, freqsGHz []float64
 		nRuns = 2
 	}
 	outer, _, candWorkers, corePar := coRunBudgetSplit(b.Parallel, nRuns, cores)
-	tune := func(ctx context.Context, kind stress.Kind, init knobs.Config, series string) (stress.Report, error) {
-		opts, err := b.StressOptions(func() (platform.Platform, error) { return multicore.New(spec, corePar) }, candWorkers, series)
-		if err != nil {
-			return stress.Report{}, err
-		}
-		opts.Initial = init
-		return stress.Run(ctx, kind, opts)
-	}
 	var dvfs, baseline stress.Report
-	runs := []func(ctx context.Context) error{
-		func(ctx context.Context) (err error) {
-			if dvfs, err = tune(ctx, stress.DVFSNoiseVirus, initial, "DVFS"); err != nil {
+	var chip platform.Platform
+	err = sched.Run(ctx, outer, nRuns, func(ctx context.Context, i int) (err error) {
+		if i == 0 {
+			if dvfs, chip, err = b.tuneChip(ctx, stress.DVFSNoiseVirus, spec, candWorkers, corePar, "DVFS", func(o *stress.Options) { o.Initial = initial }); err != nil {
 				return fmt.Errorf("experiments: dvfs tuning: %w", err)
 			}
-			return nil
-		},
-	}
-	if withBaseline {
-		runs = append(runs, func(ctx context.Context) (err error) {
-			if baseline, err = tune(ctx, stress.CoRunNoiseVirus, knobs.Config{}, "HomogeneousCoRun"); err != nil {
-				return fmt.Errorf("experiments: homogeneous co-run baseline: %w", err)
-			}
-			return nil
-		})
-	}
-	if err := sched.Run(ctx, outer, len(runs), func(ctx context.Context, i int) error {
-		return runs[i](ctx)
-	}); err != nil {
+		} else if baseline, _, err = b.tuneChip(ctx, stress.CoRunNoiseVirus, spec, candWorkers, corePar, "HomogeneousCoRun", nil); err != nil {
+			return fmt.Errorf("experiments: homogeneous co-run baseline: %w", err)
+		}
+		return nil
+	})
+	if err != nil {
 		return DVFSResult{}, err
 	}
 
-	full, trace, err := characterizeCoRun(spec, corePar, stress.DVFSNoiseVirus, dvfs.Config, b)
+	full, trace, err := characterizeCoRun(chip, stress.DVFSNoiseVirus, dvfs.Config, b)
 	if err != nil {
 		return DVFSResult{}, err
 	}

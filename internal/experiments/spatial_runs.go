@@ -71,12 +71,6 @@ func spatialInitial(space *knobs.Space, cfg knobs.Config) (knobs.Config, error) 
 
 func runSpatial(ctx context.Context, kind stress.Kind, coreName string, cores, rows, cols int, floorplan string, b Budget, withOblivious bool) (SpatialResult, error) {
 	b = b.normalized()
-	if cores < 2 {
-		return SpatialResult{}, fmt.Errorf("experiments: spatial co-run needs at least 2 cores, have %d", cores)
-	}
-	if kind != stress.SpatialNoiseVirus && kind != stress.HotspotMigrationVirus {
-		return SpatialResult{}, fmt.Errorf("experiments: %s is not a spatial stress kind", kind)
-	}
 	core, err := platform.ByName(coreName)
 	if err != nil {
 		return SpatialResult{}, err
@@ -94,39 +88,35 @@ func runSpatial(ctx context.Context, kind stress.Kind, coreName string, cores, r
 	// The two tuning runs are sequential — the spatial search warm-starts
 	// from the oblivious winner — so each gets the full worker budget.
 	_, _, candWorkers, corePar := coRunBudgetSplit(b.Parallel, 1, cores)
-	tune := func(ctx context.Context, kind stress.Kind, spec multicore.CoRunSpec, space *knobs.Space, init knobs.Config, series string) (stress.Report, error) {
-		opts, err := b.StressOptions(func() (platform.Platform, error) { return multicore.New(spec, corePar) }, candWorkers, series)
-		if err != nil {
-			return stress.Report{}, err
-		}
-		opts.Space, opts.Initial = space, init
-		return stress.Run(ctx, kind, opts)
-	}
-
 	var oblivious stress.Report
-	var obliviousOnGrid float64
 	var initial knobs.Config
 	space := knobs.SpatialStressSpace(cores)
 	if withOblivious {
-		if oblivious, err = tune(ctx, stress.CoRunNoiseVirus, lumped, nil, knobs.Config{}, "ObliviousCoRun"); err != nil {
+		if oblivious, _, err = b.tuneChip(ctx, stress.CoRunNoiseVirus, lumped, candWorkers, corePar, "ObliviousCoRun", nil); err != nil {
 			return SpatialResult{}, fmt.Errorf("experiments: oblivious co-run tuning: %w", err)
 		}
-		gridScore, _, err := characterizeCoRun(grid, corePar, stress.CoRunNoiseVirus, oblivious.Config, b)
-		if err != nil {
-			return SpatialResult{}, err
-		}
-		obliviousOnGrid = gridScore[metrics.ChipWorstDroopMV]
 		if initial, err = spatialInitial(space, oblivious.Config); err != nil {
 			return SpatialResult{}, fmt.Errorf("experiments: seeding spatial search: %w", err)
 		}
 	}
 
-	spatial, err := tune(ctx, kind, grid, space, initial, "Spatial")
+	spatial, chip, err := b.tuneChip(ctx, kind, grid, candWorkers, corePar, "Spatial", func(o *stress.Options) {
+		o.Space, o.Initial = space, initial
+	})
 	if err != nil {
 		return SpatialResult{}, fmt.Errorf("experiments: spatial tuning: %w", err)
 	}
 
-	full, trace, err := characterizeCoRun(grid, corePar, kind, spatial.Config, b)
+	// Both configurations are scored on the spatial run's own grid chip.
+	var obliviousOnGrid float64
+	if withOblivious {
+		gridScore, _, err := characterizeCoRun(chip, stress.CoRunNoiseVirus, oblivious.Config, b)
+		if err != nil {
+			return SpatialResult{}, err
+		}
+		obliviousOnGrid = gridScore[metrics.ChipWorstDroopMV]
+	}
+	full, trace, err := characterizeCoRun(chip, kind, spatial.Config, b)
 	if err != nil {
 		return SpatialResult{}, err
 	}

@@ -93,9 +93,6 @@ func TestRunSpatialValidation(t *testing.T) {
 	if _, err := RunSpatial(context.Background(), "small", 4, 0, 2, "", b); err == nil {
 		t.Error("0-row grid should be rejected")
 	}
-	if _, err := runSpatial(context.Background(), stress.CoRunNoiseVirus, "small", 4, 2, 2, "", b, false); err == nil {
-		t.Error("non-spatial kind should be rejected")
-	}
 }
 
 func TestRunSpatialParallelMatchesSerial(t *testing.T) {

@@ -78,9 +78,6 @@ type TunerCmpResult struct {
 // bit-identical at any b.Parallel.
 func RunTunerCmp(ctx context.Context, coreName string, cores, rows, cols int, tuners []string, b Budget) (TunerCmpResult, error) {
 	b = b.normalized()
-	if cores < 2 {
-		return TunerCmpResult{}, fmt.Errorf("experiments: tuner comparison needs at least 2 cores, have %d", cores)
-	}
 	if len(tuners) == 0 {
 		tuners = DefaultTunerCmpChallengers
 	}
@@ -111,17 +108,15 @@ func RunTunerCmp(ctx context.Context, coreName string, cores, rows, cols int, tu
 	tune := func(ctx context.Context, name string, target *float64) (stress.Report, error) {
 		bb := b
 		bb.Tuner = name
-		opts, err := bb.StressOptions(func() (platform.Platform, error) { return multicore.New(spec, corePar) }, candWorkers, name)
-		if err != nil {
-			return stress.Report{}, err
-		}
-		opts.MaxEvaluations, opts.TargetValue = budget, target
-		// Stream on the cumulative-evaluations axis, the fair axis for
-		// mechanisms with different per-epoch costs.
-		opts.OnEpoch = progress(b, name, func(p stress.EpochPoint) (x, y float64) {
-			return float64(p.CumulativeEvaluations), p.BestValue
+		rep, _, err := bb.tuneChip(ctx, kind, spec, candWorkers, corePar, name, func(o *stress.Options) {
+			o.MaxEvaluations, o.TargetValue = budget, target
+			// Stream on the cumulative-evaluations axis, the fair axis for
+			// mechanisms with different per-epoch costs.
+			o.OnEpoch = progress(b, name, func(p stress.EpochPoint) (x, y float64) {
+				return float64(p.CumulativeEvaluations), p.BestValue
+			})
 		})
-		return stress.Run(ctx, kind, opts)
+		return rep, err
 	}
 
 	base, err := tune(ctx, "gd", nil)

@@ -9,6 +9,7 @@ package platform
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"micrograd/internal/branchsim"
@@ -340,14 +341,23 @@ func (s *SimPlatform) EvaluateCore(p *program.Program, opts EvalOptions) (ipc, p
 	return res.IPC(), s.power.DynamicPower(res), s.sharedTrace(res), nil
 }
 
-// resultVectorCap is the most metrics a single-core evaluation reports:
-// ResultVector's 14, the dynamic power and the three transient metrics.
-const resultVectorCap = 14 + 1 + 3
+// CoreMetricsNoPower names the metrics every single-core evaluation
+// reports, and CoreMetrics those it reports with power collection on: the
+// dynamic power and the three transient metrics besides.
+var (
+	CoreMetricsNoPower = []string{
+		metrics.IPC, metrics.CPI, metrics.Instructions, metrics.Cycles,
+		metrics.FracInteger, metrics.FracFloat, metrics.FracLoad, metrics.FracStore, metrics.FracBranch, metrics.FracNop,
+		metrics.BranchMispredictRate, metrics.L1IHitRate, metrics.L1DHitRate, metrics.L2HitRate,
+	}
+	CoreMetrics = append(slices.Clip(CoreMetricsNoPower),
+		metrics.DynamicPowerW, metrics.WorstDroopMV, metrics.MaxDIDTWPerCycle, metrics.TempC)
+)
 
 // ResultVector converts a raw simulation result into the standard metric
 // vector, sized so the power and transient metrics fit without regrowing it.
 func ResultVector(res cpusim.Result) metrics.Vector {
-	v := make(metrics.Vector, resultVectorCap)
+	v := make(metrics.Vector, len(CoreMetrics))
 	v[metrics.IPC] = res.IPC()
 	v[metrics.CPI] = res.CPI()
 	v[metrics.Instructions] = float64(res.Instructions)

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"slices"
 	"testing"
 
 	"micrograd/internal/knobs"
@@ -130,6 +131,32 @@ func TestSimPlatformPowerCollection(t *testing.T) {
 	}
 	if n := resp.Metrics[metrics.Instructions]; n != 10000 {
 		t.Errorf("evaluated instructions = %v", n)
+	}
+}
+
+// TestCoreMetricsAreWhatAnEvaluationReports pins the exported name lists to
+// the keys of real evaluation vectors, on both cores, with power collection
+// off (CoreMetricsNoPower) and on (CoreMetrics).
+func TestCoreMetricsAreWhatAnEvaluationReports(t *testing.T) {
+	p := testProgram(t)
+	for _, spec := range Cores() {
+		plat, err := NewSimPlatform(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, power := range []bool{false, true} {
+			want := CoreMetricsNoPower
+			if power {
+				want = CoreMetrics
+			}
+			v, err := evalMetrics(plat, p, EvalOptions{DynamicInstructions: 4000, Seed: 1, CollectPower: power})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := v.Names(), slices.Sorted(slices.Values(want)); !slices.Equal(got, want) {
+				t.Errorf("%s core, power %v: vector carries %v, the list names %v", spec.Kind, power, got, want)
+			}
+		}
 	}
 }
 

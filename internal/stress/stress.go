@@ -7,6 +7,8 @@ package stress
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 
 	"micrograd/internal/evalcache"
 	"micrograd/internal/isa"
@@ -38,59 +40,109 @@ const (
 	// CoRunNoiseVirus maximizes the worst-case droop of a shared multi-core
 	// power-delivery network: N cores co-run phase-rotated copies of one
 	// kernel, and the tuner searches the joint space of kernel shape and
-	// per-core PHASE_OFFSET. It requires a co-run platform
-	// (internal/multicore.CoRunPlatform).
+	// per-core PHASE_OFFSET.
 	CoRunNoiseVirus Kind = "corun-noise-virus"
 	// DVFSNoiseVirus extends the co-run noise virus with per-core DVFS: each
 	// core's clock is a FREQ_GHZ_<i> knob the tuner sets alongside kernel
 	// shape and burst phase, so the search covers heterogeneous
 	// (big.LITTLE-style) frequency mixes whose chip traces are aggregated in
-	// the time domain. It requires a co-run platform.
+	// the time domain.
 	DVFSNoiseVirus Kind = "dvfs-noise-virus"
 	// SpatialNoiseVirus is the spatially-targeted droop virus: on a
 	// spatial-grid chip it maximizes the chip-worst *node* droop by
 	// phase-aligning the cores a floorplan co-locates so they hammer one
 	// PDN region in lockstep, using the finer per-core PHASE_OFFSET grid of
-	// knobs.SpatialStressSpace. It requires a co-run platform; on a
-	// grid-configured chip chip_worst_droop_mv is the worst node droop.
+	// knobs.SpatialStressSpace; on a grid-configured chip
+	// chip_worst_droop_mv is the worst node droop.
 	SpatialNoiseVirus Kind = "spatial-noise-virus"
 	// HotspotMigrationVirus is the spatial thermal virus: it maximizes the
 	// chip hotspot temperature (chip_temp_c, the hottest grid node) by
 	// concentrating sustained activity on one die region — migrating the
 	// hotspot away from the uniform-power answer the lumped model reports.
-	// It requires a co-run platform.
 	HotspotMigrationVirus Kind = "hotspot-migration-virus"
 )
 
-// Kinds returns every built-in single-platform stress kind (the ones a plain
-// platform.SimPlatform can evaluate). The co-run, DVFS and two spatial kinds
-// are excluded: they need the multi-core co-run platform.
+// kindRow is one built-in kind: the metric it drives and in which
+// direction, whether it needs a chip (two or more cores), its default knob
+// space on cores cores, and a short name KindByName also accepts.
+type kindRow struct {
+	kind           Kind
+	metric         string
+	maximize, chip bool
+	space          func(cores int) *knobs.Space
+	alias          string
+}
+
+// kindTable holds every built-in kind, the single-core ones first, in the
+// order Kinds, KindList and KindByName list them.
+var kindTable = []kindRow{
+	{PerfVirus, metrics.IPC, false, false, anyCores(knobs.InstructionOnlySpace), ""},
+	{PowerVirus, metrics.DynamicPowerW, true, false, anyCores(knobs.StressSpace), ""},
+	{VoltageNoiseVirus, metrics.WorstDroopMV, true, false, anyCores(knobs.TransientStressSpace), ""},
+	{ThermalVirus, metrics.TempC, true, false, anyCores(knobs.TransientStressSpace), ""},
+	{CoRunNoiseVirus, metrics.ChipWorstDroopMV, true, true, knobs.CoRunStressSpace, ""},
+	{DVFSNoiseVirus, metrics.ChipWorstDroopMV, true, true, knobs.DVFSStressSpace, ""},
+	{SpatialNoiseVirus, metrics.ChipWorstDroopMV, true, true, knobs.SpatialStressSpace, "spatial"},
+	{HotspotMigrationVirus, metrics.ChipTempC, true, true, knobs.SpatialStressSpace, "hotspot"},
+}
+
+// anyCores adapts a space that does not depend on the core count.
+func anyCores(space func() *knobs.Space) func(int) *knobs.Space {
+	return func(int) *knobs.Space { return space() }
+}
+
+// row returns the kind's table row; ok is false for a kind outside it.
+func (k Kind) row() (r kindRow, ok bool) {
+	for _, r := range kindTable {
+		if r.kind == k {
+			return r, true
+		}
+	}
+	return kindRow{}, false
+}
+
+// Kinds returns the built-in kinds a single core can run, in table order.
 func Kinds() []Kind {
-	return []Kind{PerfVirus, PowerVirus, VoltageNoiseVirus, ThermalVirus}
+	var out []Kind
+	for _, r := range kindTable {
+		if !r.chip {
+			out = append(out, r.kind)
+		}
+	}
+	return out
 }
 
 // MultiCore reports whether the kind needs the multi-core co-run platform.
 func (k Kind) MultiCore() bool {
-	return k == CoRunNoiseVirus || k == DVFSNoiseVirus || k == SpatialNoiseVirus || k == HotspotMigrationVirus
+	r, _ := k.row()
+	return r.chip
 }
 
-// KindByName resolves a kind name, accepting the built-in kinds plus the
-// multi-core kinds. The spatial kinds also answer to the short aliases
-// "spatial" and "hotspot" (the cmd/mgbench spellings).
-func KindByName(name string) (Kind, error) {
-	switch name {
-	case "spatial":
-		return SpatialNoiseVirus, nil
-	case "hotspot":
-		return HotspotMigrationVirus, nil
-	}
-	all := append(Kinds(), CoRunNoiseVirus, DVFSNoiseVirus, SpatialNoiseVirus, HotspotMigrationVirus)
-	for _, k := range all {
-		if string(k) == name {
-			return k, nil
+// KindList lists the built-in kinds for help text, in table order: the
+// single-core kinds, and with chip the chip kinds too, each followed by
+// the alias KindByName also accepts.
+func KindList(chip bool) string {
+	var names []string
+	for _, r := range kindTable {
+		switch {
+		case r.chip && !chip:
+		case r.alias != "":
+			names = append(names, fmt.Sprintf("%s (alias: %s)", r.kind, r.alias))
+		default:
+			names = append(names, string(r.kind))
 		}
 	}
-	return "", fmt.Errorf("stress: unknown kind %q (want one of %v)", name, all)
+	return strings.Join(names, ", ")
+}
+
+// KindByName resolves a built-in kind by its name or alias.
+func KindByName(name string) (Kind, error) {
+	for _, r := range kindTable {
+		if string(r.kind) == name || (r.alias != "" && r.alias == name) {
+			return r.kind, nil
+		}
+	}
+	return "", fmt.Errorf("stress: unknown kind %q (want one of %s)", name, KindList(true))
 }
 
 // DefaultMaxEpochs bounds stress tuning runs; the paper's stress tests
@@ -99,9 +151,7 @@ const DefaultMaxEpochs = 45
 
 // Options configures a stress-testing run.
 type Options struct {
-	// Space is the knob space; nil selects the space the paper uses for the
-	// kind (instruction fractions only for the performance virus,
-	// instruction fractions + dependency distance for the power virus).
+	// Space is the knob space; nil selects the kind's default space.
 	Space *knobs.Space
 	// Tuner is the tuning mechanism; nil means gradient descent.
 	Tuner tuner.Tuner
@@ -110,7 +160,7 @@ type Options struct {
 	// (platform.SimPlatform with CollectPower).
 	Platform platform.Platform
 	// EvalOptions controls each evaluation. CollectPower is forced on for
-	// power-virus runs.
+	// a metric only power collection measures, and under a power cap.
 	EvalOptions platform.EvalOptions
 	// LoopSize is the stress kernel's static size; zero means the generator
 	// default (≈500).
@@ -174,44 +224,23 @@ func (o Options) goal(kind Kind) (string, bool, error) {
 	if o.Metric != "" {
 		return o.Metric, o.Maximize, nil
 	}
-	switch kind {
-	case PerfVirus:
-		return metrics.IPC, false, nil
-	case PowerVirus:
-		return metrics.DynamicPowerW, true, nil
-	case VoltageNoiseVirus:
-		return metrics.WorstDroopMV, true, nil
-	case ThermalVirus:
-		return metrics.TempC, true, nil
-	case CoRunNoiseVirus, DVFSNoiseVirus, SpatialNoiseVirus:
-		return metrics.ChipWorstDroopMV, true, nil
-	case HotspotMigrationVirus:
-		return metrics.ChipTempC, true, nil
-	default:
+	r, ok := kind.row()
+	if !ok {
 		return "", false, fmt.Errorf("stress: unknown kind %q and no explicit metric", kind)
 	}
+	return r.metric, r.maximize, nil
 }
 
-// normalized fills in defaults for a kind.
+// normalized fills in defaults for a kind; a custom kind's default space is
+// the instruction-only space.
 func (o Options) normalized(kind Kind) Options {
 	if o.Space == nil {
+		r, ok := kind.row()
 		switch {
 		case !o.Initial.IsZero():
 			o.Space = o.Initial.Space()
-		case kind == PowerVirus:
-			o.Space = knobs.StressSpace()
-		case kind == VoltageNoiseVirus || kind == ThermalVirus:
-			o.Space = knobs.TransientStressSpace()
-		case kind.MultiCore():
-			cores := o.Platform.NumCores()
-			switch kind {
-			case DVFSNoiseVirus:
-				o.Space = knobs.DVFSStressSpace(cores)
-			case SpatialNoiseVirus, HotspotMigrationVirus:
-				o.Space = knobs.SpatialStressSpace(cores)
-			default:
-				o.Space = knobs.CoRunStressSpace(cores)
-			}
+		case ok:
+			o.Space = r.space(o.Platform.NumCores())
 		default:
 			o.Space = knobs.InstructionOnlySpace()
 		}
@@ -302,8 +331,8 @@ func Run(ctx context.Context, kind Kind, opts Options) (Report, error) {
 	// A kind and its platform must pair up: the co-run kinds need a chip
 	// (a platform of more than one core) to synthesize per-core kernels for,
 	// and the single-platform kinds stress metrics a chip-level vector never
-	// carries. An explicit Metric override opts out (the caller is stressing
-	// a custom metric knowingly).
+	// carries, unless an explicit Metric overrides the kind's. A single core
+	// measures nothing outside platform.CoreMetrics.
 	coRunPlat := opts.Platform.NumCores() > 1
 	switch {
 	case kind.MultiCore() && !coRunPlat:
@@ -312,9 +341,13 @@ func Run(ctx context.Context, kind Kind, opts Options) (Report, error) {
 	case !kind.MultiCore() && coRunPlat && opts.Metric == "":
 		return Report{}, fmt.Errorf("stress: %s stresses %s, which the co-run platform %s does not produce (use %s or %s, or set Metric explicitly)",
 			kind, metric, opts.Platform.Name(), CoRunNoiseVirus, DVFSNoiseVirus)
+	case !coRunPlat && !slices.Contains(platform.CoreMetrics, metric):
+		return Report{}, fmt.Errorf("stress: the single core %s measures no %q (it measures %s)",
+			opts.Platform.Name(), metric, strings.Join(platform.CoreMetrics, ", "))
 	}
 	evalOpts := opts.EvalOptions
-	if powerDerived(metric) || opts.PowerCapW > 0 {
+	// Only power collection measures a metric the no-power vector lacks.
+	if !slices.Contains(platform.CoreMetricsNoPower, metric) || opts.PowerCapW > 0 {
 		evalOpts.CollectPower = true
 	}
 
@@ -358,16 +391,8 @@ func Run(ctx context.Context, kind Kind, opts Options) (Report, error) {
 		Seed:           opts.Seed,
 		Initial:        opts.Initial,
 	}
-	if opts.OnEpoch != nil {
-		onEpoch := opts.OnEpoch
-		prob.OnEpoch = func(rec tuner.EpochRecord) {
-			onEpoch(EpochPoint{
-				Epoch:                 rec.Epoch,
-				BestValue:             lossToValue(rec.BestLoss, maximize),
-				Evaluations:           rec.Evaluations,
-				CumulativeEvaluations: rec.CumulativeEvaluations,
-			})
-		}
+	if onEpoch := opts.OnEpoch; onEpoch != nil {
+		prob.OnEpoch = func(rec tuner.EpochRecord) { onEpoch(epochPoint(rec, maximize)) }
 	}
 	if opts.PowerCapW > 0 {
 		capMetric := metrics.DynamicPowerW
@@ -439,26 +464,20 @@ func Run(ctx context.Context, kind Kind, opts Options) (Report, error) {
 		}
 		rep.FreqsGHz = append(rep.FreqsGHz, f)
 	}
-	for _, er := range res.Epochs {
-		rep.Progression = append(rep.Progression, EpochPoint{
-			Epoch:                 er.Epoch,
-			BestValue:             lossToValue(er.BestLoss, maximize),
-			Evaluations:           er.Evaluations,
-			CumulativeEvaluations: er.CumulativeEvaluations,
-		})
+	for _, rec := range res.Epochs {
+		rep.Progression = append(rep.Progression, epochPoint(rec, maximize))
 	}
 	return rep, nil
 }
 
-// powerDerived reports whether a metric is produced by the power model (and
-// therefore needs CollectPower evaluations).
-func powerDerived(metric string) bool {
-	switch metric {
-	case metrics.DynamicPowerW, metrics.WorstDroopMV, metrics.MaxDIDTWPerCycle, metrics.TempC,
-		metrics.ChipPowerW, metrics.ChipWorstDroopMV, metrics.ChipMaxDIDTWPerNS, metrics.ChipTempC:
-		return true
+// epochPoint converts a tuning epoch record into a progression point.
+func epochPoint(rec tuner.EpochRecord, maximize bool) EpochPoint {
+	return EpochPoint{
+		Epoch:                 rec.Epoch,
+		BestValue:             lossToValue(rec.BestLoss, maximize),
+		Evaluations:           rec.Evaluations,
+		CumulativeEvaluations: rec.CumulativeEvaluations,
 	}
-	return false
 }
 
 // lossToValue converts a stress loss back into the metric value.

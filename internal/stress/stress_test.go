@@ -3,12 +3,14 @@ package stress
 import (
 	"context"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
 	"micrograd/internal/knobs"
 	"micrograd/internal/metrics"
 	"micrograd/internal/microprobe"
+	"micrograd/internal/multicore"
 	"micrograd/internal/platform"
 	"micrograd/internal/program"
 	"micrograd/internal/tuner"
@@ -154,6 +156,77 @@ func TestUnknownKindWithoutMetricRejected(t *testing.T) {
 	}
 }
 
+// TestUnmeasuredMetricRejectedBeforeTuning stresses metrics a single core
+// never reports, a typo and a chip metric: each run must fail before
+// tuning, naming the metric, whatever the tuner and epoch count.
+func TestUnmeasuredMetricRejectedBeforeTuning(t *testing.T) {
+	for _, tc := range []struct {
+		name, metric, tuner string
+		epochs              int
+	}{
+		{"typo, 1 epoch", "ipcc", "gd", 1},
+		{"typo, 2 epochs", "ipcc", "gd", 2},
+		{"chip metric, ga", metrics.ChipPowerW, "ga", 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tn, err := tuner.ByName(tc.tuner)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := testOptions(t)
+			opts.Tuner, opts.Metric, opts.Maximize, opts.MaxEpochs = tn, tc.metric, true, tc.epochs
+			epochs := 0
+			opts.OnEpoch = func(EpochPoint) { epochs++ }
+			_, err = Run(context.Background(), Kind("my-virus"), opts)
+			if err == nil || !strings.Contains(err.Error(), strconv.Quote(tc.metric)) {
+				t.Fatalf("Run = %v, want an error naming %q", err, tc.metric)
+			}
+			if epochs > 0 {
+				t.Errorf("tuned %d epochs before failing", epochs)
+			}
+		})
+	}
+}
+
+// TestKindTableMetricsAreMeasured evaluates each table row's default space
+// on the shapes it runs on — one core with power collection for a
+// single-core kind, a two-core chip and a 2x2 grid for a chip kind — and
+// checks the vector carries the row's goal metric.
+func TestKindTableMetricsAreMeasured(t *testing.T) {
+	core, err := platform.NewSimPlatform(platform.Small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	chip, err := multicore.New(multicore.Homogeneous(platform.Small(), 2), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := multicore.New(multicore.Homogeneous(platform.Small(), 4).WithGrid(2, 2, nil), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	synth := microprobe.NewCachingSynthesizer(microprobe.Options{LoopSize: 100, Seed: 1})
+	for _, r := range kindTable {
+		plats := []platform.Platform{core}
+		if r.chip {
+			plats = []platform.Platform{chip, grid}
+		}
+		for _, plat := range plats {
+			resp, err := platform.NewEvalSession(plat, synth).Evaluate(platform.EvalRequest{
+				Name:    string(r.kind),
+				Config:  r.space(plat.NumCores()).MidConfig(),
+				Options: platform.EvalOptions{DynamicInstructions: 3000, Seed: 1, CollectPower: true},
+			})
+			if err != nil {
+				t.Fatalf("%s on %s: %v", r.kind, plat.Name(), err)
+			}
+			if _, ok := resp.Metrics[r.metric]; !ok {
+				t.Errorf("%s stresses %s, which %s does not report", r.kind, r.metric, plat.Name())
+			}
+		}
+	}
+}
+
 func TestMissingPlatformRejected(t *testing.T) {
 	if _, err := Run(context.Background(), PerfVirus, Options{}); err == nil {
 		t.Error("missing platform should be rejected")
@@ -183,11 +256,11 @@ func TestStressWithGATuner(t *testing.T) {
 }
 
 func TestDefaultSpacesPerKind(t *testing.T) {
-	perf := Options{}.normalized(PerfVirus)
+	perf := testOptions(t).normalized(PerfVirus)
 	if perf.Space.Len() != knobs.InstructionOnlySpace().Len() {
 		t.Error("perf virus should default to the instruction-only space")
 	}
-	power := Options{}.normalized(PowerVirus)
+	power := testOptions(t).normalized(PowerVirus)
 	if power.Space.Len() != knobs.StressSpace().Len() {
 		t.Error("power virus should default to the stress space (instructions + REG_DIST)")
 	}

@@ -238,6 +238,22 @@ if echo "$typo_out" | grep -q finished || ! echo "$typo_out" | grep -q '"ipcc"';
     exit 1
 fi
 
+# A stress configuration whose metric one core never measures must fail
+# validation, naming the metric, before the run's banner.
+cat > "$bin_dir/ipcc.json" <<'EOF'
+{"use_case": "stress", "stress_kind": "my-virus", "stress_metric": "ipcc", "max_epochs": 2,
+ "dynamic_instructions": 2000, "loop_size": 100, "parallel": 1}
+EOF
+echo "smoke: micrograd -config rejects a stress metric one core never measures"
+if ipcc_out="$("$bin_dir/micrograd" -config "$bin_dir/ipcc.json" 2>&1)"; then
+    echo "FAIL: micrograd ran a stress configuration with stress_metric \"ipcc\"" >&2
+    exit 1
+fi
+if echo "$ipcc_out" | grep -q 'MicroGrad: stress' || ! echo "$ipcc_out" | grep -q '"ipcc"'; then
+    echo "FAIL: the \"ipcc\" stress run did not fail before its banner, naming the metric (got: $ipcc_out)" >&2
+    exit 1
+fi
+
 # Examples run from the scratch directory so any artifacts they write
 # (e.g. the cloning example's clones/ output) stay out of the repository.
 cd "$bin_dir"
