@@ -48,7 +48,7 @@ func run(args []string, out io.Writer) error {
 	fs.IntVar(&cfg.MaxEpochs, "epochs", cfg.MaxEpochs, "maximum tuning epochs (0 = use-case default)")
 	fs.Float64Var(&cfg.TargetAccuracy, "accuracy", cfg.TargetAccuracy, "cloning target accuracy")
 	fs.IntVar(&cfg.DynamicInstructions, "instructions", cfg.DynamicInstructions, "dynamic instructions per evaluation (0 = default)")
-	fs.IntVar(&cfg.LoopSize, "loop-size", cfg.LoopSize, "static kernel size (0 = ~500)")
+	fs.IntVar(&cfg.LoopSize, "loop-size", cfg.LoopSize, "static kernel size (0 = ~500, else >= 2)")
 	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "random seed")
 	fs.IntVar(&cfg.Parallel, "parallel", runtime.GOMAXPROCS(0), "worker count of the parallel evaluation engine (1 = serial; results are identical at any count)")
 	fs.StringVar(&cfg.OutputDir, "out", cfg.OutputDir, "directory to write the kernel and reports into (empty = don't write)")

@@ -107,4 +107,8 @@ func TestRunRejectsWhatItCannotRun(t *testing.T) {
 			t.Errorf("stress kind %s: err = %v after %d bytes of output, want a rejection before any", kind, err, out.Len())
 		}
 	}
+	var out bytes.Buffer
+	if err := run([]string{"-use-case", "stress", "-stress-kind", "power-virus", "-loop-size", "1"}, &out); err == nil || out.Len() != 0 {
+		t.Errorf("loop size 1: err = %v after %d bytes of output, want a rejection before any", err, out.Len())
+	}
 }

@@ -15,6 +15,7 @@ import (
 
 	"micrograd/internal/experiments"
 	"micrograd/internal/metrics"
+	"micrograd/internal/microprobe"
 	"micrograd/internal/platform"
 	"micrograd/internal/stress"
 )
@@ -42,7 +43,8 @@ type Config struct {
 	// DynamicInstructions is the per-evaluation simulation length
 	// (0 = platform default).
 	DynamicInstructions int `json:"dynamic_instructions"`
-	// LoopSize is the generated kernel's static size (0 = default ≈500).
+	// LoopSize is the generated kernel's static size (0 = default ≈500,
+	// else at least microprobe.MinLoopSize).
 	LoopSize int `json:"loop_size"`
 	// Seed drives all stochastic choices.
 	Seed int64 `json:"seed"`
@@ -169,8 +171,8 @@ func (c Config) Validate() error {
 	if err := req.Validate(); err != nil {
 		return fmt.Errorf("config: %w", err)
 	}
-	if c.LoopSize < 0 {
-		return fmt.Errorf("config: negative loop_size %d", c.LoopSize)
+	if c.LoopSize != 0 && c.LoopSize < microprobe.MinLoopSize {
+		return fmt.Errorf("config: loop_size %d below %d (0 is the default)", c.LoopSize, microprobe.MinLoopSize)
 	}
 	if c.TargetAccuracy < 0 || c.TargetAccuracy > 1 {
 		return fmt.Errorf("config: target_accuracy %v outside [0,1]", c.TargetAccuracy)

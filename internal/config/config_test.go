@@ -88,6 +88,9 @@ func TestValidate(t *testing.T) {
 		{"negative instructions", false, func(c *Config) { c.DynamicInstructions = -1 }},
 		{"negative parallel", false, func(c *Config) { c.Parallel = -2 }},
 		{"negative loop size", false, func(c *Config) { c.LoopSize = -1 }},
+		{"loop size 1", false, func(c *Config) { c.LoopSize = 1 }},
+		{"loop size 1 on stress", false, func(c *Config) { c.UseCase, c.StressKind, c.LoopSize = UseCaseStress, "power-virus", 1 }},
+		{"smallest loop size", true, func(c *Config) { c.LoopSize = 2 }},
 		{"unknown benchmark", false, func(c *Config) { c.Benchmark = "nosuch" }},
 		// The stress use case sets a request kind; the shared rules still hold.
 		{"dvfs stress kind", false, func(c *Config) { c.UseCase, c.StressKind = UseCaseStress, "dvfs-noise-virus" }},

@@ -3,6 +3,7 @@ package knobs
 import (
 	"fmt"
 	"iter"
+	"math"
 	"math/bits"
 	"strconv"
 	"strings"
@@ -302,10 +303,15 @@ func (s Settings) Validate() error {
 	if s.Profile.Len() == 0 {
 		return fmt.Errorf("knobs: settings have empty instruction profile")
 	}
+	total := 0.0
 	for op, w := range s.Profile.All() {
-		if w < 0 {
-			return fmt.Errorf("knobs: negative weight %v for opcode %v", w, op)
+		if !(w >= 0) || math.IsInf(w, 1) {
+			return fmt.Errorf("knobs: weight %v for opcode %v is not finite and non-negative", w, op)
 		}
+		total += w
+	}
+	if total == 0 {
+		return fmt.Errorf("knobs: instruction profile has zero total weight")
 	}
 	if s.RegDist < 1 {
 		return fmt.Errorf("knobs: register dependency distance %d < 1", s.RegDist)

@@ -2,6 +2,7 @@ package knobs
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -295,6 +296,11 @@ func TestSettingsValidateRejectsBadInputs(t *testing.T) {
 		func(s *Settings) { s.MemTemp2 = 0 },
 		func(s *Settings) { s.BranchRandomRatio = 1.5 },
 		func(s *Settings) { s.BranchRandomRatio = -0.1 },
+		// Profiles that name only zero weights leave nothing to apportion.
+		func(s *Settings) { s.Profile.Set(isa.ADD, 0) },
+		func(s *Settings) { s.Profile.Set(isa.ADD, 0); s.Profile.Set(isa.BNE, 0) },
+		func(s *Settings) { s.Profile.Set(isa.LD, math.NaN()) },
+		func(s *Settings) { s.Profile.Set(isa.LD, math.Inf(1)) },
 	}
 	for i, mutate := range cases {
 		s := good

@@ -1,107 +1,63 @@
 // Package microprobe is the code-generation back-end of MicroGrad-Go. It
 // reimplements, in Go and over the abstract ISA of internal/isa, the subset
-// of IBM's Microprobe framework that the MicroGrad paper relies on: a
-// sequence of code-synthesis passes (the paper's Listing 2) that turn an
+// of IBM's Microprobe framework that the MicroGrad paper relies on: the
+// sequence of code-synthesis passes of the paper's Listing 2 that turns an
 // abstract workload description — instruction profile, register dependency
 // distance, memory streams, branch randomization — into a concrete synthetic
 // test case (internal/program.Program).
 //
-// The package exposes the same two levels Microprobe does:
-//
-//   - a pass-level API (Builder + Pass implementations) for callers that want
-//     to assemble custom generation pipelines, and
-//   - a Synthesizer that runs the standard MicroGrad pass ordering for a knob
-//     configuration (internal/knobs.Settings), which is what the tuning
-//     mechanism uses.
+// A Synthesizer runs that sequence for a knob configuration
+// (internal/knobs.Settings), which is what the tuning mechanism uses. Each
+// pass is one step of a builder, named after its Microprobe pass in its doc
+// comment; SynthesizeSettings calls the steps in Listing 2's order.
 package microprobe
 
 import (
-	"fmt"
+	"slices"
 
 	"micrograd/internal/isa"
 	"micrograd/internal/program"
 )
 
-// Builder is the mutable state threaded through a pass pipeline. A Builder
-// owns the program being constructed plus bookkeeping that later passes need
-// (the reserved registers) and the passes' working memory, which a
-// Synthesizer reuses from one synthesis to the next.
-type Builder struct {
+// builder holds the program under construction and the steps' working
+// memory, which a Synthesizer reuses from one synthesis to the next. Every
+// step overwrites the scratch it uses; nothing the program keeps points
+// into it.
+type builder struct {
 	prog *program.Program
 
-	reserved [isa.TotalRegs]bool // by register ID: registers the allocator must not touch
-
-	// Pass scratch. Every pass overwrites what it uses; nothing the program
-	// keeps points into it.
 	entries                  []profileEntry
 	counts, remaining, order []int
 	remainders, credit       []float64
-	intRegs, fpRegs          []isa.Reg
-	perStream                []int
 	rotated                  []program.Instruction
 	notes                    []program.Note
 }
 
-// reset starts a new program with the given name on the builder, keeping its
-// scratch.
-func (b *Builder) reset(name string) {
-	b.prog = program.New(name)
-	b.reserved = [isa.TotalRegs]bool{}
-}
+// The register pools of the allocation step, in ascending index order:
+// every register but the zero register and the ones Microprobe's
+// ReserveRegistersPass reserves (isa.DefaultReserved: the loop counter, the
+// stream bases and the duty cycle's throttle register among them).
+var intPool, fpPool = registerPools(isa.DefaultReserved())
 
-// Program returns the program under construction.
-func (b *Builder) Program() *program.Program { return b.prog }
-
-// ReserveRegister marks a register as unavailable to the register allocator.
-func (b *Builder) ReserveRegister(r isa.Reg) { b.reserved[r.ID()] = true }
-
-// IsReserved reports whether the register is reserved.
-func (b *Builder) IsReserved(r isa.Reg) bool { return b.reserved[r.ID()] }
-
-// Pass is one code-synthesis transformation applied to the Builder.
-// Passes are applied in order by Apply; each sees the effects of the
-// previous ones, mirroring Microprobe's pass pipeline.
-type Pass interface {
-	// Name returns a short identifier used in errors and reports.
-	Name() string
-	// Apply transforms the builder in place.
-	Apply(b *Builder) error
-}
-
-// Apply runs the passes in order, stopping at the first error.
-func (b *Builder) Apply(passes ...Pass) error {
-	for _, p := range passes {
-		if err := p.Apply(b); err != nil {
-			return fmt.Errorf("microprobe: pass %s: %w", p.Name(), err)
-		}
-	}
-	return nil
-}
-
-// availableIntRegs returns the unreserved integer registers in ascending
-// index order, in the builder's scratch.
-func (b *Builder) availableIntRegs() []isa.Reg {
-	out := b.intRegs[:0]
+// registerPools returns the integer and floating-point registers outside
+// reserved, leaving out the zero register.
+func registerPools(reserved []isa.Reg) (ints, fps []isa.Reg) {
 	for i := 0; i < isa.NumIntRegs; i++ {
-		r := isa.IntReg(i)
-		if !b.IsReserved(r) && !r.IsZero() {
-			out = append(out, r)
+		if r := isa.IntReg(i); !r.IsZero() && !slices.Contains(reserved, r) {
+			ints = append(ints, r)
 		}
 	}
-	b.intRegs = out
-	return out
+	for i := 0; i < isa.NumFPRegs; i++ {
+		if r := isa.FPReg(i); !slices.Contains(reserved, r) {
+			fps = append(fps, r)
+		}
+	}
+	return ints, fps
 }
 
-// availableFPRegs returns the unreserved floating-point registers, in the
-// builder's scratch.
-func (b *Builder) availableFPRegs() []isa.Reg {
-	out := b.fpRegs[:0]
-	for i := 0; i < isa.NumFPRegs; i++ {
-		r := isa.FPReg(i)
-		if !b.IsReserved(r) {
-			out = append(out, r)
-		}
-	}
-	b.fpRegs = out
-	return out
+// resized returns *buf resliced to length n, growing it when it is too
+// short, and keeps the grown buffer in *buf. The contents are unspecified.
+func resized[T any](buf *[]T, n int) []T {
+	*buf = slices.Grow((*buf)[:0], n)[:n]
+	return *buf
 }

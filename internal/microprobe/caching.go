@@ -12,8 +12,8 @@ import (
 // and the canonical settings key, so that candidates differing only in
 // evaluation-time parameters (seeds, per-core clock overrides, instruction
 // budgets) reuse the already-synthesized program instead of re-running the
-// pass pipeline. Returning the identical *program.Program pointer also lets
-// the simulator skip re-validating and re-predecoding the kernel.
+// passes. Returning the identical *program.Program pointer also lets the
+// simulator skip re-validating and re-predecoding the kernel.
 //
 // Cached programs are shared between callers and MUST be treated as
 // read-only. It is safe for concurrent use; concurrent misses on the same key
@@ -58,8 +58,8 @@ func (c *CachingSynthesizer) Synthesize(name string, cfg knobs.Config) (*program
 
 // SynthesizeCores generates (or recalls) the kernels of a co-run
 // configuration, as Synthesizer.SynthesizeCores does. The cores the memo
-// misses are built and memoized: a single miss through the whole pipeline,
-// as Synthesize would, and several from one pipeline run for their shared
+// misses are built and memoized: a single miss through every pass, as
+// Synthesize would, and several from one run of the passes for their shared
 // shape.
 func (c *CachingSynthesizer) SynthesizeCores(progs []*program.Program, names []string, cfg knobs.Config) error {
 	set := cfg.Settings()

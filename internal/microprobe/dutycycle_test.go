@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"micrograd/internal/isa"
+	"micrograd/internal/knobs"
 )
 
 func TestDutyCyclePassThrottlesBurstTails(t *testing.T) {
@@ -73,23 +74,12 @@ func TestDutyCycleMetadata(t *testing.T) {
 	}
 }
 
+// TestDutyCyclePassErrors checks that synthesis rejects the duty cycles
+// the duty step cannot carve, which settings validation catches before any
+// step runs.
 func TestDutyCyclePassErrors(t *testing.T) {
-	b := newBuilder("err")
-	if err := (DutyCyclePass{Duty: 0.5, BurstLen: 8}).Apply(b); err == nil {
-		t.Error("pass on an empty builder should fail")
-	}
-	if err := b.Apply(SimpleBuildingBlockPass{LoopSize: 20}); err != nil {
-		t.Fatal(err)
-	}
-	if err := (DutyCyclePass{Duty: 0, BurstLen: 8}).Apply(b); err == nil {
-		t.Error("zero duty should be rejected")
-	}
-	if err := (DutyCyclePass{Duty: 1.5, BurstLen: 8}).Apply(b); err == nil {
-		t.Error("duty above 1 should be rejected")
-	}
-	if err := (DutyCyclePass{Duty: 0.5, BurstLen: 1}).Apply(b); err == nil {
-		t.Error("burst length below 2 should be rejected")
-	}
+	rejects(t, "duty above 1", "duty cycle", func(s *knobs.Settings) { s.DutyCycle, s.BurstLen = 1.5, 8 })
+	rejects(t, "burst length below 2", "burst length", func(s *knobs.Settings) { s.DutyCycle, s.BurstLen = 0.5, 1 })
 }
 
 func TestDutyCycleThrottleCountScalesWithIdleFraction(t *testing.T) {

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -21,19 +23,31 @@ func aluSettings() knobs.Settings {
 	return set
 }
 
-// newBuilder starts a builder the way a Synthesizer does.
-func newBuilder(name string) *Builder {
-	b := new(Builder)
-	b.reset(name)
+// newBlock returns a builder holding a fresh building block of loopSize
+// instructions, the first step of every synthesis.
+func newBlock(t *testing.T, loopSize int) *builder {
+	t.Helper()
+	b := new(builder)
+	if err := b.buildingBlock("t", loopSize); err != nil {
+		t.Fatal(err)
+	}
 	return b
 }
 
-func TestSimpleBuildingBlockPass(t *testing.T) {
-	b := newBuilder("t")
-	if err := b.Apply(SimpleBuildingBlockPass{LoopSize: 50}); err != nil {
-		t.Fatal(err)
+// rejects requires SynthesizeSettings to reject aluSettings changed by
+// mutate, with an error that names want.
+func rejects(t *testing.T, what, want string, mutate func(*knobs.Settings)) {
+	t.Helper()
+	set := aluSettings()
+	mutate(&set)
+	_, err := NewSynthesizer(Options{LoopSize: 40}).SynthesizeSettings("bad", set)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("%s: error %v, want one naming %q", what, err, want)
 	}
-	p := b.Program()
+}
+
+func TestSimpleBuildingBlockPass(t *testing.T) {
+	p := newBlock(t, 50).prog
 	if p.StaticCount() != 50 {
 		t.Fatalf("static count %d, want 50", p.StaticCount())
 	}
@@ -44,44 +58,43 @@ func TestSimpleBuildingBlockPass(t *testing.T) {
 	if !last.Op.IsBranch() {
 		t.Errorf("last instruction %v is not a branch", last.Op)
 	}
-	// Applying twice must fail.
-	if err := b.Apply(SimpleBuildingBlockPass{LoopSize: 50}); err == nil {
-		t.Error("second building-block pass should fail")
-	}
 	// Too-small loop must fail.
-	if err := newBuilder("t2").Apply(SimpleBuildingBlockPass{LoopSize: 1}); err == nil {
+	if err := new(builder).buildingBlock("t2", MinLoopSize-1); err == nil {
 		t.Error("loop size 1 should be rejected")
+	}
+	if _, err := NewSynthesizer(Options{LoopSize: MinLoopSize - 1}).SynthesizeSettings("t3", aluSettings()); err == nil {
+		t.Error("a synthesizer of loop size 1 should fail")
+	}
+	if p, err := NewSynthesizer(Options{LoopSize: MinLoopSize}).SynthesizeSettings("t4", aluSettings()); err != nil || p.StaticCount() != MinLoopSize {
+		t.Errorf("loop size %d: %v", MinLoopSize, err)
 	}
 }
 
+// TestReserveRegistersPass checks the register pools the allocation step
+// draws from: nothing ReserveRegistersPass reserves, nor the zero
+// register, and every other register.
 func TestReserveRegistersPass(t *testing.T) {
-	b := newBuilder("t")
-	if err := b.Apply(ReserveRegistersPass{Regs: isa.DefaultReserved()}); err != nil {
-		t.Fatal(err)
+	for _, r := range append(isa.DefaultReserved(), isa.RegZero) {
+		if slices.Contains(intPool, r) || slices.Contains(fpPool, r) {
+			t.Errorf("reserved register %v is in a pool", r)
+		}
 	}
-	if !b.IsReserved(isa.RegLoop) || !b.IsReserved(isa.RegZero) {
-		t.Error("reserved registers not recorded")
+	if !slices.Contains(intPool, isa.IntReg(20)) || !slices.Contains(fpPool, isa.FPReg(0)) {
+		t.Error("unreserved register missing from the pools")
 	}
-	if b.IsReserved(isa.IntReg(20)) {
-		t.Error("unreserved register reported reserved")
-	}
-	if err := b.Apply(ReserveRegistersPass{Regs: []isa.Reg{{Index: isa.NumIntRegs}}}); err == nil {
-		t.Error("invalid register should be rejected")
+	reserved := len(isa.DefaultReserved())
+	if len(intPool) != isa.NumIntRegs-reserved || len(fpPool) != isa.NumFPRegs {
+		t.Errorf("pools hold %d integer and %d floating-point registers, want %d and %d",
+			len(intPool), len(fpPool), isa.NumIntRegs-reserved, isa.NumFPRegs)
 	}
 }
 
 func TestSetInstructionTypeByProfilePass(t *testing.T) {
-	b := newBuilder("t")
+	b := newBlock(t, 101)
 	profile := knobs.NewProfile(map[isa.Opcode]float64{isa.ADD: 5, isa.LD: 3, isa.SD: 2})
-	err := b.Apply(
-		SimpleBuildingBlockPass{LoopSize: 101},
-		SetInstructionTypeByProfilePass{Profile: profile},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b.setInstructionTypes(&profile)
 	counts := map[isa.Opcode]int{}
-	for _, in := range b.Program().Instructions[:100] {
+	for _, in := range b.prog.Instructions[:100] {
 		counts[in.Op]++
 	}
 	if counts[isa.ADD] != 50 || counts[isa.LD] != 30 || counts[isa.SD] != 20 {
@@ -91,7 +104,7 @@ func TestSetInstructionTypeByProfilePass(t *testing.T) {
 	// balanced profile.
 	maxRun, run := 0, 0
 	var prev isa.Opcode = isa.NOP
-	for _, in := range b.Program().Instructions[:100] {
+	for _, in := range b.prog.Instructions[:100] {
 		if in.Op == prev {
 			run++
 		} else {
@@ -107,35 +120,25 @@ func TestSetInstructionTypeByProfilePass(t *testing.T) {
 	}
 }
 
+// TestSetInstructionTypeByProfileErrors checks that synthesis rejects the
+// profiles the profile step cannot apportion, which settings validation
+// catches before any step runs.
 func TestSetInstructionTypeByProfileErrors(t *testing.T) {
-	b := newBuilder("t")
-	if err := b.Apply(SetInstructionTypeByProfilePass{Profile: knobs.NewProfile(map[isa.Opcode]float64{isa.ADD: 1})}); err == nil {
-		t.Error("profile pass before building block should fail")
-	}
-	b2 := newBuilder("t2")
-	_ = b2.Apply(SimpleBuildingBlockPass{LoopSize: 10})
-	if err := b2.Apply(SetInstructionTypeByProfilePass{}); err == nil {
-		t.Error("empty profile should fail")
-	}
-	if err := b2.Apply(SetInstructionTypeByProfilePass{Profile: knobs.NewProfile(map[isa.Opcode]float64{isa.ADD: -1})}); err == nil {
-		t.Error("negative weight should fail")
-	}
-	if err := b2.Apply(SetInstructionTypeByProfilePass{Profile: knobs.NewProfile(map[isa.Opcode]float64{isa.ADD: 0})}); err == nil {
-		t.Error("zero total weight should fail")
-	}
+	rejects(t, "empty profile", "empty instruction profile", func(s *knobs.Settings) { s.Profile = knobs.Profile{} })
+	rejects(t, "negative weight", "weight", func(s *knobs.Settings) {
+		s.Profile = knobs.NewProfile(map[isa.Opcode]float64{isa.ADD: -1})
+	})
+	rejects(t, "zero total weight", "zero total weight", func(s *knobs.Settings) {
+		s.Profile = knobs.NewProfile(map[isa.Opcode]float64{isa.ADD: 0})
+	})
 }
 
 func TestRandomizeByTypePass(t *testing.T) {
-	b := newBuilder("t")
-	err := b.Apply(
-		SimpleBuildingBlockPass{LoopSize: 51},
-		SetInstructionTypeByProfilePass{Profile: knobs.NewProfile(map[isa.Opcode]float64{isa.BEQ: 1, isa.ADD: 1})},
-		RandomizeByTypePass{Probability: 0.4},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := b.Program()
+	b := newBlock(t, 51)
+	profile := knobs.NewProfile(map[isa.Opcode]float64{isa.BEQ: 1, isa.ADD: 1})
+	b.setInstructionTypes(&profile)
+	b.randomizeBranches(0.4)
+	p := b.prog
 	if len(p.Patterns) != 1 || p.Patterns[0].RandomRatio != 0.4 {
 		t.Fatalf("pattern not created correctly: %+v", p.Patterns)
 	}
@@ -144,30 +147,26 @@ func TestRandomizeByTypePass(t *testing.T) {
 			t.Errorf("branch %d not assigned to pattern", i)
 		}
 	}
-	if err := b.Apply(RandomizeByTypePass{Probability: 1.5}); err == nil {
-		t.Error("probability > 1 should be rejected")
-	}
+	rejects(t, "probability > 1", "branch random ratio", func(s *knobs.Settings) { s.BranchRandomRatio = 1.5 })
 }
 
 func TestGenericMemoryStreamsPass(t *testing.T) {
-	b := newBuilder("t")
-	err := b.Apply(
-		SimpleBuildingBlockPass{LoopSize: 101},
-		SetInstructionTypeByProfilePass{Profile: knobs.NewProfile(map[isa.Opcode]float64{isa.LD: 1, isa.SD: 1})},
-		GenericMemoryStreamsPass{Streams: []StreamSpec{
-			{FootprintBytes: 4096, Ratio: 0.75, StrideBytes: 8},
-			{FootprintBytes: 65536, Ratio: 0.25, StrideBytes: 64},
-		}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := b.Program()
+	b := newBlock(t, 101)
+	profile := knobs.NewProfile(map[isa.Opcode]float64{isa.LD: 1, isa.SD: 1})
+	b.setInstructionTypes(&profile)
+	set := aluSettings()
+	set.MemFootprintKB, set.MemStrideB, set.MemTemp1 = 64, 64, 512 // a hot share of 0.75
+	b.memoryStreams(&set)
+	p := b.prog
 	if len(p.Streams) != 2 {
 		t.Fatalf("want 2 streams, got %d", len(p.Streams))
 	}
-	if p.Streams[0].Base == p.Streams[1].Base {
+	hot, cold := p.Streams[0], p.Streams[1]
+	if hot.Base+uint64(hot.FootprintBytes) > cold.Base {
 		t.Error("streams overlap")
+	}
+	if hot.FootprintBytes != hotStreamBytes || cold.FootprintBytes != 64*1024 || cold.StrideBytes != 64 || cold.Temp1 != 512 {
+		t.Errorf("streams do not follow the settings: %+v", p.Streams)
 	}
 	counts := [2]int{}
 	total := 0
@@ -184,43 +183,31 @@ func TestGenericMemoryStreamsPass(t *testing.T) {
 	if math.Abs(frac0-0.75) > 0.05 {
 		t.Errorf("stream 0 carries %.2f of accesses, want ~0.75", frac0)
 	}
+	// A footprint below the hot stream's caps the hot stream at it.
+	set.MemFootprintKB = 2
+	b.memoryStreams(&set)
+	if got := b.prog.Streams[0].FootprintBytes; got != 2048 {
+		t.Errorf("hot stream footprint %d under a 2 KiB footprint, want 2048", got)
+	}
 }
 
+// TestGenericMemoryStreamsErrors checks that synthesis rejects the stream
+// shapes the memory step cannot lay out, which settings validation catches
+// before any step runs.
 func TestGenericMemoryStreamsErrors(t *testing.T) {
-	b := newBuilder("t")
-	_ = b.Apply(SimpleBuildingBlockPass{LoopSize: 10})
-	cases := []GenericMemoryStreamsPass{
-		{},
-		{Streams: []StreamSpec{{FootprintBytes: 0, Ratio: 1, StrideBytes: 8}}},
-		{Streams: []StreamSpec{{FootprintBytes: 64, Ratio: -1, StrideBytes: 8}}},
-		{Streams: []StreamSpec{{FootprintBytes: 64, Ratio: 0, StrideBytes: 8}}},
-	}
-	for i, p := range cases {
-		if err := p.Apply(b); err == nil {
-			t.Errorf("case %d: expected error", i)
-		}
-	}
-	empty := newBuilder("e")
-	if err := (GenericMemoryStreamsPass{Streams: []StreamSpec{{FootprintBytes: 64, Ratio: 1, StrideBytes: 8}}}).Apply(empty); err == nil {
-		t.Error("streams before building block should fail")
-	}
+	rejects(t, "zero footprint", "memory footprint", func(s *knobs.Settings) { s.MemFootprintKB = 0 })
+	rejects(t, "zero stride", "memory stride", func(s *knobs.Settings) { s.MemStrideB = 0 })
 }
 
 func TestDefaultRegisterAllocationDependencyDistance(t *testing.T) {
 	for _, dd := range []int{1, 2, 4, 8} {
-		b := newBuilder("t")
-		err := b.Apply(
-			SimpleBuildingBlockPass{LoopSize: 41},
-			ReserveRegistersPass{Regs: isa.DefaultReserved()},
-			SetInstructionTypeByProfilePass{Profile: knobs.NewProfile(map[isa.Opcode]float64{isa.ADD: 1})},
-			DefaultRegisterAllocationPass{DepDist: dd},
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := newBlock(t, 41)
+		profile := knobs.NewProfile(map[isa.Opcode]float64{isa.ADD: 1})
+		b.setInstructionTypes(&profile)
+		b.allocateRegisters(dd)
 		// For an all-ADD body, instruction i should read the register written
 		// by instruction i-dd (within the steady-state part of the loop).
-		instrs := b.Program().Instructions
+		instrs := b.prog.Instructions
 		lastWriter := map[int]int{} // reg ID -> instruction index
 		for i := 0; i < len(instrs)-1; i++ {
 			in := instrs[i]
@@ -240,24 +227,33 @@ func TestDefaultRegisterAllocationDependencyDistance(t *testing.T) {
 }
 
 func TestDefaultRegisterAllocationErrors(t *testing.T) {
-	b := newBuilder("t")
-	if err := (DefaultRegisterAllocationPass{DepDist: 1}).Apply(b); err == nil {
-		t.Error("allocation before building block should fail")
-	}
-	_ = b.Apply(SimpleBuildingBlockPass{LoopSize: 10})
-	if err := (DefaultRegisterAllocationPass{DepDist: 0}).Apply(b); err == nil {
-		t.Error("dependency distance 0 should be rejected")
-	}
+	rejects(t, "dependency distance 0", "dependency distance", func(s *knobs.Settings) { s.RegDist = 0 })
 }
 
-func TestUpdateInstructionAddressesRequiresStreams(t *testing.T) {
-	b := newBuilder("t")
-	_ = b.Apply(
-		SimpleBuildingBlockPass{LoopSize: 11},
-		SetInstructionTypeByProfilePass{Profile: knobs.NewProfile(map[isa.Opcode]float64{isa.LD: 1})},
-	)
-	if err := (UpdateInstructionAddressesPass{}).Apply(b); err == nil {
-		t.Error("address pass without streams should fail")
+// TestUpdateInstructionAddressesStridesStreams checks the address step:
+// each memory instruction's offset is its stream's stride times the
+// accesses to that stream before it, wrapped at the stream's footprint.
+func TestUpdateInstructionAddressesStridesStreams(t *testing.T) {
+	set := aluSettings()
+	set.Profile = knobs.NewProfile(map[isa.Opcode]float64{isa.LD: 3, isa.SD: 1, isa.ADD: 1})
+	set.MemFootprintKB, set.MemStrideB, set.MemTemp1 = 2, 40, 16
+	p, err := NewSynthesizer(Options{LoopSize: 300}).SynthesizeSettings("addrs", set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen [2]int
+	for i, in := range p.Instructions {
+		if !in.IsMemory() {
+			continue
+		}
+		s := p.Streams[in.Stream]
+		if want := int64(seen[in.Stream] * s.StrideBytes % s.FootprintBytes); in.Imm != want {
+			t.Fatalf("instruction %d on stream %d: offset %d, want %d", i, in.Stream, in.Imm, want)
+		}
+		seen[in.Stream]++
+	}
+	if seen[0] == 0 || seen[1] == 0 {
+		t.Errorf("accesses per stream %v, want both streams used", seen)
 	}
 }
 
@@ -444,19 +440,22 @@ func TestPropertySynthesizeAlwaysValid(t *testing.T) {
 	}
 }
 
-// TestBuilderAppliedPasses checks that Apply runs every pass it is given:
-// the building block exists and the register-initialization policy is
-// recorded.
+// TestBuilderAppliedPasses checks that a synthesis runs every step: the
+// building block exists, the register-initialization policy and every
+// step's metadata are recorded.
 func TestBuilderAppliedPasses(t *testing.T) {
-	b := newBuilder("t")
-	if err := b.Apply(SimpleBuildingBlockPass{LoopSize: 5}, InitializeRegistersPass{}); err != nil {
+	p, err := NewSynthesizer(Options{LoopSize: 5}).SynthesizeSettings("t", aluSettings())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := b.Program().StaticCount(); got != 5 {
+	if got := p.StaticCount(); got != 5 {
 		t.Errorf("building block has %d instructions, want 5", got)
 	}
-	if b.Program().Meta["register_init"] != "random" {
+	if p.Meta["register_init"] != "random" {
 		t.Error("register init policy not recorded")
+	}
+	if len(p.Streams) != 2 || len(p.Patterns) != 1 || p.Meta["reg_dependency_distance"] == "" {
+		t.Errorf("a step did not run: %d streams, %d patterns, meta %v", len(p.Streams), len(p.Patterns), p.Meta)
 	}
 }
 

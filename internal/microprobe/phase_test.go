@@ -110,28 +110,15 @@ func TestPhaseRotateShiftsBurstSchedule(t *testing.T) {
 }
 
 func TestPhaseRotatePassValidation(t *testing.T) {
-	b := newBuilder("phase")
-	if err := (PhaseRotatePass{OffsetInstrs: 4}).Apply(b); err == nil {
-		t.Error("rotation before the building block should fail")
-	}
-	if err := b.Apply(SimpleBuildingBlockPass{LoopSize: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if err := (PhaseRotatePass{OffsetInstrs: -1}).Apply(b); err == nil {
-		t.Error("negative offset should be rejected")
-	}
+	rejects(t, "negative offset", "phase offset", func(s *knobs.Settings) { s.PhaseOffset = -1 })
 	// Whole-body rotations are identities.
-	var before []isa.Opcode
-	for _, in := range b.Program().Instructions {
-		before = append(before, in.Op)
-	}
-	if err := (PhaseRotatePass{OffsetInstrs: 7}).Apply(b); err != nil {
-		t.Fatal(err)
-	}
-	for i, in := range b.Program().Instructions {
-		if in.Op != before[i] {
-			t.Errorf("full-body rotation should be the identity (slot %d)", i)
-		}
+	b := newBlock(t, 8)
+	profile := knobs.NewProfile(map[isa.Opcode]float64{isa.ADD: 1, isa.FMULD: 2})
+	b.setInstructionTypes(&profile)
+	before := slices.Clone(b.prog.Instructions)
+	b.rotate(7)
+	if !slices.Equal(b.prog.Instructions, before) {
+		t.Error("full-body rotation should be the identity")
 	}
 }
 
@@ -139,17 +126,12 @@ func TestPhaseRotatePassValidation(t *testing.T) {
 // slot 0, moves a body instruction's comment with the instruction, and
 // leaves the loop-closing branch's note in place.
 func TestPhaseRotateMovesNotes(t *testing.T) {
-	b := newBuilder("notes")
-	if err := b.Apply(SimpleBuildingBlockPass{LoopSize: 10}); err != nil {
-		t.Fatal(err)
-	}
-	p := b.Program()
+	b := newBlock(t, 10)
+	p := b.prog
 	p.Instructions[4].Op = isa.ADD
 	p.SetComment(4, "marked")
 	p.SetLabel(6, "stale")
-	if err := b.Apply(PhaseRotatePass{OffsetInstrs: 3}); err != nil {
-		t.Fatal(err)
-	}
+	b.rotate(3)
 	want := []program.Note{
 		{Index: 0, Label: "kernel_loop"},
 		{Index: 1, Comment: "marked"},
@@ -187,8 +169,8 @@ func sameKernel(t *testing.T, what string, got, want *program.Program) {
 }
 
 // TestSynthesizeCoreMatchesSynthesizeSettings checks that a core kernel
-// deriveCore derives from its shape's base is the kernel the whole
-// pipeline builds, for offsets of 0, inside the body, at and above its
+// deriveCore derives from its shape's base is the kernel every pass
+// builds, for offsets of 0, inside the body, at and above its
 // length, with the base built by the call itself or handed in from an
 // earlier core.
 func TestSynthesizeCoreMatchesSynthesizeSettings(t *testing.T) {

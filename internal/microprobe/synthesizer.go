@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"sync"
 
-	"micrograd/internal/isa"
 	"micrograd/internal/knobs"
 	"micrograd/internal/program"
 )
@@ -41,10 +40,10 @@ func (o Options) Normalized() Options {
 }
 
 // Synthesizer turns knob settings into synthetic test cases by running the
-// standard MicroGrad pass pipeline (the paper's Listing 2). It is the
-// "Microprobe scripting interface" of the Go reproduction: the tuning
-// mechanism hands it a knob configuration and receives a runnable program.
-// It is safe for concurrent use.
+// passes of the paper's Listing 2. It is the "Microprobe scripting
+// interface" of the Go reproduction: the tuning mechanism hands it a knob
+// configuration and receives a runnable program. It is safe for concurrent
+// use.
 type Synthesizer struct {
 	opts Options
 	// loopSize is opts.LoopSize as the program metadata records it.
@@ -66,36 +65,16 @@ func (s *Synthesizer) Synthesize(name string, cfg knobs.Config) (*program.Progra
 }
 
 // synthScratch is the working memory of one synthesis: the builder with its
-// pass scratch, the generator re-seeded per synthesis, and the standard
-// pipeline's passes. The passes live here so that listing them as Pass
-// values stores pointers instead of copying each pass to the heap.
-// Syntheses run concurrently (workers share one CachingSynthesizer, which
-// synthesizes outside its lock), so each call takes its own scratch from
-// scratchPool.
+// steps' scratch and the generator re-seeded per synthesis. Syntheses run
+// concurrently (workers share one CachingSynthesizer, which synthesizes
+// outside its lock), so each call takes its own scratch from scratchPool.
 type synthScratch struct {
-	b       Builder
-	rng     *rand.Rand
-	streams [2]StreamSpec
-	passes  []Pass
-
-	block    SimpleBuildingBlockPass
-	reserve  ReserveRegistersPass
-	profile  SetInstructionTypeByProfilePass
-	init     InitializeRegistersPass
-	branches RandomizeByTypePass
-	memory   GenericMemoryStreamsPass
-	regAlloc DefaultRegisterAllocationPass
-	duty     DutyCyclePass
-	rotate   PhaseRotatePass
-	addrs    UpdateInstructionAddressesPass
+	b   builder
+	rng *rand.Rand
 }
 
 var scratchPool = sync.Pool{New: func() any {
-	return &synthScratch{
-		rng:     rand.New(rand.NewSource(0)),
-		reserve: ReserveRegistersPass{Regs: isa.DefaultReserved()},
-		init:    InitializeRegistersPass{Policy: "random"},
-	}
+	return &synthScratch{rng: rand.New(rand.NewSource(0))}
 }}
 
 // SynthesizeSettings generates the test case for explicit back-end settings.
@@ -113,46 +92,30 @@ func (s *Synthesizer) SynthesizeSettings(name string, set knobs.Settings) (*prog
 	}()
 	sc.rng.Seed(s.opts.Seed)
 	b := &sc.b
-	b.reset(name)
 
-	// Two memory streams, as in the paper's Listing 2: a small "hot" stream
-	// capturing temporal re-use and a "cold" stream with the configured
-	// footprint and stride. The hot fraction grows with the MEM_TEMP1 knob
-	// (how many accesses repeat).
-	hotRatio := temporalHotRatio(set.MemTemp1)
-	coldFootprint := set.MemFootprintKB * 1024
-	hotFootprint := minInt(hotStreamBytes, coldFootprint)
-	sc.streams = [2]StreamSpec{
-		{FootprintBytes: hotFootprint, Ratio: hotRatio, StrideBytes: 8, Temp1: 1, Temp2: 1},
-		{FootprintBytes: coldFootprint, Ratio: 1 - hotRatio, StrideBytes: set.MemStrideB, Temp1: set.MemTemp1, Temp2: set.MemTemp2},
+	// The passes of Listing 2, in order. ReserveRegistersPass is fixed to
+	// isa.DefaultReserved, which the allocator's pools leave out, and
+	// InitializeRegistersPass(value=RNDINT) is the "random" policy the
+	// metadata records.
+	if err := b.buildingBlock(name, s.opts.LoopSize); err != nil {
+		return nil, fmt.Errorf("microprobe: %w", err)
 	}
-
-	sc.block.LoopSize = s.opts.LoopSize
-	sc.profile.Profile = set.Profile
-	sc.branches.Probability = set.BranchRandomRatio
-	sc.memory.Streams = sc.streams[:]
-	sc.regAlloc.DepDist = set.RegDist
-	passes := append(sc.passes[:0], &sc.block, &sc.reserve, &sc.profile, &sc.init,
-		&sc.branches, &sc.memory, &sc.regAlloc)
+	b.setInstructionTypes(&set.Profile)
+	b.prog.Meta["register_init"] = "random"
+	b.randomizeBranches(set.BranchRandomRatio)
+	b.memoryStreams(&set)
+	b.allocateRegisters(set.RegDist)
 	if set.DutyCycle > 0 && set.DutyCycle < 1 {
-		// After register allocation: the throttle chain lives on a reserved
-		// register the allocator never touches.
-		sc.duty = DutyCyclePass{Duty: set.DutyCycle, BurstLen: set.BurstLen}
-		passes = append(passes, &sc.duty)
+		b.dutyCycle(set.DutyCycle, set.BurstLen)
 	}
 	if set.PhaseOffset > 0 {
-		// Last structural pass: rotating the finished body shifts the burst
-		// schedule without disturbing any positional assignment.
-		sc.rotate.OffsetInstrs = set.PhaseOffset
-		passes = append(passes, &sc.rotate)
+		b.rotate(set.PhaseOffset)
 	}
-	passes = append(passes, &sc.addrs)
-	sc.passes = passes
-	if err := b.Apply(passes...); err != nil {
-		return nil, err
+	if err := b.updateAddresses(); err != nil {
+		return nil, fmt.Errorf("microprobe: %w", err)
 	}
 
-	p := b.Program()
+	p := b.prog
 	p.Meta["generator"] = "micrograd/microprobe"
 	p.Meta["loop_size"] = s.loopSize
 	p.Meta["mem_footprint_kb"] = strconv.Itoa(set.MemFootprintKB)
@@ -172,8 +135,8 @@ func (s *Synthesizer) SynthesizeSettings(name string, set knobs.Settings) (*prog
 // co-run configuration: cfg's shared kernel shape, core i's kernel named
 // names[i] and its burst schedule rotated by its PHASE_OFFSET_<i> knob.
 // Core i's kernel is SynthesizeSettings(names[i], coreSettings(cfg, set, i)),
-// but with two or more cores the pass pipeline runs once, for the shape,
-// and each core's kernel derives from it (see deriveCore).
+// but with two or more cores the passes run once, for the shape, and each
+// core's kernel derives from it (see deriveCore).
 func (s *Synthesizer) SynthesizeCores(progs []*program.Program, names []string, cfg knobs.Config) error {
 	clear(progs)
 	return s.buildCores(progs, names, cfg, cfg.Settings(), len(progs), nil)
@@ -190,8 +153,8 @@ func coreSettings(cfg knobs.Config, set knobs.Settings, i int) knobs.Settings {
 
 // buildCores synthesizes the nil entries of progs, misses in number, for
 // the co-run configuration cfg whose shared settings are set. A single
-// miss runs the whole pipeline for its core; several derive from one run
-// for their shape. With memo set, every kernel built is memoized.
+// miss runs every pass for its core; several derive from one run for their
+// shape. With memo set, every kernel built is memoized.
 func (s *Synthesizer) buildCores(progs []*program.Program, names []string, cfg knobs.Config, set knobs.Settings, misses int, memo *CachingSynthesizer) error {
 	var base *program.Program
 	for i, p := range progs {
@@ -219,13 +182,13 @@ func (s *Synthesizer) buildCores(progs []*program.Program, names []string, cfg k
 
 // deriveCore generates one kernel of a co-run whose cores share one kernel
 // shape and differ only in set.PhaseOffset: the kernel
-// SynthesizeSettings(name, set) returns, built without re-running the pass
-// pipeline. base is the shape's unrotated kernel, or nil when no core has
+// SynthesizeSettings(name, set) returns, built without re-running the
+// passes. base is the shape's unrotated kernel, or nil when no core has
 // built it yet; deriveCore then synthesizes it with PhaseOffset 0, and a
 // core at offset 0 gets that base itself. Any other core's kernel is a copy
-// of base under name with PhaseRotatePass and
-// UpdateInstructionAddressesPass applied. It returns the core's kernel and
-// the base for the next core of the same shape.
+// of base under name, rotated and with its addresses updated (the rotate
+// and updateAddresses steps). It returns the core's kernel and the base for
+// the next core of the same shape.
 func (s *Synthesizer) deriveCore(name string, set knobs.Settings, base *program.Program) (*program.Program, *program.Program, error) {
 	if err := set.Validate(); err != nil {
 		return nil, base, fmt.Errorf("microprobe: invalid settings: %w", err)
@@ -263,9 +226,9 @@ func (s *Synthesizer) deriveCore(name string, set knobs.Settings, base *program.
 		scratchPool.Put(sc)
 	}()
 	sc.b.prog = p
-	sc.rotate.OffsetInstrs = set.PhaseOffset
-	if err := sc.b.Apply(&sc.rotate, &sc.addrs); err != nil {
-		return nil, base, err
+	sc.b.rotate(set.PhaseOffset)
+	if err := sc.b.updateAddresses(); err != nil {
+		return nil, base, fmt.Errorf("microprobe: %w", err)
 	}
 	return p, base, nil
 }
@@ -274,9 +237,6 @@ func (s *Synthesizer) deriveCore(name string, set knobs.Settings, base *program.
 // repeat") to the fraction of memory accesses routed to the small hot
 // stream. The mapping is logarithmic because the knob's value list is.
 func temporalHotRatio(temp1 int) float64 {
-	if temp1 < 1 {
-		temp1 = 1
-	}
 	if temp1 > 512 {
 		temp1 = 512
 	}

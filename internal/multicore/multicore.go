@@ -512,13 +512,9 @@ func (c *CoRunPlatform) spatialMetrics(runs []coreRun, windowNS float64, offsets
 		return fmt.Errorf("multicore: summing node traces: %w", err)
 	}
 	trimNodesAligned(nodes, platform.TraceWarmupWindows)
-	droops, err := c.grid.NodeDroopsMV(*c.spec.GridSupply, nodes)
+	droops, temps, err := c.grid.Solve(*c.spec.GridSupply, *c.spec.GridThermal, nodes)
 	if err != nil {
-		return fmt.Errorf("multicore: spatial supply solve: %w", err)
-	}
-	temps, err := c.grid.NodeTempsC(*c.spec.GridThermal, nodes)
-	if err != nil {
-		return fmt.Errorf("multicore: spatial thermal solve: %w", err)
+		return fmt.Errorf("multicore: spatial grid solves: %w", err)
 	}
 	worstDroop, worstTemp := droops[0], temps[0]
 	for k := range droops {

@@ -78,7 +78,15 @@ func (g GridSupplyModel) Validate() error {
 // worst-case droop in millivolts. On a 1×1 grid the result matches the
 // lumped SupplyModel.WorstDroopMV of the same trace exactly.
 func (g GridSupplyModel) NodeDroopsMV(nodes []PowerTrace) ([]float64, error) {
-	return new(GridScratch).NodeDroopsMV(g, nodes)
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	s := new(GridScratch)
+	dtS, err := s.waveform(g.Nodes(), nodes)
+	if err != nil {
+		return nil, err
+	}
+	return s.droopsMV(g, dtS, nodes, ringEmbeds(g.Rows, g.Cols)), nil
 }
 
 // GridScratch keeps the buffers of repeated grid solves, for a caller that
@@ -97,31 +105,43 @@ type GridScratch struct {
 	droops, temps []float64
 }
 
-// NodeDroopsMV is g.NodeDroopsMV on s's buffers. The returned slice is
-// valid until the next NodeDroopsMV call on s. A 2×2 grid, or one of two
-// nodes, is integrated in registers on a ring (droopsInRegisters), any
-// other in the slice loops (droopsInSlices); both give the same bits.
-func (s *GridScratch) NodeDroopsMV(g GridSupplyModel, nodes []PowerTrace) ([]float64, error) {
-	return s.nodeDroopsMV(g, nodes, ringEmbeds(g.Rows, g.Cols))
+// Solve runs the supply and the thermal solves of one evaluation on s's
+// buffers: droops is supply.NodeDroopsMV(nodes) and temps is
+// thermal.NodeTempsC(nodes), bit for bit, from one derivation of the
+// common step grid. The two grids must have the same shape. The returned
+// slices are valid until the next Solve on s. A 2×2 grid, or one of two
+// nodes, is integrated in registers on a ring (droopsInRegisters,
+// tempsInRegisters), any other in the slice loops; both give the same bits.
+func (s *GridScratch) Solve(supply GridSupplyModel, thermal GridThermalModel, nodes []PowerTrace) (droops, temps []float64, err error) {
+	if err := supply.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if err := thermal.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if supply.Rows != thermal.Rows || supply.Cols != thermal.Cols {
+		return nil, nil, fmt.Errorf("powersim: %dx%d supply grid and %dx%d thermal grid differ",
+			supply.Rows, supply.Cols, thermal.Rows, thermal.Cols)
+	}
+	dtS, err := s.waveform(supply.Nodes(), nodes)
+	if err != nil {
+		return nil, nil, err
+	}
+	inRegisters := ringEmbeds(supply.Rows, supply.Cols)
+	return s.droopsMV(supply, dtS, nodes, inRegisters), s.tempsC(thermal, dtS, nodes, inRegisters), nil
 }
 
-// nodeDroopsMV is NodeDroopsMV with the solve chosen by the caller:
-// inRegisters (for a grid that ringEmbeds only) or the slice loops, which
-// serve any grid and are the tests' reference for the other.
-func (s *GridScratch) nodeDroopsMV(g GridSupplyModel, nodes []PowerTrace, inRegisters bool) ([]float64, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
+// droopsMV runs the supply solve over the common step grid commonDtS of
+// the validated g, inRegisters (for a grid that ringEmbeds only) or in the
+// slice loops, which serve any grid and are the tests' reference for the
+// other. The result is in s.droops.
+func (s *GridScratch) droopsMV(g GridSupplyModel, commonDtS []float64, nodes []PowerTrace, inRegisters bool) []float64 {
 	n := g.Nodes()
-	commonDtS, err := s.waveform(n, nodes)
-	if err != nil {
-		return nil, err
-	}
 	s.droops = zeroed(s.droops, n)
 	droops := s.droops
 	windows := len(commonDtS)
 	if windows == 0 {
-		return droops, nil
+		return droops
 	}
 
 	m := g.Node
@@ -214,7 +234,7 @@ func (s *GridScratch) nodeDroopsMV(g GridSupplyModel, nodes []PowerTrace, inRegi
 	for nn := range droops {
 		droops[nn] = (m.VddV - vMin[nn]) * 1000
 	}
-	return droops, nil
+	return droops
 }
 
 // droopsInSlices runs the settling passes of the supply solve on node
@@ -318,28 +338,21 @@ func (g GridThermalModel) Validate() error {
 // and returns each node's peak steady-state temperature in °C. On a 1×1
 // grid the result matches the lumped ThermalModel.SteadyTempC exactly.
 func (g GridThermalModel) NodeTempsC(nodes []PowerTrace) ([]float64, error) {
-	return new(GridScratch).NodeTempsC(g, nodes)
-}
-
-// NodeTempsC is g.NodeTempsC on s's buffers. The returned slice is valid
-// until the next NodeTempsC call on s. A 2×2 grid, or one of two nodes, is
-// integrated in registers on a ring (tempsInRegisters), any other in the
-// slice loop; both give the same bits.
-func (s *GridScratch) NodeTempsC(g GridThermalModel, nodes []PowerTrace) ([]float64, error) {
-	return s.nodeTempsC(g, nodes, ringEmbeds(g.Rows, g.Cols))
-}
-
-// nodeTempsC is NodeTempsC with the solve chosen by the caller, as
-// nodeDroopsMV is NodeDroopsMV's.
-func (s *GridScratch) nodeTempsC(g GridThermalModel, nodes []PowerTrace, inRegisters bool) ([]float64, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	n := g.Nodes()
-	commonDtS, err := s.waveform(n, nodes)
+	s := new(GridScratch)
+	dtS, err := s.waveform(g.Nodes(), nodes)
 	if err != nil {
 		return nil, err
 	}
+	return s.tempsC(g, dtS, nodes, ringEmbeds(g.Rows, g.Cols)), nil
+}
+
+// tempsC runs the thermal solve over the common step grid commonDtS of the
+// validated g, as droopsMV runs the supply solve. The result is in s.temps.
+func (s *GridScratch) tempsC(g GridThermalModel, commonDtS []float64, nodes []PowerTrace, inRegisters bool) []float64 {
+	n := g.Nodes()
 	m := g.Node
 	s.temps = zeroed(s.temps, n)
 	tMax := s.temps
@@ -348,7 +361,7 @@ func (s *GridScratch) nodeTempsC(g GridThermalModel, nodes []PowerTrace, inRegis
 		for nn := range tMax {
 			tMax[nn] = m.AmbientC
 		}
-		return tMax, nil
+		return tMax
 	}
 
 	// Warm start at each node's own average-power operating point — the
@@ -377,7 +390,7 @@ func (s *GridScratch) nodeTempsC(g GridThermalModel, nodes []PowerTrace, inRegis
 	}
 	if inRegisters {
 		s.tempsInRegisters(g, coupled, maxStep, commonDtS, nodes, temps, tMax)
-		return tMax, nil
+		return tMax
 	}
 
 	for pass := 0; pass < m.Passes; pass++ {
@@ -425,7 +438,7 @@ func (s *GridScratch) nodeTempsC(g GridThermalModel, nodes []PowerTrace, inRegis
 			break
 		}
 	}
-	return tMax, nil
+	return tMax
 }
 
 // ringSlots is the slot count of the grid solves in registers.

@@ -96,6 +96,13 @@ func TestGridRejectsNodeTraceCountMismatch(t *testing.T) {
 	if _, err := gt.NodeTempsC([]PowerTrace{tr, tr, tr}); err == nil || !strings.Contains(err.Error(), "node traces") {
 		t.Errorf("3 traces for a 2-node thermal grid should be rejected, got %v", err)
 	}
+	var s GridScratch
+	if _, _, err := s.Solve(gs, defaultGridThermal(2, 2), []PowerTrace{tr}); err == nil || !strings.Contains(err.Error(), "node traces") {
+		t.Errorf("1 trace for two 4-node grids should be rejected, got %v", err)
+	}
+	if _, _, err := s.Solve(defaultGridSupply(2, 1), gt, []PowerTrace{tr, tr}); err == nil || !strings.Contains(err.Error(), "differ") {
+		t.Errorf("a 2x1 supply grid and a 1x2 thermal grid should be rejected, got %v", err)
+	}
 }
 
 // TestOneByOneGridMatchesLumpedSolvers is the unit-level half of the spatial
@@ -279,25 +286,18 @@ func TestRingEmbedsOnlyRingGrids(t *testing.T) {
 func requireSlicesMatch(t *testing.T, gs GridSupplyModel, gt GridThermalModel, nodes []PowerTrace) {
 	t.Helper()
 	var s, ref GridScratch
-	droops, err := s.nodeDroopsMV(gs, nodes, true)
+	dtS, err := s.waveform(gs.Nodes(), nodes)
 	if err != nil {
-		t.Fatalf("%dx%d droop solve: %v", gs.Rows, gs.Cols, err)
+		t.Fatalf("%dx%d step grid: %v", gs.Rows, gs.Cols, err)
 	}
-	want, err := ref.nodeDroopsMV(gs, nodes, false)
+	refDtS, err := ref.waveform(gs.Nodes(), nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameBits(droops, want) {
+	if droops, want := s.droopsMV(gs, dtS, nodes, true), ref.droopsMV(gs, refDtS, nodes, false); !sameBits(droops, want) {
 		t.Errorf("%dx%d grid: droops %v, slice loop %v", gs.Rows, gs.Cols, droops, want)
 	}
-	temps, err := s.nodeTempsC(gt, nodes, true)
-	if err != nil {
-		t.Fatalf("%dx%d thermal solve: %v", gt.Rows, gt.Cols, err)
-	}
-	if want, err = ref.nodeTempsC(gt, nodes, false); err != nil {
-		t.Fatal(err)
-	}
-	if !sameBits(temps, want) {
+	if temps, want := s.tempsC(gt, dtS, nodes, true), ref.tempsC(gt, refDtS, nodes, false); !sameBits(temps, want) {
 		t.Errorf("%dx%d grid: temperatures %v, slice loop %v", gt.Rows, gt.Cols, temps, want)
 	}
 }

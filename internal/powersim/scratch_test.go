@@ -39,17 +39,12 @@ func sameTraceBits(a, b PowerTrace) bool {
 
 // requireScratchSolvesMatch solves the grids on s's buffers, whatever an
 // earlier solve left in them, and requires the droops and temperatures of
-// fresh zero-value calls bit for bit. The droops are checked after the
-// thermal solve, so the two results must not share storage.
+// fresh zero-value calls bit for bit.
 func requireScratchSolvesMatch(t *testing.T, s *GridScratch, gs GridSupplyModel, gt GridThermalModel, nodes []PowerTrace) {
 	t.Helper()
-	droops, err := s.NodeDroopsMV(gs, nodes)
+	droops, temps, err := s.Solve(gs, gt, nodes)
 	if err != nil {
-		t.Fatalf("reused %dx%d droop solve: %v", gs.Rows, gs.Cols, err)
-	}
-	temps, err := s.NodeTempsC(gt, nodes)
-	if err != nil {
-		t.Fatalf("reused %dx%d thermal solve: %v", gt.Rows, gt.Cols, err)
+		t.Fatalf("reused %dx%d grid solves: %v", gs.Rows, gs.Cols, err)
 	}
 	wantDroops, err := gs.NodeDroopsMV(nodes)
 	if err != nil {
@@ -192,10 +187,7 @@ func TestAllocsGridScratch(t *testing.T) {
 		gs, gt := defaultGridSupply(dims[0], dims[1]), defaultGridThermal(dims[0], dims[1])
 		var s GridScratch
 		solve := func() {
-			if _, err := s.NodeDroopsMV(gs, nodes); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.NodeTempsC(gt, nodes); err != nil {
+			if _, _, err := s.Solve(gs, gt, nodes); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -38,7 +38,7 @@ func (p *Program) EmitC(w io.Writer) error {
 	ew.printf("\nstatic inline uint32_t lcg(uint32_t *s) { *s = *s * 1664525u + 1013904223u; return *s; }\n\n")
 
 	ew.printf("int main(int argc, char **argv) {\n")
-	ew.printf("    long iters = argc > 1 ? atol(argv[1]) : 10000000L / %d;\n", maxInt(1, p.StaticCount()))
+	ew.printf("    long iters = argc > 1 ? atol(argv[1]) : 10000000L / %d;\n", max(1, p.StaticCount()))
 	ew.printf("    uint32_t rng = 0x12345678u;\n")
 	ew.printf("    volatile int64_t iacc = 1; volatile double facc = 1.0;\n")
 	for i, s := range p.Streams {
@@ -96,11 +96,4 @@ func (p *Program) cStatement(in Instruction) string {
 	default:
 		return "/* nop */;"
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -58,7 +58,7 @@ func (b Benchmark) Validate() error {
 	}
 	total := 0.0
 	for _, ph := range b.Phases {
-		if ph.LoopSize < 2 {
+		if ph.LoopSize < microprobe.MinLoopSize {
 			return fmt.Errorf("workloads: benchmark %q phase %q has loop size %d", b.Name, ph.Name, ph.LoopSize)
 		}
 		if err := ph.Settings.Validate(); err != nil {

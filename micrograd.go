@@ -134,8 +134,9 @@ func DefaultKnobSpace() *KnobSpace { return knobs.DefaultSpace() }
 // StressKnobSpace returns the knob space used for power-virus generation.
 func StressKnobSpace() *KnobSpace { return knobs.StressSpace() }
 
-// Synthesize generates a synthetic test case for a knob configuration using
-// the standard pass pipeline with the given static loop size (0 = ~500).
+// Synthesize generates a synthetic test case for a knob configuration by
+// the passes of the paper's Listing 2, at the given static loop size
+// (0 = ~500).
 func Synthesize(name string, cfg KnobConfig, loopSize int, seed int64) (*Program, error) {
 	syn := microprobe.NewSynthesizer(microprobe.Options{LoopSize: loopSize, Seed: seed})
 	return syn.Synthesize(name, cfg)
